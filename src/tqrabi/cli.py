@@ -88,21 +88,6 @@ def _open_out(path: str):
     return open(path, "w"), True
 
 
-def _oracle_window(params: ModelParams, truncation: int, e_min: float,
-                   e_max: float) -> list[SpectrumRecord]:
-    evals, _ = oracle._eig(params, truncation)
-    k = int(np.searchsorted(evals, e_max + 0.5)) + 4
-    evs, pars, drifts, _ = oracle.certified_spectrum(params, truncation,
-                                                     min(k, evals.size))
-    out = []
-    for i in range(min(k, evs.size)):
-        if e_min <= evs[i] <= e_max:
-            par = Parity.PLUS if pars[i] > 0 else Parity.MINUS
-            drift = float(drifts[i]) if i < drifts.size else 0.0
-            out.append(SpectrumRecord(float(evs[i]), par, "oracle", drift, label=i))
-    return out
-
-
 def cmd_spectrum(args: argparse.Namespace, params: ModelParams) -> int:
     records: list[SpectrumRecord] = []
     for parity in _parities(args.parity):
@@ -113,10 +98,9 @@ def cmd_spectrum(args: argparse.Namespace, params: ModelParams) -> int:
                                        n_max=args.nmax)
             records.extend(res.records)
     if args.solver in ("oracle", "both"):
-        want = set(_parities(args.parity))
-        records.extend(r for r in _oracle_window(params, args.truncation,
-                                                 args.emin, args.emax)
-                       if r.parity in want)
+        records.extend(r for r in oracle.window(params, args.truncation, args.emax,
+                                                _parities(args.parity))
+                       if args.emin <= r.energy <= args.emax)
     records.sort(key=lambda r: (r.energy, r.method, r.parity.sign))
     fh, close = _open_out(args.out)
     try:
@@ -183,19 +167,10 @@ def _sweep_point(task) -> list[tuple[str, ...]]:
             rows.append((_fmt(g), "", "", "oracle", "", type(exc).__name__))
     if point.gprime == 0.0:
         for parity in parities:
-            n_hi = int(np.ceil(spec.e_max + abs(point.jx) + abs(point.jy)
-                               + abs(point.jz))) + 1
-            for n in range(0, max(n_hi, 1)):
-                energy = exceptional.exceptional_energy(point, parity, n)
-                if not spec.e_min <= energy <= spec.e_max:
-                    continue
-                try:
-                    cond = exceptional.condition(point, parity, n)
-                except SolverError:
-                    continue
-                if abs(cond) < exceptional.CONDITION_TOL:
-                    rows.append((_fmt(g), _fmt(energy), str(parity.sign),
-                                 "exceptional", _fmt(abs(cond)), "ok"))
+            rows.extend((_fmt(g), _fmt(energy), str(parity.sign), "exceptional",
+                         _fmt(abs(cond)), "ok")
+                        for _, energy, cond in exceptional.levels(
+                            point, parity, spec.e_min, spec.e_max))
     return rows
 
 
@@ -291,8 +266,9 @@ def cmd_verify(args: argparse.Namespace, params: ModelParams) -> int:
         worst = max((r.residual for r in res), default=0.0)
         report(not bad, f"roots[{parity}]: {len(res)} roots, "
                         f"max |E - E_ed| = {worst:.3e}")
-        ed = [r for r in _oracle_window(params, args.truncation, args.emin,
-                                        args.emax) if r.parity is parity]
+        ed = [r for r in oracle.window(params, args.truncation, args.emax,
+                                       (parity,))
+              if args.emin <= r.energy <= args.emax]
         missing = []
         for r in ed:
             if any(abs(r.energy - b.energy) < pole for b in bl):
@@ -304,16 +280,8 @@ def cmd_verify(args: argparse.Namespace, params: ModelParams) -> int:
                             f"{len(missing)} unmatched off-baseline")
     if params.gprime == 0.0:
         for parity in _parities(args.parity):
-            for n in range(0, int(np.ceil(args.emax)) + 2):
-                energy = exceptional.exceptional_energy(params, parity, n)
-                if not args.emin <= energy <= args.emax:
-                    continue
-                try:
-                    cond = exceptional.condition(params, parity, n)
-                except SolverError:
-                    continue
-                if abs(cond) >= exceptional.CONDITION_TOL:
-                    continue
+            for n, energy, _ in exceptional.levels(params, parity, args.emin,
+                                                   args.emax):
                 state = exceptional.build_state(params, parity, n)
                 resid = oracle.residual(params, max(n + 2, 40), state)
                 report(resid < 1e-10,

@@ -39,6 +39,7 @@ __all__ = [
     "fock_subspace_check",
     "scan_flat_lines",
     "exceptional_energy",
+    "levels",
     "write_catalog_csv",
 ]
 
@@ -300,13 +301,42 @@ def fock_subspace_check(params: ModelParams, parity: Parity,
     """
     n_top = state.max_photon
     trunc = n_top + 1
-    h = oracle.build_hamiltonian(params, trunc).matrix
     v = state.vector(trunc)
-    r = h @ v - state.energy * v
+    r = oracle.apply_hamiltonian(params, trunc, v) - state.energy * v
     rows = np.zeros(4 * (trunc + 1), dtype=bool)
     rows[0:4] = True
     rows[4 * n_top:4 * (n_top + 2)] = True
     return float(np.max(np.abs(r[rows])))
+
+
+def levels(params: ModelParams, parity: Parity, e_min: float,
+           e_max: float) -> list[tuple[int, float, float]]:
+    """Cutoff states of one parity with energies in [e_min, e_max].
+
+    Returns (N, E, f(-1, N)) for every index N whose condition vanishes
+    (within 1e-10). The baseline energy is N omega shifted by at most
+    |jx| + |jy| + |jz|, which bounds N in units of omega; indices whose
+    condition is undefined (a vanishing denominator) are skipped. Only
+    defined for g1 = g2.
+    """
+    sp = params.scaled()
+    if sp.gprime != 0.0:
+        raise RequiresEqualCouplings("cutoff states need g1 == g2")
+    shift = abs(sp.jx) + abs(sp.jy) + abs(sp.jz)
+    n_lo = max(0, math.floor(e_min / params.omega - shift))
+    n_hi = math.ceil(e_max / params.omega + shift)
+    out = []
+    for n in range(n_lo, n_hi + 1):
+        energy = exceptional_energy(params, parity, n)
+        if not e_min <= energy <= e_max:
+            continue
+        try:
+            cond = condition(params, parity, n)
+        except SolverError:
+            continue
+        if abs(cond) < CONDITION_TOL:
+            out.append((n, energy, cond))
+    return out
 
 
 @dataclass(frozen=True)

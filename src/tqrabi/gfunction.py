@@ -311,6 +311,11 @@ def trace(params: ModelParams, parity: Parity, e_min: float, e_max: float,
 def _refine_brackets(sp: ModelParams, sign: int, scheme: MatchingScheme,
                      lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
                      tol: float, n_max: int) -> np.ndarray:
+    """Bisect sign-change brackets to width 2*tol.
+
+    A non-finite midpoint leaves its bracket without a sign to follow; it
+    raises NoConvergence rather than return the midpoint as a root.
+    """
     lo = lo.astype(float)
     hi = hi.astype(float)
     flo = flo.copy()
@@ -320,10 +325,14 @@ def _refine_brackets(sp: ModelParams, sign: int, scheme: MatchingScheme,
         mid = 0.5 * (lo + hi)
         fmid, _, _ = _gvalues(sp, sign, mid, scheme, n_max)
         bad = ~np.isfinite(fmid)
-        take_lo = (np.sign(fmid) == np.sign(flo)) & ~bad
+        if bad.any():
+            raise NoConvergence(
+                f"G is not finite at {bad.sum()} bracket midpoint(s), first at "
+                f"E = {mid[bad][0]:.17g} (omega = 1 units)")
+        take_lo = np.sign(fmid) == np.sign(flo)
         lo = np.where(take_lo, mid, lo)
         flo = np.where(take_lo, fmid, flo)
-        hi = np.where(take_lo | bad, hi, mid)
+        hi = np.where(take_lo, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -342,7 +351,8 @@ def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
     checked against the diagonalization oracle (nearest same-parity level
     within 1e-6); unmatched roots are kept but flagged unverified. Exceptional
     eigenvalues sitting exactly on baselines are out of reach here by
-    construction.
+    construction. A bracket whose midpoint G is not finite raises
+    NoConvergence.
     """
     if not e_min < e_max:
         raise ValueError("empty energy window")
@@ -428,8 +438,8 @@ def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
 
     ed_levels = None
     if verify:
-        evals, parities, _, _ = _verified_levels(params, hi_w * w, verify_truncation)
-        ed_levels = evals[parities == sign]
+        ed_levels = np.array(oracle.window(params, verify_truncation, hi_w * w,
+                                           (parity,)).energies())
 
     records = []
     for x in dedup:
@@ -460,13 +470,6 @@ def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
     relabeled = [SpectrumRecord(r.energy, r.parity, r.method, r.residual, i,
                                 r.verified) for i, r in enumerate(result)]
     return SpectrumResult(tuple(relabeled))
-
-
-def _verified_levels(params: ModelParams, emax: float, truncation: int,
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    evals, _ = oracle._eig(params, truncation)
-    k = int(np.searchsorted(evals, emax + 0.5)) + 4
-    return oracle.certified_spectrum(params, truncation, min(k, evals.size))
 
 
 def _fmt(x: float) -> str:

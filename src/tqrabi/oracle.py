@@ -1,9 +1,16 @@
-"""Dense truncated-Fock-space diagonalization, the independent cross-check solver."""
+"""Truncated-Fock-space diagonalization, the independent cross-check solver.
+
+H commutes with the parity (-1)^n sigma1_z sigma2_z. Each parity block holds
+two states per photon number; ordered by photon number it is a symmetric band
+matrix with three superdiagonals. The blocks are written straight into LAPACK
+band storage and only the levels a caller needs are computed, so every level
+carries its parity by construction.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -19,9 +26,11 @@ from .model import (
 
 __all__ = [
     "FockHamiltonian",
+    "apply_hamiltonian",
     "build_hamiltonian",
     "diagonalize",
     "certified_spectrum",
+    "window",
     "residual",
 ]
 
@@ -30,10 +39,11 @@ _Z1 = np.array([1.0, 1.0, -1.0, -1.0])
 _Z2 = np.array([1.0, -1.0, 1.0, -1.0])
 _Z1Z2 = _Z1 * _Z2
 
-PARITY_PURITY = 0.999
 DEFAULT_DRIFT_TOL = 1e-8
 DEFAULT_TRUNCATION_CAP = 1200
 _DRIFT_STEP = 50
+_BANDS = 3
+_SIGNS = (1, -1)
 
 
 @dataclass(frozen=True)
@@ -54,60 +64,134 @@ class FockHamiltonian:
         return 4 * (self.truncation + 1)
 
 
+def _block_states(truncation: int, sign: int) -> np.ndarray:
+    """Full-basis indices (4*n + q) of one parity block, in block order.
+
+    Photon numbers with (-1)^n equal to the sign carry (ee, gg), the others (eg, ge).
+    """
+    n = np.arange(truncation + 1)
+    even = (n % 2 == 0) == (sign > 0)
+    pairs = np.where(even[:, None], [0, 3], [1, 2])
+    return (4 * n[:, None] + pairs).ravel()
+
+
+def _band(params: ModelParams, truncation: int, sign: int) -> np.ndarray:
+    """Upper band storage of one parity block: row 3 - d holds superdiagonal d.
+
+    Block state 2n + r is the r-th pair of photon number n. Coupling n to n + 1
+    (factor sqrt(n + 1)) puts g2 on the pairs (2n, 2n+2), (2n+1, 2n+3) and g1 on
+    (2n, 2n+3), (2n+1, 2n+2); the exchange mixes the two pairs of one n.
+    """
+    p = params
+    q = _block_states(truncation, sign) % 4
+    root = np.sqrt(np.arange(1.0, truncation + 1))
+    band = np.zeros((_BANDS + 1, q.size))
+    band[3] = (p.omega * (np.arange(q.size) // 2) + p.delta1 * _Z1[q]
+               + p.delta2 * _Z2[q] + p.jz * _Z1Z2[q])
+    band[2, 1::2] = np.where(q[0::2] == 0, p.jx - p.jy, p.jx + p.jy)
+    band[2, 2::2] = p.g1 * root
+    band[1, 2::2] = p.g2 * root
+    band[1, 3::2] = p.g2 * root
+    band[0, 3::2] = p.g1 * root
+    return band
+
+
+def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    band = band[(...,) + (None,) * (x.ndim - 1)]
+    y = band[_BANDS] * x
+    for d in range(1, _BANDS + 1):
+        off = band[_BANDS - d, d:]
+        y[:-d] += off * x[d:]
+        y[d:] += off * x[:-d]
+    return y
+
+
+def apply_hamiltonian(params: ModelParams, truncation: int,
+                      vec: np.ndarray) -> np.ndarray:
+    """H @ vec on the basis of photon numbers 0..truncation, one parity band at a time.
+
+    vec may carry further axes after the basis axis (columns of a matrix).
+    """
+    out = np.empty(vec.shape)
+    for sign in _SIGNS:
+        idx = _block_states(truncation, sign)
+        out[idx] = _band_matvec(_band(params, truncation, sign), vec[idx])
+    return out
+
+
 def build_hamiltonian(params: ModelParams, truncation: int) -> FockHamiltonian:
-    """Assemble the block-tridiagonal matrix; commutes exactly with the parity diagonal."""
+    """Dense matrix applied column by column through the parity bands.
+
+    Entries across the two parity blocks are exact zeros.
+    """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     npts = truncation + 1
-    dim = 4 * npts
-    h = np.zeros((dim, dim))
-    n = np.arange(npts, dtype=float)
-
-    diag = (params.omega * n[:, None]
-            + params.delta1 * _Z1 + params.delta2 * _Z2
-            + params.jz * _Z1Z2)
-    h[np.arange(dim), np.arange(dim)] = diag.ravel()
-
-    # Exchange terms off-diagonal in qubit space, diagonal in photon number.
-    base = 4 * np.arange(npts)
-    h[base + 0, base + 3] = h[base + 3, base + 0] = params.jx - params.jy
-    h[base + 1, base + 2] = h[base + 2, base + 1] = params.jx + params.jy
-
-    # Qubit-photon coupling (g1 flips the first qubit, g2 the second).
-    coup = np.array([
-        [0.0, params.g2, params.g1, 0.0],
-        [params.g2, 0.0, 0.0, params.g1],
-        [params.g1, 0.0, 0.0, params.g2],
-        [0.0, params.g1, params.g2, 0.0],
-    ])
-    for m in range(truncation):
-        w = np.sqrt(m + 1.0) * coup
-        h[4 * m:4 * m + 4, 4 * (m + 1):4 * (m + 1) + 4] = w
-        h[4 * (m + 1):4 * (m + 1) + 4, 4 * m:4 * m + 4] = w.T
-
+    h = apply_hamiltonian(params, truncation, np.eye(4 * npts))
     pdiag = (np.where(np.arange(npts) % 2 == 0, 1.0, -1.0)[:, None] * _Z1Z2).ravel()
     return FockHamiltonian(params, truncation, h, pdiag)
 
 
-@lru_cache(maxsize=128)
-def _eig(params: ModelParams, truncation: int) -> tuple[np.ndarray, np.ndarray]:
-    """Full spectrum with exact parity labels; cached per (params, truncation)."""
-    fh = build_hamiltonian(params, truncation)
-    evals, vecs = scipy.linalg.eigh(fh.matrix)
-    pexp = np.einsum("ij,i,ij->j", vecs, fh.parity_diag, vecs)
-    if np.min(np.abs(pexp)) > PARITY_PURITY:
-        parities = np.where(pexp > 0, 1, -1)
-        return evals, parities
-    # Degenerate levels mixed the sectors: rediagonalize inside each exact block.
-    pairs = []
-    for sign in (1, -1):
-        idx = np.flatnonzero(fh.parity_diag == sign)
-        sub = scipy.linalg.eigh(fh.matrix[np.ix_(idx, idx)], eigvals_only=True)
-        pairs.extend((e, sign) for e in sub)
-    pairs.sort(key=lambda t: (t[0], -t[1]))
-    evals = np.array([e for e, _ in pairs])
-    parities = np.array([s for _, s in pairs])
-    return evals, parities
+def _solve(band: np.ndarray, k: int | None = None,
+           upto: float | None = None) -> np.ndarray:
+    """Ascending eigenvalues of one block: every level, the lowest k, or those <= upto."""
+    if upto is not None:
+        # Gershgorin: every level lies above this floor.
+        floor = (float(np.min(band[_BANDS]))
+                 - 2 * _BANDS * float(np.max(np.abs(band[:_BANDS]))) - 1.0)
+        if upto <= floor:
+            return np.empty(0)
+        return scipy.linalg.eig_banded(band, eigvals_only=True, select="v",
+                                       select_range=(floor, upto))
+    if k is None or k >= band.shape[1]:
+        return scipy.linalg.eig_banded(band, eigvals_only=True)
+    return scipy.linalg.eig_banded(band, eigvals_only=True, select="i",
+                                   select_range=(0, k - 1))
+
+
+def _eig(params: ModelParams, truncation: int,
+         counts: dict[int, int | None] | None = None,
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """Levels of the parity blocks merged in ascending order, with their signs.
+
+    counts maps a parity sign to how many of its lowest levels to compute
+    (None for all); by default every level of both blocks is computed.
+    """
+    if counts is None:
+        counts = dict.fromkeys(_SIGNS)
+    parts = [(_solve(_band(params, truncation, s), k), s) for s, k in counts.items()]
+    evals = np.concatenate([e for e, _ in parts])
+    signs = np.concatenate([np.full(e.size, s) for e, s in parts])
+    order = np.argsort(evals, kind="stable")
+    return evals[order], signs[order]
+
+
+def _certify(params: ModelParams, truncation: int, counts: dict[int, int],
+             k_total: int, drift_tol: float, cap: int,
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Lowest k_total of the counted levels, certified against 50 photons fewer.
+
+    A level's drift is taken against the same-parity level of the same rank
+    at the lower truncation; the truncation grows by 50 until every drift is
+    below drift_tol.
+    """
+    t = truncation
+    e_lo, s_lo = _eig(params, t, counts)
+    while True:
+        e_hi, s_hi = _eig(params, t + _DRIFT_STEP, counts)
+        drift = np.full(e_hi.size, np.inf)
+        for s in counts:
+            lo = e_lo[s_lo == s]
+            pos = np.flatnonzero(s_hi == s)[:lo.size]
+            drift[pos] = np.abs(e_hi[pos] - lo[:pos.size])
+        drift = drift[:k_total]
+        if drift.size and np.max(drift) < drift_tol:
+            return e_hi[:k_total], s_hi[:k_total], drift, t + _DRIFT_STEP
+        t += _DRIFT_STEP
+        e_lo, s_lo = e_hi, s_hi
+        if t + _DRIFT_STEP > cap:
+            raise NotConverged(
+                f"drift {np.max(drift):.3e} >= {drift_tol:g} at truncation cap {cap}")
 
 
 def certified_spectrum(params: ModelParams, truncation: int, k_levels: int,
@@ -119,19 +203,16 @@ def certified_spectrum(params: ModelParams, truncation: int, k_levels: int,
     Repeats at truncation + 50 and grows the basis until the drift test passes;
     returns (energies, parity signs, drifts, truncation actually used).
     """
-    t = truncation
-    e_lo, _ = _eig(params, t)
-    while True:
-        e_hi, p_hi = _eig(params, t + _DRIFT_STEP)
-        k = min(k_levels, e_lo.size)
-        drift = np.abs(e_lo[:k] - e_hi[:k])
-        if drift.size and np.max(drift) < drift_tol:
-            return e_hi, p_hi, drift, t + _DRIFT_STEP
-        t += _DRIFT_STEP
-        e_lo = e_hi
-        if t + _DRIFT_STEP > cap:
-            raise NotConverged(
-                f"drift {np.max(drift):.3e} >= {drift_tol:g} at truncation cap {cap}")
+    return _certify(params, truncation, dict.fromkeys(_SIGNS, k_levels),
+                    k_levels, drift_tol, cap)
+
+
+def _records(evals: np.ndarray, signs: np.ndarray,
+             drift: np.ndarray) -> SpectrumResult:
+    return SpectrumResult.from_records(
+        SpectrumRecord(float(e), Parity.PLUS if s > 0 else Parity.MINUS, "oracle",
+                       float(d), label=i)
+        for i, (e, s, d) in enumerate(zip(evals, signs, drift)))
 
 
 def diagonalize(params: ModelParams, truncation: int, k_levels: int,
@@ -142,15 +223,25 @@ def diagonalize(params: ModelParams, truncation: int, k_levels: int,
         raise ValueError("k_levels must be >= 1")
     if truncation < k_levels / 2 + 10:
         raise ValueError("truncation too small for the requested level count")
-    evals, parities, drift, _ = certified_spectrum(params, truncation, k_levels,
-                                                   drift_tol, cap)
-    records = []
-    for i in range(min(k_levels, evals.size)):
-        par = Parity.PLUS if parities[i] > 0 else Parity.MINUS
-        records.append(SpectrumRecord(float(evals[i]), par, "oracle",
-                                      float(drift[i]) if i < drift.size else 0.0,
-                                      label=i))
-    return SpectrumResult.from_records(records)
+    return _records(*certified_spectrum(params, truncation, k_levels, drift_tol,
+                                        cap)[:3])
+
+
+def window(params: ModelParams, truncation: int, e_max: float,
+           parities: Sequence[Parity] = (Parity.PLUS, Parity.MINUS),
+           ) -> SpectrumResult:
+    """Certified 'oracle' records of the given parities up to e_max and beyond.
+
+    Every level at or below e_max + omega/2 (counted at the starting
+    truncation) and the next four levels above them are drift-certified
+    like certified_spectrum; callers filter to their own window.
+    """
+    cut = e_max + 0.5 * params.omega
+    below = {p.sign: _solve(_band(params, truncation, p.sign), upto=cut).size
+             for p in parities}
+    counts = {s: m + 4 for s, m in below.items()}
+    return _records(*_certify(params, truncation, counts, sum(below.values()) + 4,
+                              DEFAULT_DRIFT_TOL, DEFAULT_TRUNCATION_CAP)[:3])
 
 
 def residual(params: ModelParams, truncation: int, state, energy: float | None = None,
@@ -167,8 +258,8 @@ def residual(params: ModelParams, truncation: int, state, energy: float | None =
         if vec.shape != (4 * (truncation + 1),):
             raise SupportOverflow(
                 f"vector length {vec.size} does not match truncation {truncation}")
-    h = build_hamiltonian(params, truncation).matrix
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise ValueError("zero state")
-    return float(np.linalg.norm(h @ vec - energy * vec) / norm)
+    hv = apply_hamiltonian(params, truncation, vec)
+    return float(np.linalg.norm(hv - energy * vec) / norm)

@@ -23,6 +23,22 @@ g2 = 0.5
 """
 
 
+DARK_HALF_CFG = """\
+omega = 0.5
+delta1 = 0.25
+delta2 = 0.25
+g1 = 0.3
+g2 = 0.3
+"""
+
+
+@pytest.fixture()
+def dark_half_cfg(tmp_path):
+    path = tmp_path / "dark.cfg"
+    path.write_text(DARK_HALF_CFG)
+    return str(path)
+
+
 @pytest.fixture()
 def asym_cfg(tmp_path):
     path = tmp_path / "asym.cfg"
@@ -166,3 +182,25 @@ def test_verify_covers_exceptional(flat_cfg, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "exceptional[plus, N=1]" in out
+
+
+def test_sweep_cutoff_states_scale_with_omega(tmp_path, dark_half_cfg,
+                                              monkeypatch):
+    # Dark states at E = N omega; with omega = 0.5 those at E = 2, 2.5 and 3
+    # need N = 4, 5 and 6 and must not be cut off at N = 3.
+    monkeypatch.setenv("TQRABI_WORKERS", "1")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", dark_half_cfg, "--gmin", "0.6",
+                 "--gmax", "0.6", "--points", "1", "--out", str(out)]) == 0
+    found = {(float(r["E"]), r["parity"]) for r in rows(out)
+             if r["method"] == "exceptional"}
+    assert {(2.0, "-1"), (2.5, "1"), (3.0, "-1")} <= found
+
+
+def test_verify_cutoff_states_scale_with_omega(dark_half_cfg, capsys):
+    code = main(["verify", "--config", dark_half_cfg, "--emin", "1.9",
+                 "--emax", "3", "--truncation", "120"])
+    out = capsys.readouterr().out
+    assert code == 0
+    for tag in ("minus, N=4", "plus, N=5", "minus, N=6"):
+        assert f"PASS exceptional[{tag}]" in out

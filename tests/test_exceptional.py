@@ -16,7 +16,7 @@ from tqrabi import (
     fock_subspace_check,
     scan_flat_lines,
 )
-from tqrabi import oracle
+from tqrabi import exceptional, oracle
 
 
 def amp_map(state):
@@ -261,3 +261,15 @@ def test_state_vector_and_support(flat):
     assert np.linalg.norm(v) == pytest.approx(1.0)
     with pytest.raises(Exception):
         st.vector(0)
+
+
+def test_levels_bound_photon_number_in_units_of_omega():
+    # Dark states sit at E = N omega with parity -(-1)^N; with omega = 0.5 the
+    # window [1.9, 3] holds N = 4, 5 and 6.
+    p = ModelParams(0.5, 0.25, 0.25, 0.3, 0.3)
+    found = sorted((n, par.sign, e) for par in (Parity.PLUS, Parity.MINUS)
+                   for n, e, _ in exceptional.levels(p, par, 1.9, 3.0))
+    assert found == [(4, -1, 2.0), (5, 1, 2.5), (6, -1, 3.0)]
+    with pytest.raises(RequiresEqualCouplings):
+        exceptional.levels(ModelParams(1.0, 0.6, 0.2, 0.24, 0.06),
+                           Parity.PLUS, 0.0, 1.0)

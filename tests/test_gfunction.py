@@ -4,6 +4,7 @@ import pytest
 from tqrabi import (
     MatchingScheme,
     ModelParams,
+    NoConvergence,
     OutsideDisk,
     Parity,
     PoleAtBaseline,
@@ -14,7 +15,7 @@ from tqrabi import (
     gvalue,
     trace,
 )
-from tqrabi import oracle
+from tqrabi import gfunction, oracle
 from tqrabi.gfunction import write_spectrum_csv, write_trace_csv
 
 
@@ -207,3 +208,25 @@ def test_trace_csv_has_empty_cells_in_margins(tmp_path, flat):
     body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
     assert body[0] == "E,G_plus,G_minus"
     assert any(ln.endswith(",,") or ",," in ln for ln in body[1:])
+
+
+def test_refine_brackets_nan_midpoint_raises(monkeypatch):
+    # Two brackets around the zeros of E - 0.3 and E - 0.7; G is NaN at the
+    # first midpoint of the second one. The bracket must not spin on that
+    # midpoint and come back as a root.
+    def fake(sp, sign, energies, scheme, n_max):
+        vals = np.where(energies < 0.5, energies - 0.3, energies - 0.7)
+        if nan_at is not None:
+            vals = np.where(energies == nan_at, np.nan, vals)
+        ok = np.ones(energies.shape, dtype=bool)
+        return vals, ok, ok
+
+    monkeypatch.setattr(gfunction, "_gvalues", fake)
+    lo, hi = np.array([0.0, 0.5]), np.array([0.5, 1.0])
+    flo = np.array([-0.3, -0.2])
+    nan_at = None
+    roots = gfunction._refine_brackets(None, 1, None, lo, hi, flo, 1e-10, 160)
+    assert np.max(np.abs(roots - [0.3, 0.7])) < 1e-10
+    nan_at = 0.75
+    with pytest.raises(NoConvergence):
+        gfunction._refine_brackets(None, 1, None, lo, hi, flo, 1e-10, 160)

@@ -117,16 +117,69 @@ def test_degenerate_cross_parity_levels_classified():
     assert sorted(pars[hits]) == [-1, 1]
 
 
-def test_sector_rediagonalization_fallback(monkeypatch):
-    # Force the mixed-parity branch and check it reproduces the direct path.
-    p = ModelParams(1.0, 0.61, 0.23, 0.31, 0.11, jx=0.05)
-    direct = oracle._eig(p, 35)
-    monkeypatch.setattr(oracle, "PARITY_PURITY", 2.0)
-    oracle._eig.cache_clear()
-    forced = oracle._eig(p, 35)
-    oracle._eig.cache_clear()
-    assert np.max(np.abs(direct[0] - forced[0])) < 1e-12
-    assert np.array_equal(direct[1], forced[1])
+# Independent assembly for the property test below: Kronecker products of
+# Pauli matrices (qubit basis e, g with s_z e = +e) and a truncated ladder.
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SZ = np.diag([1.0, -1.0])
+_SYSY = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], float)
+
+
+def _independent_levels(p, truncation):
+    """Eigenvalues of the two exact parity blocks, keyed by parity sign."""
+    npts = truncation + 1
+    ladder = np.diag(np.sqrt(np.arange(1.0, npts)), 1)
+    sx1, sx2 = np.kron(_SX, np.eye(2)), np.kron(np.eye(2), _SX)
+    sz1, sz2 = np.kron(_SZ, np.eye(2)), np.kron(np.eye(2), _SZ)
+    qubits = (p.delta1 * sz1 + p.delta2 * sz2 + p.jx * sx1 @ sx2
+              + p.jy * _SYSY + p.jz * sz1 @ sz2)
+    h = (p.omega * np.kron(np.eye(4), np.diag(np.arange(float(npts))))
+         + np.kron(p.g1 * sx1 + p.g2 * sx2, ladder + ladder.T)
+         + np.kron(qubits, np.eye(npts)))
+    parity = np.kron(np.diag(sz1 @ sz2), (-1.0) ** np.arange(npts))
+    out = {}
+    for sign in (1, -1):
+        idx = np.flatnonzero(parity == sign)
+        assert np.max(np.abs(h[np.ix_(idx, np.flatnonzero(parity != sign))])) == 0
+        out[sign] = np.linalg.eigvalsh(h[np.ix_(idx, idx)])
+    return out
+
+
+@pytest.mark.parametrize("p", [
+    ModelParams(1.0, 0.6, 0.2, 0.24, 0.06),                        # full8
+    ModelParams(1.0, 0.6, 0.2, 1.0 / 3.0, 1.0 / 6.0),              # reduced6
+    ModelParams(1.0, 0.7, 0.3, 0.4, 0.4),                          # reduced4
+    ModelParams(1.0, 0.6, 0.2, 0.9, 0.4, jx=0.1, jy=0.2, jz=0.3),  # XYZ
+    ModelParams(1.0, 0.2, 0.6, 0.4, 0.9, jx=0.1, jy=0.2, jz=0.3),  # swapped
+    ModelParams(0.5, 0.35, 0.15, 0.45, 0.2, jx=0.05, jz=-0.1),     # omega != 1
+    ModelParams(1.0, 0.75, 0.25, 0.0, 0.0),                        # degenerate
+], ids=["full8", "reduced6", "reduced4", "xyz", "xyz-swapped", "omega-half",
+        "decoupled"])
+def test_levels_and_parities_match_independent_blocks(p):
+    tol = 1e-12 * p.omega
+    full, full_signs = oracle._eig(p, 30)
+    ref = _independent_levels(p, 30)
+    for s in (1, -1):
+        assert np.max(np.abs(full[full_signs == s] - ref[s])) < tol
+
+    evals, signs, _, used = oracle.certified_spectrum(p, 40, 12)
+    ref = _independent_levels(p, used)
+    merged = sorted((e, s) for s in (1, -1) for e in ref[s])[:12]
+    assert np.max(np.abs(evals - [e for e, _ in merged])) < tol
+    for s in (1, -1):
+        mine = evals[signs == s]
+        assert np.max(np.abs(mine - ref[s][:mine.size]), initial=0.0) < tol
+
+    e_max = 1.5 * p.omega
+    records = oracle.window(p, 40, e_max)
+    got = np.array(records.energies())
+    got_signs = np.array([r.parity.sign for r in records])
+    cut = e_max + 0.5 * p.omega
+    for s in (1, -1):
+        want = ref[s][ref[s] <= cut - 1e-9 * p.omega]
+        mine = got[got_signs == s]
+        assert mine.size >= want.size
+        assert np.max(np.abs(mine[:want.size] - want), initial=0.0) < 1e-8 * p.omega
+    assert got.size >= sum(np.sum(ref[s] <= cut) for s in (1, -1)) + 4
 
 
 def test_records_sorted_with_drift(asym):
