@@ -24,7 +24,9 @@ from .model import (
     SolverError,
     SpectrumRecord,
     baselines,
+    fmt,
     load_params,
+    write_csv,
 )
 
 WORKERS_ENV = "TQRABI_WORKERS"
@@ -42,7 +44,6 @@ class SweepSpec:
     g_start: float
     g_stop: float
     points: int
-    varying: str = "g"
     levels: int = 8
     solver: str = "oracle"
     parity: str = "both"
@@ -53,8 +54,6 @@ class SweepSpec:
     n_max: int = series.DEFAULT_N_MAX
 
     def __post_init__(self) -> None:
-        if self.varying != "g":
-            raise ConfigError("only sweeps over the total coupling g are supported")
         if self.points < 0:
             raise ConfigError("sweep needs a non-negative point count")
         if self.step <= 0:
@@ -66,10 +65,6 @@ class SweepSpec:
         return np.linspace(self.g_start, self.g_stop, self.points)
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _parities(choice: str) -> tuple[Parity, ...]:
     if choice == "both":
         return (Parity.PLUS, Parity.MINUS)
@@ -78,14 +73,8 @@ def _parities(choice: str) -> tuple[Parity, ...]:
 
 def _params_comment(params: ModelParams) -> str:
     return ("params: " + " ".join(
-        f"{k}={_fmt(getattr(params, k))}"
+        f"{k}={fmt(getattr(params, k))}"
         for k in ("omega", "delta1", "delta2", "g1", "g2", "jx", "jy", "jz")))
-
-
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
 
 
 def cmd_spectrum(args: argparse.Namespace, params: ModelParams) -> int:
@@ -102,19 +91,14 @@ def cmd_spectrum(args: argparse.Namespace, params: ModelParams) -> int:
                                                 _parities(args.parity))
                        if args.emin <= r.energy <= args.emax)
     records.sort(key=lambda r: (r.energy, r.method, r.parity.sign))
-    fh, close = _open_out(args.out)
-    try:
-        gfunction.write_spectrum_csv(records, fh, comments=[
-            "tqrabi spectrum",
-            _params_comment(params),
-            f"flags: emin={_fmt(args.emin)} emax={_fmt(args.emax)} "
-            f"step={_fmt(args.step)} solver={args.solver} parity={args.parity} "
-            f"truncation={args.truncation} nmax={args.nmax} "
-            f"verify={str(not args.no_verify).lower()}",
-        ])
-    finally:
-        if close:
-            fh.close()
+    gfunction.write_spectrum_csv(records, args.out, comments=[
+        "tqrabi spectrum",
+        _params_comment(params),
+        f"flags: emin={fmt(args.emin)} emax={fmt(args.emax)} "
+        f"step={fmt(args.step)} solver={args.solver} parity={args.parity} "
+        f"truncation={args.truncation} nmax={args.nmax} "
+        f"verify={str(not args.no_verify).lower()}",
+    ])
     return 0
 
 
@@ -122,17 +106,12 @@ def cmd_trace(args: argparse.Namespace, params: ModelParams) -> int:
     traces = [gfunction.trace(params, parity, args.emin, args.emax, args.step,
                               n_max=args.nmax)
               for parity in _parities(args.parity)]
-    fh, close = _open_out(args.out)
-    try:
-        gfunction.write_trace_csv(traces, fh, comments=[
-            "tqrabi trace",
-            _params_comment(params),
-            f"flags: emin={_fmt(args.emin)} emax={_fmt(args.emax)} "
-            f"step={_fmt(args.step)} parity={args.parity} nmax={args.nmax}",
-        ])
-    finally:
-        if close:
-            fh.close()
+    gfunction.write_trace_csv(traces, args.out, comments=[
+        "tqrabi trace",
+        _params_comment(params),
+        f"flags: emin={fmt(args.emin)} emax={fmt(args.emax)} "
+        f"step={fmt(args.step)} parity={args.parity} nmax={args.nmax}",
+    ])
     return 0
 
 
@@ -149,26 +128,26 @@ def _sweep_point(task) -> list[tuple[str, ...]]:
                                            verify=(spec.solver == "both"),
                                            verify_truncation=spec.truncation,
                                            n_max=spec.n_max)
-                rows.extend((_fmt(g), _fmt(r.energy), str(r.parity.sign),
-                             "gfunction", _fmt(r.residual), "ok")
+                rows.extend((fmt(g), fmt(r.energy), str(r.parity.sign),
+                             "gfunction", fmt(r.residual), "ok")
                             for r in res)
             except SolverError as exc:
-                rows.append((_fmt(g), "", str(parity.sign), "gfunction", "",
+                rows.append((fmt(g), "", str(parity.sign), "gfunction", "",
                              type(exc).__name__))
     if spec.solver in ("oracle", "both"):
         try:
             res = oracle.diagonalize(point, spec.truncation, spec.levels)
-            rows.extend((_fmt(g), _fmt(r.energy), str(r.parity.sign), "oracle",
-                         _fmt(r.residual), "ok")
+            rows.extend((fmt(g), fmt(r.energy), str(r.parity.sign), "oracle",
+                         fmt(r.residual), "ok")
                         for r in res
                         if spec.e_min <= r.energy <= spec.e_max
                         and r.parity in parities)
         except SolverError as exc:
-            rows.append((_fmt(g), "", "", "oracle", "", type(exc).__name__))
+            rows.append((fmt(g), "", "", "oracle", "", type(exc).__name__))
     if point.gprime == 0.0:
         for parity in parities:
-            rows.extend((_fmt(g), _fmt(energy), str(parity.sign), "exceptional",
-                         _fmt(abs(cond)), "ok")
+            rows.extend((fmt(g), fmt(energy), str(parity.sign), "exceptional",
+                         fmt(abs(cond)), "ok")
                         for _, energy, cond in exceptional.levels(
                             point, parity, spec.e_min, spec.e_max))
     return rows
@@ -186,23 +165,17 @@ def cmd_sweep(args: argparse.Namespace, params: ModelParams) -> int:
             results = list(pool.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(t) for t in tasks]
-    fh, close = _open_out(args.out)
-    try:
-        fh.write("# tqrabi sweep\n")
-        fh.write(f"# {_params_comment(params)}\n")
-        fh.write(f"# flags: gmin={_fmt(args.gmin)} gmax={_fmt(args.gmax)} "
-                 f"points={args.points} emin={_fmt(args.emin)} "
-                 f"emax={_fmt(args.emax)} step={_fmt(args.step)} "
-                 f"solver={args.solver} parity={args.parity} "
-                 f"levels={args.levels} truncation={args.truncation} "
-                 f"nmax={args.nmax}\n")
-        fh.write("g,E,parity,method,residual,status\n")
-        for rows in results:
-            for row in rows:
-                fh.write(",".join(row) + "\n")
-    finally:
-        if close:
-            fh.close()
+    write_csv(args.out, "g,E,parity,method,residual,status",
+              (row for rows in results for row in rows), comments=[
+                  "tqrabi sweep",
+                  _params_comment(params),
+                  f"flags: gmin={fmt(args.gmin)} gmax={fmt(args.gmax)} "
+                  f"points={args.points} emin={fmt(args.emin)} "
+                  f"emax={fmt(args.emax)} step={fmt(args.step)} "
+                  f"solver={args.solver} parity={args.parity} "
+                  f"levels={args.levels} truncation={args.truncation} "
+                  f"nmax={args.nmax}",
+              ])
     return 0
 
 
@@ -285,7 +258,7 @@ def cmd_verify(args: argparse.Namespace, params: ModelParams) -> int:
                 state = exceptional.build_state(params, parity, n)
                 resid = oracle.residual(params, max(n + 2, 40), state)
                 report(resid < 1e-10,
-                       f"exceptional[{parity}, N={n}]: E = {_fmt(energy)}, "
+                       f"exceptional[{parity}, N={n}]: E = {fmt(energy)}, "
                        f"residual = {resid:.3e}")
     return 0 if failures == 0 else 1
 

@@ -27,6 +27,8 @@ from .model import (
     RequiresEqualCouplings,
     SolverError,
     SupportOverflow,
+    fmt,
+    write_csv,
 )
 
 __all__ = [
@@ -465,41 +467,22 @@ def scan_flat_lines(template: ModelParams, axes: Mapping[str, Sequence[float]],
     return hits
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def write_catalog_csv(hits: Sequence[FlatLineHit], path_or_file,
                       comments: Sequence[str] = (),
                       states: Optional[Sequence[Optional[ExceptionalState]]] = None,
                       sidecar_path=None) -> None:
     """Catalog CSV of scan hits, with an optional sidecar CSV of state amplitudes."""
-    close = False
-    if hasattr(path_or_file, "write"):
-        fh = path_or_file
-    else:
-        fh = open(path_or_file, "w")
-        close = True
-    try:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write("N,parity,energy,condition_value,g_independent,manifold_label,"
-                 "delta1,delta2,jx,jy,jz\n")
-        for h in hits:
-            c = h.candidate
-            fh.write(",".join([
-                str(c.n_index), str(c.parity.sign), _fmt(c.energy),
-                _fmt(c.condition_value), str(c.g_independent).lower(), h.manifold,
-                _fmt(h.params.delta1), _fmt(h.params.delta2),
-                _fmt(h.params.jx), _fmt(h.params.jy), _fmt(h.params.jz)]) + "\n")
-    finally:
-        if close:
-            fh.close()
+    write_csv(path_or_file,
+              "N,parity,energy,condition_value,g_independent,manifold_label,"
+              "delta1,delta2,jx,jy,jz",
+              ((str(h.candidate.n_index), str(h.candidate.parity.sign),
+                fmt(h.candidate.energy), fmt(h.candidate.condition_value),
+                str(h.candidate.g_independent).lower(), h.manifold,
+                fmt(h.params.delta1), fmt(h.params.delta2),
+                fmt(h.params.jx), fmt(h.params.jy), fmt(h.params.jz))
+               for h in hits), comments)
     if states is not None and sidecar_path is not None:
-        with open(sidecar_path, "w") as sc:
-            sc.write("hit,n,s1s2,amplitude\n")
-            for i, st in enumerate(states):
-                if st is None:
-                    continue
-                for n, pair, amp in st.coeffs:
-                    sc.write(f"{i},{n},{pair},{_fmt(amp)}\n")
+        write_csv(sidecar_path, "hit,n,s1s2,amplitude",
+                  ((str(i), str(n), pair, fmt(amp))
+                   for i, st in enumerate(states) if st is not None
+                   for n, pair, amp in st.coeffs))

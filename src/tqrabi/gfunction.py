@@ -31,8 +31,10 @@ from .model import (
     SpectrumRecord,
     SpectrumResult,
     baselines,
+    fmt,
+    write_csv,
 )
-from .series import _CENTER_G, _CENTER_GPRIME, _CENTER_ZERO, _radius, _tables
+from .series import _CENTER_G, _CENTER_GPRIME, _CENTER_ZERO, _radius, _slots, _tables
 
 __all__ = [
     "MatchingScheme",
@@ -71,11 +73,11 @@ class MatchingScheme:
     @property
     def basis_columns(self) -> dict[float | str, tuple[int, ...]]:
         """Free-initial-condition slots spanning each expansion, keyed by center."""
-        if self.topology == "full8":
-            return {"g": (0, 1, 3), "gprime": (0, 1, 2), "zero": (0, 1)}
-        if self.topology == "reduced6":
-            return {"g": (0, 1, 3), "gprime": (0, 1, 2)}
-        return {"g": (0, 1, 3), "zero": (0,)}
+        tags = {"full8": (_CENTER_G, _CENTER_GPRIME, _CENTER_ZERO),
+                "reduced6": (_CENTER_G, _CENTER_GPRIME),
+                "reduced4": (_CENTER_G, _CENTER_ZERO)}[self.topology]
+        gp = 0.0 if self.topology == "reduced4" else 1.0  # only g' = 0 matters
+        return {tag: _slots(tag, gp) for tag in tags}
 
 
 def default_scheme(params: ModelParams) -> MatchingScheme:
@@ -130,9 +132,10 @@ def _validate_scheme(sp: ModelParams, scheme: MatchingScheme) -> None:
 
 
 def _block_eval(sp: ModelParams, sign: int, energies: np.ndarray, tag: str,
-                center: float, slots: Sequence[int], zpoints: Sequence[float],
+                center: float, zpoints: Sequence[float],
                 n_max: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Basis-column values at zpoints: list over z of (4, ncols, nE) arrays."""
+    slots = _slots(tag, sp.gprime)
     inits = np.zeros((4, len(slots)))
     for col, j in enumerate(slots):
         inits[j, col] = 1.0
@@ -144,19 +147,10 @@ def _block_eval(sp: ModelParams, sign: int, energies: np.ndarray, tag: str,
         t = (z - center) / radius
         if abs(t) >= 1.0:
             raise OutsideDisk(f"matching point {z} outside disk around {center}")
-        sums, tail = series._kahan_eval(u, t)
-        scale = np.maximum(np.max(np.abs(sums), axis=(0, 1)), 1e-300)
-        conv &= tail <= series.TAIL_RTOL * scale
+        sums, converged = series._kahan_eval(u, t)
+        conv &= converged
         vals.append(sums * math.exp(center * z))
     return vals, pole_ok, conv
-
-
-def _slots(tag: str, gp: float) -> tuple[int, ...]:
-    if tag == _CENTER_ZERO:
-        return (0,) if gp == 0 else (0, 1)
-    if tag == _CENTER_GPRIME:
-        return (0, 1, 2)
-    return (0, 1, 3)
 
 
 def _gvalues_once(sp: ModelParams, sign: int, energies: np.ndarray,
@@ -167,12 +161,10 @@ def _gvalues_once(sp: ModelParams, sign: int, energies: np.ndarray,
     n_e = energies.size
     if scheme.topology == "full8":
         z0, z0p = scheme.z0, scheme.z0prime
-        vg, okg, cg = _block_eval(sp, sign, energies, _CENTER_G, g,
-                                  _slots(_CENTER_G, gp), [z0], n_max)
-        vp, okp, cp = _block_eval(sp, sign, energies, _CENTER_GPRIME, gp,
-                                  _slots(_CENTER_GPRIME, gp), [z0, z0p], n_max)
-        vz, okz, cz = _block_eval(sp, sign, energies, _CENTER_ZERO, 0.0,
-                                  _slots(_CENTER_ZERO, gp), [z0p], n_max)
+        vg, okg, cg = _block_eval(sp, sign, energies, _CENTER_G, g, [z0], n_max)
+        vp, okp, cp = _block_eval(sp, sign, energies, _CENTER_GPRIME, gp, [z0, z0p],
+                                  n_max)
+        vz, okz, cz = _block_eval(sp, sign, energies, _CENTER_ZERO, 0.0, [z0p], n_max)
         pole_ok = okg & okp & okz
         conv = cg & cp & cz
         m = np.zeros((n_e, 8, 8))
@@ -182,10 +174,9 @@ def _gvalues_once(sp: ModelParams, sign: int, energies: np.ndarray,
         m[:, 4:8, 6:8] = -np.moveaxis(vz[0], -1, 0)
     elif scheme.topology == "reduced6":
         z0 = scheme.z0
-        vg, okg, cg = _block_eval(sp, sign, energies, _CENTER_G, g,
-                                  _slots(_CENTER_G, gp), [z0], n_max)
-        vp, okp, cp = _block_eval(sp, sign, energies, _CENTER_GPRIME, gp,
-                                  _slots(_CENTER_GPRIME, gp), [z0, 0.0], n_max)
+        vg, okg, cg = _block_eval(sp, sign, energies, _CENTER_G, g, [z0], n_max)
+        vp, okp, cp = _block_eval(sp, sign, energies, _CENTER_GPRIME, gp, [z0, 0.0],
+                                  n_max)
         pole_ok = okg & okp
         conv = cg & cp
         m = np.zeros((n_e, 6, 6))
@@ -196,10 +187,8 @@ def _gvalues_once(sp: ModelParams, sign: int, energies: np.ndarray,
         m[:, 5, 3:6] = np.moveaxis(vp[1][3] - vp[1][1], -1, 0)
     else:
         z0 = scheme.z0
-        vg, okg, cg = _block_eval(sp, sign, energies, _CENTER_G, g,
-                                  _slots(_CENTER_G, gp), [z0], n_max)
-        vz, okz, cz = _block_eval(sp, sign, energies, _CENTER_ZERO, 0.0,
-                                  _slots(_CENTER_ZERO, gp), [z0], n_max)
+        vg, okg, cg = _block_eval(sp, sign, energies, _CENTER_G, g, [z0], n_max)
+        vz, okz, cz = _block_eval(sp, sign, energies, _CENTER_ZERO, 0.0, [z0], n_max)
         pole_ok = okg & okz
         conv = cg & cz
         m = np.zeros((n_e, 4, 4))
@@ -441,58 +430,35 @@ def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
         ed_levels = np.array(oracle.window(params, verify_truncation, hi_w * w,
                                            (parity,)).energies())
 
+    # A tangent is kept only when ED confirms it or, without ED, when |G| < 1e-12.
+    candidates = [(x, False) for x in dedup]
+    candidates += [(x, True) for x in tangents
+                   if all(abs(x - r) > 1e-9 for r in dedup)]
     records = []
-    for x in dedup:
+    for x, tangent in candidates:
         e_raw = x * w
         if ed_levels is not None and ed_levels.size:
-            dist = float(np.min(np.abs(ed_levels - e_raw)))
-            records.append(SpectrumRecord(e_raw, parity, "gfunction", dist,
-                                          verified=dist < VERIFY_TOL * w))
+            residual = float(np.min(np.abs(ed_levels - e_raw)))
+            verified = residual < VERIFY_TOL * w
+            keep = verified or not tangent
         else:
             gmag, _, _ = _gvalues(sp, sign, np.array([x]), scheme, n_max)
-            records.append(SpectrumRecord(e_raw, parity, "gfunction",
-                                          float(abs(gmag[0])), verified=None))
-    for x in tangents:
-        if any(abs(x - r) <= 1e-9 for r in dedup):
-            continue
-        e_raw = x * w
-        if ed_levels is not None and ed_levels.size:
-            dist = float(np.min(np.abs(ed_levels - e_raw)))
-            if dist < VERIFY_TOL * w:
-                records.append(SpectrumRecord(e_raw, parity, "gfunction", dist,
-                                              verified=True))
-        else:
-            gmag, _, _ = _gvalues(sp, sign, np.array([x]), scheme, n_max)
-            if abs(gmag[0]) < 1e-12:
-                records.append(SpectrumRecord(e_raw, parity, "gfunction",
-                                              float(abs(gmag[0])), verified=None))
+            residual, verified = float(abs(gmag[0])), None
+            keep = residual < 1e-12 or not tangent
+        if keep:
+            records.append(SpectrumRecord(e_raw, parity, "gfunction", residual,
+                                          verified=verified))
     result = SpectrumResult.from_records(records)
     relabeled = [SpectrumRecord(r.energy, r.parity, r.method, r.residual, i,
                                 r.verified) for i, r in enumerate(result)]
     return SpectrumResult(tuple(relabeled))
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def write_spectrum_csv(records, path_or_file, comments: Sequence[str] = ()) -> None:
     """Spectrum CSV: columns E, parity, method, residual."""
-    close = False
-    if hasattr(path_or_file, "write"):
-        fh = path_or_file
-    else:
-        fh = open(path_or_file, "w")
-        close = True
-    try:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write("E,parity,method,residual\n")
-        for r in records:
-            fh.write(f"{_fmt(r.energy)},{r.parity.sign},{r.method},{_fmt(r.residual)}\n")
-    finally:
-        if close:
-            fh.close()
+    write_csv(path_or_file, "E,parity,method,residual",
+              ((fmt(r.energy), str(r.parity.sign), r.method, fmt(r.residual))
+               for r in records), comments)
 
 
 def write_trace_csv(traces: Sequence[GTrace], path_or_file,
@@ -503,29 +469,13 @@ def write_trace_csv(traces: Sequence[GTrace], path_or_file,
     for t in by_parity.values():
         if t.energies.shape != grid.shape or not np.allclose(t.energies, grid):
             raise ValueError("traces must share one energy grid")
-    close = False
-    if hasattr(path_or_file, "write"):
-        fh = path_or_file
-    else:
-        fh = open(path_or_file, "w")
-        close = True
-    try:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        poles = next(iter(by_parity.values())).poles
-        if poles:
-            fh.write("# baselines: " + " ".join(
-                f"{b.kind}:{b.index}@{_fmt(b.energy)}" for b in poles) + "\n")
-        fh.write("E,G_plus,G_minus\n")
-        for i, e in enumerate(grid):
-            cells = [_fmt(float(e))]
-            for par in (Parity.PLUS, Parity.MINUS):
-                t = by_parity.get(par)
-                if t is None or not np.isfinite(t.values[i]):
-                    cells.append("")
-                else:
-                    cells.append(_fmt(float(t.values[i])))
-            fh.write(",".join(cells) + "\n")
-    finally:
-        if close:
-            fh.close()
+    poles = next(iter(by_parity.values())).poles
+    if poles:
+        comments = [*comments, "baselines: " + " ".join(
+            f"{b.kind}:{b.index}@{fmt(b.energy)}" for b in poles)]
+    empty = [math.nan] * grid.size
+    columns = [by_parity[p].values.tolist() if p in by_parity else empty
+               for p in (Parity.PLUS, Parity.MINUS)]
+    write_csv(path_or_file, "E,G_plus,G_minus",
+              ([fmt(e)] + [fmt(v) if math.isfinite(v) else "" for v in vals]
+               for e, *vals in zip(grid.tolist(), *columns)), comments)

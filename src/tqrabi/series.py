@@ -26,6 +26,8 @@ from .model import (
     OutsideDisk,
     Parity,
     PoleAtBaseline,
+    fmt,
+    write_csv,
 )
 
 __all__ = [
@@ -78,15 +80,20 @@ def convergence_radius(params: ModelParams, center: float) -> float:
     return _radius(sp, tag)
 
 
+def _slots(tag: str, gp: float) -> tuple[int, ...]:
+    """Zero-based components whose leading coefficients are free around a center."""
+    if tag == _CENTER_ZERO:
+        return (0,) if gp == 0 else (0, 1)
+    if tag == _CENTER_GPRIME:
+        return (0, 1, 2)
+    return (0, 1, 3)
+
+
 def free_slots(params: ModelParams, center: float) -> tuple[int, ...]:
     """Zero-based component indices whose leading coefficients are free at this center."""
     sp = params.scaled()
     tag, _ = _center_tag(sp, center)
-    if tag == _CENTER_ZERO:
-        return (0,) if sp.gprime == 0 else (0, 1)
-    if tag == _CENTER_GPRIME:
-        return (0, 1, 2)
-    return (0, 1, 3)
+    return _slots(tag, sp.gprime)
 
 
 def _tables(sp: ModelParams, sign: int, energies: np.ndarray, tag: str, center: float,
@@ -113,16 +120,12 @@ def _tables(sp: ModelParams, sign: int, energies: np.ndarray, tag: str, center: 
     cur = np.broadcast_to(inits[:, :, None], (4, ncols, n_e)).copy()
     prev = np.zeros_like(cur)
 
+    active = _slots(tag, gp)
     if tag == _CENTER_ZERO and gp > 0:
+        # The reflection z -> -z ties components 3, 4 to 1, 2 at the origin.
         cur[2] = cur[0]
         cur[3] = cur[1]
-        active = (0, 1, 2, 3)
-    elif tag == _CENTER_ZERO:
-        active = (0,)
-    elif tag == _CENTER_GPRIME:
-        active = (0, 1, 2)
-    else:
-        active = (0, 1, 3)
+        active += (2, 3)
 
     for n in range(n_max + 1):
         sig = -1.0 if n % 2 else 1.0
@@ -165,7 +168,11 @@ def _tables(sp: ModelParams, sign: int, energies: np.ndarray, tag: str, center: 
 
 
 def _kahan_eval(u: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Compensated sum over n of u[n] * t^n; returns (sums, tail_max per energy)."""
+    """Compensated sum over n of u[n] * t^n, and which energies converged.
+
+    An energy's series converged when its last two terms are at most 1e-14
+    of its largest component sum.
+    """
     sums = np.zeros_like(u[0])
     comp = np.zeros_like(sums)
     tpow = 1.0
@@ -179,7 +186,8 @@ def _kahan_eval(u: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         tpow *= t
         if n >= u.shape[0] - 2:
             tail = np.maximum(tail, np.max(np.abs(term), axis=(0, 1)))
-    return sums, tail
+    scale = np.maximum(np.max(np.abs(sums), axis=(0, 1)), 1e-300)
+    return sums, tail <= TAIL_RTOL * scale
 
 
 @dataclass(frozen=True)
@@ -193,7 +201,6 @@ class ExpansionBlock:
 
     center: float
     parity: Parity
-    basis_tag: int
     coeffs: np.ndarray
     n_max: int
     radius: float
@@ -215,18 +222,15 @@ def recur(params: ModelParams, parity: Parity, energy: float, center: float,
         raise ValueError("n_max must be >= 1")
     sp = params.scaled()
     tag, cval = _center_tag(sp, center)
-    slots = free_slots(params, center)
     iv = np.zeros((4, 1))
-    for j in slots:
+    for j in _slots(tag, sp.gprime):
         iv[j, 0] = init[j]
     u, ok = _tables(sp, parity.sign, np.array([energy], dtype=float), tag, cval,
                     iv, n_max)
     if not ok[0]:
         raise PoleAtBaseline(
             f"energy {energy} sits on a baseline of the center-{center} recurrence")
-    tagged = next((j + 1 for j in slots if init[j] == 1.0
-                   and all(init[k] == 0.0 for k in slots if k != j)), 0)
-    return ExpansionBlock(cval, parity, tagged, u[:, :, 0, 0], n_max,
+    return ExpansionBlock(cval, parity, u[:, :, 0, 0], n_max,
                           _radius(sp, tag), sp, float(energy),
                           tuple(float(x) for x in init))
 
@@ -234,37 +238,18 @@ def recur(params: ModelParams, parity: Parity, energy: float, center: float,
 def evaluate(block: ExpansionBlock, z: float) -> np.ndarray:
     """Four component values at z (omega = 1 units), with adaptive truncation.
 
-    The summation stops once two consecutive terms drop below 1e-14 of the
-    largest running component sum; the table is regenerated at doubled order
-    (up to the hard cap of 512) if the tail has not converged.
+    The whole table is summed, as for G(E); if its last two terms exceed
+    1e-14 of the largest component sum, the table is regenerated at doubled
+    order (up to the hard cap of 512).
     """
+    dz = z - block.center
+    if abs(dz) >= block.radius:
+        raise OutsideDisk(f"|z - {block.center}| = {abs(dz)} >= radius {block.radius}")
     blk = block
     while True:
-        dz = z - blk.center
-        if abs(dz) >= blk.radius:
-            raise OutsideDisk(
-                f"|z - {blk.center}| = {abs(dz)} >= radius {blk.radius}")
-        t = dz / blk.radius
-        sums = np.zeros(4)
-        comp = np.zeros(4)
-        tpow = 1.0
-        small_prev = False
-        converged = False
-        for n in range(blk.n_max + 1):
-            term = blk.coeffs[n] * tpow
-            y = term - comp
-            tmp = sums + y
-            comp = (tmp - sums) - y
-            sums = tmp
-            tpow *= t
-            scale = max(float(np.max(np.abs(sums))), 1e-300)
-            small = float(np.max(np.abs(term))) <= TAIL_RTOL * scale
-            if n >= 4 and small and small_prev:
-                converged = True
-                break
-            small_prev = small
-        if converged:
-            return sums * math.exp(blk.center * z)
+        sums, converged = _kahan_eval(blk.coeffs[:, :, None, None], dz / blk.radius)
+        if converged[0]:
+            return sums[:, 0, 0] * math.exp(blk.center * z)
         if blk.n_max >= HARD_CAP:
             raise NoConvergence(
                 f"series tail above tolerance at hard cap {HARD_CAP} (z = {z})")
@@ -294,11 +279,12 @@ def sample(block: ExpansionBlock, zs) -> list[SeriesPoint]:
 
 def dump_coeffs(block: ExpansionBlock, path) -> None:
     """Debug CSV of the raw coefficients c_{j,n}: columns n, c1, c2, c3, c4."""
-    with open(path, "w") as fh:
-        fh.write("n,c1,c2,c3,c4\n")
-        with np.errstate(over="ignore"):
-            scale = 1.0
-            for n in range(block.n_max + 1):
-                row = block.coeffs[n] * scale
-                fh.write(",".join([str(n)] + [format(v, ".17g") for v in row]) + "\n")
-                scale /= block.radius
+
+    def rows():
+        scale = 1.0
+        for n in range(block.n_max + 1):
+            yield [str(n)] + [fmt(v) for v in block.coeffs[n] * scale]
+            scale /= block.radius
+
+    with np.errstate(over="ignore"):
+        write_csv(path, "n,c1,c2,c3,c4", rows())

@@ -169,8 +169,6 @@ def test_sweep_spec_validation():
     with pytest.raises(ConfigError):
         SweepSpec(tpl, 0.2, 1.0, -1)
     with pytest.raises(ConfigError):
-        SweepSpec(tpl, 0.2, 1.0, 5, varying="delta1")
-    with pytest.raises(ConfigError):
         SweepSpec(tpl, 0.2, 1.0, 5, step=0.0)
     with pytest.raises(ConfigError):
         SweepSpec(ModelParams(1.0, 0.6, 0.2, 0.0, 0.0), 0.2, 1.0, 5)

@@ -14,7 +14,7 @@ from tqrabi import (
     free_slots,
     recur,
 )
-from tqrabi import gfunction, oracle
+from tqrabi import gfunction, oracle, series
 
 
 def unscaled(block, n):
@@ -154,6 +154,27 @@ def test_sample_points_cache_and_check_disk():
     assert pts[0].values == pytest.approx(tuple(evaluate(blk, 0.25)))
     with pytest.raises(OutsideDisk):
         sample(blk, [p.g + 0.2])
+
+
+def test_evaluate_matches_determinant_columns(asym):
+    # evaluate() and G(E) share one summation: a unit-init block summed by
+    # evaluate() equals its column of the determinant's block, bit for bit.
+    scheme = gfunction.default_scheme(asym)
+    z0, z0p = scheme.z0, scheme.z0prime
+    energy = 0.45
+    for tag, center, zs in ((series._CENTER_G, asym.g, [z0]),
+                            (series._CENTER_GPRIME, asym.gprime, [z0, z0p]),
+                            (series._CENTER_ZERO, 0.0, [z0p])):
+        for parity in Parity:
+            vals, _, conv = gfunction._block_eval(asym, parity.sign,
+                                                  np.array([energy]), tag, center,
+                                                  zs, 160)
+            assert conv.all()
+            for col, j in enumerate(free_slots(asym, center)):
+                init = tuple(float(k == j) for k in range(4))
+                block = recur(asym, parity, energy, center, init, 160)
+                for z, v in zip(zs, vals):
+                    assert np.array_equal(evaluate(block, z), v[:, col, 0])
 
 
 def test_dump_coeffs_roundtrip(tmp_path):
