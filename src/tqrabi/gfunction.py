@@ -8,7 +8,8 @@ the regular eigenvalues of the chosen parity sector. Three topologies cover
 the coupling asymmetry: an 8x8 system for g' >= g/2 (centers 0, g', g with
 two matching points), a 6x6 reduction for 0 < g' < g/2 (the center-0 block is
 eliminated through the reflection constraint at z = 0), and a 4x4 system for
-g' = 0 (centers 0 and g only).
+g' = 0 (centers 0 and g only). All three are rows of one table, _TOPOLOGIES,
+which gives the centers in column order and the matching conditions.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from .model import (
     fmt,
     write_csv,
 )
-from .series import _CENTER_G, _CENTER_GPRIME, _CENTER_ZERO, _radius, _slots, _tables
+from .series import (_CENTER_G, _CENTER_GPRIME, _CENTER_ZERO, _center, _radius, _slots,
+                     _tables)
 
 __all__ = [
     "MatchingScheme",
@@ -57,6 +59,23 @@ DEFAULT_VERIFY_TRUNCATION = 300
 TANGENT_GTOL = 1e-10
 
 
+# Per topology: the centers in column order, then the matching conditions as
+# (point, + center, - center). A point names a MatchingScheme field or is a
+# fixed coordinate. _REFLECTION stands for the eliminated center-0 block: its
+# reflection z -> -z requires components 3, 4 to equal 1, 2 at z = 0.
+_REFLECTION = "reflection"
+_TOPOLOGIES = {
+    "full8": ((_CENTER_G, _CENTER_GPRIME, _CENTER_ZERO),
+              (("z0", _CENTER_G, _CENTER_GPRIME),
+               ("z0prime", _CENTER_GPRIME, _CENTER_ZERO))),
+    "reduced6": ((_CENTER_G, _CENTER_GPRIME),
+                 (("z0", _CENTER_G, _CENTER_GPRIME),
+                  (0.0, _CENTER_GPRIME, _REFLECTION))),
+    "reduced4": ((_CENTER_G, _CENTER_ZERO),
+                 (("z0", _CENTER_G, _CENTER_ZERO),)),
+}
+
+
 @dataclass(frozen=True)
 class MatchingScheme:
     """Matching topology and the points where expansions are compared.
@@ -73,11 +92,19 @@ class MatchingScheme:
     @property
     def basis_columns(self) -> dict[float | str, tuple[int, ...]]:
         """Free-initial-condition slots spanning each expansion, keyed by center."""
-        tags = {"full8": (_CENTER_G, _CENTER_GPRIME, _CENTER_ZERO),
-                "reduced6": (_CENTER_G, _CENTER_GPRIME),
-                "reduced4": (_CENTER_G, _CENTER_ZERO)}[self.topology]
         gp = 0.0 if self.topology == "reduced4" else 1.0  # only g' = 0 matters
-        return {tag: _slots(tag, gp) for tag in tags}
+        return {tag: _slots(tag, gp) for tag in _TOPOLOGIES[self.topology][0]}
+
+
+def _conditions(scheme: MatchingScheme) -> list[tuple[float, str, str]]:
+    """Matching conditions (point, + center, - center) with the points resolved."""
+    out = []
+    for point, plus, minus in _TOPOLOGIES[scheme.topology][1]:
+        z = getattr(scheme, point) if isinstance(point, str) else point
+        if z is None:
+            raise SchemeMismatch(f"{scheme.topology} needs {point}")
+        out.append((z, plus, minus))
+    return out
 
 
 def default_scheme(params: ModelParams) -> MatchingScheme:
@@ -100,100 +127,70 @@ def default_scheme(params: ModelParams) -> MatchingScheme:
 
 def _validate_scheme(sp: ModelParams, scheme: MatchingScheme) -> None:
     g, gp = sp.g, sp.gprime
-
-    def inside(z: float, center: float, tag: str) -> None:
-        if abs(z - center) >= _radius(sp, tag):
-            raise OutsideDisk(
-                f"matching point {z} outside the disk around {center}")
-
-    if scheme.topology == "full8":
-        if gp <= 0:
-            raise SchemeMismatch("full8 needs g' > 0")
-        if scheme.z0prime is None:
-            raise SchemeMismatch("full8 needs z0prime")
-        inside(scheme.z0, gp, _CENTER_GPRIME)
-        inside(scheme.z0, g, _CENTER_G)
-        inside(scheme.z0prime, 0.0, _CENTER_ZERO)
-        inside(scheme.z0prime, gp, _CENTER_GPRIME)
-    elif scheme.topology == "reduced6":
-        if not 0 < gp < g / 2:
-            raise SchemeMismatch("reduced6 needs 0 < g' < g/2")
-        if scheme.z0prime not in (None, 0.0):
-            raise SchemeMismatch("reduced6 matches the center-0 block at z = 0")
-        inside(scheme.z0, gp, _CENTER_GPRIME)
-        inside(scheme.z0, g, _CENTER_G)
-    elif scheme.topology == "reduced4":
-        if gp != 0:
-            raise SchemeMismatch("reduced4 needs g' = 0")
-        inside(scheme.z0, 0.0, _CENTER_ZERO)
-        inside(scheme.z0, g, _CENTER_G)
-    else:
+    need = {"full8": (gp > 0, "g' > 0"), "reduced6": (0 < gp < g / 2, "0 < g' < g/2"),
+            "reduced4": (gp == 0, "g' = 0")}
+    if scheme.topology not in need:
         raise SchemeMismatch(f"unknown topology {scheme.topology!r}")
+    holds, text = need[scheme.topology]
+    if not holds:
+        raise SchemeMismatch(f"{scheme.topology} needs {text}")
+    if scheme.topology == "reduced6" and scheme.z0prime not in (None, 0.0):
+        raise SchemeMismatch("reduced6 matches the center-0 block at z = 0")
+    for z, *tags in _conditions(scheme):
+        for tag in tags:
+            if tag != _REFLECTION and abs(z - _center(sp, tag)) >= _radius(sp, tag):
+                raise OutsideDisk(
+                    f"matching point {z} outside the disk around {_center(sp, tag)}")
 
 
 def _block_eval(sp: ModelParams, sign: int, energies: np.ndarray, tag: str,
-                center: float, zpoints: Sequence[float],
-                n_max: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """Basis-column values at zpoints: list over z of (4, ncols, nE) arrays."""
-    slots = _slots(tag, sp.gprime)
-    inits = np.zeros((4, len(slots)))
-    for col, j in enumerate(slots):
-        inits[j, col] = 1.0
-    u, pole_ok = _tables(sp, sign, energies, tag, center, inits, n_max)
-    radius = _radius(sp, tag)
-    vals = []
-    conv = np.ones(energies.size, dtype=bool)
-    for z in zpoints:
-        t = (z - center) / radius
-        if abs(t) >= 1.0:
-            raise OutsideDisk(f"matching point {z} outside disk around {center}")
-        sums, converged = series._kahan_eval(u, t)
-        conv &= converged
-        vals.append(sums * math.exp(center * z))
-    return vals, pole_ok, conv
+                zpoints: Sequence[float], n_max: int,
+                ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Basis-column values at zpoints: list over z of (4, ncols, nE) arrays.
+
+    The recurrence runs once and is summed at all points in the same pass.
+    """
+    center = _center(sp, tag)
+    inits = np.eye(4)[:, list(_slots(tag, sp.gprime))]
+    rows, pole_ok = _tables(sp, sign, energies, tag, center, inits, n_max)
+    ts = np.array([(z - center) / _radius(sp, tag) for z in zpoints])
+    sums, conv = series._kahan_eval(rows, ts)
+    return ([v * math.exp(center * z) for v, z in zip(sums, zpoints)],
+            pole_ok, conv)
 
 
 def _gvalues_once(sp: ModelParams, sign: int, energies: np.ndarray,
                   scheme: MatchingScheme, n_max: int,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalized determinant on an energy grid; masks for poles and convergence."""
-    g, gp = sp.g, sp.gprime
     n_e = energies.size
-    if scheme.topology == "full8":
-        z0, z0p = scheme.z0, scheme.z0prime
-        vg, okg, cg = _block_eval(sp, sign, energies, _CENTER_G, g, [z0], n_max)
-        vp, okp, cp = _block_eval(sp, sign, energies, _CENTER_GPRIME, gp, [z0, z0p],
-                                  n_max)
-        vz, okz, cz = _block_eval(sp, sign, energies, _CENTER_ZERO, 0.0, [z0p], n_max)
-        pole_ok = okg & okp & okz
-        conv = cg & cp & cz
-        m = np.zeros((n_e, 8, 8))
-        m[:, 0:4, 0:3] = np.moveaxis(vg[0], -1, 0)
-        m[:, 0:4, 3:6] = -np.moveaxis(vp[0], -1, 0)
-        m[:, 4:8, 3:6] = np.moveaxis(vp[1], -1, 0)
-        m[:, 4:8, 6:8] = -np.moveaxis(vz[0], -1, 0)
-    elif scheme.topology == "reduced6":
-        z0 = scheme.z0
-        vg, okg, cg = _block_eval(sp, sign, energies, _CENTER_G, g, [z0], n_max)
-        vp, okp, cp = _block_eval(sp, sign, energies, _CENTER_GPRIME, gp, [z0, 0.0],
-                                  n_max)
-        pole_ok = okg & okp
-        conv = cg & cp
-        m = np.zeros((n_e, 6, 6))
-        m[:, 0:4, 0:3] = np.moveaxis(vg[0], -1, 0)
-        m[:, 0:4, 3:6] = -np.moveaxis(vp[0], -1, 0)
-        # Reflection constraint of the eliminated center-0 block.
-        m[:, 4, 3:6] = np.moveaxis(vp[1][2] - vp[1][0], -1, 0)
-        m[:, 5, 3:6] = np.moveaxis(vp[1][3] - vp[1][1], -1, 0)
-    else:
-        z0 = scheme.z0
-        vg, okg, cg = _block_eval(sp, sign, energies, _CENTER_G, g, [z0], n_max)
-        vz, okz, cz = _block_eval(sp, sign, energies, _CENTER_ZERO, 0.0, [z0], n_max)
-        pole_ok = okg & okz
-        conv = cg & cz
-        m = np.zeros((n_e, 4, 4))
-        m[:, 0:4, 0:3] = np.moveaxis(vg[0], -1, 0)
-        m[:, 0:4, 3] = -np.moveaxis(vz[0][:, 0, :], -1, 0)
+    conds = _conditions(scheme)
+    cols, start = {}, 0
+    for tag, slots in scheme.basis_columns.items():
+        cols[tag] = slice(start, start + len(slots))
+        start += len(slots)
+    # Each center is evaluated once, at all of its points; values are keyed
+    # by (center, condition index) as (nE, 4, ncols) arrays.
+    at = {}
+    pole_ok, conv = np.ones((2, n_e), dtype=bool)
+    for tag in cols:
+        ks = [k for k, cond in enumerate(conds) if tag in cond[1:]]
+        vals, ok, cv = _block_eval(sp, sign, energies, tag,
+                                   [conds[k][0] for k in ks], n_max)
+        pole_ok &= ok
+        conv &= cv
+        at.update({(tag, k): np.moveaxis(v, -1, 0) for k, v in zip(ks, vals)})
+    m = np.zeros((n_e, start, start))
+    row = 0
+    for k, (_, plus, minus) in enumerate(conds):
+        v = at[plus, k]
+        if minus == _REFLECTION:
+            m[:, row:row + 2, cols[plus]] = v[:, 2:4] - v[:, 0:2]
+            row += 2
+        else:
+            m[:, row:row + 4, cols[plus]] = v
+            m[:, row:row + 4, cols[minus]] = -at[minus, k]
+            row += 4
     # Columns are scaled to unit max-norm; the discarded factors are positive,
     # so zeros and signs of the determinant are preserved.
     colmax = np.maximum(np.max(np.abs(m), axis=1, keepdims=True), 1e-300)
@@ -226,8 +223,10 @@ def _gvalues(sp: ModelParams, sign: int, energies: np.ndarray,
     return out, pole_ok, conv_ok
 
 
-def _prepare(params: ModelParams, scheme: Optional[MatchingScheme],
+def _prepare(params: ModelParams, scheme: Optional[MatchingScheme], n_max: int,
              ) -> tuple[ModelParams, MatchingScheme]:
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     params.require_analytic()
     sp, _ = params.scaled().canonical()
     if scheme is None:
@@ -244,7 +243,7 @@ def gvalue(params: ModelParams, parity: Parity, energy: float,
     Raises PoleAtBaseline within 1e-6 of a baseline, NoConvergence if the
     series tails stay above tolerance at the hard truncation cap.
     """
-    sp, scheme = _prepare(params, scheme)
+    sp, scheme = _prepare(params, scheme, n_max)
     e = energy / params.omega
     for b in baselines(sp, e - 1.0, e + 1.0):
         if abs(b.energy - e) < POLE_MARGIN:
@@ -280,7 +279,7 @@ def trace(params: ModelParams, parity: Parity, e_min: float, e_max: float,
         raise ValueError("step must be positive")
     if not e_min < e_max:
         raise ValueError("empty energy window")
-    sp, scheme = _prepare(params, None)
+    sp, scheme = _prepare(params, None, n_max)
     w = params.omega
     lo, hi, h = e_min / w, e_max / w, step / w
     grid = np.arange(lo, hi + h / 2, h)
@@ -349,7 +348,7 @@ def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
         step = DEFAULT_GRID_STEP * params.omega
     if step <= 0:
         raise ValueError("step must be positive")
-    sp, scheme = _prepare(params, scheme)
+    sp, scheme = _prepare(params, scheme, n_max)
     w = params.omega
     lo_w, hi_w, h = e_min / w, e_max / w, step / w
 

@@ -8,9 +8,12 @@ alpha = g' the fourth component divides by (E - n + g'^2 + Jx); around
 alpha = 0 the reflection z -> -z ties components 3, 4 to 1, 2. Those divisors
 are exactly the baseline energies where the matching determinant has poles.
 
-Coefficients are stored in radius units: coeffs[n] = c_n * R^n, so the series
-reads sum_n coeffs[n] * t^n with t = (z - alpha)/R, |t| < 1. This keeps the
-tables inside double range even for extreme couplings.
+Coefficients are kept in radius units: coeffs[n] = c_n * R^n, so the series
+reads sum_n coeffs[n] * t^n with t = (z - alpha)/R, |t| < 1. This keeps them
+inside double range even for extreme couplings. The recurrence hands each
+order to one compensated summation, which sums all of a center's matching
+points in the same pass; only recur() stores the orders as a table, and G(E)
+sums as it recurses.
 """
 
 from __future__ import annotations
@@ -53,19 +56,19 @@ _CENTER_GPRIME = "gprime"
 _CENTER_G = "g"
 
 
+def _center(sp: ModelParams, tag: str) -> float:
+    return {_CENTER_ZERO: 0.0, _CENTER_GPRIME: sp.gprime, _CENTER_G: sp.g}[tag]
+
+
 def _center_tag(sp: ModelParams, center: float) -> tuple[str, float]:
-    scale = max(1.0, sp.g)
-    if abs(center) <= 1e-12 * scale:
-        return _CENTER_ZERO, 0.0
-    if abs(center - sp.gprime) <= 1e-12 * scale:
-        return _CENTER_GPRIME, sp.gprime
-    if abs(center - sp.g) <= 1e-12 * scale:
-        return _CENTER_G, sp.g
+    for tag in (_CENTER_ZERO, _CENTER_GPRIME, _CENTER_G):
+        if abs(center - _center(sp, tag)) <= 1e-12 * max(1.0, sp.g):
+            return tag, _center(sp, tag)
     raise ValueError(f"center must be one of 0, g'={sp.gprime}, g={sp.g}; got {center}")
 
 
 def _radius(sp: ModelParams, tag: str) -> float:
-    gp = sp.gprime
+    gp = abs(sp.gprime)
     if tag == _CENTER_ZERO:
         return gp if gp > 0 else sp.g
     if tag == _CENTER_GPRIME:
@@ -97,10 +100,13 @@ def free_slots(params: ModelParams, center: float) -> tuple[int, ...]:
 
 
 def _tables(sp: ModelParams, sign: int, energies: np.ndarray, tag: str, center: float,
-            inits: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled coefficient tables u[n, j, col, e]; pole_ok marks energies off baselines.
+            inits: np.ndarray, n_max: int):
+    """Scaled coefficients u[n], shape (4, ncols, nE), one order at a time to n_max.
 
-    inits has shape (4, ncols); entries on non-free slots are ignored.
+    Returns (rows, pole_ok): rows is a generator of the orders, and pole_ok
+    marks the energies off baselines once rows is exhausted. A yielded row is
+    never modified afterwards. inits has shape (4, ncols); entries on non-free
+    slots are ignored.
     """
     g, gp = sp.g, sp.gprime
     d1, d2 = sp.delta1, sp.delta2
@@ -108,86 +114,80 @@ def _tables(sp: ModelParams, sign: int, energies: np.ndarray, tag: str, center: 
     s = float(sign)
     c = center
     radius = _radius(sp, tag)
-    ncols = inits.shape[1]
-    n_e = energies.size
 
     pref = (c + g, c + gp, c - g, c - gp)
     aoff = (-2 * c * g - jx, -2 * c * gp + jx, 2 * c * g - jx, 2 * c * gp + jx)
     base = energies - c * c
+    ok = np.ones(energies.size, dtype=bool)
 
-    u = np.zeros((n_max + 1, 4, ncols, n_e))
-    ok = np.ones(n_e, dtype=bool)
-    cur = np.broadcast_to(inits[:, :, None], (4, ncols, n_e)).copy()
-    prev = np.zeros_like(cur)
+    def guard(den):
+        # Marks energies on a baseline and keeps their (discarded) rows finite.
+        bad = np.abs(den) < POLE_EPS
+        ok[bad] = False
+        return np.where(bad, 1.0, den)
 
-    active = _slots(tag, gp)
-    if tag == _CENTER_ZERO and gp > 0:
-        # The reflection z -> -z ties components 3, 4 to 1, 2 at the origin.
-        cur[2] = cur[0]
-        cur[3] = cur[1]
-        active += (2, 3)
+    def rows():
+        cur = np.repeat(inits[:, :, None], energies.size, axis=2)
+        prev = np.zeros_like(cur)
+        active = _slots(tag, gp)
+        if tag == _CENTER_ZERO and gp != 0:
+            # The reflection z -> -z ties components 3, 4 to 1, 2 at the origin.
+            cur[2] = cur[0]
+            cur[3] = cur[1]
+            active += (2, 3)
+        for n in range(n_max + 1):
+            sig = -1.0 if n % 2 else 1.0
+            if tag == _CENTER_G:
+                den = guard(base - n + 2 * g * g - jx)
+                cur[2] = (d2 * cur[3] + s * d1 * cur[1] + s * (jz - jy) * cur[0]) / den
+            elif tag == _CENTER_GPRIME:
+                den = guard(base - n + 2 * gp * gp + jx)
+                cur[3] = (d2 * cur[2] + s * d1 * cur[0] + s * (jy + jz) * cur[1]) / den
+            elif gp == 0:  # center zero with identical couplings
+                den = guard(base - n + jx - s * sig * (jy + jz))
+                cur[1] = (d2 + s * sig * d1) * cur[0] / den
+                cur[2] = sig * cur[0]
+                cur[3] = sig * cur[1]
+            yield cur
+            if n == n_max:
+                return
+            cross = (
+                -d2 * cur[1] - s * d1 * cur[3] - s * (jz - jy) * cur[2],
+                -d2 * cur[0] - s * d1 * cur[2] - s * (jy + jz) * cur[3],
+                -d2 * cur[3] - s * d1 * cur[1] - s * (jz - jy) * cur[0],
+                -d2 * cur[2] - s * d1 * cur[0] - s * (jy + jz) * cur[1],
+            )
+            nxt = np.zeros_like(cur)
+            for j in active:
+                a = base - n + aoff[j]
+                nxt[j] = ((a * cur[j] + cross[j]) * (radius / ((n + 1) * pref[j]))
+                          - (radius * radius / (n + 1)) * prev[j])
+            prev, cur = cur, nxt
 
-    for n in range(n_max + 1):
-        sig = -1.0 if n % 2 else 1.0
-        if tag == _CENTER_G:
-            den = base - n + 2 * g * g - jx
-            bad = np.abs(den) < POLE_EPS
-            ok &= ~bad
-            den = np.where(bad, 1.0, den)
-            cur[2] = (d2 * cur[3] + s * d1 * cur[1] + s * (jz - jy) * cur[0]) / den
-        elif tag == _CENTER_GPRIME:
-            den = base - n + 2 * gp * gp + jx
-            bad = np.abs(den) < POLE_EPS
-            ok &= ~bad
-            den = np.where(bad, 1.0, den)
-            cur[3] = (d2 * cur[2] + s * d1 * cur[0] + s * (jy + jz) * cur[1]) / den
-        elif gp == 0:  # center zero with identical couplings
-            den = base - n + jx - s * sig * (jy + jz)
-            bad = np.abs(den) < POLE_EPS
-            ok &= ~bad
-            den = np.where(bad, 1.0, den)
-            cur[1] = (d2 + s * sig * d1) * cur[0] / den
-            cur[2] = sig * cur[0]
-            cur[3] = sig * cur[1]
-        u[n] = cur
-        if n == n_max:
-            break
-        cross = (
-            -d2 * cur[1] - s * d1 * cur[3] - s * (jz - jy) * cur[2],
-            -d2 * cur[0] - s * d1 * cur[2] - s * (jy + jz) * cur[3],
-            -d2 * cur[3] - s * d1 * cur[1] - s * (jz - jy) * cur[0],
-            -d2 * cur[2] - s * d1 * cur[0] - s * (jy + jz) * cur[1],
-        )
-        nxt = np.zeros_like(cur)
-        for j in active:
-            a = base - n + aoff[j]
-            nxt[j] = ((a * cur[j] + cross[j]) * (radius / ((n + 1) * pref[j]))
-                      - (radius * radius / (n + 1)) * prev[j])
-        prev, cur = cur, nxt
-    return u, ok
+    return rows(), ok
 
 
-def _kahan_eval(u: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Compensated sum over n of u[n] * t^n, and which energies converged.
+def _kahan_eval(rows, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Compensated sums of rows[n] * t^n at every t, and which energies converged.
 
-    An energy's series converged when its last two terms are at most 1e-14
-    of its largest component sum.
+    rows yields at least two orders n = 0, 1, ... of shape (4, ncols, nE); the
+    sums have a leading t axis, (nt, 4, ncols, nE). An energy converged when,
+    at every t, its last two terms are at most 1e-14 of its largest sum.
     """
-    sums = np.zeros_like(u[0])
-    comp = np.zeros_like(sums)
-    tpow = 1.0
-    tail = np.zeros(u.shape[-1])
-    for n in range(u.shape[0]):
-        term = u[n] * tpow
+    tpow = np.ones(len(ts))
+    sums = comp = 0.0
+    last = term = None
+    for row in rows:
+        last, term = term, row * tpow[:, None, None, None]
         y = term - comp
         tmp = sums + y
         comp = (tmp - sums) - y
         sums = tmp
-        tpow *= t
-        if n >= u.shape[0] - 2:
-            tail = np.maximum(tail, np.max(np.abs(term), axis=(0, 1)))
-    scale = np.maximum(np.max(np.abs(sums), axis=(0, 1)), 1e-300)
-    return sums, tail <= TAIL_RTOL * scale
+        tpow *= ts
+    tail = np.maximum(np.max(np.abs(last), axis=(1, 2)),
+                      np.max(np.abs(term), axis=(1, 2)))
+    scale = np.maximum(np.max(np.abs(sums), axis=(1, 2)), 1e-300)
+    return sums, np.all(tail <= TAIL_RTOL * scale, axis=0)
 
 
 @dataclass(frozen=True)
@@ -222,15 +222,14 @@ def recur(params: ModelParams, parity: Parity, energy: float, center: float,
         raise ValueError("n_max must be >= 1")
     sp = params.scaled()
     tag, cval = _center_tag(sp, center)
-    iv = np.zeros((4, 1))
-    for j in _slots(tag, sp.gprime):
-        iv[j, 0] = init[j]
-    u, ok = _tables(sp, parity.sign, np.array([energy], dtype=float), tag, cval,
-                    iv, n_max)
+    iv = np.where(np.isin(range(4), _slots(tag, sp.gprime)), init, 0.0)[:, None]
+    rows, ok = _tables(sp, parity.sign, np.array([energy], dtype=float), tag, cval,
+                       iv, n_max)
+    coeffs = np.stack([row[:, 0, 0] for row in rows])
     if not ok[0]:
         raise PoleAtBaseline(
             f"energy {energy} sits on a baseline of the center-{center} recurrence")
-    return ExpansionBlock(cval, parity, u[:, :, 0, 0], n_max,
+    return ExpansionBlock(cval, parity, coeffs, n_max,
                           _radius(sp, tag), sp, float(energy),
                           tuple(float(x) for x in init))
 
@@ -247,9 +246,10 @@ def evaluate(block: ExpansionBlock, z: float) -> np.ndarray:
         raise OutsideDisk(f"|z - {block.center}| = {abs(dz)} >= radius {block.radius}")
     blk = block
     while True:
-        sums, converged = _kahan_eval(blk.coeffs[:, :, None, None], dz / blk.radius)
+        sums, converged = _kahan_eval(blk.coeffs[:, :, None, None],
+                                      np.array([dz / blk.radius]))
         if converged[0]:
-            return sums[:, 0, 0] * math.exp(blk.center * z)
+            return sums[0, :, 0, 0] * math.exp(blk.center * z)
         if blk.n_max >= HARD_CAP:
             raise NoConvergence(
                 f"series tail above tolerance at hard cap {HARD_CAP} (z = {z})")

@@ -149,6 +149,16 @@ def test_window_validation(asym):
         trace(asym, Parity.PLUS, -1.0, 1.0, step=-0.1)
 
 
+def test_series_order_must_be_positive(asym):
+    for n_max in (0, -1):
+        with pytest.raises(ValueError):
+            gvalue(asym, Parity.PLUS, 0.4, n_max=n_max)
+        with pytest.raises(ValueError):
+            trace(asym, Parity.PLUS, -1.0, 1.0, n_max=n_max)
+        with pytest.raises(ValueError):
+            find_roots(asym, Parity.PLUS, -1.0, 1.0, verify=False, n_max=n_max)
+
+
 def test_trace_sign_changes_count_roots(asym):
     # The determinant also flips sign across the baseline poles, so sign
     # changes are counted inside each inter-baseline segment only.

@@ -44,7 +44,7 @@ def test_explicit_zero_exchange_matches_default():
     assert np.array_equal(b0.coeffs, bj.coeffs)
 
 
-@pytest.mark.parametrize("g1,g2", [(0.5, 0.5), (0.2, 0.1)])
+@pytest.mark.parametrize("g1,g2", [(0.5, 0.5), (0.2, 0.1), (0.06, 0.24)])
 def test_reflection_symmetry_center_zero(g1, g2):
     # c_{3,n} = (-1)^n c_{1,n} and c_{4,n} = (-1)^n c_{2,n}, exactly.
     p = ModelParams(1.0, 0.6, 0.2, g1, g2)
@@ -71,6 +71,11 @@ def test_radii():
     q = ModelParams(1.0, 0.6, 0.4, 0.5, 0.5)
     assert convergence_radius(q, 0.0) == pytest.approx(1.0)
     assert convergence_radius(q, 1.0) == pytest.approx(1.0)
+    # g' = -0.18 < 0: the singular points sit at +-0.18 and +-0.3.
+    r = ModelParams(1.0, 0.2, 0.6, 0.06, 0.24)
+    assert convergence_radius(r, r.gprime) == pytest.approx(0.12)
+    assert convergence_radius(r, 0.0) == pytest.approx(0.18)
+    assert convergence_radius(r, r.g) == pytest.approx(0.12)
 
 
 def test_evaluate_at_center():
@@ -79,6 +84,11 @@ def test_evaluate_at_center():
     vals = evaluate(blk, p.g)
     expected = unscaled(blk, 0) * math.exp(p.g ** 2)
     assert vals == pytest.approx(expected, rel=1e-14)
+    # g' = -0.18 < 0: the center g' has a disk of radius 0.12 around it.
+    r = ModelParams(1.0, 0.2, 0.6, 0.06, 0.24)
+    blk = recur(r, Parity.PLUS, 0.4, r.gprime, (0.7, -0.2, 0.3, 0.0), 32)
+    expected = unscaled(blk, 0) * math.exp(r.gprime ** 2)
+    assert evaluate(blk, r.gprime) == pytest.approx(expected, rel=1e-14)
 
 
 def test_evaluate_outside_disk():
@@ -156,25 +166,41 @@ def test_sample_points_cache_and_check_disk():
         sample(blk, [p.g + 0.2])
 
 
-def test_evaluate_matches_determinant_columns(asym):
-    # evaluate() and G(E) share one summation: a unit-init block summed by
-    # evaluate() equals its column of the determinant's block, bit for bit.
-    scheme = gfunction.default_scheme(asym)
-    z0, z0p = scheme.z0, scheme.z0prime
+def test_evaluate_matches_determinant_columns(asym, ratio2, flat):
+    # evaluate() and G(E) share one recurrence and one summation: a unit-init
+    # block summed by evaluate() equals its column of the determinant's block,
+    # bit for bit, at every point of every topology, the reduced6 reflection
+    # point z = 0 included. Near the full8/reduced6 switch (g'/g = 0.47) the
+    # center-g' series at z = 0 needs more than 160 orders at E = 0.45.
+    switch = ModelParams(1.0, 0.55, 0.25, 0.441, 0.159)
     energy = 0.45
-    for tag, center, zs in ((series._CENTER_G, asym.g, [z0]),
-                            (series._CENTER_GPRIME, asym.gprime, [z0, z0p]),
-                            (series._CENTER_ZERO, 0.0, [z0p])):
+    walked = set()
+    for params, n_max, converged in ((asym, 160, True), (ratio2, 160, True),
+                                     (flat, 160, True), (switch, 160, False),
+                                     (switch, 320, True)):
+        sp, _ = params.scaled().canonical()
+        scheme = gfunction.default_scheme(sp)
+        conds = gfunction._conditions(scheme)
         for parity in Parity:
-            vals, _, conv = gfunction._block_eval(asym, parity.sign,
-                                                  np.array([energy]), tag, center,
-                                                  zs, 160)
-            assert conv.all()
-            for col, j in enumerate(free_slots(asym, center)):
-                init = tuple(float(k == j) for k in range(4))
-                block = recur(asym, parity, energy, center, init, 160)
-                for z, v in zip(zs, vals):
-                    assert np.array_equal(evaluate(block, z), v[:, col, 0])
+            all_conv = True
+            for tag in gfunction._TOPOLOGIES[scheme.topology][0]:
+                zs = [z for z, *tags in conds if tag in tags]
+                center = series._center(sp, tag)
+                vals, _, conv = gfunction._block_eval(sp, parity.sign,
+                                                      np.array([energy]), tag,
+                                                      zs, n_max)
+                all_conv &= bool(conv[0])
+                if not conv[0]:
+                    continue
+                for col, j in enumerate(free_slots(sp, center)):
+                    init = tuple(float(k == j) for k in range(4))
+                    block = recur(sp, parity, energy, center, init, n_max)
+                    for z, v in zip(zs, vals):
+                        assert np.array_equal(evaluate(block, z), v[:, col, 0])
+                        walked.add((scheme.topology, tag, z))
+            assert all_conv == converged
+    assert {topo for topo, _, _ in walked} == set(gfunction._TOPOLOGIES)
+    assert ("reduced6", series._CENTER_GPRIME, 0.0) in walked
 
 
 def test_dump_coeffs_roundtrip(tmp_path):
