@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import exceptional, gfunction, oracle, series
+from . import exceptional, gfunction, oracle
 from .model import (
     ConfigError,
     ModelParams,
@@ -51,7 +51,6 @@ class SweepSpec:
     e_max: float = 3.0
     step: float = gfunction.DEFAULT_GRID_STEP
     truncation: int = 160
-    n_max: int = series.DEFAULT_N_MAX
 
     def __post_init__(self) -> None:
         if self.points < 0:
@@ -83,8 +82,7 @@ def cmd_spectrum(args: argparse.Namespace, params: ModelParams) -> int:
         if args.solver in ("gfunction", "both"):
             res = gfunction.find_roots(params, parity, args.emin, args.emax,
                                        step=args.step, verify=not args.no_verify,
-                                       verify_truncation=args.truncation,
-                                       n_max=args.nmax)
+                                       verify_truncation=args.truncation)
             records.extend(res.records)
     if args.solver in ("oracle", "both"):
         records.extend(r for r in oracle.window(params, args.truncation, args.emax,
@@ -96,21 +94,20 @@ def cmd_spectrum(args: argparse.Namespace, params: ModelParams) -> int:
         _params_comment(params),
         f"flags: emin={fmt(args.emin)} emax={fmt(args.emax)} "
         f"step={fmt(args.step)} solver={args.solver} parity={args.parity} "
-        f"truncation={args.truncation} nmax={args.nmax} "
+        f"truncation={args.truncation} "
         f"verify={str(not args.no_verify).lower()}",
     ])
     return 0
 
 
 def cmd_trace(args: argparse.Namespace, params: ModelParams) -> int:
-    traces = [gfunction.trace(params, parity, args.emin, args.emax, args.step,
-                              n_max=args.nmax)
+    traces = [gfunction.trace(params, parity, args.emin, args.emax, args.step)
               for parity in _parities(args.parity)]
     gfunction.write_trace_csv(traces, args.out, comments=[
         "tqrabi trace",
         _params_comment(params),
         f"flags: emin={fmt(args.emin)} emax={fmt(args.emax)} "
-        f"step={fmt(args.step)} parity={args.parity} nmax={args.nmax}",
+        f"step={fmt(args.step)} parity={args.parity}",
     ])
     return 0
 
@@ -126,8 +123,7 @@ def _sweep_point(task) -> list[tuple[str, ...]]:
                 res = gfunction.find_roots(point, parity, spec.e_min, spec.e_max,
                                            step=spec.step,
                                            verify=(spec.solver == "both"),
-                                           verify_truncation=spec.truncation,
-                                           n_max=spec.n_max)
+                                           verify_truncation=spec.truncation)
                 rows.extend((fmt(g), fmt(r.energy), str(r.parity.sign),
                              "gfunction", fmt(r.residual), "ok")
                             for r in res)
@@ -157,7 +153,7 @@ def cmd_sweep(args: argparse.Namespace, params: ModelParams) -> int:
     spec = SweepSpec(params, args.gmin, args.gmax, args.points,
                      levels=args.levels, solver=args.solver, parity=args.parity,
                      e_min=args.emin, e_max=args.emax, step=args.step,
-                     truncation=args.truncation, n_max=args.nmax)
+                     truncation=args.truncation)
     tasks = [(spec, float(g)) for g in spec.grid()]
     workers = int(os.environ.get(WORKERS_ENV, os.cpu_count() or 1))
     if workers > 1 and len(tasks) > 1:
@@ -173,8 +169,7 @@ def cmd_sweep(args: argparse.Namespace, params: ModelParams) -> int:
                   f"points={args.points} emin={fmt(args.emin)} "
                   f"emax={fmt(args.emax)} step={fmt(args.step)} "
                   f"solver={args.solver} parity={args.parity} "
-                  f"levels={args.levels} truncation={args.truncation} "
-                  f"nmax={args.nmax}",
+                  f"levels={args.levels} truncation={args.truncation}",
               ])
     return 0
 
@@ -233,8 +228,7 @@ def cmd_verify(args: argparse.Namespace, params: ModelParams) -> int:
     for parity in _parities(args.parity):
         res = gfunction.find_roots(params, parity, args.emin, args.emax,
                                    step=args.step,
-                                   verify_truncation=args.truncation,
-                                   n_max=args.nmax)
+                                   verify_truncation=args.truncation)
         bad = [r for r in res if not r.verified]
         worst = max((r.residual for r in res), default=0.0)
         report(not bad, f"roots[{parity}]: {len(res)} roots, "
@@ -273,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="key = value parameter file")
         p.add_argument("--out", default="-", help="output CSV path (default stdout)")
-        p.add_argument("--nmax", type=int, default=series.DEFAULT_N_MAX,
-                       help="starting series truncation order")
 
     p = sub.add_parser("spectrum", help="eigenvalues inside an energy window")
     common(p)

@@ -4,12 +4,12 @@ The series expansions around the admissible centers must describe one entire
 function, which forces their values to agree at points inside overlapping
 convergence disks. Stacking those conditions over the free leading
 coefficients gives a square matrix whose determinant G(E) vanishes exactly at
-the regular eigenvalues of the chosen parity sector. Three topologies cover
-the coupling asymmetry: an 8x8 system for g' >= g/2 (centers 0, g', g with
-two matching points), a 6x6 reduction for 0 < g' < g/2 (the center-0 block is
-eliminated through the reflection constraint at z = 0), and a 4x4 system for
-g' = 0 (centers 0 and g only). All three are rows of one table, _TOPOLOGIES,
-which gives the centers in column order and the matching conditions.
+the regular eigenvalues of the chosen parity sector. Two topologies cover
+the coupling asymmetry: an 8x8 system for g' > 0 (centers 0, g', g with two
+matching points) and a 4x4 system for g' = 0 (centers 0 and g only). Both are
+rows of one table, _TOPOLOGIES, which gives the centers in column order and
+the matching conditions. Each energy's series are summed only as far as its
+own tail test needs, up to the hard cap, so G(E) is a function of E alone.
 """
 
 from __future__ import annotations
@@ -60,17 +60,11 @@ TANGENT_GTOL = 1e-10
 
 
 # Per topology: the centers in column order, then the matching conditions as
-# (point, + center, - center). A point names a MatchingScheme field or is a
-# fixed coordinate. _REFLECTION stands for the eliminated center-0 block: its
-# reflection z -> -z requires components 3, 4 to equal 1, 2 at z = 0.
-_REFLECTION = "reflection"
+# (point, + center, - center), where a point names a MatchingScheme field.
 _TOPOLOGIES = {
     "full8": ((_CENTER_G, _CENTER_GPRIME, _CENTER_ZERO),
               (("z0", _CENTER_G, _CENTER_GPRIME),
                ("z0prime", _CENTER_GPRIME, _CENTER_ZERO))),
-    "reduced6": ((_CENTER_G, _CENTER_GPRIME),
-                 (("z0", _CENTER_G, _CENTER_GPRIME),
-                  (0.0, _CENTER_GPRIME, _REFLECTION))),
     "reduced4": ((_CENTER_G, _CENTER_ZERO),
                  (("z0", _CENTER_G, _CENTER_ZERO),)),
 }
@@ -81,7 +75,7 @@ class MatchingScheme:
     """Matching topology and the points where expansions are compared.
 
     z0 joins the disks around g' and g (around 0 and g when g' = 0); z0prime
-    joins the disks around 0 and g' and is only used by the full 8x8 system.
+    joins the disks around 0 and g' and is only used by the 8x8 system.
     Points are in omega = 1 units like the couplings themselves.
     """
 
@@ -100,7 +94,7 @@ def _conditions(scheme: MatchingScheme) -> list[tuple[float, str, str]]:
     """Matching conditions (point, + center, - center) with the points resolved."""
     out = []
     for point, plus, minus in _TOPOLOGIES[scheme.topology][1]:
-        z = getattr(scheme, point) if isinstance(point, str) else point
+        z = getattr(scheme, point)
         if z is None:
             raise SchemeMismatch(f"{scheme.topology} needs {point}")
         out.append((z, plus, minus))
@@ -110,8 +104,9 @@ def _conditions(scheme: MatchingScheme) -> list[tuple[float, str, str]]:
 def default_scheme(params: ModelParams) -> MatchingScheme:
     """Topology by asymmetry, with matching points balanced between the two disks.
 
-    full8 for g' >= g/2 reproduces z0 = (g' + g)/2 and z0' = g'^2/g; reduced6
-    keeps z0' = 0; reduced4 (g' = 0) uses z0 = g/2.
+    full8 for every g' > 0, with z0' = g'^2/g; z0 weighs g' and g by the
+    other center's radius, which gives z0 = (g' + g)/2 for g' >= g/3.
+    reduced4 (g' = 0) uses z0 = g/2.
     """
     sp, _ = params.scaled().canonical()
     g, gp = sp.g, sp.gprime
@@ -119,50 +114,48 @@ def default_scheme(params: ModelParams) -> MatchingScheme:
         return MatchingScheme("reduced4", g / 2)
     r2 = _radius(sp, _CENTER_GPRIME)
     r4 = _radius(sp, _CENTER_G)
-    z0 = (gp * r4 + g * r2) / (r2 + r4)
-    if gp >= g / 2:
-        return MatchingScheme("full8", z0, gp * gp / g)
-    return MatchingScheme("reduced6", z0, 0.0)
+    return MatchingScheme("full8", (gp * r4 + g * r2) / (r2 + r4), gp * gp / g)
 
 
 def _validate_scheme(sp: ModelParams, scheme: MatchingScheme) -> None:
     g, gp = sp.g, sp.gprime
-    need = {"full8": (gp > 0, "g' > 0"), "reduced6": (0 < gp < g / 2, "0 < g' < g/2"),
-            "reduced4": (gp == 0, "g' = 0")}
+    need = {"full8": (gp > 0, "g' > 0"), "reduced4": (gp == 0, "g' = 0")}
     if scheme.topology not in need:
         raise SchemeMismatch(f"unknown topology {scheme.topology!r}")
     holds, text = need[scheme.topology]
     if not holds:
         raise SchemeMismatch(f"{scheme.topology} needs {text}")
-    if scheme.topology == "reduced6" and scheme.z0prime not in (None, 0.0):
-        raise SchemeMismatch("reduced6 matches the center-0 block at z = 0")
     for z, *tags in _conditions(scheme):
         for tag in tags:
-            if tag != _REFLECTION and abs(z - _center(sp, tag)) >= _radius(sp, tag):
+            if abs(z - _center(sp, tag)) >= _radius(sp, tag):
                 raise OutsideDisk(
                     f"matching point {z} outside the disk around {_center(sp, tag)}")
 
 
 def _block_eval(sp: ModelParams, sign: int, energies: np.ndarray, tag: str,
-                zpoints: Sequence[float], n_max: int,
+                zpoints: Sequence[float],
                 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Basis-column values at zpoints: list over z of (4, ncols, nE) arrays.
 
-    The recurrence runs once and is summed at all points in the same pass.
+    The recurrence runs once, up to the hard cap at most, and is summed at all
+    points in the same pass.
     """
     center = _center(sp, tag)
     inits = np.eye(4)[:, list(_slots(tag, sp.gprime))]
-    rows, pole_ok = _tables(sp, sign, energies, tag, center, inits, n_max)
+    rows, pole_ok = _tables(sp, sign, energies, tag, center, inits,
+                            series.HARD_CAP)
     ts = np.array([(z - center) / _radius(sp, tag) for z in zpoints])
     sums, conv = series._kahan_eval(rows, ts)
     return ([v * math.exp(center * z) for v, z in zip(sums, zpoints)],
             pole_ok, conv)
 
 
-def _gvalues_once(sp: ModelParams, sign: int, energies: np.ndarray,
-                  scheme: MatchingScheme, n_max: int,
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalized determinant on an energy grid; masks for poles and convergence."""
+def _gvalues(sp: ModelParams, sign: int, energies: np.ndarray,
+             scheme: MatchingScheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalized determinant on an energy grid, and masks for poles and convergence.
+
+    Entries on a recurrence pole or unconverged at the hard cap come back NaN.
+    """
     n_e = energies.size
     conds = _conditions(scheme)
     cols, start = {}, 0
@@ -176,57 +169,25 @@ def _gvalues_once(sp: ModelParams, sign: int, energies: np.ndarray,
     for tag in cols:
         ks = [k for k, cond in enumerate(conds) if tag in cond[1:]]
         vals, ok, cv = _block_eval(sp, sign, energies, tag,
-                                   [conds[k][0] for k in ks], n_max)
+                                   [conds[k][0] for k in ks])
         pole_ok &= ok
         conv &= cv
         at.update({(tag, k): np.moveaxis(v, -1, 0) for k, v in zip(ks, vals)})
     m = np.zeros((n_e, start, start))
-    row = 0
     for k, (_, plus, minus) in enumerate(conds):
-        v = at[plus, k]
-        if minus == _REFLECTION:
-            m[:, row:row + 2, cols[plus]] = v[:, 2:4] - v[:, 0:2]
-            row += 2
-        else:
-            m[:, row:row + 4, cols[plus]] = v
-            m[:, row:row + 4, cols[minus]] = -at[minus, k]
-            row += 4
+        m[:, 4 * k:4 * k + 4, cols[plus]] = at[plus, k]
+        m[:, 4 * k:4 * k + 4, cols[minus]] = -at[minus, k]
     # Columns are scaled to unit max-norm; the discarded factors are positive,
     # so zeros and signs of the determinant are preserved.
     colmax = np.maximum(np.max(np.abs(m), axis=1, keepdims=True), 1e-300)
     with np.errstate(invalid="ignore"):
         vals = np.linalg.det(m / colmax)
-    return vals, pole_ok, conv
+    good = pole_ok & conv
+    return np.where(good, vals, np.nan), pole_ok, good
 
 
-def _gvalues(sp: ModelParams, sign: int, energies: np.ndarray,
-             scheme: MatchingScheme,
-             n_max_start: int = series.DEFAULT_N_MAX,
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adaptive-order determinant evaluation; unconverged entries come back NaN."""
-    out = np.full(energies.shape, np.nan)
-    pole_ok = np.ones(energies.shape, dtype=bool)
-    conv_ok = np.zeros(energies.shape, dtype=bool)
-    todo = np.arange(energies.size)
-    n_max = min(n_max_start, series.HARD_CAP)
-    while todo.size:
-        vals, pok, cok = _gvalues_once(sp, sign, energies[todo], scheme, n_max)
-        pole_ok[todo] &= pok
-        done = cok | ~pok
-        sel = todo[done]
-        out[sel] = np.where(pok[done], vals[done], np.nan)
-        conv_ok[sel] = cok[done] & pok[done]
-        todo = todo[~done]
-        if n_max >= series.HARD_CAP:
-            break
-        n_max = min(2 * n_max, series.HARD_CAP)
-    return out, pole_ok, conv_ok
-
-
-def _prepare(params: ModelParams, scheme: Optional[MatchingScheme], n_max: int,
+def _prepare(params: ModelParams, scheme: Optional[MatchingScheme],
              ) -> tuple[ModelParams, MatchingScheme]:
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     params.require_analytic()
     sp, _ = params.scaled().canonical()
     if scheme is None:
@@ -236,19 +197,18 @@ def _prepare(params: ModelParams, scheme: Optional[MatchingScheme], n_max: int,
 
 
 def gvalue(params: ModelParams, parity: Parity, energy: float,
-           scheme: Optional[MatchingScheme] = None,
-           n_max: int = series.DEFAULT_N_MAX) -> float:
+           scheme: Optional[MatchingScheme] = None) -> float:
     """Matching determinant at one energy (in the caller's units).
 
     Raises PoleAtBaseline within 1e-6 of a baseline, NoConvergence if the
     series tails stay above tolerance at the hard truncation cap.
     """
-    sp, scheme = _prepare(params, scheme, n_max)
+    sp, scheme = _prepare(params, scheme)
     e = energy / params.omega
     for b in baselines(sp, e - 1.0, e + 1.0):
         if abs(b.energy - e) < POLE_MARGIN:
             raise PoleAtBaseline(f"energy {energy} within {POLE_MARGIN} of a baseline")
-    vals, pole_ok, conv_ok = _gvalues(sp, parity.sign, np.array([e]), scheme, n_max)
+    vals, pole_ok, conv_ok = _gvalues(sp, parity.sign, np.array([e]), scheme)
     if not pole_ok[0]:
         raise PoleAtBaseline(f"energy {energy} hits a recurrence pole")
     if not conv_ok[0]:
@@ -267,8 +227,7 @@ class GTrace:
 
 
 def trace(params: ModelParams, parity: Parity, e_min: float, e_max: float,
-          step: Optional[float] = None,
-          n_max: int = series.DEFAULT_N_MAX) -> GTrace:
+          step: Optional[float] = None) -> GTrace:
     """Sample the determinant across [e_min, e_max] for plotting or CSV export.
 
     step defaults to 0.01 in units of the photon frequency.
@@ -279,7 +238,7 @@ def trace(params: ModelParams, parity: Parity, e_min: float, e_max: float,
         raise ValueError("step must be positive")
     if not e_min < e_max:
         raise ValueError("empty energy window")
-    sp, scheme = _prepare(params, None, n_max)
+    sp, scheme = _prepare(params, None)
     w = params.omega
     lo, hi, h = e_min / w, e_max / w, step / w
     grid = np.arange(lo, hi + h / 2, h)
@@ -289,7 +248,7 @@ def trace(params: ModelParams, parity: Parity, e_min: float, e_max: float,
         mask &= np.abs(grid - b.energy) >= POLE_MARGIN
     vals = np.full(grid.shape, np.nan)
     if mask.any():
-        got, _, _ = _gvalues(sp, parity.sign, grid[mask], scheme, n_max)
+        got, _, _ = _gvalues(sp, parity.sign, grid[mask], scheme)
         vals[mask] = got
     inwin = tuple(b for b in poles if lo <= b.energy <= hi)
     return GTrace(parity, grid * w,
@@ -298,7 +257,7 @@ def trace(params: ModelParams, parity: Parity, e_min: float, e_max: float,
 
 def _refine_brackets(sp: ModelParams, sign: int, scheme: MatchingScheme,
                      lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
-                     tol: float, n_max: int) -> np.ndarray:
+                     tol: float) -> np.ndarray:
     """Bisect sign-change brackets to width 2*tol.
 
     A non-finite midpoint leaves its bracket without a sign to follow; it
@@ -311,7 +270,7 @@ def _refine_brackets(sp: ModelParams, sign: int, scheme: MatchingScheme,
         if not lo.size or np.max(hi - lo) <= 2 * tol:
             break
         mid = 0.5 * (lo + hi)
-        fmid, _, _ = _gvalues(sp, sign, mid, scheme, n_max)
+        fmid, _, _ = _gvalues(sp, sign, mid, scheme)
         bad = ~np.isfinite(fmid)
         if bad.any():
             raise NoConvergence(
@@ -328,8 +287,7 @@ def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
                step: Optional[float] = None,
                scheme: Optional[MatchingScheme] = None,
                verify: bool = True,
-               verify_truncation: int = DEFAULT_VERIFY_TRUNCATION,
-               n_max: int = series.DEFAULT_N_MAX) -> SpectrumResult:
+               verify_truncation: int = DEFAULT_VERIFY_TRUNCATION) -> SpectrumResult:
     """Zeros of the matching determinant in [e_min, e_max] for one parity sector.
 
     The window is partitioned at the baselines; each open interval is scanned
@@ -348,7 +306,7 @@ def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
         step = DEFAULT_GRID_STEP * params.omega
     if step <= 0:
         raise ValueError("step must be positive")
-    sp, scheme = _prepare(params, scheme, n_max)
+    sp, scheme = _prepare(params, scheme)
     w = params.omega
     lo_w, hi_w, h = e_min / w, e_max / w, step / w
 
@@ -365,7 +323,7 @@ def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
             continue
         npts = max(2, int(round((b - a) / h)) + 1)
         xs = np.linspace(a, b, npts)
-        gs, _, _ = _gvalues(sp, sign, xs, scheme, n_max)
+        gs, _, _ = _gvalues(sp, sign, xs, scheme)
         finite = np.isfinite(gs)
         blo, bhi, bflo = [], [], []
         for i in range(npts - 1):
@@ -382,8 +340,7 @@ def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
             roots.append(float(xs[-1]))
         if blo:
             refined = _refine_brackets(sp, sign, scheme, np.array(blo),
-                                       np.array(bhi), np.array(bflo), ROOT_TOL,
-                                       n_max)
+                                       np.array(bhi), np.array(bflo), ROOT_TOL)
             roots.extend(float(x) for x in refined)
         # |G| dips without a sign change: either two roots inside one cell or
         # a tangency (even multiplicity).
@@ -398,7 +355,7 @@ def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
             for _ in range(48):
                 m1 = xa + (xb - xa) / 3
                 m2 = xb - (xb - xa) / 3
-                f12, _, _ = _gvalues(sp, sign, np.array([m1, m2]), scheme, n_max)
+                f12, _, _ = _gvalues(sp, sign, np.array([m1, m2]), scheme)
                 if not np.all(np.isfinite(f12)):
                     break
                 if abs(f12[0]) < abs(f12[1]):
@@ -406,14 +363,14 @@ def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
                 else:
                     xa = m1
             xstar = 0.5 * (xa + xb)
-            fstar, _, _ = _gvalues(sp, sign, np.array([xstar]), scheme, n_max)
+            fstar, _, _ = _gvalues(sp, sign, np.array([xstar]), scheme)
             if not np.isfinite(fstar[0]):
                 continue
             if np.sign(fstar[0]) != np.sign(gs[i - 1]) and fstar[0] != 0.0:
                 pair = _refine_brackets(
                     sp, sign, scheme,
                     np.array([xs[i - 1], xstar]), np.array([xstar, xs[i + 1]]),
-                    np.array([gs[i - 1], fstar[0]]), ROOT_TOL, n_max)
+                    np.array([gs[i - 1], fstar[0]]), ROOT_TOL)
                 roots.extend(float(x) for x in pair)
             elif abs(fstar[0]) < TANGENT_GTOL:
                 tangents.append(float(xstar))
@@ -441,7 +398,7 @@ def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
             verified = residual < VERIFY_TOL * w
             keep = verified or not tangent
         else:
-            gmag, _, _ = _gvalues(sp, sign, np.array([x]), scheme, n_max)
+            gmag, _, _ = _gvalues(sp, sign, np.array([x]), scheme)
             residual, verified = float(abs(gmag[0])), None
             keep = residual < 1e-12 or not tangent
         if keep:

@@ -12,8 +12,9 @@ Coefficients are kept in radius units: coeffs[n] = c_n * R^n, so the series
 reads sum_n coeffs[n] * t^n with t = (z - alpha)/R, |t| < 1. This keeps them
 inside double range even for extreme couplings. The recurrence hands each
 order to one compensated summation, which sums all of a center's matching
-points in the same pass; only recur() stores the orders as a table, and G(E)
-sums as it recurses.
+points in the same pass and freezes each energy's sums once its tail is
+small; only recur() stores the orders as a table, and G(E) sums as it
+recurses, up to the hard cap of 512 orders.
 """
 
 from __future__ import annotations
@@ -104,9 +105,9 @@ def _tables(sp: ModelParams, sign: int, energies: np.ndarray, tag: str, center: 
     """Scaled coefficients u[n], shape (4, ncols, nE), one order at a time to n_max.
 
     Returns (rows, pole_ok): rows is a generator of the orders, and pole_ok
-    marks the energies off baselines once rows is exhausted. A yielded row is
-    never modified afterwards. inits has shape (4, ncols); entries on non-free
-    slots are ignored.
+    marks the energies off baselines in every order yielded so far. A yielded
+    row is never modified afterwards. inits has shape (4, ncols); entries on
+    non-free slots are ignored.
     """
     g, gp = sp.g, sp.gprime
     d1, d2 = sp.delta1, sp.delta2
@@ -171,23 +172,41 @@ def _kahan_eval(rows, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Compensated sums of rows[n] * t^n at every t, and which energies converged.
 
     rows yields at least two orders n = 0, 1, ... of shape (4, ncols, nE); the
-    sums have a leading t axis, (nt, 4, ncols, nE). An energy converged when,
-    at every t, its last two terms are at most 1e-14 of its largest sum.
+    sums have a leading t axis, (nt, 4, ncols, nE). An energy converges at the
+    first order, checked every 4 orders and at the last one, where at every t
+    its last two terms are at most 1e-14 of its largest sum (maxima over
+    components and columns). Its sums are frozen there, so they depend on that
+    energy alone, and no more rows are taken once every energy has converged.
     """
+
+    def tail_ok():
+        tail = np.maximum(np.max(np.abs(last), axis=(1, 2)),
+                          np.max(np.abs(term), axis=(1, 2)))
+        scale = np.maximum(np.max(np.abs(sums), axis=(1, 2)), 1e-300)
+        return np.all(tail <= TAIL_RTOL * scale, axis=0)
+
     tpow = np.ones(len(ts))
     sums = comp = 0.0
     last = term = None
-    for row in rows:
+    for n, row in enumerate(rows):
         last, term = term, row * tpow[:, None, None, None]
         y = term - comp
         tmp = sums + y
         comp = (tmp - sums) - y
         sums = tmp
         tpow *= ts
-    tail = np.maximum(np.max(np.abs(last), axis=(1, 2)),
-                      np.max(np.abs(term), axis=(1, 2)))
-    scale = np.maximum(np.max(np.abs(sums), axis=(1, 2)), 1e-300)
-    return sums, np.all(tail <= TAIL_RTOL * scale, axis=0)
+        if n == 0:
+            out = np.empty_like(sums)
+            frozen = np.zeros(sums.shape[-1], dtype=bool)
+        elif n % 4 == 0:
+            new = tail_ok() & ~frozen
+            out[..., new] = sums[..., new]
+            frozen |= new
+            if frozen.all():
+                return out, frozen
+    rest = ~frozen
+    out[..., rest] = sums[..., rest]
+    return out, frozen | tail_ok()
 
 
 @dataclass(frozen=True)
@@ -237,9 +256,9 @@ def recur(params: ModelParams, parity: Parity, energy: float, center: float,
 def evaluate(block: ExpansionBlock, z: float) -> np.ndarray:
     """Four component values at z (omega = 1 units), with adaptive truncation.
 
-    The whole table is summed, as for G(E); if its last two terms exceed
-    1e-14 of the largest component sum, the table is regenerated at doubled
-    order (up to the hard cap of 512).
+    The table is summed as for G(E), until its last two terms are at most
+    1e-14 of the largest component sum; if the table ends first, it is
+    regenerated once at the hard cap of 512 orders.
     """
     dz = z - block.center
     if abs(dz) >= block.radius:
@@ -254,7 +273,7 @@ def evaluate(block: ExpansionBlock, z: float) -> np.ndarray:
             raise NoConvergence(
                 f"series tail above tolerance at hard cap {HARD_CAP} (z = {z})")
         blk = recur(blk.params, blk.parity, blk.energy, blk.center, blk.init,
-                    min(2 * blk.n_max, HARD_CAP))
+                    HARD_CAP)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ def asym():
 
 @pytest.fixture(scope="session")
 def ratio2():
-    """g1 = 2 g2, g = 0.5, g' = g/3 (reduced 6x6 topology)."""
+    """g1 = 2 g2, g = 0.5, g' = g/3 (8x8 topology with g' < g/2)."""
     return ModelParams(1.0, 0.6, 0.2, 1.0 / 3.0, 1.0 / 6.0)
 
 

@@ -78,18 +78,6 @@ def test_invalid_couplings_surfaced(tmp_path, capsys):
     assert "RequiresValidCouplings" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [
-    ["spectrum", "--emax", "1.0"],
-    ["trace", "--emin", "-1", "--emax", "1.0"],
-    ["sweep", "--gmin", "0.1", "--gmax", "0.3", "--points", "2",
-     "--solver", "gfunction"],
-])
-def test_zero_series_order_exits_two(asym_cfg, capsys, command):
-    code = main([command[0], "--config", asym_cfg, "--nmax", "0"] + command[1:])
-    assert code == 2
-    assert "error: n_max must be >= 1" in capsys.readouterr().err
-
-
 def test_spectrum_both_solvers_agree(tmp_path, asym_cfg):
     out = tmp_path / "spectrum.csv"
     code = main(["spectrum", "--config", asym_cfg, "--emin", "-1",

@@ -30,8 +30,9 @@ def test_default_scheme_topologies(asym, ratio2, flat):
     assert s.topology == "full8"
     assert s.z0 == pytest.approx((asym.g + asym.gprime) / 2)
     assert s.z0prime == pytest.approx(asym.gprime ** 2 / asym.g)
-    assert default_scheme(ratio2).topology == "reduced6"
-    assert default_scheme(ratio2).z0prime == 0.0
+    assert default_scheme(ratio2).topology == "full8"
+    assert default_scheme(ratio2).z0prime == pytest.approx(
+        ratio2.gprime ** 2 / ratio2.g)
     s4 = default_scheme(flat)
     assert s4.topology == "reduced4"
     assert s4.z0 == pytest.approx(flat.g / 2)
@@ -41,7 +42,7 @@ def test_scheme_basis_columns(asym, ratio2, flat):
     assert default_scheme(asym).basis_columns == {
         "g": (0, 1, 3), "gprime": (0, 1, 2), "zero": (0, 1)}
     assert default_scheme(ratio2).basis_columns == {
-        "g": (0, 1, 3), "gprime": (0, 1, 2)}
+        "g": (0, 1, 3), "gprime": (0, 1, 2), "zero": (0, 1)}
     assert default_scheme(flat).basis_columns == {"g": (0, 1, 3), "zero": (0,)}
 
 
@@ -108,6 +109,34 @@ def test_roots_match_diagonalization_reduced6(ratio2):
         assert np.max(np.abs(np.array(res.energies()) - ed)) < 1e-6
 
 
+@pytest.mark.parametrize("ratio", [0.49, 0.4975, 0.5])
+def test_roots_match_diagonalization_near_half_asymmetry(ratio):
+    # g = 0.6 with g'/g just below and at 1/2, where 0.3 * 1.5 rounds g'
+    # just below g/2. A 6x6 reduction without the center-0 block does not
+    # converge here (it finds 5 + 4, 0 + 0 and 0 + 0 of the 7 even and 6 odd
+    # levels), so full8 must serve every g' > 0.
+    p = ModelParams(1.0, 0.55, 0.25, 0.3 * (1 + ratio), 0.3 * (1 - ratio))
+    for parity, count in ((Parity.PLUS, 7), (Parity.MINUS, 6)):
+        res = find_roots(p, parity, -1.0, 2.5, verify=True)
+        ed = ed_levels(p, parity, -1.0, 2.5)
+        assert len(ed) == count
+        assert len(res) == count
+        assert np.max(np.abs(np.array(res.energies()) - ed)) < 1e-6
+        assert all(r.verified for r in res)
+
+
+def test_gvalue_depends_on_energy_alone():
+    # Each energy's series stop on its own tail test, so G at one energy is
+    # the same bits whether it is computed alone or in a batch of 351.
+    p = ModelParams(1.0, 0.55, 0.25, 0.3 * 1.4975, 0.3 * 0.5025)
+    for parity in (Parity.PLUS, Parity.MINUS):
+        tr = trace(p, parity, -1.0, 2.5)
+        cells = np.flatnonzero(np.isfinite(tr.values))[::37]
+        assert cells.size > 5
+        for i in cells:
+            assert gvalue(p, parity, tr.energies[i]) == tr.values[i]
+
+
 def test_roots_match_diagonalization_exchange_reduced4():
     p = ModelParams(1.0, 0.6, 0.2, 0.4, 0.4, jx=0.7, jy=0.1, jz=0.3)
     for parity in (Parity.PLUS, Parity.MINUS):
@@ -147,16 +176,6 @@ def test_window_validation(asym):
         find_roots(asym, Parity.PLUS, -1.0, 1.0, step=0.0)
     with pytest.raises(ValueError):
         trace(asym, Parity.PLUS, -1.0, 1.0, step=-0.1)
-
-
-def test_series_order_must_be_positive(asym):
-    for n_max in (0, -1):
-        with pytest.raises(ValueError):
-            gvalue(asym, Parity.PLUS, 0.4, n_max=n_max)
-        with pytest.raises(ValueError):
-            trace(asym, Parity.PLUS, -1.0, 1.0, n_max=n_max)
-        with pytest.raises(ValueError):
-            find_roots(asym, Parity.PLUS, -1.0, 1.0, verify=False, n_max=n_max)
 
 
 def test_trace_sign_changes_count_roots(asym):
@@ -224,7 +243,7 @@ def test_refine_brackets_nan_midpoint_raises(monkeypatch):
     # Two brackets around the zeros of E - 0.3 and E - 0.7; G is NaN at the
     # first midpoint of the second one. The bracket must not spin on that
     # midpoint and come back as a root.
-    def fake(sp, sign, energies, scheme, n_max):
+    def fake(sp, sign, energies, scheme):
         vals = np.where(energies < 0.5, energies - 0.3, energies - 0.7)
         if nan_at is not None:
             vals = np.where(energies == nan_at, np.nan, vals)
@@ -235,8 +254,8 @@ def test_refine_brackets_nan_midpoint_raises(monkeypatch):
     lo, hi = np.array([0.0, 0.5]), np.array([0.5, 1.0])
     flo = np.array([-0.3, -0.2])
     nan_at = None
-    roots = gfunction._refine_brackets(None, 1, None, lo, hi, flo, 1e-10, 160)
+    roots = gfunction._refine_brackets(None, 1, None, lo, hi, flo, 1e-10)
     assert np.max(np.abs(roots - [0.3, 0.7])) < 1e-10
     nan_at = 0.75
     with pytest.raises(NoConvergence):
-        gfunction._refine_brackets(None, 1, None, lo, hi, flo, 1e-10, 160)
+        gfunction._refine_brackets(None, 1, None, lo, hi, flo, 1e-10)
