@@ -57,6 +57,9 @@ ROOT_TOL = 1e-10
 VERIFY_TOL = 1e-6
 DEFAULT_VERIFY_TRUNCATION = 300
 TANGENT_GTOL = 1e-10
+# Pass budget of the bracket refinement and the dip probe: with a midpoint
+# every third pass it holds the 64 halvings of the bisection it replaced.
+_MAX_PASSES = 3 * 64
 
 
 # Per topology: the centers in column order, then the matching conditions as
@@ -257,30 +260,103 @@ def trace(params: ModelParams, parity: Parity, e_min: float, e_max: float,
 
 def _refine_brackets(sp: ModelParams, sign: int, scheme: MatchingScheme,
                      lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
-                     tol: float) -> np.ndarray:
-    """Bisect sign-change brackets to width 2*tol.
+                     fhi: np.ndarray, tol: float) -> np.ndarray:
+    """Shrink sign-change brackets to width 2*tol and return their midpoints.
 
-    A non-finite midpoint leaves its bracket without a sign to follow; it
-    raises NoConvergence rather than return the midpoint as a root.
+    Illinois regula falsi on all brackets at once, one G call per pass over
+    those still open: an end kept twice in a row has its G value halved,
+    every third pass probes the midpoint, and every probe stays at least tol
+    inside its bracket, so a bracket closes once a probe lands within tol of
+    its root. A non-finite probe leaves its bracket without a sign to
+    follow; it raises NoConvergence rather than return the midpoint as a
+    root.
     """
-    lo = lo.astype(float)
-    hi = hi.astype(float)
-    flo = flo.copy()
-    for _ in range(64):
-        if not lo.size or np.max(hi - lo) <= 2 * tol:
+    lo, hi = lo.astype(float), hi.astype(float)
+    flo, fhi = flo.astype(float), fhi.astype(float)
+    kept = np.zeros(lo.shape, dtype=int)  # end kept by the last pass: -1 lo, +1 hi
+    for k in range(_MAX_PASSES):
+        todo = np.flatnonzero(hi - lo > 2 * tol)
+        if not todo.size:
             break
-        mid = 0.5 * (lo + hi)
-        fmid, _, _ = _gvalues(sp, sign, mid, scheme)
-        bad = ~np.isfinite(fmid)
+        a, b, fa, fb = lo[todo], hi[todo], flo[todo], fhi[todo]
+        if k % 3 == 2:
+            x = 0.5 * (a + b)
+        else:
+            x = np.clip(a - fa * (b - a) / (fb - fa), a + tol, b - tol)
+        fx, _, _ = _gvalues(sp, sign, x, scheme)
+        bad = ~np.isfinite(fx)
         if bad.any():
             raise NoConvergence(
-                f"G is not finite at {bad.sum()} bracket midpoint(s), first at "
-                f"E = {mid[bad][0]:.17g} (omega = 1 units)")
-        take_lo = np.sign(fmid) == np.sign(flo)
-        lo = np.where(take_lo, mid, lo)
-        flo = np.where(take_lo, fmid, flo)
-        hi = np.where(take_lo, hi, mid)
+                f"G is not finite at {bad.sum()} bracket probe(s), first at "
+                f"E = {x[bad][0]:.17g} (omega = 1 units)")
+        exact = fx == 0.0
+        to_lo = (np.sign(fx) == np.sign(fa)) & ~exact
+        to_hi = ~to_lo & ~exact
+        last = kept[todo]
+        lo[todo] = np.where(to_hi, a, x)
+        hi[todo] = np.where(to_lo, b, x)
+        flo[todo] = np.where(to_lo, fx, np.where(to_hi & (last == -1), 0.5 * fa, fa))
+        fhi[todo] = np.where(to_hi, fx, np.where(to_lo & (last == 1), 0.5 * fb, fb))
+        kept[todo] = np.where(to_lo, 1, np.where(to_hi, -1, 0))
     return 0.5 * (lo + hi)
+
+
+def _probe_dips(sp: ModelParams, sign: int, scheme: MatchingScheme,
+                x: np.ndarray, f: np.ndarray, tol: float,
+                ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Split |G| dips into sign-change brackets, or name them tangent candidates.
+
+    x, f are (n, 3) grid triples of one sign whose middle |G| is below both
+    ends. Each pass probes every open triple in one G call, at the vertex of
+    the parabola through its three |G| values (every third pass at the
+    midpoint of its longer half), kept tol inside the triple and moved off
+    its middle point, and narrows the triple around the smallest |G|. A probe
+    of the other sign turns its triple into two brackets, returned as (lo,
+    hi, G(lo), G(hi)). A triple narrowed to 2*tol is a tangent candidate if
+    |G| at its middle is below TANGENT_GTOL, and so is an exact zero. A
+    non-finite probe drops its dip.
+    """
+    x, f = x.astype(float), f.astype(float)
+    live = np.ones(len(x), dtype=bool)
+    pairs, tangents = [(np.empty(0),) * 4], []
+    for k in range(_MAX_PASSES):
+        todo = np.flatnonzero(live & (x[:, 2] - x[:, 0] > 2 * tol))
+        if not todo.size:
+            break
+        (x0, x1, x2), (f0, f1, f2) = x[todo].T, f[todo].T
+        a0, a1, a2 = np.abs(f0), np.abs(f1), np.abs(f2)
+        d0, d2 = x1 - x0, x2 - x1
+        mid = np.where(d2 > d0, x1 + 0.5 * d2, x1 - 0.5 * d0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = x1 - 0.5 * ((d0 * d0 * (a1 - a2) - d2 * d2 * (a1 - a0))
+                            / (d0 * (a1 - a2) + d2 * (a1 - a0)))
+        u = np.where((k % 3 == 2) | ~np.isfinite(u), mid, u)
+        u = np.clip(u, x0 + tol, x2 - tol)
+        step = np.minimum(tol, 0.5 * np.maximum(d0, d2))
+        u = np.where(np.abs(u - x1) < tol, np.where(d2 > d0, x1 + step, x1 - step), u)
+        fu, _, _ = _gvalues(sp, sign, u, scheme)
+        tangents.append(u[fu == 0.0])
+        flip = np.sign(fu) == -np.sign(f1)
+        pairs.append((np.concatenate([x0[flip], u[flip]]),
+                      np.concatenate([u[flip], x2[flip]]),
+                      np.concatenate([f0[flip], fu[flip]]),
+                      np.concatenate([fu[flip], f2[flip]])))
+        same = np.sign(fu) == np.sign(f1)
+        live[todo[~same]] = False
+        # Keep the lower of the two inner points among the four, with its
+        # neighbours.
+        px = np.stack([x0, x1, x2, u], 1)
+        pf = np.stack([f0, f1, f2, fu], 1)
+        order = np.argsort(px, axis=1)
+        px = np.take_along_axis(px, order, 1)
+        pf = np.take_along_axis(pf, order, 1)
+        c = 1 + (np.abs(pf[:, 2]) < np.abs(pf[:, 1]))
+        pick = (np.arange(todo.size)[:, None], c[:, None] + np.arange(-1, 2))
+        x[todo[same]] = px[pick][same]
+        f[todo[same]] = pf[pick][same]
+    rest = live & (np.abs(f[:, 1]) < TANGENT_GTOL)
+    tangents.append(x[rest, 1])
+    return tuple(np.concatenate(c) for c in zip(*pairs)), np.concatenate(tangents)
 
 
 def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
@@ -290,15 +366,17 @@ def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
                verify_truncation: int = DEFAULT_VERIFY_TRUNCATION) -> SpectrumResult:
     """Zeros of the matching determinant in [e_min, e_max] for one parity sector.
 
-    The window is partitioned at the baselines; each open interval is scanned
-    on a uniform grid (step defaults to 0.01 in units of the photon
-    frequency), sign changes are bisected to 1e-10, and dips of |G| inside one
-    grid cell are probed for root pairs. With verify=True every root is
-    checked against the diagonalization oracle (nearest same-parity level
-    within 1e-6); unmatched roots are kept but flagged unverified. Exceptional
-    eigenvalues sitting exactly on baselines are out of reach here by
-    construction. A bracket whose midpoint G is not finite raises
-    NoConvergence.
+    The window is partitioned at the baselines and every open interval is
+    scanned on a uniform grid (step defaults to 0.01 in units of the photon
+    frequency) in one batch. Dips of |G| without a sign change are probed
+    for a root pair inside one grid cell, or a tangency. All sign-change
+    brackets of the sector are then refined together by Illinois regula
+    falsi to width 2e-10; a root is the midpoint of its bracket. With
+    verify=True every root is checked against the diagonalization oracle
+    (nearest same-parity level within 1e-6); unmatched roots are kept but
+    flagged unverified. Exceptional eigenvalues sitting exactly on baselines
+    are out of reach here by construction. A bracket probe where G is not
+    finite raises NoConvergence.
     """
     if not e_min < e_max:
         raise ValueError("empty energy window")
@@ -309,75 +387,45 @@ def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
     sp, scheme = _prepare(params, scheme)
     w = params.omega
     lo_w, hi_w, h = e_min / w, e_max / w, step / w
+    sign = parity.sign
 
     cuts = [lo_w, hi_w]
     cuts += [b.energy for b in baselines(sp, lo_w, hi_w)]
     cuts = sorted(set(cuts))
-    roots: list[float] = []
-    tangents: list[float] = []
-    sign = parity.sign
+    grids = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         a += POLE_MARGIN
         b -= POLE_MARGIN
-        if b - a <= h * 1e-6:
-            continue
-        npts = max(2, int(round((b - a) / h)) + 1)
-        xs = np.linspace(a, b, npts)
-        gs, _, _ = _gvalues(sp, sign, xs, scheme)
-        finite = np.isfinite(gs)
-        blo, bhi, bflo = [], [], []
-        for i in range(npts - 1):
-            if not (finite[i] and finite[i + 1]):
-                continue
-            if gs[i] == 0.0:
-                roots.append(float(xs[i]))
-                continue
-            if np.sign(gs[i]) != np.sign(gs[i + 1]) and gs[i + 1] != 0.0:
-                blo.append(xs[i])
-                bhi.append(xs[i + 1])
-                bflo.append(gs[i])
-        if gs[-1] == 0.0:
-            roots.append(float(xs[-1]))
-        if blo:
-            refined = _refine_brackets(sp, sign, scheme, np.array(blo),
-                                       np.array(bhi), np.array(bflo), ROOT_TOL)
-            roots.extend(float(x) for x in refined)
-        # |G| dips without a sign change: either two roots inside one cell or
-        # a tangency (even multiplicity).
-        for i in range(1, npts - 1):
-            if not (finite[i - 1] and finite[i] and finite[i + 1]):
-                continue
-            if np.sign(gs[i - 1]) != np.sign(gs[i + 1]):
-                continue
-            if not (abs(gs[i]) < abs(gs[i - 1]) and abs(gs[i]) < abs(gs[i + 1])):
-                continue
-            xa, xb = xs[i - 1], xs[i + 1]
-            for _ in range(48):
-                m1 = xa + (xb - xa) / 3
-                m2 = xb - (xb - xa) / 3
-                f12, _, _ = _gvalues(sp, sign, np.array([m1, m2]), scheme)
-                if not np.all(np.isfinite(f12)):
-                    break
-                if abs(f12[0]) < abs(f12[1]):
-                    xb = m2
-                else:
-                    xa = m1
-            xstar = 0.5 * (xa + xb)
-            fstar, _, _ = _gvalues(sp, sign, np.array([xstar]), scheme)
-            if not np.isfinite(fstar[0]):
-                continue
-            if np.sign(fstar[0]) != np.sign(gs[i - 1]) and fstar[0] != 0.0:
-                pair = _refine_brackets(
-                    sp, sign, scheme,
-                    np.array([xs[i - 1], xstar]), np.array([xstar, xs[i + 1]]),
-                    np.array([gs[i - 1], fstar[0]]), ROOT_TOL)
-                roots.extend(float(x) for x in pair)
-            elif abs(fstar[0]) < TANGENT_GTOL:
-                tangents.append(float(xstar))
+        if b - a > h * 1e-6:
+            grids.append(np.linspace(a, b, max(2, int(round((b - a) / h)) + 1)))
+    roots, tangents = np.empty(0), np.empty(0)
+    if grids:
+        scan, _, _ = _gvalues(sp, sign, np.concatenate(grids), scheme)
+        # Sign changes and dips are looked for inside each interval only:
+        # G also changes sign across a baseline pole.
+        pool, dips = [], []
+        for xs, gs in zip(grids, np.split(scan, np.cumsum([g.size for g in grids[:-1]]))):
+            s, mag = np.sign(gs), np.abs(gs)
+            roots = np.append(roots, xs[gs == 0.0])
+            i = np.flatnonzero(s[:-1] * s[1:] < 0)
+            pool.append((xs[i], xs[i + 1], gs[i], gs[i + 1]))
+            # A |G| dip of one sign holds either two roots in one grid cell
+            # or a tangency (a root of even multiplicity).
+            i = 1 + np.flatnonzero((s[:-2] == s[1:-1]) & (s[1:-1] == s[2:])
+                                   & (mag[1:-1] < mag[:-2]) & (mag[1:-1] < mag[2:]))
+            dips.append((np.stack([xs[i - 1], xs[i], xs[i + 1]], 1),
+                         np.stack([gs[i - 1], gs[i], gs[i + 1]], 1)))
+        dx, df = (np.concatenate(c) for c in zip(*dips))
+        if dx.size:
+            pairs, tangents = _probe_dips(sp, sign, scheme, dx, df, ROOT_TOL)
+            pool.append(pairs)
+        lo, hi, flo, fhi = (np.concatenate(c) for c in zip(*pool))
+        if lo.size:
+            roots = np.append(roots, _refine_brackets(sp, sign, scheme, lo, hi,
+                                                      flo, fhi, ROOT_TOL))
 
-    roots.sort()
     dedup: list[float] = []
-    for x in roots:
+    for x in np.sort(roots).tolist():
         if not dedup or x - dedup[-1] > 1e-9:
             dedup.append(x)
 
@@ -388,18 +436,20 @@ def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
 
     # A tangent is kept only when ED confirms it or, without ED, when |G| < 1e-12.
     candidates = [(x, False) for x in dedup]
-    candidates += [(x, True) for x in tangents
+    candidates += [(x, True) for x in tangents.tolist()
                    if all(abs(x - r) > 1e-9 for r in dedup)]
+    use_ed = ed_levels is not None and ed_levels.size > 0
+    if candidates and not use_ed:
+        gmag, _, _ = _gvalues(sp, sign, np.array([x for x, _ in candidates]), scheme)
     records = []
-    for x, tangent in candidates:
+    for j, (x, tangent) in enumerate(candidates):
         e_raw = x * w
-        if ed_levels is not None and ed_levels.size:
+        if use_ed:
             residual = float(np.min(np.abs(ed_levels - e_raw)))
             verified = residual < VERIFY_TOL * w
             keep = verified or not tangent
         else:
-            gmag, _, _ = _gvalues(sp, sign, np.array([x]), scheme)
-            residual, verified = float(abs(gmag[0])), None
+            residual, verified = float(abs(gmag[j])), None
             keep = residual < 1e-12 or not tangent
         if keep:
             records.append(SpectrumRecord(e_raw, parity, "gfunction", residual,

@@ -99,7 +99,7 @@ def test_roots_match_diagonalization_full8(asym):
         assert [r.label for r in res] == list(range(len(res)))
 
 
-def test_roots_match_diagonalization_reduced6(ratio2):
+def test_roots_match_diagonalization_ratio2(ratio2):
     # All roots below E = 2 for the 2:1 coupling ratio at g = 0.5.
     for parity in (Parity.PLUS, Parity.MINUS):
         res = find_roots(ratio2, parity, -1.0, 2.0, verify=True,
@@ -240,22 +240,81 @@ def test_trace_csv_has_empty_cells_in_margins(tmp_path, flat):
 
 
 def test_refine_brackets_nan_midpoint_raises(monkeypatch):
-    # Two brackets around the zeros of E - 0.3 and E - 0.7; G is NaN at the
-    # first midpoint of the second one. The bracket must not spin on that
-    # midpoint and come back as a root.
+    # Two brackets around the zeros of E - 0.3 and E - 0.7; G is NaN on an
+    # open sub-interval of the second one, where its probes land. The bracket
+    # must not spin there and come back as a root.
     def fake(sp, sign, energies, scheme):
         vals = np.where(energies < 0.5, energies - 0.3, energies - 0.7)
-        if nan_at is not None:
-            vals = np.where(energies == nan_at, np.nan, vals)
+        if nan_on is not None:
+            vals = np.where((nan_on[0] < energies) & (energies < nan_on[1]),
+                            np.nan, vals)
         ok = np.ones(energies.shape, dtype=bool)
         return vals, ok, ok
 
     monkeypatch.setattr(gfunction, "_gvalues", fake)
     lo, hi = np.array([0.0, 0.5]), np.array([0.5, 1.0])
-    flo = np.array([-0.3, -0.2])
-    nan_at = None
-    roots = gfunction._refine_brackets(None, 1, None, lo, hi, flo, 1e-10)
+    flo, fhi = np.array([-0.3, -0.2]), np.array([0.2, 0.3])
+    nan_on = None
+    roots = gfunction._refine_brackets(None, 1, None, lo, hi, flo, fhi, 1e-10)
     assert np.max(np.abs(roots - [0.3, 0.7])) < 1e-10
-    nan_at = 0.75
+    nan_on = (0.55, 0.95)
     with pytest.raises(NoConvergence):
-        gfunction._refine_brackets(None, 1, None, lo, hi, flo, 1e-10)
+        gfunction._refine_brackets(None, 1, None, lo, hi, flo, fhi, 1e-10)
+
+
+def _count_refine_passes(monkeypatch, g, lo, hi):
+    calls = []
+
+    def fake(sp, sign, energies, scheme):
+        calls.append(energies.size)
+        ok = np.ones(energies.shape, dtype=bool)
+        return g(energies), ok, ok
+
+    monkeypatch.setattr(gfunction, "_gvalues", fake)
+    lo, hi = np.array([lo]), np.array([hi])
+    root = gfunction._refine_brackets(None, 1, None, lo, hi, g(lo), g(hi),
+                                      gfunction.ROOT_TOL)
+    return root[0], len(calls)
+
+
+def test_refine_brackets_flat_side(monkeypatch):
+    # G(1) is e^28 times |G(0)|: plain regula falsi keeps the steep end and
+    # creeps in from the flat one. The refinement must stay within the 64
+    # passes of the bisection it replaced.
+    root, passes = _count_refine_passes(
+        monkeypatch, lambda e: np.expm1(40 * (e - 0.3)), 0.0, 1.0)
+    assert abs(root - 0.3) <= gfunction.ROOT_TOL
+    assert passes <= 64
+
+
+def test_refine_brackets_multiple_root_worst_case(monkeypatch):
+    # A ninth-order zero is flat on both sides, so the interpolation steps
+    # gain little and the midpoint forced every third pass does the work: at
+    # most three passes per halving of [0, 1] down to 2 * ROOT_TOL.
+    root, passes = _count_refine_passes(monkeypatch, lambda e: (e - 0.3) ** 9, 0.0, 1.0)
+    assert abs(root - 0.3) <= gfunction.ROOT_TOL
+    assert passes <= 3 * np.ceil(np.log2(1.0 / (2 * gfunction.ROOT_TOL)))
+
+
+def test_roots_hold_a_sign_change(asym):
+    tol = gfunction.ROOT_TOL
+    for parity in (Parity.PLUS, Parity.MINUS):
+        roots = find_roots(asym, parity, -1.0, 2.5, verify=False).energies()
+        assert len(roots) == 6
+        for x in roots:
+            assert gvalue(asym, parity, x - tol) * gvalue(asym, parity, x + tol) < 0
+
+
+def test_root_pair_inside_one_grid_cell():
+    # Near the decoupled limit the even levels 0.6 and 0.8 share the cell
+    # (0.56, 0.9) of a 0.34 grid on [0.22, 0.9], and |G| at 0.56 is below its
+    # neighbours: a dip of one sign that only the dip probe can split. (The
+    # asym levels of one parity are too far apart for this between adjacent
+    # baselines.)
+    p = ModelParams(1.0, 0.6, 0.2, 0.8e-3, 0.2e-3)
+    res = find_roots(p, Parity.PLUS, 0.22, 0.9, step=0.34, verify=True)
+    ed = ed_levels(p, Parity.PLUS, 0.22, 0.9)
+    assert len(ed) == 2
+    assert len(res) == 2
+    assert np.max(np.abs(np.array(res.energies()) - ed)) < 1e-6
+    assert all(r.verified for r in res)
