@@ -314,7 +314,9 @@ def _probe_dips(sp: ModelParams, sign: int, scheme: MatchingScheme,
     of the other sign turns its triple into two brackets, returned as (lo,
     hi, G(lo), G(hi)). A triple narrowed to 2*tol is a tangent candidate if
     |G| at its middle is below TANGENT_GTOL, and so is an exact zero. A
-    non-finite probe drops its dip.
+    non-finite probe drops its dip, and so does a probe whose |G| agrees
+    with the middle's to 1e-12 relative, both above TANGENT_GTOL: such a
+    flat dip holds neither a root pair nor a tangency.
     """
     x, f = x.astype(float), f.astype(float)
     live = np.ones(len(x), dtype=bool)
@@ -342,7 +344,8 @@ def _probe_dips(sp: ModelParams, sign: int, scheme: MatchingScheme,
                       np.concatenate([f0[flip], fu[flip]]),
                       np.concatenate([fu[flip], f2[flip]])))
         same = np.sign(fu) == np.sign(f1)
-        live[todo[~same]] = False
+        flat = (np.abs(fu - f1) <= 1e-12 * a1) & (np.fmin(np.abs(fu), a1) > TANGENT_GTOL)
+        live[todo[~same | flat]] = False
         # Keep the lower of the two inner points among the four, with its
         # neighbours.
         px = np.stack([x0, x1, x2, u], 1)

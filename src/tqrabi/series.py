@@ -10,11 +10,15 @@ are exactly the baseline energies where the matching determinant has poles.
 
 Coefficients are kept in radius units: coeffs[n] = c_n * R^n, so the series
 reads sum_n coeffs[n] * t^n with t = (z - alpha)/R, |t| < 1. This keeps them
-inside double range even for extreme couplings. The recurrence hands each
-order to one compensated summation, which sums all of a center's matching
-points in the same pass and freezes each energy's sums once its tail is
-small; only recur() stores the orders as a table, and G(E) sums as it
-recurses, up to the hard cap of 512 orders.
+inside double range even for extreme couplings. Each order is a few
+whole-array steps over all components, columns and energies: one constant
+4x4 coupling matrix applied by einsum, one broadcast update of the free
+components, one weighted contraction for the slaved one, and a pole guard
+only at the integer orders where some energy's divisor vanishes. The
+recurrence hands each order to one compensated summation, which sums all of
+a center's matching points in the same pass and freezes each energy's sums
+once its tail is small; only recur() stores the orders as a table, and G(E)
+sums as it recurses, up to the hard cap of 512 orders.
 """
 
 from __future__ import annotations
@@ -109,60 +113,63 @@ def _tables(sp: ModelParams, sign: int, energies: np.ndarray, tag: str, center: 
     row is never modified afterwards. inits has shape (4, ncols); entries on
     non-free slots are ignored.
     """
-    g, gp = sp.g, sp.gprime
-    d1, d2 = sp.delta1, sp.delta2
-    jx, jy, jz = sp.jx, sp.jy, sp.jz
-    s = float(sign)
-    c = center
+    g, gp, s, c = sp.g, sp.gprime, float(sign), center
+    d1, d2, jx, jy, jz = sp.delta1, sp.delta2, sp.jx, sp.jy, sp.jz
     radius = _radius(sp, tag)
-
-    pref = (c + g, c + gp, c - g, c - gp)
-    aoff = (-2 * c * g - jx, -2 * c * gp + jx, 2 * c * g - jx, 2 * c * gp + jx)
-    base = energies - c * c
     ok = np.ones(energies.size, dtype=bool)
 
-    def guard(den):
-        # Marks energies on a baseline and keeps their (discarded) rows finite.
-        bad = np.abs(den) < POLE_EPS
-        ok[bad] = False
-        return np.where(bad, 1.0, den)
+    # Cross couplings: order n + 1 of component j takes sum_k mix[k, j] cur[k]
+    # (mix is symmetric). With "kj", unlike "jk" or matmul, einsum adds the
+    # terms in k order at every batch size, so G(E) depends on E alone.
+    a, b = s * (jz - jy), s * (jy + jz)
+    mix = -np.array([[0, d2, a, s * d1], [d2, 0, s * d1, b],
+                     [a, s * d1, 0, d2], [s * d1, b, d2, 0]])
+    # Reflection at the origin ties components 3, 4 to 1, 2; all four recur.
+    tied = tag == _CENTER_ZERO and gp != 0
+    active = np.array([tied or j in _slots(tag, gp) for j in range(4)])
+    pref = np.array([c + g, c + gp, c - g, c - gp])
+    rp = np.where(active, radius / np.where(active, pref, 1.0), 0.0)[:, None, None]
+    aoff = np.array([-2 * c * g - jx, -2 * c * gp + jx, 2 * c * g - jx, 2 * c * gp + jx])
+    base = energies - c * c
+    diag = (base + aoff[:, None])[:, None, :]
+    # The slaved component is weights[n % 2] @ cur / (dbase[n % 2] - n). A lone
+    # column (center 0, g' = 0) has one nonzero weight, so no sum order to keep.
+    slave = None
+    if tag == _CENTER_G:
+        slave, shift, weights = 2, (2 * g * g - jx,) * 2, [(a, s * d1, 0, d2)] * 2
+    elif tag == _CENTER_GPRIME:
+        slave, shift, weights = 3, (2 * gp * gp + jx,) * 2, [(s * d1, b, d2, 0)] * 2
+    elif gp == 0:  # center zero with identical couplings
+        slave, shift = 1, (jx - b, jx + b)
+        weights = [(d2 + s * d1, 0, 0, 0), (d2 - s * d1, 0, 0, 0)]
+    if slave is not None:
+        weights = np.array(weights, dtype=float)
+        dbase = base + np.array(shift)[:, None]
+        # A divisor dbase - n can only vanish at the integer order nearest dbase.
+        near = np.rint(dbase)
+        hit = (np.abs(dbase - near) < POLE_EPS) & (near % 2 == [[0], [1]])
+        poles = set(near[hit].astype(int).tolist())
 
     def rows():
         cur = np.repeat(inits[:, :, None], energies.size, axis=2)
         prev = np.zeros_like(cur)
-        active = _slots(tag, gp)
-        if tag == _CENTER_ZERO and gp != 0:
-            # The reflection z -> -z ties components 3, 4 to 1, 2 at the origin.
-            cur[2] = cur[0]
-            cur[3] = cur[1]
-            active += (2, 3)
+        if tied:
+            cur[2:] = cur[:2]
         for n in range(n_max + 1):
-            sig = -1.0 if n % 2 else 1.0
-            if tag == _CENTER_G:
-                den = guard(base - n + 2 * g * g - jx)
-                cur[2] = (d2 * cur[3] + s * d1 * cur[1] + s * (jz - jy) * cur[0]) / den
-            elif tag == _CENTER_GPRIME:
-                den = guard(base - n + 2 * gp * gp + jx)
-                cur[3] = (d2 * cur[2] + s * d1 * cur[0] + s * (jy + jz) * cur[1]) / den
-            elif gp == 0:  # center zero with identical couplings
-                den = guard(base - n + jx - s * sig * (jy + jz))
-                cur[1] = (d2 + s * sig * d1) * cur[0] / den
-                cur[2] = sig * cur[0]
-                cur[3] = sig * cur[1]
+            if slave is not None:
+                den = dbase[n % 2] - n
+                if n in poles:  # mark energies on a baseline, keep their rows finite
+                    bad = np.abs(den) < POLE_EPS
+                    ok[bad] = False
+                    den[bad] = 1.0
+                cur[slave] = np.einsum("k,kcn->cn", weights[n % 2], cur) / den
+                if slave == 1:
+                    cur[2:] = (-1.0 if n % 2 else 1.0) * cur[:2]
             yield cur
             if n == n_max:
                 return
-            cross = (
-                -d2 * cur[1] - s * d1 * cur[3] - s * (jz - jy) * cur[2],
-                -d2 * cur[0] - s * d1 * cur[2] - s * (jy + jz) * cur[3],
-                -d2 * cur[3] - s * d1 * cur[1] - s * (jz - jy) * cur[0],
-                -d2 * cur[2] - s * d1 * cur[0] - s * (jy + jz) * cur[1],
-            )
-            nxt = np.zeros_like(cur)
-            for j in active:
-                a = base - n + aoff[j]
-                nxt[j] = ((a * cur[j] + cross[j]) * (radius / ((n + 1) * pref[j]))
-                          - (radius * radius / (n + 1)) * prev[j])
+            nxt = ((diag - n) * cur + np.einsum("kj,kcn->jcn", mix, cur)) * (
+                rp / (n + 1)) - (radius * radius / (n + 1)) * prev
             prev, cur = cur, nxt
 
     return rows(), ok

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -54,7 +56,7 @@ def flat_cfg(tmp_path):
 
 
 def rows(path, column=None):
-    body = [ln for ln in open(path).read().splitlines() if not ln.startswith("#")]
+    body = [ln for ln in Path(path).read_text().splitlines() if not ln.startswith("#")]
     header = body[0].split(",")
     out = [dict(zip(header, ln.split(","))) for ln in body[1:]]
     if column is None:

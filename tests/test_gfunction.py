@@ -125,9 +125,10 @@ def test_roots_match_diagonalization_near_half_asymmetry(ratio):
         assert all(r.verified for r in res)
 
 
-def test_gvalue_depends_on_energy_alone():
-    # Each energy's series stop on its own tail test, so G at one energy is
-    # the same bits whether it is computed alone or in a batch of 351.
+def test_gvalue_depends_on_energy_alone(xyz_double, xyz_odd):
+    # Each energy's series stop on its own tail test, and every sum runs in
+    # one order at every batch size, so G at one energy is the same bits
+    # whether it is computed alone, in a small batch or in a batch of 351.
     p = ModelParams(1.0, 0.55, 0.25, 0.3 * 1.4975, 0.3 * 0.5025)
     for parity in (Parity.PLUS, Parity.MINUS):
         tr = trace(p, parity, -1.0, 2.5)
@@ -135,6 +136,45 @@ def test_gvalue_depends_on_energy_alone():
         assert cells.size > 5
         for i in cells:
             assert gvalue(p, parity, tr.energies[i]) == tr.values[i]
+    # Small batches, as root refinement makes them, on exchange models:
+    # reduced4 has a one-column center-0 block, full8 three columns, and
+    # xyz_odd couples every component to every other one.
+    full8 = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06, 0.3, 0.1, 0.2)
+    for p in (xyz_double, full8, xyz_odd):
+        sp, scheme = gfunction._prepare(p, None)
+        for parity in (Parity.PLUS, Parity.MINUS):
+            tr = trace(p, parity, -1.0, 2.5)
+            cells = np.flatnonzero(np.isfinite(tr.values))
+            for size in (1, 2, 3, 5, 7):
+                for k in range(0, cells.size - size, 23):
+                    e = tr.energies[cells[k:k + size]]
+                    got, _, _ = gfunction._gvalues(sp, parity.sign, e, scheme)
+                    assert got.tobytes() == tr.values[cells[k:k + size]].tobytes()
+
+
+@pytest.mark.parametrize("center", ["g", "gprime", "zero"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_pole_guard_marks_one_energy(center, n):
+    # An energy on a baseline of order n sits in one batch with ordinary
+    # energies: only it is marked and NaN, and the others keep the bits
+    # they have alone.
+    if center == "zero":  # g' = 0: the divisor is E - n + Jx -+ (Jy + Jz)
+        p = ModelParams(1.0, 0.6, 0.4, 0.75, 0.75, 0.5, 0.5, 0.5)
+    else:
+        p = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06, 0.3, 0.1, 0.2)
+    sp, scheme = gfunction._prepare(p, None)
+    for parity in (Parity.PLUS, Parity.MINUS):
+        s = parity.sign
+        e0 = {"g": n - p.g ** 2 + p.jx, "gprime": n - p.gprime ** 2 - p.jx,
+              "zero": n - p.jx + s * (-1) ** n * (p.jy + p.jz)}[center]
+        es = e0 + np.array([-0.031, -0.012, 0.0, 0.017, 0.026])
+        vals, pole_ok, _ = gfunction._gvalues(sp, s, es, scheme)
+        assert pole_ok.tolist() == [True, True, False, True, True]
+        assert np.isnan(vals[2])
+        for k in (0, 1, 3, 4):
+            alone, _, _ = gfunction._gvalues(sp, s, es[k:k + 1], scheme)
+            assert np.isfinite(alone[0])
+            assert alone.tobytes() == vals[k:k + 1].tobytes()
 
 
 def test_roots_match_diagonalization_exchange_reduced4():
@@ -318,3 +358,29 @@ def test_root_pair_inside_one_grid_cell():
     assert len(res) == 2
     assert np.max(np.abs(np.array(res.energies()) - ed)) < 1e-6
     assert all(r.verified for r in res)
+
+
+def test_flat_dip_dropped_early(ratio2, monkeypatch):
+    # The odd |G| dip near E = 1.8739 bottoms out at 0.0089 and is flat to 17
+    # digits over 1e-8: neither a root pair nor a tangency. It is dropped once
+    # a probe matches its middle to 12 digits, not narrowed to 2 * ROOT_TOL,
+    # which took 18 probe calls.
+    gvalues, probe_dips = gfunction._gvalues, gfunction._probe_dips
+    state = {"probing": False, "calls": 0}
+
+    def counted(*args):
+        state["calls"] += state["probing"]
+        return gvalues(*args)
+
+    def probing(*args):
+        state["probing"] = True
+        try:
+            return probe_dips(*args)
+        finally:
+            state["probing"] = False
+
+    monkeypatch.setattr(gfunction, "_gvalues", counted)
+    monkeypatch.setattr(gfunction, "_probe_dips", probing)
+    res = find_roots(ratio2, Parity.MINUS, -1.0, 2.5, verify=False)
+    assert len(res) == 6
+    assert 0 < state["calls"] <= 10
