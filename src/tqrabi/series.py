@@ -18,7 +18,12 @@ only at the integer orders where some energy's divisor vanishes. The
 recurrence hands each order to one compensated summation, which sums all of
 a center's matching points in the same pass and freezes each energy's sums
 once its tail is small; only recur() stores the orders as a table, and G(E)
-sums as it recurses, up to the hard cap of 512 orders.
+sums as it recurses, up to the hard cap of 512 orders. Both loops write
+into buffers allocated once per call and rotated from order to order, with
+the same operations on the same operands as fresh arrays would take, so a
+yielded order is valid only until the next one. gfunction runs them on
+fixed blocks of 1024 energies, and each block stops once its own
+slowest energy has converged.
 """
 
 from __future__ import annotations
@@ -109,9 +114,10 @@ def _tables(sp: ModelParams, sign: int, energies: np.ndarray, tag: str, center: 
     """Scaled coefficients u[n], shape (4, ncols, nE), one order at a time to n_max.
 
     Returns (rows, pole_ok): rows is a generator of the orders, and pole_ok
-    marks the energies off baselines in every order yielded so far. A yielded
-    row is never modified afterwards. inits has shape (4, ncols); entries on
-    non-free slots are ignored.
+    marks the energies off baselines in every order yielded so far. The rows
+    live in buffers reused from order to order: a yielded row is valid until
+    the next one is requested, so a caller that keeps rows must copy them.
+    inits has shape (4, ncols); entries on non-free slots are ignored.
     """
     g, gp, s, c = sp.g, sp.gprime, float(sign), center
     d1, d2, jx, jy, jz = sp.delta1, sp.delta2, sp.jx, sp.jy, sp.jz
@@ -151,26 +157,36 @@ def _tables(sp: ModelParams, sign: int, energies: np.ndarray, tag: str, center: 
         poles = set(near[hit].astype(int).tolist())
 
     def rows():
+        # Three rotating coefficient buffers and one for the cross terms; each
+        # order runs the same operations on the same operands as a fresh
+        # expression would, so the bits do not depend on the reuse.
         cur = np.repeat(inits[:, :, None], energies.size, axis=2)
-        prev = np.zeros_like(cur)
+        prev, nxt, cross = np.zeros((3,) + cur.shape)
+        dn = np.empty(diag.shape)
+        if slave is not None:
+            den, slaved = np.empty(energies.size), np.empty(cur.shape[1:])
         if tied:
             cur[2:] = cur[:2]
         for n in range(n_max + 1):
             if slave is not None:
-                den = dbase[n % 2] - n
+                np.subtract(dbase[n % 2], n, out=den)
                 if n in poles:  # mark energies on a baseline, keep their rows finite
                     bad = np.abs(den) < POLE_EPS
                     ok[bad] = False
                     den[bad] = 1.0
-                cur[slave] = np.einsum("k,kcn->cn", weights[n % 2], cur) / den
+                np.einsum("k,kcn->cn", weights[n % 2], cur, out=slaved)
+                np.divide(slaved, den, out=cur[slave])
                 if slave == 1:
-                    cur[2:] = (-1.0 if n % 2 else 1.0) * cur[:2]
+                    np.multiply(-1.0 if n % 2 else 1.0, cur[:2], out=cur[2:])
             yield cur
             if n == n_max:
                 return
-            nxt = ((diag - n) * cur + np.einsum("kj,kcn->jcn", mix, cur)) * (
-                rp / (n + 1)) - (radius * radius / (n + 1)) * prev
-            prev, cur = cur, nxt
+            # nxt = ((diag - n) * cur + mix^T cur) * rp/(n+1) - radius^2/(n+1) * prev
+            np.multiply(np.subtract(diag, n, out=dn), cur, out=nxt)
+            nxt += np.einsum("kj,kcn->jcn", mix, cur, out=cross)
+            nxt *= rp / (n + 1)
+            nxt -= np.multiply(radius * radius / (n + 1), prev, out=cross)
+            prev, cur, nxt = cur, nxt, prev
 
     return rows(), ok
 
@@ -184,28 +200,35 @@ def _kahan_eval(rows, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its last two terms are at most 1e-14 of its largest sum (maxima over
     components and columns). Its sums are frozen there, so they depend on that
     energy alone, and no more rows are taken once every energy has converged.
+    Each row is read before the next is requested, so rows may reuse buffers.
     """
 
     def tail_ok():
-        tail = np.maximum(np.max(np.abs(last), axis=(1, 2)),
-                          np.max(np.abs(term), axis=(1, 2)))
-        scale = np.maximum(np.max(np.abs(sums), axis=(1, 2)), 1e-300)
+        # y is free between orders and serves as scratch for the magnitudes.
+        tail = np.maximum(np.max(np.abs(last, out=y), axis=(1, 2)),
+                          np.max(np.abs(term, out=y), axis=(1, 2)))
+        scale = np.maximum(np.max(np.abs(sums, out=y), axis=(1, 2)), 1e-300)
         return np.all(tail <= TAIL_RTOL * scale, axis=0)
 
-    tpow = np.ones(len(ts))
-    sums = comp = 0.0
-    last = term = None
+    ts = np.reshape(ts, (-1, 1, 1, 1))
+    tpow = np.ones_like(ts)
     for n, row in enumerate(rows):
-        last, term = term, row * tpow[:, None, None, None]
-        y = term - comp
-        tmp = sums + y
-        comp = (tmp - sums) - y
-        sums = tmp
-        tpow *= ts
         if n == 0:
-            out = np.empty_like(sums)
-            frozen = np.zeros(sums.shape[-1], dtype=bool)
-        elif n % 4 == 0:
+            # Buffers for the whole pass; zero sums and compensation give the
+            # same bits at order 0 as starting from the scalar 0.0.
+            shape = (len(ts),) + row.shape
+            sums, comp, tmp, y, term, last = np.zeros((6,) + shape)
+            out = np.empty(shape)
+            frozen = np.zeros(shape[-1], dtype=bool)
+        last, term = term, last
+        np.multiply(row, tpow, out=term)
+        np.subtract(term, comp, out=y)
+        np.add(sums, y, out=tmp)
+        np.subtract(tmp, sums, out=comp)
+        comp -= y
+        sums, tmp = tmp, sums
+        tpow *= ts
+        if n % 4 == 0 and n:
             new = tail_ok() & ~frozen
             out[..., new] = sums[..., new]
             frozen |= new
@@ -251,7 +274,7 @@ def recur(params: ModelParams, parity: Parity, energy: float, center: float,
     iv = np.where(np.isin(range(4), _slots(tag, sp.gprime)), init, 0.0)[:, None]
     rows, ok = _tables(sp, parity.sign, np.array([energy], dtype=float), tag, cval,
                        iv, n_max)
-    coeffs = np.stack([row[:, 0, 0] for row in rows])
+    coeffs = np.stack([row[:, 0, 0].copy() for row in rows])
     if not ok[0]:
         raise PoleAtBaseline(
             f"energy {energy} sits on a baseline of the center-{center} recurrence")

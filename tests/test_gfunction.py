@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,41 @@ def test_gvalue_depends_on_energy_alone(xyz_double, xyz_odd):
                     e = tr.energies[cells[k:k + size]]
                     got, _, _ = gfunction._gvalues(sp, parity.sign, e, scheme)
                     assert got.tobytes() == tr.values[cells[k:k + size]].tobytes()
+    # One batch longer than two blocks, with an energy on a center-g baseline
+    # of order 2 as the last of the first block (and its order 1 and 3
+    # neighbours 1000 cells away in the other two): its values, pole_ok and
+    # good masks equal those of small batches of the same energies.
+    b = gfunction._BLOCK
+    for p in (full8, xyz_odd):
+        sp, scheme = gfunction._prepare(p, None)
+        es = (2 - p.g ** 2 + p.jx) + 1e-3 * (np.arange(2 * b + 200) - (b - 1))
+        for parity in (Parity.PLUS, Parity.MINUS):
+            big = gfunction._gvalues(sp, parity.sign, es, scheme)
+            poles = np.flatnonzero(~big[1]).tolist()
+            assert {b - 1001, b - 1, b + 999} <= set(poles)
+            assert b - 2 not in poles and b not in poles
+            assert np.isnan(big[0][poles]).all()
+            small = [np.concatenate(c) for c in zip(*(
+                gfunction._gvalues(sp, parity.sign, es[k:k + 61], scheme)
+                for k in range(0, es.size, 61)))]
+            for got, ref in zip(big, small):
+                assert got.tobytes() == ref.tobytes()
+
+
+def test_gvalues_working_set_flat_in_batch_size(asym):
+    # The series run in fixed energy blocks with buffers reused from order to
+    # order, so a long batch needs about the memory of one block.
+    sp, scheme = gfunction._prepare(asym, None)
+    peaks = []
+    for n in (1000, 8000):
+        es = np.linspace(-1.0, 3.0, n)
+        tracemalloc.start()
+        try:
+            gfunction._gvalues(sp, 1, es, scheme)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 @pytest.mark.parametrize("center", ["g", "gprime", "zero"])
