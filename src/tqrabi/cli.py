@@ -101,8 +101,8 @@ def cmd_spectrum(args: argparse.Namespace, params: ModelParams) -> int:
 
 
 def cmd_trace(args: argparse.Namespace, params: ModelParams) -> int:
-    traces = [gfunction.trace(params, parity, args.emin, args.emax, args.step)
-              for parity in _parities(args.parity)]
+    traces = gfunction._traces(params, _parities(args.parity), args.emin, args.emax,
+                               args.step)
     gfunction.write_trace_csv(traces, args.out, comments=[
         "tqrabi trace",
         _params_comment(params),

@@ -10,6 +10,8 @@ matching points) and a 4x4 system for g' = 0 (centers 0 and g only). Both are
 rows of one table, _TOPOLOGIES, which gives the centers in column order and
 the matching conditions. Each energy's series are summed only as far as its
 own tail test needs, up to the hard cap, so G(E) is a function of E alone.
+Only the expansion around 0 depends on the parity; the sums around g and g'
+serve both parities from one pass, mirrored by D = diag(1, 1, -1, -1).
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ _MAX_PASSES = 3 * 64
 # the CPU caches, however long the batch, so a long trace is bound by
 # arithmetic rather than by memory traffic. Sizes 512 to 2048 run alike.
 _BLOCK = 1024
+_PARITY_D = np.array([1.0, 1.0, -1.0, -1.0])  # the D of the parity mirror
 
 
 # Per topology: the centers in column order, then the matching conditions as
@@ -158,54 +161,69 @@ def _block_eval(sp: ModelParams, sign: int, energies: np.ndarray, tag: str,
             pole_ok, conv)
 
 
-def _gvalues(sp: ModelParams, sign: int, energies: np.ndarray,
+def _gvalues(sp: ModelParams, signs: int | tuple[int, ...], energies: np.ndarray,
              scheme: MatchingScheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalized determinant on an energy grid, and masks for poles and convergence.
 
+    signs is one sign, or a tuple that gives each result a leading sign axis.
     Entries on a recurrence pole or unconverged at the hard cap come back NaN.
     The energies are taken in blocks of _BLOCK, each with its own series
     stop, and every energy's value is the same whatever block it falls in.
     """
-    vals = np.empty(energies.size)
-    pole_ok, good = np.empty((2, energies.size), dtype=bool)
+    many = isinstance(signs, tuple)
+    signs = signs if many else (signs,)
+    vals = np.empty((len(signs), energies.size))
+    pole_ok, good = np.empty((2,) + vals.shape, dtype=bool)
     for i in range(0, energies.size, _BLOCK):
         part = slice(i, i + _BLOCK)
-        vals[part], pole_ok[part], good[part] = _gvalues_once(
-            sp, sign, energies[part], scheme)
-    return vals, pole_ok, good
+        vals[:, part], pole_ok[:, part], good[:, part] = _gvalues_once(
+            sp, signs, energies[part], scheme)
+    return (vals, pole_ok, good) if many else (vals[0], pole_ok[0], good[0])
 
 
-def _gvalues_once(sp: ModelParams, sign: int, energies: np.ndarray,
+def _gvalues_once(sp: ModelParams, signs: tuple[int, ...], energies: np.ndarray,
                   scheme: MatchingScheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_gvalues on one block of energies: every center, the matrix and det."""
+    """_gvalues on one block of energies: every center, then per sign the matrix and det.
+
+    Centers g and g' are summed once, at sign +1, and mirrored by D for -1
+    (see series); center 0 carries the parity and is summed once per sign.
+    """
     n_e = energies.size
     conds = _conditions(scheme)
     cols, start = {}, 0
+    mirror, rows_d = np.ones((4 * len(conds),) * 2), np.tile(_PARITY_D, len(conds))
     for tag, slots in scheme.basis_columns.items():
         cols[tag] = slice(start, start + len(slots))
+        if tag != _CENTER_ZERO:  # sign -1 takes D[row] * D[slot] times the +1 sums
+            mirror[:, cols[tag]] = np.outer(rows_d, _PARITY_D[list(slots)])
         start += len(slots)
-    # Each center is evaluated once, at all of its points; values are keyed
-    # by (center, condition index) as (nE, 4, ncols) arrays.
-    at = {}
-    pole_ok, conv = np.ones((2, n_e), dtype=bool)
-    for tag in cols:
+
+    def center(tag, sign):
+        # Each center is evaluated once, at all of its points; values are
+        # keyed by (center, condition index) as (nE, 4, ncols) arrays.
         ks = [k for k, cond in enumerate(conds) if tag in cond[1:]]
-        vals, ok, cv = _block_eval(sp, sign, energies, tag,
-                                   [conds[k][0] for k in ks])
-        pole_ok &= ok
-        conv &= cv
-        at.update({(tag, k): np.moveaxis(v, -1, 0) for k, v in zip(ks, vals)})
-    m = np.zeros((n_e, start, start))
-    for k, (_, plus, minus) in enumerate(conds):
-        m[:, 4 * k:4 * k + 4, cols[plus]] = at[plus, k]
-        m[:, 4 * k:4 * k + 4, cols[minus]] = -at[minus, k]
-    # Columns are scaled to unit max-norm; the discarded factors are positive,
-    # so zeros and signs of the determinant are preserved.
-    colmax = np.maximum(np.max(np.abs(m), axis=1, keepdims=True), 1e-300)
-    with np.errstate(invalid="ignore"):
-        vals = np.linalg.det(m / colmax)
-    good = pole_ok & conv
-    return np.where(good, vals, np.nan), pole_ok, good
+        vals, ok, cv = _block_eval(sp, sign, energies, tag, [conds[k][0] for k in ks])
+        return {(tag, k): np.moveaxis(v, -1, 0) for k, v in zip(ks, vals)}, ok, ok & cv
+
+    shared = [center(tag, 1) for tag in cols if tag != _CENTER_ZERO]
+    vals = np.empty((len(signs), n_e))
+    pole_ok, good = np.empty((2, len(signs), n_e), dtype=bool)
+    for i, sign in enumerate(signs):
+        at, pole_ok[i], good[i] = center(_CENTER_ZERO, sign)
+        for part, ok, gd in shared:
+            at, pole_ok[i], good[i] = at | part, pole_ok[i] & ok, good[i] & gd
+        m = np.zeros((n_e, start, start))
+        for k, (_, plus, minus) in enumerate(conds):
+            m[:, 4 * k:4 * k + 4, cols[plus]] = at[plus, k]
+            m[:, 4 * k:4 * k + 4, cols[minus]] = -at[minus, k]
+        if sign < 0:
+            m *= mirror
+        # Columns are scaled to unit max-norm; the discarded factors are
+        # positive, so zeros and signs of the determinant are preserved.
+        colmax = np.maximum(np.max(np.abs(m), axis=1, keepdims=True), 1e-300)
+        with np.errstate(invalid="ignore"):
+            vals[i] = np.where(good[i], np.linalg.det(m / colmax), np.nan)
+    return vals, pole_ok, good
 
 
 def _prepare(params: ModelParams, scheme: Optional[MatchingScheme],
@@ -254,6 +272,12 @@ def trace(params: ModelParams, parity: Parity, e_min: float, e_max: float,
 
     step defaults to 0.01 in units of the photon frequency.
     """
+    return _traces(params, (parity,), e_min, e_max, step)[0]
+
+
+def _traces(params: ModelParams, parities: Sequence[Parity], e_min: float,
+            e_max: float, step: Optional[float] = None) -> list[GTrace]:
+    """trace for several parities on one grid, from one G pass."""
     if step is None:
         step = DEFAULT_GRID_STEP * params.omega
     if step <= 0:
@@ -268,13 +292,13 @@ def trace(params: ModelParams, parity: Parity, e_min: float, e_max: float,
     mask = np.ones(grid.shape, dtype=bool)
     for b in poles:
         mask &= np.abs(grid - b.energy) >= POLE_MARGIN
-    vals = np.full(grid.shape, np.nan)
+    vals = np.full((len(parities),) + grid.shape, np.nan)
     if mask.any():
-        got, _, _ = _gvalues(sp, parity.sign, grid[mask], scheme)
-        vals[mask] = got
-    inwin = tuple(b for b in poles if lo <= b.energy <= hi)
-    return GTrace(parity, grid * w,
-                  vals, tuple(Baseline(b.kind, b.index, b.energy * w) for b in inwin))
+        got, _, _ = _gvalues(sp, tuple(p.sign for p in parities), grid[mask], scheme)
+        vals[:, mask] = got
+    inwin = tuple(Baseline(b.kind, b.index, b.energy * w) for b in poles
+                  if lo <= b.energy <= hi)
+    return [GTrace(p, grid * w, v, inwin) for p, v in zip(parities, vals)]
 
 
 def _refine_brackets(sp: ModelParams, sign: int, scheme: MatchingScheme,

@@ -24,6 +24,12 @@ the same operations on the same operands as fresh arrays would take, so a
 yielded order is valid only until the next one. gfunction runs them on
 fixed blocks of 1024 energies, and each block stops once its own
 slowest energy has converged.
+
+Around g and g' the parity sign s enters only as mix(-s) = D mix(s) D with
+D = diag(1, 1, -1, -1), and IEEE rounding is sign-symmetric, so the -s rows
+and sums are D (+s values) d_j bit for bit but for the sign of zeros, where
+d_j = D at column j's free slot. Around 0 the reflection tie (g' > 0), or the
+slaved divisor and weights (g' = 0), carry the parity: it runs once per sign.
 """
 
 from __future__ import annotations

@@ -106,6 +106,23 @@ def test_trace_deterministic_bytes(tmp_path, asym_cfg):
     assert any("baselines:" in ln for ln in header)
 
 
+def test_trace_both_parities_match_single_parity_runs(tmp_path, asym_cfg, flat_cfg):
+    # --parity both takes both columns from one G pass, which sums centers g
+    # and g' once for the two signs; each column must keep the bytes of the
+    # run that computes its parity alone.
+    for cfg in (asym_cfg, flat_cfg):
+        cols = {}
+        for parity in ("both", "plus", "minus"):
+            out = tmp_path / f"{parity}.csv"
+            assert main(["trace", "--config", cfg, "--emin", "-1", "--emax", "3",
+                         "--step", "0.01", "--parity", parity, "--out", str(out)]) == 0
+            cols[parity] = (rows(out, "G_plus"), rows(out, "G_minus"))
+        assert cols["both"][0] == cols["plus"][0]
+        assert cols["both"][1] == cols["minus"][1]
+        assert all(sum(v != "" for v in c) > 300 for c in cols["both"])
+        assert not any(cols["plus"][1]) and not any(cols["minus"][0])
+
+
 def test_sweep_constant_flat_row(tmp_path, flat_cfg, monkeypatch):
     monkeypatch.setenv("TQRABI_WORKERS", "1")
     out = tmp_path / "sweep.csv"

@@ -173,6 +173,59 @@ def test_gvalue_depends_on_energy_alone(xyz_double, xyz_odd):
                 assert got.tobytes() == ref.tobytes()
 
 
+def unshared_gvalues(sp, sign, energies, scheme):
+    """G with every center summed at its own sign, in blocks as _gvalues runs."""
+    conds = gfunction._conditions(scheme)
+    width = sum(len(s) for s in scheme.basis_columns.values())
+    parts = []
+    for i in range(0, energies.size, gfunction._BLOCK):
+        es = energies[i:i + gfunction._BLOCK]
+        m = np.zeros((es.size, width, width))
+        pole_ok, conv = np.ones((2, es.size), dtype=bool)
+        start = 0
+        for tag, slots in scheme.basis_columns.items():
+            ks = [k for k, cond in enumerate(conds) if tag in cond[1:]]
+            vals, ok, cv = gfunction._block_eval(sp, sign, es, tag,
+                                                 [conds[k][0] for k in ks])
+            pole_ok &= ok
+            conv &= cv
+            for k, v in zip(ks, vals):
+                v = np.moveaxis(v, -1, 0)
+                m[:, 4 * k:4 * k + 4, start:start + len(slots)] = (
+                    v if conds[k][1] == tag else -v)
+            start += len(slots)
+        colmax = np.maximum(np.max(np.abs(m), axis=1, keepdims=True), 1e-300)
+        with np.errstate(invalid="ignore"):
+            det = np.linalg.det(m / colmax)
+        good = pole_ok & conv
+        parts.append((np.where(good, det, np.nan), pole_ok, good))
+    return [np.concatenate(c) for c in zip(*parts)]
+
+
+def test_shared_centers_match_unshared_assembly(xyz_odd):
+    # _gvalues sums centers g and g' once, at sign +1, and takes sign -1 from
+    # them by the parity mirror; values, pole and convergence masks must keep
+    # the bits of an assembly that sums every center at its own sign, for
+    # two signs in one call, for -1 alone and for the one-sign form. The long
+    # batch has a center-g baseline as the last energy of its first block.
+    b = gfunction._BLOCK
+    full8 = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06, 0.3, 0.1, 0.2)
+    for p in (full8, xyz_odd):
+        sp, scheme = gfunction._prepare(p, None)
+        es = (2 - p.g ** 2 + p.jx) + 1e-3 * (np.arange(2 * b + 200) - (b - 1))
+        ref = {s: unshared_gvalues(sp, s, es, scheme) for s in (1, -1)}
+        assert not ref[1][1][b - 1] and np.isfinite(ref[-1][0]).sum() > b
+        for part in (slice(b + 7, b + 8), slice(b - 2, b + 1), slice(None)):
+            for signs in ((1, -1), (-1, 1), (-1,)):
+                got = gfunction._gvalues(sp, signs, es[part], scheme)
+                for i, s in enumerate(signs):
+                    for g, r in zip(got, ref[s]):
+                        assert g[i].tobytes() == r[part].tobytes()
+            got = gfunction._gvalues(sp, -1, es[part], scheme)
+            for g, r in zip(got, ref[-1]):
+                assert g.tobytes() == r[part].tobytes()
+
+
 def test_gvalues_working_set_flat_in_batch_size(asym):
     # The series run in fixed energy blocks with buffers reused from order to
     # order, so a long batch needs about the memory of one block.

@@ -262,6 +262,42 @@ def test_evaluate_matches_determinant_columns(asym, ratio2, flat):
             gfunction.default_scheme(ratio2).z0prime) in walked
 
 
+@pytest.mark.parametrize("params", [
+    ModelParams(1.0, 0.6, 0.2, 0.24, 0.06, 0.3, 0.1, 0.2),
+    ModelParams(1.0, 0.6, 0.4, 0.75, 0.75, jx=0.5, jy=0.5, jz=0.5),
+    ModelParams(1.0, 0.1, 0.7, 0.75, 0.75, jx=0.7, jy=0.1, jz=0.3),
+    ModelParams(0.5, 0.3, 0.1, 0.12, 0.03, 0.1, 0.05, 0.02),
+], ids=["full8", "xyz_double", "xyz_odd", "omega_half_xyz"])
+def test_parity_mirror_of_displaced_centers(params):
+    # With D = diag(1, 1, -1, -1), mix(-s) = D mix(s) D, and nothing else in
+    # the recurrence around g or g' depends on s: every row of the -s
+    # recurrence is D row(+s) d_j, d_j = D[slot of column j], bit for bit
+    # but for the sign of zeros (+ 0.0 maps -0.0 to 0.0), and the pole masks
+    # agree. Center 0 carries the parity and must not satisfy it.
+    sp = params.scaled()
+    d = np.array([1.0, 1.0, -1.0, -1.0])
+    tags = ["g", "zero"] + (["gprime"] if sp.gprime else [])
+    for tag in tags:
+        slots = list(series._slots(tag, sp.gprime))
+        # Two ordinary energies and one on an order-2 baseline of center g
+        # or g' (an ordinary one at center 0).
+        pole = {"g": 2 - sp.g ** 2 + sp.jx, "gprime": 2 - sp.gprime ** 2 - sp.jx,
+                "zero": 2.5}[tag]
+        es = np.array([-0.37, 0.81, pole])
+        got = {}
+        for s in (1, -1):
+            rows, ok = series._tables(sp, s, es, tag, series._center(sp, tag),
+                                      np.eye(4)[:, slots], 60)
+            got[s] = [row + 0.0 for row in rows], ok
+        flip = d[:, None, None] * d[slots][None, :, None]
+        mirrored = all((flip * a + 0.0).tobytes() == b.tobytes()
+                       for a, b in zip(got[1][0], got[-1][0]))
+        assert mirrored == (tag != "zero"), tag
+        assert got[1][1].tolist() == got[-1][1].tolist()
+        if tag != "zero":
+            assert got[1][1].tolist() == [True, True, False]
+
+
 def test_dump_coeffs_roundtrip(tmp_path):
     from tqrabi.series import dump_coeffs
 
