@@ -23,7 +23,6 @@ from .model import (
     Parity,
     SolverError,
     SpectrumRecord,
-    baselines,
     fmt,
     load_params,
     write_csv,
@@ -223,9 +222,12 @@ def cmd_verify(args: argparse.Namespace, params: ModelParams) -> int:
         if not ok:
             failures += 1
 
-    pole = gfunction.POLE_MARGIN * params.omega
-    bl = baselines(params, args.emin - 1e-9, args.emax + 1e-9)
-    for parity in _parities(args.parity):
+    tol = gfunction.VERIFY_TOL * params.omega
+    # Certified cutoff states; the dark states among them are no roots of G.
+    cutoff = {p: (exceptional.levels(params, p, args.emin, args.emax)
+                  if params.gprime == 0.0 else [])
+              for p in _parities(args.parity)}
+    for parity in cutoff:
         res = gfunction.find_roots(params, parity, args.emin, args.emax,
                                    step=args.step,
                                    verify_truncation=args.truncation)
@@ -236,24 +238,18 @@ def cmd_verify(args: argparse.Namespace, params: ModelParams) -> int:
         ed = [r for r in oracle.window(params, args.truncation, args.emax,
                                        (parity,))
               if args.emin <= r.energy <= args.emax]
-        missing = []
-        for r in ed:
-            if any(abs(r.energy - b.energy) < pole for b in bl):
-                continue  # baseline levels belong to the exceptional module
-            if all(abs(r.energy - x.energy) > gfunction.VERIFY_TOL * params.omega
-                   for x in res):
-                missing.append(r.energy)
+        missing = [r.energy for r in ed
+                   if all(abs(r.energy - x.energy) > tol for x in res)
+                   and all(abs(r.energy - e) > tol for _, e, _ in cutoff[parity])]
         report(not missing, f"coverage[{parity}]: {len(ed)} oracle levels, "
-                            f"{len(missing)} unmatched off-baseline")
-    if params.gprime == 0.0:
-        for parity in _parities(args.parity):
-            for n, energy, _ in exceptional.levels(params, parity, args.emin,
-                                                   args.emax):
-                state = exceptional.build_state(params, parity, n)
-                resid = oracle.residual(params, max(n + 2, 40), state)
-                report(resid < 1e-10,
-                       f"exceptional[{parity}, N={n}]: E = {fmt(energy)}, "
-                       f"residual = {resid:.3e}")
+                            f"{len(missing)} unmatched")
+    for parity, states in cutoff.items():
+        for n, energy, _ in states:
+            state = exceptional.build_state(params, parity, n)
+            resid = oracle.residual(params, max(n + 2, 40), state)
+            report(resid < 1e-10,
+                   f"exceptional[{parity}, N={n}]: E = {fmt(energy)}, "
+                   f"residual = {resid:.3e}")
     return 0 if failures == 0 else 1
 
 

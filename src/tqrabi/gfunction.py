@@ -1,15 +1,17 @@
-"""Analyticity-matching determinant G(E) and eigenvalue search between baselines.
+"""Pole-free analyticity-matching determinant G(E) and its eigenvalue search.
 
 The series expansions around the admissible centers must describe one entire
 function, which forces their values to agree at points inside overlapping
 convergence disks. Stacking those conditions over the free leading
-coefficients gives a square matrix whose determinant G(E) vanishes exactly at
-the regular eigenvalues of the chosen parity sector. Two topologies cover
-the coupling asymmetry: an 8x8 system for g' > 0 (centers 0, g', g with two
-matching points) and a 4x4 system for g' = 0 (centers 0 and g only). Both are
-rows of one table, _TOPOLOGIES, which gives the centers in column order and
-the matching conditions. Each energy's series are summed only as far as its
-own tail test needs, up to the hard cap, so G(E) is a function of E alone.
+coefficients gives a square matrix whose determinant vanishes exactly at the
+regular eigenvalues of the chosen parity sector. With unit columns and its
+baseline poles cancelled by a factor of E, it is G(E), finite and continuous
+through every baseline. Two topologies cover the coupling asymmetry: an 8x8
+system for g' > 0 (centers 0, g', g with two matching points) and a 4x4
+system for g' = 0 (centers 0 and g only), rows of one table, _TOPOLOGIES,
+which gives the centers in column order and the matching conditions. Each
+energy's series are summed only as far as its own tail test needs, up to
+the hard cap, so G(E) is a function of E alone.
 Only the expansion around 0 depends on the parity; the sums around g and g'
 serve both parities from one pass, mirrored by D = diag(1, 1, -1, -1).
 """
@@ -50,11 +52,9 @@ __all__ = [
     "write_spectrum_csv",
     "write_trace_csv",
     "DEFAULT_GRID_STEP",
-    "POLE_MARGIN",
 ]
 
 DEFAULT_GRID_STEP = 0.01
-POLE_MARGIN = 1e-6
 ROOT_TOL = 1e-10
 VERIFY_TOL = 1e-6
 DEFAULT_VERIFY_TRUNCATION = 300
@@ -218,12 +218,33 @@ def _gvalues_once(sp: ModelParams, signs: tuple[int, ...], energies: np.ndarray,
             m[:, 4 * k:4 * k + 4, cols[minus]] = -at[minus, k]
         if sign < 0:
             m *= mirror
-        # Columns are scaled to unit max-norm; the discarded factors are
-        # positive, so zeros and signs of the determinant are preserved.
-        colmax = np.maximum(np.max(np.abs(m), axis=1, keepdims=True), 1e-300)
+        # Columns are scaled to unit 2-norm, smooth in E, by positive factors;
+        # hypot folds the rows in order at every batch size and cannot overflow.
+        norm = np.maximum(np.hypot.reduce(m, axis=1, keepdims=True), 1e-300)
         with np.errstate(invalid="ignore"):
-            vals[i] = np.where(good[i], np.linalg.det(m / colmax), np.nan)
+            det = np.linalg.det(m / norm)
+        vals[i] = np.where(good[i], det, np.nan) * _pole_factor(sp, sign, cols, energies)
     return vals, pole_ok, good
+
+
+def _pole_factor(sp: ModelParams, sign: int, tags: Sequence[str],
+                 energies: np.ndarray) -> np.ndarray:
+    """Factor that cancels the baseline poles of the column-scaled determinant.
+
+    The k unit columns that carry a pole b (series._slaving) turn parallel,
+    so the determinant goes as sign(d) |d|^(k-1), d = E - b. Each pole below E
+    flips the sign; each with |d| < 1 multiplies by 1 + (|d|^(1-k) - 1)(1 -
+    d^2)^2, smooth into 1 at the next pole of its family, |d| = 1. The poles
+    act in a fixed order, so the factor is a function of E alone.
+    """
+    poles = [(b, k) for tag in tags
+             for _, b, k in series._slaving(sp, sign, tag, energies.max())[3] if k]
+    b, k = np.array(poles).reshape(-1, 2).T
+    d = energies[:, None] - b
+    with np.errstate(divide="ignore"):  # d = 0 only on a pole, where G is NaN
+        bump = 1.0 + (np.abs(d) ** (1 - k) - 1.0) * (1.0 - d * d) ** 2
+    near = np.where(np.abs(d) < 1.0, bump, 1.0)
+    return (-1.0) ** np.count_nonzero(d > 0, axis=1) * np.prod(near, axis=1)
 
 
 def _prepare(params: ModelParams, scheme: Optional[MatchingScheme],
@@ -238,17 +259,14 @@ def _prepare(params: ModelParams, scheme: Optional[MatchingScheme],
 
 def gvalue(params: ModelParams, parity: Parity, energy: float,
            scheme: Optional[MatchingScheme] = None) -> float:
-    """Matching determinant at one energy (in the caller's units).
+    """Pole-free matching determinant at one energy (in the caller's units).
 
-    Raises PoleAtBaseline within 1e-6 of a baseline, NoConvergence if the
+    Raises PoleAtBaseline within 1e-12 of a baseline, NoConvergence if the
     series tails stay above tolerance at the hard truncation cap.
     """
     sp, scheme = _prepare(params, scheme)
-    e = energy / params.omega
-    for b in baselines(sp, e - 1.0, e + 1.0):
-        if abs(b.energy - e) < POLE_MARGIN:
-            raise PoleAtBaseline(f"energy {energy} within {POLE_MARGIN} of a baseline")
-    vals, pole_ok, conv_ok = _gvalues(sp, parity.sign, np.array([e]), scheme)
+    vals, pole_ok, conv_ok = _gvalues(sp, parity.sign,
+                                      np.array([energy / params.omega]), scheme)
     if not pole_ok[0]:
         raise PoleAtBaseline(f"energy {energy} hits a recurrence pole")
     if not conv_ok[0]:
@@ -258,7 +276,7 @@ def gvalue(params: ModelParams, parity: Parity, energy: float,
 
 @dataclass(frozen=True)
 class GTrace:
-    """Determinant sampled on a uniform grid, NaN inside baseline pole margins."""
+    """Pole-free determinant on a uniform grid; NaN on a pole hit or unconverged."""
 
     parity: Parity
     energies: np.ndarray
@@ -288,17 +306,9 @@ def _traces(params: ModelParams, parities: Sequence[Parity], e_min: float,
     w = params.omega
     lo, hi, h = e_min / w, e_max / w, step / w
     grid = np.arange(lo, hi + h / 2, h)
-    poles = baselines(sp, lo - 1.0, hi + 1.0)
-    mask = np.ones(grid.shape, dtype=bool)
-    for b in poles:
-        mask &= np.abs(grid - b.energy) >= POLE_MARGIN
-    vals = np.full((len(parities),) + grid.shape, np.nan)
-    if mask.any():
-        got, _, _ = _gvalues(sp, tuple(p.sign for p in parities), grid[mask], scheme)
-        vals[:, mask] = got
-    inwin = tuple(Baseline(b.kind, b.index, b.energy * w) for b in poles
-                  if lo <= b.energy <= hi)
-    return [GTrace(p, grid * w, v, inwin) for p, v in zip(parities, vals)]
+    vals, _, _ = _gvalues(sp, tuple(p.sign for p in parities), grid, scheme)
+    poles = tuple(baselines(params, e_min, e_max))
+    return [GTrace(p, grid * w, v, poles) for p, v in zip(parities, vals)]
 
 
 def _refine_brackets(sp: ModelParams, sign: int, scheme: MatchingScheme,
@@ -326,7 +336,10 @@ def _refine_brackets(sp: ModelParams, sign: int, scheme: MatchingScheme,
             x = 0.5 * (a + b)
         else:
             x = np.clip(a - fa * (b - a) / (fb - fa), a + tol, b - tol)
-        fx, _, _ = _gvalues(sp, sign, x, scheme)
+        fx, ok, _ = _gvalues(sp, sign, x, scheme)
+        if not ok.all():  # no value exactly on a pole: probe just beside it
+            x[~ok] += 4 * series.POLE_EPS
+            fx[~ok] = _gvalues(sp, sign, x[~ok], scheme)[0]
         bad = ~np.isfinite(fx)
         if bad.any():
             raise NoConvergence(
@@ -412,17 +425,18 @@ def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
                verify_truncation: int = DEFAULT_VERIFY_TRUNCATION) -> SpectrumResult:
     """Zeros of the matching determinant in [e_min, e_max] for one parity sector.
 
-    The window is partitioned at the baselines and every open interval is
-    scanned on a uniform grid (step defaults to 0.01 in units of the photon
-    frequency) in one batch. Dips of |G| without a sign change are probed
-    for a root pair inside one grid cell, or a tangency. All sign-change
-    brackets of the sector are then refined together by Illinois regula
-    falsi to width 2e-10; a root is the midpoint of its bracket. With
+    The pole-free G is scanned across the window on one uniform grid (step
+    defaults to 0.01 in units of the photon frequency) in one batch, less
+    any grid point exactly on a baseline. Dips of |G| without a sign change
+    are probed for a root pair inside one grid cell, or a tangency. All
+    sign-change brackets of the sector are then refined together by
+    Illinois regula falsi to width 2e-10; a root is the midpoint of its
+    bracket. A cutoff state on a one-column (center-0) baseline comes out as
+    a root; dark states, on baselines without a pole, do not. With
     verify=True every root is checked against the diagonalization oracle
     (nearest same-parity level within 1e-6); unmatched roots are kept but
-    flagged unverified. Exceptional eigenvalues sitting exactly on baselines
-    are out of reach here by construction. A bracket probe where G is not
-    finite raises NoConvergence.
+    flagged unverified. A bracket probe where G is not finite raises
+    NoConvergence.
     """
     if not e_min < e_max:
         raise ValueError("empty energy window")
@@ -435,40 +449,25 @@ def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
     lo_w, hi_w, h = e_min / w, e_max / w, step / w
     sign = parity.sign
 
-    cuts = [lo_w, hi_w]
-    cuts += [b.energy for b in baselines(sp, lo_w, hi_w)]
-    cuts = sorted(set(cuts))
-    grids = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        a += POLE_MARGIN
-        b -= POLE_MARGIN
-        if b - a > h * 1e-6:
-            grids.append(np.linspace(a, b, max(2, int(round((b - a) / h)) + 1)))
-    roots, tangents = np.empty(0), np.empty(0)
-    if grids:
-        scan, _, _ = _gvalues(sp, sign, np.concatenate(grids), scheme)
-        # Sign changes and dips are looked for inside each interval only:
-        # G also changes sign across a baseline pole.
-        pool, dips = [], []
-        for xs, gs in zip(grids, np.split(scan, np.cumsum([g.size for g in grids[:-1]]))):
-            s, mag = np.sign(gs), np.abs(gs)
-            roots = np.append(roots, xs[gs == 0.0])
-            i = np.flatnonzero(s[:-1] * s[1:] < 0)
-            pool.append((xs[i], xs[i + 1], gs[i], gs[i + 1]))
-            # A |G| dip of one sign holds either two roots in one grid cell
-            # or a tangency (a root of even multiplicity).
-            i = 1 + np.flatnonzero((s[:-2] == s[1:-1]) & (s[1:-1] == s[2:])
-                                   & (mag[1:-1] < mag[:-2]) & (mag[1:-1] < mag[2:]))
-            dips.append((np.stack([xs[i - 1], xs[i], xs[i + 1]], 1),
-                         np.stack([gs[i - 1], gs[i], gs[i + 1]], 1)))
-        dx, df = (np.concatenate(c) for c in zip(*dips))
-        if dx.size:
-            pairs, tangents = _probe_dips(sp, sign, scheme, dx, df, ROOT_TOL)
-            pool.append(pairs)
-        lo, hi, flo, fhi = (np.concatenate(c) for c in zip(*pool))
-        if lo.size:
-            roots = np.append(roots, _refine_brackets(sp, sign, scheme, lo, hi,
-                                                      flo, fhi, ROOT_TOL))
+    xs = np.linspace(lo_w, hi_w, max(2, int(round((hi_w - lo_w) / h)) + 1))
+    gs, pole_ok, _ = _gvalues(sp, sign, xs, scheme)
+    # No value exactly on a pole: the grid points beside it bracket across it.
+    xs, gs = xs[pole_ok], gs[pole_ok]
+    s, mag = np.sign(gs), np.abs(gs)
+    roots = xs[gs == 0.0]
+    # A |G| dip of one sign holds either two roots in one grid cell or a
+    # tangency (a root of even multiplicity).
+    i = 1 + np.flatnonzero((s[:-2] == s[1:-1]) & (s[1:-1] == s[2:])
+                           & (mag[1:-1] < mag[:-2]) & (mag[1:-1] < mag[2:]))
+    pairs, tangents = _probe_dips(sp, sign, scheme,
+                                  np.stack([xs[i - 1], xs[i], xs[i + 1]], 1),
+                                  np.stack([gs[i - 1], gs[i], gs[i + 1]], 1), ROOT_TOL)
+    i = np.flatnonzero(s[:-1] * s[1:] < 0)
+    lo, hi, flo, fhi = (np.concatenate(c) for c in
+                        zip((xs[i], xs[i + 1], gs[i], gs[i + 1]), pairs))
+    if lo.size:
+        roots = np.append(roots, _refine_brackets(sp, sign, scheme, lo, hi,
+                                                  flo, fhi, ROOT_TOL))
 
     dedup: list[float] = []
     for x in np.sort(roots).tolist():
@@ -515,7 +514,7 @@ def write_spectrum_csv(records, path_or_file, comments: Sequence[str] = ()) -> N
 
 def write_trace_csv(traces: Sequence[GTrace], path_or_file,
                     comments: Sequence[str] = ()) -> None:
-    """Trace CSV: columns E, G_plus, G_minus with empty cells in pole margins."""
+    """Trace CSV: columns E, G_plus, G_minus, empty where G is not finite."""
     by_parity = {t.parity: t for t in traces}
     grid = next(iter(by_parity.values())).energies
     for t in by_parity.values():

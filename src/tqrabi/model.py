@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -193,43 +192,28 @@ class Baseline:
 def baselines(params: ModelParams, e_min: float, e_max: float) -> list[Baseline]:
     """Enumerate baseline energies inside [e_min, e_max], sorted ascending.
 
-    Energies are deduplicated (within 1e-12) inside each kind; coincidences across
-    kinds are kept because they come from distinct divisor families.
+    They are the divisor energies of the series recurrences of both parity
+    signs (series._slaving), deduplicated (within 1e-12) inside each kind with
+    the lowest index kept; coincidences across kinds are distinct families.
     """
+    from .series import _CENTER_G, _CENTER_GPRIME, _CENTER_ZERO, _slaving  # import cycle
+
     if not e_min < e_max:
         raise ValueError("baselines needs e_min < e_max")
     sp = params.scaled()
     w = params.omega
     lo, hi = e_min / w, e_max / w
-
-    def comb(kind: str, offset: float) -> Iterable[Baseline]:
-        n0 = max(0, math.ceil(lo - offset - 1e-9))
-        n1 = math.floor(hi - offset + 1e-9)
-        seen: list[float] = []
-        for n in range(n0, n1 + 1):
-            e = n + offset
-            if lo - 1e-12 <= e <= hi + 1e-12:
-                if any(abs(e - s) < BASELINE_DEDUP_TOL for s in seen):
-                    continue
-                seen.append(e)
-                yield Baseline(kind, n, e * w)
-
+    center0 = "second" if sp.jy + sp.jz == 0.0 else "exchange"
+    kinds = ({_CENTER_G: "first", _CENTER_GPRIME: "second"} if sp.gprime != 0.0
+             else {_CENTER_G: "first", _CENTER_ZERO: center0})
     out: list[Baseline] = []
-    out.extend(comb("first", -sp.g ** 2 + sp.jx))
-    if sp.gprime != 0.0:
-        out.extend(comb("second", -sp.gprime ** 2 - sp.jx))
-    else:
-        exch = sp.jy + sp.jz
-        if exch == 0.0:
-            out.extend(comb("second", -sp.jx))
-        else:
-            merged = {}
-            for b in comb("exchange", -sp.jx + exch):
-                merged[b.energy] = b
-            for b in comb("exchange", -sp.jx - exch):
-                if not any(abs(b.energy - e) < BASELINE_DEDUP_TOL * w for e in merged):
-                    merged[b.energy] = b
-            out.extend(merged.values())
+    for tag, kind in kinds.items():
+        found = sorted((n, e) for s in (1, -1) for n, e, _ in _slaving(sp, s, tag, hi)[3]
+                       if lo - 1e-12 <= e <= hi + 1e-12)
+        for n, e in found:
+            if not any(b.kind == kind and abs(b.energy - e * w) < BASELINE_DEDUP_TOL * w
+                       for b in out):
+                out.append(Baseline(kind, n, e * w))
     out.sort(key=lambda b: (b.energy, b.kind, b.index))
     return out
 

@@ -14,7 +14,7 @@ inside double range even for extreme couplings. Each order is a few
 whole-array steps over all components, columns and energies: one constant
 4x4 coupling matrix applied by einsum, one broadcast update of the free
 components, one weighted contraction for the slaved one, and a pole guard
-only at the integer orders where some energy's divisor vanishes. The
+only at the orders whose divisor can vanish inside the batch. The
 recurrence hands each order to one compensated summation, which sums all of
 a center's matching points in the same pass and freezes each energy's sums
 once its tail is small; only recur() stores the orders as a table, and G(E)
@@ -115,6 +115,37 @@ def free_slots(params: ModelParams, center: float) -> tuple[int, ...]:
     return _slots(tag, sp.gprime)
 
 
+def _slaving(sp: ModelParams, sign: int, tag: str, e_max: float):
+    """(slave, shift, weights, divisors) of a center; slave is None at 0 if g' > 0.
+
+    Order n of component slave is weights[n % 2] @ cur / (E - c^2 + shift[n % 2]
+    - n) at center c. divisors lists (n, baseline, k) by n to past e_max + 1; k,
+    the columns that carry the pole, is the slots with a nonzero weight at
+    n = 0 and all of them above once a weight is nonzero (0: no pole). It is
+    structural: a cutoff state, whose numerator vanishes there, keeps it.
+    """
+    g, gp, s = sp.g, sp.gprime, float(sign)
+    d1, d2, jx, jy, jz = sp.delta1, sp.delta2, sp.jx, sp.jy, sp.jz
+    a, b = s * (jz - jy), s * (jy + jz)
+    if tag == _CENTER_G:
+        slave, shift, weights = 2, (2 * g * g - jx,) * 2, [(a, s * d1, 0, d2)] * 2
+    elif tag == _CENTER_GPRIME:
+        slave, shift, weights = 3, (2 * gp * gp + jx,) * 2, [(s * d1, b, d2, 0)] * 2
+    elif gp == 0:  # center zero with identical couplings
+        slave, shift = 1, (jx - b, jx + b)
+        weights = [(d2 + s * d1, 0, 0, 0), (d2 - s * d1, 0, 0, 0)]
+    else:
+        return None, (), None, []
+    weights = np.array(weights, dtype=float)
+    c2, slots = _center(sp, tag) ** 2, list(_slots(tag, gp))
+    divisors = []
+    for n in range(max(0, math.floor(e_max + 1.0 - c2 + max(shift)) + 1)):
+        k = (len(slots) * bool(weights[n % 2].any()) if n
+             else int(np.count_nonzero(weights[0, slots])))
+        divisors.append((n, n + c2 - shift[n % 2], k))
+    return slave, shift, weights, divisors
+
+
 def _tables(sp: ModelParams, sign: int, energies: np.ndarray, tag: str, center: float,
             inits: np.ndarray, n_max: int):
     """Scaled coefficients u[n], shape (4, ncols, nE), one order at a time to n_max.
@@ -144,23 +175,12 @@ def _tables(sp: ModelParams, sign: int, energies: np.ndarray, tag: str, center: 
     aoff = np.array([-2 * c * g - jx, -2 * c * gp + jx, 2 * c * g - jx, 2 * c * gp + jx])
     base = energies - c * c
     diag = (base + aoff[:, None])[:, None, :]
-    # The slaved component is weights[n % 2] @ cur / (dbase[n % 2] - n). A lone
-    # column (center 0, g' = 0) has one nonzero weight, so no sum order to keep.
-    slave = None
-    if tag == _CENTER_G:
-        slave, shift, weights = 2, (2 * g * g - jx,) * 2, [(a, s * d1, 0, d2)] * 2
-    elif tag == _CENTER_GPRIME:
-        slave, shift, weights = 3, (2 * gp * gp + jx,) * 2, [(s * d1, b, d2, 0)] * 2
-    elif gp == 0:  # center zero with identical couplings
-        slave, shift = 1, (jx - b, jx + b)
-        weights = [(d2 + s * d1, 0, 0, 0), (d2 - s * d1, 0, 0, 0)]
+    # A lone column (center 0, g' = 0) has one nonzero weight, so no sum order
+    # to keep in the slaved component's contraction.
+    slave, shift, weights, divisors = _slaving(sp, sign, tag, energies.max())
+    poles = {n for n, _, _ in divisors}  # the orders whose divisor can vanish
     if slave is not None:
-        weights = np.array(weights, dtype=float)
         dbase = base + np.array(shift)[:, None]
-        # A divisor dbase - n can only vanish at the integer order nearest dbase.
-        near = np.rint(dbase)
-        hit = (np.abs(dbase - near) < POLE_EPS) & (near % 2 == [[0], [1]])
-        poles = set(near[hit].astype(int).tolist())
 
     def rows():
         # Three rotating coefficient buffers and one for the cross terms; each

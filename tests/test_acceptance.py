@@ -20,7 +20,6 @@ from tqrabi import (
     recur,
 )
 from tqrabi import oracle
-from tqrabi.model import baselines
 
 
 def _finish(num: int, ok: bool, detail: str) -> None:
@@ -197,6 +196,8 @@ def test_criterion_8c_roots_invariant_under_matching_points():
 def test_criterion_8d_first_six_levels_on_coupling_grid():
     # d1 = 0.6, d2 = 0.2 with ratios 4:1, 2:1, 3:1 (and 4:1 with jx = 0.2),
     # g in {0.4, 1.0, 1.8}: first six levels from find_roots match ED to 1e-6.
+    # With g' != 0 there are no cutoff states, so no level is skipped, not
+    # even one next to a baseline.
     families = [(4.0, 0.0), (2.0, 0.0), (3.0, 0.0), (4.0, 0.2)]
     worst = 0.0
     checked = 0
@@ -209,10 +210,7 @@ def test_criterion_8d_first_six_levels_on_coupling_grid():
             roots = {par: np.array(find_roots(p, par, lo, hi, verify=True,
                                               verify_truncation=140).energies())
                      for par in (Parity.PLUS, Parity.MINUS)}
-            bl = [b.energy for b in baselines(p, lo, hi)]
             for e, s in zip(evals[:6], pars[:6]):
-                if any(abs(e - b) < 2e-6 for b in bl):
-                    continue  # levels on baselines belong to the cutoff states
                 par = Parity.PLUS if s > 0 else Parity.MINUS
                 dev = float(np.min(np.abs(roots[par] - e)))
                 worst = max(worst, dev)

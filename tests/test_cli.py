@@ -193,6 +193,19 @@ def test_sweep_spec_validation():
         SweepSpec(ModelParams(1.0, 0.6, 0.2, 0.0, 0.0), 0.2, 1.0, 5)
 
 
+def test_verify_counts_levels_beside_baselines(tmp_path, capsys):
+    # Only certified cutoff states are excused from coverage. Here the even
+    # cutoff state E = 1 is a root too, and so is the level 3.4e-8 above the
+    # baseline E = 2.
+    cfg = tmp_path / "pole.cfg"
+    cfg.write_text(FLAT_CFG.replace("0.5", "0.60000005"))
+    code = main(["verify", "--config", str(cfg), "--emin", "-1", "--emax", "2.5"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "PASS roots[plus]: 6 roots" in out
+    assert "PASS coverage[plus]: 6 oracle levels, 0 unmatched" in out
+
+
 def test_verify_covers_exceptional(flat_cfg, capsys):
     code = main(["verify", "--config", flat_cfg, "--emin", "-1",
                  "--emax", "1.4", "--truncation", "160"])

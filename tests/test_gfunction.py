@@ -17,7 +17,7 @@ from tqrabi import (
     gvalue,
     trace,
 )
-from tqrabi import gfunction, oracle
+from tqrabi import exceptional, gfunction, oracle, series
 from tqrabi.gfunction import write_spectrum_csv, write_trace_csv
 
 
@@ -73,6 +73,29 @@ def test_gvalue_pole_at_baseline():
     p = ModelParams(1.0, 0.5, 0.5, 0.35, 0.35)
     with pytest.raises(PoleAtBaseline):
         gvalue(p, Parity.PLUS, 1.0)  # baseline energy for identical couplings
+    assert np.isfinite(gvalue(p, Parity.PLUS, 1.0 + 1e-9))
+
+
+@pytest.mark.parametrize("model, sign, b, k", [
+    ("asym", 1, -0.09, 2),     # center g at n = 0 with J = 0: one slot has no weight
+    ("asym", 1, 0.91, 3),      # center g at n = 1: every column
+    ("xyz_odd", 1, -0.3, 1),   # center 0 with g' = 0: one column
+    ("xyz_odd", 1, 0.7, 0),    # an exchange baseline of the other parity: no pole
+])
+def test_pole_free_across_baselines(request, model, sign, b, k):
+    # The k unit columns that carry a pole turn parallel, so the scaled
+    # determinant goes as sign(d) |d|^(k-1); the factor cancels that, and G
+    # is finite, of one sign and nearly constant through the baseline.
+    p = request.getfixturevalue(model)
+    sp, scheme = gfunction._prepare(p, None)
+    ks = {round(e, 12): kk for tag in scheme.basis_columns
+          for _, e, kk in series._slaving(sp, sign, tag, 2.5)[3] if kk}
+    assert ks.get(round(b, 12), 0) == k
+    d = np.array([-1e-5, -1e-7, -1e-9, 1e-9, 1e-7, 1e-5])
+    vals, pole_ok, good = gfunction._gvalues(sp, sign, b + d, scheme)
+    assert good.all() and np.isfinite(vals).all()
+    assert np.all(np.sign(vals) == np.sign(vals[0]))
+    assert np.max(np.abs(vals)) < 1.01 * np.min(np.abs(vals))
 
 
 def test_gvalue_finite_and_deterministic(asym):
@@ -171,6 +194,18 @@ def test_gvalue_depends_on_energy_alone(xyz_double, xyz_odd):
                 for k in range(0, es.size, 61)))]
             for got, ref in zip(big, small):
                 assert got.tobytes() == ref.tobytes()
+    # g = 2 over four blocks: the factor of an energy takes every pole below
+    # it, from n = 0 on, however low the batch ends.
+    p = ModelParams(1.0, 0.6, 0.2, 1.2, 0.8)
+    sp, scheme = gfunction._prepare(p, None)
+    for parity in (Parity.PLUS, Parity.MINUS):
+        tr = trace(p, parity, -1.0, 2.5, 0.001)
+        assert tr.energies.size > 3 * gfunction._BLOCK
+        cells = np.flatnonzero(np.isfinite(tr.values))[::101]
+        for k in range(0, cells.size - 3, 3):
+            got, _, _ = gfunction._gvalues(sp, parity.sign, tr.energies[cells[k:k + 3]],
+                                           scheme)
+            assert got.tobytes() == tr.values[cells[k:k + 3]].tobytes()
 
 
 def unshared_gvalues(sp, sign, energies, scheme):
@@ -194,11 +229,12 @@ def unshared_gvalues(sp, sign, energies, scheme):
                 m[:, 4 * k:4 * k + 4, start:start + len(slots)] = (
                     v if conds[k][1] == tag else -v)
             start += len(slots)
-        colmax = np.maximum(np.max(np.abs(m), axis=1, keepdims=True), 1e-300)
+        norm = np.maximum(np.hypot.reduce(m, axis=1, keepdims=True), 1e-300)
         with np.errstate(invalid="ignore"):
-            det = np.linalg.det(m / colmax)
+            det = np.linalg.det(m / norm)
+        factor = gfunction._pole_factor(sp, sign, list(scheme.basis_columns), es)
         good = pole_ok & conv
-        parts.append((np.where(good, det, np.nan), pole_ok, good))
+        parts.append((np.where(good, det * factor, np.nan), pole_ok, good))
     return [np.concatenate(c) for c in zip(*parts)]
 
 
@@ -309,17 +345,13 @@ def test_window_validation(asym):
 
 
 def test_trace_sign_changes_count_roots(asym):
-    # The determinant also flips sign across the baseline poles, so sign
-    # changes are counted inside each inter-baseline segment only.
+    # G is pole-free, so it changes sign at the levels only, baselines
+    # included in the count.
     for parity in (Parity.PLUS, Parity.MINUS):
         tr = trace(asym, parity, -1.0, 2.5, 0.002)
-        edges = [-np.inf] + [b.energy for b in tr.poles] + [np.inf]
-        crossings = 0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            inside = (tr.energies > lo) & (tr.energies < hi)
-            vals = tr.values[inside]
-            vals = vals[np.isfinite(vals)]
-            crossings += int(np.sum(np.sign(vals[1:]) != np.sign(vals[:-1])))
+        assert len(tr.poles) == 6
+        vals = tr.values[np.isfinite(tr.values)]
+        crossings = int(np.sum(np.sign(vals[1:]) != np.sign(vals[:-1])))
         ed = ed_levels(asym, parity, -1.0, 2.5, truncation=300)
         assert crossings == len(ed)
 
@@ -342,9 +374,13 @@ def test_gvalue_continuous_between_baselines(asym):
     assert np.max(diffs) < 0.05 * np.max(np.abs(vals))
 
 
-def test_trace_masks_pole_margins(flat):
+def test_trace_empty_only_at_pole_hits(flat):
+    # E = 1 is a baseline of centers g and 0; only the grid point on it has
+    # no value. It is also the even cutoff state, where G changes sign.
     tr = trace(flat, Parity.PLUS, 0.999999, 1.000001, 2.0e-7)
-    assert any(not np.isfinite(v) for v in tr.values)
+    assert np.flatnonzero(~np.isfinite(tr.values)).tolist() == [5]
+    assert tr.energies[5] == 1.0
+    assert tr.values[4] * tr.values[6] < 0
     assert any(b.energy == pytest.approx(1.0) for b in tr.poles)
 
 
@@ -359,14 +395,14 @@ def test_spectrum_csv_format(tmp_path, asym):
     assert lines[2].split(",")[1:3] == ["1", "gfunction"]
 
 
-def test_trace_csv_has_empty_cells_in_margins(tmp_path, flat):
+def test_trace_csv_empty_cells_at_pole_hits(tmp_path, flat):
     traces = [trace(flat, par, 0.999999, 1.000001, 2.0e-7)
               for par in (Parity.PLUS, Parity.MINUS)]
     out = tmp_path / "trace.csv"
     write_trace_csv(traces, out)
     body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
     assert body[0] == "E,G_plus,G_minus"
-    assert any(ln.endswith(",,") or ",," in ln for ln in body[1:])
+    assert [ln for ln in body[1:] if "" in ln.split(",")] == ["1,,"]
 
 
 def test_refine_brackets_nan_midpoint_raises(monkeypatch):
@@ -390,6 +426,20 @@ def test_refine_brackets_nan_midpoint_raises(monkeypatch):
     nan_on = (0.55, 0.95)
     with pytest.raises(NoConvergence):
         gfunction._refine_brackets(None, 1, None, lo, hi, flo, fhi, 1e-10)
+
+
+def test_refine_brackets_steps_off_a_pole(monkeypatch):
+    # G has no value within 1e-12 of a pole; at 0.3 that is also a root, as
+    # for a cutoff state, and the first secant probe lands there. It is
+    # probed beside the pole instead of ending the refinement.
+    def fake(sp, sign, energies, scheme):
+        ok = np.abs(energies - 0.3) >= 1e-12
+        return np.where(ok, energies - 0.3, np.nan), ok, ok
+
+    monkeypatch.setattr(gfunction, "_gvalues", fake)
+    root = gfunction._refine_brackets(None, 1, None, np.array([0.0]), np.array([0.5]),
+                                      np.array([-0.3]), np.array([0.2]), 1e-10)
+    assert abs(root[0] - 0.3) < 1e-10
 
 
 def _count_refine_passes(monkeypatch, g, lo, hi):
@@ -433,6 +483,47 @@ def test_roots_hold_a_sign_change(asym):
         assert len(roots) == 6
         for x in roots:
             assert gvalue(asym, parity, x - tol) * gvalue(asym, parity, x + tol) < 0
+
+
+def test_level_beside_a_pole_on_the_grid():
+    # The even level 2.0000000339 lies 3.4e-8 above the center-0 baseline
+    # E = 2, and this window puts a grid point exactly on that baseline: the
+    # scan skips it and brackets the level across the pole.
+    p = ModelParams(1.0, 0.6, 0.4, 0.6 + 5e-8, 0.6 + 5e-8)
+    sp, scheme = gfunction._prepare(p, None)
+    assert not gfunction._gvalues(sp, 1, np.array([2.0]), scheme)[1][0]
+    res = find_roots(p, Parity.PLUS, 1.9, 2.1, verify=True)
+    assert res.energies() == pytest.approx([2.0000000339], abs=1e-9)
+    assert all(r.verified for r in res)
+
+
+def test_root_pair_in_a_narrow_gap_between_baselines():
+    # g = 0.153, g'/g = 0.51: the even levels 0.99115489 and 0.99311088 sit
+    # inside the 0.017 wide gap between the baselines 0.9766 and 0.9939.
+    p = ModelParams(1.0, 0.15, 0.86, 0.1155, 0.0375)
+    res = find_roots(p, Parity.PLUS, -1.0, 2.5, verify=True)
+    ed = ed_levels(p, Parity.PLUS, -1.0, 2.5, truncation=300)
+    assert len(res) == len(ed) == 5
+    assert np.max(np.abs(np.array(res.energies()) - ed)) < 1e-6
+    assert all(r.verified for r in res)
+    assert np.sum(np.abs(ed - 0.9921) < 2e-3) == 2
+
+
+@pytest.mark.parametrize("model, parity, levels", [
+    ("flat", Parity.PLUS, [1.0]),
+    ("xyz_odd", Parity.MINUS, [0.7]),
+    ("xyz_double", Parity.PLUS, [-0.5, 1.5]),
+])
+def test_cutoff_states_are_roots(request, model, parity, levels):
+    # A cutoff state on a one-column (center-0) baseline is a sign change of
+    # the pole-free G, so the two solvers cross-check each other there.
+    p = request.getfixturevalue(model)
+    cutoff = [e for _, e, _ in exceptional.levels(p, parity, -1.0, 2.5)]
+    assert cutoff == pytest.approx(levels, abs=1e-12)
+    res = find_roots(p, parity, -1.0, 2.5, verify=True)
+    assert all(r.verified for r in res)
+    for e in cutoff:
+        assert min(abs(x - e) for x in res.energies()) < 1e-9
 
 
 def test_root_pair_inside_one_grid_cell():
