@@ -141,10 +141,14 @@ def _sweep_point(task) -> list[tuple[str, ...]]:
             rows.append((fmt(g), "", "", "oracle", "", type(exc).__name__))
     if point.gprime == 0.0:
         for parity in parities:
-            rows.extend((fmt(g), fmt(energy), str(parity.sign), "exceptional",
-                         fmt(abs(cond)), "ok")
-                        for _, energy, cond in exceptional.levels(
-                            point, parity, spec.e_min, spec.e_max))
+            try:
+                rows.extend((fmt(g), fmt(energy), str(parity.sign), "exceptional",
+                             fmt(abs(cond)), "ok")
+                            for _, energy, cond in exceptional.levels(
+                                point, parity, spec.e_min, spec.e_max))
+            except SolverError as exc:
+                rows.append((fmt(g), "", str(parity.sign), "exceptional", "",
+                             type(exc).__name__))
     return rows
 
 

@@ -25,6 +25,7 @@ from .model import (
     Parity,
     QUBIT_PAIRS,
     RequiresEqualCouplings,
+    RequiresValidCouplings,
     SolverError,
     SupportOverflow,
     fmt,
@@ -96,6 +97,16 @@ def exceptional_energy(params: ModelParams, parity: Parity, n_index: int) -> flo
                            + s * (-1.0) ** n_index * (sp.jy + sp.jz))
 
 
+def _equal_couplings(params: ModelParams, what: str) -> ModelParams:
+    """params in omega = 1 units, checked for g1 = g2 > 0; what names the caller."""
+    sp = params.scaled()
+    if sp.gprime != 0.0:
+        raise RequiresEqualCouplings(f"{what} need g1 == g2")
+    if sp.g == 0.0:
+        raise RequiresValidCouplings(f"{what} need g1 = g2 > 0")
+    return sp
+
+
 def _downward(sp: ModelParams, s: int, n_cut: int) -> np.ndarray:
     """First-component coefficients e1[n], n = -1..N, from the cutoff row down.
 
@@ -131,13 +142,11 @@ def _downward(sp: ModelParams, s: int, n_cut: int) -> np.ndarray:
 def condition(params: ModelParams, parity: Parity, n_index: int) -> float:
     """Cutoff condition f(-1, N); zero (within 1e-10) iff the state exists.
 
-    Values are reported in omega = 1 units. Only defined for g1 = g2.
+    Values are reported in omega = 1 units. Only defined for g1 = g2 > 0.
     """
     if n_index < 0:
         raise ValueError("n_index must be >= 0")
-    sp = params.scaled()
-    if sp.gprime != 0.0:
-        raise RequiresEqualCouplings("cutoff conditions need g1 == g2")
+    sp = _equal_couplings(params, "cutoff conditions")
     return float(_downward(sp, parity.sign, n_index)[0])
 
 
@@ -242,9 +251,7 @@ def closed_form_state(params: ModelParams, parity: Parity, n_index: int,
     Off the existence manifold the returned amplitudes are still well defined
     but no longer an eigenstate; useful for boundary-row diagnostics.
     """
-    sp = params.scaled()
-    if sp.gprime != 0.0:
-        raise RequiresEqualCouplings("closed forms need g1 == g2")
+    sp = _equal_couplings(params, "closed forms")
     raw = _closed_form_amps(sp, parity, n_index)
     if raw is None:
         return None
@@ -255,22 +262,19 @@ def closed_form_state(params: ModelParams, parity: Parity, n_index: int,
                             parity, coeffs, norm)
 
 
-def build_state(params: ModelParams, parity: Parity, n_index: int,
-                cond_tol: float = CONDITION_TOL) -> ExceptionalState:
+def build_state(params: ModelParams, parity: Parity, n_index: int) -> ExceptionalState:
     """Construct the cutoff state from the downward recurrence and normalize it.
 
-    Raises ConditionNotMet unless |f(-1, N)| < cond_tol. When a closed form is
+    Raises ConditionNotMet unless |f(-1, N)| < 1e-10. When a closed form is
     known the construction is cross-checked against it componentwise (1e-12,
     up to global sign) and the reported norm constant is the closed form's.
     """
-    sp = params.scaled()
-    if sp.gprime != 0.0:
-        raise RequiresEqualCouplings("cutoff states need g1 == g2")
+    sp = _equal_couplings(params, "cutoff states")
     s = parity.sign
     e1_off = _downward(sp, s, n_index)
-    if abs(e1_off[0]) >= cond_tol:
+    if abs(e1_off[0]) >= CONDITION_TOL:
         raise ConditionNotMet(
-            f"cutoff condition {e1_off[0]:.3e} not below {cond_tol:g} "
+            f"cutoff condition {e1_off[0]:.3e} not below {CONDITION_TOL:g} "
             f"(N={n_index}, parity {parity})")
     e2 = _second_component(sp, s, n_index, e1_off)
     raw = _trim(_amps_from_coeffs(s, e1_off[1:], e2, n_index))
@@ -319,11 +323,9 @@ def levels(params: ModelParams, parity: Parity, e_min: float,
     (within 1e-10). The baseline energy is N omega shifted by at most
     |jx| + |jy| + |jz|, which bounds N in units of omega; indices whose
     condition is undefined (a vanishing denominator) are skipped. Only
-    defined for g1 = g2.
+    defined for g1 = g2 > 0.
     """
-    sp = params.scaled()
-    if sp.gprime != 0.0:
-        raise RequiresEqualCouplings("cutoff states need g1 == g2")
+    sp = _equal_couplings(params, "cutoff states")
     shift = abs(sp.jx) + abs(sp.jy) + abs(sp.jz)
     n_lo = max(0, math.floor(e_min / params.omega - shift))
     n_hi = math.ceil(e_max / params.omega + shift)
@@ -381,9 +383,7 @@ def _manifold_label(sp: ModelParams, parity: Parity, n_index: int) -> str:
 
 def scan_flat_lines(template: ModelParams, axes: Mapping[str, Sequence[float]],
                     n_max: int = 3,
-                    parities: Sequence[Parity] = (Parity.PLUS, Parity.MINUS),
-                    g_probe: tuple[float, float] = (0.8, 2.1),
-                    cond_tol: float = CONDITION_TOL) -> list[FlatLineHit]:
+                    g_probe: tuple[float, float] = (0.8, 2.1)) -> list[FlatLineHit]:
     """Zeros of the cutoff condition along 1-D parameter lines, with g-probing.
 
     axes maps parameter names (delta1, delta2, jx, jy, jz) to grids; the last
@@ -418,7 +418,7 @@ def scan_flat_lines(template: ModelParams, axes: Mapping[str, Sequence[float]],
         base = template
         for name, value in zip(outer_names, combo):
             base = replace(base, **{name: float(value)})
-        for parity in parities:
+        for parity in Parity:
             for n in range(n_max + 1):
                 vals = np.full(line.size, np.nan)
                 for i, x in enumerate(line):
@@ -453,7 +453,7 @@ def scan_flat_lines(template: ModelParams, axes: Mapping[str, Sequence[float]],
                 for x in roots:
                     point = replace(base, **{line_axis: x})
                     cond_a = cond_at(point, ga, parity, n)
-                    if abs(cond_a) >= cond_tol:
+                    if abs(cond_a) >= CONDITION_TOL:
                         continue
                     try:
                         cond_b = cond_at(point, gb, parity, n)
@@ -461,7 +461,7 @@ def scan_flat_lines(template: ModelParams, axes: Mapping[str, Sequence[float]],
                         cond_b = math.inf
                     cand = ExceptionalCandidate(
                         n, parity, exceptional_energy(point, parity, n),
-                        cond_a, abs(cond_b) < cond_tol)
+                        cond_a, abs(cond_b) < CONDITION_TOL)
                     hits.append(FlatLineHit(
                         _manifold_label(point.scaled(), parity, n), point, cand))
     return hits

@@ -6,10 +6,10 @@ convergence disks. Stacking those conditions over the free leading
 coefficients gives a square matrix whose determinant vanishes exactly at the
 regular eigenvalues of the chosen parity sector. With unit columns and its
 baseline poles cancelled by a factor of E, it is G(E), finite and continuous
-through every baseline. Two topologies cover the coupling asymmetry: an 8x8
-system for g' > 0 (centers 0, g', g with two matching points) and a 4x4
-system for g' = 0 (centers 0 and g only), rows of one table, _TOPOLOGIES,
-which gives the centers in column order and the matching conditions. Each
+through every baseline. The model fixes the matching chain: centers g, g'
+and 0 joined at two points (an 8x8 system) when g' > 0, and g and 0 joined
+at one point (4x4) when g' = 0, where center g' drops out. One function,
+_chain, lists the conditions, and the column order is read off them. Each
 energy's series are summed only as far as its own tail test needs, up to
 the hard cap, so G(E) is a function of E alone.
 Only the expansion around 0 depends on the parity; the sums around g and g'
@@ -70,73 +70,50 @@ _BLOCK = 1024
 _PARITY_D = np.array([1.0, 1.0, -1.0, -1.0])  # the D of the parity mirror
 
 
-# Per topology: the centers in column order, then the matching conditions as
-# (point, + center, - center), where a point names a MatchingScheme field.
-_TOPOLOGIES = {
-    "full8": ((_CENTER_G, _CENTER_GPRIME, _CENTER_ZERO),
-              (("z0", _CENTER_G, _CENTER_GPRIME),
-               ("z0prime", _CENTER_GPRIME, _CENTER_ZERO))),
-    "reduced4": ((_CENTER_G, _CENTER_ZERO),
-                 (("z0", _CENTER_G, _CENTER_ZERO),)),
-}
-
-
 @dataclass(frozen=True)
 class MatchingScheme:
-    """Matching topology and the points where expansions are compared.
+    """Points where the expansions along the matching chain are compared.
 
-    z0 joins the disks around g' and g (around 0 and g when g' = 0); z0prime
-    joins the disks around 0 and g' and is only used by the 8x8 system.
-    Points are in omega = 1 units like the couplings themselves.
+    z0 joins the disks around g and the next center of the chain, g' or, when
+    g' = 0, 0; z0prime joins the disks around g' and 0, and is given exactly
+    when g' > 0. Points are in omega = 1 units like the couplings themselves.
     """
 
-    topology: str
     z0: float
     z0prime: Optional[float] = None
 
-    @property
-    def basis_columns(self) -> dict[float | str, tuple[int, ...]]:
-        """Free-initial-condition slots spanning each expansion, keyed by center."""
-        gp = 0.0 if self.topology == "reduced4" else 1.0  # only g' = 0 matters
-        return {tag: _slots(tag, gp) for tag in _TOPOLOGIES[self.topology][0]}
 
+def _chain(sp: ModelParams, scheme: MatchingScheme) -> list[tuple[float, str, str]]:
+    """Matching conditions (point, + center, - center) along g -> g' -> 0.
 
-def _conditions(scheme: MatchingScheme) -> list[tuple[float, str, str]]:
-    """Matching conditions (point, + center, - center) with the points resolved."""
-    out = []
-    for point, plus, minus in _TOPOLOGIES[scheme.topology][1]:
-        z = getattr(scheme, point)
-        if z is None:
-            raise SchemeMismatch(f"{scheme.topology} needs {point}")
-        out.append((z, plus, minus))
-    return out
+    Center g' takes part exactly when g' > 0; the centers' column order is
+    that of their first appearance, g, g', 0.
+    """
+    if (scheme.z0prime is None) != (sp.gprime == 0):
+        raise SchemeMismatch(f"z0prime is given exactly when g' > 0 (g' = {sp.gprime})")
+    if sp.gprime == 0:
+        return [(scheme.z0, _CENTER_G, _CENTER_ZERO)]
+    return [(scheme.z0, _CENTER_G, _CENTER_GPRIME),
+            (scheme.z0prime, _CENTER_GPRIME, _CENTER_ZERO)]
 
 
 def default_scheme(params: ModelParams) -> MatchingScheme:
-    """Topology by asymmetry, with matching points balanced between the two disks.
+    """Matching points balanced between the two disks they join.
 
-    full8 for every g' > 0, with z0' = g'^2/g; z0 weighs g' and g by the
-    other center's radius, which gives z0 = (g' + g)/2 for g' >= g/3.
-    reduced4 (g' = 0) uses z0 = g/2.
+    For g' > 0, z0' = g'^2/g, and z0 weighs g' and g by the other center's
+    radius, which gives z0 = (g' + g)/2 for g' >= g/3. For g' = 0, z0 = g/2.
     """
     sp, _ = params.scaled().canonical()
     g, gp = sp.g, sp.gprime
     if gp == 0:
-        return MatchingScheme("reduced4", g / 2)
+        return MatchingScheme(g / 2)
     r2 = _radius(sp, _CENTER_GPRIME)
     r4 = _radius(sp, _CENTER_G)
-    return MatchingScheme("full8", (gp * r4 + g * r2) / (r2 + r4), gp * gp / g)
+    return MatchingScheme((gp * r4 + g * r2) / (r2 + r4), gp * gp / g)
 
 
 def _validate_scheme(sp: ModelParams, scheme: MatchingScheme) -> None:
-    g, gp = sp.g, sp.gprime
-    need = {"full8": (gp > 0, "g' > 0"), "reduced4": (gp == 0, "g' = 0")}
-    if scheme.topology not in need:
-        raise SchemeMismatch(f"unknown topology {scheme.topology!r}")
-    holds, text = need[scheme.topology]
-    if not holds:
-        raise SchemeMismatch(f"{scheme.topology} needs {text}")
-    for z, *tags in _conditions(scheme):
+    for z, *tags in _chain(sp, scheme):
         for tag in tags:
             if abs(z - _center(sp, tag)) >= _radius(sp, tag):
                 raise OutsideDisk(
@@ -189,10 +166,11 @@ def _gvalues_once(sp: ModelParams, signs: tuple[int, ...], energies: np.ndarray,
     (see series); center 0 carries the parity and is summed once per sign.
     """
     n_e = energies.size
-    conds = _conditions(scheme)
+    conds = _chain(sp, scheme)
     cols, start = {}, 0
     mirror, rows_d = np.ones((4 * len(conds),) * 2), np.tile(_PARITY_D, len(conds))
-    for tag, slots in scheme.basis_columns.items():
+    for tag in dict.fromkeys(t for _, *tags in conds for t in tags):
+        slots = _slots(tag, sp.gprime)
         cols[tag] = slice(start, start + len(slots))
         if tag != _CENTER_ZERO:  # sign -1 takes D[row] * D[slot] times the +1 sums
             mirror[:, cols[tag]] = np.outer(rows_d, _PARITY_D[list(slots)])
@@ -257,6 +235,19 @@ def _prepare(params: ModelParams, scheme: Optional[MatchingScheme],
     return sp, scheme
 
 
+def _window(params: ModelParams, e_min: float, e_max: float,
+            step: Optional[float]) -> tuple[float, float, float]:
+    """Checked window ends and grid step (default 0.01 omega), in omega = 1 units."""
+    if not e_min < e_max:
+        raise ValueError("empty energy window")
+    if step is None:
+        step = DEFAULT_GRID_STEP * params.omega
+    if step <= 0:
+        raise ValueError("step must be positive")
+    w = params.omega
+    return e_min / w, e_max / w, step / w
+
+
 def gvalue(params: ModelParams, parity: Parity, energy: float,
            scheme: Optional[MatchingScheme] = None) -> float:
     """Pole-free matching determinant at one energy (in the caller's units).
@@ -296,15 +287,9 @@ def trace(params: ModelParams, parity: Parity, e_min: float, e_max: float,
 def _traces(params: ModelParams, parities: Sequence[Parity], e_min: float,
             e_max: float, step: Optional[float] = None) -> list[GTrace]:
     """trace for several parities on one grid, from one G pass."""
-    if step is None:
-        step = DEFAULT_GRID_STEP * params.omega
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if not e_min < e_max:
-        raise ValueError("empty energy window")
+    lo, hi, h = _window(params, e_min, e_max, step)
     sp, scheme = _prepare(params, None)
     w = params.omega
-    lo, hi, h = e_min / w, e_max / w, step / w
     grid = np.arange(lo, hi + h / 2, h)
     vals, _, _ = _gvalues(sp, tuple(p.sign for p in parities), grid, scheme)
     poles = tuple(baselines(params, e_min, e_max))
@@ -438,15 +423,9 @@ def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
     flagged unverified. A bracket probe where G is not finite raises
     NoConvergence.
     """
-    if not e_min < e_max:
-        raise ValueError("empty energy window")
-    if step is None:
-        step = DEFAULT_GRID_STEP * params.omega
-    if step <= 0:
-        raise ValueError("step must be positive")
+    lo_w, hi_w, h = _window(params, e_min, e_max, step)
     sp, scheme = _prepare(params, scheme)
     w = params.omega
-    lo_w, hi_w, h = e_min / w, e_max / w, step / w
     sign = parity.sign
 
     xs = np.linspace(lo_w, hi_w, max(2, int(round((hi_w - lo_w) / h)) + 1))

@@ -66,7 +66,7 @@ class NoConvergence(SolverError):
 
 
 class SchemeMismatch(SolverError):
-    """Matching topology incompatible with the coupling asymmetry."""
+    """Matching points that do not fit the chain: z0prime given iff g' > 0."""
 
 
 class DegenerateDenominator(SolverError):

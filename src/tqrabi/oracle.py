@@ -167,13 +167,13 @@ def _eig(params: ModelParams, truncation: int,
 
 
 def _certify(params: ModelParams, truncation: int, counts: dict[int, int],
-             k_total: int, drift_tol: float, cap: int,
+             k_total: int, cap: int,
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Lowest k_total of the counted levels, certified against 50 photons fewer.
 
     A level's drift is taken against the same-parity level of the same rank
     at the lower truncation; the truncation grows by 50 until every drift is
-    below drift_tol.
+    below DEFAULT_DRIFT_TOL.
     """
     t = truncation
     e_lo, s_lo = _eig(params, t, counts)
@@ -185,26 +185,25 @@ def _certify(params: ModelParams, truncation: int, counts: dict[int, int],
             pos = np.flatnonzero(s_hi == s)[:lo.size]
             drift[pos] = np.abs(e_hi[pos] - lo[:pos.size])
         drift = drift[:k_total]
-        if drift.size and np.max(drift) < drift_tol:
+        if drift.size and np.max(drift) < DEFAULT_DRIFT_TOL:
             return e_hi[:k_total], s_hi[:k_total], drift, t + _DRIFT_STEP
         t += _DRIFT_STEP
         e_lo, s_lo = e_hi, s_hi
         if t + _DRIFT_STEP > cap:
-            raise NotConverged(
-                f"drift {np.max(drift):.3e} >= {drift_tol:g} at truncation cap {cap}")
+            raise NotConverged(f"drift {np.max(drift):.3e} >= {DEFAULT_DRIFT_TOL:g} "
+                               f"at truncation cap {cap}")
 
 
 def certified_spectrum(params: ModelParams, truncation: int, k_levels: int,
-                       drift_tol: float = DEFAULT_DRIFT_TOL,
                        cap: int = DEFAULT_TRUNCATION_CAP,
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Lowest k_levels eigenvalues with per-level truncation drift below drift_tol.
+    """Lowest k_levels eigenvalues with per-level truncation drift below 1e-8.
 
     Repeats at truncation + 50 and grows the basis until the drift test passes;
     returns (energies, parity signs, drifts, truncation actually used).
     """
     return _certify(params, truncation, dict.fromkeys(_SIGNS, k_levels),
-                    k_levels, drift_tol, cap)
+                    k_levels, cap)
 
 
 def _records(evals: np.ndarray, signs: np.ndarray,
@@ -216,15 +215,13 @@ def _records(evals: np.ndarray, signs: np.ndarray,
 
 
 def diagonalize(params: ModelParams, truncation: int, k_levels: int,
-                drift_tol: float = DEFAULT_DRIFT_TOL,
                 cap: int = DEFAULT_TRUNCATION_CAP) -> SpectrumResult:
     """Lowest k_levels eigenpairs as 'oracle' records (residual = truncation drift)."""
     if k_levels < 1:
         raise ValueError("k_levels must be >= 1")
     if truncation < k_levels / 2 + 10:
         raise ValueError("truncation too small for the requested level count")
-    return _records(*certified_spectrum(params, truncation, k_levels, drift_tol,
-                                        cap)[:3])
+    return _records(*certified_spectrum(params, truncation, k_levels, cap)[:3])
 
 
 def window(params: ModelParams, truncation: int, e_max: float,
@@ -241,7 +238,7 @@ def window(params: ModelParams, truncation: int, e_max: float,
              for p in parities}
     counts = {s: m + 4 for s, m in below.items()}
     return _records(*_certify(params, truncation, counts, sum(below.values()) + 4,
-                              DEFAULT_DRIFT_TOL, DEFAULT_TRUNCATION_CAP)[:3])
+                              DEFAULT_TRUNCATION_CAP)[:3])
 
 
 def residual(params: ModelParams, truncation: int, state, energy: float | None = None,

@@ -7,13 +7,13 @@ from tqrabi import ModelParams
 
 @pytest.fixture(scope="session")
 def asym():
-    """Asymmetric couplings, g = 0.3, g' = 0.18 (full 8x8 topology)."""
+    """Asymmetric couplings, g = 0.3, g' = 0.18 (chain g -> g' -> 0)."""
     return ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
 
 
 @pytest.fixture(scope="session")
 def ratio2():
-    """g1 = 2 g2, g = 0.5, g' = g/3 (8x8 topology with g' < g/2)."""
+    """g1 = 2 g2, g = 0.5, g' = g/3 (chain g -> g' -> 0 with g' < g/2)."""
     return ModelParams(1.0, 0.6, 0.2, 1.0 / 3.0, 1.0 / 6.0)
 
 

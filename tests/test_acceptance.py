@@ -183,7 +183,7 @@ def test_criterion_8b_coefficient_reflection_symmetry():
 
 def test_criterion_8c_roots_invariant_under_matching_points():
     p = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
-    alt = MatchingScheme("full8", 0.21, 0.08)
+    alt = MatchingScheme(0.21, 0.08)
     ra = np.array(find_roots(p, Parity.MINUS, -1.0, 1.0,
                              verify=False).energies())
     rb = np.array(find_roots(p, Parity.MINUS, -1.0, 1.0, scheme=alt,

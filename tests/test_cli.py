@@ -234,3 +234,33 @@ def test_verify_cutoff_states_scale_with_omega(dark_half_cfg, capsys):
     assert code == 0
     for tag in ("minus, N=4", "plus, N=5", "minus, N=6"):
         assert f"PASS exceptional[{tag}]" in out
+
+
+def test_verify_zero_coupling_is_a_solver_error(tmp_path, capsys):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(FLAT_CFG.replace("0.5", "0"))
+    assert main(["verify", "--config", str(cfg)]) == 1
+    assert "error: RequiresValidCouplings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", ["oracle", "both"])
+def test_sweep_zero_coupling_writes_status_rows(tmp_path, flat_cfg, monkeypatch, solver):
+    # At g = 0 the cutoff conditions are undefined: each parity gets one
+    # exceptional status row, as the G-function solver gets one per parity.
+    monkeypatch.setenv("TQRABI_WORKERS", "1")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", flat_cfg, "--gmin", "0", "--gmax", "0.8",
+                 "--points", "2", "--emax", "1.6", "--truncation", "48",
+                 "--levels", "5", "--solver", solver, "--out", str(out)]) == 0
+    failed = [(r["g"], r["method"], r["parity"], r["status"]) for r in rows(out)
+              if r["status"] != "ok"]
+    methods = ("gfunction", "exceptional") if solver == "both" else ("exceptional",)
+    assert failed == [("0", m, p, "RequiresValidCouplings")
+                      for m in methods for p in ("1", "-1")]
+    assert any(r["method"] == "exceptional" and r["status"] == "ok" for r in rows(out))
+
+
+def test_exceptional_zero_probe_coupling_is_a_solver_error(tmp_path, flat_cfg, capsys):
+    assert main(["exceptional", "--config", flat_cfg, "--scan", "delta1=0.2:1.1:5",
+                 "--gprobe", "0,2.1", "--out", str(tmp_path / "cat.csv")]) == 1
+    assert "error: RequiresValidCouplings" in capsys.readouterr().err

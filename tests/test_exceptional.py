@@ -9,6 +9,7 @@ from tqrabi import (
     ModelParams,
     Parity,
     RequiresEqualCouplings,
+    RequiresValidCouplings,
     build_state,
     closed_form_state,
     condition,
@@ -65,6 +66,17 @@ def test_condition_preconditions(asym):
     p = ModelParams(1.0, 0.5, 0.5, 0.5, 0.5)
     with pytest.raises(ValueError):
         condition(p, Parity.PLUS, -1)
+
+
+def test_zero_coupling_is_a_solver_error():
+    # The cutoff recurrence and the closed forms divide by g.
+    p = ModelParams(1.0, 0.6, 0.4, 0.0, 0.0)
+    for call in (lambda: condition(p, Parity.PLUS, 1),
+                 lambda: closed_form_state(p, Parity.PLUS, 1),
+                 lambda: build_state(p, Parity.PLUS, 1),
+                 lambda: exceptional.levels(p, Parity.PLUS, -1.0, 2.0)):
+        with pytest.raises(RequiresValidCouplings):
+            call()
 
 
 def test_degenerate_denominator():

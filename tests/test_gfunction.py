@@ -27,40 +27,48 @@ def ed_levels(params, parity, e_min, e_max, truncation=200):
                      if s == parity.sign and e_min <= e <= e_max])
 
 
-def test_default_scheme_topologies(asym, ratio2, flat):
+def chain_columns(sp, scheme):
+    """Free slots of each center of the matching chain, in column order."""
+    return {tag: series._slots(tag, sp.gprime)
+            for _, *tags in gfunction._chain(sp, scheme) for tag in tags}
+
+
+def test_default_scheme_points(asym, ratio2, flat):
     s = default_scheme(asym)
-    assert s.topology == "full8"
     assert s.z0 == pytest.approx((asym.g + asym.gprime) / 2)
     assert s.z0prime == pytest.approx(asym.gprime ** 2 / asym.g)
-    assert default_scheme(ratio2).topology == "full8"
     assert default_scheme(ratio2).z0prime == pytest.approx(
         ratio2.gprime ** 2 / ratio2.g)
     s4 = default_scheme(flat)
-    assert s4.topology == "reduced4"
     assert s4.z0 == pytest.approx(flat.g / 2)
+    assert s4.z0prime is None
 
 
-def test_scheme_basis_columns(asym, ratio2, flat):
-    assert default_scheme(asym).basis_columns == {
-        "g": (0, 1, 3), "gprime": (0, 1, 2), "zero": (0, 1)}
-    assert default_scheme(ratio2).basis_columns == {
-        "g": (0, 1, 3), "gprime": (0, 1, 2), "zero": (0, 1)}
-    assert default_scheme(flat).basis_columns == {"g": (0, 1, 3), "zero": (0,)}
+def test_matching_chain_columns(asym, ratio2, flat):
+    # g -> g' -> 0 when g' > 0, g -> 0 when g' = 0; the columns follow the
+    # centers in the order they first appear.
+    for p in (asym, ratio2):
+        sp, s = gfunction._prepare(p, None)
+        assert gfunction._chain(sp, s) == [(s.z0, "g", "gprime"),
+                                           (s.z0prime, "gprime", "zero")]
+        assert list(chain_columns(sp, s).items()) == [
+            ("g", (0, 1, 3)), ("gprime", (0, 1, 2)), ("zero", (0, 1))]
+    sp, s = gfunction._prepare(flat, None)
+    assert gfunction._chain(sp, s) == [(s.z0, "g", "zero")]
+    assert list(chain_columns(sp, s).items()) == [("g", (0, 1, 3)), ("zero", (0,))]
 
 
-def test_scheme_mismatch(asym, ratio2, flat):
+def test_scheme_mismatch(ratio2, flat):
     with pytest.raises(SchemeMismatch):
-        gvalue(flat, Parity.PLUS, 0.4, MatchingScheme("full8", 0.5, 0.25))
+        gvalue(flat, Parity.PLUS, 0.4, MatchingScheme(0.5, 0.25))
     with pytest.raises(SchemeMismatch):
-        gvalue(asym, Parity.PLUS, 0.4, MatchingScheme("reduced6", 0.24, 0.0))
-    with pytest.raises(SchemeMismatch):
-        gvalue(ratio2, Parity.PLUS, 0.35, MatchingScheme("reduced4", 0.25))
+        gvalue(ratio2, Parity.PLUS, 0.35, MatchingScheme(0.25))
 
 
 def test_matching_point_outside_disk(asym):
     with pytest.raises(OutsideDisk):
         gvalue(asym, Parity.PLUS, 0.4,
-               MatchingScheme("full8", asym.g + 0.2, asym.gprime ** 2 / asym.g))
+               MatchingScheme(asym.g + 0.2, asym.gprime ** 2 / asym.g))
 
 
 def test_requires_valid_couplings():
@@ -88,7 +96,7 @@ def test_pole_free_across_baselines(request, model, sign, b, k):
     # is finite, of one sign and nearly constant through the baseline.
     p = request.getfixturevalue(model)
     sp, scheme = gfunction._prepare(p, None)
-    ks = {round(e, 12): kk for tag in scheme.basis_columns
+    ks = {round(e, 12): kk for tag in chain_columns(sp, scheme)
           for _, e, kk in series._slaving(sp, sign, tag, 2.5)[3] if kk}
     assert ks.get(round(b, 12), 0) == k
     d = np.array([-1e-5, -1e-7, -1e-9, 1e-9, 1e-7, 1e-5])
@@ -105,7 +113,7 @@ def test_gvalue_finite_and_deterministic(asym):
 
 
 def test_root_positions_independent_of_matching_points(asym):
-    alt = MatchingScheme("full8", 0.21, 0.08)
+    alt = MatchingScheme(0.21, 0.08)
     res_a = find_roots(asym, Parity.PLUS, -1.0, 1.0, verify=False)
     res_b = find_roots(asym, Parity.PLUS, -1.0, 1.0, scheme=alt, verify=False)
     ra, rb = res_a.energies(), res_b.energies()
@@ -210,15 +218,16 @@ def test_gvalue_depends_on_energy_alone(xyz_double, xyz_odd):
 
 def unshared_gvalues(sp, sign, energies, scheme):
     """G with every center summed at its own sign, in blocks as _gvalues runs."""
-    conds = gfunction._conditions(scheme)
-    width = sum(len(s) for s in scheme.basis_columns.values())
+    conds = gfunction._chain(sp, scheme)
+    columns = chain_columns(sp, scheme)
+    width = sum(len(s) for s in columns.values())
     parts = []
     for i in range(0, energies.size, gfunction._BLOCK):
         es = energies[i:i + gfunction._BLOCK]
         m = np.zeros((es.size, width, width))
         pole_ok, conv = np.ones((2, es.size), dtype=bool)
         start = 0
-        for tag, slots in scheme.basis_columns.items():
+        for tag, slots in columns.items():
             ks = [k for k, cond in enumerate(conds) if tag in cond[1:]]
             vals, ok, cv = gfunction._block_eval(sp, sign, es, tag,
                                                  [conds[k][0] for k in ks])
@@ -232,7 +241,7 @@ def unshared_gvalues(sp, sign, energies, scheme):
         norm = np.maximum(np.hypot.reduce(m, axis=1, keepdims=True), 1e-300)
         with np.errstate(invalid="ignore"):
             det = np.linalg.det(m / norm)
-        factor = gfunction._pole_factor(sp, sign, list(scheme.basis_columns), es)
+        factor = gfunction._pole_factor(sp, sign, list(columns), es)
         good = pole_ok & conv
         parts.append((np.where(good, det * factor, np.nan), pole_ok, good))
     return [np.concatenate(c) for c in zip(*parts)]
@@ -474,6 +483,27 @@ def test_refine_brackets_multiple_root_worst_case(monkeypatch):
     root, passes = _count_refine_passes(monkeypatch, lambda e: (e - 0.3) ** 9, 0.0, 1.0)
     assert abs(root - 0.3) <= gfunction.ROOT_TOL
     assert passes <= 3 * np.ceil(np.log2(1.0 / (2 * gfunction.ROOT_TOL)))
+
+
+@pytest.mark.parametrize("lift, found", [(0.0, [0.3]), (1e-11, [])])
+def test_tangent_dip_kept_only_below_1e_12(monkeypatch, asym, lift, found):
+    # (E - 0.3)^2 touches zero inside a grid cell without a sign change: the
+    # dip probe narrows it to a tangent candidate, which verify=False keeps
+    # only when |G| < 1e-12 there. Lifted by 1e-11 it stays below
+    # TANGENT_GTOL to the end of the probe, yet holds no root.
+    def fake(sp, sign, energies, scheme):
+        ok = np.ones(energies.shape, dtype=bool)
+        return (energies - 0.3) ** 2 + lift, ok, ok
+
+    probe, probed = gfunction._probe_dips, []
+    monkeypatch.setattr(gfunction, "_gvalues", fake)
+    monkeypatch.setattr(gfunction, "_probe_dips",
+                        lambda *a: probed.append(probe(*a)) or probed[-1])
+    res = find_roots(asym, Parity.PLUS, 0.0, 1.0, step=0.03, verify=False)
+    (pairs, tangents), = probed
+    assert pairs[0].size == 0 and tangents == pytest.approx([0.3], abs=2e-10)
+    assert res.energies() == pytest.approx(found, abs=2 * gfunction.ROOT_TOL)
+    assert all(r.residual < 1e-12 and r.verified is None for r in res)
 
 
 def test_roots_hold_a_sign_change(asym):

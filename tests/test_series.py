@@ -226,7 +226,7 @@ def test_evaluate_matches_determinant_columns(asym, ratio2, flat):
     # G(E) and recur() share one recurrence and one summation: the unit-init
     # rows that recur() builds one column at a time, up to the hard cap, and
     # summed by _kahan_eval at a center's matching points, equal that center's
-    # block of the determinant bit for bit, at every point of both topologies.
+    # block of the determinant bit for bit, at every point of both chain shapes.
     # evaluate() stops on the tail of one column at one point, so it agrees
     # only to rounding. The last model has g'/g = 0.47, just below g/2.
     switch = ModelParams(1.0, 0.55, 0.25, 0.441, 0.159)
@@ -235,9 +235,9 @@ def test_evaluate_matches_determinant_columns(asym, ratio2, flat):
     for params in (asym, ratio2, flat, switch):
         sp, _ = params.scaled().canonical()
         scheme = gfunction.default_scheme(sp)
-        conds = gfunction._conditions(scheme)
+        conds = gfunction._chain(sp, scheme)
         for parity in Parity:
-            for tag in gfunction._TOPOLOGIES[scheme.topology][0]:
+            for tag in dict.fromkeys(t for _, *tags in conds for t in tags):
                 zs = [z for z, *tags in conds if tag in tags]
                 center = series._center(sp, tag)
                 vals, _, conv = gfunction._block_eval(sp, parity.sign,
@@ -256,10 +256,10 @@ def test_evaluate_matches_determinant_columns(asym, ratio2, flat):
                     for col, block in enumerate(blocks):
                         assert evaluate(block, z) == pytest.approx(
                             v[:, col, 0], rel=1e-12, abs=1e-14 * np.max(np.abs(v)))
-                    walked.add((scheme.topology, tag, z))
-    assert {topo for topo, _, _ in walked} == set(gfunction._TOPOLOGIES)
-    assert ("full8", series._CENTER_ZERO,
-            gfunction.default_scheme(ratio2).z0prime) in walked
+                    walked.add((len(conds), tag, z))
+    assert {(n, tag) for n, tag, _ in walked} == {
+        (1, "g"), (1, "zero"), (2, "g"), (2, "gprime"), (2, "zero")}
+    assert (2, series._CENTER_ZERO, gfunction.default_scheme(ratio2).z0prime) in walked
 
 
 @pytest.mark.parametrize("params", [
