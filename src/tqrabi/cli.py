@@ -76,17 +76,17 @@ def _params_comment(params: ModelParams) -> str:
 
 
 def cmd_spectrum(args: argparse.Namespace, params: ModelParams) -> int:
+    parities = _parities(args.parity)
     records: list[SpectrumRecord] = []
-    for parity in _parities(args.parity):
-        if args.solver in ("gfunction", "both"):
-            res = gfunction.find_roots(params, parity, args.emin, args.emax,
-                                       step=args.step, verify=not args.no_verify,
-                                       verify_truncation=args.truncation)
-            records.extend(res.records)
+    # One oracle window verifies the roots and gives the oracle rows.
+    levels = (oracle.window(params, args.truncation, args.emax, parities)
+              if args.solver != "gfunction" or not args.no_verify else None)
+    if args.solver in ("gfunction", "both"):
+        for res in gfunction._find_roots(params, parities, args.emin, args.emax, args.step,
+                                         levels=None if args.no_verify else levels):
+            records.extend(res)
     if args.solver in ("oracle", "both"):
-        records.extend(r for r in oracle.window(params, args.truncation, args.emax,
-                                                _parities(args.parity))
-                       if args.emin <= r.energy <= args.emax)
+        records.extend(r for r in levels if args.emin <= r.energy <= args.emax)
     records.sort(key=lambda r: (r.energy, r.method, r.parity.sign))
     gfunction.write_spectrum_csv(records, args.out, comments=[
         "tqrabi spectrum",
@@ -117,18 +117,17 @@ def _sweep_point(task) -> list[tuple[str, ...]]:
     rows: list[tuple[str, ...]] = []
     parities = _parities(spec.parity)
     if spec.solver in ("gfunction", "both"):
-        for parity in parities:
-            try:
-                res = gfunction.find_roots(point, parity, spec.e_min, spec.e_max,
-                                           step=spec.step,
-                                           verify=(spec.solver == "both"),
-                                           verify_truncation=spec.truncation)
+        try:
+            levels = (oracle.window(point, spec.truncation, spec.e_max, parities)
+                      if spec.solver == "both" else None)
+            for res in gfunction._find_roots(point, parities, spec.e_min, spec.e_max,
+                                             spec.step, levels=levels):
                 rows.extend((fmt(g), fmt(r.energy), str(r.parity.sign),
                              "gfunction", fmt(r.residual), "ok")
                             for r in res)
-            except SolverError as exc:
-                rows.append((fmt(g), "", str(parity.sign), "gfunction", "",
-                             type(exc).__name__))
+        except SolverError as exc:
+            rows.extend((fmt(g), "", str(parity.sign), "gfunction", "",
+                         type(exc).__name__) for parity in parities)
     if spec.solver in ("oracle", "both"):
         try:
             res = oracle.diagonalize(point, spec.truncation, spec.levels)
@@ -231,16 +230,15 @@ def cmd_verify(args: argparse.Namespace, params: ModelParams) -> int:
     cutoff = {p: (exceptional.levels(params, p, args.emin, args.emax)
                   if params.gprime == 0.0 else [])
               for p in _parities(args.parity)}
-    for parity in cutoff:
-        res = gfunction.find_roots(params, parity, args.emin, args.emax,
-                                   step=args.step,
-                                   verify_truncation=args.truncation)
+    levels = oracle.window(params, args.truncation, args.emax, tuple(cutoff))
+    found = gfunction._find_roots(params, tuple(cutoff), args.emin, args.emax,
+                                  args.step, levels=levels)
+    for parity, res in zip(cutoff, found):
         bad = [r for r in res if not r.verified]
         worst = max((r.residual for r in res), default=0.0)
         report(not bad, f"roots[{parity}]: {len(res)} roots, "
                         f"max |E - E_ed| = {worst:.3e}")
-        ed = [r for r in oracle.window(params, args.truncation, args.emax,
-                                       (parity,))
+        ed = [r for r in levels.filtered(parity)
               if args.emin <= r.energy <= args.emax]
         missing = [r.energy for r in ed
                    if all(abs(r.energy - x.energy) > tol for x in res)

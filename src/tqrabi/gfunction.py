@@ -138,34 +138,37 @@ def _block_eval(sp: ModelParams, sign: int, energies: np.ndarray, tag: str,
             pole_ok, conv)
 
 
-def _gvalues(sp: ModelParams, signs: int | tuple[int, ...], energies: np.ndarray,
+def _gvalues(sp: ModelParams, signs: int | tuple | np.ndarray, energies: np.ndarray,
              scheme: MatchingScheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalized determinant on an energy grid, and masks for poles and convergence.
 
-    signs is one sign, or a tuple that gives each result a leading sign axis.
-    Entries on a recurrence pole or unconverged at the hard cap come back NaN.
-    The energies are taken in blocks of _BLOCK, each with its own series
-    stop, and every energy's value is the same whatever block it falls in.
+    signs is one sign, a tuple that gives each result a leading sign axis, or
+    an array of one sign per energy. Entries on a recurrence pole or
+    unconverged at the hard cap come back NaN. The energies are taken in
+    blocks of _BLOCK, each with its own series stop, and every energy's value
+    is the same whatever block, or signs beside it, it falls in.
     """
-    many = isinstance(signs, tuple)
-    signs = signs if many else (signs,)
-    vals = np.empty((len(signs), energies.size))
-    pole_ok, good = np.empty((2,) + vals.shape, dtype=bool)
+    s = np.asarray(signs)[:, None] if isinstance(signs, tuple) else np.asarray(signs)
+    shape = np.broadcast_shapes(s.shape, energies.shape)
+    s = np.atleast_2d(np.broadcast_to(s, shape))
+    vals = np.empty(s.shape)
+    pole_ok, good = np.empty((2,) + s.shape, dtype=bool)
     for i in range(0, energies.size, _BLOCK):
         part = slice(i, i + _BLOCK)
         vals[:, part], pole_ok[:, part], good[:, part] = _gvalues_once(
-            sp, signs, energies[part], scheme)
-    return (vals, pole_ok, good) if many else (vals[0], pole_ok[0], good[0])
+            sp, s[:, part], energies[part], scheme)
+    return vals.reshape(shape), pole_ok.reshape(shape), good.reshape(shape)
 
 
-def _gvalues_once(sp: ModelParams, signs: tuple[int, ...], energies: np.ndarray,
+def _gvalues_once(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
                   scheme: MatchingScheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_gvalues on one block of energies: every center, then per sign the matrix and det.
+    """_gvalues on one block: every center, then per sign the matrix and det.
 
-    Centers g and g' are summed once, at sign +1, and mirrored by D for -1
-    (see series); center 0 carries the parity and is summed once per sign.
+    signs has one row per result and a column per energy. Centers g and g'
+    are summed once, at sign +1, and mirrored by D for -1 (see series);
+    center 0 carries the parity and is summed once per sign, at the energies
+    that take it.
     """
-    n_e = energies.size
     conds = _chain(sp, scheme)
     cols, start = {}, 0
     mirror, rows_d = np.ones((4 * len(conds),) * 2), np.tile(_PARITY_D, len(conds))
@@ -176,21 +179,26 @@ def _gvalues_once(sp: ModelParams, signs: tuple[int, ...], energies: np.ndarray,
             mirror[:, cols[tag]] = np.outer(rows_d, _PARITY_D[list(slots)])
         start += len(slots)
 
-    def center(tag, sign):
+    def center(tag, sign, es):
         # Each center is evaluated once, at all of its points; values are
         # keyed by (center, condition index) as (nE, 4, ncols) arrays.
         ks = [k for k, cond in enumerate(conds) if tag in cond[1:]]
-        vals, ok, cv = _block_eval(sp, sign, energies, tag, [conds[k][0] for k in ks])
+        vals, ok, cv = _block_eval(sp, sign, es, tag, [conds[k][0] for k in ks])
         return {(tag, k): np.moveaxis(v, -1, 0) for k, v in zip(ks, vals)}, ok, ok & cv
 
-    shared = [center(tag, 1) for tag in cols if tag != _CENTER_ZERO]
-    vals = np.empty((len(signs), n_e))
-    pole_ok, good = np.empty((2, len(signs), n_e), dtype=bool)
-    for i, sign in enumerate(signs):
-        at, pole_ok[i], good[i] = center(_CENTER_ZERO, sign)
-        for part, ok, gd in shared:
-            at, pole_ok[i], good[i] = at | part, pole_ok[i] & ok, good[i] & gd
-        m = np.zeros((n_e, start, start))
+    shared = [center(tag, 1, energies) for tag in cols if tag != _CENTER_ZERO]
+    vals = np.empty(signs.shape)
+    pole_ok, good = np.empty((2,) + signs.shape, dtype=bool)
+    for sign in (1, -1):
+        on = (signs == sign).any(axis=0)
+        if not on.any():
+            continue
+        es = energies[on]
+        at, ok, gd = center(_CENTER_ZERO, sign, es)
+        for part, p_ok, p_gd in shared:
+            at = at | {key: v[on] for key, v in part.items()}
+            ok, gd = ok & p_ok[on], gd & p_gd[on]
+        m = np.zeros((es.size, start, start))
         for k, (_, plus, minus) in enumerate(conds):
             m[:, 4 * k:4 * k + 4, cols[plus]] = at[plus, k]
             m[:, 4 * k:4 * k + 4, cols[minus]] = -at[minus, k]
@@ -201,8 +209,17 @@ def _gvalues_once(sp: ModelParams, signs: tuple[int, ...], energies: np.ndarray,
         norm = np.maximum(np.hypot.reduce(m, axis=1, keepdims=True), 1e-300)
         with np.errstate(invalid="ignore"):
             det = np.linalg.det(m / norm)
-        vals[i] = np.where(good[i], det, np.nan) * _pole_factor(sp, sign, cols, energies)
+        det = np.where(gd, det, np.nan) * _pole_factor(sp, sign, cols, es)
+        hit = signs[:, on] == sign
+        for out, v in ((vals, det), (pole_ok, ok), (good, gd)):
+            out[:, on] = np.where(hit, v, out[:, on])
     return vals, pole_ok, good
+
+
+def _poles(sp: ModelParams, sign: int, tags: Sequence[str],
+           e_max: float) -> list[tuple[float, int]]:
+    """(baseline, k) of the centers' divisors to past e_max + 1; G has no value there."""
+    return [(b, k) for tag in tags for _, b, k in series._slaving(sp, sign, tag, e_max)[3]]
 
 
 def _pole_factor(sp: ModelParams, sign: int, tags: Sequence[str],
@@ -215,8 +232,7 @@ def _pole_factor(sp: ModelParams, sign: int, tags: Sequence[str],
     d^2)^2, smooth into 1 at the next pole of its family, |d| = 1. The poles
     act in a fixed order, so the factor is a function of E alone.
     """
-    poles = [(b, k) for tag in tags
-             for _, b, k in series._slaving(sp, sign, tag, energies.max())[3] if k]
+    poles = [(b, k) for b, k in _poles(sp, sign, tags, energies.max()) if k]
     b, k = np.array(poles).reshape(-1, 2).T
     d = energies[:, None] - b
     with np.errstate(divide="ignore"):  # d = 0 only on a pole, where G is NaN
@@ -296,111 +312,125 @@ def _traces(params: ModelParams, parities: Sequence[Parity], e_min: float,
     return [GTrace(p, grid * w, v, poles) for p, v in zip(parities, vals)]
 
 
-def _refine_brackets(sp: ModelParams, sign: int, scheme: MatchingScheme,
-                     lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
-                     fhi: np.ndarray, tol: float) -> np.ndarray:
-    """Shrink sign-change brackets to width 2*tol and return their midpoints.
+def _dip_vertex(x: np.ndarray, f: np.ndarray, midpoint: np.ndarray,
+                tol: float) -> np.ndarray:
+    """Probe of each (n, 3) triple: the vertex of the parabola through its |G|, or
+    where midpoint is set, the midpoint of its longer half; tol inside, off x[:, 1]."""
+    (x0, x1, x2), (f0, f1, f2) = x.T, f.T
+    a0, a1, a2 = np.abs(f0), np.abs(f1), np.abs(f2)
+    d0, d2 = x1 - x0, x2 - x1
+    mid = np.where(d2 > d0, x1 + 0.5 * d2, x1 - 0.5 * d0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = x1 - 0.5 * ((d0 * d0 * (a1 - a2) - d2 * d2 * (a1 - a0))
+                        / (d0 * (a1 - a2) + d2 * (a1 - a0)))
+    u = np.clip(np.where(midpoint | ~np.isfinite(u), mid, u), x0 + tol, x2 - tol)
+    step = np.minimum(tol, 0.5 * np.maximum(d0, d2))
+    return np.where(np.abs(u - x1) < tol, np.where(d2 > d0, x1 + step, x1 - step), u)
 
-    Illinois regula falsi on all brackets at once, one G call per pass over
-    those still open: an end kept twice in a row has its G value halved,
-    every third pass probes the midpoint, and every probe stays at least tol
-    inside its bracket, so a bracket closes once a probe lands within tol of
-    its root. A non-finite probe leaves its bracket without a sign to
-    follow; it raises NoConvergence rather than return the midpoint as a
-    root.
+
+def _probe_dips(s: np.ndarray, x: np.ndarray, f: np.ndarray, u: np.ndarray,
+                fu: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Narrow (n, 3) dip triples of signs s around their probes u, where G is fu.
+
+    Returns the narrowed triples, which stay open, the brackets (signs, lo,
+    hi, G(lo), G(hi)) split off by probes of the other sign than the middle,
+    and the (signs, energies) of exact zeros. A non-finite probe closes its
+    triple, and so does one whose |G| agrees with the middle's to 1e-12
+    relative, both above TANGENT_GTOL: a flat dip, no root pair nor tangency.
     """
-    lo, hi = lo.astype(float), hi.astype(float)
-    flo, fhi = flo.astype(float), fhi.astype(float)
-    kept = np.zeros(lo.shape, dtype=int)  # end kept by the last pass: -1 lo, +1 hi
-    for k in range(_MAX_PASSES):
-        todo = np.flatnonzero(hi - lo > 2 * tol)
-        if not todo.size:
+    (x0, x1, x2), (f0, f1, f2) = x.T, f.T
+    flip = np.sign(fu) == -np.sign(f1)
+    pairs = (np.tile(s[flip], 2), np.concatenate([x0[flip], u[flip]]),
+             np.concatenate([u[flip], x2[flip]]), np.concatenate([f0[flip], fu[flip]]),
+             np.concatenate([fu[flip], f2[flip]]))
+    a1 = np.abs(f1)
+    flat = (np.abs(fu - f1) <= 1e-12 * a1) & (np.fmin(np.abs(fu), a1) > TANGENT_GTOL)
+    # Keep the lower of the two inner points among the four, with its
+    # neighbours.
+    px, pf = np.stack([x0, x1, x2, u], 1), np.stack([f0, f1, f2, fu], 1)
+    order = np.argsort(px, axis=1)
+    px, pf = np.take_along_axis(px, order, 1), np.take_along_axis(pf, order, 1)
+    c = 1 + (np.abs(pf[:, 2]) < np.abs(pf[:, 1]))
+    pick = (np.arange(len(x))[:, None], c[:, None] + np.arange(-1, 2))
+    return (px[pick], pf[pick], (np.sign(fu) == np.sign(f1)) & ~flat, pairs,
+            (s[fu == 0.0], u[fu == 0.0]))
+
+
+def _refine_brackets(sp: ModelParams, scheme: MatchingScheme,
+                     poles: dict[int, Sequence[float]], brackets: tuple[np.ndarray, ...],
+                     dips: tuple[np.ndarray, ...], tol: float,
+                     ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Settle sign-change brackets and |G| dips of any parities in shared passes.
+
+    brackets is (signs, lo, hi, G(lo), G(hi)); dips is (signs, x, G(x)) for
+    (n, 3) grid triples whose middle |G| is below both ends; poles maps a
+    sign to the energies where G has no value. Each pass sends the probes of
+    all open work through one G call; every bracket and triple counts its
+    own passes, up to _MAX_PASSES, so it takes the iterates it takes alone.
+
+    Brackets follow Illinois regula falsi: an end kept twice in a row has
+    its G value halved, every third pass probes the midpoint, and every
+    probe stays tol inside, so a bracket closes at width 2*tol once a probe
+    lands within tol of its root. A bracket's first pass also probes
+    4*POLE_EPS either side of each pole inside it and keeps the side with
+    the sign change: a cutoff state, a jump of G at a pole, settles there,
+    and no later probe lands on a pole. A probe on a pole is passed over;
+    any other non-finite one raises NoConvergence. Triples are probed at
+    _dip_vertex and narrowed by _probe_dips; the brackets of a split join at
+    the next pass. Returns the (signs, midpoints) of the brackets and the
+    (signs, energies) of tangent candidates: exact zeros, and triples
+    narrowed to 2*tol with |G| below TANGENT_GTOL at the middle.
+    """
+    sb, lo, hi, flo, fhi = (np.array(c) for c in brackets)
+    kb, kept = np.zeros((2, lo.size), dtype=int)  # kept: end kept last pass, -1 lo, +1 hi
+    sd, x, f = (np.array(c) for c in dips)
+    kd, live = np.zeros(len(x), dtype=int), np.ones(len(x), dtype=bool)
+    tangents = []
+    while True:
+        ob = np.flatnonzero((hi - lo > 2 * tol) & (kb < _MAX_PASSES))
+        od = np.flatnonzero(live & (x[:, 2] - x[:, 0] > 2 * tol) & (kd < _MAX_PASSES))
+        if not (ob.size or od.size):
             break
-        a, b, fa, fb = lo[todo], hi[todo], flo[todo], fhi[todo]
-        if k % 3 == 2:
-            x = 0.5 * (a + b)
-        else:
-            x = np.clip(a - fa * (b - a) / (fb - fa), a + tol, b - tol)
-        fx, ok, _ = _gvalues(sp, sign, x, scheme)
-        if not ok.all():  # no value exactly on a pole: probe just beside it
-            x[~ok] += 4 * series.POLE_EPS
-            fx[~ok] = _gvalues(sp, sign, x[~ok], scheme)[0]
-        bad = ~np.isfinite(fx)
+        a, b, fa, fb = lo[ob], hi[ob], flo[ob], fhi[ob]
+        xb = np.where(kb[ob] % 3 == 2, 0.5 * (a + b),
+                      np.clip(a - fa * (b - a) / (fb - fa), a + tol, b - tol))
+        near = [(j, e + d) for j in ob[kb[ob] == 0] for e in poles[sb[j]]
+                if lo[j] < e < hi[j] for d in (-4 * series.POLE_EPS, 4 * series.POLE_EPS)]
+        pj, pe = np.array([j for j, _ in near], dtype=int), np.array([e for _, e in near])
+        u = _dip_vertex(x[od], f[od], kd[od] % 3 == 2, tol)
+        g, ok, _ = _gvalues(sp, np.concatenate([sb[ob], sb[pj], sd[od]]),
+                            np.concatenate([xb, pe, u]), scheme)
+        fx, fp, fu = np.split(g, [ob.size, ob.size + pe.size])
+        bad = ok[:ob.size] & ~np.isfinite(fx)
         if bad.any():
             raise NoConvergence(
                 f"G is not finite at {bad.sum()} bracket probe(s), first at "
-                f"E = {x[bad][0]:.17g} (omega = 1 units)")
+                f"E = {xb[bad][0]:.17g} (omega = 1 units)")
         exact = fx == 0.0
-        to_lo = (np.sign(fx) == np.sign(fa)) & ~exact
-        to_hi = ~to_lo & ~exact
-        last = kept[todo]
-        lo[todo] = np.where(to_hi, a, x)
-        hi[todo] = np.where(to_lo, b, x)
-        flo[todo] = np.where(to_lo, fx, np.where(to_hi & (last == -1), 0.5 * fa, fa))
-        fhi[todo] = np.where(to_hi, fx, np.where(to_lo & (last == 1), 0.5 * fb, fb))
-        kept[todo] = np.where(to_lo, 1, np.where(to_hi, -1, 0))
-    return 0.5 * (lo + hi)
-
-
-def _probe_dips(sp: ModelParams, sign: int, scheme: MatchingScheme,
-                x: np.ndarray, f: np.ndarray, tol: float,
-                ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Split |G| dips into sign-change brackets, or name them tangent candidates.
-
-    x, f are (n, 3) grid triples of one sign whose middle |G| is below both
-    ends. Each pass probes every open triple in one G call, at the vertex of
-    the parabola through its three |G| values (every third pass at the
-    midpoint of its longer half), kept tol inside the triple and moved off
-    its middle point, and narrows the triple around the smallest |G|. A probe
-    of the other sign turns its triple into two brackets, returned as (lo,
-    hi, G(lo), G(hi)). A triple narrowed to 2*tol is a tangent candidate if
-    |G| at its middle is below TANGENT_GTOL, and so is an exact zero. A
-    non-finite probe drops its dip, and so does a probe whose |G| agrees
-    with the middle's to 1e-12 relative, both above TANGENT_GTOL: such a
-    flat dip holds neither a root pair nor a tangency.
-    """
-    x, f = x.astype(float), f.astype(float)
-    live = np.ones(len(x), dtype=bool)
-    pairs, tangents = [(np.empty(0),) * 4], []
-    for k in range(_MAX_PASSES):
-        todo = np.flatnonzero(live & (x[:, 2] - x[:, 0] > 2 * tol))
-        if not todo.size:
-            break
-        (x0, x1, x2), (f0, f1, f2) = x[todo].T, f[todo].T
-        a0, a1, a2 = np.abs(f0), np.abs(f1), np.abs(f2)
-        d0, d2 = x1 - x0, x2 - x1
-        mid = np.where(d2 > d0, x1 + 0.5 * d2, x1 - 0.5 * d0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = x1 - 0.5 * ((d0 * d0 * (a1 - a2) - d2 * d2 * (a1 - a0))
-                            / (d0 * (a1 - a2) + d2 * (a1 - a0)))
-        u = np.where((k % 3 == 2) | ~np.isfinite(u), mid, u)
-        u = np.clip(u, x0 + tol, x2 - tol)
-        step = np.minimum(tol, 0.5 * np.maximum(d0, d2))
-        u = np.where(np.abs(u - x1) < tol, np.where(d2 > d0, x1 + step, x1 - step), u)
-        fu, _, _ = _gvalues(sp, sign, u, scheme)
-        tangents.append(u[fu == 0.0])
-        flip = np.sign(fu) == -np.sign(f1)
-        pairs.append((np.concatenate([x0[flip], u[flip]]),
-                      np.concatenate([u[flip], x2[flip]]),
-                      np.concatenate([f0[flip], fu[flip]]),
-                      np.concatenate([fu[flip], f2[flip]])))
-        same = np.sign(fu) == np.sign(f1)
-        flat = (np.abs(fu - f1) <= 1e-12 * a1) & (np.fmin(np.abs(fu), a1) > TANGENT_GTOL)
-        live[todo[~same | flat]] = False
-        # Keep the lower of the two inner points among the four, with its
-        # neighbours.
-        px = np.stack([x0, x1, x2, u], 1)
-        pf = np.stack([f0, f1, f2, fu], 1)
-        order = np.argsort(px, axis=1)
-        px = np.take_along_axis(px, order, 1)
-        pf = np.take_along_axis(pf, order, 1)
-        c = 1 + (np.abs(pf[:, 2]) < np.abs(pf[:, 1]))
-        pick = (np.arange(todo.size)[:, None], c[:, None] + np.arange(-1, 2))
-        x[todo[same]] = px[pick][same]
-        f[todo[same]] = pf[pick][same]
+        to_lo, to_hi = np.sign(fx) == np.sign(fa), np.sign(fx) == np.sign(fb)
+        last = kept[ob]
+        lo[ob], hi[ob] = np.where(to_lo | exact, xb, a), np.where(to_hi | exact, xb, b)
+        flo[ob] = np.where(to_lo, fx, np.where(to_hi & (last == -1), 0.5 * fa, fa))
+        fhi[ob] = np.where(to_hi, fx, np.where(to_lo & (last == 1), 0.5 * fb, fb))
+        kept[ob] = np.where(to_lo, 1, np.where(to_hi, -1, 0))
+        kb[ob] += 1
+        for j, e, v in zip(pj, pe, fp):
+            if lo[j] < e < hi[j] and np.isfinite(v):  # each narrows what the last left
+                if np.sign(v) == np.sign(flo[j]):
+                    lo[j], flo[j] = e, v
+                else:
+                    hi[j], fhi[j] = e, v
+        if od.size:
+            x[od], f[od], live[od], pairs, zeros = _probe_dips(sd[od], x[od], f[od], u, fu)
+            kd[od] += 1
+            tangents.append(zeros)
+            sb, lo, hi, flo, fhi = (np.concatenate(c) for c in
+                                    zip((sb, lo, hi, flo, fhi), pairs))
+            kb, kept = (np.concatenate([k, np.zeros(pairs[0].size, dtype=int)])
+                        for k in (kb, kept))
     rest = live & (np.abs(f[:, 1]) < TANGENT_GTOL)
-    tangents.append(x[rest, 1])
-    return tuple(np.concatenate(c) for c in zip(*pairs)), np.concatenate(tangents)
+    tangents.append((sd[rest], x[rest, 1]))
+    return (sb, 0.5 * (lo + hi)), tuple(np.concatenate(c) for c in zip(*tangents))
 
 
 def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
@@ -413,63 +443,75 @@ def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
     The pole-free G is scanned across the window on one uniform grid (step
     defaults to 0.01 in units of the photon frequency) in one batch, less
     any grid point exactly on a baseline. Dips of |G| without a sign change
-    are probed for a root pair inside one grid cell, or a tangency. All
-    sign-change brackets of the sector are then refined together by
-    Illinois regula falsi to width 2e-10; a root is the midpoint of its
-    bracket. A cutoff state on a one-column (center-0) baseline comes out as
-    a root; dark states, on baselines without a pole, do not. With
-    verify=True every root is checked against the diagonalization oracle
-    (nearest same-parity level within 1e-6); unmatched roots are kept but
-    flagged unverified. A bracket probe where G is not finite raises
-    NoConvergence.
+    are probed for a root pair inside one grid cell, or a tangency, in the
+    passes that refine the sign-change brackets by Illinois regula falsi to
+    width 2e-10 (_refine_brackets, shared by all parities in _find_roots); a
+    root is its bracket's midpoint. A cutoff state on a one-column (center-0)
+    baseline is a root, settled beside its pole in one pass; dark states, on
+    baselines without a pole, are not. With verify=True every root is checked
+    against the diagonalization oracle (nearest same-parity level within
+    1e-6); unmatched roots are kept but flagged unverified. A bracket probe
+    where G is not finite raises NoConvergence.
     """
+    levels = oracle.window(params, verify_truncation, e_max, (parity,)) if verify else None
+    return _find_roots(params, (parity,), e_min, e_max, step, scheme, levels)[0]
+
+
+def _find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
+                e_max: float, step: Optional[float] = None,
+                scheme: Optional[MatchingScheme] = None,
+                levels: Optional[SpectrumResult] = None) -> list[SpectrumResult]:
+    """find_roots for several parities from one scan and one set of passes, verified
+    against levels, oracle records of those parities (oracle.window), unless None."""
     lo_w, hi_w, h = _window(params, e_min, e_max, step)
     sp, scheme = _prepare(params, scheme)
     w = params.omega
-    sign = parity.sign
+    signs = tuple(p.sign for p in parities)
 
     xs = np.linspace(lo_w, hi_w, max(2, int(round((hi_w - lo_w) / h)) + 1))
-    gs, pole_ok, _ = _gvalues(sp, sign, xs, scheme)
-    # No value exactly on a pole: the grid points beside it bracket across it.
-    xs, gs = xs[pole_ok], gs[pole_ok]
-    s, mag = np.sign(gs), np.abs(gs)
-    roots = xs[gs == 0.0]
-    # A |G| dip of one sign holds either two roots in one grid cell or a
-    # tangency (a root of even multiplicity).
-    i = 1 + np.flatnonzero((s[:-2] == s[1:-1]) & (s[1:-1] == s[2:])
-                           & (mag[1:-1] < mag[:-2]) & (mag[1:-1] < mag[2:]))
-    pairs, tangents = _probe_dips(sp, sign, scheme,
-                                  np.stack([xs[i - 1], xs[i], xs[i + 1]], 1),
-                                  np.stack([gs[i - 1], gs[i], gs[i + 1]], 1), ROOT_TOL)
-    i = np.flatnonzero(s[:-1] * s[1:] < 0)
-    lo, hi, flo, fhi = (np.concatenate(c) for c in
-                        zip((xs[i], xs[i + 1], gs[i], gs[i + 1]), pairs))
-    if lo.size:
-        roots = np.append(roots, _refine_brackets(sp, sign, scheme, lo, hi,
-                                                  flo, fhi, ROOT_TOL))
-
-    dedup: list[float] = []
-    for x in np.sort(roots).tolist():
-        if not dedup or x - dedup[-1] > 1e-9:
-            dedup.append(x)
-
-    ed_levels = None
-    if verify:
-        ed_levels = np.array(oracle.window(params, verify_truncation, hi_w * w,
-                                           (parity,)).energies())
+    scan, scan_ok, _ = _gvalues(sp, signs, xs, scheme)
+    brackets, dips = [], []
+    for sign, gs, pole_ok in zip(signs, scan, scan_ok):
+        # No value exactly on a pole: the grid points beside it bracket across it.
+        x, gs = xs[pole_ok], gs[pole_ok]
+        s, mag = np.sign(gs), np.abs(gs)
+        # A |G| dip of one sign holds either two roots in one grid cell or a
+        # tangency (a root of even multiplicity).
+        i = 1 + np.flatnonzero((s[:-2] == s[1:-1]) & (s[1:-1] == s[2:])
+                               & (mag[1:-1] < mag[:-2]) & (mag[1:-1] < mag[2:]))
+        dips.append((np.full(i.size, sign), np.stack([x[i - 1], x[i], x[i + 1]], 1),
+                     np.stack([gs[i - 1], gs[i], gs[i + 1]], 1)))
+        # Sign changes, and exact zeros on the grid as closed brackets.
+        i, j = (np.append(np.flatnonzero(s == 0), np.flatnonzero(s[:-1] * s[1:] < 0) + d)
+                for d in (0, 1))
+        brackets.append((np.full(i.size, sign), x[i], x[j], gs[i], gs[j]))
+    tags = dict.fromkeys(t for _, *ts in _chain(sp, scheme) for t in ts)
+    poles = {s: [b for b, _ in _poles(sp, s, tags, hi_w)] for s in signs}
+    found, tangents = _refine_brackets(
+        sp, scheme, poles, *(tuple(np.concatenate(c) for c in zip(*parts))
+                             for parts in (brackets, dips)), ROOT_TOL)
 
     # A tangent is kept only when ED confirms it or, without ED, when |G| < 1e-12.
-    candidates = [(x, False) for x in dedup]
-    candidates += [(x, True) for x in tangents.tolist()
-                   if all(abs(x - r) > 1e-9 for r in dedup)]
-    use_ed = ed_levels is not None and ed_levels.size > 0
-    if candidates and not use_ed:
-        gmag, _, _ = _gvalues(sp, sign, np.array([x for x, _ in candidates]), scheme)
+    ed_levels = {p: np.array([] if levels is None else levels.filtered(p).energies())
+                 for p in parities}
+    candidates = []
+    for parity in parities:
+        dedup: list[float] = []
+        for x in np.sort(found[1][found[0] == parity.sign]).tolist():
+            if not dedup or x - dedup[-1] > 1e-9:
+                dedup.append(x)
+        candidates += [(parity, x, False) for x in dedup]
+        candidates += [(parity, x, True) for x in
+                       tangents[1][tangents[0] == parity.sign].tolist()
+                       if all(abs(x - r) > 1e-9 for r in dedup)]
+    if any(not ed_levels[p].size for p, _, _ in candidates):
+        gmag, _, _ = _gvalues(sp, np.array([p.sign for p, _, _ in candidates]),
+                              np.array([x for _, x, _ in candidates]), scheme)
     records = []
-    for j, (x, tangent) in enumerate(candidates):
-        e_raw = x * w
-        if use_ed:
-            residual = float(np.min(np.abs(ed_levels - e_raw)))
+    for j, (parity, x, tangent) in enumerate(candidates):
+        e_raw, ed = x * w, ed_levels[parity]
+        if ed.size:
+            residual = float(np.min(np.abs(ed - e_raw)))
             verified = residual < VERIFY_TOL * w
             keep = verified or not tangent
         else:
@@ -479,9 +521,9 @@ def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
             records.append(SpectrumRecord(e_raw, parity, "gfunction", residual,
                                           verified=verified))
     result = SpectrumResult.from_records(records)
-    relabeled = [SpectrumRecord(r.energy, r.parity, r.method, r.residual, i,
-                                r.verified) for i, r in enumerate(result)]
-    return SpectrumResult(tuple(relabeled))
+    return [SpectrumResult(tuple(
+        SpectrumRecord(r.energy, r.parity, r.method, r.residual, i, r.verified)
+        for i, r in enumerate(result.filtered(p)))) for p in parities]
 
 
 def write_spectrum_csv(records, path_or_file, comments: Sequence[str] = ()) -> None:

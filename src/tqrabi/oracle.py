@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .model import (
     ModelParams,
@@ -135,6 +134,7 @@ def build_hamiltonian(params: ModelParams, truncation: int) -> FockHamiltonian:
 def _solve(band: np.ndarray, k: int | None = None,
            upto: float | None = None) -> np.ndarray:
     """Ascending eigenvalues of one block: every level, the lowest k, or those <= upto."""
+    import scipy.linalg  # here, not at the top: it is most of the package's import time
     if upto is not None:
         # Gershgorin: every level lies above this floor.
         floor = (float(np.min(band[_BANDS]))

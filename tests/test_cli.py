@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from tqrabi import ModelParams
+import tqrabi
+from tqrabi import ModelParams, gfunction, oracle
 from tqrabi.cli import SweepSpec, main
 from tqrabi.model import ConfigError
 
@@ -94,6 +99,52 @@ def test_spectrum_both_solvers_agree(tmp_path, asym_cfg):
         ed = sorted(by_method[("oracle", parity)])
         assert len(gf) == len(ed)
         assert np.max(np.abs(np.array(gf) - np.array(ed))) < 1e-6
+
+
+@pytest.mark.parametrize("couplings, parent_calls", [
+    ((0.6, 0.2, 0.24, 0.06), 46),
+    ((0.6, 0.2, 1.0 / 3.0, 1.0 / 6.0), 43),
+    ((0.7, 0.3, 0.4, 0.4), 52),
+])
+def test_spectrum_both_shares_search_and_window(tmp_path, monkeypatch, couplings,
+                                                parent_calls):
+    # Both parities are found by one search, whose passes each make one G
+    # call, and one oracle window both verifies the roots and gives the
+    # oracle rows. The G-call counts per command were 46, 43 and 52 when
+    # each parity ran its own search and window.
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in
+                           zip(("omega", "delta1", "delta2", "g1", "g2"), (1.0, *couplings))))
+    calls = {"gvalues": 0, "window": 0, "eig_banded": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(gfunction, "_gvalues", counted("gvalues", gfunction._gvalues))
+    monkeypatch.setattr(oracle, "window", counted("window", oracle.window))
+    monkeypatch.setattr(scipy.linalg, "eig_banded",
+                        counted("eig_banded", scipy.linalg.eig_banded))
+    out = tmp_path / "spectrum.csv"
+    assert main(["spectrum", "--config", str(cfg), "--emin", "-1", "--emax", "2.5",
+                 "--solver", "both", "--out", str(out)]) == 0
+    assert calls["gvalues"] <= 0.6 * parent_calls
+    assert calls["window"] == 1
+    assert calls["eig_banded"] == 6
+    data = rows(out)
+    for method in ("gfunction", "oracle"):
+        assert {r["parity"] for r in data if r["method"] == method} == {"1", "-1"}
+    assert all(float(r["residual"]) < 1e-6 for r in data if r["method"] == "gfunction")
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    # The oracle imports scipy.linalg when it first solves, so trace and an
+    # unverified G-function spectrum never load it.
+    env = dict(os.environ, PYTHONPATH=str(Path(tqrabi.__file__).parents[1]))
+    code = "import sys, tqrabi.cli; sys.exit('scipy.linalg' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_trace_deterministic_bytes(tmp_path, asym_cfg):

@@ -186,13 +186,18 @@ def test_gvalue_depends_on_energy_alone(xyz_double, xyz_odd):
     # One batch longer than two blocks, with an energy on a center-g baseline
     # of order 2 as the last of the first block (and its order 1 and 3
     # neighbours 1000 cells away in the other two): its values, pole_ok and
-    # good masks equal those of small batches of the same energies.
+    # good masks equal those of small batches of the same energies, and so
+    # do those of one batch with a sign per energy, as root refinement mixes
+    # the two parities.
     b = gfunction._BLOCK
     for p in (full8, xyz_odd):
         sp, scheme = gfunction._prepare(p, None)
         es = (2 - p.g ** 2 + p.jx) + 1e-3 * (np.arange(2 * b + 200) - (b - 1))
+        mixed = np.random.default_rng(7).choice([1, -1], es.size)
+        mixed[[b - 1001, b - 1, b + 999]] = [1, -1, 1]
+        one_sign = {}
         for parity in (Parity.PLUS, Parity.MINUS):
-            big = gfunction._gvalues(sp, parity.sign, es, scheme)
+            big = one_sign[parity.sign] = gfunction._gvalues(sp, parity.sign, es, scheme)
             poles = np.flatnonzero(~big[1]).tolist()
             assert {b - 1001, b - 1, b + 999} <= set(poles)
             assert b - 2 not in poles and b not in poles
@@ -202,6 +207,9 @@ def test_gvalue_depends_on_energy_alone(xyz_double, xyz_odd):
                 for k in range(0, es.size, 61)))]
             for got, ref in zip(big, small):
                 assert got.tobytes() == ref.tobytes()
+        for got, plus, minus in zip(gfunction._gvalues(sp, mixed, es, scheme),
+                                    one_sign[1], one_sign[-1]):
+            assert got.tobytes() == np.where(mixed > 0, plus, minus).tobytes()
     # g = 2 over four blocks: the factor of an energy takes every pole below
     # it, from n = 0 on, however low the batch ends.
     p = ModelParams(1.0, 0.6, 0.2, 1.2, 0.8)
@@ -414,55 +422,97 @@ def test_trace_csv_empty_cells_at_pole_hits(tmp_path, flat):
     assert [ln for ln in body[1:] if "" in ln.split(",")] == ["1,,"]
 
 
+def fake_gvalues(g, ok=None):
+    """A stand-in for _gvalues with G(E) = g(E) at every sign, and pole_ok = ok(E)."""
+    def fake(sp, signs, energies, scheme):
+        s = np.asarray(signs)[:, None] if isinstance(signs, tuple) else np.asarray(signs)
+        shape = np.broadcast_shapes(s.shape, energies.shape)
+        good = np.ones(energies.shape, dtype=bool) if ok is None else ok(energies)
+        return tuple(np.broadcast_to(v, shape)
+                     for v in (np.where(good, g(energies), np.nan), good, good))
+    return fake
+
+
+NO_DIPS = (np.empty(0, dtype=int), np.empty((0, 3)), np.empty((0, 3)))
+
+
+def refine(lo, hi, flo, fhi, poles=(), tol=1e-10):
+    """_refine_brackets on sign-+1 brackets alone: their midpoints."""
+    (signs, roots), _ = gfunction._refine_brackets(
+        None, None, {1: list(poles)}, (np.ones(len(lo), dtype=int), lo, hi, flo, fhi),
+        NO_DIPS, tol)
+    assert (signs == 1).all()
+    return roots
+
+
 def test_refine_brackets_nan_midpoint_raises(monkeypatch):
     # Two brackets around the zeros of E - 0.3 and E - 0.7; G is NaN on an
     # open sub-interval of the second one, where its probes land. The bracket
     # must not spin there and come back as a root.
-    def fake(sp, sign, energies, scheme):
+    def g(energies):
         vals = np.where(energies < 0.5, energies - 0.3, energies - 0.7)
         if nan_on is not None:
             vals = np.where((nan_on[0] < energies) & (energies < nan_on[1]),
                             np.nan, vals)
-        ok = np.ones(energies.shape, dtype=bool)
-        return vals, ok, ok
+        return vals
 
-    monkeypatch.setattr(gfunction, "_gvalues", fake)
+    monkeypatch.setattr(gfunction, "_gvalues", fake_gvalues(g))
     lo, hi = np.array([0.0, 0.5]), np.array([0.5, 1.0])
     flo, fhi = np.array([-0.3, -0.2]), np.array([0.2, 0.3])
     nan_on = None
-    roots = gfunction._refine_brackets(None, 1, None, lo, hi, flo, fhi, 1e-10)
+    roots = refine(lo, hi, flo, fhi)
     assert np.max(np.abs(roots - [0.3, 0.7])) < 1e-10
     nan_on = (0.55, 0.95)
     with pytest.raises(NoConvergence):
-        gfunction._refine_brackets(None, 1, None, lo, hi, flo, fhi, 1e-10)
+        refine(lo, hi, flo, fhi)
 
 
 def test_refine_brackets_steps_off_a_pole(monkeypatch):
     # G has no value within 1e-12 of a pole; at 0.3 that is also a root, as
-    # for a cutoff state, and the first secant probe lands there. It is
-    # probed beside the pole instead of ending the refinement.
-    def fake(sp, sign, energies, scheme):
-        ok = np.abs(energies - 0.3) >= 1e-12
-        return np.where(ok, energies - 0.3, np.nan), ok, ok
-
-    monkeypatch.setattr(gfunction, "_gvalues", fake)
-    root = gfunction._refine_brackets(None, 1, None, np.array([0.0]), np.array([0.5]),
-                                      np.array([-0.3]), np.array([0.2]), 1e-10)
+    # for a cutoff state, and the first secant probe lands there. The same
+    # pass probes 4 POLE_EPS either side of the pole, which settles the root
+    # instead of ending the refinement.
+    calls = []
+    fake = fake_gvalues(lambda e: e - 0.3, lambda e: np.abs(e - 0.3) >= 1e-12)
+    monkeypatch.setattr(gfunction, "_gvalues", lambda *a: calls.append(a) or fake(*a))
+    root = refine(np.array([0.0]), np.array([0.5]), np.array([-0.3]), np.array([0.2]),
+                  poles=[0.3])
     assert abs(root[0] - 0.3) < 1e-10
+    assert len(calls) == 1 and 0.3 in calls[0][2]
+
+
+def test_cutoff_state_settles_in_one_pass(flat, monkeypatch):
+    # A cutoff state is a jump of G at a known center-0 pole, which regula
+    # falsi would close on at bisection speed (26-28 passes): the probes
+    # beside the pole settle it in the bracket's first pass.
+    (_, energy, _), = exceptional.levels(flat, Parity.PLUS, 0.9, 1.1)
+    sp, scheme = gfunction._prepare(flat, None)
+    tags = [t for _, *ts in gfunction._chain(sp, scheme) for t in ts]
+    poles = [b for b, _ in gfunction._poles(sp, 1, tags, 2.0)]
+    assert energy in poles
+    g, _, _ = gfunction._gvalues(sp, 1, np.array([0.99, 1.01]), scheme)
+    calls = []
+    gvalues = gfunction._gvalues
+    monkeypatch.setattr(gfunction, "_gvalues", lambda *a: calls.append(1) or gvalues(*a))
+    (_, root), _ = gfunction._refine_brackets(
+        sp, scheme, {1: poles}, (np.array([1]), np.array([0.99]), np.array([1.01]),
+                                 g[:1], g[1:]), NO_DIPS, gfunction.ROOT_TOL)
+    assert len(calls) == 1
+    assert abs(root[0] - energy) < 1e-11
+    # Flat's other even roots are ordinary zeros: the search for the sector
+    # makes one scan and 13 passes, where it made 34 G calls.
+    calls.clear()
+    res = find_roots(flat, Parity.PLUS, -1.0, 2.5, verify=True)
+    assert min(abs(x - energy) for x in res.energies()) < 1e-11
+    assert len(calls) <= 14
 
 
 def _count_refine_passes(monkeypatch, g, lo, hi):
     calls = []
-
-    def fake(sp, sign, energies, scheme):
-        calls.append(energies.size)
-        ok = np.ones(energies.shape, dtype=bool)
-        return g(energies), ok, ok
-
-    monkeypatch.setattr(gfunction, "_gvalues", fake)
+    fake = fake_gvalues(g)
+    monkeypatch.setattr(gfunction, "_gvalues", lambda *a: calls.append(1) or fake(*a))
     lo, hi = np.array([lo]), np.array([hi])
-    root = gfunction._refine_brackets(None, 1, None, lo, hi, g(lo), g(hi),
-                                      gfunction.ROOT_TOL)
+    root = refine(lo, hi, g(lo), g(hi), tol=gfunction.ROOT_TOL)
     return root[0], len(calls)
 
 
@@ -491,19 +541,33 @@ def test_tangent_dip_kept_only_below_1e_12(monkeypatch, asym, lift, found):
     # dip probe narrows it to a tangent candidate, which verify=False keeps
     # only when |G| < 1e-12 there. Lifted by 1e-11 it stays below
     # TANGENT_GTOL to the end of the probe, yet holds no root.
-    def fake(sp, sign, energies, scheme):
-        ok = np.ones(energies.shape, dtype=bool)
-        return (energies - 0.3) ** 2 + lift, ok, ok
-
-    probe, probed = gfunction._probe_dips, []
-    monkeypatch.setattr(gfunction, "_gvalues", fake)
-    monkeypatch.setattr(gfunction, "_probe_dips",
-                        lambda *a: probed.append(probe(*a)) or probed[-1])
+    refine_brackets, probed = gfunction._refine_brackets, []
+    monkeypatch.setattr(gfunction, "_gvalues", fake_gvalues(lambda e: (e - 0.3) ** 2 + lift))
+    monkeypatch.setattr(gfunction, "_refine_brackets",
+                        lambda *a: probed.append(refine_brackets(*a)) or probed[-1])
     res = find_roots(asym, Parity.PLUS, 0.0, 1.0, step=0.03, verify=False)
-    (pairs, tangents), = probed
-    assert pairs[0].size == 0 and tangents == pytest.approx([0.3], abs=2e-10)
+    ((_, roots), (_, tangents)), = probed
+    assert roots.size == 0 and tangents == pytest.approx([0.3], abs=2e-10)
     assert res.energies() == pytest.approx(found, abs=2 * gfunction.ROOT_TOL)
     assert all(r.residual < 1e-12 and r.verified is None for r in res)
+
+
+@pytest.mark.parametrize("model", ["asym", "ratio2", "xyz_odd", "flat"])
+def test_two_parity_search_matches_single_parity(request, model):
+    # Both parities share the scan and every refinement pass, yet each root
+    # takes the iterates of its own sector's search: same bits, verified or
+    # not, and from one oracle window of both parities.
+    p = request.getfixturevalue(model)
+    both = (Parity.PLUS, Parity.MINUS)
+    levels = oracle.window(p, gfunction.DEFAULT_VERIFY_TRUNCATION, 2.5, both)
+    for verify in (False, True):
+        found = gfunction._find_roots(p, both, -1.0, 2.5, levels=levels if verify else None)
+        for parity, res in zip(both, found):
+            alone = find_roots(p, parity, -1.0, 2.5, verify=verify)
+            assert len(res) >= 5 and all(r.parity is parity for r in res)
+            assert (np.array([(r.energy, r.residual) for r in res]).tobytes()
+                    == np.array([(r.energy, r.residual) for r in alone]).tobytes())
+            assert [r.verified for r in res] == [r.verified for r in alone]
 
 
 def test_roots_hold_a_sign_change(asym):
@@ -575,23 +639,11 @@ def test_flat_dip_dropped_early(ratio2, monkeypatch):
     # The odd |G| dip near E = 1.8739 bottoms out at 0.0089 and is flat to 17
     # digits over 1e-8: neither a root pair nor a tangency. It is dropped once
     # a probe matches its middle to 12 digits, not narrowed to 2 * ROOT_TOL,
-    # which took 18 probe calls.
-    gvalues, probe_dips = gfunction._gvalues, gfunction._probe_dips
-    state = {"probing": False, "calls": 0}
-
-    def counted(*args):
-        state["calls"] += state["probing"]
-        return gvalues(*args)
-
-    def probing(*args):
-        state["probing"] = True
-        try:
-            return probe_dips(*args)
-        finally:
-            state["probing"] = False
-
-    monkeypatch.setattr(gfunction, "_gvalues", counted)
-    monkeypatch.setattr(gfunction, "_probe_dips", probing)
+    # which took 18 probe passes. Every pass that probes a dip narrows the
+    # open triples once, in one _probe_dips call.
+    probe_dips, passes = gfunction._probe_dips, []
+    monkeypatch.setattr(gfunction, "_probe_dips",
+                        lambda *a: passes.append(1) or probe_dips(*a))
     res = find_roots(ratio2, Parity.MINUS, -1.0, 2.5, verify=False)
     assert len(res) == 6
-    assert 0 < state["calls"] <= 10
+    assert 0 < len(passes) <= 10
