@@ -18,12 +18,12 @@ from .model import (
     SpectrumRecord,
     SpectrumResult,
     SupportOverflow,
-    baselines,
     load_params,
 )
 from .series import (
     ExpansionBlock,
     SeriesPoint,
+    baselines,
     convergence_radius,
     evaluate,
     free_slots,

@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,38 +27,6 @@ from .model import (
 )
 
 WORKERS_ENV = "TQRABI_WORKERS"
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid over the total coupling g = g1 + g2 at a fixed g1:g2 ratio.
-
-    The fixed template provides every other parameter; each sweep point
-    rescales the couplings with the template ratio preserved.
-    """
-
-    fixed: ModelParams
-    g_start: float
-    g_stop: float
-    points: int
-    levels: int = 8
-    solver: str = "oracle"
-    parity: str = "both"
-    e_min: float = -1.0
-    e_max: float = 3.0
-    step: float = gfunction.DEFAULT_GRID_STEP
-    truncation: int = 160
-
-    def __post_init__(self) -> None:
-        if self.points < 0:
-            raise ConfigError("sweep needs a non-negative point count")
-        if self.step <= 0:
-            raise ConfigError("sweep grid step must be positive")
-        if self.fixed.g <= 0:
-            raise ConfigError("sweep template must have g1 + g2 > 0 to fix the ratio")
-
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.g_start, self.g_stop, self.points)
 
 
 def _parities(choice: str) -> tuple[Parity, ...]:
@@ -112,29 +78,30 @@ def cmd_trace(args: argparse.Namespace, params: ModelParams) -> int:
 
 
 def _sweep_point(task) -> list[tuple[str, ...]]:
-    spec, g = task
-    point = spec.fixed.with_g(g)
+    """Rows of one sweep point; task is (args, template, g), g the total coupling."""
+    args, params, g = task
+    point = params.with_g(g)
     rows: list[tuple[str, ...]] = []
-    parities = _parities(spec.parity)
-    if spec.solver in ("gfunction", "both"):
+    parities = _parities(args.parity)
+    if args.solver in ("gfunction", "both"):
         try:
-            levels = (oracle.window(point, spec.truncation, spec.e_max, parities)
-                      if spec.solver == "both" else None)
-            for res in gfunction._find_roots(point, parities, spec.e_min, spec.e_max,
-                                             spec.step, levels=levels):
+            levels = (oracle.window(point, args.truncation, args.emax, parities)
+                      if args.solver == "both" else None)
+            for res in gfunction._find_roots(point, parities, args.emin, args.emax,
+                                             args.step, levels=levels):
                 rows.extend((fmt(g), fmt(r.energy), str(r.parity.sign),
                              "gfunction", fmt(r.residual), "ok")
                             for r in res)
         except SolverError as exc:
             rows.extend((fmt(g), "", str(parity.sign), "gfunction", "",
                          type(exc).__name__) for parity in parities)
-    if spec.solver in ("oracle", "both"):
+    if args.solver in ("oracle", "both"):
         try:
-            res = oracle.diagonalize(point, spec.truncation, spec.levels)
+            res = oracle.diagonalize(point, args.truncation, args.levels)
             rows.extend((fmt(g), fmt(r.energy), str(r.parity.sign), "oracle",
                          fmt(r.residual), "ok")
                         for r in res
-                        if spec.e_min <= r.energy <= spec.e_max
+                        if args.emin <= r.energy <= args.emax
                         and r.parity in parities)
         except SolverError as exc:
             rows.append((fmt(g), "", "", "oracle", "", type(exc).__name__))
@@ -144,7 +111,7 @@ def _sweep_point(task) -> list[tuple[str, ...]]:
                 rows.extend((fmt(g), fmt(energy), str(parity.sign), "exceptional",
                              fmt(abs(cond)), "ok")
                             for _, energy, cond in exceptional.levels(
-                                point, parity, spec.e_min, spec.e_max))
+                                point, parity, args.emin, args.emax))
             except SolverError as exc:
                 rows.append((fmt(g), "", str(parity.sign), "exceptional", "",
                              type(exc).__name__))
@@ -152,13 +119,19 @@ def _sweep_point(task) -> list[tuple[str, ...]]:
 
 
 def cmd_sweep(args: argparse.Namespace, params: ModelParams) -> int:
-    spec = SweepSpec(params, args.gmin, args.gmax, args.points,
-                     levels=args.levels, solver=args.solver, parity=args.parity,
-                     e_min=args.emin, e_max=args.emax, step=args.step,
-                     truncation=args.truncation)
-    tasks = [(spec, float(g)) for g in spec.grid()]
-    workers = int(os.environ.get(WORKERS_ENV, os.cpu_count() or 1))
-    if workers > 1 and len(tasks) > 1:
+    if args.points < 0:
+        raise ConfigError("sweep needs a non-negative point count")
+    if args.step <= 0:
+        raise ConfigError("sweep grid step must be positive")
+    if params.g <= 0:
+        raise ConfigError("sweep template must have g1 + g2 > 0 to fix the ratio")
+    tasks = [(args, params, float(g))
+             for g in np.linspace(args.gmin, args.gmax, args.points)]
+    # A fork pool starts all of its workers at once: no more than there are points.
+    workers = min(int(os.environ.get(WORKERS_ENV, os.cpu_count() or 1)), len(tasks))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:

@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import oracle
+from . import oracle, series
 from .model import (
     ConditionNotMet,
     DegenerateDenominator,
@@ -320,17 +320,14 @@ def levels(params: ModelParams, parity: Parity, e_min: float,
     """Cutoff states of one parity with energies in [e_min, e_max].
 
     Returns (N, E, f(-1, N)) for every index N whose condition vanishes
-    (within 1e-10). The baseline energy is N omega shifted by at most
-    |jx| + |jy| + |jz|, which bounds N in units of omega; indices whose
-    condition is undefined (a vanishing denominator) are skipped. Only
-    defined for g1 = g2 > 0.
+    (within 1e-10). The indices are those of the center-0 divisors
+    (series._slaving); indices whose condition is undefined (a vanishing
+    denominator) are skipped. Only defined for g1 = g2 > 0.
     """
     sp = _equal_couplings(params, "cutoff states")
-    shift = abs(sp.jx) + abs(sp.jy) + abs(sp.jz)
-    n_lo = max(0, math.floor(e_min / params.omega - shift))
-    n_hi = math.ceil(e_max / params.omega + shift)
+    origin = series._centers(sp)[-1]
     out = []
-    for n in range(n_lo, n_hi + 1):
+    for n, _, _ in series._slaving(sp, parity.sign, origin, e_max / params.omega)[2]:
         energy = exceptional_energy(params, parity, n)
         if not e_min <= energy <= e_max:
             continue

@@ -9,11 +9,13 @@ baseline poles cancelled by a factor of E, it is G(E), finite and continuous
 through every baseline. The model fixes the matching chain: centers g, g'
 and 0 joined at two points (an 8x8 system) when g' > 0, and g and 0 joined
 at one point (4x4) when g' = 0, where center g' drops out. One function,
-_chain, lists the conditions, and the column order is read off them. Each
-energy's series are summed only as far as its own tail test needs, up to
-the hard cap, so G(E) is a function of E alone.
-Only the expansion around 0 depends on the parity; the sums around g and g'
-serve both parities from one pass, mirrored by D = diag(1, 1, -1, -1).
+_chain, pairs the matching points with the center records of
+series._centers; the column order, the parity mirror and the pole factor
+read those records. Each energy's series are summed only as far as its own
+tail test needs, up to the hard cap, so G(E) is a function of E alone.
+Only the expansion around 0 depends on the parity; the sums around every
+other center serve both parities from one pass, mirrored by
+D = diag(1, 1, -1, -1).
 """
 
 from __future__ import annotations
@@ -35,12 +37,10 @@ from .model import (
     SchemeMismatch,
     SpectrumRecord,
     SpectrumResult,
-    baselines,
     fmt,
     write_csv,
 )
-from .series import (_CENTER_G, _CENTER_GPRIME, _CENTER_ZERO, _center, _radius, _slots,
-                     _tables)
+from .series import _Center, _centers, _tables, baselines
 
 __all__ = [
     "MatchingScheme",
@@ -83,18 +83,18 @@ class MatchingScheme:
     z0prime: Optional[float] = None
 
 
-def _chain(sp: ModelParams, scheme: MatchingScheme) -> list[tuple[float, str, str]]:
-    """Matching conditions (point, + center, - center) along g -> g' -> 0.
+def _chain(sp: ModelParams, scheme: MatchingScheme,
+           ) -> list[tuple[float, _Center, _Center]]:
+    """Matching conditions (point, + center, - center) along series._centers.
 
     Center g' takes part exactly when g' > 0; the centers' column order is
     that of their first appearance, g, g', 0.
     """
     if (scheme.z0prime is None) != (sp.gprime == 0):
         raise SchemeMismatch(f"z0prime is given exactly when g' > 0 (g' = {sp.gprime})")
-    if sp.gprime == 0:
-        return [(scheme.z0, _CENTER_G, _CENTER_ZERO)]
-    return [(scheme.z0, _CENTER_G, _CENTER_GPRIME),
-            (scheme.z0prime, _CENTER_GPRIME, _CENTER_ZERO)]
+    points = [scheme.z0] if sp.gprime == 0 else [scheme.z0, scheme.z0prime]
+    cs = _centers(sp)
+    return list(zip(points, cs, cs[1:]))
 
 
 def default_scheme(params: ModelParams) -> MatchingScheme:
@@ -107,20 +107,19 @@ def default_scheme(params: ModelParams) -> MatchingScheme:
     g, gp = sp.g, sp.gprime
     if gp == 0:
         return MatchingScheme(g / 2)
-    r2 = _radius(sp, _CENTER_GPRIME)
-    r4 = _radius(sp, _CENTER_G)
+    r4, r2 = (c.radius for c in _centers(sp)[:2])
     return MatchingScheme((gp * r4 + g * r2) / (r2 + r4), gp * gp / g)
 
 
 def _validate_scheme(sp: ModelParams, scheme: MatchingScheme) -> None:
-    for z, *tags in _chain(sp, scheme):
-        for tag in tags:
-            if abs(z - _center(sp, tag)) >= _radius(sp, tag):
+    for z, *cs in _chain(sp, scheme):
+        for c in cs:
+            if abs(z - c.position) >= c.radius:
                 raise OutsideDisk(
-                    f"matching point {z} outside the disk around {_center(sp, tag)}")
+                    f"matching point {z} outside the disk around {c.position}")
 
 
-def _block_eval(sp: ModelParams, sign: int, energies: np.ndarray, tag: str,
+def _block_eval(sp: ModelParams, sign: int, energies: np.ndarray, c: _Center,
                 zpoints: Sequence[float],
                 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Basis-column values at zpoints: list over z of (4, ncols, nE) arrays.
@@ -128,13 +127,11 @@ def _block_eval(sp: ModelParams, sign: int, energies: np.ndarray, tag: str,
     The recurrence runs once, up to the hard cap at most, and is summed at all
     points in the same pass.
     """
-    center = _center(sp, tag)
-    inits = np.eye(4)[:, list(_slots(tag, sp.gprime))]
-    rows, pole_ok = _tables(sp, sign, energies, tag, center, inits,
-                            series.HARD_CAP)
-    ts = np.array([(z - center) / _radius(sp, tag) for z in zpoints])
+    inits = np.eye(4)[:, list(c.slots)]
+    rows, pole_ok = _tables(sp, sign, energies, c, inits, series.HARD_CAP)
+    ts = np.array([(z - c.position) / c.radius for z in zpoints])
     sums, conv = series._kahan_eval(rows, ts)
-    return ([v * math.exp(center * z) for v, z in zip(sums, zpoints)],
+    return ([v * math.exp(c.position * z) for v, z in zip(sums, zpoints)],
             pole_ok, conv)
 
 
@@ -164,29 +161,29 @@ def _gvalues_once(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
                   scheme: MatchingScheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_gvalues on one block: every center, then per sign the matrix and det.
 
-    signs has one row per result and a column per energy. Centers g and g'
-    are summed once, at sign +1, and mirrored by D for -1 (see series);
+    signs has one row per result and a column per energy. Every center but
+    0 is summed once, at sign +1, and mirrored by D for -1 (see series);
     center 0 carries the parity and is summed once per sign, at the energies
     that take it.
     """
     conds = _chain(sp, scheme)
+    *mirrored, origin = dict.fromkeys(c for _, *cs in conds for c in cs)
     cols, start = {}, 0
     mirror, rows_d = np.ones((4 * len(conds),) * 2), np.tile(_PARITY_D, len(conds))
-    for tag in dict.fromkeys(t for _, *tags in conds for t in tags):
-        slots = _slots(tag, sp.gprime)
-        cols[tag] = slice(start, start + len(slots))
-        if tag != _CENTER_ZERO:  # sign -1 takes D[row] * D[slot] times the +1 sums
-            mirror[:, cols[tag]] = np.outer(rows_d, _PARITY_D[list(slots)])
-        start += len(slots)
+    for c in (*mirrored, origin):
+        cols[c] = slice(start, start + len(c.slots))
+        if c is not origin:  # sign -1 takes D[row] * D[slot] times the +1 sums
+            mirror[:, cols[c]] = np.outer(rows_d, _PARITY_D[list(c.slots)])
+        start += len(c.slots)
 
-    def center(tag, sign, es):
+    def center(c, sign, es):
         # Each center is evaluated once, at all of its points; values are
         # keyed by (center, condition index) as (nE, 4, ncols) arrays.
-        ks = [k for k, cond in enumerate(conds) if tag in cond[1:]]
-        vals, ok, cv = _block_eval(sp, sign, es, tag, [conds[k][0] for k in ks])
-        return {(tag, k): np.moveaxis(v, -1, 0) for k, v in zip(ks, vals)}, ok, ok & cv
+        ks = [k for k, cond in enumerate(conds) if c in cond[1:]]
+        vals, ok, cv = _block_eval(sp, sign, es, c, [conds[k][0] for k in ks])
+        return {(c, k): np.moveaxis(v, -1, 0) for k, v in zip(ks, vals)}, ok, ok & cv
 
-    shared = [center(tag, 1, energies) for tag in cols if tag != _CENTER_ZERO]
+    shared = [center(c, 1, energies) for c in mirrored]
     vals = np.empty(signs.shape)
     pole_ok, good = np.empty((2,) + signs.shape, dtype=bool)
     for sign in (1, -1):
@@ -194,7 +191,7 @@ def _gvalues_once(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
         if not on.any():
             continue
         es = energies[on]
-        at, ok, gd = center(_CENTER_ZERO, sign, es)
+        at, ok, gd = center(origin, sign, es)
         for part, p_ok, p_gd in shared:
             at = at | {key: v[on] for key, v in part.items()}
             ok, gd = ok & p_ok[on], gd & p_gd[on]
@@ -216,13 +213,13 @@ def _gvalues_once(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
     return vals, pole_ok, good
 
 
-def _poles(sp: ModelParams, sign: int, tags: Sequence[str],
+def _poles(sp: ModelParams, sign: int, centers: Sequence[_Center],
            e_max: float) -> list[tuple[float, int]]:
     """(baseline, k) of the centers' divisors to past e_max + 1; G has no value there."""
-    return [(b, k) for tag in tags for _, b, k in series._slaving(sp, sign, tag, e_max)[3]]
+    return [(b, k) for c in centers for _, b, k in series._slaving(sp, sign, c, e_max)[2]]
 
 
-def _pole_factor(sp: ModelParams, sign: int, tags: Sequence[str],
+def _pole_factor(sp: ModelParams, sign: int, centers: Sequence[_Center],
                  energies: np.ndarray) -> np.ndarray:
     """Factor that cancels the baseline poles of the column-scaled determinant.
 
@@ -232,7 +229,7 @@ def _pole_factor(sp: ModelParams, sign: int, tags: Sequence[str],
     d^2)^2, smooth into 1 at the next pole of its family, |d| = 1. The poles
     act in a fixed order, so the factor is a function of E alone.
     """
-    poles = [(b, k) for b, k in _poles(sp, sign, tags, energies.max()) if k]
+    poles = [(b, k) for b, k in _poles(sp, sign, centers, energies.max()) if k]
     b, k = np.array(poles).reshape(-1, 2).T
     d = energies[:, None] - b
     with np.errstate(divide="ignore"):  # d = 0 only on a pole, where G is NaN
@@ -485,8 +482,7 @@ def _find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
         i, j = (np.append(np.flatnonzero(s == 0), np.flatnonzero(s[:-1] * s[1:] < 0) + d)
                 for d in (0, 1))
         brackets.append((np.full(i.size, sign), x[i], x[j], gs[i], gs[j]))
-    tags = dict.fromkeys(t for _, *ts in _chain(sp, scheme) for t in ts)
-    poles = {s: [b for b, _ in _poles(sp, s, tags, hi_w)] for s in signs}
+    poles = {s: [b for b, _ in _poles(sp, s, _centers(sp), hi_w)] for s in signs}
     found, tangents = _refine_brackets(
         sp, scheme, poles, *(tuple(np.concatenate(c) for c in zip(*parts))
                              for parts in (brackets, dips)), ROOT_TOL)

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import enum
+import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -14,7 +15,6 @@ __all__ = [
     "Baseline",
     "SpectrumRecord",
     "SpectrumResult",
-    "baselines",
     "load_params",
     "QUBIT_PAIRS",
     "SolverError",
@@ -33,8 +33,6 @@ __all__ = [
 
 # Qubit-pair basis order used everywhere (photon number is the major index).
 QUBIT_PAIRS = ("ee", "eg", "ge", "gg")
-
-BASELINE_DEDUP_TOL = 1e-12
 
 
 class SolverError(Exception):
@@ -127,6 +125,9 @@ class ModelParams:
     jz: float = 0.0
 
     def __post_init__(self) -> None:
+        bad = [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ValueError(f"parameters must be finite: {', '.join(bad)}")
         if not self.omega > 0:
             raise ValueError("omega must be positive")
         if self.g1 < 0 or self.g2 < 0:
@@ -187,35 +188,6 @@ class Baseline:
     kind: str
     index: int
     energy: float
-
-
-def baselines(params: ModelParams, e_min: float, e_max: float) -> list[Baseline]:
-    """Enumerate baseline energies inside [e_min, e_max], sorted ascending.
-
-    They are the divisor energies of the series recurrences of both parity
-    signs (series._slaving), deduplicated (within 1e-12) inside each kind with
-    the lowest index kept; coincidences across kinds are distinct families.
-    """
-    from .series import _CENTER_G, _CENTER_GPRIME, _CENTER_ZERO, _slaving  # import cycle
-
-    if not e_min < e_max:
-        raise ValueError("baselines needs e_min < e_max")
-    sp = params.scaled()
-    w = params.omega
-    lo, hi = e_min / w, e_max / w
-    center0 = "second" if sp.jy + sp.jz == 0.0 else "exchange"
-    kinds = ({_CENTER_G: "first", _CENTER_GPRIME: "second"} if sp.gprime != 0.0
-             else {_CENTER_G: "first", _CENTER_ZERO: center0})
-    out: list[Baseline] = []
-    for tag, kind in kinds.items():
-        found = sorted((n, e) for s in (1, -1) for n, e, _ in _slaving(sp, s, tag, hi)[3]
-                       if lo - 1e-12 <= e <= hi + 1e-12)
-        for n, e in found:
-            if not any(b.kind == kind and abs(b.energy - e * w) < BASELINE_DEDUP_TOL * w
-                       for b in out):
-                out.append(Baseline(kind, n, e * w))
-    out.sort(key=lambda b: (b.energy, b.kind, b.index))
-    return out
 
 
 def fmt(x: float) -> str:

@@ -7,6 +7,11 @@ and is slaved to the others through a division by (E - n + g^2 - Jx); around
 alpha = g' the fourth component divides by (E - n + g'^2 + Jx); around
 alpha = 0 the reflection z -> -z ties components 3, 4 to 1, 2. Those divisors
 are exactly the baseline energies where the matching determinant has poles.
+Each center is one _Center record (position, radius, free slots, slaved
+component, baseline kind), and _centers lists them in chain order. The
+recurrence, gfunction's matching chain and pole factor, baselines() and the
+cutoff-state indices of exceptional.levels all read those records, and every
+divisor comes from _slaving.
 
 Coefficients are kept in radius units: coeffs[n] = c_n * R^n, so the series
 reads sum_n coeffs[n] * t^n with t = (z - alpha)/R, |t| < 1. This keeps them
@@ -36,10 +41,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .model import (
+    Baseline,
     ModelParams,
     NoConvergence,
     OutsideDisk,
@@ -52,6 +59,7 @@ from .model import (
 __all__ = [
     "ExpansionBlock",
     "SeriesPoint",
+    "baselines",
     "recur",
     "evaluate",
     "sample",
@@ -66,87 +74,112 @@ POLE_EPS = 1e-12        # |divisor| below this means E sits on a baseline
 TAIL_RTOL = 1e-14       # relative size of the last term accepted as converged
 DEFAULT_N_MAX = 160
 HARD_CAP = 512
-
-_CENTER_ZERO = "zero"
-_CENTER_GPRIME = "gprime"
-_CENTER_G = "g"
+BASELINE_DEDUP_TOL = 1e-12
 
 
-def _center(sp: ModelParams, tag: str) -> float:
-    return {_CENTER_ZERO: 0.0, _CENTER_GPRIME: sp.gprime, _CENTER_G: sp.g}[tag]
+@dataclass(frozen=True)
+class _Center:
+    """One series center of the matching chain, in omega = 1 units.
+
+    radius is the distance to the nearest singular point; slots are the
+    zero-based components whose leading coefficients are free; slave is the
+    component divided by a vanishing divisor (None: nothing is slaved), and
+    kind names the Baseline family of those divisors.
+    """
+
+    position: float
+    radius: float
+    slots: tuple[int, ...]
+    slave: Optional[int]
+    kind: Optional[str]
 
 
-def _center_tag(sp: ModelParams, center: float) -> tuple[str, float]:
-    for tag in (_CENTER_ZERO, _CENTER_GPRIME, _CENTER_G):
-        if abs(center - _center(sp, tag)) <= 1e-12 * max(1.0, sp.g):
-            return tag, _center(sp, tag)
+def _centers(sp: ModelParams) -> tuple[_Center, ...]:
+    """The centers in chain order: g, then g' when g' != 0, then 0."""
+    g, gp = sp.g, abs(sp.gprime)
+    if gp == 0:
+        kind = "second" if sp.jy + sp.jz == 0.0 else "exchange"
+        return (_Center(g, g, (0, 1, 3), 2, "first"), _Center(0.0, g, (0,), 1, kind))
+    return (_Center(g, g - gp, (0, 1, 3), 2, "first"),
+            _Center(sp.gprime, min(2 * gp, g - gp), (0, 1, 2), 3, "second"),
+            _Center(0.0, gp, (0, 1), None, None))
+
+
+def _center_at(params: ModelParams, center: float) -> tuple[ModelParams, _Center]:
+    """params in omega = 1 units and the record of the center at that position."""
+    sp = params.scaled()
+    for c in reversed(_centers(sp)):
+        if abs(center - c.position) <= 1e-12 * max(1.0, sp.g):
+            return sp, c
     raise ValueError(f"center must be one of 0, g'={sp.gprime}, g={sp.g}; got {center}")
-
-
-def _radius(sp: ModelParams, tag: str) -> float:
-    gp = abs(sp.gprime)
-    if tag == _CENTER_ZERO:
-        return gp if gp > 0 else sp.g
-    if tag == _CENTER_GPRIME:
-        return min(2 * gp, sp.g - gp)
-    return sp.g - gp if gp > 0 else sp.g
 
 
 def convergence_radius(params: ModelParams, center: float) -> float:
     """Distance from a series center to the nearest singular point (omega = 1 units)."""
-    sp = params.scaled()
-    tag, _ = _center_tag(sp, center)
-    return _radius(sp, tag)
-
-
-def _slots(tag: str, gp: float) -> tuple[int, ...]:
-    """Zero-based components whose leading coefficients are free around a center."""
-    if tag == _CENTER_ZERO:
-        return (0,) if gp == 0 else (0, 1)
-    if tag == _CENTER_GPRIME:
-        return (0, 1, 2)
-    return (0, 1, 3)
+    return _center_at(params, center)[1].radius
 
 
 def free_slots(params: ModelParams, center: float) -> tuple[int, ...]:
     """Zero-based component indices whose leading coefficients are free at this center."""
-    sp = params.scaled()
-    tag, _ = _center_tag(sp, center)
-    return _slots(tag, sp.gprime)
+    return _center_at(params, center)[1].slots
 
 
-def _slaving(sp: ModelParams, sign: int, tag: str, e_max: float):
-    """(slave, shift, weights, divisors) of a center; slave is None at 0 if g' > 0.
+def _slaving(sp: ModelParams, sign: int, c: _Center, e_max: float):
+    """(shift, weights, divisors) of a center; weights is None if nothing is slaved.
 
-    Order n of component slave is weights[n % 2] @ cur / (E - c^2 + shift[n % 2]
-    - n) at center c. divisors lists (n, baseline, k) by n to past e_max + 1; k,
-    the columns that carry the pole, is the slots with a nonzero weight at
+    Order n of component c.slave is weights[n % 2] @ cur / (E - c^2 +
+    shift[n % 2] - n). divisors lists (n, baseline, k) by n to past e_max + 1;
+    k, the columns that carry the pole, is the slots with a nonzero weight at
     n = 0 and all of them above once a weight is nonzero (0: no pole). It is
     structural: a cutoff state, whose numerator vanishes there, keeps it.
     """
     g, gp, s = sp.g, sp.gprime, float(sign)
     d1, d2, jx, jy, jz = sp.delta1, sp.delta2, sp.jx, sp.jy, sp.jz
     a, b = s * (jz - jy), s * (jy + jz)
-    if tag == _CENTER_G:
-        slave, shift, weights = 2, (2 * g * g - jx,) * 2, [(a, s * d1, 0, d2)] * 2
-    elif tag == _CENTER_GPRIME:
-        slave, shift, weights = 3, (2 * gp * gp + jx,) * 2, [(s * d1, b, d2, 0)] * 2
-    elif gp == 0:  # center zero with identical couplings
-        slave, shift = 1, (jx - b, jx + b)
+    if c.slave == 2:
+        shift, weights = (2 * g * g - jx,) * 2, [(a, s * d1, 0, d2)] * 2
+    elif c.slave == 3:
+        shift, weights = (2 * gp * gp + jx,) * 2, [(s * d1, b, d2, 0)] * 2
+    elif c.slave == 1:  # center zero with identical couplings
+        shift = (jx - b, jx + b)
         weights = [(d2 + s * d1, 0, 0, 0), (d2 - s * d1, 0, 0, 0)]
     else:
-        return None, (), None, []
+        return (), None, []
     weights = np.array(weights, dtype=float)
-    c2, slots = _center(sp, tag) ** 2, list(_slots(tag, gp))
+    c2, slots = c.position ** 2, list(c.slots)
     divisors = []
     for n in range(max(0, math.floor(e_max + 1.0 - c2 + max(shift)) + 1)):
         k = (len(slots) * bool(weights[n % 2].any()) if n
              else int(np.count_nonzero(weights[0, slots])))
         divisors.append((n, n + c2 - shift[n % 2], k))
-    return slave, shift, weights, divisors
+    return shift, weights, divisors
 
 
-def _tables(sp: ModelParams, sign: int, energies: np.ndarray, tag: str, center: float,
+def baselines(params: ModelParams, e_min: float, e_max: float) -> list[Baseline]:
+    """Enumerate baseline energies inside [e_min, e_max], sorted ascending.
+
+    They are the divisor energies of the series recurrences of both parity
+    signs (_slaving), deduplicated (within 1e-12) inside each kind with the
+    lowest index kept; coincidences across kinds are distinct families.
+    """
+    if not e_min < e_max:
+        raise ValueError("baselines needs e_min < e_max")
+    sp = params.scaled()
+    w = params.omega
+    lo, hi = e_min / w, e_max / w
+    out: list[Baseline] = []
+    for c in _centers(sp):
+        found = sorted((n, e) for s in (1, -1) for n, e, _ in _slaving(sp, s, c, hi)[2]
+                       if lo - 1e-12 <= e <= hi + 1e-12)
+        for n, e in found:
+            if not any(b.kind == c.kind and abs(b.energy - e * w) < BASELINE_DEDUP_TOL * w
+                       for b in out):
+                out.append(Baseline(c.kind, n, e * w))
+    out.sort(key=lambda b: (b.energy, b.kind, b.index))
+    return out
+
+
+def _tables(sp: ModelParams, sign: int, energies: np.ndarray, center: _Center,
             inits: np.ndarray, n_max: int):
     """Scaled coefficients u[n], shape (4, ncols, nE), one order at a time to n_max.
 
@@ -156,9 +189,9 @@ def _tables(sp: ModelParams, sign: int, energies: np.ndarray, tag: str, center: 
     the next one is requested, so a caller that keeps rows must copy them.
     inits has shape (4, ncols); entries on non-free slots are ignored.
     """
-    g, gp, s, c = sp.g, sp.gprime, float(sign), center
+    g, gp, s, c = sp.g, sp.gprime, float(sign), center.position
     d1, d2, jx, jy, jz = sp.delta1, sp.delta2, sp.jx, sp.jy, sp.jz
-    radius = _radius(sp, tag)
+    radius, slave = center.radius, center.slave
     ok = np.ones(energies.size, dtype=bool)
 
     # Cross couplings: order n + 1 of component j takes sum_k mix[k, j] cur[k]
@@ -168,8 +201,8 @@ def _tables(sp: ModelParams, sign: int, energies: np.ndarray, tag: str, center: 
     mix = -np.array([[0, d2, a, s * d1], [d2, 0, s * d1, b],
                      [a, s * d1, 0, d2], [s * d1, b, d2, 0]])
     # Reflection at the origin ties components 3, 4 to 1, 2; all four recur.
-    tied = tag == _CENTER_ZERO and gp != 0
-    active = np.array([tied or j in _slots(tag, gp) for j in range(4)])
+    tied = c == 0.0 and slave is None
+    active = np.array([tied or j in center.slots for j in range(4)])
     pref = np.array([c + g, c + gp, c - g, c - gp])
     rp = np.where(active, radius / np.where(active, pref, 1.0), 0.0)[:, None, None]
     aoff = np.array([-2 * c * g - jx, -2 * c * gp + jx, 2 * c * g - jx, 2 * c * gp + jx])
@@ -177,7 +210,7 @@ def _tables(sp: ModelParams, sign: int, energies: np.ndarray, tag: str, center: 
     diag = (base + aoff[:, None])[:, None, :]
     # A lone column (center 0, g' = 0) has one nonzero weight, so no sum order
     # to keep in the slaved component's contraction.
-    slave, shift, weights, divisors = _slaving(sp, sign, tag, energies.max())
+    shift, weights, divisors = _slaving(sp, sign, center, energies.max())
     poles = {n for n, _, _ in divisors}  # the orders whose divisor can vanish
     if slave is not None:
         dbase = base + np.array(shift)[:, None]
@@ -295,18 +328,15 @@ def recur(params: ModelParams, parity: Parity, energy: float, center: float,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    sp = params.scaled()
-    tag, cval = _center_tag(sp, center)
-    iv = np.where(np.isin(range(4), _slots(tag, sp.gprime)), init, 0.0)[:, None]
-    rows, ok = _tables(sp, parity.sign, np.array([energy], dtype=float), tag, cval,
-                       iv, n_max)
+    sp, c = _center_at(params, center)
+    iv = np.where(np.isin(range(4), c.slots), init, 0.0)[:, None]
+    rows, ok = _tables(sp, parity.sign, np.array([energy], dtype=float), c, iv, n_max)
     coeffs = np.stack([row[:, 0, 0].copy() for row in rows])
     if not ok[0]:
         raise PoleAtBaseline(
             f"energy {energy} sits on a baseline of the center-{center} recurrence")
-    return ExpansionBlock(cval, parity, coeffs, n_max,
-                          _radius(sp, tag), sp, float(energy),
-                          tuple(float(x) for x in init))
+    return ExpansionBlock(c.position, parity, coeffs, n_max, c.radius, sp,
+                          float(energy), tuple(float(x) for x in init))
 
 
 def evaluate(block: ExpansionBlock, z: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -8,9 +9,8 @@ import pytest
 import scipy.linalg
 
 import tqrabi
-from tqrabi import ModelParams, gfunction, oracle
-from tqrabi.cli import SweepSpec, main
-from tqrabi.model import ConfigError
+from tqrabi import gfunction, oracle
+from tqrabi.cli import main
 
 
 ASYM_CFG = """\
@@ -231,17 +231,75 @@ def test_verify_passes(asym_cfg, capsys):
     assert "FAIL" not in out and "PASS" in out
 
 
-def test_sweep_spec_validation():
-    tpl = ModelParams(1.0, 0.6, 0.2, 0.4, 0.1)
-    spec = SweepSpec(tpl, 0.2, 1.0, 5)
-    grid = spec.grid()
+def test_sweep_spec_validation(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TQRABI_WORKERS", "1")
+    cfg = tmp_path / "tpl.cfg"
+    cfg.write_text(ASYM_CFG.replace("0.24", "0.4").replace("0.06", "0.1"))
+    out = tmp_path / "grid.csv"
+    sweep = ["sweep", "--config", str(cfg), "--gmin", "0.2", "--gmax", "1.0",
+             "--emin", "-5", "--levels", "1", "--truncation", "40", "--out", str(out)]
+    assert main(sweep + ["--points", "5"]) == 0
+    grid = sorted({float(g) for g in rows(out, "g")})
     assert len(grid) == 5 and grid[0] == 0.2 and grid[-1] == 1.0
-    with pytest.raises(ConfigError):
-        SweepSpec(tpl, 0.2, 1.0, -1)
-    with pytest.raises(ConfigError):
-        SweepSpec(tpl, 0.2, 1.0, 5, step=0.0)
-    with pytest.raises(ConfigError):
-        SweepSpec(ModelParams(1.0, 0.6, 0.2, 0.0, 0.0), 0.2, 1.0, 5)
+    for extra, message in ((["--points", "-1"], "non-negative point count"),
+                           (["--points", "5", "--step", "0"], "step must be positive")):
+        assert main(sweep + extra) == 2
+        assert message in capsys.readouterr().err
+    cfg.write_text(ASYM_CFG.replace("0.24", "0").replace("0.06", "0"))
+    assert main(sweep + ["--points", "5"]) == 2
+    assert "g1 + g2 > 0" in capsys.readouterr().err
+
+
+def test_sweep_forks_no_more_workers_than_points(tmp_path, flat_cfg, monkeypatch):
+    # A fork pool starts all max_workers at its first submit. The stand-in
+    # records the size and runs the points here, so no process starts.
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(tqrabi.cli, "ProcessPoolExecutor", Pool, raising=False)
+    monkeypatch.setenv("TQRABI_WORKERS", "4")
+    assert main(["sweep", "--config", flat_cfg, "--gmin", "0.5", "--gmax", "1.0",
+                 "--points", "2", "--truncation", "40",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert sizes == [2]
+    assert len({g for g in rows(tmp_path / "s.csv", "g")}) == 2
+
+
+def test_sweep_worker_pool_keeps_bytes(tmp_path, asym_cfg, monkeypatch):
+    # Points computed in a pool of two processes give the bytes of one process.
+    outs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TQRABI_WORKERS", workers)
+        outs.append(tmp_path / f"w{workers}.csv")
+        assert main(["sweep", "--config", asym_cfg, "--solver", "both",
+                     "--gmin", "0.2", "--gmax", "0.6", "--points", "3",
+                     "--emax", "1.5", "--truncation", "120",
+                     "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert {r["method"] for r in rows(outs[0])} == {"gfunction", "oracle"}
+
+
+def test_trace_rejects_non_finite_parameters(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(ASYM_CFG.replace("delta1 = 0.6", "delta1 = nan"))
+    out = tmp_path / "t.csv"
+    assert main(["trace", "--config", str(cfg), "--emin", "-1", "--emax", "1",
+                 "--out", str(out)]) == 2
+    assert "finite: delta1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_counts_levels_beside_baselines(tmp_path, capsys):

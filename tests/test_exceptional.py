@@ -10,6 +10,7 @@ from tqrabi import (
     Parity,
     RequiresEqualCouplings,
     RequiresValidCouplings,
+    baselines,
     build_state,
     closed_form_state,
     condition,
@@ -255,6 +256,19 @@ def test_energies_rescale_with_photon_frequency():
     ref = ModelParams(1.0, 0.6, 0.4, 0.5, 0.5, jx=0.2, jy=0.1, jz=0.3)
     assert condition(p.with_g(3.0), Parity.PLUS, 1) == pytest.approx(
         condition(ref, Parity.PLUS, 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("model", ["flat", "xyz_odd", "xyz_double", "dark_half"])
+def test_levels_sit_on_baselines(request, model):
+    # Cutoff states and baselines come from the same center-0 divisors, so
+    # every cutoff energy is a listed baseline, at any photon frequency.
+    p = (ModelParams(0.5, 0.25, 0.25, 0.3, 0.3) if model == "dark_half"
+         else request.getfixturevalue(model))
+    lines = np.array([b.energy for b in baselines(p, -1.0, 3.0)])
+    found = [e for parity in Parity for _, e, _ in exceptional.levels(p, parity, -1.0, 3.0)]
+    assert found
+    for e in found:
+        assert np.min(np.abs(lines - e)) <= 1e-12 * p.omega, e
 
 
 def test_scan_with_outer_axis():

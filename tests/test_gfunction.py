@@ -28,9 +28,8 @@ def ed_levels(params, parity, e_min, e_max, truncation=200):
 
 
 def chain_columns(sp, scheme):
-    """Free slots of each center of the matching chain, in column order."""
-    return {tag: series._slots(tag, sp.gprime)
-            for _, *tags in gfunction._chain(sp, scheme) for tag in tags}
+    """Free slots of each center record of the matching chain, in column order."""
+    return {c: c.slots for _, *cs in gfunction._chain(sp, scheme) for c in cs}
 
 
 def test_default_scheme_points(asym, ratio2, flat):
@@ -47,15 +46,23 @@ def test_default_scheme_points(asym, ratio2, flat):
 def test_matching_chain_columns(asym, ratio2, flat):
     # g -> g' -> 0 when g' > 0, g -> 0 when g' = 0; the columns follow the
     # centers in the order they first appear.
+    # Each record also names the slaved component and its baseline kind.
+    def positions(sp, s):
+        return [(z, a.position, b.position) for z, a, b in gfunction._chain(sp, s)]
+
+    def columns(sp, s):
+        return [(c.position, slots, c.slave, c.kind)
+                for c, slots in chain_columns(sp, s).items()]
+
     for p in (asym, ratio2):
         sp, s = gfunction._prepare(p, None)
-        assert gfunction._chain(sp, s) == [(s.z0, "g", "gprime"),
-                                           (s.z0prime, "gprime", "zero")]
-        assert list(chain_columns(sp, s).items()) == [
-            ("g", (0, 1, 3)), ("gprime", (0, 1, 2)), ("zero", (0, 1))]
+        assert positions(sp, s) == [(s.z0, sp.g, sp.gprime), (s.z0prime, sp.gprime, 0.0)]
+        assert columns(sp, s) == [(sp.g, (0, 1, 3), 2, "first"),
+                                  (sp.gprime, (0, 1, 2), 3, "second"),
+                                  (0.0, (0, 1), None, None)]
     sp, s = gfunction._prepare(flat, None)
-    assert gfunction._chain(sp, s) == [(s.z0, "g", "zero")]
-    assert list(chain_columns(sp, s).items()) == [("g", (0, 1, 3)), ("zero", (0,))]
+    assert positions(sp, s) == [(s.z0, sp.g, 0.0)]
+    assert columns(sp, s) == [(sp.g, (0, 1, 3), 2, "first"), (0.0, (0,), 1, "second")]
 
 
 def test_scheme_mismatch(ratio2, flat):
@@ -96,8 +103,8 @@ def test_pole_free_across_baselines(request, model, sign, b, k):
     # is finite, of one sign and nearly constant through the baseline.
     p = request.getfixturevalue(model)
     sp, scheme = gfunction._prepare(p, None)
-    ks = {round(e, 12): kk for tag in chain_columns(sp, scheme)
-          for _, e, kk in series._slaving(sp, sign, tag, 2.5)[3] if kk}
+    ks = {round(e, 12): kk for c in chain_columns(sp, scheme)
+          for _, e, kk in series._slaving(sp, sign, c, 2.5)[2] if kk}
     assert ks.get(round(b, 12), 0) == k
     d = np.array([-1e-5, -1e-7, -1e-9, 1e-9, 1e-7, 1e-5])
     vals, pole_ok, good = gfunction._gvalues(sp, sign, b + d, scheme)
@@ -235,16 +242,16 @@ def unshared_gvalues(sp, sign, energies, scheme):
         m = np.zeros((es.size, width, width))
         pole_ok, conv = np.ones((2, es.size), dtype=bool)
         start = 0
-        for tag, slots in columns.items():
-            ks = [k for k, cond in enumerate(conds) if tag in cond[1:]]
-            vals, ok, cv = gfunction._block_eval(sp, sign, es, tag,
+        for c, slots in columns.items():
+            ks = [k for k, cond in enumerate(conds) if c in cond[1:]]
+            vals, ok, cv = gfunction._block_eval(sp, sign, es, c,
                                                  [conds[k][0] for k in ks])
             pole_ok &= ok
             conv &= cv
             for k, v in zip(ks, vals):
                 v = np.moveaxis(v, -1, 0)
                 m[:, 4 * k:4 * k + 4, start:start + len(slots)] = (
-                    v if conds[k][1] == tag else -v)
+                    v if conds[k][1] == c else -v)
             start += len(slots)
         norm = np.maximum(np.hypot.reduce(m, axis=1, keepdims=True), 1e-300)
         with np.errstate(invalid="ignore"):
@@ -487,8 +494,7 @@ def test_cutoff_state_settles_in_one_pass(flat, monkeypatch):
     # beside the pole settle it in the bracket's first pass.
     (_, energy, _), = exceptional.levels(flat, Parity.PLUS, 0.9, 1.1)
     sp, scheme = gfunction._prepare(flat, None)
-    tags = [t for _, *ts in gfunction._chain(sp, scheme) for t in ts]
-    poles = [b for b, _ in gfunction._poles(sp, 1, tags, 2.0)]
+    poles = [b for b, _ in gfunction._poles(sp, 1, series._centers(sp), 2.0)]
     assert energy in poles
     g, _, _ = gfunction._gvalues(sp, 1, np.array([0.99, 1.01]), scheme)
     calls = []

@@ -137,6 +137,9 @@ jy = 0.1
     ("omega = 1\ndelta1 = 0.6\ndelta2 = 0.2\ng1 = 0.1\ng2 = 0.1\nzz = 3\n",
      "unknown key"),
     ("omega = 0\ndelta1 = 0.6\ndelta2 = 0.2\ng1 = 0.1\ng2 = 0.1\n", "omega"),
+    ("omega = 1\ndelta1 = nan\ndelta2 = 0.2\ng1 = 0.1\ng2 = 0.1\n", "finite: delta1"),
+    ("omega = inf\ndelta1 = 0.6\ndelta2 = 0.2\ng1 = 0.1\ng2 = 0.1\njz = -inf\n",
+     "finite: omega, jz"),
 ])
 def test_load_params_errors(tmp_path, body, fragment):
     cfg = tmp_path / "bad.cfg"

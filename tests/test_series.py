@@ -237,11 +237,11 @@ def test_evaluate_matches_determinant_columns(asym, ratio2, flat):
         scheme = gfunction.default_scheme(sp)
         conds = gfunction._chain(sp, scheme)
         for parity in Parity:
-            for tag in dict.fromkeys(t for _, *tags in conds for t in tags):
-                zs = [z for z, *tags in conds if tag in tags]
-                center = series._center(sp, tag)
+            for i, c in enumerate(dict.fromkeys(c for _, *cs in conds for c in cs)):
+                zs = [z for z, *cs in conds if c in cs]
+                center = c.position
                 vals, _, conv = gfunction._block_eval(sp, parity.sign,
-                                                      np.array([energy]), tag, zs)
+                                                      np.array([energy]), c, zs)
                 assert conv[0]
                 blocks = [recur(sp, parity, energy, center,
                                 tuple(float(k == j) for k in range(4)),
@@ -256,10 +256,11 @@ def test_evaluate_matches_determinant_columns(asym, ratio2, flat):
                     for col, block in enumerate(blocks):
                         assert evaluate(block, z) == pytest.approx(
                             v[:, col, 0], rel=1e-12, abs=1e-14 * np.max(np.abs(v)))
-                    walked.add((len(conds), tag, z))
-    assert {(n, tag) for n, tag, _ in walked} == {
-        (1, "g"), (1, "zero"), (2, "g"), (2, "gprime"), (2, "zero")}
-    assert (2, series._CENTER_ZERO, gfunction.default_scheme(ratio2).z0prime) in walked
+                    walked.add((len(conds), i, center, z))
+    # Chains of one condition (g, 0) and of two (g, g', 0), by place in the chain.
+    assert {(n, i) for n, i, _, _ in walked} == {(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)}
+    assert {center for n, i, center, _ in walked if i == n} == {0.0}
+    assert (2, 2, 0.0, gfunction.default_scheme(ratio2).z0prime) in walked
 
 
 @pytest.mark.parametrize("params", [
@@ -276,25 +277,24 @@ def test_parity_mirror_of_displaced_centers(params):
     # agree. Center 0 carries the parity and must not satisfy it.
     sp = params.scaled()
     d = np.array([1.0, 1.0, -1.0, -1.0])
-    tags = ["g", "zero"] + (["gprime"] if sp.gprime else [])
-    for tag in tags:
-        slots = list(series._slots(tag, sp.gprime))
+    centers = series._centers(sp)
+    assert [c.position for c in centers] == [sp.g] + ([sp.gprime] if sp.gprime else []) + [0.0]
+    for c in centers:
+        slots = list(c.slots)
         # Two ordinary energies and one on an order-2 baseline of center g
         # or g' (an ordinary one at center 0).
-        pole = {"g": 2 - sp.g ** 2 + sp.jx, "gprime": 2 - sp.gprime ** 2 - sp.jx,
-                "zero": 2.5}[tag]
+        pole = {2: 2 - sp.g ** 2 + sp.jx, 3: 2 - sp.gprime ** 2 - sp.jx}.get(c.slave, 2.5)
         es = np.array([-0.37, 0.81, pole])
         got = {}
         for s in (1, -1):
-            rows, ok = series._tables(sp, s, es, tag, series._center(sp, tag),
-                                      np.eye(4)[:, slots], 60)
+            rows, ok = series._tables(sp, s, es, c, np.eye(4)[:, slots], 60)
             got[s] = [row + 0.0 for row in rows], ok
         flip = d[:, None, None] * d[slots][None, :, None]
         mirrored = all((flip * a + 0.0).tobytes() == b.tobytes()
                        for a, b in zip(got[1][0], got[-1][0]))
-        assert mirrored == (tag != "zero"), tag
+        assert mirrored == (c.position != 0.0), c
         assert got[1][1].tolist() == got[-1][1].tolist()
-        if tag != "zero":
+        if c.position != 0.0:
             assert got[1][1].tolist() == [True, True, False]
 
 
