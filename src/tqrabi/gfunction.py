@@ -13,9 +13,10 @@ _chain, pairs the matching points with the center records of
 series._centers; the column order, the parity mirror and the pole factor
 read those records. Each energy's series are summed only as far as its own
 tail test needs, up to the hard cap, so G(E) is a function of E alone.
-Only the expansion around 0 depends on the parity; the sums around every
+Only the expansion around 0 depends on the parity. The sums around every
 other center serve both parities from one pass, mirrored by
-D = diag(1, 1, -1, -1).
+D = diag(1, 1, -1, -1); center 0 runs every (sign, energy) pair in one pass,
+its -1 energies in the D frame, which takes the same mirror.
 """
 
 from __future__ import annotations
@@ -159,58 +160,54 @@ def _gvalues(sp: ModelParams, signs: int | tuple | np.ndarray, energies: np.ndar
 
 def _gvalues_once(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
                   scheme: MatchingScheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_gvalues on one block: every center, then per sign the matrix and det.
+    """_gvalues on one block: every center once, then the matrices and dets.
 
     signs has one row per result and a column per energy. Every center but
-    0 is summed once, at sign +1, and mirrored by D for -1 (see series);
-    center 0 carries the parity and is summed once per sign, at the energies
-    that take it.
+    0 is summed once, at sign +1; center 0 is summed once, at each (sign,
+    energy) pair taken, with the -1 pairs in the D frame (see series). So
+    every column of a -1 matrix is D[row] * D[slot] times what was summed.
     """
     conds = _chain(sp, scheme)
     *mirrored, origin = dict.fromkeys(c for _, *cs in conds for c in cs)
     cols, start = {}, 0
-    mirror, rows_d = np.ones((4 * len(conds),) * 2), np.tile(_PARITY_D, len(conds))
     for c in (*mirrored, origin):
         cols[c] = slice(start, start + len(c.slots))
-        if c is not origin:  # sign -1 takes D[row] * D[slot] times the +1 sums
-            mirror[:, cols[c]] = np.outer(rows_d, _PARITY_D[list(c.slots)])
         start += len(c.slots)
+    mirror = np.outer(np.tile(_PARITY_D, len(conds)),
+                      np.concatenate([_PARITY_D[list(c.slots)] for c in cols]))
 
-    def center(c, sign, es):
+    def center(c, sign, at):
         # Each center is evaluated once, at all of its points; values are
         # keyed by (center, condition index) as (nE, 4, ncols) arrays.
         ks = [k for k, cond in enumerate(conds) if c in cond[1:]]
-        vals, ok, cv = _block_eval(sp, sign, es, c, [conds[k][0] for k in ks])
+        vals, ok, cv = _block_eval(sp, sign, energies[at], c, [conds[k][0] for k in ks])
         return {(c, k): np.moveaxis(v, -1, 0) for k, v in zip(ks, vals)}, ok, ok & cv
 
-    shared = [center(c, 1, energies) for c in mirrored]
-    vals = np.empty(signs.shape)
-    pole_ok, good = np.empty((2,) + signs.shape, dtype=bool)
-    for sign in (1, -1):
-        on = (signs == sign).any(axis=0)
-        if not on.any():
-            continue
-        es = energies[on]
-        at, ok, gd = center(origin, sign, es)
-        for part, p_ok, p_gd in shared:
-            at = at | {key: v[on] for key, v in part.items()}
-            ok, gd = ok & p_ok[on], gd & p_gd[on]
-        m = np.zeros((es.size, start, start))
-        for k, (_, plus, minus) in enumerate(conds):
-            m[:, 4 * k:4 * k + 4, cols[plus]] = at[plus, k]
-            m[:, 4 * k:4 * k + 4, cols[minus]] = -at[minus, k]
-        if sign < 0:
-            m *= mirror
-        # Columns are scaled to unit 2-norm, smooth in E, by positive factors;
-        # hypot folds the rows in order at every batch size and cannot overflow.
-        norm = np.maximum(np.hypot.reduce(m, axis=1, keepdims=True), 1e-300)
-        with np.errstate(invalid="ignore"):
-            det = np.linalg.det(m / norm)
-        det = np.where(gd, det, np.nan) * _pole_factor(sp, sign, cols, es)
-        hit = signs[:, on] == sign
-        for out, v in ((vals, det), (pole_ok, ok), (good, gd)):
-            out[:, on] = np.where(hit, v, out[:, on])
-    return vals, pole_ok, good
+    # The (sign, energy) pairs taken, +1 first; pair[i, e] indexes sign row i.
+    on = [(signs == sign).any(axis=0) for sign in (1, -1)]
+    at = np.concatenate([np.flatnonzero(o) for o in on])
+    pair = np.cumsum(on, axis=None).reshape(2, -1) - 1
+    neg = np.arange(at.size) >= on[0].sum()
+    vals, ok, gd = center(origin, np.where(neg, -1.0, 1.0), at)
+    for c in mirrored:
+        part, p_ok, p_gd = center(c, 1, slice(None))
+        vals |= {key: v[at] for key, v in part.items()}
+        ok, gd = ok & p_ok[at], gd & p_gd[at]
+    m = np.zeros((at.size, start, start))
+    for k, (_, plus, minus) in enumerate(conds):
+        m[:, 4 * k:4 * k + 4, cols[plus]] = vals[plus, k]
+        m[:, 4 * k:4 * k + 4, cols[minus]] = -vals[minus, k]
+    m[neg] *= mirror
+    # Columns are scaled to unit 2-norm, smooth in E, by positive factors;
+    # hypot folds the rows in order at every batch size and cannot overflow.
+    norm = np.maximum(np.hypot.reduce(m, axis=1, keepdims=True), 1e-300)
+    with np.errstate(invalid="ignore"):
+        det = np.linalg.det(m / norm)
+    factor = [_pole_factor(sp, sign, cols, energies[o]) for sign, o in zip((1, -1), on)
+              if o.any()]
+    det = np.where(gd, det, np.nan) * np.concatenate(factor)
+    take = pair[(signs < 0).astype(int), np.arange(energies.size)]
+    return det[take], ok[take], gd[take]
 
 
 def _poles(sp: ModelParams, sign: int, centers: Sequence[_Center],

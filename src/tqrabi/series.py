@@ -33,8 +33,12 @@ slowest energy has converged.
 Around g and g' the parity sign s enters only as mix(-s) = D mix(s) D with
 D = diag(1, 1, -1, -1), and IEEE rounding is sign-symmetric, so the -s rows
 and sums are D (+s values) d_j bit for bit but for the sign of zeros, where
-d_j = D at column j's free slot. Around 0 the reflection tie (g' > 0), or the
-slaved divisor and weights (g' = 0), carry the parity: it runs once per sign.
+d_j = D at column j's free slot. Around 0 the parity also enters through the
+reflection tie (g' > 0), or the slaved divisor and weights (g' = 0). There a
+-1 energy runs in the D frame: the mix of +1, the init D v (= v on the free
+slots 1, 2), the reflection sign flipped and its own divisors. That run is D
+times the -1 run, so center 0 serves both signs in one pass, one sign per
+energy, and its -1 values take the same mirror, with d_j = 1.
 """
 
 from __future__ import annotations
@@ -179,7 +183,7 @@ def baselines(params: ModelParams, e_min: float, e_max: float) -> list[Baseline]
     return out
 
 
-def _tables(sp: ModelParams, sign: int, energies: np.ndarray, center: _Center,
+def _tables(sp: ModelParams, sign, energies: np.ndarray, center: _Center,
             inits: np.ndarray, n_max: int):
     """Scaled coefficients u[n], shape (4, ncols, nE), one order at a time to n_max.
 
@@ -187,12 +191,18 @@ def _tables(sp: ModelParams, sign: int, energies: np.ndarray, center: _Center,
     marks the energies off baselines in every order yielded so far. The rows
     live in buffers reused from order to order: a yielded row is valid until
     the next one is requested, so a caller that keeps rows must copy them.
-    inits has shape (4, ncols); entries on non-free slots are ignored.
+    inits has shape (4, ncols); entries on non-free slots are ignored. sign
+    is one sign, or at center 0 an array of one sign per energy: then every
+    energy runs in the D frame, with the mix of sign +1, its own reflection
+    sign and its own divisors, and the rows of a -1 energy are D times its
+    sign -1 rows (see the module docstring).
     """
-    g, gp, s, c = sp.g, sp.gprime, float(sign), center.position
+    g, gp, c = sp.g, sp.gprime, center.position
     d1, d2, jx, jy, jz = sp.delta1, sp.delta2, sp.jx, sp.jy, sp.jz
     radius, slave = center.radius, center.slave
     ok = np.ones(energies.size, dtype=bool)
+    frame = np.ndim(sign) > 0
+    s, refl = (1.0, np.asarray(sign, dtype=float)) if frame else (float(sign), 1.0)
 
     # Cross couplings: order n + 1 of component j takes sum_k mix[k, j] cur[k]
     # (mix is symmetric). With "kj", unlike "jk" or matmul, einsum adds the
@@ -208,12 +218,22 @@ def _tables(sp: ModelParams, sign: int, energies: np.ndarray, center: _Center,
     aoff = np.array([-2 * c * g - jx, -2 * c * gp + jx, 2 * c * g - jx, 2 * c * gp + jx])
     base = energies - c * c
     diag = (base + aoff[:, None])[:, None, :]
-    # A lone column (center 0, g' = 0) has one nonzero weight, so no sum order
-    # to keep in the slaved component's contraction.
-    shift, weights, divisors = _slaving(sp, sign, center, energies.max())
-    poles = {n for n, _, _ in divisors}  # the orders whose divisor can vanish
+    shift, weights, divisors = _slaving(sp, s, center, energies.max())
+    contract = "k,kcn->cn"
     if slave is not None:
-        dbase = base + np.array(shift)[:, None]
+        shift = np.array(shift)[:, None]
+        if frame:  # center 0, g' = 0: the -1 energies take their own slaving
+            shift_m, weights_m, divisors_m = _slaving(sp, -1, center, energies.max())
+            neg = refl < 0
+            shift = np.where(neg, np.array(shift_m)[:, None], shift)
+            weights = np.where(neg, weights_m[:, :, None], weights[:, :, None])
+            divisors = divisors + divisors_m
+            # A lone column (center 0, g' = 0) has one nonzero weight, so no
+            # sum order to keep in the slaved component's contraction.
+            contract = "kn,kcn->cn"
+        dbase = base + shift
+        ties = (refl, -refl)  # the reflection tie of each order's parity
+    poles = {n for n, _, _ in divisors}  # the orders whose divisor can vanish
 
     def rows():
         # Three rotating coefficient buffers and one for the cross terms; each
@@ -225,7 +245,7 @@ def _tables(sp: ModelParams, sign: int, energies: np.ndarray, center: _Center,
         if slave is not None:
             den, slaved = np.empty(energies.size), np.empty(cur.shape[1:])
         if tied:
-            cur[2:] = cur[:2]
+            np.multiply(refl, cur[:2], out=cur[2:])
         for n in range(n_max + 1):
             if slave is not None:
                 np.subtract(dbase[n % 2], n, out=den)
@@ -233,10 +253,10 @@ def _tables(sp: ModelParams, sign: int, energies: np.ndarray, center: _Center,
                     bad = np.abs(den) < POLE_EPS
                     ok[bad] = False
                     den[bad] = 1.0
-                np.einsum("k,kcn->cn", weights[n % 2], cur, out=slaved)
+                np.einsum(contract, weights[n % 2], cur, out=slaved)
                 np.divide(slaved, den, out=cur[slave])
                 if slave == 1:
-                    np.multiply(-1.0 if n % 2 else 1.0, cur[:2], out=cur[2:])
+                    np.multiply(ties[n % 2], cur[:2], out=cur[2:])
             yield cur
             if n == n_max:
                 return

@@ -286,6 +286,20 @@ def test_shared_centers_match_unshared_assembly(xyz_odd):
                 assert g.tobytes() == r[part].tobytes()
 
 
+@pytest.mark.parametrize("model, runs", [("asym", 3), ("flat", 2), ("xyz_odd", 2)])
+def test_one_series_run_per_center_and_block(request, monkeypatch, model, runs):
+    # Each block runs every center once for both signs, center 0 included.
+    sp, scheme = gfunction._prepare(request.getfixturevalue(model), None)
+    tables, centers = series._tables, []
+    monkeypatch.setattr(gfunction, "_tables",
+                        lambda *a: centers.append(a[3].position) or tables(*a))
+    es = np.linspace(-1.0, 2.5, gfunction._BLOCK + 10)
+    for signs in ((1, -1), np.where(es < 1.0, 1, -1)):
+        centers.clear()
+        gfunction._gvalues(sp, signs, es, scheme)
+        assert len(centers) == 2 * runs and centers.count(0.0) == 2
+
+
 def test_gvalues_working_set_flat_in_batch_size(asym):
     # The series run in fixed energy blocks with buffers reused from order to
     # order, so a long batch needs about the memory of one block.

@@ -298,6 +298,34 @@ def test_parity_mirror_of_displaced_centers(params):
             assert got[1][1].tolist() == [True, True, False]
 
 
+@pytest.mark.parametrize("model", ["asym", "flat", "xyz_odd"])
+def test_center_zero_runs_both_signs_in_the_d_frame(request, model):
+    # Center 0 runs both signs in one pass, a -1 energy in the D frame: the
+    # mix of sign +1, the reflection sign flipped and its own divisors. Its
+    # rows are D times the rows of the sign -1 recurrence, bit for bit but
+    # for the sign of zeros, and a +1 energy keeps the bits of the one-sign
+    # run. asym ties the reflection (g' > 0); flat and xyz_odd slave it
+    # (g' = 0), and there each sign's batch holds one of its own baselines.
+    sp = request.getfixturevalue(model).scaled()
+    c = series._centers(sp)[-1]
+    assert c.position == 0.0 and (c.slave is None) == (sp.gprime != 0)
+    d = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
+    inits = np.eye(4)[:, list(c.slots)]
+    es = {s: np.array([-0.37, 0.81] + [e for _, e, _ in series._slaving(sp, s, c, 2.0)[2]
+                                        if 0 < e < 2][:1]) for s in (1, -1)}
+    assert len(es[1]) == len(es[-1]) == (2 if c.slave is None else 3)
+    signs = np.repeat([1.0, -1.0], [len(es[1]), len(es[-1])])
+    rows, ok = series._tables(sp, signs, np.concatenate([es[1], es[-1]]), c, inits, 60)
+    both = [row.copy() for row in rows]
+    for s, part in ((1, signs > 0), (-1, signs < 0)):
+        rows, ok_s = series._tables(sp, s, es[s], c, inits, 60)
+        flip = d if s < 0 else 1.0
+        assert all((flip * a[..., part] + 0.0).tobytes() == (b + 0.0).tobytes()
+                   for a, b in zip(both, rows))
+        assert ok[part].tolist() == ok_s.tolist()
+        assert ok_s.tolist() == [True, True] + [False] * (c.slave is not None)
+
+
 def test_dump_coeffs_roundtrip(tmp_path):
     from tqrabi.series import dump_coeffs
 
