@@ -13,10 +13,8 @@ _chain, pairs the matching points with the center records of
 series._centers; the column order, the parity mirror and the pole factor
 read those records. Each energy's series are summed only as far as its own
 tail test needs, up to the hard cap, so G(E) is a function of E alone.
-Only the expansion around 0 depends on the parity. The sums around every
-other center serve both parities from one pass, mirrored by
-D = diag(1, 1, -1, -1); center 0 runs every (sign, energy) pair in one pass,
-its -1 energies in the D frame, which takes the same mirror.
+Each center runs once per block for both parities; the -1 columns are the
+summed ones mirrored by D = diag(1, 1, -1, -1) (see series).
 """
 
 from __future__ import annotations
@@ -61,8 +59,11 @@ VERIFY_TOL = 1e-6
 DEFAULT_VERIFY_TRUNCATION = 300
 TANGENT_GTOL = 1e-10
 # Pass budget of the bracket refinement and the dip probe: with a midpoint
-# every third pass it holds the 64 halvings of the bisection it replaced.
-_MAX_PASSES = 3 * 64
+# in every pass it holds the 64 halvings of a bisection.
+_MAX_PASSES = 64
+# Ratio of the probe offsets around a bracket's regula-falsi point or a
+# dip's vertex, from the tolerance up to half the width.
+_LADDER = 100.0
 # Energies per series pass in _gvalues. A block stops on its own slowest
 # energy instead of the batch's, and its work arrays stay near 2 MB, inside
 # the CPU caches, however long the batch, so a long trace is bound by
@@ -163,9 +164,8 @@ def _gvalues_once(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
     """_gvalues on one block: every center once, then the matrices and dets.
 
     signs has one row per result and a column per energy. Every center but
-    0 is summed once, at sign +1; center 0 is summed once, at each (sign,
-    energy) pair taken, with the -1 pairs in the D frame (see series). So
-    every column of a -1 matrix is D[row] * D[slot] times what was summed.
+    0 is summed at sign +1; center 0 at each (sign, energy) pair taken, the
+    -1 pairs in the D frame. So a -1 matrix is D[row] * D[slot] times the sums.
     """
     conds = _chain(sp, scheme)
     *mirrored, origin = dict.fromkeys(c for _, *cs in conds for c in cs)
@@ -186,7 +186,7 @@ def _gvalues_once(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
     # The (sign, energy) pairs taken, +1 first; pair[i, e] indexes sign row i.
     on = [(signs == sign).any(axis=0) for sign in (1, -1)]
     at = np.concatenate([np.flatnonzero(o) for o in on])
-    pair = np.cumsum(on, axis=None).reshape(2, -1) - 1
+    pair = np.cumsum(on).reshape(2, -1) - 1
     neg = np.arange(at.size) >= on[0].sum()
     vals, ok, gd = center(origin, np.where(neg, -1.0, 1.0), at)
     for c in mirrored:
@@ -306,10 +306,43 @@ def _traces(params: ModelParams, parities: Sequence[Parity], e_min: float,
     return [GTrace(p, grid * w, v, poles) for p, v in zip(parities, vals)]
 
 
-def _dip_vertex(x: np.ndarray, f: np.ndarray, midpoint: np.ndarray,
-                tol: float) -> np.ndarray:
-    """Probe of each (n, 3) triple: the vertex of the parabola through its |G|, or
-    where midpoint is set, the midpoint of its longer half; tol inside, off x[:, 1]."""
+def _ladder(u: np.ndarray, lo: np.ndarray, hi: np.ndarray, mid: np.ndarray,
+            tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(interval, energy) of the probes of intervals (lo, hi) around points u:
+    u first, then u -/+ tol * _LADDER**k up to half the width, and mid; those
+    strictly inside, in order of interval."""
+    half = 0.5 * (hi - lo)
+    off = tol * _LADDER ** np.arange(64)
+    off = off[off <= half.max(initial=0.0)]
+    off = np.where(off <= half[:, None], off, np.nan)
+    pts = np.column_stack([u, u[:, None] - off, u[:, None] + off, mid])
+    i, k = np.nonzero((pts > lo[:, None]) & (pts < hi[:, None]))
+    return i, pts[i, k]
+
+
+def _interpolate(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
+                 x3: np.ndarray, f3: np.ndarray) -> np.ndarray:
+    """Root of the Moebius map through (a, fa), (b, fb) and (x3, f3): the point
+    whose cross-ratio with a, b, x3 is that of 0 with fa, fb, f3. Where that is
+    not inside (a, b), or x3 is NaN, the regula-falsi point of (a, b)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = fb / fa * (fa - f3) * (b - x3) / ((fb - f3) * (a - x3))
+        u = a + (a - b) / (m - 1.0)
+    return np.where((u > a) & (u < b), u, a - fa * (b - a) / (fb - fa))
+
+
+def _in_order(j: np.ndarray, e: np.ndarray, v: np.ndarray):
+    """Points (group j, energy e, G v) sorted by group, then energy, and the
+    first index of each sign change between neighbours of one group."""
+    order = np.lexsort((e, j))
+    j, e, v = j[order], e[order], v[order]
+    change = np.sign(v[:-1]) * np.sign(v[1:]) < 0
+    return j, e, v, np.flatnonzero(change & (j[:-1] == j[1:]))
+
+
+def _dip_vertex(x: np.ndarray, f: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex of the parabola through each (n, 3) triple's |G|, tol inside and off
+    x[:, 1], and the midpoint of its longer half (also the vertex where none)."""
     (x0, x1, x2), (f0, f1, f2) = x.T, f.T
     a0, a1, a2 = np.abs(f0), np.abs(f1), np.abs(f2)
     d0, d2 = x1 - x0, x2 - x1
@@ -317,37 +350,35 @@ def _dip_vertex(x: np.ndarray, f: np.ndarray, midpoint: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         u = x1 - 0.5 * ((d0 * d0 * (a1 - a2) - d2 * d2 * (a1 - a0))
                         / (d0 * (a1 - a2) + d2 * (a1 - a0)))
-    u = np.clip(np.where(midpoint | ~np.isfinite(u), mid, u), x0 + tol, x2 - tol)
+    u = np.clip(np.where(np.isfinite(u), u, mid), x0 + tol, x2 - tol)
     step = np.minimum(tol, 0.5 * np.maximum(d0, d2))
-    return np.where(np.abs(u - x1) < tol, np.where(d2 > d0, x1 + step, x1 - step), u)
+    return np.where(np.abs(u - x1) < tol, np.where(d2 > d0, x1 + step, x1 - step), u), mid
 
 
-def _probe_dips(s: np.ndarray, x: np.ndarray, f: np.ndarray, u: np.ndarray,
-                fu: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Narrow (n, 3) dip triples of signs s around their probes u, where G is fu.
+def _probe_dips(s: np.ndarray, x: np.ndarray, f: np.ndarray, j: np.ndarray,
+                e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Narrow (n, 3) dip triples of signs s by probes (triple j, energy e, G v),
+    each triple's vertex first, to their lowest |G| point and its neighbours.
 
-    Returns the narrowed triples, which stay open, the brackets (signs, lo,
-    hi, G(lo), G(hi)) split off by probes of the other sign than the middle,
-    and the (signs, energies) of exact zeros. A non-finite probe closes its
-    triple, and so does one whose |G| agrees with the middle's to 1e-12
-    relative, both above TANGENT_GTOL: a flat dip, no root pair nor tangency.
+    Returns those triples, open while every point keeps the middle's sign,
+    the brackets (signs, lo, hi, G(lo), G(hi)) of each sign change between
+    neighbours, and the (signs, energies) of exact zeros. A vertex whose |G|
+    agrees with the middle's to 1e-12 relative, both above TANGENT_GTOL, is a
+    flat dip, no root pair nor tangency: it closes the triple.
     """
-    (x0, x1, x2), (f0, f1, f2) = x.T, f.T
-    flip = np.sign(fu) == -np.sign(f1)
-    pairs = (np.tile(s[flip], 2), np.concatenate([x0[flip], u[flip]]),
-             np.concatenate([u[flip], x2[flip]]), np.concatenate([f0[flip], fu[flip]]),
-             np.concatenate([fu[flip], f2[flip]]))
-    a1 = np.abs(f1)
-    flat = (np.abs(fu - f1) <= 1e-12 * a1) & (np.fmin(np.abs(fu), a1) > TANGENT_GTOL)
-    # Keep the lower of the two inner points among the four, with its
-    # neighbours.
-    px, pf = np.stack([x0, x1, x2, u], 1), np.stack([f0, f1, f2, fu], 1)
-    order = np.argsort(px, axis=1)
-    px, pf = np.take_along_axis(px, order, 1), np.take_along_axis(pf, order, 1)
-    c = 1 + (np.abs(pf[:, 2]) < np.abs(pf[:, 1]))
-    pick = (np.arange(len(x))[:, None], c[:, None] + np.arange(-1, 2))
-    return (px[pick], pf[pick], (np.sign(fu) == np.sign(f1)) & ~flat, pairs,
-            (s[fu == 0.0], u[fu == 0.0]))
+    n = np.arange(len(x))
+    (first, k), fu = np.unique(j, return_index=True), np.full(len(x), np.nan)
+    fu[first], a1 = v[k], np.abs(f[:, 1])
+    flat = (np.abs(fu - f[:, 1]) <= 1e-12 * a1) & (np.fmin(np.abs(fu), a1) > TANGENT_GTOL)
+    j, e, v, i = _in_order(np.concatenate([n, n, n, j]), np.concatenate([*x.T, e]),
+                           np.concatenate([*f.T, v]))
+    start = np.flatnonzero(np.diff(j, prepend=-1))
+    live = np.logical_and.reduceat(np.sign(v) == np.sign(f[j, 1]), start) & ~flat
+    end = np.append(start[1:], j.size) - 2
+    c = np.clip(np.lexsort((np.abs(v), j))[start], start + 1, end)
+    near = c[:, None] + np.arange(-1, 2)
+    return (e[near], v[near], live, (s[j[i]], e[i], e[i + 1], v[i], v[i + 1]),
+            (s[j[v == 0.0]], e[v == 0.0]))
 
 
 def _refine_brackets(sp: ModelParams, scheme: MatchingScheme,
@@ -359,24 +390,21 @@ def _refine_brackets(sp: ModelParams, scheme: MatchingScheme,
     brackets is (signs, lo, hi, G(lo), G(hi)); dips is (signs, x, G(x)) for
     (n, 3) grid triples whose middle |G| is below both ends; poles maps a
     sign to the energies where G has no value. Each pass sends the probes of
-    all open work through one G call; every bracket and triple counts its
-    own passes, up to _MAX_PASSES, so it takes the iterates it takes alone.
-
-    Brackets follow Illinois regula falsi: an end kept twice in a row has
-    its G value halved, every third pass probes the midpoint, and every
-    probe stays tol inside, so a bracket closes at width 2*tol once a probe
-    lands within tol of its root. A bracket's first pass also probes
-    4*POLE_EPS either side of each pole inside it and keeps the side with
-    the sign change: a cutoff state, a jump of G at a pole, settles there,
-    and no later probe lands on a pole. A probe on a pole is passed over;
-    any other non-finite one raises NoConvergence. Triples are probed at
-    _dip_vertex and narrowed by _probe_dips; the brackets of a split join at
-    the next pass. Returns the (signs, midpoints) of the brackets and the
+    all open work through one G call, up to _MAX_PASSES per bracket or triple.
+    A bracket is probed at _interpolate of its ends and its last interpolant,
+    a _ladder around that and its midpoint, and keeps the first pair that
+    changes sign: it at least halves, and closes at width 2*tol once the
+    interpolant is within tol of its root. Its first pass also probes
+    4*POLE_EPS beside each pole inside it, which settles a cutoff state (a
+    jump of G). A probe on a pole is passed over, an exact zero closes its
+    bracket, and any other non-finite probe raises NoConvergence (closes a
+    triple). Triples are probed alike around _dip_vertex and narrowed by
+    _probe_dips. Returns the (signs, midpoints) of the brackets and the
     (signs, energies) of tangent candidates: exact zeros, and triples
     narrowed to 2*tol with |G| below TANGENT_GTOL at the middle.
     """
     sb, lo, hi, flo, fhi = (np.array(c) for c in brackets)
-    kb, kept = np.zeros((2, lo.size), dtype=int)  # kept: end kept last pass, -1 lo, +1 hi
+    kb, (x3, f3) = np.zeros(lo.size, dtype=int), np.full((2, lo.size), np.nan)
     sd, x, f = (np.array(c) for c in dips)
     kd, live = np.zeros(len(x), dtype=int), np.ones(len(x), dtype=bool)
     tangents = []
@@ -386,42 +414,42 @@ def _refine_brackets(sp: ModelParams, scheme: MatchingScheme,
         if not (ob.size or od.size):
             break
         a, b, fa, fb = lo[ob], hi[ob], flo[ob], fhi[ob]
-        xb = np.where(kb[ob] % 3 == 2, 0.5 * (a + b),
-                      np.clip(a - fa * (b - a) / (fb - fa), a + tol, b - tol))
-        near = [(j, e + d) for j in ob[kb[ob] == 0] for e in poles[sb[j]]
-                if lo[j] < e < hi[j] for d in (-4 * series.POLE_EPS, 4 * series.POLE_EPS)]
-        pj, pe = np.array([j for j, _ in near], dtype=int), np.array([e for _, e in near])
-        u = _dip_vertex(x[od], f[od], kd[od] % 3 == 2, tol)
-        g, ok, _ = _gvalues(sp, np.concatenate([sb[ob], sb[pj], sd[od]]),
-                            np.concatenate([xb, pe, u]), scheme)
-        fx, fp, fu = np.split(g, [ob.size, ob.size + pe.size])
-        bad = ok[:ob.size] & ~np.isfinite(fx)
-        if bad.any():
+        rf = np.clip(_interpolate(a, b, fa, fb, x3[ob], f3[ob]), a + tol, b - tol)
+        jb, eb = _ladder(rf, a, b, 0.5 * (a + b), tol)
+        d = 4 * series.POLE_EPS
+        near = np.reshape([(j, e + t) for j in np.flatnonzero(kb[ob] == 0) for e in
+                           poles[sb[ob[j]]] if a[j] < e < b[j] for t in (-d, d)], (-1, 2))
+        jb, eb = np.append(jb, near[:, 0]).astype(int), np.append(eb, near[:, 1])
+        u, mid = _dip_vertex(x[od], f[od], tol)
+        jd, ed = _ladder(u, x[od, 0], x[od, 2], mid, tol)
+        g, ok, _ = _gvalues(sp, np.concatenate([sb[ob][jb], sd[od][jd]]),
+                            np.concatenate([eb, ed]), scheme)
+        gb, gd = g[:eb.size], g[eb.size:]
+        if (bad := ok[:eb.size] & ~np.isfinite(gb)).any():
             raise NoConvergence(
                 f"G is not finite at {bad.sum()} bracket probe(s), first at "
-                f"E = {xb[bad][0]:.17g} (omega = 1 units)")
-        exact = fx == 0.0
-        to_lo, to_hi = np.sign(fx) == np.sign(fa), np.sign(fx) == np.sign(fb)
-        last = kept[ob]
-        lo[ob], hi[ob] = np.where(to_lo | exact, xb, a), np.where(to_hi | exact, xb, b)
-        flo[ob] = np.where(to_lo, fx, np.where(to_hi & (last == -1), 0.5 * fa, fa))
-        fhi[ob] = np.where(to_hi, fx, np.where(to_lo & (last == 1), 0.5 * fb, fb))
-        kept[ob] = np.where(to_lo, 1, np.where(to_hi, -1, 0))
+                f"E = {eb[bad][0]:.17g} (omega = 1 units)")
+        keep, n = np.isfinite(gb), np.arange(ob.size)
+        j, e, v, i = _in_order(np.concatenate([n, n, jb[keep]]),
+                               np.concatenate([a, b, eb[keep]]),
+                               np.concatenate([fa, fb, gb[keep]]))
+        i = i[np.unique(j[i], return_index=True)[1]]
+        at = ob[j[i]]
+        lo[at], hi[at], flo[at], fhi[at] = e[i], e[i + 1], v[i], v[i + 1]
+        x3[ob], f3[ob] = rf, gb[np.unique(jb, return_index=True)[1]]  # rf: first probe
+        z = v == 0.0
+        lo[ob[j[z]]] = hi[ob[j[z]]] = e[z]
         kb[ob] += 1
-        for j, e, v in zip(pj, pe, fp):
-            if lo[j] < e < hi[j] and np.isfinite(v):  # each narrows what the last left
-                if np.sign(v) == np.sign(flo[j]):
-                    lo[j], flo[j] = e, v
-                else:
-                    hi[j], fhi[j] = e, v
         if od.size:
-            x[od], f[od], live[od], pairs, zeros = _probe_dips(sd[od], x[od], f[od], u, fu)
+            on = ok[eb.size:]  # probes on a pole are passed over
+            x[od], f[od], live[od], pairs, zeros = _probe_dips(
+                sd[od], x[od], f[od], jd[on], ed[on], gd[on])
             kd[od] += 1
             tangents.append(zeros)
-            sb, lo, hi, flo, fhi = (np.concatenate(c) for c in
-                                    zip((sb, lo, hi, flo, fhi), pairs))
-            kb, kept = (np.concatenate([k, np.zeros(pairs[0].size, dtype=int)])
-                        for k in (kb, kept))
+            nan = np.full((2, pairs[0].size), np.nan)
+            sb, lo, hi, flo, fhi, x3, f3 = (np.concatenate(c) for c in zip(
+                (sb, lo, hi, flo, fhi, x3, f3), (*pairs, *nan)))
+            kb = np.append(kb, np.zeros(pairs[0].size, dtype=int))
     rest = live & (np.abs(f[:, 1]) < TANGENT_GTOL)
     tangents.append((sd[rest], x[rest, 1]))
     return (sb, 0.5 * (lo + hi)), tuple(np.concatenate(c) for c in zip(*tangents))
@@ -438,9 +466,10 @@ def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
     defaults to 0.01 in units of the photon frequency) in one batch, less
     any grid point exactly on a baseline. Dips of |G| without a sign change
     are probed for a root pair inside one grid cell, or a tangency, in the
-    passes that refine the sign-change brackets by Illinois regula falsi to
-    width 2e-10 (_refine_brackets, shared by all parities in _find_roots); a
-    root is its bracket's midpoint. A cutoff state on a one-column (center-0)
+    passes that narrow the sign-change brackets to width 2e-10, each at an
+    interpolated point, a ladder of points around it and its midpoint
+    (_refine_brackets, shared by all parities in _find_roots); a root is
+    its bracket's midpoint. A cutoff state on a one-column (center-0)
     baseline is a root, settled beside its pole in one pass; dark states, on
     baselines without a pole, are not. With verify=True every root is checked
     against the diagonalization oracle (nearest same-parity level within

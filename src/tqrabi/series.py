@@ -33,12 +33,10 @@ slowest energy has converged.
 Around g and g' the parity sign s enters only as mix(-s) = D mix(s) D with
 D = diag(1, 1, -1, -1), and IEEE rounding is sign-symmetric, so the -s rows
 and sums are D (+s values) d_j bit for bit but for the sign of zeros, where
-d_j = D at column j's free slot. Around 0 the parity also enters through the
-reflection tie (g' > 0), or the slaved divisor and weights (g' = 0). There a
--1 energy runs in the D frame: the mix of +1, the init D v (= v on the free
-slots 1, 2), the reflection sign flipped and its own divisors. That run is D
-times the -1 run, so center 0 serves both signs in one pass, one sign per
-energy, and its -1 values take the same mirror, with d_j = 1.
+d_j = D at column j's free slot. Around 0 the reflection tie (g' > 0), or the
+slaved divisor and weights (g' = 0), also carry the parity. There a -1 energy
+runs in the D frame (mix of +1, reflection sign flipped, its own divisors),
+which is D times its -1 run: one pass serves both signs, with d_j = 1.
 """
 
 from __future__ import annotations
@@ -192,10 +190,8 @@ def _tables(sp: ModelParams, sign, energies: np.ndarray, center: _Center,
     live in buffers reused from order to order: a yielded row is valid until
     the next one is requested, so a caller that keeps rows must copy them.
     inits has shape (4, ncols); entries on non-free slots are ignored. sign
-    is one sign, or at center 0 an array of one sign per energy: then every
-    energy runs in the D frame, with the mix of sign +1, its own reflection
-    sign and its own divisors, and the rows of a -1 energy are D times its
-    sign -1 rows (see the module docstring).
+    is one sign, or at center 0 one per energy, each run in its D frame: the
+    rows of a -1 energy are D times its sign -1 rows (see the module docstring).
     """
     g, gp, c = sp.g, sp.gprime, center.position
     d1, d2, jx, jy, jz = sp.delta1, sp.delta2, sp.jx, sp.jy, sp.jz
@@ -219,20 +215,14 @@ def _tables(sp: ModelParams, sign, energies: np.ndarray, center: _Center,
     base = energies - c * c
     diag = (base + aoff[:, None])[:, None, :]
     shift, weights, divisors = _slaving(sp, s, center, energies.max())
-    contract = "k,kcn->cn"
-    if slave is not None:
-        shift = np.array(shift)[:, None]
-        if frame:  # center 0, g' = 0: the -1 energies take their own slaving
-            shift_m, weights_m, divisors_m = _slaving(sp, -1, center, energies.max())
-            neg = refl < 0
-            shift = np.where(neg, np.array(shift_m)[:, None], shift)
-            weights = np.where(neg, weights_m[:, :, None], weights[:, :, None])
-            divisors = divisors + divisors_m
-            # A lone column (center 0, g' = 0) has one nonzero weight, so no
-            # sum order to keep in the slaved component's contraction.
-            contract = "kn,kcn->cn"
-        dbase = base + shift
-        ties = (refl, -refl)  # the reflection tie of each order's parity
+    shift, contract = np.reshape(shift, (-1, 1)), "k,kcn->cn"
+    if frame and slave is not None:  # center 0, g' = 0: each sign its own slaving
+        minus = _slaving(sp, -1, center, energies.max())
+        shift = np.where(refl < 0, np.reshape(minus[0], (-1, 1)), shift)
+        weights = np.where(refl < 0, minus[1][..., None], weights[..., None])
+        # A lone column has one nonzero weight: no sum order to keep.
+        divisors, contract = divisors + minus[2], "kn,kcn->cn"
+    dbase, ties = base + shift, (refl, -refl)  # ties: reflection of each order's parity
     poles = {n for n, _, _ in divisors}  # the orders whose divisor can vanish
 
     def rows():

@@ -520,11 +520,33 @@ def test_cutoff_state_settles_in_one_pass(flat, monkeypatch):
     assert len(calls) == 1
     assert abs(root[0] - energy) < 1e-11
     # Flat's other even roots are ordinary zeros: the search for the sector
-    # makes one scan and 13 passes, where it made 34 G calls.
+    # makes one scan and 3 passes, where it made 34 G calls.
     calls.clear()
     res = find_roots(flat, Parity.PLUS, -1.0, 2.5, verify=True)
     assert min(abs(x - energy) for x in res.energies()) < 1e-11
-    assert len(calls) <= 14
+    assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(1.0, 0.6, 0.2, 0.24, 0.06),
+    ModelParams(1.0, 0.6, 0.2, 1.0 / 3.0, 1.0 / 6.0),
+    ModelParams(1.0, 0.7, 0.3, 0.4, 0.4),
+    ModelParams(1.0, 0.6, 0.4, 0.5, 0.5),
+    ModelParams(1.0, 0.6, 0.4, 0.6 + 5e-8, 0.6 + 5e-8),
+], ids=["asym", "ratio2", "reduced4", "flat", "pole_margin"])
+def test_two_parity_search_in_seven_g_calls(params, monkeypatch):
+    # One scan and at most six passes settle every bracket and dip of both
+    # parities, the pole-margin level 3.4e-8 above its pole included: each
+    # pass probes a ladder around a three-point interpolant and a midpoint.
+    both = (Parity.PLUS, Parity.MINUS)
+    levels = oracle.window(params, gfunction.DEFAULT_VERIFY_TRUNCATION, 2.5, both)
+    calls = []
+    gvalues = gfunction._gvalues
+    monkeypatch.setattr(gfunction, "_gvalues", lambda *a: calls.append(1) or gvalues(*a))
+    found = gfunction._find_roots(params, both, -1.0, 2.5, levels=levels)
+    assert len(calls) <= 7
+    assert all(r.verified for res in found for r in res)
+    assert sum(len(res) for res in found) >= 10
 
 
 def _count_refine_passes(monkeypatch, g, lo, hi):
@@ -548,8 +570,8 @@ def test_refine_brackets_flat_side(monkeypatch):
 
 def test_refine_brackets_multiple_root_worst_case(monkeypatch):
     # A ninth-order zero is flat on both sides, so the interpolation steps
-    # gain little and the midpoint forced every third pass does the work: at
-    # most three passes per halving of [0, 1] down to 2 * ROOT_TOL.
+    # gain little and the midpoint probed in every pass does the work: within
+    # three passes per halving of [0, 1] down to 2 * ROOT_TOL.
     root, passes = _count_refine_passes(monkeypatch, lambda e: (e - 0.3) ** 9, 0.0, 1.0)
     assert abs(root - 0.3) <= gfunction.ROOT_TOL
     assert passes <= 3 * np.ceil(np.log2(1.0 / (2 * gfunction.ROOT_TOL)))
@@ -667,3 +689,26 @@ def test_flat_dip_dropped_early(ratio2, monkeypatch):
     res = find_roots(ratio2, Parity.MINUS, -1.0, 2.5, verify=False)
     assert len(res) == 6
     assert 0 < len(passes) <= 10
+
+
+def test_dip_probe_on_a_pole_is_passed_over(xyz_odd):
+    # At g = 0.2 the odd level 0.69575 and the cutoff state 0.7 share the
+    # dip triple (0.68, 0.69, 0.71) around the pole at 0.7, where the
+    # midpoint of its longer half lands: that probe has no value and must
+    # not close the triple.
+    p = xyz_odd.with_g(0.2)
+    res = find_roots(p, Parity.MINUS, -1.0, 3.0, verify=True)
+    assert all(r.verified for r in res)
+    assert res.energies()[1:3] == pytest.approx([0.6957463915, 0.7], abs=1e-9)
+
+
+def test_smooth_dips_close_in_three_passes(ratio2, monkeypatch):
+    # ratio2's odd |G| has smooth minima of one sign near 0.88, 1.41, 1.86
+    # and 2.41, none a root pair: each is narrowed around its parabola
+    # vertex with a ladder of probes and dropped as flat within 3 passes.
+    probe_dips, passes = gfunction._probe_dips, []
+    monkeypatch.setattr(gfunction, "_probe_dips",
+                        lambda *a: passes.append(len(a[1])) or probe_dips(*a))
+    res = find_roots(ratio2, Parity.MINUS, -1.0, 2.5, verify=False)
+    assert len(res) == 6
+    assert passes[0] >= 4 and len(passes) <= 3
