@@ -567,9 +567,12 @@ def write_trace_csv(traces: Sequence[GTrace], path_or_file,
     if poles:
         comments = [*comments, "baselines: " + " ".join(
             f"{b.kind}:{b.index}@{fmt(b.energy)}" for b in poles)]
-    empty = [math.nan] * grid.size
-    columns = [by_parity[p].values.tolist() if p in by_parity else empty
+    columns = [by_parity[p].values if p in by_parity else np.full(grid.size, np.nan)
                for p in (Parity.PLUS, Parity.MINUS)]
+    # A row of finite cells in one format call: the bytes of fmt on each.
+    finite = np.isfinite(columns).all(axis=0).tolist()
+    rows = zip(grid.tolist(), *(c.tolist() for c in columns))
     write_csv(path_or_file, "E,G_plus,G_minus",
-              ([fmt(e)] + [fmt(v) if math.isfinite(v) else "" for v in vals]
-               for e, *vals in zip(grid.tolist(), *columns)), comments)
+              (["%.17g,%.17g,%.17g" % row] if ok else
+               [fmt(row[0])] + [fmt(v) if math.isfinite(v) else "" for v in row[1:]]
+               for ok, row in zip(finite, rows)), comments)

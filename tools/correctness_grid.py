@@ -1,0 +1,92 @@
+"""Correctness grid: G-function roots against the oracle on 60 seeded models.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tools/correctness_grid.py
+
+Each model draws delta1, delta2 from U(0.05, 1) and g = g1 + g2 from
+U(0.1, 2.5); g'/g comes from U(0, 0.08) for every third model, starting
+with the first, and from U(0, 0.95) for the others; every second model,
+starting with the second, adds exchange terms J from U(-0.5, 0.5)^3
+(numpy.random.default_rng(12345), drawn in that order). Both parities are
+searched on [-1, 2.5], verified against one oracle window at truncation 300.
+Every oracle level without a root within 1e-6 is printed as a miss.
+
+Exit status 1 on an unverified root, a SolverError, a miss at g'/g >= 0.02,
+or more misses at g'/g < 0.02 than KNOWN_SMALL_GPRIME_MISSES. Those levels
+are lost because at small g' the matching point lies near the edge of both
+disks and G is NaN on much of the grid; a chain with regular centers is the
+fix, and then the bound goes down.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+
+import numpy as np
+
+from tqrabi import ModelParams, Parity, SolverError, gfunction, oracle
+
+SEED = 12345
+MODELS = 60
+WINDOW = (-1.0, 2.5)
+TRUNCATION = 300
+MATCH_TOL = 1e-6
+SMALL_GPRIME = 0.02
+KNOWN_SMALL_GPRIME_MISSES = 82
+BOTH = (Parity.PLUS, Parity.MINUS)
+
+
+def models(seed: int = SEED, count: int = MODELS) -> list[ModelParams]:
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        d1, d2 = rng.uniform(0.05, 1.0, 2)
+        g = rng.uniform(0.1, 2.5)
+        gp = g * rng.uniform(0.0, 0.08 if i % 3 == 0 else 0.95)
+        j = rng.uniform(-0.5, 0.5, 3) if i % 2 else np.zeros(3)
+        out.append(ModelParams(1.0, float(d1), float(d2), float((g + gp) / 2),
+                               float((g - gp) / 2), *map(float, j)))
+    return out
+
+
+def main() -> int:
+    t0 = time.perf_counter()
+    failures, small, levels_total = [], 0, 0
+    for i, p in enumerate(models()):
+        ratio = (p.g1 - p.g2) / (p.g1 + p.g2)
+        levels = oracle.window(p, TRUNCATION, WINDOW[1], BOTH)
+        try:
+            found = gfunction._find_roots(p, BOTH, *WINDOW, levels=levels)
+        except SolverError as exc:
+            failures.append(f"model {i} {p}: {type(exc).__name__}: {exc}")
+            continue
+        for parity, res in zip(BOTH, found):
+            roots = np.array(res.energies())
+            failures += [f"model {i} {p}: unverified root {r.energy!r}, parity {parity.sign}"
+                         for r in res if not r.verified]
+            for e in levels.filtered(parity).energies():
+                if not WINDOW[0] <= e <= WINDOW[1]:
+                    continue
+                levels_total += 1
+                if roots.size and np.min(np.abs(roots - e)) < MATCH_TOL:
+                    continue
+                print(f"miss: model {i} g'/g = {ratio:.4f} parity {parity.sign:+d} E = {e!r}")
+                if ratio < SMALL_GPRIME:
+                    small += 1
+                else:
+                    failures.append(f"model {i} {p}: missed level {e!r} at g'/g = {ratio:.4f}")
+    if small > KNOWN_SMALL_GPRIME_MISSES:
+        failures.append(f"{small} misses at g'/g < {SMALL_GPRIME}, more than the "
+                        f"{KNOWN_SMALL_GPRIME_MISSES} known")
+    print(f"{MODELS} models, {levels_total} oracle levels, {small} missed at "
+          f"g'/g < {SMALL_GPRIME} (known: {KNOWN_SMALL_GPRIME_MISSES}), "
+          f"{len(failures)} failures, {time.perf_counter() - t0:.1f} s")
+    for f in failures:
+        print("FAIL:", f)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
