@@ -176,38 +176,45 @@ def _gvalues_once(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
     mirror = np.outer(np.tile(_PARITY_D, len(conds)),
                       np.concatenate([_PARITY_D[list(c.slots)] for c in cols]))
 
-    def center(c, sign, at):
+    def center(c, sign, es):
         # Each center is evaluated once, at all of its points; values are
         # keyed by (center, condition index) as (nE, 4, ncols) arrays.
         ks = [k for k, cond in enumerate(conds) if c in cond[1:]]
-        vals, ok, cv = _block_eval(sp, sign, energies[at], c, [conds[k][0] for k in ks])
+        vals, ok, cv = _block_eval(sp, sign, es, c, [conds[k][0] for k in ks])
         return {(c, k): np.moveaxis(v, -1, 0) for k, v in zip(ks, vals)}, ok, ok & cv
 
-    # The (sign, energy) pairs taken, +1 first; pair[i, e] indexes sign row i.
+    shared = [center(c, 1, energies) for c in mirrored]
+    # Center 0 at the (sign, energy) pairs taken, the +1 ones first.
     on = [(signs == sign).any(axis=0) for sign in (1, -1)]
-    at = np.concatenate([np.flatnonzero(o) for o in on])
-    pair = np.cumsum(on).reshape(2, -1) - 1
-    neg = np.arange(at.size) >= on[0].sum()
-    vals, ok, gd = center(origin, np.where(neg, -1.0, 1.0), at)
-    for c in mirrored:
-        part, p_ok, p_gd = center(c, 1, slice(None))
-        vals |= {key: v[at] for key, v in part.items()}
-        ok, gd = ok & p_ok[at], gd & p_gd[at]
-    m = np.zeros((at.size, start, start))
-    for k, (_, plus, minus) in enumerate(conds):
-        m[:, 4 * k:4 * k + 4, cols[plus]] = vals[plus, k]
-        m[:, 4 * k:4 * k + 4, cols[minus]] = -vals[minus, k]
-    m[neg] *= mirror
-    # Columns are scaled to unit 2-norm, smooth in E, by positive factors;
-    # hypot folds the rows in order at every batch size and cannot overflow.
-    norm = np.maximum(np.hypot.reduce(m, axis=1, keepdims=True), 1e-300)
-    with np.errstate(invalid="ignore"):
-        det = np.linalg.det(m / norm)
-    factor = [_pole_factor(sp, sign, cols, energies[o]) for sign, o in zip((1, -1), on)
-              if o.any()]
-    det = np.where(gd, det, np.nan) * np.concatenate(factor)
-    take = pair[(signs < 0).astype(int), np.arange(energies.size)]
-    return det[take], ok[take], gd[take]
+    n = np.count_nonzero(on[0])
+    pairs = center(origin, np.repeat([1.0, -1.0], [n, np.count_nonzero(on[1])]),
+                   np.concatenate([energies[o] for o in on]))
+    vals = np.empty(signs.shape)
+    pole_ok, good = np.empty((2,) + signs.shape, dtype=bool)
+    for sign, o, part in zip((1, -1), on, (slice(None, n), slice(n, None))):
+        if not o.any():
+            continue
+        at = {key: v[part] for key, v in pairs[0].items()}
+        ok, gd = pairs[1][part], pairs[2][part]
+        for p_vals, p_ok, p_gd in shared:
+            at |= {key: v[o] for key, v in p_vals.items()}
+            ok, gd = ok & p_ok[o], gd & p_gd[o]
+        m = np.zeros((ok.size, start, start))
+        for k, (_, plus, minus) in enumerate(conds):
+            m[:, 4 * k:4 * k + 4, cols[plus]] = at[plus, k]
+            m[:, 4 * k:4 * k + 4, cols[minus]] = -at[minus, k]
+        if sign < 0:
+            m *= mirror
+        # Columns are scaled to unit 2-norm, smooth in E, by positive factors;
+        # hypot folds the rows in order at every batch size and cannot overflow.
+        norm = np.maximum(np.hypot.reduce(m, axis=1, keepdims=True), 1e-300)
+        with np.errstate(invalid="ignore"):
+            det = np.linalg.det(m / norm)
+        det = np.where(gd, det, np.nan) * _pole_factor(sp, sign, cols, energies[o])
+        hit = signs[:, o] == sign
+        for out, v in ((vals, det), (pole_ok, ok), (good, gd)):
+            out[:, o] = np.where(hit, v, out[:, o])
+    return vals, pole_ok, good
 
 
 def _poles(sp: ModelParams, sign: int, centers: Sequence[_Center],
