@@ -61,7 +61,7 @@ TANGENT_GTOL = 1e-10
 # Pass budget of the bracket refinement and the dip probe: with a midpoint
 # in every pass it holds the 64 halvings of a bisection.
 _MAX_PASSES = 64
-# Ratio of the probe offsets around a bracket's regula-falsi point or a
+# Ratio of the probe offsets around a bracket's interpolated point or a
 # dip's vertex, from the tolerance up to half the width.
 _LADDER = 100.0
 # Energies per series pass in _gvalues. A block stops on its own slowest
