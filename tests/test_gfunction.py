@@ -570,8 +570,9 @@ def test_refine_brackets_flat_side(monkeypatch):
 
 def test_refine_brackets_multiple_root_worst_case(monkeypatch):
     # A ninth-order zero is flat on both sides, so the interpolation steps
-    # gain little and the midpoint probed in every pass does the work: within
-    # three passes per halving of [0, 1] down to 2 * ROOT_TOL.
+    # gain little and the midpoint probed in every pass does the work: at
+    # most one pass per halving of [0, 1] down to 2 * ROOT_TOL, inside this
+    # bound of three.
     root, passes = _count_refine_passes(monkeypatch, lambda e: (e - 0.3) ** 9, 0.0, 1.0)
     assert abs(root - 0.3) <= gfunction.ROOT_TOL
     assert passes <= 3 * np.ceil(np.log2(1.0 / (2 * gfunction.ROOT_TOL)))
