@@ -48,9 +48,9 @@ def cmd_spectrum(args: argparse.Namespace, params: ModelParams) -> int:
     levels = (oracle.window(params, args.truncation, args.emax, parities)
               if args.solver != "gfunction" or not args.no_verify else None)
     if args.solver in ("gfunction", "both"):
-        for res in gfunction._find_roots(params, parities, args.emin, args.emax, args.step,
-                                         levels=None if args.no_verify else levels):
-            records.extend(res)
+        records.extend(gfunction.find_roots(params, parities, args.emin, args.emax,
+                                            args.step,
+                                            levels=None if args.no_verify else levels))
     if args.solver in ("oracle", "both"):
         records.extend(r for r in levels if args.emin <= r.energy <= args.emax)
     records.sort(key=lambda r: (r.energy, r.method, r.parity.sign))
@@ -66,8 +66,8 @@ def cmd_spectrum(args: argparse.Namespace, params: ModelParams) -> int:
 
 
 def cmd_trace(args: argparse.Namespace, params: ModelParams) -> int:
-    traces = gfunction._traces(params, _parities(args.parity), args.emin, args.emax,
-                               args.step)
+    traces = gfunction.trace(params, _parities(args.parity), args.emin, args.emax,
+                             args.step)
     gfunction.write_trace_csv(traces, args.out, comments=[
         "tqrabi trace",
         _params_comment(params),
@@ -87,11 +87,11 @@ def _sweep_point(task) -> list[tuple[str, ...]]:
         try:
             levels = (oracle.window(point, args.truncation, args.emax, parities)
                       if args.solver == "both" else None)
-            for res in gfunction._find_roots(point, parities, args.emin, args.emax,
-                                             args.step, levels=levels):
-                rows.extend((fmt(g), fmt(r.energy), str(r.parity.sign),
-                             "gfunction", fmt(r.residual), "ok")
-                            for r in res)
+            res = gfunction.find_roots(point, parities, args.emin, args.emax,
+                                       args.step, levels=levels)
+            rows.extend((fmt(g), fmt(r.energy), str(r.parity.sign),
+                         "gfunction", fmt(r.residual), "ok")
+                        for parity in parities for r in res.filtered(parity))
         except SolverError as exc:
             rows.extend((fmt(g), "", str(parity.sign), "gfunction", "",
                          type(exc).__name__) for parity in parities)
@@ -204,9 +204,10 @@ def cmd_verify(args: argparse.Namespace, params: ModelParams) -> int:
                   if params.gprime == 0.0 else [])
               for p in _parities(args.parity)}
     levels = oracle.window(params, args.truncation, args.emax, tuple(cutoff))
-    found = gfunction._find_roots(params, tuple(cutoff), args.emin, args.emax,
-                                  args.step, levels=levels)
-    for parity, res in zip(cutoff, found):
+    found = gfunction.find_roots(params, tuple(cutoff), args.emin, args.emax,
+                                 args.step, levels=levels)
+    for parity in cutoff:
+        res = found.filtered(parity)
         bad = [r for r in res if not r.verified]
         worst = max((r.residual for r in res), default=0.0)
         report(not bad, f"roots[{parity}]: {len(res)} roots, "

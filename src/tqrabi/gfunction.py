@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import oracle, series
+from . import series
 from .model import (
     Baseline,
     ModelParams,
@@ -292,18 +292,14 @@ class GTrace:
     poles: tuple[Baseline, ...]
 
 
-def trace(params: ModelParams, parity: Parity, e_min: float, e_max: float,
-          step: Optional[float] = None) -> GTrace:
-    """Sample the determinant across [e_min, e_max] for plotting or CSV export.
+def trace(params: ModelParams, parities: Sequence[Parity], e_min: float,
+          e_max: float, step: Optional[float] = None) -> list[GTrace]:
+    """Sample the determinant of each parity across [e_min, e_max] on one grid.
 
-    step defaults to 0.01 in units of the photon frequency.
+    Returns one GTrace per parity, in the given order, from one G pass; step
+    defaults to 0.01 in units of the photon frequency. A grid point exactly
+    on a baseline keeps its NaN (an empty CSV cell).
     """
-    return _traces(params, (parity,), e_min, e_max, step)[0]
-
-
-def _traces(params: ModelParams, parities: Sequence[Parity], e_min: float,
-            e_max: float, step: Optional[float] = None) -> list[GTrace]:
-    """trace for several parities on one grid, from one G pass."""
     lo, hi, h = _window(params, e_min, e_max, step)
     sp, scheme = _prepare(params, None)
     w = params.omega
@@ -462,48 +458,47 @@ def _refine_brackets(sp: ModelParams, scheme: MatchingScheme,
     return (sb, 0.5 * (lo + hi)), tuple(np.concatenate(c) for c in zip(*tangents))
 
 
-def find_roots(params: ModelParams, parity: Parity, e_min: float, e_max: float,
-               step: Optional[float] = None,
+def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
+               e_max: float, step: Optional[float] = None,
                scheme: Optional[MatchingScheme] = None,
-               verify: bool = True,
-               verify_truncation: int = DEFAULT_VERIFY_TRUNCATION) -> SpectrumResult:
-    """Zeros of the matching determinant in [e_min, e_max] for one parity sector.
+               levels: Optional[SpectrumResult] = None) -> SpectrumResult:
+    """Zeros of the matching determinant in [e_min, e_max] for the given parities.
 
-    The pole-free G is scanned across the window on one uniform grid (step
-    defaults to 0.01 in units of the photon frequency) in one batch, less
-    any grid point exactly on a baseline. Dips of |G| without a sign change
-    are probed for a root pair inside one grid cell, or a tangency, in the
-    passes that narrow the sign-change brackets to width 2e-10, each at an
-    interpolated point, a ladder of points around it and its midpoint
-    (_refine_brackets, shared by all parities in _find_roots); a root is
-    its bracket's midpoint. A cutoff state on a one-column (center-0)
-    baseline is a root, settled beside its pole in one pass; dark states, on
-    baselines without a pole, are not. With verify=True every root is checked
-    against the diagonalization oracle (nearest same-parity level within
-    1e-6); unmatched roots are kept but flagged unverified. A bracket probe
-    where G is not finite raises NoConvergence.
+    One search serves every parity. The pole-free G is scanned across the
+    window on one uniform grid (step defaults to 0.01 in units of the photon
+    frequency) in one batch; an inner grid point exactly on a baseline is
+    dropped, and a window end on one is taken 4*POLE_EPS inside. Dips of |G|
+    without a sign change are probed for a root pair inside one grid cell,
+    or a tangency, in the passes that narrow the sign-change brackets to
+    width 2e-10, each at an interpolated point, a ladder of points around it
+    and its midpoint (_refine_brackets); a root is its bracket's midpoint. A
+    cutoff state on a one-column (center-0) baseline is a root, settled
+    beside its pole in one pass; dark states, on baselines without a pole,
+    are not. levels, oracle records of these parities such as
+    oracle.window(params, 300, e_max, parities), verifies every root
+    (nearest same-parity level within 1e-6): unmatched roots are kept but
+    flagged unverified. With levels None roots are unverified. Labels count
+    the roots within each parity. A bracket probe where G is not finite
+    raises NoConvergence.
     """
-    levels = oracle.window(params, verify_truncation, e_max, (parity,)) if verify else None
-    return _find_roots(params, (parity,), e_min, e_max, step, scheme, levels)[0]
-
-
-def _find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
-                e_max: float, step: Optional[float] = None,
-                scheme: Optional[MatchingScheme] = None,
-                levels: Optional[SpectrumResult] = None) -> list[SpectrumResult]:
-    """find_roots for several parities from one scan and one set of passes, verified
-    against levels, oracle records of those parities (oracle.window), unless None."""
     lo_w, hi_w, h = _window(params, e_min, e_max, step)
     sp, scheme = _prepare(params, scheme)
     w = params.omega
     signs = tuple(p.sign for p in parities)
 
     xs = np.linspace(lo_w, hi_w, max(2, int(round((hi_w - lo_w) / h)) + 1))
+    # A window end on a pole has no grid point beyond it to bracket across, so
+    # the scan also takes each end 4*POLE_EPS inside, as a bracket probe is
+    # stepped off a pole, and that point stands in for an end on a pole.
+    d = 4 * series.POLE_EPS
+    xs = np.concatenate([xs[:1], xs[:1] + d, xs[1:-1], xs[-1:] - d, xs[-1:]])
     scan, scan_ok, _ = _gvalues(sp, signs, xs, scheme)
     brackets, dips = [], []
     for sign, gs, pole_ok in zip(signs, scan, scan_ok):
         # No value exactly on a pole: the grid points beside it bracket across it.
-        x, gs = xs[pole_ok], gs[pole_ok]
+        take = pole_ok.copy()
+        take[[1, -2]] &= ~pole_ok[[0, -1]]
+        x, gs = xs[take], gs[take]
         s, mag = np.sign(gs), np.abs(gs)
         # A |G| dip of one sign holds either two roots in one grid cell or a
         # tangency (a root of even multiplicity).
@@ -550,9 +545,9 @@ def _find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
             records.append(SpectrumRecord(e_raw, parity, "gfunction", residual,
                                           verified=verified))
     result = SpectrumResult.from_records(records)
-    return [SpectrumResult(tuple(
+    return SpectrumResult.from_records(
         SpectrumRecord(r.energy, r.parity, r.method, r.residual, i, r.verified)
-        for i, r in enumerate(result.filtered(p)))) for p in parities]
+        for p in parities for i, r in enumerate(result.filtered(p)))
 
 
 def write_spectrum_csv(records, path_or_file, comments: Sequence[str] = ()) -> None:

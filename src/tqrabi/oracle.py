@@ -166,14 +166,16 @@ def _eig(params: ModelParams, truncation: int,
     return evals[order], signs[order]
 
 
-def _certify(params: ModelParams, truncation: int, counts: dict[int, int],
-             k_total: int, cap: int,
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Lowest k_total of the counted levels, certified against 50 photons fewer.
+def certified_spectrum(params: ModelParams, truncation: int, counts: dict[int, int],
+                       k_total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Lowest k_total of the counted levels, with truncation drift below 1e-8.
 
+    counts maps a parity sign to how many of its lowest levels are computed.
     A level's drift is taken against the same-parity level of the same rank
-    at the lower truncation; the truncation grows by 50 until every drift is
-    below DEFAULT_DRIFT_TOL.
+    at 50 photons fewer; the truncation grows by 50 until every drift is
+    below DEFAULT_DRIFT_TOL, and NotConverged is raised past
+    DEFAULT_TRUNCATION_CAP. Returns (energies, parity signs, drifts,
+    truncation actually used).
     """
     t = truncation
     e_lo, s_lo = _eig(params, t, counts)
@@ -189,21 +191,9 @@ def _certify(params: ModelParams, truncation: int, counts: dict[int, int],
             return e_hi[:k_total], s_hi[:k_total], drift, t + _DRIFT_STEP
         t += _DRIFT_STEP
         e_lo, s_lo = e_hi, s_hi
-        if t + _DRIFT_STEP > cap:
+        if t + _DRIFT_STEP > DEFAULT_TRUNCATION_CAP:
             raise NotConverged(f"drift {np.max(drift):.3e} >= {DEFAULT_DRIFT_TOL:g} "
-                               f"at truncation cap {cap}")
-
-
-def certified_spectrum(params: ModelParams, truncation: int, k_levels: int,
-                       cap: int = DEFAULT_TRUNCATION_CAP,
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Lowest k_levels eigenvalues with per-level truncation drift below 1e-8.
-
-    Repeats at truncation + 50 and grows the basis until the drift test passes;
-    returns (energies, parity signs, drifts, truncation actually used).
-    """
-    return _certify(params, truncation, dict.fromkeys(_SIGNS, k_levels),
-                    k_levels, cap)
+                               f"at truncation cap {DEFAULT_TRUNCATION_CAP}")
 
 
 def _records(evals: np.ndarray, signs: np.ndarray,
@@ -214,14 +204,14 @@ def _records(evals: np.ndarray, signs: np.ndarray,
         for i, (e, s, d) in enumerate(zip(evals, signs, drift)))
 
 
-def diagonalize(params: ModelParams, truncation: int, k_levels: int,
-                cap: int = DEFAULT_TRUNCATION_CAP) -> SpectrumResult:
+def diagonalize(params: ModelParams, truncation: int, k_levels: int) -> SpectrumResult:
     """Lowest k_levels eigenpairs as 'oracle' records (residual = truncation drift)."""
     if k_levels < 1:
         raise ValueError("k_levels must be >= 1")
     if truncation < k_levels / 2 + 10:
         raise ValueError("truncation too small for the requested level count")
-    return _records(*certified_spectrum(params, truncation, k_levels, cap)[:3])
+    return _records(*certified_spectrum(params, truncation, dict.fromkeys(_SIGNS, k_levels),
+                                        k_levels)[:3])
 
 
 def window(params: ModelParams, truncation: int, e_max: float,
@@ -229,16 +219,24 @@ def window(params: ModelParams, truncation: int, e_max: float,
            ) -> SpectrumResult:
     """Certified 'oracle' records of the given parities up to e_max and beyond.
 
-    Every level at or below e_max + omega/2 (counted at the starting
-    truncation) and the next four levels above them are drift-certified
-    like certified_spectrum; callers filter to their own window.
+    Every level at or below e_max + omega/2, counted at the starting
+    truncation, and the next four levels above them are drift-certified by
+    certified_spectrum; callers filter to their own window. A truncated level
+    lies above the true one, so a small start may undercount: when every
+    counted level of a parity, or every certified one, lies at or below the
+    cut, the levels are counted again at the certified truncation and
+    certified again from there.
     """
     cut = e_max + 0.5 * params.omega
-    below = {p.sign: _solve(_band(params, truncation, p.sign), upto=cut).size
-             for p in parities}
-    counts = {s: m + 4 for s, m in below.items()}
-    return _records(*_certify(params, truncation, counts, sum(below.values()) + 4,
-                              DEFAULT_TRUNCATION_CAP)[:3])
+    while True:
+        below = {p.sign: _solve(_band(params, truncation, p.sign), upto=cut).size
+                 for p in parities}
+        counts = {s: m + 4 for s, m in below.items()}
+        evals, signs, drift, truncation = certified_spectrum(
+            params, truncation, counts, sum(below.values()) + 4)
+        if evals[-1] > cut and all(np.count_nonzero((signs == s) & (evals <= cut)) < m
+                                   for s, m in counts.items()):
+            return _records(evals, signs, drift)
 
 
 def residual(params: ModelParams, truncation: int, state, energy: float | None = None,

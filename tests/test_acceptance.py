@@ -37,8 +37,8 @@ def test_criterion_1_asymmetric_reference_roots_match_ed():
     # per-parity counts agree; wall time below 30 s.
     p = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
     t0 = time.perf_counter()
-    results = {par: find_roots(p, par, -1.0, 2.5, verify=True,
-                               verify_truncation=300)
+    results = {par: find_roots(p, (par,), -1.0, 2.5,
+                               levels=oracle.window(p, 300, 2.5, (par,)))
                for par in (Parity.PLUS, Parity.MINUS)}
     elapsed = time.perf_counter() - t0
     evals, pars = _ed(p, 300)
@@ -61,7 +61,7 @@ def test_criterion_2_decoupled_limit():
     p = ModelParams(1.0, 0.6, 0.2, 0.8e-6, 0.2e-6)
     roots = []
     for par in (Parity.PLUS, Parity.MINUS):
-        roots += find_roots(p, par, -0.95, 0.95, verify=False).energies()
+        roots += find_roots(p, (par,), -0.95, 0.95).energies()
     roots = sorted(roots)[:6]
     expected = [-0.8, -0.4, 0.2, 0.4, 0.6, 0.8]
     worst = max(abs(a - b) for a, b in zip(roots, expected))
@@ -108,12 +108,12 @@ def test_criterion_4_flat_line_for_unit_splitting_sum():
 def test_criterion_5_fine_tuned_two_photon_state():
     # d1 = 0.6, d2 = 0.4: the two-photon cutoff exists at g^2 = 1.44 only.
     p = ModelParams(1.0, 0.6, 0.4, 0.6, 0.6)  # g = 1.2
-    evals, _, _, _ = oracle.certified_spectrum(p, 120, 16)
+    evals, _, _, _ = oracle.certified_spectrum(p, 120, {1: 16, -1: 16}, 16)
     ed_offset = float(np.min(np.abs(evals - 2.0)))
     state = build_state(p, Parity.PLUS, 2)
     resid = oracle.residual(p, 60, state)
     perturbed = p.with_g(1.25)
-    evals2, _, _, _ = oracle.certified_spectrum(perturbed, 120, 16)
+    evals2, _, _, _ = oracle.certified_spectrum(perturbed, 120, {1: 16, -1: 16}, 16)
     gap = float(np.min(np.abs(evals2 - 2.0)))
     _finish(5, ed_offset < 1e-8 and resid < 1e-10 and gap > 1e-3,
             f"|E-2| = {ed_offset:.2e} at g=1.2, state residual {resid:.2e}, "
@@ -184,10 +184,8 @@ def test_criterion_8b_coefficient_reflection_symmetry():
 def test_criterion_8c_roots_invariant_under_matching_points():
     p = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
     alt = MatchingScheme(0.21, 0.08)
-    ra = np.array(find_roots(p, Parity.MINUS, -1.0, 1.0,
-                             verify=False).energies())
-    rb = np.array(find_roots(p, Parity.MINUS, -1.0, 1.0, scheme=alt,
-                             verify=False).energies())
+    ra = np.array(find_roots(p, (Parity.MINUS,), -1.0, 1.0).energies())
+    rb = np.array(find_roots(p, (Parity.MINUS,), -1.0, 1.0, scheme=alt).energies())
     worst = float(np.max(np.abs(ra - rb))) if ra.size == rb.size else math.inf
     _finish(8, ra.size == rb.size and worst < 1e-9,
             f"(c) root drift across matching points {worst:.2e}")
@@ -205,10 +203,11 @@ def test_criterion_8d_first_six_levels_on_coupling_grid():
         for g in (0.4, 1.0, 1.8):
             p = ModelParams(1.0, 0.6, 0.2, g * ratio / (ratio + 1),
                             g / (ratio + 1), jx=jx)
-            evals, pars, _, _ = oracle.certified_spectrum(p, 140, 10)
+            evals, pars, _, _ = oracle.certified_spectrum(p, 140, {1: 10, -1: 10}, 10)
             lo, hi = evals[0] - 0.05, evals[5] + 0.05
-            roots = {par: np.array(find_roots(p, par, lo, hi, verify=True,
-                                              verify_truncation=140).energies())
+            roots = {par: np.array(find_roots(
+                         p, (par,), lo, hi,
+                         levels=oracle.window(p, 140, hi, (par,))).energies())
                      for par in (Parity.PLUS, Parity.MINUS)}
             for e, s in zip(evals[:6], pars[:6]):
                 par = Parity.PLUS if s > 0 else Parity.MINUS

@@ -115,7 +115,7 @@ def test_spectrum_both_shares_search_and_window(tmp_path, monkeypatch, couplings
     cfg = tmp_path / "m.cfg"
     cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in
                            zip(("omega", "delta1", "delta2", "g1", "g2"), (1.0, *couplings))))
-    calls = {"gvalues": 0, "window": 0, "eig_banded": 0}
+    calls = {"find_roots": 0, "gvalues": 0, "window": 0, "eig_banded": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -123,6 +123,7 @@ def test_spectrum_both_shares_search_and_window(tmp_path, monkeypatch, couplings
             return fn(*args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(gfunction, "find_roots", counted("find_roots", gfunction.find_roots))
     monkeypatch.setattr(gfunction, "_gvalues", counted("gvalues", gfunction._gvalues))
     monkeypatch.setattr(oracle, "window", counted("window", oracle.window))
     monkeypatch.setattr(scipy.linalg, "eig_banded",
@@ -130,6 +131,7 @@ def test_spectrum_both_shares_search_and_window(tmp_path, monkeypatch, couplings
     out = tmp_path / "spectrum.csv"
     assert main(["spectrum", "--config", str(cfg), "--emin", "-1", "--emax", "2.5",
                  "--solver", "both", "--out", str(out)]) == 0
+    assert calls["find_roots"] == 1
     assert calls["gvalues"] <= 0.6 * parent_calls
     assert calls["window"] == 1
     assert calls["eig_banded"] == 6
@@ -137,6 +139,42 @@ def test_spectrum_both_shares_search_and_window(tmp_path, monkeypatch, couplings
     for method in ("gfunction", "oracle"):
         assert {r["parity"] for r in data if r["method"] == method} == {"1", "-1"}
     assert all(float(r["residual"]) < 1e-6 for r in data if r["method"] == "gfunction")
+
+
+@pytest.mark.parametrize("command, name", [
+    (["verify", "--emax", "1.0", "--truncation", "160"], "find_roots"),
+    (["trace", "--emin", "-1", "--emax", "1.0"], "trace"),
+])
+def test_cli_solves_through_the_public_entry_point(asym_cfg, monkeypatch, capsys,
+                                                   command, name):
+    # Every command solves both parities through one call of the library's
+    # own entry point, so what it runs is what the library documents.
+    calls = []
+    fn = getattr(gfunction, name)
+    monkeypatch.setattr(gfunction, name, lambda *a, **k: calls.append(1) or fn(*a, **k))
+    assert main([command[0], "--config", asym_cfg, *command[1:]]) == 0
+    assert len(calls) == 1
+
+
+def test_small_truncation_counts_every_level(tmp_path, capsys):
+    # At truncation 100 every level counted up to the cut lies at or below
+    # E = 1.0 for g1 = g2 = 3; the oracle counts again at the certified
+    # truncation, so the rows and the coverage line are those of 300.
+    cfg = tmp_path / "strong.cfg"
+    cfg.write_text(FLAT_CFG.replace("0.5", "3"))
+    oracle_rows = {}
+    for t in ("100", "300"):
+        out = tmp_path / f"oracle{t}.csv"
+        assert main(["spectrum", "--config", str(cfg), "--emax", "2.5",
+                     "--solver", "oracle", "--truncation", t, "--out", str(out)]) == 0
+        oracle_rows[t] = [(float(r["E"]), r["parity"]) for r in rows(out)]
+    assert len(oracle_rows["100"]) == len(oracle_rows["300"]) == 12
+    for (a, pa), (b, pb) in zip(oracle_rows["100"], oracle_rows["300"]):
+        assert pa == pb and abs(a - b) < 1e-8
+    assert main(["verify", "--config", str(cfg), "--truncation", "100"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS coverage[plus]: 6 oracle levels, 0 unmatched" in out
+    assert "PASS coverage[minus]: 6 oracle levels, 0 unmatched" in out
 
 
 def test_cli_import_leaves_out_scipy_linalg():

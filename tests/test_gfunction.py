@@ -121,8 +121,8 @@ def test_gvalue_finite_and_deterministic(asym):
 
 def test_root_positions_independent_of_matching_points(asym):
     alt = MatchingScheme(0.21, 0.08)
-    res_a = find_roots(asym, Parity.PLUS, -1.0, 1.0, verify=False)
-    res_b = find_roots(asym, Parity.PLUS, -1.0, 1.0, scheme=alt, verify=False)
+    res_a = find_roots(asym, (Parity.PLUS,), -1.0, 1.0)
+    res_b = find_roots(asym, (Parity.PLUS,), -1.0, 1.0, scheme=alt)
     ra, rb = res_a.energies(), res_b.energies()
     assert len(ra) == len(rb)
     assert np.max(np.abs(np.array(ra) - np.array(rb))) < 1e-9
@@ -130,8 +130,8 @@ def test_root_positions_independent_of_matching_points(asym):
 
 def test_roots_match_diagonalization_full8(asym):
     for parity in (Parity.PLUS, Parity.MINUS):
-        res = find_roots(asym, parity, -1.0, 1.0, verify=True,
-                         verify_truncation=200)
+        res = find_roots(asym, (parity,), -1.0, 1.0,
+                         levels=oracle.window(asym, 200, 1.0, (parity,)))
         ed = ed_levels(asym, parity, -1.0, 1.0)
         assert len(res) == len(ed)
         assert np.max(np.abs(np.array(res.energies()) - ed)) < 1e-6
@@ -142,8 +142,8 @@ def test_roots_match_diagonalization_full8(asym):
 def test_roots_match_diagonalization_ratio2(ratio2):
     # All roots below E = 2 for the 2:1 coupling ratio at g = 0.5.
     for parity in (Parity.PLUS, Parity.MINUS):
-        res = find_roots(ratio2, parity, -1.0, 2.0, verify=True,
-                         verify_truncation=200)
+        res = find_roots(ratio2, (parity,), -1.0, 2.0,
+                         levels=oracle.window(ratio2, 200, 2.0, (parity,)))
         ed = ed_levels(ratio2, parity, -1.0, 2.0)
         assert len(res) == len(ed)
         assert np.max(np.abs(np.array(res.energies()) - ed)) < 1e-6
@@ -157,7 +157,8 @@ def test_roots_match_diagonalization_near_half_asymmetry(ratio):
     # levels), so full8 must serve every g' > 0.
     p = ModelParams(1.0, 0.55, 0.25, 0.3 * (1 + ratio), 0.3 * (1 - ratio))
     for parity, count in ((Parity.PLUS, 7), (Parity.MINUS, 6)):
-        res = find_roots(p, parity, -1.0, 2.5, verify=True)
+        res = find_roots(p, (parity,), -1.0, 2.5,
+                         levels=oracle.window(p, 300, 2.5, (parity,)))
         ed = ed_levels(p, parity, -1.0, 2.5)
         assert len(ed) == count
         assert len(res) == count
@@ -171,7 +172,7 @@ def test_gvalue_depends_on_energy_alone(xyz_double, xyz_odd):
     # whether it is computed alone, in a small batch or in a batch of 351.
     p = ModelParams(1.0, 0.55, 0.25, 0.3 * 1.4975, 0.3 * 0.5025)
     for parity in (Parity.PLUS, Parity.MINUS):
-        tr = trace(p, parity, -1.0, 2.5)
+        tr, = trace(p, (parity,), -1.0, 2.5)
         cells = np.flatnonzero(np.isfinite(tr.values))[::37]
         assert cells.size > 5
         for i in cells:
@@ -183,7 +184,7 @@ def test_gvalue_depends_on_energy_alone(xyz_double, xyz_odd):
     for p in (xyz_double, full8, xyz_odd):
         sp, scheme = gfunction._prepare(p, None)
         for parity in (Parity.PLUS, Parity.MINUS):
-            tr = trace(p, parity, -1.0, 2.5)
+            tr, = trace(p, (parity,), -1.0, 2.5)
             cells = np.flatnonzero(np.isfinite(tr.values))
             for size in (1, 2, 3, 5, 7):
                 for k in range(0, cells.size - size, 23):
@@ -222,7 +223,7 @@ def test_gvalue_depends_on_energy_alone(xyz_double, xyz_odd):
     p = ModelParams(1.0, 0.6, 0.2, 1.2, 0.8)
     sp, scheme = gfunction._prepare(p, None)
     for parity in (Parity.PLUS, Parity.MINUS):
-        tr = trace(p, parity, -1.0, 2.5, 0.001)
+        tr, = trace(p, (parity,), -1.0, 2.5, 0.001)
         assert tr.energies.size > 3 * gfunction._BLOCK
         cells = np.flatnonzero(np.isfinite(tr.values))[::101]
         for k in range(0, cells.size - 3, 3):
@@ -344,8 +345,8 @@ def test_pole_guard_marks_one_energy(center, n):
 def test_roots_match_diagonalization_exchange_reduced4():
     p = ModelParams(1.0, 0.6, 0.2, 0.4, 0.4, jx=0.7, jy=0.1, jz=0.3)
     for parity in (Parity.PLUS, Parity.MINUS):
-        res = find_roots(p, parity, -1.0, 1.5, verify=True,
-                         verify_truncation=200)
+        res = find_roots(p, (parity,), -1.0, 1.5,
+                         levels=oracle.window(p, 200, 1.5, (parity,)))
         ed = ed_levels(p, parity, -1.0, 1.5)
         assert len(res) == len(ed)
         assert np.max(np.abs(np.array(res.energies()) - ed)) < 1e-6
@@ -353,8 +354,8 @@ def test_roots_match_diagonalization_exchange_reduced4():
 
 def test_roots_rescale_with_photon_frequency(asym):
     scaled_up = ModelParams(2.0, 1.2, 0.4, 0.48, 0.12)
-    r1 = find_roots(asym, Parity.MINUS, -1.0, 0.6, verify=False).energies()
-    r2 = find_roots(scaled_up, Parity.MINUS, -2.0, 1.2, verify=False).energies()
+    r1 = find_roots(asym, (Parity.MINUS,), -1.0, 0.6).energies()
+    r2 = find_roots(scaled_up, (Parity.MINUS,), -2.0, 1.2).energies()
     assert len(r1) == len(r2)
     assert np.max(np.abs(np.array(r2) - 2 * np.array(r1))) < 1e-9
 
@@ -362,31 +363,31 @@ def test_roots_rescale_with_photon_frequency(asym):
 def test_near_decoupled_limit_levels():
     # g -> 0: levels approach n + s1*d1 + s2*d2 with the parity (-1)^n s1 s2.
     p = ModelParams(1.0, 0.6, 0.2, 0.8e-3, 0.2e-3)
-    plus = find_roots(p, Parity.PLUS, -0.95, 0.95, verify=False)
-    minus = find_roots(p, Parity.MINUS, -0.95, 0.95, verify=False)
+    plus = find_roots(p, (Parity.PLUS,), -0.95, 0.95)
+    minus = find_roots(p, (Parity.MINUS,), -0.95, 0.95)
     assert np.allclose(plus.energies(), [-0.8, 0.6, 0.8], atol=1e-4)
     assert np.allclose(minus.energies(), [-0.4, 0.2, 0.4], atol=1e-4)
 
 
 def test_window_with_baseline_but_no_root(asym):
-    res = find_roots(asym, Parity.PLUS, -0.12, -0.05, verify=False)
+    res = find_roots(asym, (Parity.PLUS,), -0.12, -0.05)
     assert len(res) == 0
 
 
 def test_window_validation(asym):
     with pytest.raises(ValueError):
-        find_roots(asym, Parity.PLUS, 1.0, -1.0)
+        find_roots(asym, (Parity.PLUS,), 1.0, -1.0)
     with pytest.raises(ValueError):
-        find_roots(asym, Parity.PLUS, -1.0, 1.0, step=0.0)
+        find_roots(asym, (Parity.PLUS,), -1.0, 1.0, step=0.0)
     with pytest.raises(ValueError):
-        trace(asym, Parity.PLUS, -1.0, 1.0, step=-0.1)
+        trace(asym, (Parity.PLUS,), -1.0, 1.0, step=-0.1)
 
 
 def test_trace_sign_changes_count_roots(asym):
     # G is pole-free, so it changes sign at the levels only, baselines
     # included in the count.
     for parity in (Parity.PLUS, Parity.MINUS):
-        tr = trace(asym, parity, -1.0, 2.5, 0.002)
+        tr, = trace(asym, (parity,), -1.0, 2.5, 0.002)
         assert len(tr.poles) == 6
         vals = tr.values[np.isfinite(tr.values)]
         crossings = int(np.sum(np.sign(vals[1:]) != np.sign(vals[:-1])))
@@ -397,7 +398,7 @@ def test_trace_sign_changes_count_roots(asym):
 def test_trace_constant_sign_between_adjacent_roots(asym):
     # Adjacent odd-parity levels sit at -0.4346 and 0.0067; the window between
     # them (clear of baselines) must keep one sign.
-    tr = trace(asym, Parity.MINUS, -0.42, -0.10, 0.005)
+    tr, = trace(asym, (Parity.MINUS,), -0.42, -0.10, 0.005)
     vals = tr.values[np.isfinite(tr.values)]
     assert vals.size > 30
     assert np.all(np.sign(vals) == np.sign(vals[0]))
@@ -406,7 +407,7 @@ def test_trace_constant_sign_between_adjacent_roots(asym):
 def test_gvalue_continuous_between_baselines(asym):
     # Column normalization keeps the determinant continuous inside one
     # inter-baseline interval.
-    tr = trace(asym, Parity.PLUS, -0.03, 0.89, 0.002)
+    tr, = trace(asym, (Parity.PLUS,), -0.03, 0.89, 0.002)
     vals = tr.values[np.isfinite(tr.values)]
     diffs = np.abs(np.diff(vals))
     assert np.max(diffs) < 0.05 * np.max(np.abs(vals))
@@ -415,7 +416,7 @@ def test_gvalue_continuous_between_baselines(asym):
 def test_trace_empty_only_at_pole_hits(flat):
     # E = 1 is a baseline of centers g and 0; only the grid point on it has
     # no value. It is also the even cutoff state, where G changes sign.
-    tr = trace(flat, Parity.PLUS, 0.999999, 1.000001, 2.0e-7)
+    tr, = trace(flat, (Parity.PLUS,), 0.999999, 1.000001, 2.0e-7)
     assert np.flatnonzero(~np.isfinite(tr.values)).tolist() == [5]
     assert tr.energies[5] == 1.0
     assert tr.values[4] * tr.values[6] < 0
@@ -423,7 +424,7 @@ def test_trace_empty_only_at_pole_hits(flat):
 
 
 def test_spectrum_csv_format(tmp_path, asym):
-    res = find_roots(asym, Parity.PLUS, -1.0, 0.5, verify=False)
+    res = find_roots(asym, (Parity.PLUS,), -1.0, 0.5)
     out = tmp_path / "spectrum.csv"
     write_spectrum_csv(res, out, comments=["header line"])
     lines = out.read_text().splitlines()
@@ -434,8 +435,7 @@ def test_spectrum_csv_format(tmp_path, asym):
 
 
 def test_trace_csv_empty_cells_at_pole_hits(tmp_path, flat):
-    traces = [trace(flat, par, 0.999999, 1.000001, 2.0e-7)
-              for par in (Parity.PLUS, Parity.MINUS)]
+    traces = trace(flat, (Parity.PLUS, Parity.MINUS), 0.999999, 1.000001, 2.0e-7)
     out = tmp_path / "trace.csv"
     write_trace_csv(traces, out)
     body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
@@ -521,8 +521,9 @@ def test_cutoff_state_settles_in_one_pass(flat, monkeypatch):
     assert abs(root[0] - energy) < 1e-11
     # Flat's other even roots are ordinary zeros: the search for the sector
     # makes one scan and 3 passes, where it made 34 G calls.
+    levels = oracle.window(flat, 300, 2.5, (Parity.PLUS,))
     calls.clear()
-    res = find_roots(flat, Parity.PLUS, -1.0, 2.5, verify=True)
+    res = find_roots(flat, (Parity.PLUS,), -1.0, 2.5, levels=levels)
     assert min(abs(x - energy) for x in res.energies()) < 1e-11
     assert len(calls) <= 4
 
@@ -543,10 +544,10 @@ def test_two_parity_search_in_seven_g_calls(params, monkeypatch):
     calls = []
     gvalues = gfunction._gvalues
     monkeypatch.setattr(gfunction, "_gvalues", lambda *a: calls.append(1) or gvalues(*a))
-    found = gfunction._find_roots(params, both, -1.0, 2.5, levels=levels)
+    found = find_roots(params, both, -1.0, 2.5, levels=levels)
     assert len(calls) <= 7
-    assert all(r.verified for res in found for r in res)
-    assert sum(len(res) for res in found) >= 10
+    assert all(r.verified for r in found)
+    assert len(found) >= 10
 
 
 def _count_refine_passes(monkeypatch, g, lo, hi):
@@ -581,14 +582,14 @@ def test_refine_brackets_multiple_root_worst_case(monkeypatch):
 @pytest.mark.parametrize("lift, found", [(0.0, [0.3]), (1e-11, [])])
 def test_tangent_dip_kept_only_below_1e_12(monkeypatch, asym, lift, found):
     # (E - 0.3)^2 touches zero inside a grid cell without a sign change: the
-    # dip probe narrows it to a tangent candidate, which verify=False keeps
+    # dip probe narrows it to a tangent candidate, which a search without levels keeps
     # only when |G| < 1e-12 there. Lifted by 1e-11 it stays below
     # TANGENT_GTOL to the end of the probe, yet holds no root.
     refine_brackets, probed = gfunction._refine_brackets, []
     monkeypatch.setattr(gfunction, "_gvalues", fake_gvalues(lambda e: (e - 0.3) ** 2 + lift))
     monkeypatch.setattr(gfunction, "_refine_brackets",
                         lambda *a: probed.append(refine_brackets(*a)) or probed[-1])
-    res = find_roots(asym, Parity.PLUS, 0.0, 1.0, step=0.03, verify=False)
+    res = find_roots(asym, (Parity.PLUS,), 0.0, 1.0, step=0.03)
     ((_, roots), (_, tangents)), = probed
     assert roots.size == 0 and tangents == pytest.approx([0.3], abs=2e-10)
     assert res.energies() == pytest.approx(found, abs=2 * gfunction.ROOT_TOL)
@@ -604,9 +605,11 @@ def test_two_parity_search_matches_single_parity(request, model):
     both = (Parity.PLUS, Parity.MINUS)
     levels = oracle.window(p, gfunction.DEFAULT_VERIFY_TRUNCATION, 2.5, both)
     for verify in (False, True):
-        found = gfunction._find_roots(p, both, -1.0, 2.5, levels=levels if verify else None)
-        for parity, res in zip(both, found):
-            alone = find_roots(p, parity, -1.0, 2.5, verify=verify)
+        found = find_roots(p, both, -1.0, 2.5, levels=levels if verify else None)
+        for parity in both:
+            res = found.filtered(parity)
+            alone = find_roots(p, (parity,), -1.0, 2.5, levels=oracle.window(
+                p, gfunction.DEFAULT_VERIFY_TRUNCATION, 2.5, (parity,)) if verify else None)
             assert len(res) >= 5 and all(r.parity is parity for r in res)
             assert (np.array([(r.energy, r.residual) for r in res]).tobytes()
                     == np.array([(r.energy, r.residual) for r in alone]).tobytes())
@@ -616,7 +619,7 @@ def test_two_parity_search_matches_single_parity(request, model):
 def test_roots_hold_a_sign_change(asym):
     tol = gfunction.ROOT_TOL
     for parity in (Parity.PLUS, Parity.MINUS):
-        roots = find_roots(asym, parity, -1.0, 2.5, verify=False).energies()
+        roots = find_roots(asym, (parity,), -1.0, 2.5).energies()
         assert len(roots) == 6
         for x in roots:
             assert gvalue(asym, parity, x - tol) * gvalue(asym, parity, x + tol) < 0
@@ -629,8 +632,25 @@ def test_level_beside_a_pole_on_the_grid():
     p = ModelParams(1.0, 0.6, 0.4, 0.6 + 5e-8, 0.6 + 5e-8)
     sp, scheme = gfunction._prepare(p, None)
     assert not gfunction._gvalues(sp, 1, np.array([2.0]), scheme)[1][0]
-    res = find_roots(p, Parity.PLUS, 1.9, 2.1, verify=True)
+    res = find_roots(p, (Parity.PLUS,), 1.9, 2.1,
+                     levels=oracle.window(p, 300, 2.1, (Parity.PLUS,)))
     assert res.energies() == pytest.approx([2.0000000339], abs=1e-9)
+    assert all(r.verified for r in res)
+
+
+@pytest.mark.parametrize("p, parity, level", [
+    (ModelParams(1.0, 0.6, 0.4, 0.225, 0.225), Parity.MINUS, 2.9920851014555447),
+    (ModelParams(1.0, 0.6, 0.4, 0.445, 0.445), Parity.PLUS, 2.9994122360975033),
+    (ModelParams(1.0, 0.6, 0.2, 2.4, 0.6), Parity.PLUS, 2.9959545245376495),
+], ids=["flat-0.45", "flat-0.89", "asym-3"])
+def test_level_beside_a_window_end_on_a_pole(p, parity, level):
+    # The window end E = 3 is a baseline, so the scan's last grid point has
+    # no value, and no grid point lies beyond it to bracket the level in the
+    # last cell across the pole: the scan takes that end 4*POLE_EPS inside.
+    sp, scheme = gfunction._prepare(p, None)
+    assert not gfunction._gvalues(sp, parity.sign, np.array([3.0]), scheme)[1][0]
+    res = find_roots(p, (parity,), -1.0, 3.0, levels=oracle.window(p, 300, 3.0, (parity,)))
+    assert min(abs(x - level) for x in res.energies()) < 1e-9
     assert all(r.verified for r in res)
 
 
@@ -638,7 +658,8 @@ def test_root_pair_in_a_narrow_gap_between_baselines():
     # g = 0.153, g'/g = 0.51: the even levels 0.99115489 and 0.99311088 sit
     # inside the 0.017 wide gap between the baselines 0.9766 and 0.9939.
     p = ModelParams(1.0, 0.15, 0.86, 0.1155, 0.0375)
-    res = find_roots(p, Parity.PLUS, -1.0, 2.5, verify=True)
+    res = find_roots(p, (Parity.PLUS,), -1.0, 2.5,
+                     levels=oracle.window(p, 300, 2.5, (Parity.PLUS,)))
     ed = ed_levels(p, Parity.PLUS, -1.0, 2.5, truncation=300)
     assert len(res) == len(ed) == 5
     assert np.max(np.abs(np.array(res.energies()) - ed)) < 1e-6
@@ -657,7 +678,7 @@ def test_cutoff_states_are_roots(request, model, parity, levels):
     p = request.getfixturevalue(model)
     cutoff = [e for _, e, _ in exceptional.levels(p, parity, -1.0, 2.5)]
     assert cutoff == pytest.approx(levels, abs=1e-12)
-    res = find_roots(p, parity, -1.0, 2.5, verify=True)
+    res = find_roots(p, (parity,), -1.0, 2.5, levels=oracle.window(p, 300, 2.5, (parity,)))
     assert all(r.verified for r in res)
     for e in cutoff:
         assert min(abs(x - e) for x in res.energies()) < 1e-9
@@ -670,7 +691,8 @@ def test_root_pair_inside_one_grid_cell():
     # asym levels of one parity are too far apart for this between adjacent
     # baselines.)
     p = ModelParams(1.0, 0.6, 0.2, 0.8e-3, 0.2e-3)
-    res = find_roots(p, Parity.PLUS, 0.22, 0.9, step=0.34, verify=True)
+    res = find_roots(p, (Parity.PLUS,), 0.22, 0.9, step=0.34,
+                     levels=oracle.window(p, 300, 0.9, (Parity.PLUS,)))
     ed = ed_levels(p, Parity.PLUS, 0.22, 0.9)
     assert len(ed) == 2
     assert len(res) == 2
@@ -687,7 +709,7 @@ def test_flat_dip_dropped_early(ratio2, monkeypatch):
     probe_dips, passes = gfunction._probe_dips, []
     monkeypatch.setattr(gfunction, "_probe_dips",
                         lambda *a: passes.append(1) or probe_dips(*a))
-    res = find_roots(ratio2, Parity.MINUS, -1.0, 2.5, verify=False)
+    res = find_roots(ratio2, (Parity.MINUS,), -1.0, 2.5)
     assert len(res) == 6
     assert 0 < len(passes) <= 10
 
@@ -698,7 +720,8 @@ def test_dip_probe_on_a_pole_is_passed_over(xyz_odd):
     # midpoint of its longer half lands: that probe has no value and must
     # not close the triple.
     p = xyz_odd.with_g(0.2)
-    res = find_roots(p, Parity.MINUS, -1.0, 3.0, verify=True)
+    res = find_roots(p, (Parity.MINUS,), -1.0, 3.0,
+                     levels=oracle.window(p, 300, 3.0, (Parity.MINUS,)))
     assert all(r.verified for r in res)
     assert res.energies()[1:3] == pytest.approx([0.6957463915, 0.7], abs=1e-9)
 
@@ -710,6 +733,6 @@ def test_smooth_dips_close_in_three_passes(ratio2, monkeypatch):
     probe_dips, passes = gfunction._probe_dips, []
     monkeypatch.setattr(gfunction, "_probe_dips",
                         lambda *a: passes.append(len(a[1])) or probe_dips(*a))
-    res = find_roots(ratio2, Parity.MINUS, -1.0, 2.5, verify=False)
+    res = find_roots(ratio2, (Parity.MINUS,), -1.0, 2.5)
     assert len(res) == 6
     assert passes[0] >= 4 and len(passes) <= 3

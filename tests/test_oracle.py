@@ -6,6 +6,7 @@ import pytest
 from tqrabi import (
     ModelParams,
     NotConverged,
+    Parity,
     SupportOverflow,
     build_hamiltonian,
     diagonalize,
@@ -95,10 +96,11 @@ def test_diagonalize_preconditions(asym):
         diagonalize(asym, 40, 0)
 
 
-def test_not_converged_at_cap():
+def test_not_converged_at_cap(monkeypatch):
     p = ModelParams(1.0, 0.6, 0.2, 2.0, 0.5)
+    monkeypatch.setattr(oracle, "DEFAULT_TRUNCATION_CAP", 30)
     with pytest.raises(NotConverged):
-        diagonalize(p, 15, 10, cap=30)
+        diagonalize(p, 15, 10)
 
 
 def test_support_overflow():
@@ -161,7 +163,7 @@ def test_levels_and_parities_match_independent_blocks(p):
     for s in (1, -1):
         assert np.max(np.abs(full[full_signs == s] - ref[s])) < tol
 
-    evals, signs, _, used = oracle.certified_spectrum(p, 40, 12)
+    evals, signs, _, used = oracle.certified_spectrum(p, 40, {1: 12, -1: 12}, 12)
     ref = _independent_levels(p, used)
     merged = sorted((e, s) for s in (1, -1) for e in ref[s])[:12]
     assert np.max(np.abs(evals - [e for e, _ in merged])) < tol
@@ -180,6 +182,23 @@ def test_levels_and_parities_match_independent_blocks(p):
         assert mine.size >= want.size
         assert np.max(np.abs(mine[:want.size] - want), initial=0.0) < 1e-8 * p.omega
     assert got.size >= sum(np.sum(ref[s] <= cut) for s in (1, -1)) + 4
+
+
+def test_window_recounts_at_the_certified_truncation():
+    # At truncation 100 every level counted up to the cut of e_max = 2.5
+    # lies at or below E = 1.0, since a truncated level lies above the true
+    # one; counted again at the certified truncation, the window holds the
+    # levels that truncation 300 gives.
+    p = ModelParams(1.0, 0.6, 0.4, 3.0, 3.0)
+    small, ref = (oracle.window(p, t, 2.5) for t in (100, 300))
+    total = 0
+    for parity in (Parity.PLUS, Parity.MINUS):
+        a, b = (np.array([e for e in r.filtered(parity).energies() if e <= 2.5])
+                for r in (small, ref))
+        assert a.size == b.size
+        assert np.max(np.abs(a - b)) < 1e-8
+        total += a.size
+    assert total == 84
 
 
 def test_records_sorted_with_drift(asym):

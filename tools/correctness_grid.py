@@ -58,11 +58,12 @@ def main() -> int:
         ratio = (p.g1 - p.g2) / (p.g1 + p.g2)
         levels = oracle.window(p, TRUNCATION, WINDOW[1], BOTH)
         try:
-            found = gfunction._find_roots(p, BOTH, *WINDOW, levels=levels)
+            found = gfunction.find_roots(p, BOTH, *WINDOW, levels=levels)
         except SolverError as exc:
             failures.append(f"model {i} {p}: {type(exc).__name__}: {exc}")
             continue
-        for parity, res in zip(BOTH, found):
+        for parity in BOTH:
+            res = found.filtered(parity)
             roots = np.array(res.energies())
             failures += [f"model {i} {p}: unverified root {r.energy!r}, parity {parity.sign}"
                          for r in res if not r.verified]
