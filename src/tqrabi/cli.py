@@ -27,6 +27,7 @@ from .model import (
 )
 
 WORKERS_ENV = "TQRABI_WORKERS"
+TRUNCATION_HELP = "starting truncation; default sized from the model"
 
 
 def _parities(choice: str) -> tuple[Parity, ...]:
@@ -39,6 +40,10 @@ def _params_comment(params: ModelParams) -> str:
     return ("params: " + " ".join(
         f"{k}={fmt(getattr(params, k))}"
         for k in ("omega", "delta1", "delta2", "g1", "g2", "jx", "jy", "jz")))
+
+
+def _truncation_flag(args: argparse.Namespace) -> str:
+    return "auto" if args.truncation is None else str(args.truncation)
 
 
 def cmd_spectrum(args: argparse.Namespace, params: ModelParams) -> int:
@@ -59,7 +64,7 @@ def cmd_spectrum(args: argparse.Namespace, params: ModelParams) -> int:
         _params_comment(params),
         f"flags: emin={fmt(args.emin)} emax={fmt(args.emax)} "
         f"step={fmt(args.step)} solver={args.solver} parity={args.parity} "
-        f"truncation={args.truncation} "
+        f"truncation={_truncation_flag(args)} "
         f"verify={str(not args.no_verify).lower()}",
     ])
     return 0
@@ -97,7 +102,11 @@ def _sweep_point(task) -> list[tuple[str, ...]]:
                          type(exc).__name__) for parity in parities)
     if args.solver in ("oracle", "both"):
         try:
-            res = oracle.diagonalize(point, args.truncation, args.levels)
+            # Sized here, per point, so diagonalize gets an int truncation, which
+            # perfbench/tracing.py records as the oracle truncation.
+            start = (oracle.start_truncation(point, args.levels)
+                     if args.truncation is None else args.truncation)
+            res = oracle.diagonalize(point, start, args.levels)
             rows.extend((fmt(g), fmt(r.energy), str(r.parity.sign), "oracle",
                          fmt(r.residual), "ok")
                         for r in res
@@ -144,7 +153,7 @@ def cmd_sweep(args: argparse.Namespace, params: ModelParams) -> int:
                   f"points={args.points} emin={fmt(args.emin)} "
                   f"emax={fmt(args.emax)} step={fmt(args.step)} "
                   f"solver={args.solver} parity={args.parity} "
-                  f"levels={args.levels} truncation={args.truncation}",
+                  f"levels={args.levels} truncation={_truncation_flag(args)}",
               ])
     return 0
 
@@ -248,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parity", choices=("plus", "minus", "both"), default="both")
     p.add_argument("--solver", choices=("gfunction", "oracle", "both"),
                    default="both")
-    p.add_argument("--truncation", type=int,
-                   default=gfunction.DEFAULT_VERIFY_TRUNCATION)
+    p.add_argument("--truncation", type=int, help=TRUNCATION_HELP)
     p.add_argument("--no-verify", action="store_true",
                    help="skip the diagonalization cross-check of roots")
     p.set_defaults(func=cmd_spectrum)
@@ -274,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=("gfunction", "oracle", "both"),
                    default="oracle")
     p.add_argument("--levels", type=int, default=8)
-    p.add_argument("--truncation", type=int, default=160)
+    p.add_argument("--truncation", type=int, help=TRUNCATION_HELP)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("exceptional", help="catalog of cutoff-condition zeros")
@@ -295,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emax", type=float, default=2.5)
     p.add_argument("--step", type=float, default=gfunction.DEFAULT_GRID_STEP)
     p.add_argument("--parity", choices=("plus", "minus", "both"), default="both")
-    p.add_argument("--truncation", type=int,
-                   default=gfunction.DEFAULT_VERIFY_TRUNCATION)
+    p.add_argument("--truncation", type=int, help=TRUNCATION_HELP)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -56,7 +56,6 @@ __all__ = [
 DEFAULT_GRID_STEP = 0.01
 ROOT_TOL = 1e-10
 VERIFY_TOL = 1e-6
-DEFAULT_VERIFY_TRUNCATION = 300
 TANGENT_GTOL = 1e-10
 # Pass budget of the bracket refinement and the dip probe: with a midpoint
 # in every pass it holds the 64 halvings of a bisection.

@@ -9,8 +9,9 @@ carries its parity by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "build_hamiltonian",
     "diagonalize",
     "certified_spectrum",
+    "start_truncation",
     "window",
     "residual",
 ]
@@ -131,22 +133,42 @@ def build_hamiltonian(params: ModelParams, truncation: int) -> FockHamiltonian:
     return FockHamiltonian(params, truncation, h, pdiag)
 
 
-def _solve(band: np.ndarray, k: int | None = None,
-           upto: float | None = None) -> np.ndarray:
-    """Ascending eigenvalues of one block: every level, the lowest k, or those <= upto."""
+def _solve(band: np.ndarray, k: int | None = None, cut: float | None = None,
+           width: float = 1.0) -> np.ndarray:
+    """Ascending eigenvalues of one block: every level, the lowest k, or those
+    <= cut and the four above it.
+
+    For a cut, one value-selected solve reaches width past the cut (or past
+    the Gershgorin floor when that lies higher), and the reach doubles until
+    it holds four levels above the cut or the whole block.
+    """
     import scipy.linalg  # here, not at the top: it is most of the package's import time
-    if upto is not None:
-        # Gershgorin: every level lies above this floor.
-        floor = (float(np.min(band[_BANDS]))
-                 - 2 * _BANDS * float(np.max(np.abs(band[:_BANDS]))) - 1.0)
-        if upto <= floor:
-            return np.empty(0)
-        return scipy.linalg.eig_banded(band, eigvals_only=True, select="v",
-                                       select_range=(floor, upto))
+    if cut is not None:
+        # Gershgorin: every level lies between this floor and this ceiling.
+        spread = 2 * _BANDS * float(np.max(np.abs(band[:_BANDS])))
+        floor = float(np.min(band[_BANDS])) - spread - 1.0
+        ceiling = float(np.max(band[_BANDS])) + spread + 1.0
+        base = max(cut, floor)
+        while True:
+            upto = min(base + width, ceiling)
+            evals = scipy.linalg.eig_banded(band, eigvals_only=True, select="v",
+                                            select_range=(floor, upto))
+            below = int(np.count_nonzero(evals <= cut))
+            if evals.size >= below + 4 or upto == ceiling:
+                return evals[:below + 4]
+            width *= 2
     if k is None or k >= band.shape[1]:
         return scipy.linalg.eig_banded(band, eigvals_only=True)
     return scipy.linalg.eig_banded(band, eigvals_only=True, select="i",
                                    select_range=(0, k - 1))
+
+
+def _merged(levels: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Levels of the parity blocks, keyed by sign, merged in ascending order with their signs."""
+    evals = np.concatenate(list(levels.values()))
+    signs = np.concatenate([np.full(e.size, s) for s, e in levels.items()])
+    order = np.argsort(evals, kind="stable")
+    return evals[order], signs[order]
 
 
 def _eig(params: ModelParams, truncation: int,
@@ -159,26 +181,48 @@ def _eig(params: ModelParams, truncation: int,
     """
     if counts is None:
         counts = dict.fromkeys(_SIGNS)
-    parts = [(_solve(_band(params, truncation, s), k), s) for s, k in counts.items()]
-    evals = np.concatenate([e for e, _ in parts])
-    signs = np.concatenate([np.full(e.size, s) for e, s in parts])
-    order = np.argsort(evals, kind="stable")
-    return evals[order], signs[order]
+    return _merged({s: _solve(_band(params, truncation, s), k) for s, k in counts.items()})
+
+
+def start_truncation(params: ModelParams, photons: float) -> int:
+    """Starting truncation for levels of about `photons` displaced photons.
+
+    diagonalize passes its k_levels, window its cut plus g**2/omega in
+    photons; the qubit and exchange energies are added here. In the
+    displaced-oscillator picture such a level, displaced by at most g/omega,
+    has its weight on bare photon numbers n with sqrt(n) up to about
+    r = sqrt(m) + g/omega; r**2 + 6r + 10 holds that with a margin, which
+    the drift certificate checks.
+    """
+    p = params
+    m = photons + (abs(p.delta1) + abs(p.delta2) + abs(p.jx) + abs(p.jy) + abs(p.jz)) / p.omega
+    r = math.sqrt(max(m, 0.0)) + p.g / p.omega
+    return math.ceil(r * r + 6 * r + 10)
+
+
+def _check_cap(truncation: int) -> None:
+    """NotConverged when a certificate from this truncation would solve past the cap."""
+    if truncation + _DRIFT_STEP > DEFAULT_TRUNCATION_CAP:
+        raise NotConverged(f"truncation {truncation} + {_DRIFT_STEP} is past the "
+                           f"truncation cap {DEFAULT_TRUNCATION_CAP}")
 
 
 def certified_spectrum(params: ModelParams, truncation: int, counts: dict[int, int],
-                       k_total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+                       k_total: int, start: Optional[dict[int, np.ndarray]] = None,
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Lowest k_total of the counted levels, with truncation drift below 1e-8.
 
-    counts maps a parity sign to how many of its lowest levels are computed.
-    A level's drift is taken against the same-parity level of the same rank
-    at 50 photons fewer; the truncation grows by 50 until every drift is
-    below DEFAULT_DRIFT_TOL, and NotConverged is raised past
-    DEFAULT_TRUNCATION_CAP. Returns (energies, parity signs, drifts,
-    truncation actually used).
+    counts maps a parity sign to how many of its lowest levels are computed;
+    start, when given, holds those levels at the starting truncation, so
+    they are not solved again. A level's drift is taken against the
+    same-parity level of the same rank at 50 photons fewer; the truncation
+    grows by 50 until every drift is below DEFAULT_DRIFT_TOL, and
+    NotConverged is raised before any solve past DEFAULT_TRUNCATION_CAP.
+    Returns (energies, parity signs, drifts, truncation actually used).
     """
+    _check_cap(truncation)
     t = truncation
-    e_lo, s_lo = _eig(params, t, counts)
+    e_lo, s_lo = _eig(params, t, counts) if start is None else _merged(start)
     while True:
         e_hi, s_hi = _eig(params, t + _DRIFT_STEP, counts)
         drift = np.full(e_hi.size, np.inf)
@@ -204,36 +248,52 @@ def _records(evals: np.ndarray, signs: np.ndarray,
         for i, (e, s, d) in enumerate(zip(evals, signs, drift)))
 
 
-def diagonalize(params: ModelParams, truncation: int, k_levels: int) -> SpectrumResult:
-    """Lowest k_levels eigenpairs as 'oracle' records (residual = truncation drift)."""
+def diagonalize(params: ModelParams, truncation: Optional[int],
+                k_levels: int) -> SpectrumResult:
+    """Lowest k_levels eigenpairs as 'oracle' records (residual = truncation drift).
+
+    truncation None starts from the model: k_levels photons plus the qubit
+    and exchange energies, displaced by g/omega (start_truncation).
+    """
     if k_levels < 1:
         raise ValueError("k_levels must be >= 1")
+    if truncation is None:
+        truncation = start_truncation(params, k_levels)
     if truncation < k_levels / 2 + 10:
         raise ValueError("truncation too small for the requested level count")
     return _records(*certified_spectrum(params, truncation, dict.fromkeys(_SIGNS, k_levels),
                                         k_levels)[:3])
 
 
-def window(params: ModelParams, truncation: int, e_max: float,
+def window(params: ModelParams, truncation: Optional[int], e_max: float,
            parities: Sequence[Parity] = (Parity.PLUS, Parity.MINUS),
            ) -> SpectrumResult:
     """Certified 'oracle' records of the given parities up to e_max and beyond.
 
     Every level at or below e_max + omega/2, counted at the starting
     truncation, and the next four levels above them are drift-certified by
-    certified_spectrum; callers filter to their own window. A truncated level
-    lies above the true one, so a small start may undercount: when every
-    counted level of a parity, or every certified one, lies at or below the
-    cut, the levels are counted again at the certified truncation and
-    certified again from there.
+    certified_spectrum; callers filter to their own window. One
+    value-selected solve per parity gives both the count and the levels at
+    the start. truncation None starts from the model and e_max alone: the
+    cut plus g**2/omega and the qubit and exchange energies, in photons,
+    displaced by g/omega (start_truncation). A truncated level lies above
+    the true one, so a small start may undercount: when every counted level
+    of a parity, or every certified one, lies at or below the cut, the
+    levels are counted again at the certified truncation and certified
+    again from there.
     """
-    cut = e_max + 0.5 * params.omega
+    w = params.omega
+    cut = e_max + 0.5 * w
+    if truncation is None:
+        truncation = start_truncation(params, (cut + params.g ** 2 / w) / w)
     while True:
-        below = {p.sign: _solve(_band(params, truncation, p.sign), upto=cut).size
+        _check_cap(truncation)
+        start = {p.sign: _solve(_band(params, truncation, p.sign), cut=cut, width=4 * w)
                  for p in parities}
-        counts = {s: m + 4 for s, m in below.items()}
+        counts = {s: e.size for s, e in start.items()}
+        below = sum(int(np.count_nonzero(e <= cut)) for e in start.values())
         evals, signs, drift, truncation = certified_spectrum(
-            params, truncation, counts, sum(below.values()) + 4)
+            params, truncation, counts, below + 4, start)
         if evals[-1] > cut and all(np.count_nonzero((signs == s) & (evals <= cut)) < m
                                    for s, m in counts.items()):
             return _records(evals, signs, drift)

@@ -111,7 +111,8 @@ def test_spectrum_both_shares_search_and_window(tmp_path, monkeypatch, couplings
     # Both parities are found by one search, whose passes each make one G
     # call, and one oracle window both verifies the roots and gives the
     # oracle rows. The G-call counts per command were 46, 43 and 52 when
-    # each parity ran its own search and window.
+    # each parity ran its own search and window. The window solves each
+    # parity once per truncation: at the start and 50 photons above it.
     cfg = tmp_path / "m.cfg"
     cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in
                            zip(("omega", "delta1", "delta2", "g1", "g2"), (1.0, *couplings))))
@@ -134,7 +135,7 @@ def test_spectrum_both_shares_search_and_window(tmp_path, monkeypatch, couplings
     assert calls["find_roots"] == 1
     assert calls["gvalues"] <= 0.6 * parent_calls
     assert calls["window"] == 1
-    assert calls["eig_banded"] == 6
+    assert calls["eig_banded"] <= 4
     data = rows(out)
     for method in ("gfunction", "oracle"):
         assert {r["parity"] for r in data if r["method"] == method} == {"1", "-1"}
@@ -175,6 +176,30 @@ def test_small_truncation_counts_every_level(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "PASS coverage[plus]: 6 oracle levels, 0 unmatched" in out
     assert "PASS coverage[minus]: 6 oracle levels, 0 unmatched" in out
+
+
+def test_default_truncation_sized_from_the_model(tmp_path, flat_cfg, monkeypatch):
+    # Without --truncation the oracle starts from the model, below the fixed
+    # 300 of spectrum and the 160 of sweep that it replaces, and the flags
+    # line says so. sweep sizes the start per point and hands diagonalize an
+    # int, as perfbench/tracing.py reads it.
+    monkeypatch.setenv("TQRABI_WORKERS", "1")
+    starts = []
+    certified, diagonalize = oracle.certified_spectrum, oracle.diagonalize
+    monkeypatch.setattr(oracle, "certified_spectrum",
+                        lambda p, t, *a: starts.append(t) or certified(p, t, *a))
+    monkeypatch.setattr(oracle, "diagonalize",
+                        lambda p, t, k: diagonalize(p, t, k) if type(t) is int
+                        else pytest.fail(f"truncation {t!r}"))
+    for command, fixed in ((["spectrum", "--emax", "2.5", "--solver", "oracle"], 300),
+                           (["sweep", "--gmin", "0.5", "--gmax", "2.5", "--points", "3"], 160)):
+        starts.clear()
+        out = tmp_path / f"{command[0]}.csv"
+        assert main([command[0], "--config", flat_cfg, *command[1:], "--out", str(out)]) == 0
+        assert starts and max(starts) < fixed
+        flags, = (ln for ln in out.read_text().splitlines() if ln.startswith("# flags:"))
+        assert "truncation=auto" in flags.split()
+        assert rows(out)
 
 
 def test_cli_import_leaves_out_scipy_linalg():

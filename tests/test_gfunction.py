@@ -540,7 +540,7 @@ def test_two_parity_search_in_seven_g_calls(params, monkeypatch):
     # parities, the pole-margin level 3.4e-8 above its pole included: each
     # pass probes a ladder around a three-point interpolant and a midpoint.
     both = (Parity.PLUS, Parity.MINUS)
-    levels = oracle.window(params, gfunction.DEFAULT_VERIFY_TRUNCATION, 2.5, both)
+    levels = oracle.window(params, 300, 2.5, both)
     calls = []
     gvalues = gfunction._gvalues
     monkeypatch.setattr(gfunction, "_gvalues", lambda *a: calls.append(1) or gvalues(*a))
@@ -603,13 +603,13 @@ def test_two_parity_search_matches_single_parity(request, model):
     # not, and from one oracle window of both parities.
     p = request.getfixturevalue(model)
     both = (Parity.PLUS, Parity.MINUS)
-    levels = oracle.window(p, gfunction.DEFAULT_VERIFY_TRUNCATION, 2.5, both)
+    levels = oracle.window(p, 300, 2.5, both)
     for verify in (False, True):
         found = find_roots(p, both, -1.0, 2.5, levels=levels if verify else None)
         for parity in both:
             res = found.filtered(parity)
             alone = find_roots(p, (parity,), -1.0, 2.5, levels=oracle.window(
-                p, gfunction.DEFAULT_VERIFY_TRUNCATION, 2.5, (parity,)) if verify else None)
+                p, 300, 2.5, (parity,)) if verify else None)
             assert len(res) >= 5 and all(r.parity is parity for r in res)
             assert (np.array([(r.energy, r.residual) for r in res]).tobytes()
                     == np.array([(r.energy, r.residual) for r in alone]).tobytes())

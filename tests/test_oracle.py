@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tqrabi import (
     ModelParams,
@@ -207,3 +208,74 @@ def test_records_sorted_with_drift(asym):
     assert energies == sorted(energies)
     assert all(r.method == "oracle" and r.residual < 1e-8 for r in res)
     assert [r.label for r in res] == list(range(6))
+
+
+def _same_levels(a, b, omega):
+    # Same count per parity and energies within 1e-8 omega.
+    for parity in (Parity.PLUS, Parity.MINUS):
+        ea, eb = (np.array(r.filtered(parity).energies()) for r in (a, b))
+        assert ea.size == eb.size
+        assert np.max(np.abs(ea - eb), initial=0.0) < 1e-8 * omega
+
+
+@pytest.mark.parametrize("template", [
+    ModelParams(1.0, 0.6, 0.4, 0.5, 0.5),                          # unit-sum sweep
+    ModelParams(1.0, 0.6, 0.4, 0.75, 0.75, 0.5, 0.5, 0.5),         # exchange sweep
+    ModelParams(0.5, 0.25, 0.25, 0.3, 0.3),                        # dark, omega = 0.5
+], ids=["unit-sum", "xyz", "dark-half"])
+def test_diagonalize_start_sized_from_the_model(template):
+    # The start depends on the model and k_levels alone; at every point of
+    # the sweep grid it certifies the levels that truncation 300 gives.
+    for g in np.linspace(0.05, 2.5, 16):
+        p = template.with_g(g)
+        _same_levels(diagonalize(p, None, 8), diagonalize(p, 300, 8), p.omega)
+
+
+@pytest.mark.parametrize("p", [
+    ModelParams(1.0, 0.6, 0.2, 0.24, 0.06),
+    ModelParams(1.0, 0.6, 0.2, 1.0 / 3.0, 1.0 / 6.0),
+    ModelParams(1.0, 0.7, 0.3, 0.4, 0.4),
+    ModelParams(1.0, 0.6, 0.4, 3.0, 3.0),
+    ModelParams(1.0, 0.6, 0.2, 4.0, 1.0),
+], ids=["full8", "reduced6", "reduced4", "flat-g6", "asym-g5"])
+def test_window_start_sized_from_the_model(p):
+    _same_levels(oracle.window(p, None, 2.5), oracle.window(p, 300, 2.5), p.omega)
+
+
+def test_auto_start_meets_the_level_count_precondition():
+    # truncation >= k/2 + 10 holds for the start sized from k_levels, even
+    # without couplings or qubit terms.
+    p = ModelParams(1.0, 0.0, 0.0, 0.0, 0.0)
+    for k in (1, 8, 40, 200):
+        assert len(diagonalize(p, None, k)) == k
+
+
+def test_start_past_the_cap_raises_before_any_solve(monkeypatch):
+    # At g = 30 the start sized from the model lies past the cap of 1,200
+    # photons; at g = 2.5 it lies near 75, past a cap lowered to 60.
+    # Neither solves anything.
+    monkeypatch.setattr(scipy.linalg, "eig_banded", lambda *a, **k: pytest.fail("solved"))
+    for g, cap in ((30.0, oracle.DEFAULT_TRUNCATION_CAP), (2.5, 60)):
+        monkeypatch.setattr(oracle, "DEFAULT_TRUNCATION_CAP", cap)
+        p = ModelParams(1.0, 0.6, 0.2, 0.5 * g, 0.5 * g)
+        with pytest.raises(NotConverged):
+            oracle.window(p, None, 2.5)
+        with pytest.raises(NotConverged):
+            diagonalize(p, None, 8)
+
+
+def test_cut_solve_widens_to_four_levels_past_the_cut(asym):
+    # One value-selected solve returns the levels at or below the cut and
+    # the four above it; a reach too short for them doubles until it holds
+    # them, and a block with fewer levels is returned whole.
+    band = oracle._band(asym.with_g(1.2), 60, 1)
+    every = oracle._solve(band)
+    for cut in (-5.0, 0.3, 2.5):
+        want = every[:np.count_nonzero(every <= cut) + 4]
+        for width in (4.0, 1e-3):
+            got = oracle._solve(band, cut=cut, width=width)
+            assert got.size == want.size
+            assert np.max(np.abs(got - want)) < 1e-12
+    small = oracle._band(asym, 1, -1)
+    assert oracle._solve(small, cut=0.0, width=1e-3).size == 4
+    assert oracle._solve(small, cut=1e3).size == 4

@@ -10,9 +10,12 @@ with the first, and from U(0, 0.95) for the others; every second model,
 starting with the second, adds exchange terms J from U(-0.5, 0.5)^3
 (numpy.random.default_rng(12345), drawn in that order). Both parities are
 searched on [-1, 2.5], verified against one oracle window at truncation 300.
-Every oracle level without a root within 1e-6 is printed as a miss.
+Every oracle level without a root within 1e-6 is printed as a miss. The
+oracle window started from the model (truncation None) must give the same
+levels as the one at 300: the same count per parity, within 1e-8 omega.
 
-Exit status 1 on an unverified root, a SolverError, a miss at g'/g >= 0.02,
+Exit status 1 on an oracle window that differs from the one at 300, on an
+unverified root, a SolverError, a miss at g'/g >= 0.02,
 or more misses at g'/g < 0.02 than KNOWN_SMALL_GPRIME_MISSES. Those levels
 are lost because at small g' the matching point lies near the edge of both
 disks and G is NaN on much of the grid; a chain with regular centers is the
@@ -33,6 +36,7 @@ MODELS = 60
 WINDOW = (-1.0, 2.5)
 TRUNCATION = 300
 MATCH_TOL = 1e-6
+START_TOL = 1e-8
 SMALL_GPRIME = 0.02
 KNOWN_SMALL_GPRIME_MISSES = 82
 BOTH = (Parity.PLUS, Parity.MINUS)
@@ -57,6 +61,12 @@ def main() -> int:
     for i, p in enumerate(models()):
         ratio = (p.g1 - p.g2) / (p.g1 + p.g2)
         levels = oracle.window(p, TRUNCATION, WINDOW[1], BOTH)
+        started = oracle.window(p, None, WINDOW[1], BOTH)
+        for parity in BOTH:
+            a, b = (np.array(r.filtered(parity).energies()) for r in (started, levels))
+            if a.size != b.size or np.max(np.abs(a - b), initial=0.0) >= START_TOL * p.omega:
+                failures.append(f"model {i} {p}: parity {parity.sign} window from the "
+                                f"model start differs from truncation {TRUNCATION}")
         try:
             found = gfunction.find_roots(p, BOTH, *WINDOW, levels=levels)
         except SolverError as exc:
