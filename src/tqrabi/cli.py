@@ -130,8 +130,6 @@ def _sweep_point(task) -> list[tuple[str, ...]]:
 def cmd_sweep(args: argparse.Namespace, params: ModelParams) -> int:
     if args.points < 0:
         raise ConfigError("sweep needs a non-negative point count")
-    if args.step <= 0:
-        raise ConfigError("sweep grid step must be positive")
     if params.g <= 0:
         raise ConfigError("sweep template must have g1 + g2 > 0 to fix the ratio")
     tasks = [(args, params, float(g))
@@ -318,6 +316,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "exceptional" and args.out == "-":
             raise ConfigError("exceptional needs --out FILE for the sidecar")
+        if "emin" in args:  # one window and step check, whatever the solver
+            gfunction._window(params, args.emin, args.emax, args.step)
         return args.func(args, params)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

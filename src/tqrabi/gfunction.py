@@ -390,20 +390,20 @@ def _refine_brackets(sp: ModelParams, scheme: MatchingScheme,
     """Settle sign-change brackets and |G| dips of any parities in shared passes.
 
     brackets is (signs, lo, hi, G(lo), G(hi)); dips is (signs, x, G(x)) for
-    (n, 3) grid triples whose middle |G| is below both ends; poles maps a
-    sign to the energies where G has no value. Each pass sends the probes of
-    all open work through one G call, up to _MAX_PASSES per bracket or triple.
-    A bracket is probed at _interpolate of its ends and its last interpolant,
-    a _ladder around that and its midpoint, and keeps the first pair that
-    changes sign: it at least halves, and closes at width 2*tol once the
-    interpolant is within tol of its root. Its first pass also probes
-    4*POLE_EPS beside each pole inside it, which settles a cutoff state (a
-    jump of G). A probe on a pole is passed over, an exact zero closes its
+    (n, 3) grid triples whose middle |G| is below both ends; poles maps a sign
+    to the one-column poles, where G has no value and can jump. Each pass
+    sends the probes of all open work through one G call, up to _MAX_PASSES
+    per bracket or triple. A bracket is probed at _interpolate of its ends and
+    its last interpolant, a _ladder around that and its midpoint, and keeps
+    the first pair that changes sign: it at least halves, and closes at width
+    2*tol once the interpolant is within tol of its root. Its first pass also
+    probes 4*POLE_EPS beside each pole inside it, which settles a cutoff state
+    (a jump of G). A probe on a pole is passed over, an exact zero closes its
     bracket, and any other non-finite probe raises NoConvergence (closes a
     triple). Triples are probed alike around _dip_vertex and narrowed by
     _probe_dips. Returns the (signs, midpoints) of the brackets and the
-    (signs, energies) of tangent candidates: exact zeros, and triples
-    narrowed to 2*tol with |G| below TANGENT_GTOL at the middle.
+    (signs, energies) of tangent candidates: exact zeros, and triples narrowed
+    to 2*tol with |G| below TANGENT_GTOL at the middle.
     """
     sb, lo, hi, flo, fhi = (np.array(c) for c in brackets)
     kb, (x3, f3) = np.zeros(lo.size, dtype=int), np.full((2, lo.size), np.nan)
@@ -474,11 +474,11 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
     cutoff state on a one-column (center-0) baseline is a root, settled
     beside its pole in one pass; dark states, on baselines without a pole,
     are not. levels, oracle records of these parities such as
-    oracle.window(params, 300, e_max, parities), verifies every root
+    oracle.window(params, None, e_max, parities), verifies every root
     (nearest same-parity level within 1e-6): unmatched roots are kept but
-    flagged unverified. With levels None roots are unverified. Labels count
-    the roots within each parity. A bracket probe where G is not finite
-    raises NoConvergence.
+    flagged unverified (residual inf where levels lacks their parity); with
+    levels None roots are unchecked. Labels count the roots within each
+    parity. A bracket probe where G is not finite raises NoConvergence.
     """
     lo_w, hi_w, h = _window(params, e_min, e_max, step)
     sp, scheme = _prepare(params, scheme)
@@ -509,14 +509,15 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
         i, j = (np.append(np.flatnonzero(s == 0), np.flatnonzero(s[:-1] * s[1:] < 0) + d)
                 for d in (0, 1))
         brackets.append((np.full(i.size, sign), x[i], x[j], gs[i], gs[j]))
-    poles = {s: [b for b, _ in _poles(sp, s, _centers(sp), hi_w)] for s in signs}
+    # G can jump only at a one-column pole; beside others rounding is magnified.
+    poles = {s: [b for b, k in _poles(sp, s, _centers(sp), hi_w) if k == 1] for s in signs}
     found, tangents = _refine_brackets(
         sp, scheme, poles, *(tuple(np.concatenate(c) for c in zip(*parts))
                              for parts in (brackets, dips)), ROOT_TOL)
 
     # A tangent is kept only when ED confirms it or, without ED, when |G| < 1e-12.
-    ed_levels = {p: np.array([] if levels is None else levels.filtered(p).energies())
-                 for p in parities}
+    if levels is not None:  # a parity without levels verifies none of its roots
+        ed = {p: np.array(levels.filtered(p).energies()) for p in parities}
     candidates = []
     for parity in parities:
         dedup: list[float] = []
@@ -527,21 +528,20 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
         candidates += [(parity, x, True) for x in
                        tangents[1][tangents[0] == parity.sign].tolist()
                        if all(abs(x - r) > 1e-9 for r in dedup)]
-    if any(not ed_levels[p].size for p, _, _ in candidates):
+    if levels is None and candidates:
         gmag, _, _ = _gvalues(sp, np.array([p.sign for p, _, _ in candidates]),
                               np.array([x for _, x, _ in candidates]), scheme)
     records = []
     for j, (parity, x, tangent) in enumerate(candidates):
-        e_raw, ed = x * w, ed_levels[parity]
-        if ed.size:
-            residual = float(np.min(np.abs(ed - e_raw)))
+        if levels is not None:
+            residual = float(np.min(np.abs(ed[parity] - x * w), initial=np.inf))
             verified = residual < VERIFY_TOL * w
             keep = verified or not tangent
         else:
             residual, verified = float(abs(gmag[j])), None
             keep = residual < 1e-12 or not tangent
         if keep:
-            records.append(SpectrumRecord(e_raw, parity, "gfunction", residual,
+            records.append(SpectrumRecord(x * w, parity, "gfunction", residual,
                                           verified=verified))
     result = SpectrumResult.from_records(records)
     return SpectrumResult.from_records(

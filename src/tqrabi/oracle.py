@@ -200,8 +200,10 @@ def start_truncation(params: ModelParams, photons: float) -> int:
     return math.ceil(r * r + 6 * r + 10)
 
 
-def _check_cap(truncation: int) -> None:
-    """NotConverged when a certificate from this truncation would solve past the cap."""
+def _check_start(truncation: int) -> None:
+    """ValueError below 0; NotConverged when a certificate from here passes the cap."""
+    if truncation < 0:
+        raise ValueError("truncation must be >= 0")
     if truncation + _DRIFT_STEP > DEFAULT_TRUNCATION_CAP:
         raise NotConverged(f"truncation {truncation} + {_DRIFT_STEP} is past the "
                            f"truncation cap {DEFAULT_TRUNCATION_CAP}")
@@ -220,7 +222,7 @@ def certified_spectrum(params: ModelParams, truncation: int, counts: dict[int, i
     NotConverged is raised before any solve past DEFAULT_TRUNCATION_CAP.
     Returns (energies, parity signs, drifts, truncation actually used).
     """
-    _check_cap(truncation)
+    _check_start(truncation)
     t = truncation
     e_lo, s_lo = _eig(params, t, counts) if start is None else _merged(start)
     while True:
@@ -287,7 +289,7 @@ def window(params: ModelParams, truncation: Optional[int], e_max: float,
     if truncation is None:
         truncation = start_truncation(params, (cut + params.g ** 2 / w) / w)
     while True:
-        _check_cap(truncation)
+        _check_start(truncation)
         start = {p.sign: _solve(_band(params, truncation, p.sign), cut=cut, width=4 * w)
                  for p in parities}
         counts = {s: e.size for s, e in start.items()}

@@ -20,8 +20,8 @@ whole-array steps over all components, columns and energies: one constant
 4x4 coupling matrix applied by einsum, one broadcast update of the free
 components, one weighted contraction for the slaved one, and a pole guard
 only at the orders whose divisor can vanish inside the batch. The
-recurrence hands each order to one compensated summation, which sums all of
-a center's matching points in the same pass and freezes each energy's sums
+recurrence hands each order to one plain summation, which sums all of a
+center's matching points in the same pass and freezes each energy's sums
 once its tail is small; only recur() stores the orders as a table, and G(E)
 sums as it recurses, up to the hard cap of 512 orders. Both loops write
 into buffers allocated once per call and rotated from order to order, with
@@ -261,7 +261,7 @@ def _tables(sp: ModelParams, sign, energies: np.ndarray, center: _Center,
 
 
 def _kahan_eval(rows, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Compensated sums of rows[n] * t^n at every t, and which energies converged.
+    """Plain sums of rows[n] * t^n at every t, and which energies converged.
 
     rows yields at least two orders n = 0, 1, ... of shape (4, ncols, nE); the
     sums have a leading t axis, (nt, 4, ncols, nE). An energy converges at the
@@ -270,6 +270,9 @@ def _kahan_eval(rows, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     components and columns). Its sums are frozen there, so they depend on that
     energy alone, and no more rows are taken once every energy has converged.
     Each row is read before the next is requested, so rows may reuse buffers.
+    One add per order: the sums cancel by at most 8x, so the tail, not rounding,
+    sets their error. G magnifies it by about 1/|E - b| near a pole b of k >= 2
+    columns, so find_roots sets no probes beside those. Tracing wraps it by name.
     """
 
     def tail_ok():
@@ -283,19 +286,14 @@ def _kahan_eval(rows, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tpow = np.ones_like(ts)
     for n, row in enumerate(rows):
         if n == 0:
-            # Buffers for the whole pass; zero sums and compensation give the
-            # same bits at order 0 as starting from the scalar 0.0.
+            # Buffers for the whole pass; zero sums give the same bits at
+            # order 0 as starting from the scalar 0.0.
             shape = (len(ts),) + row.shape
-            sums, comp, tmp, y, term, last = np.zeros((6,) + shape)
+            sums, y, term, last = np.zeros((4,) + shape)
             out = np.empty(shape)
             frozen = np.zeros(shape[-1], dtype=bool)
         last, term = term, last
-        np.multiply(row, tpow, out=term)
-        np.subtract(term, comp, out=y)
-        np.add(sums, y, out=tmp)
-        np.subtract(tmp, sums, out=comp)
-        comp -= y
-        sums, tmp = tmp, sums
+        sums += np.multiply(row, tpow, out=term)
         tpow *= ts
         if n % 4 == 0 and n:
             new = tail_ok() & ~frozen
@@ -303,8 +301,7 @@ def _kahan_eval(rows, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             frozen |= new
             if frozen.all():
                 return out, frozen
-    rest = ~frozen
-    out[..., rest] = sums[..., rest]
+    out[..., ~frozen] = sums[..., ~frozen]
     return out, frozen | tail_ok()
 
 

@@ -313,6 +313,22 @@ def test_sweep_spec_validation(tmp_path, capsys, monkeypatch):
     assert "g1 + g2 > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--solver", "oracle", "--emin", "3", "--emax", "2"], "empty energy window"),
+    (["spectrum", "--solver", "both", "--emin", "3", "--emax", "2"], "empty energy window"),
+    (["spectrum", "--solver", "oracle", "--emax", "2", "--step", "-0.1"],
+     "step must be positive"),
+    (["sweep", "--gmin", "0.2", "--gmax", "1", "--points", "2", "--emin", "3",
+      "--emax", "2"], "empty energy window"),
+    (["verify", "--emin", "3", "--emax", "2"], "empty energy window"),
+    (["verify", "--truncation", "-1"], "truncation must be >= 0"),
+])
+def test_window_step_and_truncation_checked_for_every_solver(asym_cfg, capsys, argv,
+                                                             message):
+    assert main(argv + ["--config", asym_cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_forks_no_more_workers_than_points(tmp_path, flat_cfg, monkeypatch):
     # A fork pool starts all max_workers at its first submit. The stand-in
     # records the size and runs the points here, so no process starts.

@@ -139,6 +139,45 @@ def test_roots_match_diagonalization_full8(asym):
         assert [r.label for r in res] == list(range(len(res)))
 
 
+def test_parity_missing_from_levels_is_unverified(asym):
+    # Levels of one parity check the other parity's roots too: with none to
+    # match, they fail the check instead of coming back unchecked.
+    res = find_roots(asym, (Parity.PLUS, Parity.MINUS), -1.0, 2.5,
+                     levels=oracle.window(asym, None, 2.5, (Parity.PLUS,)))
+    plus, minus = res.filtered(Parity.PLUS), res.filtered(Parity.MINUS)
+    assert len(plus) and all(r.verified for r in plus)
+    assert len(minus) and all(r.verified is False and r.residual == np.inf for r in minus)
+
+
+@pytest.mark.parametrize("p, parity, window, level, baseline", [
+    # Grid templates rescaled to one g; each level lies within 3e-3 of a
+    # baseline whose pole three columns carry.
+    (ModelParams(1.0, 0.5208490668393886, 0.28394825953920066, 0.3043231341622808,
+                 0.2956768658377191), Parity.MINUS, (2.5, 2.8), 2.6424256216, 2.64),
+    (ModelParams(1.0, 0.9367573667992322, 0.9809982523794525, 0.17196910316105696,
+                 0.028030896838943043, 0.11661852343905099, -0.38511093178947564,
+                 -0.18401151987636943), Parity.PLUS, (2.8, 2.9), 2.8627318150,
+     2.8626632693217218),
+    (ModelParams(1.0, 0.1601015746429004, 0.9780457981960519, 2.058179606598787,
+                 0.3418203934012126, -0.4217467941943177, 0.30884044375444486,
+                 -0.3479996761221634), Parity.PLUS, (1.4, 1.5), 1.4766157461,
+     1.4758578454661206),
+    (ModelParams(1.0, 0.4092487943350124, 0.3795065097904814, 0.10085443260027639,
+                 0.09914556739972362), Parity.PLUS, (2.9, 3.0), 2.9596511724, 2.96),
+])
+def test_no_false_root_beside_a_baseline(p, parity, window, level, baseline):
+    # G is continuous through a pole that k >= 2 columns carry, but its relative
+    # error grows about as 1/|E - b| beside it, so a probe 4*POLE_EPS from the
+    # pole reads rounding noise. Such probes made a false root on the baseline in
+    # place of the level, with compensated sums (2nd and 3rd model) and with
+    # plain ones (all four).
+    res = find_roots(p, (Parity.PLUS, Parity.MINUS), *window,
+                     levels=oracle.window(p, None, window[1]))
+    assert all(r.verified for r in res)
+    assert all(abs(r.energy - baseline) > 1e-9 for r in res)
+    assert min(abs(e - level) for e in res.filtered(parity).energies()) < 1e-6
+
+
 def test_roots_match_diagonalization_ratio2(ratio2):
     # All roots below E = 2 for the 2:1 coupling ratio at g = 0.5.
     for parity in (Parity.PLUS, Parity.MINUS):

@@ -97,6 +97,13 @@ def test_diagonalize_preconditions(asym):
         diagonalize(asym, 40, 0)
 
 
+def test_negative_truncation_is_a_value_error(asym):
+    for solve in (lambda: oracle.window(asym, -1, 2.5),
+                  lambda: oracle.certified_spectrum(asym, -1, {1: 3, -1: 3}, 3)):
+        with pytest.raises(ValueError, match="truncation must be >= 0"):
+            solve()
+
+
 def test_not_converged_at_cap(monkeypatch):
     p = ModelParams(1.0, 0.6, 0.2, 2.0, 0.5)
     monkeypatch.setattr(oracle, "DEFAULT_TRUNCATION_CAP", 30)

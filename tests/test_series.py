@@ -370,3 +370,32 @@ def test_matched_solution_agrees_between_centers(asym):
     phi_vals = sum(v[3 + c] * evaluate(blk, z0) for c, blk in enumerate(phi))
     scale = np.max(np.abs(psi_vals))
     assert np.max(np.abs(psi_vals - phi_vals)) < 1e-8 * scale
+
+
+# The spectrum and trace anchors of the benchmark, and a strong-coupling model.
+@pytest.mark.parametrize("p", [
+    ModelParams(1.0, 0.6, 0.2, 0.24, 0.06),
+    ModelParams(1.0, 0.6, 0.2, 1.0 / 3.0, 1.0 / 6.0),
+    ModelParams(1.0, 0.7, 0.3, 0.4, 0.4),
+    ModelParams(1.0, 0.5, 0.3, 1.6, 0.4),
+    ModelParams(1.0, 0.6, 0.2, 1.2, 0.8),
+    ModelParams(1.0, 0.7, 0.3, 1.25, 1.25),
+    ModelParams(1.0, 0.6, 0.2, 2.4, 0.6),
+])
+def test_sums_match_an_exact_reference(p):
+    # The summation of G(E) against math.fsum over all HARD_CAP + 1 terms of
+    # each unit column, at |t| = 0.5 and 0.9 on both sides of every center.
+    ts = np.array([-0.9, -0.5, 0.5, 0.9])
+    for c in series._centers(p):
+        for parity in (Parity.PLUS, Parity.MINUS):
+            for energy in (-0.63, 2.37):
+                for slot in c.slots:
+                    init = tuple(float(j == slot) for j in range(4))
+                    coeffs = recur(p, parity, energy, c.position, init,
+                                   series.HARD_CAP).coeffs
+                    sums, converged = series._kahan_eval(coeffs[:, :, None, None], ts)
+                    assert converged.all()
+                    for t, got in zip(ts.tolist(), sums[:, :, 0, 0]):
+                        terms = coeffs * t ** np.arange(coeffs.shape[0])[:, None]
+                        exact = np.array([math.fsum(col) for col in terms.T.tolist()])
+                        assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
