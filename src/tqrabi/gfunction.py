@@ -64,10 +64,11 @@ _MAX_PASSES = 64
 # dip's vertex, from the tolerance up to half the width.
 _LADDER = 100.0
 # Energies per series pass in _gvalues. A block stops on its own slowest
-# energy instead of the batch's, and its work arrays stay near 2 MB, inside
+# energy instead of the batch's, and its work arrays stay near 4 MB, inside
 # the CPU caches, however long the batch, so a long trace is bound by
-# arithmetic rather than by memory traffic. Sizes 512 to 2048 run alike.
-_BLOCK = 1024
+# arithmetic rather than by memory traffic. 2048 ran faster than 1024 and
+# 4096 on 4,001-energy traces.
+_BLOCK = 2048
 _PARITY_D = np.array([1.0, 1.0, -1.0, -1.0])  # the D of the parity mirror
 
 
@@ -164,7 +165,8 @@ def _gvalues_once(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
 
     signs has one row per result and a column per energy. Every center but
     0 is summed at sign +1; center 0 at each (sign, energy) pair taken, the
-    -1 pairs in the D frame. So a -1 matrix is D[row] * D[slot] times the sums.
+    -1 pairs in the D frame. Columns are scaled to unit 2-norm per center,
+    once for both signs: a -1 matrix is D[row] * D[slot] times the +1 ones.
     """
     conds = _chain(sp, scheme)
     *mirrored, origin = dict.fromkeys(c for _, *cs in conds for c in cs)
@@ -173,14 +175,18 @@ def _gvalues_once(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
         cols[c] = slice(start, start + len(c.slots))
         start += len(c.slots)
     mirror = np.outer(np.tile(_PARITY_D, len(conds)),
-                      np.concatenate([_PARITY_D[list(c.slots)] for c in cols]))
+                      np.concatenate([_PARITY_D[list(c.slots)] for c in cols]))[..., None]
 
     def center(c, sign, es):
-        # Each center is evaluated once, at all of its points; values are
-        # keyed by (center, condition index) as (nE, 4, ncols) arrays.
+        # Each center is evaluated once, at all of its points; its unit columns
+        # are keyed by (center, condition index) as (4, ncols, nE) arrays. hypot
+        # folds the center's rows in chain order and cannot overflow; the
+        # mirror's signs and other conditions' zero rows would not change it.
         ks = [k for k, cond in enumerate(conds) if c in cond[1:]]
         vals, ok, cv = _block_eval(sp, sign, es, c, [conds[k][0] for k in ks])
-        return {(c, k): np.moveaxis(v, -1, 0) for k, v in zip(ks, vals)}, ok, ok & cv
+        norm = np.maximum(np.hypot.reduce(np.concatenate(vals), axis=0), 1e-300)
+        with np.errstate(invalid="ignore"):
+            return {(c, k): v / norm for k, v in zip(ks, vals)}, ok, ok & cv
 
     shared = [center(c, 1, energies) for c in mirrored]
     # Center 0 at the (sign, energy) pairs taken, the +1 ones first.
@@ -193,22 +199,20 @@ def _gvalues_once(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
     for sign, o, part in zip((1, -1), on, (slice(None, n), slice(n, None))):
         if not o.any():
             continue
-        at = {key: v[part] for key, v in pairs[0].items()}
+        o = slice(None) if o.all() else o  # a sign on every energy takes views
+        at = {key: v[..., part] for key, v in pairs[0].items()}
         ok, gd = pairs[1][part], pairs[2][part]
         for p_vals, p_ok, p_gd in shared:
-            at |= {key: v[o] for key, v in p_vals.items()}
+            at |= {key: v[..., o] for key, v in p_vals.items()}
             ok, gd = ok & p_ok[o], gd & p_gd[o]
-        m = np.zeros((ok.size, start, start))
+        m = np.zeros((start, start, ok.size))
         for k, (_, plus, minus) in enumerate(conds):
-            m[:, 4 * k:4 * k + 4, cols[plus]] = at[plus, k]
-            m[:, 4 * k:4 * k + 4, cols[minus]] = -at[minus, k]
+            m[4 * k:4 * k + 4, cols[plus]] = at[plus, k]
+            np.negative(at[minus, k], out=m[4 * k:4 * k + 4, cols[minus]])
         if sign < 0:
             m *= mirror
-        # Columns are scaled to unit 2-norm, smooth in E, by positive factors;
-        # hypot folds the rows in order at every batch size and cannot overflow.
-        norm = np.maximum(np.hypot.reduce(m, axis=1, keepdims=True), 1e-300)
         with np.errstate(invalid="ignore"):
-            det = np.linalg.det(m / norm)
+            det = np.linalg.det(m.transpose(2, 0, 1))
         det = np.where(gd, det, np.nan) * _pole_factor(sp, sign, cols, energies[o])
         hit = signs[:, o] == sign
         for out, v in ((vals, det), (pole_ok, ok), (good, gd)):

@@ -263,12 +263,14 @@ _REQUIRED_KEYS = ("omega", "delta1", "delta2", "g1", "g2")
 def load_params(path: str | Path) -> ModelParams:
     """Read a key = value parameter file; jx/jy/jz default to 0 when absent.
 
-    Lines starting with '#' or ';' and bracketed section headers are ignored.
+    Lines starting with '#' or ';' and bracketed section headers are ignored;
+    a key set twice is an error.
     """
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     values: dict[str, float] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
         if not line or (line.startswith("[") and line.endswith("]")):
@@ -279,6 +281,9 @@ def load_params(path: str | Path) -> ModelParams:
         key = key.strip().lower()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{p}:{lineno}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(f"{p}:{lineno}: key {key!r} already set on line {lines[key]}")
+        lines[key] = lineno
         try:
             values[key] = float(text.strip())
         except ValueError as exc:

@@ -16,10 +16,10 @@ divisor comes from _slaving.
 Coefficients are kept in radius units: coeffs[n] = c_n * R^n, so the series
 reads sum_n coeffs[n] * t^n with t = (z - alpha)/R, |t| < 1. This keeps them
 inside double range even for extreme couplings. Each order is a few
-whole-array steps over all components, columns and energies: one constant
-4x4 coupling matrix applied by einsum, one broadcast update of the free
-components, one weighted contraction for the slaved one, and a pole guard
-only at the orders whose divisor can vanish inside the batch. The
+whole-array steps over the components that recur, all columns and
+energies: one constant 4x4 coupling matrix applied by einsum, one broadcast
+update of the free components, one weighted contraction for the slaved
+one, and a pole guard only at the orders whose divisor can vanish. The
 recurrence hands each order to one plain summation, which sums all of a
 center's matching points in the same pass and freezes each energy's sums
 once its tail is small; only recur() stores the orders as a table, and G(E)
@@ -27,7 +27,7 @@ sums as it recurses, up to the hard cap of 512 orders. Both loops write
 into buffers allocated once per call and rotated from order to order, with
 the same operations on the same operands as fresh arrays would take, so a
 yielded order is valid only until the next one. gfunction runs them on
-fixed blocks of 1024 energies, and each block stops once its own
+fixed blocks of 2048 energies, and each block stops once its own
 slowest energy has converged.
 
 Around g and g' the parity sign s enters only as mix(-s) = D mix(s) D with
@@ -200,20 +200,24 @@ def _tables(sp: ModelParams, sign, energies: np.ndarray, center: _Center,
     frame = np.ndim(sign) > 0
     s, refl = (1.0, np.asarray(sign, dtype=float)) if frame else (float(sign), 1.0)
 
+    # Only the rows before a slave that follows the free slots recur (at g',
+    # and at 0 when g' = 0); the rest are rewritten before they are read.
+    r = slice(None, slave if slave == len(center.slots) else 4)
     # Cross couplings: order n + 1 of component j takes sum_k mix[k, j] cur[k]
     # (mix is symmetric). With "kj", unlike "jk" or matmul, einsum adds the
-    # terms in k order at every batch size, so G(E) depends on E alone.
+    # terms in k order at every batch size, so G(E) depends on E alone; a
+    # contiguous mix[:, :1] would not, as one energy's one column takes a dot.
     a, b = s * (jz - jy), s * (jy + jz)
-    mix = -np.array([[0, d2, a, s * d1], [d2, 0, s * d1, b],
-                     [a, s * d1, 0, d2], [s * d1, b, d2, 0]])
+    mix = (-np.array([[0, d2, a, s * d1], [d2, 0, s * d1, b],
+                      [a, s * d1, 0, d2], [s * d1, b, d2, 0]]))[:, r]
     # Reflection at the origin ties components 3, 4 to 1, 2; all four recur.
     tied = c == 0.0 and slave is None
     active = np.array([tied or j in center.slots for j in range(4)])
     pref = np.array([c + g, c + gp, c - g, c - gp])
-    rp = np.where(active, radius / np.where(active, pref, 1.0), 0.0)[:, None, None]
+    rp = np.where(active, radius / np.where(active, pref, 1.0), 0.0)[r, None, None]
     aoff = np.array([-2 * c * g - jx, -2 * c * gp + jx, 2 * c * g - jx, 2 * c * gp + jx])
     base = energies - c * c
-    diag = (base + aoff[:, None])[:, None, :]
+    diag = (base + aoff[r, None])[:, None, :]
     shift, weights, divisors = _slaving(sp, s, center, energies.max())
     shift, contract = np.reshape(shift, (-1, 1)), "k,kcn->cn"
     if frame and slave is not None:  # center 0, g' = 0: each sign its own slaving
@@ -230,8 +234,8 @@ def _tables(sp: ModelParams, sign, energies: np.ndarray, center: _Center,
         # order runs the same operations on the same operands as a fresh
         # expression would, so the bits do not depend on the reuse.
         cur = np.repeat(inits[:, :, None], energies.size, axis=2)
-        prev, nxt, cross = np.zeros((3,) + cur.shape)
-        dn = np.empty(diag.shape)
+        prev, nxt = np.zeros((2,) + cur.shape)
+        cross, dn = np.empty_like(cur[r]), np.empty(diag.shape)
         if slave is not None:
             den, slaved = np.empty(energies.size), np.empty(cur.shape[1:])
         if tied:
@@ -251,10 +255,11 @@ def _tables(sp: ModelParams, sign, energies: np.ndarray, center: _Center,
             if n == n_max:
                 return
             # nxt = ((diag - n) * cur + mix^T cur) * rp/(n+1) - radius^2/(n+1) * prev
-            np.multiply(np.subtract(diag, n, out=dn), cur, out=nxt)
-            nxt += np.einsum("kj,kcn->jcn", mix, cur, out=cross)
-            nxt *= rp / (n + 1)
-            nxt -= np.multiply(radius * radius / (n + 1), prev, out=cross)
+            head = nxt[r]
+            np.multiply(np.subtract(diag, n, out=dn), cur[r], out=head)
+            head += np.einsum("kj,kcn->jcn", mix, cur, out=cross)
+            head *= rp / (n + 1)
+            head -= np.multiply(radius * radius / (n + 1), prev[r], out=cross)
             prev, cur, nxt = cur, nxt, prev
 
     return rows(), ok
@@ -277,10 +282,10 @@ def _kahan_eval(rows, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     def tail_ok():
         # y is free between orders and serves as scratch for the magnitudes.
-        tail = np.maximum(np.max(np.abs(last, out=y), axis=(1, 2)),
-                          np.max(np.abs(term, out=y), axis=(1, 2)))
-        scale = np.maximum(np.max(np.abs(sums, out=y), axis=(1, 2)), 1e-300)
-        return np.all(tail <= TAIL_RTOL * scale, axis=0)
+        tail = np.maximum(np.maximum.reduce(np.abs(last, out=y), axis=(1, 2)),
+                          np.maximum.reduce(np.abs(term, out=y), axis=(1, 2)))
+        scale = np.maximum(np.maximum.reduce(np.abs(sums, out=y), axis=(1, 2)), 1e-300)
+        return np.logical_and.reduce(tail <= TAIL_RTOL * scale, axis=0)
 
     ts = np.reshape(ts, (-1, 1, 1, 1))
     tpow = np.ones_like(ts)
@@ -297,11 +302,11 @@ def _kahan_eval(rows, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         tpow *= ts
         if n % 4 == 0 and n:
             new = tail_ok() & ~frozen
-            out[..., new] = sums[..., new]
+            np.copyto(out, sums, where=new)
             frozen |= new
             if frozen.all():
                 return out, frozen
-    out[..., ~frozen] = sums[..., ~frozen]
+    np.copyto(out, sums, where=~frozen)
     return out, frozen | tail_ok()
 
 

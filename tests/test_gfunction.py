@@ -262,7 +262,7 @@ def test_gvalue_depends_on_energy_alone(xyz_double, xyz_odd):
     p = ModelParams(1.0, 0.6, 0.2, 1.2, 0.8)
     sp, scheme = gfunction._prepare(p, None)
     for parity in (Parity.PLUS, Parity.MINUS):
-        tr, = trace(p, (parity,), -1.0, 2.5, 0.001)
+        tr, = trace(p, (parity,), -1.0, 2.5, 1.0 / b)  # 3.5 blocks and a cell
         assert tr.energies.size > 3 * gfunction._BLOCK
         cells = np.flatnonzero(np.isfinite(tr.values))[::101]
         for k in range(0, cells.size - 3, 3):
@@ -302,15 +302,16 @@ def unshared_gvalues(sp, sign, energies, scheme):
     return [np.concatenate(c) for c in zip(*parts)]
 
 
-def test_shared_centers_match_unshared_assembly(xyz_odd):
+def test_shared_centers_match_unshared_assembly(xyz_odd, flat):
     # _gvalues sums centers g and g' once, at sign +1, and takes sign -1 from
     # them by the parity mirror; values, pole and convergence masks must keep
     # the bits of an assembly that sums every center at its own sign, for
     # two signs in one call, for -1 alone and for the one-sign form. The long
     # batch has a center-g baseline as the last energy of its first block.
+    # flat has g' = 0: a 4x4 chain whose center 0 recurs on one row.
     b = gfunction._BLOCK
     full8 = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06, 0.3, 0.1, 0.2)
-    for p in (full8, xyz_odd):
+    for p in (full8, xyz_odd, flat):
         sp, scheme = gfunction._prepare(p, None)
         es = (2 - p.g ** 2 + p.jx) + 1e-3 * (np.arange(2 * b + 200) - (b - 1))
         ref = {s: unshared_gvalues(sp, s, es, scheme) for s in (1, -1)}
@@ -345,7 +346,7 @@ def test_gvalues_working_set_flat_in_batch_size(asym):
     # order, so a long batch needs about the memory of one block.
     sp, scheme = gfunction._prepare(asym, None)
     peaks = []
-    for n in (1000, 8000):
+    for n in (gfunction._BLOCK, 8 * gfunction._BLOCK):
         es = np.linspace(-1.0, 3.0, n)
         tracemalloc.start()
         try:

@@ -148,6 +148,15 @@ def test_load_params_errors(tmp_path, body, fragment):
         load_params(cfg)
 
 
+def test_load_params_duplicate_key(tmp_path):
+    # A key set twice is refused with both of its lines, not kept at the last value.
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("omega = 1\ndelta1 = 0.6\ndelta2 = 0.2\ng1 = 0.1\n"
+                   "# later\n[model]\nG1 = 0.3\ng2 = 0.1\n")
+    with pytest.raises(ConfigError, match=r"twice.cfg:7: key 'g1' already set on line 4"):
+        load_params(cfg)
+
+
 def test_load_params_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_params(tmp_path / "absent.cfg")
