@@ -159,11 +159,13 @@ def cmd_sweep(args: argparse.Namespace, params: ModelParams) -> int:
 def _parse_scan(specs: Sequence[str]) -> dict[str, np.ndarray]:
     axes: dict[str, np.ndarray] = {}
     for spec in specs:
+        name, _, rng = spec.partition("=")
+        name = name.strip().lower()
+        if name in axes:
+            raise ConfigError(f"--scan repeats axis {name!r}")
         try:
-            name, _, rng = spec.partition("=")
             start, stop, npts = rng.split(":")
-            axes[name.strip().lower()] = np.linspace(float(start), float(stop),
-                                                     int(npts))
+            axes[name] = np.linspace(float(start), float(stop), int(npts))
         except ValueError as exc:
             raise ConfigError(f"bad --scan spec {spec!r}; "
                               "expected AXIS=START:STOP:NPTS") from exc

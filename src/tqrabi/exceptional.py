@@ -11,9 +11,10 @@ closed forms, which the recurrence construction reproduces componentwise.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -179,14 +180,9 @@ def _amps_from_coeffs(s: int, e1: np.ndarray, e2: np.ndarray,
     amps: dict[tuple[int, str], float] = {}
     for m in range(n_cut + 1):
         w = math.sqrt(math.factorial(m) / 2.0)
-        plus = w * (e1[m] + e2[m])
-        minus = w * (e1[m] - e2[m])
-        if (-1) ** m == s:
-            amps[(m, "ee")] = plus
-            amps[(m, "gg")] = minus
-        else:
-            amps[(m, "ge")] = plus
-            amps[(m, "eg")] = minus
+        up, down = ("ee", "gg") if (-1) ** m == s else ("ge", "eg")
+        amps[(m, up)] = w * (e1[m] + e2[m])
+        amps[(m, down)] = w * (e1[m] - e2[m])
     return amps
 
 
@@ -321,8 +317,9 @@ def levels(params: ModelParams, parity: Parity, e_min: float,
 
     Returns (N, E, f(-1, N)) for every index N whose condition vanishes
     (within 1e-10). The indices are those of the center-0 divisors
-    (series._slaving); indices whose condition is undefined (a vanishing
-    denominator) are skipped. Only defined for g1 = g2 > 0.
+    (series._slaving). A vanishing denominator of the condition
+    (DegenerateDenominator) means no state at that index, as in
+    scan_flat_lines. Only defined for g1 = g2 > 0.
     """
     sp = _equal_couplings(params, "cutoff states")
     origin = series._centers(sp)[-1]
@@ -333,7 +330,7 @@ def levels(params: ModelParams, parity: Parity, e_min: float,
             continue
         try:
             cond = condition(params, parity, n)
-        except SolverError:
+        except DegenerateDenominator:
             continue
         if abs(cond) < CONDITION_TOL:
             out.append((n, energy, cond))
@@ -378,16 +375,42 @@ def _manifold_label(sp: ModelParams, parity: Parity, n_index: int) -> str:
     return "numeric"
 
 
+def _bisect(f: Callable[[float], float], xa: float, xb: float,
+            fa: float) -> Optional[float]:
+    """Zero of f between xa and xb, where f(xa) = fa and f(xb) has the other sign.
+
+    Halves the cell down to a width of 1e-14 relative; a probe where f is
+    exactly zero is the zero. A NaN probe returns None: the sign change sits
+    across a pole of f, not a zero.
+    """
+    while xb - xa > 1e-14 * max(1.0, abs(xa), abs(xb)):
+        xm = 0.5 * (xa + xb)
+        fm = f(xm)
+        if fm == 0.0:
+            return xm
+        if math.isnan(fm):
+            return None
+        if (fm > 0) == (fa > 0):
+            xa, fa = xm, fm
+        else:
+            xb = xm
+    return 0.5 * (xa + xb)
+
+
 def scan_flat_lines(template: ModelParams, axes: Mapping[str, Sequence[float]],
                     n_max: int = 3,
                     g_probe: tuple[float, float] = (0.8, 2.1)) -> list[FlatLineHit]:
     """Zeros of the cutoff condition along 1-D parameter lines, with g-probing.
 
     axes maps parameter names (delta1, delta2, jx, jy, jz) to grids; the last
-    axis is the bisection line, the others span an outer grid. Each zero found
-    at coupling g_probe[0] is re-evaluated at g_probe[1]; hits whose condition
-    vanishes at both couplings are flagged g_independent, the rest are the
-    fine-tuned kind that exists at one coupling only.
+    axis is the bisection line, the others span an outer grid. For each outer
+    point, parity and N the hits are the exact zeros of the condition at the
+    line's grid points, then one zero per grid cell whose ends change sign,
+    found by bisection at coupling g_probe[0]. A vanishing denominator of the
+    condition is a pole, so a cell whose bisection meets one gives no hit.
+    Each zero is re-evaluated at g_probe[1]; hits whose condition vanishes at
+    both couplings are flagged g_independent, the rest are the fine-tuned
+    kind that exists at one coupling only.
     """
     if template.scaled().gprime != 0.0:
         raise RequiresEqualCouplings("flat-line scan needs g1 == g2")
@@ -396,69 +419,36 @@ def scan_flat_lines(template: ModelParams, axes: Mapping[str, Sequence[float]],
             raise ValueError(f"cannot scan axis {name!r}")
     if len(axes) == 0:
         raise ValueError("need at least one scan axis")
-    names = list(axes)
-    line_axis = names[-1]
-    line = np.asarray(axes[line_axis], dtype=float)
-    if line.size < 2:
+    *outer_names, line_axis = axes
+    line = [float(x) for x in axes[line_axis]]
+    if len(line) < 2:
         raise ValueError("scan line needs at least two points")
-    outer_names = names[:-1]
-    outer_grids = [np.asarray(axes[k], dtype=float) for k in outer_names]
-    ga, gb = g_probe
-
-    def cond_at(point: ModelParams, g_tot: float, parity: Parity, n: int) -> float:
-        return condition(point.with_g(g_tot), parity, n)
-
     hits: list[FlatLineHit] = []
-    outer_points = [()] if not outer_names else list(np.stack(
-        np.meshgrid(*outer_grids, indexing="ij"), axis=-1).reshape(-1, len(outer_names)))
-    for combo in outer_points:
-        base = template
-        for name, value in zip(outer_names, combo):
-            base = replace(base, **{name: float(value)})
-        for parity in Parity:
-            for n in range(n_max + 1):
-                vals = np.full(line.size, np.nan)
-                for i, x in enumerate(line):
-                    try:
-                        vals[i] = cond_at(replace(base, **{line_axis: float(x)}),
-                                          ga, parity, n)
-                    except DegenerateDenominator:
-                        continue
-                roots: list[float] = []
-                for i in range(line.size):
-                    if vals[i] == 0.0:
-                        roots.append(float(line[i]))
-                for i in range(line.size - 1):
-                    va, vb = vals[i], vals[i + 1]
-                    if not (np.isfinite(va) and np.isfinite(vb)):
-                        continue
-                    if va == 0.0 or vb == 0.0 or (va > 0) == (vb > 0):
-                        continue
-                    xa, xb = float(line[i]), float(line[i + 1])
-                    fa = va
-                    while xb - xa > 1e-14 * max(1.0, abs(xa), abs(xb)):
-                        xm = 0.5 * (xa + xb)
-                        fm = cond_at(replace(base, **{line_axis: xm}), ga, parity, n)
-                        if fm == 0.0:
-                            xa = xb = xm
-                            break
-                        if (fm > 0) == (fa > 0):
-                            xa, fa = xm, fm
-                        else:
-                            xb = xm
-                    roots.append(0.5 * (xa + xb))
-                for x in roots:
+    for combo in itertools.product(*(map(float, axes[k]) for k in outer_names)):
+        base = replace(template, **dict(zip(outer_names, combo)))
+        for parity, n in itertools.product(Parity, range(n_max + 1)):
+            def cond(x: float, g: float = g_probe[0]) -> float:
+                try:
+                    return condition(replace(base, **{line_axis: x}).with_g(g),
+                                     parity, n)
+                except DegenerateDenominator:
+                    return math.nan
+
+            vals = [cond(x) for x in line]
+            roots = [x for x, v in zip(line, vals) if v == 0.0]
+            for xa, xb, fa, fb in zip(line, line[1:], vals, vals[1:]):
+                if (math.isfinite(fa) and math.isfinite(fb) and fa != 0.0
+                        and fb != 0.0 and (fa > 0) != (fb > 0)):
+                    x = _bisect(cond, xa, xb, fa)
+                    if x is not None:
+                        roots.append(x)
+            for x in roots:
+                cond_a = cond(x)
+                if abs(cond_a) < CONDITION_TOL:  # False for NaN, on a pole
                     point = replace(base, **{line_axis: x})
-                    cond_a = cond_at(point, ga, parity, n)
-                    if abs(cond_a) >= CONDITION_TOL:
-                        continue
-                    try:
-                        cond_b = cond_at(point, gb, parity, n)
-                    except DegenerateDenominator:
-                        cond_b = math.inf
                     cand = ExceptionalCandidate(
-                        n, parity, exceptional_energy(point, parity, n),
-                        cond_a, abs(cond_b) < CONDITION_TOL)
+                        n, parity, exceptional_energy(point, parity, n), cond_a,
+                        abs(cond(x, g_probe[1])) < CONDITION_TOL)
                     hits.append(FlatLineHit(
                         _manifold_label(point.scaled(), parity, n), point, cand))
     return hits

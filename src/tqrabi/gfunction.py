@@ -257,13 +257,15 @@ def _prepare(params: ModelParams, scheme: Optional[MatchingScheme],
 
 def _window(params: ModelParams, e_min: float, e_max: float,
             step: Optional[float]) -> tuple[float, float, float]:
-    """Checked window ends and grid step (default 0.01 omega), in omega = 1 units."""
+    """Checked, finite window ends and step (default 0.01 omega), in omega = 1 units."""
     if not e_min < e_max:
         raise ValueError("empty energy window")
     if step is None:
         step = DEFAULT_GRID_STEP * params.omega
     if step <= 0:
         raise ValueError("step must be positive")
+    if not all(map(math.isfinite, (e_min, e_max, step))):
+        raise ValueError("energy window and step must be finite")
     w = params.omega
     return e_min / w, e_max / w, step / w
 

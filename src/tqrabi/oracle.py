@@ -284,6 +284,8 @@ def window(params: ModelParams, truncation: Optional[int], e_max: float,
     levels are counted again at the certified truncation and certified
     again from there.
     """
+    if not math.isfinite(e_max):
+        raise ValueError("energy window must be finite")
     w = params.omega
     cut = e_max + 0.5 * w
     if truncation is None:

@@ -284,6 +284,17 @@ def test_exceptional_requires_out_file(flat_cfg, capsys):
 def test_bad_scan_spec(tmp_path, flat_cfg, capsys):
     assert main(["exceptional", "--config", flat_cfg, "--scan", "delta1=0.2",
                  "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["exceptional", "--config", flat_cfg, "--scan", "delta1=0.2:1.1:19",
+                 "--scan", "Delta1=0.5:0.7:3", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "repeats axis 'delta1'" in capsys.readouterr().err
+
+
+def test_exceptional_scan_across_a_pole_of_the_condition(tmp_path, flat_cfg):
+    # jy + jz = -1/2 zeroes a denominator of the N = 1 condition on this line.
+    out = tmp_path / "pole.csv"
+    assert main(["exceptional", "--config", flat_cfg, "--scan", "jz=-1.0:0.0:8",
+                 "--out", str(out)]) == 0
+    assert all(abs(float(v)) < 1e-10 for v in rows(out, "condition_value"))
 
 
 def test_verify_passes(asym_cfg, capsys):
@@ -322,6 +333,13 @@ def test_sweep_spec_validation(tmp_path, capsys, monkeypatch):
       "--emax", "2"], "empty energy window"),
     (["verify", "--emin", "3", "--emax", "2"], "empty energy window"),
     (["verify", "--truncation", "-1"], "truncation must be >= 0"),
+    (["spectrum", "--emax", "inf"], "must be finite"),
+    (["verify", "--emax", "inf"], "must be finite"),
+    (["trace", "--emin", "-1", "--emax", "inf"], "must be finite"),
+    (["spectrum", "--emax", "2", "--step", "nan"], "must be finite"),
+    (["spectrum", "--emax", "2", "--step", "inf"], "must be finite"),
+    (["sweep", "--gmin", "0.2", "--gmax", "1", "--points", "2", "--emax", "inf"],
+     "must be finite"),
 ])
 def test_window_step_and_truncation_checked_for_every_solver(asym_cfg, capsys, argv,
                                                              message):

@@ -242,6 +242,18 @@ def test_scan_rejects_bad_input(asym):
         scan_flat_lines(tpl, {})
 
 
+def test_scan_steps_over_condition_poles(flat):
+    # The N = 1 odd condition has a pole at jz = -1/2, where 1 + 2(jy + jz)
+    # vanishes, and zeros where (2 jz + 1)^2 = (d2 - d1)^2, at jz = -0.6, -0.4.
+    hits = scan_flat_lines(flat, {"jz": np.linspace(-1, 0, 8)}, n_max=1)
+    assert all(abs(condition(h.params.with_g(0.8), h.candidate.parity,
+                             h.candidate.n_index)) < 1e-10 for h in hits)
+    odd = sorted(h.params.jz for h in hits
+                 if h.candidate.parity is Parity.MINUS and h.candidate.n_index == 1)
+    assert odd == pytest.approx([-0.6, -0.4], abs=1e-9)
+    assert all(abs(h.params.jz + 0.5) > 1e-6 for h in hits)
+
+
 def test_exceptional_energy_with_exchange(xyz_odd, xyz_double):
     assert exceptional_energy(xyz_odd, Parity.MINUS, 1) == pytest.approx(0.7)
     assert exceptional_energy(xyz_double, Parity.PLUS, 1) == pytest.approx(-0.5)

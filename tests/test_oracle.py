@@ -97,6 +97,11 @@ def test_diagonalize_preconditions(asym):
         diagonalize(asym, 40, 0)
 
 
+def test_window_needs_a_finite_cut(asym):
+    with pytest.raises(ValueError, match="must be finite"):
+        oracle.window(asym, None, math.inf)
+
+
 def test_negative_truncation_is_a_value_error(asym):
     for solve in (lambda: oracle.window(asym, -1, 2.5),
                   lambda: oracle.certified_spectrum(asym, -1, {1: 3, -1: 3}, 3)):
