@@ -132,6 +132,8 @@ def cmd_sweep(args: argparse.Namespace, params: ModelParams) -> int:
         raise ConfigError("sweep needs a non-negative point count")
     if params.g <= 0:
         raise ConfigError("sweep template must have g1 + g2 > 0 to fix the ratio")
+    if not np.isfinite([args.gmin, args.gmax]).all():
+        raise ConfigError("--gmin and --gmax must be finite")
     tasks = [(args, params, float(g))
              for g in np.linspace(args.gmin, args.gmax, args.points)]
     # A fork pool starts all of its workers at once: no more than there are points.
@@ -165,7 +167,10 @@ def _parse_scan(specs: Sequence[str]) -> dict[str, np.ndarray]:
             raise ConfigError(f"--scan repeats axis {name!r}")
         try:
             start, stop, npts = rng.split(":")
-            axes[name] = np.linspace(float(start), float(stop), int(npts))
+            ends = [float(start), float(stop)]
+            if not np.isfinite(ends).all():
+                raise ConfigError(f"--scan {spec!r}: START and STOP must be finite")
+            axes[name] = np.linspace(*ends, int(npts))
         except ValueError as exc:
             raise ConfigError(f"bad --scan spec {spec!r}; "
                               "expected AXIS=START:STOP:NPTS") from exc

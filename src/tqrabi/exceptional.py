@@ -419,6 +419,8 @@ def scan_flat_lines(template: ModelParams, axes: Mapping[str, Sequence[float]],
             raise ValueError(f"cannot scan axis {name!r}")
     if len(axes) == 0:
         raise ValueError("need at least one scan axis")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     *outer_names, line_axis = axes
     line = [float(x) for x in axes[line_axis]]
     if len(line) < 2:

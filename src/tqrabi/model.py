@@ -80,7 +80,7 @@ class SupportOverflow(SolverError):
 
 
 class NotConverged(SolverError):
-    """Diagonalization drift test failed at the truncation cap."""
+    """An oracle tail bound stayed at or above 1e-8 up to the truncation cap."""
 
 
 class Parity(enum.Enum):
@@ -221,8 +221,9 @@ class SpectrumRecord:
     For 'gfunction' records the residual is the distance to the nearest
     diagonalization eigenvalue of the same parity when verification ran,
     otherwise the determinant magnitude at the root. For 'oracle' records it
-    is the per-level truncation drift. 'verified' is None when no
-    cross-check was requested.
+    is the tail bound: the residual norm of the level's truncated eigenvector
+    in the untruncated Hamiltonian. 'verified' is None when no cross-check
+    was requested.
     """
 
     energy: float

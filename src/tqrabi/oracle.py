@@ -40,9 +40,9 @@ _Z1 = np.array([1.0, 1.0, -1.0, -1.0])
 _Z2 = np.array([1.0, -1.0, 1.0, -1.0])
 _Z1Z2 = _Z1 * _Z2
 
-DEFAULT_DRIFT_TOL = 1e-8
+BOUND_TOL = 1e-8
 DEFAULT_TRUNCATION_CAP = 1200
-_DRIFT_STEP = 50
+_STEP = 50
 _BANDS = 3
 _SIGNS = (1, -1)
 
@@ -134,9 +134,9 @@ def build_hamiltonian(params: ModelParams, truncation: int) -> FockHamiltonian:
 
 
 def _solve(band: np.ndarray, k: int | None = None, cut: float | None = None,
-           width: float = 1.0) -> np.ndarray:
-    """Ascending eigenvalues of one block: every level, the lowest k, or those
-    <= cut and the four above it.
+           width: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of one block (vectors as columns): every level,
+    the lowest k, or those <= cut and the four above it.
 
     For a cut, one value-selected solve reaches width past the cut (or past
     the Gershgorin floor when that lies higher), and the reach doubles until
@@ -151,37 +151,47 @@ def _solve(band: np.ndarray, k: int | None = None, cut: float | None = None,
         base = max(cut, floor)
         while True:
             upto = min(base + width, ceiling)
-            evals = scipy.linalg.eig_banded(band, eigvals_only=True, select="v",
-                                            select_range=(floor, upto))
-            below = int(np.count_nonzero(evals <= cut))
-            if evals.size >= below + 4 or upto == ceiling:
-                return evals[:below + 4]
+            evals, vecs = scipy.linalg.eig_banded(band, select="v",
+                                                  select_range=(floor, upto))
+            keep = int(np.count_nonzero(evals <= cut)) + 4
+            if evals.size >= keep or upto == ceiling:
+                return evals[:keep], vecs[:, :keep]
             width *= 2
     if k is None or k >= band.shape[1]:
-        return scipy.linalg.eig_banded(band, eigvals_only=True)
-    return scipy.linalg.eig_banded(band, eigvals_only=True, select="i",
-                                   select_range=(0, k - 1))
-
-
-def _merged(levels: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Levels of the parity blocks, keyed by sign, merged in ascending order with their signs."""
-    evals = np.concatenate(list(levels.values()))
-    signs = np.concatenate([np.full(e.size, s) for s, e in levels.items()])
-    order = np.argsort(evals, kind="stable")
-    return evals[order], signs[order]
+        return scipy.linalg.eig_banded(band)
+    return scipy.linalg.eig_banded(band, select="i", select_range=(0, k - 1))
 
 
 def _eig(params: ModelParams, truncation: int,
-         counts: dict[int, int | None] | None = None,
-         ) -> tuple[np.ndarray, np.ndarray]:
-    """Levels of the parity blocks merged in ascending order, with their signs.
+         counts: dict[int, int | None] | None = None, cut: float | None = None,
+         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Levels of the parity blocks merged in ascending order, with their signs
+    and tail bounds.
 
     counts maps a parity sign to how many of its lowest levels to compute
-    (None for all); by default every level of both blocks is computed.
+    (None for all); with a cut, each counted parity gives its levels at or
+    below the cut and the four above it instead (_solve, reaching 4 omega
+    past the cut). By default every level of both blocks is computed.
+
+    A block eigenvector v solves the untruncated H but for what H adds at
+    photon truncation + 1: sqrt(truncation + 1) [[g2, g1], [g1, g2]] applied
+    to v's two components at photon truncation. The norm of that is v's
+    exact residual, its tail bound: some level of H lies within it of the
+    truncated one (Kato, J. Phys. Soc. Jpn. 4, 334 (1949)).
     """
+    p = params
     if counts is None:
         counts = dict.fromkeys(_SIGNS)
-    return _merged({s: _solve(_band(params, truncation, s), k) for s, k in counts.items()})
+    parts = []
+    for s, k in counts.items():
+        evals, vecs = _solve(_band(p, truncation, s), k, cut, 4 * p.omega)
+        a, b = vecs[-2], vecs[-1]
+        bounds = math.sqrt(truncation + 1) * np.hypot(p.g2 * a + p.g1 * b,
+                                                      p.g1 * a + p.g2 * b)
+        parts.append((evals, np.full(evals.size, s), bounds))
+    evals, signs, bounds = (np.concatenate(c) for c in zip(*parts))
+    order = np.argsort(evals, kind="stable")
+    return evals[order], signs[order], bounds[order]
 
 
 def start_truncation(params: ModelParams, photons: float) -> int:
@@ -192,7 +202,7 @@ def start_truncation(params: ModelParams, photons: float) -> int:
     displaced-oscillator picture such a level, displaced by at most g/omega,
     has its weight on bare photon numbers n with sqrt(n) up to about
     r = sqrt(m) + g/omega; r**2 + 6r + 10 holds that with a margin, which
-    the drift certificate checks.
+    the tail bounds check.
     """
     p = params
     m = photons + (abs(p.delta1) + abs(p.delta2) + abs(p.jx) + abs(p.jy) + abs(p.jz)) / p.omega
@@ -200,59 +210,45 @@ def start_truncation(params: ModelParams, photons: float) -> int:
     return math.ceil(r * r + 6 * r + 10)
 
 
-def _check_start(truncation: int) -> None:
-    """ValueError below 0; NotConverged when a certificate from here passes the cap."""
+def certified_spectrum(params: ModelParams, truncation: int,
+                       counts: dict[int, int | None], k_total: int | None,
+                       cut: float | None = None,
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Lowest k_total of the counted levels (None for all), each with a tail
+    bound below 1e-8.
+
+    counts and cut select the levels of each parity as in _eig, in one
+    solve per parity and truncation. The truncation grows by 50 while a
+    bound is >= BOUND_TOL or, with a cut, while every counted level of a
+    parity lies at or below the cut: a truncated level lies above the true
+    one, so that parity may be undercounted. NotConverged is raised before
+    any solve past DEFAULT_TRUNCATION_CAP. Returns (energies, parity signs,
+    bounds, truncation used).
+    """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    if truncation + _DRIFT_STEP > DEFAULT_TRUNCATION_CAP:
-        raise NotConverged(f"truncation {truncation} + {_DRIFT_STEP} is past the "
-                           f"truncation cap {DEFAULT_TRUNCATION_CAP}")
-
-
-def certified_spectrum(params: ModelParams, truncation: int, counts: dict[int, int],
-                       k_total: int, start: Optional[dict[int, np.ndarray]] = None,
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Lowest k_total of the counted levels, with truncation drift below 1e-8.
-
-    counts maps a parity sign to how many of its lowest levels are computed;
-    start, when given, holds those levels at the starting truncation, so
-    they are not solved again. A level's drift is taken against the
-    same-parity level of the same rank at 50 photons fewer; the truncation
-    grows by 50 until every drift is below DEFAULT_DRIFT_TOL, and
-    NotConverged is raised before any solve past DEFAULT_TRUNCATION_CAP.
-    Returns (energies, parity signs, drifts, truncation actually used).
-    """
-    _check_start(truncation)
     t = truncation
-    e_lo, s_lo = _eig(params, t, counts) if start is None else _merged(start)
-    while True:
-        e_hi, s_hi = _eig(params, t + _DRIFT_STEP, counts)
-        drift = np.full(e_hi.size, np.inf)
-        for s in counts:
-            lo = e_lo[s_lo == s]
-            pos = np.flatnonzero(s_hi == s)[:lo.size]
-            drift[pos] = np.abs(e_hi[pos] - lo[:pos.size])
-        drift = drift[:k_total]
-        if drift.size and np.max(drift) < DEFAULT_DRIFT_TOL:
-            return e_hi[:k_total], s_hi[:k_total], drift, t + _DRIFT_STEP
-        t += _DRIFT_STEP
-        e_lo, s_lo = e_hi, s_hi
-        if t + _DRIFT_STEP > DEFAULT_TRUNCATION_CAP:
-            raise NotConverged(f"drift {np.max(drift):.3e} >= {DEFAULT_DRIFT_TOL:g} "
-                               f"at truncation cap {DEFAULT_TRUNCATION_CAP}")
+    while t <= DEFAULT_TRUNCATION_CAP:
+        evals, signs, bounds = _eig(params, t, counts, cut)
+        counted = cut is None or all(np.any(evals[signs == s] > cut) for s in counts)
+        if counted and np.all(bounds[:k_total] < BOUND_TOL):
+            return evals[:k_total], signs[:k_total], bounds[:k_total], t
+        t += _STEP
+    raise NotConverged(f"truncation {t} passes the cap {DEFAULT_TRUNCATION_CAP} "
+                       f"before every tail bound is below {BOUND_TOL:g}")
 
 
 def _records(evals: np.ndarray, signs: np.ndarray,
-             drift: np.ndarray) -> SpectrumResult:
+             bounds: np.ndarray) -> SpectrumResult:
     return SpectrumResult.from_records(
         SpectrumRecord(float(e), Parity.PLUS if s > 0 else Parity.MINUS, "oracle",
-                       float(d), label=i)
-        for i, (e, s, d) in enumerate(zip(evals, signs, drift)))
+                       float(b), label=i)
+        for i, (e, s, b) in enumerate(zip(evals, signs, bounds)))
 
 
 def diagonalize(params: ModelParams, truncation: Optional[int],
                 k_levels: int) -> SpectrumResult:
-    """Lowest k_levels eigenpairs as 'oracle' records (residual = truncation drift).
+    """Lowest k_levels eigenpairs as 'oracle' records (residual = tail bound).
 
     truncation None starts from the model: k_levels photons plus the qubit
     and exchange energies, displaced by g/omega (start_truncation).
@@ -272,17 +268,13 @@ def window(params: ModelParams, truncation: Optional[int], e_max: float,
            ) -> SpectrumResult:
     """Certified 'oracle' records of the given parities up to e_max and beyond.
 
-    Every level at or below e_max + omega/2, counted at the starting
-    truncation, and the next four levels above them are drift-certified by
-    certified_spectrum; callers filter to their own window. One
-    value-selected solve per parity gives both the count and the levels at
-    the start. truncation None starts from the model and e_max alone: the
-    cut plus g**2/omega and the qubit and exchange energies, in photons,
-    displaced by g/omega (start_truncation). A truncated level lies above
-    the true one, so a small start may undercount: when every counted level
-    of a parity, or every certified one, lies at or below the cut, the
-    levels are counted again at the certified truncation and certified
-    again from there.
+    Every level at or below the cut e_max + omega/2 and the next four levels
+    above them, per parity, with their tail bounds (residual) from
+    certified_spectrum; callers filter to their own window. truncation None
+    starts from the model and e_max alone: the cut plus g**2/omega and the
+    qubit and exchange energies, in photons, displaced by g/omega
+    (start_truncation). A parity whose levels all lie at or below the cut
+    is counted again at a larger truncation.
     """
     if not math.isfinite(e_max):
         raise ValueError("energy window must be finite")
@@ -290,17 +282,9 @@ def window(params: ModelParams, truncation: Optional[int], e_max: float,
     cut = e_max + 0.5 * w
     if truncation is None:
         truncation = start_truncation(params, (cut + params.g ** 2 / w) / w)
-    while True:
-        _check_start(truncation)
-        start = {p.sign: _solve(_band(params, truncation, p.sign), cut=cut, width=4 * w)
-                 for p in parities}
-        counts = {s: e.size for s, e in start.items()}
-        below = sum(int(np.count_nonzero(e <= cut)) for e in start.values())
-        evals, signs, drift, truncation = certified_spectrum(
-            params, truncation, counts, below + 4, start)
-        if evals[-1] > cut and all(np.count_nonzero((signs == s) & (evals <= cut)) < m
-                                   for s, m in counts.items()):
-            return _records(evals, signs, drift)
+    return _records(*certified_spectrum(params, truncation,
+                                        dict.fromkeys(p.sign for p in parities),
+                                        None, cut)[:3])
 
 
 def residual(params: ModelParams, truncation: int, state, energy: float | None = None,

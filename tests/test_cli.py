@@ -2,6 +2,7 @@ import concurrent.futures
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +113,7 @@ def test_spectrum_both_shares_search_and_window(tmp_path, monkeypatch, couplings
     # call, and one oracle window both verifies the roots and gives the
     # oracle rows. The G-call counts per command were 46, 43 and 52 when
     # each parity ran its own search and window. The window solves each
-    # parity once per truncation: at the start and 50 photons above it.
+    # parity once, at one truncation.
     cfg = tmp_path / "m.cfg"
     cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in
                            zip(("omega", "delta1", "delta2", "g1", "g2"), (1.0, *couplings))))
@@ -295,6 +296,33 @@ def test_exceptional_scan_across_a_pole_of_the_condition(tmp_path, flat_cfg):
     assert main(["exceptional", "--config", flat_cfg, "--scan", "jz=-1.0:0.0:8",
                  "--out", str(out)]) == 0
     assert all(abs(float(v)) < 1e-10 for v in rows(out, "condition_value"))
+
+
+def test_exceptional_negative_ncut_is_a_config_error(tmp_path, flat_cfg, capsys):
+    # No baseline index below 0 exists: the scan would probe nothing.
+    assert main(["exceptional", "--config", flat_cfg, "--scan", "delta1=0:1:3",
+                 "--ncut", "-1", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "n_max must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--gmin", "0.5", "--gmax", "inf", "--points", "3"],
+     "--gmin and --gmax must be finite"),
+    (["sweep", "--gmin=-inf", "--gmax", "1", "--points", "3"],
+     "--gmin and --gmax must be finite"),
+    (["sweep", "--gmin", "nan", "--gmax", "1", "--points", "3"],
+     "--gmin and --gmax must be finite"),
+    (["exceptional", "--scan", "delta1=0:inf:3"], "START and STOP must be finite"),
+    (["exceptional", "--scan", "jz=0:1:3", "--scan", "delta1=nan:1:3"],
+     "START and STOP must be finite"),
+])
+def test_non_finite_ranges_rejected_before_the_grid(tmp_path, flat_cfg, capsys, argv,
+                                                    message):
+    # Checked before np.linspace expands the range, which would warn first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--config", flat_cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_verify_passes(asym_cfg, capsys):

@@ -22,7 +22,7 @@ from tqrabi.gfunction import write_spectrum_csv, write_trace_csv
 
 
 def ed_levels(params, parity, e_min, e_max, truncation=200):
-    evals, pars = oracle._eig(params, truncation)
+    evals, pars, _ = oracle._eig(params, truncation)
     return np.array([e for e, s in zip(evals, pars)
                      if s == parity.sign and e_min <= e <= e_max])
 

@@ -29,7 +29,7 @@ def test_decoupled_limit_levels_and_parities():
 
 def test_dark_levels_exact_at_integer_energy(equal_qubits):
     p = equal_qubits.with_g(1.5)
-    evals, pars = oracle._eig(p, 48)
+    evals, pars, _ = oracle._eig(p, 48)
     for n in (0, 1, 2):
         k = int(np.argmin(np.abs(evals - n)))
         assert abs(evals[k] - n) < 5e-13
@@ -42,7 +42,7 @@ def test_dark_levels_exact_at_integer_energy(equal_qubits):
 
 def test_flat_exchange_levels_present(xyz_double):
     p = xyz_double.with_g(2.0)
-    evals, pars = oracle._eig(p, 90)
+    evals, pars, _ = oracle._eig(p, 90)
     even = evals[pars == 1]
     assert min(abs(even - (-0.5))) < 1e-11
     assert min(abs(even - 1.5)) < 1e-11
@@ -85,8 +85,8 @@ def test_ground_state_monotone_in_truncation(asym):
 def test_relabeling_invariance():
     a = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06, jx=0.1, jy=0.2, jz=0.3)
     b = ModelParams(1.0, 0.2, 0.6, 0.06, 0.24, jx=0.1, jy=0.2, jz=0.3)
-    ea, _ = oracle._eig(a, 60)
-    eb, _ = oracle._eig(b, 60)
+    ea, _, _ = oracle._eig(a, 60)
+    eb, _, _ = oracle._eig(b, 60)
     assert np.max(np.abs(ea - eb)) < 1e-12
 
 
@@ -126,7 +126,7 @@ def test_degenerate_cross_parity_levels_classified():
     # At g = 0 with d1 = 0.75, d2 = 0.25 the level E = 0.5 is doubly
     # degenerate with one state in each parity sector.
     p = ModelParams(1.0, 0.75, 0.25, 0.0, 0.0)
-    evals, pars = oracle._eig(p, 30)
+    evals, pars, _ = oracle._eig(p, 30)
     hits = np.flatnonzero(np.abs(evals - 0.5) < 1e-12)
     assert len(hits) == 2
     assert sorted(pars[hits]) == [-1, 1]
@@ -171,7 +171,7 @@ def _independent_levels(p, truncation):
         "decoupled"])
 def test_levels_and_parities_match_independent_blocks(p):
     tol = 1e-12 * p.omega
-    full, full_signs = oracle._eig(p, 30)
+    full, full_signs, _ = oracle._eig(p, 30)
     ref = _independent_levels(p, 30)
     for s in (1, -1):
         assert np.max(np.abs(full[full_signs == s] - ref[s])) < tol
@@ -195,6 +195,47 @@ def test_levels_and_parities_match_independent_blocks(p):
         assert mine.size >= want.size
         assert np.max(np.abs(mine[:want.size] - want), initial=0.0) < 1e-8 * p.omega
     assert got.size >= sum(np.sum(ref[s] <= cut) for s in (1, -1)) + 4
+
+
+@pytest.mark.parametrize("p", [
+    ModelParams(1.0, 0.6, 0.2, 0.24, 0.06),                        # asym
+    ModelParams(1.0, 0.6, 0.2, 0.9, 0.4, jx=0.1, jy=0.2, jz=0.3),  # XYZ
+    ModelParams(0.5, 0.35, 0.15, 0.45, 0.2, jx=0.05, jz=-0.1),     # omega != 1
+], ids=["asym", "xyz", "omega-half"])
+def test_tail_bound_is_the_residual_of_the_padded_eigenvector(p):
+    # A block eigenvector zero-padded into the full basis one photon further
+    # has, as its residual there, the bound reported with its level. At so
+    # small a truncation the bounds lie far above the rounding of H v - E v.
+    t = 8
+    for s in (1, -1):
+        evals, vecs = oracle._solve(oracle._band(p, t, s))
+        got, _, bounds = oracle._eig(p, t, {s: None})
+        assert np.array_equal(got, evals)
+        assert np.min(bounds) > 1e-8
+        for e, v, bound in zip(evals, vecs.T, bounds):
+            padded = np.zeros(4 * (t + 2))
+            padded[oracle._block_states(t, s)] = v
+            assert residual(p, t + 1, padded, e) == pytest.approx(bound, rel=1e-12)
+
+
+def test_one_solve_per_parity(monkeypatch):
+    # The levels and their bounds come from one solve per parity: the window
+    # on the spectrum anchors and eight levels at a sweep point need no
+    # second truncation.
+    calls = []
+    eig_banded = scipy.linalg.eig_banded
+    monkeypatch.setattr(scipy.linalg, "eig_banded",
+                        lambda *a, **k: calls.append(1) or eig_banded(*a, **k))
+    for p in (ModelParams(1.0, 0.6, 0.2, 0.24, 0.06),
+              ModelParams(1.0, 0.6, 0.2, 1.0 / 3.0, 1.0 / 6.0),
+              ModelParams(1.0, 0.7, 0.3, 0.4, 0.4)):
+        calls.clear()
+        assert all(r.residual < 1e-8 for r in oracle.window(p, None, 2.5))
+        assert len(calls) == 2
+    calls.clear()
+    assert all(r.residual < 1e-8
+               for r in diagonalize(ModelParams(1.0, 0.6, 0.4, 0.65, 0.65), None, 8))
+    assert len(calls) == 2
 
 
 def test_window_recounts_at_the_certified_truncation():
@@ -281,13 +322,13 @@ def test_cut_solve_widens_to_four_levels_past_the_cut(asym):
     # the four above it; a reach too short for them doubles until it holds
     # them, and a block with fewer levels is returned whole.
     band = oracle._band(asym.with_g(1.2), 60, 1)
-    every = oracle._solve(band)
+    every, _ = oracle._solve(band)
     for cut in (-5.0, 0.3, 2.5):
         want = every[:np.count_nonzero(every <= cut) + 4]
         for width in (4.0, 1e-3):
-            got = oracle._solve(band, cut=cut, width=width)
+            got, _ = oracle._solve(band, cut=cut, width=width)
             assert got.size == want.size
             assert np.max(np.abs(got - want)) < 1e-12
     small = oracle._band(asym, 1, -1)
-    assert oracle._solve(small, cut=0.0, width=1e-3).size == 4
-    assert oracle._solve(small, cut=1e3).size == 4
+    assert oracle._solve(small, cut=0.0, width=1e-3)[0].size == 4
+    assert oracle._solve(small, cut=1e3)[0].size == 4

@@ -345,7 +345,7 @@ def test_matched_solution_agrees_between_centers(asym):
     # At a true eigenvalue the nullspace combination of the matching matrix
     # makes the center-g' and center-g expansions agree at the joint point.
     # The eigenvalue is taken from the independent diagonalization.
-    evals, pars = oracle._eig(asym, 300)
+    evals, pars, _ = oracle._eig(asym, 300)
     estar = float(evals[np.flatnonzero(pars == 1)[0]])
     scheme = gfunction.default_scheme(asym)
     z0, z0p = scheme.z0, scheme.z0prime
