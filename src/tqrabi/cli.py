@@ -119,7 +119,7 @@ def _sweep_point(task) -> list[tuple[str, ...]]:
             try:
                 rows.extend((fmt(g), fmt(energy), str(parity.sign), "exceptional",
                              fmt(abs(cond)), "ok")
-                            for _, energy, cond in exceptional.levels(
+                            for _, energy, cond, _ in exceptional.levels(
                                 point, parity, args.emin, args.emax))
             except SolverError as exc:
                 rows.append((fmt(g), "", str(parity.sign), "exceptional", "",
@@ -183,6 +183,8 @@ def cmd_exceptional(args: argparse.Namespace, params: ModelParams) -> int:
         ga, gb = (float(x) for x in args.gprobe.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad --gprobe {args.gprobe!r}; expected GA,GB") from exc
+    if not all(0 < x < float("inf") for x in (ga, gb)):
+        raise ConfigError(f"--gprobe {args.gprobe!r}: couplings must be finite and > 0")
     hits = exceptional.scan_flat_lines(params, axes, n_max=args.ncut,
                                        g_probe=(ga, gb))
     states: list[Optional[exceptional.ExceptionalState]] = []
@@ -203,6 +205,24 @@ def cmd_exceptional(args: argparse.Namespace, params: ModelParams) -> int:
     return 0
 
 
+def _unmatched(levels: Sequence[float], claims: Sequence[float], tol: float) -> int:
+    """Levels left over when each claim covers at most one level within tol.
+
+    One merge of the two sorted lists gives each level the lowest free claim
+    within tol; a claim below every later level's reach is passed over. No
+    one-to-one assignment covers more levels.
+    """
+    i = missing = 0
+    for e in levels:
+        while i < len(claims) and e - claims[i] > tol:
+            i += 1
+        if i < len(claims) and claims[i] - e <= tol:
+            i += 1
+        else:
+            missing += 1
+    return missing
+
+
 def cmd_verify(args: argparse.Namespace, params: ModelParams) -> int:
     failures = 0
 
@@ -213,7 +233,7 @@ def cmd_verify(args: argparse.Namespace, params: ModelParams) -> int:
             failures += 1
 
     tol = gfunction.VERIFY_TOL * params.omega
-    # Certified cutoff states; the dark states among them are no roots of G.
+    # Certified cutoff states; the dark ones (k = 0) are no roots of G.
     cutoff = {p: (exceptional.levels(params, p, args.emin, args.emax)
                   if params.gprime == 0.0 else [])
               for p in _parities(args.parity)}
@@ -226,15 +246,15 @@ def cmd_verify(args: argparse.Namespace, params: ModelParams) -> int:
         worst = max((r.residual for r in res), default=0.0)
         report(not bad, f"roots[{parity}]: {len(res)} roots, "
                         f"max |E - E_ed| = {worst:.3e}")
-        ed = [r for r in levels.filtered(parity)
+        ed = [r.energy for r in levels.filtered(parity)
               if args.emin <= r.energy <= args.emax]
-        missing = [r.energy for r in ed
-                   if all(abs(r.energy - x.energy) > tol for x in res)
-                   and all(abs(r.energy - e) > tol for _, e, _ in cutoff[parity])]
+        # One claim per root and per dark state: a state on a pole is a root.
+        claims = sorted(res.energies() + [e for _, e, _, k in cutoff[parity] if k == 0])
+        missing = _unmatched(ed, claims, tol)
         report(not missing, f"coverage[{parity}]: {len(ed)} oracle levels, "
-                            f"{len(missing)} unmatched")
+                            f"{missing} unmatched")
     for parity, states in cutoff.items():
-        for n, energy, _ in states:
+        for n, energy, _, _ in states:
             state = exceptional.build_state(params, parity, n)
             resid = oracle.residual(params, max(n + 2, 40), state)
             report(resid < 1e-10,

@@ -312,19 +312,21 @@ def fock_subspace_check(params: ModelParams, parity: Parity,
 
 
 def levels(params: ModelParams, parity: Parity, e_min: float,
-           e_max: float) -> list[tuple[int, float, float]]:
+           e_max: float) -> list[tuple[int, float, float, int]]:
     """Cutoff states of one parity with energies in [e_min, e_max].
 
-    Returns (N, E, f(-1, N)) for every index N whose condition vanishes
-    (within 1e-10). The indices are those of the center-0 divisors
-    (series._slaving). A vanishing denominator of the condition
-    (DegenerateDenominator) means no state at that index, as in
+    Returns (N, E, f(-1, N), k) for every index N whose condition vanishes
+    (within 1e-10). N and k come from the center-0 divisors
+    (series._slaving): k counts the columns that carry the pole at E. A
+    state with k = 1 is a root of G, where G jumps; a dark state (k = 0)
+    sits where G has no pole and is no root. A vanishing denominator of the
+    condition (DegenerateDenominator) means no state at that index, as in
     scan_flat_lines. Only defined for g1 = g2 > 0.
     """
     sp = _equal_couplings(params, "cutoff states")
     origin = series._centers(sp)[-1]
     out = []
-    for n, _, _ in series._slaving(sp, parity.sign, origin, e_max / params.omega)[2]:
+    for n, _, k in series._slaving(sp, parity.sign, origin, e_max / params.omega)[2]:
         energy = exceptional_energy(params, parity, n)
         if not e_min <= energy <= e_max:
             continue
@@ -333,7 +335,7 @@ def levels(params: ModelParams, parity: Parity, e_min: float,
         except DegenerateDenominator:
             continue
         if abs(cond) < CONDITION_TOL:
-            out.append((n, energy, cond))
+            out.append((n, energy, cond, k))
     return out
 
 
@@ -414,9 +416,11 @@ def scan_flat_lines(template: ModelParams, axes: Mapping[str, Sequence[float]],
     """
     if template.scaled().gprime != 0.0:
         raise RequiresEqualCouplings("flat-line scan needs g1 == g2")
-    for name in axes:
+    for name, grid in axes.items():
         if name not in _SCAN_AXES:
             raise ValueError(f"cannot scan axis {name!r}")
+        if len(grid) == 0:
+            raise ValueError(f"scan axis {name!r} has no points")
     if len(axes) == 0:
         raise ValueError("need at least one scan axis")
     if n_max < 0:

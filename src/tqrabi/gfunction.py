@@ -476,15 +476,18 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
     without a sign change are probed for a root pair inside one grid cell,
     or a tangency, in the passes that narrow the sign-change brackets to
     width 2e-10, each at an interpolated point, a ladder of points around it
-    and its midpoint (_refine_brackets); a root is its bracket's midpoint. A
-    cutoff state on a one-column (center-0) baseline is a root, settled
-    beside its pole in one pass; dark states, on baselines without a pole,
-    are not. levels, oracle records of these parities such as
-    oracle.window(params, None, e_max, parities), verifies every root
-    (nearest same-parity level within 1e-6): unmatched roots are kept but
-    flagged unverified (residual inf where levels lacks their parity); with
-    levels None roots are unchecked. Labels count the roots within each
-    parity. A bracket probe where G is not finite raises NoConvergence.
+    and its midpoint (_refine_brackets); a root is its bracket's midpoint.
+    Roots are never merged: scan cells are disjoint, a dip's brackets lie
+    inside its triple and probes inside their bracket, so each closed
+    bracket is one root, however close to the next. A cutoff state on a
+    one-column (center-0) baseline is a root, settled beside its pole in one
+    pass; dark states, on baselines without a pole, are not. levels, oracle
+    records of these parities such as oracle.window(params, None, e_max,
+    parities), verifies every root (nearest same-parity level within 1e-6):
+    unmatched roots are kept but flagged unverified (residual inf where
+    levels lacks their parity); with levels None roots are unchecked. Labels
+    count the roots within each parity. A bracket probe where G is not
+    finite raises NoConvergence.
     """
     lo_w, hi_w, h = _window(params, e_min, e_max, step)
     sp, scheme = _prepare(params, scheme)
@@ -526,18 +529,15 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
         ed = {p: np.array(levels.filtered(p).energies()) for p in parities}
     candidates = []
     for parity in parities:
-        dedup: list[float] = []
-        for x in np.sort(found[1][found[0] == parity.sign]).tolist():
-            if not dedup or x - dedup[-1] > 1e-9:
-                dedup.append(x)
-        candidates += [(parity, x, False) for x in dedup]
-        candidates += [(parity, x, True) for x in
-                       tangents[1][tangents[0] == parity.sign].tolist()
-                       if all(abs(x - r) > 1e-9 for r in dedup)]
+        roots = found[1][found[0] == parity.sign]
+        apart = [(x, True) for x in tangents[1][tangents[0] == parity.sign].tolist()
+                 if np.all(np.abs(x - roots) > 1e-9)]
+        candidates += [(parity, x, tangent) for x, tangent in
+                       sorted([(x, False) for x in roots.tolist()] + apart)]
     if levels is None and candidates:
         gmag, _, _ = _gvalues(sp, np.array([p.sign for p, _, _ in candidates]),
                               np.array([x for _, x, _ in candidates]), scheme)
-    records = []
+    records, count = [], dict.fromkeys(parities, 0)
     for j, (parity, x, tangent) in enumerate(candidates):
         if levels is not None:
             residual = float(np.min(np.abs(ed[parity] - x * w), initial=np.inf))
@@ -548,11 +548,9 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
             keep = residual < 1e-12 or not tangent
         if keep:
             records.append(SpectrumRecord(x * w, parity, "gfunction", residual,
-                                          verified=verified))
-    result = SpectrumResult.from_records(records)
-    return SpectrumResult.from_records(
-        SpectrumRecord(r.energy, r.parity, r.method, r.residual, i, r.verified)
-        for p in parities for i, r in enumerate(result.filtered(p)))
+                                          count[parity], verified))
+            count[parity] += 1
+    return SpectrumResult.from_records(records)
 
 
 def write_spectrum_csv(records, path_or_file, comments: Sequence[str] = ()) -> None:

@@ -440,6 +440,24 @@ def test_verify_counts_levels_beside_baselines(tmp_path, capsys):
     assert "PASS coverage[plus]: 6 oracle levels, 0 unmatched" in out
 
 
+@pytest.mark.parametrize("g1, code, roots, coverage", [
+    (0.5132324790088795, 0, 6, "PASS coverage[plus]: 6 oracle levels, 0 unmatched"),
+    (0.5132324788588795, 1, 4, "FAIL coverage[plus]: 6 oracle levels, 2 unmatched"),
+], ids=["g_c+3e-10", "g_c"])
+def test_verify_counts_each_level_once(tmp_path, capsys, g1, code, roots, coverage):
+    # Flat at g = 2 g1 near g_c = 1.026464957717759, where a regular even
+    # level crosses the cutoff state E = 1. 3e-10 off g_c both are roots. At
+    # g_c itself the double root is not resolved: 4 roots for 6 levels, and
+    # the cutoff state, a root of G, claims no level of its own.
+    cfg = tmp_path / "cross.cfg"
+    cfg.write_text(FLAT_CFG.replace("0.5", repr(g1)))
+    assert main(["verify", "--config", str(cfg)]) == code
+    out = capsys.readouterr().out
+    assert f"PASS roots[plus]: {roots} roots" in out
+    assert coverage in out
+    assert "PASS coverage[minus]: 6 oracle levels, 0 unmatched" in out
+
+
 def test_verify_covers_exceptional(flat_cfg, capsys):
     code = main(["verify", "--config", flat_cfg, "--emin", "-1",
                  "--emax", "1.4", "--truncation", "160"])
@@ -494,7 +512,25 @@ def test_sweep_zero_coupling_writes_status_rows(tmp_path, flat_cfg, monkeypatch,
     assert any(r["method"] == "exceptional" and r["status"] == "ok" for r in rows(out))
 
 
-def test_exceptional_zero_probe_coupling_is_a_solver_error(tmp_path, flat_cfg, capsys):
-    assert main(["exceptional", "--config", flat_cfg, "--scan", "delta1=0.2:1.1:5",
-                 "--gprobe", "0,2.1", "--out", str(tmp_path / "cat.csv")]) == 1
-    assert "error: RequiresValidCouplings" in capsys.readouterr().err
+def test_exceptional_zero_probe_coupling_is_a_config_error(tmp_path, flat_cfg, capsys):
+    # Probe couplings are input, not a solver outcome: two finite values > 0.
+    for probe in ("0,1", "0,2.1", "0.8,-1", "nan,2.1", "0.8,inf"):
+        out = tmp_path / "cat.csv"
+        assert main(["exceptional", "--config", flat_cfg, "--scan", "delta1=0.2:1.1:5",
+                     "--gprobe", probe, "--out", str(out)]) == 2
+        assert f"--gprobe {probe!r}: couplings must be finite and > 0" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+
+def test_exceptional_outer_axis_without_points(tmp_path, flat_cfg, capsys):
+    # An outer axis with no points spans no outer grid, so the scan would
+    # write an empty catalog; a line of one point is refused as well.
+    out = tmp_path / "cat.csv"
+    assert main(["exceptional", "--config", flat_cfg, "--scan", "jz=0:1:0",
+                 "--scan", "delta1=0.2:1.1:19", "--out", str(out)]) == 2
+    assert "scan axis 'jz' has no points" in capsys.readouterr().err
+    assert main(["exceptional", "--config", flat_cfg, "--scan", "delta1=0.2:1.1:1",
+                 "--out", str(out)]) == 2
+    assert "scan line needs at least two points" in capsys.readouterr().err
+    assert not out.exists()

@@ -277,7 +277,7 @@ def test_levels_sit_on_baselines(request, model):
     p = (ModelParams(0.5, 0.25, 0.25, 0.3, 0.3) if model == "dark_half"
          else request.getfixturevalue(model))
     lines = np.array([b.energy for b in baselines(p, -1.0, 3.0)])
-    found = [e for parity in Parity for _, e, _ in exceptional.levels(p, parity, -1.0, 3.0)]
+    found = [e for parity in Parity for _, e, _, _ in exceptional.levels(p, parity, -1.0, 3.0)]
     assert found
     for e in found:
         assert np.min(np.abs(lines - e)) <= 1e-12 * p.omega, e
@@ -306,7 +306,7 @@ def test_levels_bound_photon_number_in_units_of_omega():
     # window [1.9, 3] holds N = 4, 5 and 6.
     p = ModelParams(0.5, 0.25, 0.25, 0.3, 0.3)
     found = sorted((n, par.sign, e) for par in (Parity.PLUS, Parity.MINUS)
-                   for n, e, _ in exceptional.levels(p, par, 1.9, 3.0))
+                   for n, e, _, _ in exceptional.levels(p, par, 1.9, 3.0))
     assert found == [(4, -1, 2.0), (5, 1, 2.5), (6, -1, 3.0)]
     with pytest.raises(RequiresEqualCouplings):
         exceptional.levels(ModelParams(1.0, 0.6, 0.2, 0.24, 0.06),

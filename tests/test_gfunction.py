@@ -546,7 +546,7 @@ def test_cutoff_state_settles_in_one_pass(flat, monkeypatch):
     # A cutoff state is a jump of G at a known center-0 pole, which regula
     # falsi would close on at bisection speed (26-28 passes): the probes
     # beside the pole settle it in the bracket's first pass.
-    (_, energy, _), = exceptional.levels(flat, Parity.PLUS, 0.9, 1.1)
+    (_, energy, _, _), = exceptional.levels(flat, Parity.PLUS, 0.9, 1.1)
     sp, scheme = gfunction._prepare(flat, None)
     poles = [b for b, _ in gfunction._poles(sp, 1, series._centers(sp), 2.0)]
     assert energy in poles
@@ -716,12 +716,31 @@ def test_cutoff_states_are_roots(request, model, parity, levels):
     # A cutoff state on a one-column (center-0) baseline is a sign change of
     # the pole-free G, so the two solvers cross-check each other there.
     p = request.getfixturevalue(model)
-    cutoff = [e for _, e, _ in exceptional.levels(p, parity, -1.0, 2.5)]
+    cutoff = [e for _, e, _, _ in exceptional.levels(p, parity, -1.0, 2.5)]
     assert cutoff == pytest.approx(levels, abs=1e-12)
     res = find_roots(p, (parity,), -1.0, 2.5, levels=oracle.window(p, 300, 2.5, (parity,)))
     assert all(r.verified for r in res)
     for e in cutoff:
         assert min(abs(x - e) for x in res.energies()) < 1e-9
+
+
+@pytest.mark.parametrize("g_c", [1.026464957717759, 1.430194586995103])
+@pytest.mark.parametrize("offset", [-1e-9, -3e-10, 3e-10, 1e-9])
+def test_level_crossing_a_cutoff_state_is_a_root_of_its_own(flat, g_c, offset):
+    # At g_c a regular even level of flat crosses its even cutoff state at
+    # E = 1, and the gap opens linearly in g - g_c: 4e-10 to 2e-9 apart here,
+    # under the grid step. Each closed bracket is its own root, so both
+    # levels come back, one root per oracle level.
+    p = flat.with_g(g_c + offset)
+    levels = oracle.window(p, None, 2.5, (Parity.PLUS,))
+    res = find_roots(p, (Parity.PLUS,), -1.0, 2.5, levels=levels)
+    ed = [e for e in levels.energies() if -1.0 <= e <= 2.5]
+    assert len(res) == len(ed) == 6
+    assert all(r.verified for r in res)
+    assert np.max(np.abs(np.array(res.energies()) - ed)) < 1e-6
+    assert [r.label for r in res] == list(range(6))
+    near = sorted(abs(e - 1.0) for e in res.energies())[:2]
+    assert near[0] < 1e-11 and near[1] < 2.5 * abs(offset)
 
 
 def test_root_pair_inside_one_grid_cell():

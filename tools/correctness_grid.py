@@ -15,11 +15,12 @@ oracle window started from the model (truncation None) must give the same
 levels as the one at 300: the same count per parity, within 1e-8 omega.
 
 Exit status 1 on an oracle window that differs from the one at 300, on an
-unverified root, a SolverError, a miss at g'/g >= 0.02,
-or more misses at g'/g < 0.02 than KNOWN_SMALL_GPRIME_MISSES. Those levels
-are lost because at small g' the matching point lies near the edge of both
-disks and G is NaN on much of the grid; a chain with regular centers is the
-fix, and then the bound goes down.
+unverified root, a SolverError, a parity with more roots than oracle levels
+in the window (no two roots may take one level; the largest surplus is
+printed), a miss at g'/g >= 0.02, or more misses at g'/g < 0.02 than
+KNOWN_SMALL_GPRIME_MISSES. Those levels are lost because at small g' the
+matching point lies near the edge of both disks and G is NaN on much of the
+grid; a chain with regular centers is the fix, and then the bound goes down.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def models(seed: int = SEED, count: int = MODELS) -> list[ModelParams]:
 
 def main() -> int:
     t0 = time.perf_counter()
-    failures, small, levels_total = [], 0, 0
+    failures, small, levels_total, surplus = [], 0, 0, 0
     for i, p in enumerate(models()):
         ratio = (p.g1 - p.g2) / (p.g1 + p.g2)
         levels = oracle.window(p, TRUNCATION, WINDOW[1], BOTH)
@@ -77,10 +78,14 @@ def main() -> int:
             roots = np.array(res.energies())
             failures += [f"model {i} {p}: unverified root {r.energy!r}, parity {parity.sign}"
                          for r in res if not r.verified]
-            for e in levels.filtered(parity).energies():
-                if not WINDOW[0] <= e <= WINDOW[1]:
-                    continue
-                levels_total += 1
+            inside = [e for e in levels.filtered(parity).energies()
+                      if WINDOW[0] <= e <= WINDOW[1]]
+            surplus = max(surplus, len(res) - len(inside))
+            if len(res) > len(inside):
+                failures.append(f"model {i} {p}: {len(res)} roots for {len(inside)} "
+                                f"oracle levels, parity {parity.sign}")
+            levels_total += len(inside)
+            for e in inside:
                 if roots.size and np.min(np.abs(roots - e)) < MATCH_TOL:
                     continue
                 print(f"miss: model {i} g'/g = {ratio:.4f} parity {parity.sign:+d} E = {e!r}")
@@ -93,6 +98,7 @@ def main() -> int:
                         f"{KNOWN_SMALL_GPRIME_MISSES} known")
     print(f"{MODELS} models, {levels_total} oracle levels, {small} missed at "
           f"g'/g < {SMALL_GPRIME} (known: {KNOWN_SMALL_GPRIME_MISSES}), "
+          f"largest root surplus {surplus}, "
           f"{len(failures)} failures, {time.perf_counter() - t0:.1f} s")
     for f in failures:
         print("FAIL:", f)
