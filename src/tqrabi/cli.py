@@ -104,7 +104,7 @@ def _sweep_point(task) -> list[tuple[str, ...]]:
         try:
             # Sized here, per point, so diagonalize gets an int truncation, which
             # perfbench/tracing.py records as the oracle truncation.
-            start = (oracle.start_truncation(point, args.levels)
+            start = (oracle.level_truncation(point, args.levels)
                      if args.truncation is None else args.truncation)
             res = oracle.diagonalize(point, start, args.levels)
             rows.extend((fmt(g), fmt(r.energy), str(r.parity.sign), "oracle",

@@ -144,12 +144,25 @@ class ModelParams:
         return self.g1 - self.g2
 
     def scaled(self) -> "ModelParams":
-        """Same model in units of the photon frequency (omega = 1)."""
+        """Same model in units of the photon frequency (omega = 1).
+
+        Built once per instance and kept in the instance dict, outside the
+        fields: equality, hashing, replace and pickling never see it.
+        """
         if self.omega == 1.0:
             return self
-        w = self.omega
-        return ModelParams(1.0, self.delta1 / w, self.delta2 / w, self.g1 / w,
-                           self.g2 / w, self.jx / w, self.jy / w, self.jz / w)
+        unit = self.__dict__.get("_scaled")
+        if unit is None:
+            w = self.omega
+            unit = ModelParams(1.0, self.delta1 / w, self.delta2 / w, self.g1 / w,
+                               self.g2 / w, self.jx / w, self.jy / w, self.jz / w)
+            self.__dict__["_scaled"] = unit
+        return unit
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_scaled", None)
+        return state
 
     def canonical(self) -> tuple["ModelParams", bool]:
         """Relabel the qubits so that gprime >= 0; returns (params, swapped).

@@ -30,6 +30,7 @@ __all__ = [
     "build_hamiltonian",
     "diagonalize",
     "certified_spectrum",
+    "level_truncation",
     "start_truncation",
     "window",
     "residual",
@@ -194,20 +195,86 @@ def _eig(params: ModelParams, truncation: int,
     return evals[order], signs[order], bounds[order]
 
 
-def start_truncation(params: ModelParams, photons: float) -> int:
-    """Starting truncation for levels of about `photons` displaced photons.
+def _log_displaced(alpha: float, n: np.ndarray, j_max: int) -> np.ndarray:
+    """log |<n|D(alpha)|j>| for j = 0..j_max (rows) at photon numbers n >= j.
 
-    diagonalize passes its k_levels, window its cut plus g**2/omega in
-    photons; the qubit and exchange energies are added here. In the
-    displaced-oscillator picture such a level, displaced by at most g/omega,
-    has its weight on bare photon numbers n with sqrt(n) up to about
-    r = sqrt(m) + g/omega; r**2 + 6r + 10 holds that with a margin, which
-    the tail bounds check.
+    <n|D(alpha)|j> = sqrt(j!/n!) alpha**(n-j) exp(-alpha**2/2) L_j^(n-j)(alpha**2)
+    for real alpha > 0, built up from the coherent row j = 0 by the
+    three-term recurrence in j that D a^dagger a D^dagger = a^dagger a - alpha
+    (a + a^dagger) + alpha**2 gives. For n >= j the elements grow with j or
+    oscillate, so the forward recurrence keeps its relative accuracy; each
+    photon number carries its own log scale, so no value over- or underflows.
+    Elements with n < j follow from |<n|D|j>| = |<j|D|n>|.
+    """
+    logfact = np.cumsum(np.log(np.maximum(np.arange(n[-1] + 1.0), 1.0)))
+    row = n * math.log(alpha) - 0.5 * logfact[n] - 0.5 * alpha * alpha   # log <n|D|0>
+    j = np.arange(1.0, j_max + 1.0)[:, None]
+    coef = (n - (j - 1 + alpha * alpha)) / (alpha * np.sqrt(j))
+    back = np.sqrt((j[:, 0] - 1) / j[:, 0])
+    vals, logs = np.ones((j_max + 1, n.size)), np.zeros((j_max + 1, n.size))
+    for k in range(1, j_max + 1):
+        np.multiply(coef[k - 1], vals[k - 1], out=vals[k])
+        if k > 1:
+            vals[k] -= back[k - 1] * vals[k - 2]
+        if k % 4 == 0:
+            # A step grows an element at most (n + k + alpha**2)/alpha + 1
+            # times: at any alpha start_truncation scans, four stay far
+            # inside the float range.
+            big = np.maximum(np.abs(vals[k]), np.abs(vals[k - 1]))
+            vals[k - 1:k + 1] /= big
+            logs[k - 1:] = logs[k - 1] + np.log(big)
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(vals)) + logs + row
+
+
+def start_truncation(params: ModelParams, photons: float) -> int:
+    """Starting truncation for levels of up to `photons` displaced photons.
+
+    window passes the photons of its highest level, level_truncation half
+    its level count; the qubit and exchange energies are added here, giving
+    m. In the displaced-oscillator picture of the source paper such a level
+    is built from displaced Fock states D(alpha)|j>, j <= m, alpha =
+    g/omega, and the tail bound of its eigenvector at truncation T is about
+    omega sqrt(T + 1) alpha max_j |<T|D(alpha)|j>|. The start is the first
+    T past m beyond which that estimate stays below BOUND_TOL/100: the last
+    crossing, since the estimate dips through the zeros of the Laguerre
+    polynomials before its tail falls for good. A start past
+    DEFAULT_TRUNCATION_CAP is returned as soon as it is seen.
     """
     p = params
     m = photons + (abs(p.delta1) + abs(p.delta2) + abs(p.jx) + abs(p.jy) + abs(p.jz)) / p.omega
-    r = math.sqrt(max(m, 0.0)) + p.g / p.omega
-    return math.ceil(r * r + 6 * r + 10)
+    j_max = math.floor(max(m, 0.0))
+    alpha = p.g / p.omega
+    lo = j_max + 1
+    # A matrix element of the unitary D is at most 1 in modulus.
+    tiny = alpha * math.sqrt(DEFAULT_TRUNCATION_CAP + 2) < BOUND_TOL / 100
+    if tiny or lo > DEFAULT_TRUNCATION_CAP:
+        return lo
+    # About past this photon number every |<T|D|j>|, j <= m, falls as T grows.
+    turn = (alpha + math.sqrt(j_max + 1)) ** 2
+    target = math.log(BOUND_TOL / 100 / alpha)
+    last, first, hi = lo - 1, lo, lo + math.ceil(2 * turn) + 16
+    while True:
+        n = np.arange(first, min(hi, DEFAULT_TRUNCATION_CAP + 1) + 1)
+        est = 0.5 * np.log(n + 1.0) + _log_displaced(alpha, n, j_max).max(axis=0)
+        above = n[est >= target]
+        if above.size:
+            last = int(above[-1])
+        if n[-1] > turn and est[-1] < min(target, est[-2]):
+            return last + 1
+        if n[-1] > DEFAULT_TRUNCATION_CAP:
+            return int(n[-1])
+        first, hi = int(n[-1]), 2 * hi   # one photon number shared: est[-2] exists
+
+
+def level_truncation(params: ModelParams, k_levels: int) -> int:
+    """Starting truncation for the lowest k_levels levels of both parities.
+
+    Each parity block holds two states per photon number, so k_levels
+    levels reach about k_levels/2 photons (start_truncation), and the start
+    is never below diagonalize's floor of k_levels/2 + 10.
+    """
+    return max(start_truncation(params, k_levels / 2), math.ceil(k_levels / 2 + 10))
 
 
 def certified_spectrum(params: ModelParams, truncation: int,
@@ -215,11 +282,13 @@ def certified_spectrum(params: ModelParams, truncation: int,
                        cut: float | None = None,
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Lowest k_total of the counted levels (None for all), each with a tail
-    bound below 1e-8.
+    bound below BOUND_TOL (1e-8).
 
     counts and cut select the levels of each parity as in _eig, in one
-    solve per parity and truncation. The truncation grows by 50 while a
-    bound is >= BOUND_TOL or, with a cut, while every counted level of a
+    solve per parity and truncation. From a start sized by
+    start_truncation the bounds read about BOUND_TOL/100 or less, so one
+    truncation is solved. The truncation grows by 50, as a backstop, while
+    a bound is >= BOUND_TOL or, with a cut, while every counted level of a
     parity lies at or below the cut: a truncated level lies above the true
     one, so that parity may be undercounted. NotConverged is raised before
     any solve past DEFAULT_TRUNCATION_CAP. Returns (energies, parity signs,
@@ -250,13 +319,14 @@ def diagonalize(params: ModelParams, truncation: Optional[int],
                 k_levels: int) -> SpectrumResult:
     """Lowest k_levels eigenpairs as 'oracle' records (residual = tail bound).
 
-    truncation None starts from the model: k_levels photons plus the qubit
-    and exchange energies, displaced by g/omega (start_truncation).
+    truncation None starts from the model (level_truncation): where the
+    displaced-photon tail of k_levels/2 photons falls below BOUND_TOL/100
+    (start_truncation), and at k_levels/2 + 10 at least.
     """
     if k_levels < 1:
         raise ValueError("k_levels must be >= 1")
     if truncation is None:
-        truncation = start_truncation(params, k_levels)
+        truncation = level_truncation(params, k_levels)
     if truncation < k_levels / 2 + 10:
         raise ValueError("truncation too small for the requested level count")
     return _records(*certified_spectrum(params, truncation, dict.fromkeys(_SIGNS, k_levels),
@@ -271,17 +341,17 @@ def window(params: ModelParams, truncation: Optional[int], e_max: float,
     Every level at or below the cut e_max + omega/2 and the next four levels
     above them, per parity, with their tail bounds (residual) from
     certified_spectrum; callers filter to their own window. truncation None
-    starts from the model and e_max alone: the cut plus g**2/omega and the
-    qubit and exchange energies, in photons, displaced by g/omega
-    (start_truncation). A parity whose levels all lie at or below the cut
-    is counted again at a larger truncation.
+    starts from the model and e_max alone (start_truncation): the highest
+    level lies about two photons past the cut plus g**2/omega, since a
+    parity block holds two states per photon number. A parity whose levels
+    all lie at or below the cut is counted again at a larger truncation.
     """
     if not math.isfinite(e_max):
         raise ValueError("energy window must be finite")
     w = params.omega
     cut = e_max + 0.5 * w
     if truncation is None:
-        truncation = start_truncation(params, (cut + params.g ** 2 / w) / w)
+        truncation = start_truncation(params, (cut + params.g ** 2 / w) / w + 2)
     return _records(*certified_spectrum(params, truncation,
                                         dict.fromkeys(p.sign for p in parities),
                                         None, cut)[:3])

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 
 from tqrabi import (
@@ -55,6 +58,22 @@ def test_scaled_is_omega_one():
     assert sp.delta1 == pytest.approx(0.6)
     assert sp.g == pytest.approx(0.3)
     assert sp.jx == pytest.approx(0.2)
+
+
+def test_scaled_copy_built_once_and_kept_out_of_the_value():
+    # The omega = 1 copy is made once per instance. Fields, equality, hash,
+    # replace and pickling see only the eight couplings, as before it was kept.
+    p = ModelParams(0.5, 0.35, 0.15, 0.45, 0.2, jx=0.05, jz=-0.1)
+    fresh = ModelParams(0.5, 0.35, 0.15, 0.45, 0.2, jx=0.05, jz=-0.1)
+    before = pickle.dumps(p)
+    sp = p.scaled()
+    assert p.scaled() is sp
+    assert pickle.dumps(p) == before == pickle.dumps(fresh)
+    assert p == fresh and hash(p) == hash(fresh)
+    assert [f.name for f in dataclasses.fields(p)] == [
+        "omega", "delta1", "delta2", "g1", "g2", "jx", "jy", "jz"]
+    assert pickle.loads(before).scaled() == sp
+    assert dataclasses.replace(p, g1=1.0).scaled().g1 == 2.0
 
 
 def test_baselines_second_and_first_kind():

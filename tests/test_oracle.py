@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -271,44 +272,131 @@ def _same_levels(a, b, omega):
         assert np.max(np.abs(ea - eb), initial=0.0) < 1e-8 * omega
 
 
-@pytest.mark.parametrize("template", [
-    ModelParams(1.0, 0.6, 0.4, 0.5, 0.5),                          # unit-sum sweep
-    ModelParams(1.0, 0.6, 0.4, 0.75, 0.75, 0.5, 0.5, 0.5),         # exchange sweep
-    ModelParams(0.5, 0.25, 0.25, 0.3, 0.3),                        # dark, omega = 0.5
-], ids=["unit-sum", "xyz", "dark-half"])
+SWEEP_TEMPLATES = {
+    "unit-sum": ModelParams(1.0, 0.6, 0.4, 0.5, 0.5),
+    "xyz": ModelParams(1.0, 0.6, 0.4, 0.75, 0.75, 0.5, 0.5, 0.5),
+    "dark-half": ModelParams(0.5, 0.25, 0.25, 0.3, 0.3),
+}
+SWEEP_G = np.linspace(0.05, 2.5, 16)
+WINDOW_MODELS = {
+    "full8": ModelParams(1.0, 0.6, 0.2, 0.24, 0.06),
+    "reduced6": ModelParams(1.0, 0.6, 0.2, 1.0 / 3.0, 1.0 / 6.0),
+    "reduced4": ModelParams(1.0, 0.7, 0.3, 0.4, 0.4),
+    "flat-g6": ModelParams(1.0, 0.6, 0.4, 3.0, 3.0),
+    "asym-g5": ModelParams(1.0, 0.6, 0.2, 4.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("template", SWEEP_TEMPLATES.values(), ids=SWEEP_TEMPLATES.keys())
 def test_diagonalize_start_sized_from_the_model(template):
     # The start depends on the model and k_levels alone; at every point of
     # the sweep grid it certifies the levels that truncation 300 gives.
-    for g in np.linspace(0.05, 2.5, 16):
+    for g in SWEEP_G:
         p = template.with_g(g)
         _same_levels(diagonalize(p, None, 8), diagonalize(p, 300, 8), p.omega)
 
 
-@pytest.mark.parametrize("p", [
-    ModelParams(1.0, 0.6, 0.2, 0.24, 0.06),
-    ModelParams(1.0, 0.6, 0.2, 1.0 / 3.0, 1.0 / 6.0),
-    ModelParams(1.0, 0.7, 0.3, 0.4, 0.4),
-    ModelParams(1.0, 0.6, 0.4, 3.0, 3.0),
-    ModelParams(1.0, 0.6, 0.2, 4.0, 1.0),
-], ids=["full8", "reduced6", "reduced4", "flat-g6", "asym-g5"])
+@pytest.mark.parametrize("p", WINDOW_MODELS.values(), ids=WINDOW_MODELS.keys())
 def test_window_start_sized_from_the_model(p):
     _same_levels(oracle.window(p, None, 2.5), oracle.window(p, 300, 2.5), p.omega)
 
 
+def _margin_start(p, photons):
+    # The start rule the displaced-Fock estimate replaced: r = sqrt(m) + g/omega
+    # photons of reach, with m as start_truncation counts it, and
+    # T = ceil(r**2 + 6r + 10).
+    m = photons + (abs(p.delta1) + abs(p.delta2) + abs(p.jx) + abs(p.jy) + abs(p.jz)) / p.omega
+    r = math.sqrt(m) + p.g / p.omega
+    return math.ceil(r * r + 6 * r + 10)
+
+
+def test_starts_from_the_displaced_tail_solve_once_below_the_margin_rule(monkeypatch):
+    # On the sweep grids and the window models each start certifies every
+    # level in one eig_banded call per parity, and none lies above the old
+    # margin rule's; on the sweep grids they sum to at least 25 % below it.
+    # The margin rule sized diagonalize from k_levels photons and window
+    # from the cut plus g**2/omega.
+    calls, starts = [], []
+    eig_banded, eig = scipy.linalg.eig_banded, oracle._eig
+    monkeypatch.setattr(scipy.linalg, "eig_banded",
+                        lambda *a, **k: calls.append(1) or eig_banded(*a, **k))
+    monkeypatch.setattr(oracle, "_eig", lambda p, t, *a: starts.append(t) or eig(p, t, *a))
+    total = margin_total = 0
+    for template in SWEEP_TEMPLATES.values():
+        for g in SWEEP_G:
+            p = template.with_g(g)
+            calls.clear(), starts.clear()
+            assert all(r.residual < oracle.BOUND_TOL for r in diagonalize(p, None, 8))
+            assert len(calls) == 2 and len(set(starts)) == 1
+            assert starts[0] <= _margin_start(p, 8)
+            total, margin_total = total + starts[0], margin_total + _margin_start(p, 8)
+    assert total <= 0.75 * margin_total
+    for p in WINDOW_MODELS.values():
+        calls.clear(), starts.clear()
+        assert all(r.residual < oracle.BOUND_TOL for r in oracle.window(p, None, 2.5))
+        assert len(calls) == 2 and len(set(starts)) == 1
+        cut = 2.5 + 0.5 * p.omega
+        assert starts[0] <= _margin_start(p, (cut + p.g ** 2 / p.omega) / p.omega)
+
+
+def _exact_log_displaced(alpha, n, j):
+    # log |<n|D(alpha)|j>| for rational alpha from the closed form
+    # sqrt(j!/n!) alpha**(n-j) exp(-alpha**2/2) L_j^(n-j)(alpha**2), n >= j,
+    # with the Laguerre sum taken in integers; also the sign of L.
+    num, den = alpha.numerator, alpha.denominator
+    lag = sum((-1) ** i * math.comb(n, j - i) * num ** (2 * i) * den ** (2 * (j - i))
+              * (math.factorial(j) // math.factorial(i)) for i in range(j + 1))
+    if lag == 0:
+        return -math.inf, 0
+    a = float(alpha)
+    value = (0.5 * (math.lgamma(j + 1) - math.lgamma(n + 1)) + (n - j) * math.log(a)
+             - 0.5 * a * a + math.log(abs(lag)) - 2 * j * math.log(den)
+             - math.lgamma(j + 1))
+    return value, (lag > 0) - (lag < 0)
+
+
+@pytest.mark.parametrize("alpha", ["1/10", "1", "3", "6", "12"])
+def test_displaced_fock_elements_match_exact_sums(alpha):
+    # Every |<n|D(alpha)|j>|, n <= 400, j <= 20, above 1e-200 matches the
+    # closed form summed exactly to 1e-10 relative, also beside the zeros of
+    # the Laguerre polynomials (where L changes sign between n and n + 1);
+    # elements with n < j come from |<n|D|j>| = |<j|D|n>|. A dense
+    # exp(alpha (a^dagger - a)) on 401 photons agrees to 1e-12 absolute
+    # on photons its own truncation leaves exact.
+    exact_alpha = Fraction(alpha)
+    a = float(exact_alpha)
+    table = oracle._log_displaced(a, np.arange(401), 20)
+    got = np.array([[table[min(m, j), max(m, j)] for j in range(21)] for m in range(401)])
+    beside_zero = 0
+    for j in range(21):
+        signs = []
+        for m in range(401):
+            want, sign = _exact_log_displaced(exact_alpha, max(m, j), min(m, j))
+            signs.append(sign)
+            if want > math.log(1e-200):
+                assert abs(math.expm1(got[m, j] - want)) < 1e-10, (m, j)
+        beside_zero += sum(s * t < 0 for s, t in zip(signs[j:], signs[j + 1:]))
+    assert beside_zero > 0 or a < 1
+    ladder = np.diag(np.sqrt(np.arange(1.0, 401)), 1)
+    dense = np.abs(scipy.linalg.expm(a * (ladder.T - ladder)))[:300, :21]
+    assert np.max(np.abs(np.exp(got[:300]) - dense)) < 1e-12
+
+
 def test_auto_start_meets_the_level_count_precondition():
     # truncation >= k/2 + 10 holds for the start sized from k_levels, even
-    # without couplings or qubit terms.
+    # without couplings or qubit terms, where the tail estimate is 0.
     p = ModelParams(1.0, 0.0, 0.0, 0.0, 0.0)
     for k in (1, 8, 40, 200):
+        assert oracle.level_truncation(p, k) >= k / 2 + 10
         assert len(diagonalize(p, None, k)) == k
 
 
 def test_start_past_the_cap_raises_before_any_solve(monkeypatch):
     # At g = 30 the start sized from the model lies past the cap of 1,200
-    # photons; at g = 2.5 it lies near 75, past a cap lowered to 60.
-    # Neither solves anything.
+    # photons; at g = 2.5 it lies at 55 (diagonalize, 8 levels) and 70
+    # (window to 2.5), past a cap lowered to 50. Neither solves anything.
     monkeypatch.setattr(scipy.linalg, "eig_banded", lambda *a, **k: pytest.fail("solved"))
-    for g, cap in ((30.0, oracle.DEFAULT_TRUNCATION_CAP), (2.5, 60)):
+    for g, cap in ((30.0, oracle.DEFAULT_TRUNCATION_CAP), (2.5, 50)):
         monkeypatch.setattr(oracle, "DEFAULT_TRUNCATION_CAP", cap)
         p = ModelParams(1.0, 0.6, 0.2, 0.5 * g, 0.5 * g)
         with pytest.raises(NotConverged):

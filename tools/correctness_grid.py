@@ -12,10 +12,16 @@ starting with the second, adds exchange terms J from U(-0.5, 0.5)^3
 searched on [-1, 2.5], verified against one oracle window at truncation 300.
 Every oracle level without a root within 1e-6 is printed as a miss. The
 oracle window started from the model (truncation None) must give the same
-levels as the one at 300: the same count per parity, within 1e-8 omega.
+levels as the one at 300: the same count per parity, within 1e-8 omega. So
+must the lowest 8 levels solved from oracle.level_truncation, the start of
+diagonalize(p, None, 8) and of sweep's oracle rows, against the lowest 8 of
+the window at 300; that solve must certify every level at its start. The largest such start,
+its worst tail bound and the number of models that needed a second
+truncation are printed.
 
-Exit status 1 on an oracle window that differs from the one at 300, on an
-unverified root, a SolverError, a parity with more roots than oracle levels
+Exit status 1 on an oracle window or a lowest-8 solve that differs from the
+one at 300, on a lowest-8 solve that needed a second truncation (known: 0),
+on an unverified root, a SolverError, a parity with more roots than oracle levels
 in the window (no two roots may take one level; the largest surplus is
 printed), a miss at g'/g >= 0.02, or more misses at g'/g < 0.02 than
 KNOWN_SMALL_GPRIME_MISSES. Those levels are lost because at small g' the
@@ -30,7 +36,7 @@ import time
 
 import numpy as np
 
-from tqrabi import ModelParams, Parity, SolverError, gfunction, oracle
+from tqrabi import ModelParams, Parity, SolverError, SpectrumResult, gfunction, oracle
 
 SEED = 12345
 MODELS = 60
@@ -38,6 +44,7 @@ WINDOW = (-1.0, 2.5)
 TRUNCATION = 300
 MATCH_TOL = 1e-6
 START_TOL = 1e-8
+LEVELS = 8
 SMALL_GPRIME = 0.02
 KNOWN_SMALL_GPRIME_MISSES = 82
 BOTH = (Parity.PLUS, Parity.MINUS)
@@ -56,18 +63,40 @@ def models(seed: int = SEED, count: int = MODELS) -> list[ModelParams]:
     return out
 
 
+def _differs(a: np.ndarray, b: np.ndarray, omega: float) -> bool:
+    return a.size != b.size or np.max(np.abs(a - b), initial=0.0) >= START_TOL * omega
+
+
 def main() -> int:
     t0 = time.perf_counter()
     failures, small, levels_total, surplus = [], 0, 0, 0
+    largest_start, worst_bound, second_solves = 0, 0.0, 0
     for i, p in enumerate(models()):
         ratio = (p.g1 - p.g2) / (p.g1 + p.g2)
         levels = oracle.window(p, TRUNCATION, WINDOW[1], BOTH)
         started = oracle.window(p, None, WINDOW[1], BOTH)
         for parity in BOTH:
             a, b = (np.array(r.filtered(parity).energies()) for r in (started, levels))
-            if a.size != b.size or np.max(np.abs(a - b), initial=0.0) >= START_TOL * p.omega:
+            if _differs(a, b, p.omega):
                 failures.append(f"model {i} {p}: parity {parity.sign} window from the "
                                 f"model start differs from truncation {TRUNCATION}")
+        start = oracle.level_truncation(p, LEVELS)
+        lowest, signs, bounds, used = oracle.certified_spectrum(
+            p, start, dict.fromkeys((1, -1), LEVELS), LEVELS)
+        largest_start, worst_bound = max(largest_start, start), max(worst_bound, bounds.max())
+        if used > start:
+            second_solves += 1
+            failures.append(f"model {i} {p}: lowest {LEVELS} levels needed truncation "
+                            f"{used}, past the start {start}")
+        # The window at 300 holds every level up to its cut, e_max + omega/2.
+        ref = SpectrumResult(levels.records[:LEVELS])
+        if ref.records[-1].energy > WINDOW[1] + 0.5 * p.omega:
+            failures.append(f"model {i} {p}: fewer than {LEVELS} levels below the cut")
+        for parity in BOTH:
+            if _differs(lowest[signs == parity.sign],
+                        np.array(ref.filtered(parity).energies()), p.omega):
+                failures.append(f"model {i} {p}: parity {parity.sign} lowest {LEVELS} levels "
+                                f"from the model start differ from truncation {TRUNCATION}")
         try:
             found = gfunction.find_roots(p, BOTH, *WINDOW, levels=levels)
         except SolverError as exc:
@@ -99,6 +128,8 @@ def main() -> int:
     print(f"{MODELS} models, {levels_total} oracle levels, {small} missed at "
           f"g'/g < {SMALL_GPRIME} (known: {KNOWN_SMALL_GPRIME_MISSES}), "
           f"largest root surplus {surplus}, "
+          f"lowest {LEVELS} levels: largest start {largest_start}, worst tail bound "
+          f"{worst_bound:.2e}, {second_solves} second solves (known: 0), "
           f"{len(failures)} failures, {time.perf_counter() - t0:.1f} s")
     for f in failures:
         print("FAIL:", f)
