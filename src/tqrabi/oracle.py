@@ -200,7 +200,7 @@ def _log_displaced(alpha: float, n: np.ndarray, j_max: int) -> np.ndarray:
 
     <n|D(alpha)|j> = sqrt(j!/n!) alpha**(n-j) exp(-alpha**2/2) L_j^(n-j)(alpha**2)
     for real alpha > 0, built up from the coherent row j = 0 by the
-    three-term recurrence in j that D a^dagger a D^dagger = a^dagger a - alpha
+    three-term recurrence in j that D^dagger a^dagger a D = a^dagger a + alpha
     (a + a^dagger) + alpha**2 gives. For n >= j the elements grow with j or
     oscillate, so the forward recurrence keeps its relative accuracy; each
     photon number carries its own log scale, so no value over- or underflows.

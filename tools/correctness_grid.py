@@ -15,14 +15,14 @@ oracle window started from the model (truncation None) must give the same
 levels as the one at 300: the same count per parity, within 1e-8 omega. So
 must the lowest 8 levels solved from oracle.level_truncation, the start of
 diagonalize(p, None, 8) and of sweep's oracle rows, against the lowest 8 of
-the window at 300; that solve must certify every level at its start. The largest such start,
-its worst tail bound and the number of models that needed a second
-truncation are printed.
+the window at 300; that solve must certify every level at its start. The
+largest such start, its worst tail bound and the number of models that
+needed a second truncation are printed.
 
 Exit status 1 on an oracle window or a lowest-8 solve that differs from the
 one at 300, on a lowest-8 solve that needed a second truncation (known: 0),
-on an unverified root, a SolverError, a parity with more roots than oracle levels
-in the window (no two roots may take one level; the largest surplus is
+on an unverified root, a SolverError, a parity with more roots than oracle
+levels in the window (no two roots may take one level; the largest surplus is
 printed), a miss at g'/g >= 0.02, or more misses at g'/g < 0.02 than
 KNOWN_SMALL_GPRIME_MISSES. Those levels are lost because at small g' the
 matching point lies near the edge of both disks and G is NaN on much of the
