@@ -10,11 +10,11 @@ through every baseline. The model fixes the matching chain: centers g, g'
 and 0 joined at two points (an 8x8 system) when g' > 0, and g and 0 joined
 at one point (4x4) when g' = 0, where center g' drops out. One function,
 _chain, pairs the matching points with the center records of
-series._centers; the column order, the parity mirror and the pole factor
-read those records. Each energy's series are summed only as far as its own
-tail test needs, up to the hard cap, so G(E) is a function of E alone.
-Each center runs once per block for both parities; the -1 columns are the
-summed ones mirrored by D = diag(1, 1, -1, -1) (see series).
+series._centers; the column order, the determinant's parity sign and the
+pole factor read those records. Each energy's series are summed only as far
+as its own tail test needs, up to the hard cap, so G(E) is a function of E
+alone. Each center runs once per block for both parities, and a -1
+determinant is a fixed sign times that of one assembly (_gvalues_once).
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ _LADDER = 100.0
 # arithmetic rather than by memory traffic. 2048 ran faster than 1024 and
 # 4096 on 4,001-energy traces.
 _BLOCK = 2048
-_PARITY_D = np.array([1.0, 1.0, -1.0, -1.0])  # the D of the parity mirror
+_PARITY_D = np.array([1.0, 1.0, -1.0, -1.0])  # D, with mix(-s) = D mix(s) D (see series)
 
 
 @dataclass(frozen=True)
@@ -161,58 +161,63 @@ def _gvalues(sp: ModelParams, signs: int | tuple | np.ndarray, energies: np.ndar
 
 def _gvalues_once(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
                   scheme: MatchingScheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_gvalues on one block: every center once, then the matrices and dets.
+    """_gvalues on one block: every center once, one assembly, a det per sign.
 
-    signs has one row per result and a column per energy. Every center but
-    0 is summed at sign +1; center 0 at each (sign, energy) pair taken, the
-    -1 pairs in the D frame. Columns are scaled to unit 2-norm per center,
-    once for both signs: a -1 matrix is D[row] * D[slot] times the +1 ones.
+    signs has one row per result and a column per energy. Every center but 0 is
+    summed at sign +1 and written once, as unit columns, into the block's
+    matrices; center 0 is summed at each (sign, energy) pair taken, the -1 pairs
+    in the D frame, and each sign writes only its columns, at its energies. A -1
+    matrix is D[row] * D[slot] times that assembly, and LU with partial pivoting
+    is sign-symmetric in IEEE arithmetic, so its det is the assembly's times the
+    fixed sign prod D[rows] * prod D[slots]: +1 when g' > 0, -1 when g' = 0.
+    Center 0's -1 columns carry it, as det reads +0.0 when exactly singular.
     """
     conds = _chain(sp, scheme)
-    *mirrored, origin = dict.fromkeys(c for _, *cs in conds for c in cs)
+    *displaced, origin = dict.fromkeys(c for _, *cs in conds for c in cs)
     cols, start = {}, 0
-    for c in (*mirrored, origin):
+    for c in (*displaced, origin):
         cols[c] = slice(start, start + len(c.slots))
         start += len(c.slots)
-    mirror = np.outer(np.tile(_PARITY_D, len(conds)),
-                      np.concatenate([_PARITY_D[list(c.slots)] for c in cols]))[..., None]
+    flip = np.prod(_PARITY_D[[j for c in cols for j in c.slots]])  # prod D[rows] is 1
 
     def center(c, sign, es):
         # Each center is evaluated once, at all of its points; its unit columns
-        # are keyed by (center, condition index) as (4, ncols, nE) arrays. hypot
-        # folds the center's rows in chain order and cannot overflow; the
-        # mirror's signs and other conditions' zero rows would not change it.
+        # are keyed by condition index as (4, ncols, nE) arrays. hypot folds
+        # the center's rows in chain order and cannot overflow; other
+        # conditions' zero rows would not change it.
         ks = [k for k, cond in enumerate(conds) if c in cond[1:]]
         vals, ok, cv = _block_eval(sp, sign, es, c, [conds[k][0] for k in ks])
         norm = np.maximum(np.hypot.reduce(np.concatenate(vals), axis=0), 1e-300)
         with np.errstate(invalid="ignore"):
-            return {(c, k): v / norm for k, v in zip(ks, vals)}, ok, ok & cv
+            return {k: v / norm for k, v in zip(ks, vals)}, ok, ok & cv
 
-    shared = [center(c, 1, energies) for c in mirrored]
+    shared = {c: center(c, 1, energies) for c in displaced}
     # Center 0 at the (sign, energy) pairs taken, the +1 ones first.
     on = [(signs == sign).any(axis=0) for sign in (1, -1)]
     n = np.count_nonzero(on[0])
-    pairs = center(origin, np.repeat([1.0, -1.0], [n, np.count_nonzero(on[1])]),
-                   np.concatenate([energies[o] for o in on]))
+    unit, ok0, gd0 = center(origin, np.repeat([1.0, -1.0], [n, np.count_nonzero(on[1])]),
+                            np.concatenate([energies[o] for o in on]))
+    m = np.zeros((start, start, energies.size))  # once the series buffers are freed
+    shared_ok = shared_gd = True
+    for c, (cunit, ok, gd) in shared.items():
+        shared_ok, shared_gd = shared_ok & ok, shared_gd & gd
+        for k, v in cunit.items():  # negated on the minus side of a condition
+            side = np.positive if c == conds[k][1] else np.negative
+            side(v, out=m[4 * k:4 * k + 4, cols[c]])
     vals = np.empty(signs.shape)
     pole_ok, good = np.empty((2,) + signs.shape, dtype=bool)
     for sign, o, part in zip((1, -1), on, (slice(None, n), slice(n, None))):
         if not o.any():
             continue
-        o = slice(None) if o.all() else o  # a sign on every energy takes views
-        at = {key: v[..., part] for key, v in pairs[0].items()}
-        ok, gd = pairs[1][part], pairs[2][part]
-        for p_vals, p_ok, p_gd in shared:
-            at |= {key: v[..., o] for key, v in p_vals.items()}
-            ok, gd = ok & p_ok[o], gd & p_gd[o]
-        m = np.zeros((start, start, ok.size))
-        for k, (_, plus, minus) in enumerate(conds):
-            m[4 * k:4 * k + 4, cols[plus]] = at[plus, k]
-            np.negative(at[minus, k], out=m[4 * k:4 * k + 4, cols[minus]])
-        if sign < 0:
-            m *= mirror
+        o = slice(None) if o.all() else o  # a sign on every energy writes in place
+        mo = m[..., o]
+        # Center 0 ends the chain, a minus side, and carries the -1 matrix's sign.
+        side = np.negative if sign > 0 or flip > 0 else np.positive
+        for k, v in unit.items():
+            side(v[..., part], out=mo[4 * k:4 * k + 4, cols[origin]])
+        ok, gd = ok0[part] & shared_ok[o], gd0[part] & shared_gd[o]
         with np.errstate(invalid="ignore"):
-            det = np.linalg.det(m.transpose(2, 0, 1))
+            det = np.linalg.det(mo.transpose(2, 0, 1))
         det = np.where(gd, det, np.nan) * _pole_factor(sp, sign, cols, energies[o])
         hit = signs[:, o] == sign
         for out, v in ((vals, det), (pole_ok, ok), (good, gd)):

@@ -163,16 +163,15 @@ def _solve(band: np.ndarray, k: int | None = None, cut: float | None = None,
     return scipy.linalg.eig_banded(band, select="i", select_range=(0, k - 1))
 
 
-def _eig(params: ModelParams, truncation: int,
-         counts: dict[int, int | None] | None = None, cut: float | None = None,
+def _eig(params: ModelParams, truncation: int, signs: Sequence[int] = _SIGNS,
+         k: int | None = None, cut: float | None = None,
          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Levels of the parity blocks merged in ascending order, with their signs
-    and tail bounds.
+    """Levels of the given parity blocks merged in ascending order, with their
+    signs and tail bounds.
 
-    counts maps a parity sign to how many of its lowest levels to compute
-    (None for all); with a cut, each counted parity gives its levels at or
-    below the cut and the four above it instead (_solve, reaching 4 omega
-    past the cut). By default every level of both blocks is computed.
+    Each block gives its lowest k levels (None for all) or, with a cut, its
+    levels at or below the cut and the four above it (_solve, reaching
+    4 omega past the cut). By default every level of both blocks is computed.
 
     A block eigenvector v solves the untruncated H but for what H adds at
     photon truncation + 1: sqrt(truncation + 1) [[g2, g1], [g1, g2]] applied
@@ -181,10 +180,8 @@ def _eig(params: ModelParams, truncation: int,
     truncated one (Kato, J. Phys. Soc. Jpn. 4, 334 (1949)).
     """
     p = params
-    if counts is None:
-        counts = dict.fromkeys(_SIGNS)
     parts = []
-    for s, k in counts.items():
+    for s in signs:
         evals, vecs = _solve(_band(p, truncation, s), k, cut, 4 * p.omega)
         a, b = vecs[-2], vecs[-1]
         bounds = math.sqrt(truncation + 1) * np.hypot(p.g2 * a + p.g1 * b,
@@ -277,31 +274,30 @@ def level_truncation(params: ModelParams, k_levels: int) -> int:
     return max(start_truncation(params, k_levels / 2), math.ceil(k_levels / 2 + 10))
 
 
-def certified_spectrum(params: ModelParams, truncation: int,
-                       counts: dict[int, int | None], k_total: int | None,
-                       cut: float | None = None,
+def certified_spectrum(params: ModelParams, truncation: int, signs: Sequence[int],
+                       k: int | None = None, cut: float | None = None,
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Lowest k_total of the counted levels (None for all), each with a tail
-    bound below BOUND_TOL (1e-8).
+    """Lowest k levels of the given parity signs (None for all), each with a
+    tail bound below BOUND_TOL (1e-8).
 
-    counts and cut select the levels of each parity as in _eig, in one
-    solve per parity and truncation. From a start sized by
-    start_truncation the bounds read about BOUND_TOL/100 or less, so one
-    truncation is solved. The truncation grows by 50, as a backstop, while
-    a bound is >= BOUND_TOL or, with a cut, while every counted level of a
-    parity lies at or below the cut: a truncated level lies above the true
-    one, so that parity may be undercounted. NotConverged is raised before
-    any solve past DEFAULT_TRUNCATION_CAP. Returns (energies, parity signs,
-    bounds, truncation used).
+    k and cut select the levels of each parity as in _eig, in one solve per
+    parity and truncation. From a start sized by start_truncation the bounds
+    read about BOUND_TOL/100 or less, so one truncation is solved. The
+    truncation grows by 50, as a backstop, while a bound is >= BOUND_TOL or,
+    with a cut, while every level of a parity lies at or below the cut: a
+    truncated level lies above the true one, so that parity may be
+    undercounted. NotConverged is raised before any solve past
+    DEFAULT_TRUNCATION_CAP. Returns (energies, parity signs, bounds,
+    truncation used).
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     t = truncation
     while t <= DEFAULT_TRUNCATION_CAP:
-        evals, signs, bounds = _eig(params, t, counts, cut)
-        counted = cut is None or all(np.any(evals[signs == s] > cut) for s in counts)
-        if counted and np.all(bounds[:k_total] < BOUND_TOL):
-            return evals[:k_total], signs[:k_total], bounds[:k_total], t
+        evals, got, bounds = _eig(params, t, signs, k, cut)
+        counted = cut is None or all(np.any(evals[got == s] > cut) for s in signs)
+        if counted and np.all(bounds[:k] < BOUND_TOL):
+            return evals[:k], got[:k], bounds[:k], t
         t += _STEP
     raise NotConverged(f"truncation {t} passes the cap {DEFAULT_TRUNCATION_CAP} "
                        f"before every tail bound is below {BOUND_TOL:g}")
@@ -319,9 +315,9 @@ def diagonalize(params: ModelParams, truncation: Optional[int],
                 k_levels: int) -> SpectrumResult:
     """Lowest k_levels eigenpairs as 'oracle' records (residual = tail bound).
 
-    truncation None starts from the model (level_truncation): where the
-    displaced-photon tail of k_levels/2 photons falls below BOUND_TOL/100
-    (start_truncation), and at k_levels/2 + 10 at least.
+    One count serves both parities. truncation None starts from the model
+    (level_truncation): where the displaced-photon tail of k_levels/2 photons
+    falls below BOUND_TOL/100 (start_truncation), at least k_levels/2 + 10.
     """
     if k_levels < 1:
         raise ValueError("k_levels must be >= 1")
@@ -329,8 +325,7 @@ def diagonalize(params: ModelParams, truncation: Optional[int],
         truncation = level_truncation(params, k_levels)
     if truncation < k_levels / 2 + 10:
         raise ValueError("truncation too small for the requested level count")
-    return _records(*certified_spectrum(params, truncation, dict.fromkeys(_SIGNS, k_levels),
-                                        k_levels)[:3])
+    return _records(*certified_spectrum(params, truncation, _SIGNS, k_levels)[:3])
 
 
 def window(params: ModelParams, truncation: Optional[int], e_max: float,
@@ -338,8 +333,8 @@ def window(params: ModelParams, truncation: Optional[int], e_max: float,
            ) -> SpectrumResult:
     """Certified 'oracle' records of the given parities up to e_max and beyond.
 
-    Every level at or below the cut e_max + omega/2 and the next four levels
-    above them, per parity, with their tail bounds (residual) from
+    Every level at or below the cut e_max + omega/2 and the next four above
+    them, per parity, one cut for all, with their tail bounds (residual) from
     certified_spectrum; callers filter to their own window. truncation None
     starts from the model and e_max alone (start_truncation): the highest
     level lies about two photons past the cut plus g**2/omega, since a
@@ -352,9 +347,8 @@ def window(params: ModelParams, truncation: Optional[int], e_max: float,
     cut = e_max + 0.5 * w
     if truncation is None:
         truncation = start_truncation(params, (cut + params.g ** 2 / w) / w + 2)
-    return _records(*certified_spectrum(params, truncation,
-                                        dict.fromkeys(p.sign for p in parities),
-                                        None, cut)[:3])
+    signs = tuple(dict.fromkeys(p.sign for p in parities))
+    return _records(*certified_spectrum(params, truncation, signs, None, cut)[:3])
 
 
 def residual(params: ModelParams, truncation: int, state, energy: float | None = None,

@@ -108,12 +108,12 @@ def test_criterion_4_flat_line_for_unit_splitting_sum():
 def test_criterion_5_fine_tuned_two_photon_state():
     # d1 = 0.6, d2 = 0.4: the two-photon cutoff exists at g^2 = 1.44 only.
     p = ModelParams(1.0, 0.6, 0.4, 0.6, 0.6)  # g = 1.2
-    evals, _, _, _ = oracle.certified_spectrum(p, 120, {1: 16, -1: 16}, 16)
+    evals, _, _, _ = oracle.certified_spectrum(p, 120, (1, -1), 16)
     ed_offset = float(np.min(np.abs(evals - 2.0)))
     state = build_state(p, Parity.PLUS, 2)
     resid = oracle.residual(p, 60, state)
     perturbed = p.with_g(1.25)
-    evals2, _, _, _ = oracle.certified_spectrum(perturbed, 120, {1: 16, -1: 16}, 16)
+    evals2, _, _, _ = oracle.certified_spectrum(perturbed, 120, (1, -1), 16)
     gap = float(np.min(np.abs(evals2 - 2.0)))
     _finish(5, ed_offset < 1e-8 and resid < 1e-10 and gap > 1e-3,
             f"|E-2| = {ed_offset:.2e} at g=1.2, state residual {resid:.2e}, "
@@ -203,7 +203,7 @@ def test_criterion_8d_first_six_levels_on_coupling_grid():
         for g in (0.4, 1.0, 1.8):
             p = ModelParams(1.0, 0.6, 0.2, g * ratio / (ratio + 1),
                             g / (ratio + 1), jx=jx)
-            evals, pars, _, _ = oracle.certified_spectrum(p, 140, {1: 10, -1: 10}, 10)
+            evals, pars, _, _ = oracle.certified_spectrum(p, 140, (1, -1), 10)
             lo, hi = evals[0] - 0.05, evals[5] + 0.05
             roots = {par: np.array(find_roots(
                          p, (par,), lo, hi,

@@ -327,6 +327,36 @@ def test_shared_centers_match_unshared_assembly(xyz_odd, flat):
                 assert g.tobytes() == r[part].tobytes()
 
 
+@pytest.mark.parametrize("count", [1, 7, 2048])
+def test_det_of_the_parity_flip_is_a_fixed_sign_times_det(asym, flat, count):
+    # A -1 matrix of G is D[row] * D[slot] times its assembly, and
+    # _gvalues_once takes its determinant as the assembly's times the fixed
+    # sign prod D[rows] * prod D[slots]: +1 on the 8x8 chain, -1 on the 4x4.
+    # LU with partial pivoting picks the same pivots and rounds each flipped
+    # operation to the flipped result, so det keeps its bits but for that
+    # sign. An exactly singular matrix reads +0.0 at either sign, so the sign
+    # is written into center 0's columns, not onto det.
+    rng = np.random.default_rng(count)
+    d = gfunction._PARITY_D
+    for p, size, sign in ((asym, 8, 1.0), (flat, 4, -1.0)):
+        sp, scheme = gfunction._prepare(p, None)
+        columns = chain_columns(sp, scheme)
+        rows = np.tile(d, len(gfunction._chain(sp, scheme)))
+        slots = np.concatenate([d[list(s)] for s in columns.values()])
+        assert rows.size == slots.size == size
+        assert np.prod(rows) * np.prod(slots) == sign
+        m = rng.standard_normal((count, size, size)) * 10.0 ** rng.integers(-6, 7, size)
+        m[1::2, rng.integers(size)] = 0.0  # a row of exact zeros
+        det = np.linalg.det(m)
+        singular = np.arange(count) % 2 == 1
+        assert np.array_equal(det == 0, singular)
+        flipped = np.linalg.det(rows[:, None] * m * slots)
+        assert flipped.tobytes() == np.where(singular, det, sign * det).tobytes()
+        *_, zero_slots = columns.values()  # center 0 ends the chain
+        m[..., size - len(zero_slots):] *= sign
+        assert flipped.tobytes() == np.linalg.det(m).tobytes()
+
+
 @pytest.mark.parametrize("model, runs", [("asym", 3), ("flat", 2), ("xyz_odd", 2)])
 def test_one_series_run_per_center_and_block(request, monkeypatch, model, runs):
     # Each block runs every center once for both signs, center 0 included.

@@ -105,7 +105,7 @@ def test_window_needs_a_finite_cut(asym):
 
 def test_negative_truncation_is_a_value_error(asym):
     for solve in (lambda: oracle.window(asym, -1, 2.5),
-                  lambda: oracle.certified_spectrum(asym, -1, {1: 3, -1: 3}, 3)):
+                  lambda: oracle.certified_spectrum(asym, -1, (1, -1), 3)):
         with pytest.raises(ValueError, match="truncation must be >= 0"):
             solve()
 
@@ -177,7 +177,7 @@ def test_levels_and_parities_match_independent_blocks(p):
     for s in (1, -1):
         assert np.max(np.abs(full[full_signs == s] - ref[s])) < tol
 
-    evals, signs, _, used = oracle.certified_spectrum(p, 40, {1: 12, -1: 12}, 12)
+    evals, signs, _, used = oracle.certified_spectrum(p, 40, (1, -1), 12)
     ref = _independent_levels(p, used)
     merged = sorted((e, s) for s in (1, -1) for e in ref[s])[:12]
     assert np.max(np.abs(evals - [e for e, _ in merged])) < tol
@@ -210,7 +210,7 @@ def test_tail_bound_is_the_residual_of_the_padded_eigenvector(p):
     t = 8
     for s in (1, -1):
         evals, vecs = oracle._solve(oracle._band(p, t, s))
-        got, _, bounds = oracle._eig(p, t, {s: None})
+        got, _, bounds = oracle._eig(p, t, (s,))
         assert np.array_equal(got, evals)
         assert np.min(bounds) > 1e-8
         for e, v, bound in zip(evals, vecs.T, bounds):

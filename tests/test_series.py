@@ -298,6 +298,56 @@ def test_parity_mirror_of_displaced_centers(params):
             assert got[1][1].tolist() == [True, True, False]
 
 
+@pytest.mark.parametrize("params", [
+    None,
+    ModelParams(1.0, 0.6, 0.2, 0.24, 0.06),
+    ModelParams(1.0, 0.6, 0.4, 0.5, 0.5),
+    ModelParams(1.0, 0.6, 0.4, 0.6, 0.2, 0.1, -0.2, 0.3),
+    ModelParams(1.0, 0.1, 0.7, 0.75, 0.75, jx=0.7, jy=0.1, jz=0.3),
+], ids=["random", "full8", "flat", "xyz", "xyz_odd"])
+def test_einsum_adds_in_k_order_from_zero(params):
+    # _tables takes its cross terms and slaved rows from einsum on its own
+    # layouts: a strided mix[:, r] of 1, 3 or 4 recurring rows against a
+    # contiguous (4, ncols, nE) order, and the slave weights of one sign or
+    # of one per energy. G(E) is a function of E alone only while each sum
+    # runs from zero in k order, whatever ncols * nE; a contiguous (4, 1) mix
+    # sent one-energy, one-column batches to a dot kernel that adds in
+    # another order. Each result must equal that explicit sum, byte for byte.
+    rng = np.random.default_rng(11)
+    if params is None:
+        mixes = [rng.standard_normal((4, 4))]
+        weights = [rng.standard_normal(4), rng.standard_normal(4) * [1, 0, 0, 1]]
+    else:
+        p = params.scaled()
+        mixes, weights = [], []
+        for s in (1.0, -1.0):
+            d1, d2, a, b = s * p.delta1, p.delta2, s * (p.jz - p.jy), s * (p.jy + p.jz)
+            mixes.append(-np.array([[0, d2, a, d1], [d2, 0, d1, b],
+                                    [a, d1, 0, d2], [d1, b, d2, 0]]))
+            for c in series._centers(p):
+                w = series._slaving(p, s, c, 3.0)[1]
+                weights += [] if w is None else list(w)
+    for ncols, ne in ((1, 1), (3, 1), (1, 3), (3, 2048), (2, 3072)):
+        cur = rng.standard_normal((4, ncols, ne)) * 10.0 ** rng.integers(-4, 5, (4, 1, ne))
+        cur[:, :, ::5] = 0.0
+        for mix in mixes:
+            for nr in (1, 3, 4):
+                got = np.einsum("kj,kcn->jcn", mix[:, :nr], cur,
+                                out=np.empty((nr, ncols, ne)))
+                ref = np.zeros((nr, ncols, ne))
+                for k in range(4):
+                    ref += mix[k, :nr, None, None] * cur[k]
+                assert got.tobytes() == ref.tobytes()
+        for w in weights:
+            per_energy = np.repeat(w[:, None], ne, axis=1) * rng.choice([1.0, -1.0], ne)
+            for spec, wk in (("k,kcn->cn", w), ("kn,kcn->cn", per_energy)):
+                got = np.einsum(spec, wk, cur, out=np.empty((ncols, ne)))
+                ref = np.zeros((ncols, ne))
+                for k in range(4):
+                    ref += wk[k] * cur[k]
+                assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("model", ["asym", "flat", "xyz_odd"])
 def test_center_zero_runs_both_signs_in_the_d_frame(request, model):
     # Center 0 runs both signs in one pass, a -1 energy in the D frame: the

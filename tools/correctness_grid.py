@@ -17,13 +17,17 @@ must the lowest 8 levels solved from oracle.level_truncation, the start of
 diagonalize(p, None, 8) and of sweep's oracle rows, against the lowest 8 of
 the window at 300; that solve must certify every level at its start. The
 largest such start, its worst tail bound and the number of models that
-needed a second truncation are printed.
+needed a second truncation are printed. G is also evaluated on each model's
+search grid as one two-sign call, +1 alone, -1 alone and one call with the
+sign alternating per energy; every value and mask must keep its bytes
+across the four, and the time this check takes is printed.
 
-Exit status 1 on an oracle window or a lowest-8 solve that differs from the
-one at 300, on a lowest-8 solve that needed a second truncation (known: 0),
-on an unverified root, a SolverError, a parity with more roots than oracle
-levels in the window (no two roots may take one level; the largest surplus is
-printed), a miss at g'/g >= 0.02, or more misses at g'/g < 0.02 than
+Exit status 1 on G values or masks that differ between those batches, on an
+oracle window or a lowest-8 solve that differs from the one at 300, on a
+lowest-8 solve that needed a second truncation (known: 0), on an unverified
+root, a SolverError, a parity with more roots than oracle levels in the
+window (no two roots may take one level; the largest surplus is printed), a
+miss at g'/g >= 0.02, or more misses at g'/g < 0.02 than
 KNOWN_SMALL_GPRIME_MISSES. Those levels are lost because at small g' the
 matching point lies near the edge of both disks and G is NaN on much of the
 grid; a chain with regular centers is the fix, and then the bound goes down.
@@ -36,7 +40,7 @@ import time
 
 import numpy as np
 
-from tqrabi import ModelParams, Parity, SolverError, SpectrumResult, gfunction, oracle
+from tqrabi import ModelParams, Parity, SolverError, SpectrumResult, gfunction, oracle, series
 
 SEED = 12345
 MODELS = 60
@@ -67,11 +71,38 @@ def _differs(a: np.ndarray, b: np.ndarray, omega: float) -> bool:
     return a.size != b.size or np.max(np.abs(a - b), initial=0.0) >= START_TOL * omega
 
 
+def _g_batches_agree(p: ModelParams) -> bool:
+    """G on the search grid of find_roots, as one two-sign call, +1 alone, -1
+    alone and one call alternating the sign per energy: values, pole masks
+    and convergence masks must agree byte for byte."""
+    sp, scheme = gfunction._prepare(p, None)
+    lo, hi, h = gfunction._window(p, *WINDOW, None)
+    xs = np.linspace(lo, hi, max(2, int(round((hi - lo) / h)) + 1))
+    d = 4 * series.POLE_EPS
+    xs = np.concatenate([xs[:1], xs[:1] + d, xs[1:-1], xs[-1:] - d, xs[-1:]])
+    both = gfunction._gvalues(sp, (1, -1), xs, scheme)
+    alt = np.where(np.arange(xs.size) % 2, -1, 1)
+    mixed = gfunction._gvalues(sp, alt, xs, scheme)
+    for i, sign in enumerate((1, -1)):
+        alone = gfunction._gvalues(sp, sign, xs, scheme)
+        taken = alt == sign
+        for b, a, m in zip(both, alone, mixed):
+            if b[i].tobytes() != a.tobytes() or b[i][taken].tobytes() != m[taken].tobytes():
+                return False
+    return True
+
+
 def main() -> int:
     t0 = time.perf_counter()
     failures, small, levels_total, surplus = [], 0, 0, 0
     largest_start, worst_bound, second_solves = 0, 0.0, 0
+    batch_s = 0.0
     for i, p in enumerate(models()):
+        t1 = time.perf_counter()
+        if not _g_batches_agree(p):
+            failures.append(f"model {i} {p}: G differs between a two-sign call, one "
+                            f"sign alone and signs alternating per energy")
+        batch_s += time.perf_counter() - t1
         ratio = (p.g1 - p.g2) / (p.g1 + p.g2)
         levels = oracle.window(p, TRUNCATION, WINDOW[1], BOTH)
         started = oracle.window(p, None, WINDOW[1], BOTH)
@@ -81,8 +112,7 @@ def main() -> int:
                 failures.append(f"model {i} {p}: parity {parity.sign} window from the "
                                 f"model start differs from truncation {TRUNCATION}")
         start = oracle.level_truncation(p, LEVELS)
-        lowest, signs, bounds, used = oracle.certified_spectrum(
-            p, start, dict.fromkeys((1, -1), LEVELS), LEVELS)
+        lowest, signs, bounds, used = oracle.certified_spectrum(p, start, (1, -1), LEVELS)
         largest_start, worst_bound = max(largest_start, start), max(worst_bound, bounds.max())
         if used > start:
             second_solves += 1
@@ -130,6 +160,7 @@ def main() -> int:
           f"largest root surplus {surplus}, "
           f"lowest {LEVELS} levels: largest start {largest_start}, worst tail bound "
           f"{worst_bound:.2e}, {second_solves} second solves (known: 0), "
+          f"G batch forms compared in {batch_s:.1f} s, "
           f"{len(failures)} failures, {time.perf_counter() - t0:.1f} s")
     for f in failures:
         print("FAIL:", f)
