@@ -4,11 +4,14 @@ H commutes with the parity (-1)^n sigma1_z sigma2_z. Each parity block holds
 two states per photon number; ordered by photon number it is a symmetric band
 matrix with three superdiagonals. The blocks are written straight into LAPACK
 band storage and only the levels a caller needs are computed, so every level
-carries its parity by construction.
+carries its parity by construction. They are solved by the LAPACK routines
+scipy ships (dsbevx, dsbevd), called as scipy.linalg.eig_banded calls them
+but without importing scipy.linalg.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -134,16 +137,55 @@ def build_hamiltonian(params: ModelParams, truncation: int) -> FockHamiltonian:
     return FockHamiltonian(params, truncation, h, pdiag)
 
 
+@functools.cache
+def _lapack():
+    """scipy's f2py LAPACK module, which scipy.linalg.lapack re-exports, loaded
+    without running scipy/linalg/__init__.py and its slow array-API imports."""
+    from importlib import machinery, util
+    where = util.find_spec("scipy.linalg").submodule_search_locations[0]
+    finder = machinery.FileFinder(where, (machinery.ExtensionFileLoader,
+                                          machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"no scipy.linalg._flapack in {where}")
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _eig_banded(band: np.ndarray, select: str = "a", select_range: tuple = (0, 0),
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """scipy.linalg.eig_banded(band, select=..., select_range=...) on upper band
+    storage, by the LAPACK call it makes with the same arguments: dsbevd for
+    every level ("a"), dsbevx for an index ("i") or value ("v") range."""
+    if not np.isfinite(band).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lapack = _lapack()
+    if select == "a":
+        w, v, info = lapack.dsbevd(band, compute_v=1, lower=0, overwrite_ab=0)
+    else:
+        lo, hi = select_range
+        index = select == "i"
+        w, v, m, _, info = lapack.dsbevx(
+            band, *((0.0, 1.0, lo + 1, hi + 1) if index else (lo, hi, 1, 1)),
+            range=2 if index else 1, mmax=hi - lo + 1 if index else band.shape[1],
+            lower=0, overwrite_ab=0, abstol=2 * lapack.dlamch("s"))
+        w, v = w[:m], v[:, :m]
+    if info:
+        raise NotConverged(f"LAPACK band eigensolver failed with info = {info}")
+    return w, v
+
+
 def _solve(band: np.ndarray, k: int | None = None, cut: float | None = None,
            width: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs of one block (vectors as columns): every level,
-    the lowest k, or those <= cut and the four above it.
+    """Ascending eigenpairs of one block (vectors as columns), each LAPACK
+    call made through _eig_banded: every level, the lowest k, or those <= cut
+    and the four above it.
 
     For a cut, one value-selected solve reaches width past the cut (or past
     the Gershgorin floor when that lies higher), and the reach doubles until
     it holds four levels above the cut or the whole block.
     """
-    import scipy.linalg  # here, not at the top: it is most of the package's import time
     if cut is not None:
         # Gershgorin: every level lies between this floor and this ceiling.
         spread = 2 * _BANDS * float(np.max(np.abs(band[:_BANDS])))
@@ -152,15 +194,14 @@ def _solve(band: np.ndarray, k: int | None = None, cut: float | None = None,
         base = max(cut, floor)
         while True:
             upto = min(base + width, ceiling)
-            evals, vecs = scipy.linalg.eig_banded(band, select="v",
-                                                  select_range=(floor, upto))
+            evals, vecs = _eig_banded(band, "v", (floor, upto))
             keep = int(np.count_nonzero(evals <= cut)) + 4
             if evals.size >= keep or upto == ceiling:
                 return evals[:keep], vecs[:, :keep]
             width *= 2
     if k is None or k >= band.shape[1]:
-        return scipy.linalg.eig_banded(band)
-    return scipy.linalg.eig_banded(band, select="i", select_range=(0, k - 1))
+        return _eig_banded(band)
+    return _eig_banded(band, "i", (0, k - 1))
 
 
 def _eig(params: ModelParams, truncation: int, signs: Sequence[int] = _SIGNS,

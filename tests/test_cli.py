@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import tqrabi
 from tqrabi import gfunction, oracle
@@ -128,8 +127,8 @@ def test_spectrum_both_shares_search_and_window(tmp_path, monkeypatch, couplings
     monkeypatch.setattr(gfunction, "find_roots", counted("find_roots", gfunction.find_roots))
     monkeypatch.setattr(gfunction, "_gvalues", counted("gvalues", gfunction._gvalues))
     monkeypatch.setattr(oracle, "window", counted("window", oracle.window))
-    monkeypatch.setattr(scipy.linalg, "eig_banded",
-                        counted("eig_banded", scipy.linalg.eig_banded))
+    monkeypatch.setattr(oracle, "_eig_banded",
+                        counted("eig_banded", oracle._eig_banded))
     out = tmp_path / "spectrum.csv"
     assert main(["spectrum", "--config", str(cfg), "--emin", "-1", "--emax", "2.5",
                  "--solver", "both", "--out", str(out)]) == 0
@@ -203,12 +202,25 @@ def test_default_truncation_sized_from_the_model(tmp_path, flat_cfg, monkeypatch
         assert rows(out)
 
 
-def test_cli_import_leaves_out_scipy_linalg():
-    # The oracle imports scipy.linalg when it first solves, so trace and an
-    # unverified G-function spectrum never load it.
-    env = dict(os.environ, PYTHONPATH=str(Path(tqrabi.__file__).parents[1]))
+def test_cli_import_leaves_out_scipy_linalg(tmp_path, asym_cfg):
+    # Neither importing the CLI nor the oracle commands load scipy.linalg:
+    # the oracle calls scipy's LAPACK module without importing its package.
+    env = dict(os.environ, PYTHONPATH=str(Path(tqrabi.__file__).parents[1]),
+               TQRABI_WORKERS="1")
     code = "import sys, tqrabi.cli; sys.exit('scipy.linalg' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    out = str(tmp_path / "out.csv")
+    commands = [
+        ["spectrum", "--config", asym_cfg, "--emax", "2.5", "--solver", "both", "--out", out],
+        ["sweep", "--config", asym_cfg, "--gmin", "0.5", "--gmax", "1.5", "--points", "3",
+         "--solver", "oracle", "--out", out],
+        ["verify", "--config", asym_cfg],
+    ]
+    code = ("import sys; from tqrabi.cli import main\n"
+            f"assert all(main(argv) == 0 for argv in {commands!r})\n"
+            "sys.exit('scipy.linalg' in sys.modules or 'numpy.f2py' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True).returncode == 0
 
 
 def test_trace_deterministic_bytes(tmp_path, asym_cfg):

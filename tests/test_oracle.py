@@ -1,9 +1,11 @@
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
 from tqrabi import (
     ModelParams,
@@ -224,8 +226,8 @@ def test_one_solve_per_parity(monkeypatch):
     # on the spectrum anchors and eight levels at a sweep point need no
     # second truncation.
     calls = []
-    eig_banded = scipy.linalg.eig_banded
-    monkeypatch.setattr(scipy.linalg, "eig_banded",
+    eig_banded = oracle._eig_banded
+    monkeypatch.setattr(oracle, "_eig_banded",
                         lambda *a, **k: calls.append(1) or eig_banded(*a, **k))
     for p in (ModelParams(1.0, 0.6, 0.2, 0.24, 0.06),
               ModelParams(1.0, 0.6, 0.2, 1.0 / 3.0, 1.0 / 6.0),
@@ -312,13 +314,13 @@ def _margin_start(p, photons):
 
 def test_starts_from_the_displaced_tail_solve_once_below_the_margin_rule(monkeypatch):
     # On the sweep grids and the window models each start certifies every
-    # level in one eig_banded call per parity, and none lies above the old
+    # level in one LAPACK call per parity, and none lies above the old
     # margin rule's; on the sweep grids they sum to at least 25 % below it.
     # The margin rule sized diagonalize from k_levels photons and window
     # from the cut plus g**2/omega.
     calls, starts = [], []
-    eig_banded, eig = scipy.linalg.eig_banded, oracle._eig
-    monkeypatch.setattr(scipy.linalg, "eig_banded",
+    eig_banded, eig = oracle._eig_banded, oracle._eig
+    monkeypatch.setattr(oracle, "_eig_banded",
                         lambda *a, **k: calls.append(1) or eig_banded(*a, **k))
     monkeypatch.setattr(oracle, "_eig", lambda p, t, *a: starts.append(t) or eig(p, t, *a))
     total = margin_total = 0
@@ -395,7 +397,7 @@ def test_start_past_the_cap_raises_before_any_solve(monkeypatch):
     # At g = 30 the start sized from the model lies past the cap of 1,200
     # photons; at g = 2.5 it lies at 55 (diagonalize, 8 levels) and 70
     # (window to 2.5), past a cap lowered to 50. Neither solves anything.
-    monkeypatch.setattr(scipy.linalg, "eig_banded", lambda *a, **k: pytest.fail("solved"))
+    monkeypatch.setattr(oracle, "_eig_banded", lambda *a, **k: pytest.fail("solved"))
     for g, cap in ((30.0, oracle.DEFAULT_TRUNCATION_CAP), (2.5, 50)):
         monkeypatch.setattr(oracle, "DEFAULT_TRUNCATION_CAP", cap)
         p = ModelParams(1.0, 0.6, 0.2, 0.5 * g, 0.5 * g)
@@ -420,3 +422,70 @@ def test_cut_solve_widens_to_four_levels_past_the_cut(asym):
     small = oracle._band(asym, 1, -1)
     assert oracle._solve(small, cut=0.0, width=1e-3)[0].size == 4
     assert oracle._solve(small, cut=1e3)[0].size == 4
+
+
+# The three spectrum anchors (full8, reduced6, and reduced4 with g' = 0), the
+# permutation-symmetric g' = 0 model with its dark levels, and an anisotropic
+# exchange model.
+REFERENCE_MODELS = {
+    **{name: WINDOW_MODELS[name] for name in ("full8", "reduced6", "reduced4")},
+    "dark": ModelParams(1.0, 0.5, 0.5, 0.75, 0.75),
+    "xyz": ModelParams(1.0, 0.1, 0.7, 0.75, 0.75, jx=0.7, jy=0.1, jz=0.3),
+}
+
+
+@pytest.mark.parametrize("p", REFERENCE_MODELS.values(), ids=REFERENCE_MODELS.keys())
+def test_band_solves_are_scipy_eig_banded_bit_for_bit(monkeypatch, p):
+    # Every LAPACK call of the oracle returns the bytes scipy.linalg.eig_banded
+    # returns for the same band and selection: the lowest 8 levels, the
+    # window's cut, a cut whose reach doubles, and every level, on both
+    # parities.
+    calls = []
+    direct = oracle._eig_banded
+
+    def compared(band, select="a", select_range=(0, 0)):
+        w, v = direct(band, select, select_range)
+        kw = {} if select == "a" else {"select": select, "select_range": select_range}
+        ref_w, ref_v = scipy.linalg.eig_banded(band, **kw)
+        assert w.dtype == ref_w.dtype and v.dtype == ref_v.dtype
+        assert w.shape == ref_w.shape and v.shape == ref_v.shape
+        assert w.tobytes() == ref_w.tobytes() and v.tobytes() == ref_v.tobytes()
+        calls.append(select)
+        return w, v
+
+    monkeypatch.setattr(oracle, "_eig_banded", compared)
+    assert len(diagonalize(p, None, 8)) == 8
+    assert len(oracle.window(p, None, 2.5)) > 8
+    assert calls.count("i") == 2 and calls.count("v") >= 2
+    for s in (1, -1):
+        band = oracle._band(p, 40, s)
+        calls.clear()
+        assert oracle._solve(band, cut=2.5, width=1e-3)[0].size > 4
+        assert calls.count("v") > 1
+        assert oracle._solve(band)[0].size == band.shape[1]
+        assert calls[-1] == "a"
+
+
+def test_band_solver_is_scipys_lapack_wrapper(monkeypatch):
+    # The module loaded in place of scipy.linalg is the one scipy.linalg.lapack
+    # re-exports: the f2py signatures match. A nonzero LAPACK info is a
+    # typed solver error, and a band with a NaN or inf is a ValueError.
+    lapack = oracle._lapack()
+    for name in ("dsbevx", "dsbevd", "dlamch"):
+        assert getattr(lapack, name).__doc__ == getattr(scipy.linalg.lapack, name).__doc__
+    band = oracle._band(REFERENCE_MODELS["full8"], 10, 1)
+    for bad in (math.nan, math.inf):
+        broken = band.copy()
+        broken[3, 5] = bad
+        for select, select_range in (("a", (0, 0)), ("i", (0, 7)), ("v", (-5.0, 2.5))):
+            with pytest.raises(ValueError):
+                oracle._eig_banded(broken, select, select_range)
+    n = band.shape[1]
+    fake = types.SimpleNamespace(
+        dlamch=lapack.dlamch,
+        dsbevd=lambda ab, **kw: (np.zeros(n), np.eye(n), 1),
+        dsbevx=lambda ab, *a, **kw: (np.zeros(n), np.eye(n), n, np.zeros(n, int), 1))
+    monkeypatch.setattr(oracle, "_lapack", lambda: fake)
+    for select, select_range in (("a", (0, 0)), ("i", (0, 7)), ("v", (-5.0, 2.5))):
+        with pytest.raises(NotConverged):
+            oracle._eig_banded(band, select, select_range)
