@@ -58,7 +58,15 @@ def cmd_spectrum(args: argparse.Namespace, params: ModelParams) -> int:
                                             levels=None if args.no_verify else levels))
     if args.solver in ("oracle", "both"):
         records.extend(r for r in levels if args.emin <= r.energy <= args.emax)
-    records.sort(key=lambda r: (r.energy, r.method, r.parity.sign))
+
+    def order(r: SpectrumRecord) -> tuple:
+        # A verified root sorts at the level it matches, so its row precedes
+        # that level's oracle row on whichever side rounding puts the root.
+        near = (levels.filtered(r.parity).energies()
+                if r.method == "gfunction" and r.verified else [r.energy])
+        return (min(near, key=lambda e: abs(e - r.energy)), r.method, r.parity.sign)
+
+    records.sort(key=order)
     gfunction.write_spectrum_csv(records, args.out, comments=[
         "tqrabi spectrum",
         _params_comment(params),

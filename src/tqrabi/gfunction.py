@@ -468,6 +468,58 @@ def _refine_brackets(sp: ModelParams, scheme: MatchingScheme,
     return (sb, 0.5 * (lo + hi)), tuple(np.concatenate(c) for c in zip(*tangents))
 
 
+def _level_probes(levels: SpectrumResult, signs: Sequence[int], w: float,
+                  lo: float, hi: float, poles: dict[int, Sequence[float]], tol: float,
+                  ) -> tuple[np.ndarray, ...]:
+    """(sign, E_k, a, b, probed, on a pole) of each level of these signs, in
+    omega = 1 units: the probe pair (a, b) is E_k -/+ tol, or b -/+ 4*POLE_EPS
+    around a one-column pole b within tol of E_k. A level is probed when its
+    tail bound r_k holds a true eigenvalue inside the pair (2 r_k <= tol) and
+    the pair lies in the window [lo, hi]."""
+    recs = [r for r in levels if r.parity.sign in signs]
+    s = np.array([r.parity.sign for r in recs], dtype=int)
+    e, r = (np.array([getattr(x, f) for x in recs]) / w for f in ("energy", "residual"))
+    a, b, pole = e - tol, e + tol, np.zeros(e.size, dtype=bool)
+    for sign in signs:
+        for p in poles[sign]:
+            at = (s == sign) & (np.abs(e - p) <= tol)
+            a[at], b[at], pole[at] = p - 4 * series.POLE_EPS, p + 4 * series.POLE_EPS, True
+    return s, e, a, b, (2 * r <= tol) & (e - tol >= lo) & (e + tol <= hi), pole
+
+
+def _settle(brackets: tuple[np.ndarray, ...], dips: tuple[np.ndarray, ...],
+            probes: tuple[np.ndarray, ...], fa: np.ndarray, fb: np.ndarray, tol: float,
+            ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The scan brackets and dip triples left to refine, and the (signs, roots,
+    levels) settled by G(a), G(b) at the _level_probes pairs.
+
+    A pair that changes sign settles its level, unless another level of that
+    parity lies within 2 tol: one sign change never claims two levels. A
+    bracket or triple holds the levels of its sign whose E_k -/+ tol meets
+    it. One that holds an unsettled level is refined as without levels, and
+    a settled level it holds is left to that refinement, so no root is
+    reported twice; one whose levels are all settled is dropped. A triple
+    that holds no level is dropped when its sign has levels: they are
+    complete, so it holds no zero of G. A settled root is the regula-falsi
+    point of its pair, or the pole midway in a pair around one.
+    """
+    s, e, a, b, _, on_pole = probes
+    crowded = ((s[:, None] == s) & (np.abs(e[:, None] - e) <= 2 * tol)).sum(axis=1) > 1
+    settled = (np.sign(fa) * np.sign(fb) < 0) & ~crowded
+    n = brackets[1].size
+    sw = np.concatenate([brackets[0], dips[0]])
+    lo, hi = (np.concatenate([brackets[i], dips[1][:, 2 * i - 2]]) for i in (1, 2))
+    holds = (sw[:, None] == s) & (e - tol <= hi[:, None]) & (e + tol >= lo[:, None])
+    while (held := settled & holds[holds[:, ~settled].any(axis=1)].any(axis=0)).any():
+        settled = settled & ~held
+    drop = holds.any(axis=1) & ~holds[:, ~settled].any(axis=1)
+    drop[n:] |= ~holds[n:].any(axis=1) & np.isin(dips[0], s)
+    a, b, fa, fb = (c[settled] for c in (a, b, fa, fb))
+    roots = np.where(on_pole[settled], 0.5 * (a + b), a - fa * (b - a) / (fb - fa))
+    return (tuple(c[~drop[:n]] for c in brackets), tuple(c[~drop[n:]] for c in dips),
+            (s[settled], roots, e[settled]))
+
+
 def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
                e_max: float, step: Optional[float] = None,
                scheme: Optional[MatchingScheme] = None,
@@ -490,9 +542,18 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
     records of these parities such as oracle.window(params, None, e_max,
     parities), verifies every root (nearest same-parity level within 1e-6):
     unmatched roots are kept but flagged unverified (residual inf where
-    levels lacks their parity); with levels None roots are unchecked. Labels
-    count the roots within each parity. A bracket probe where G is not
-    finite raises NoConvergence.
+    levels lacks their parity); with levels None roots are unchecked.
+    levels also settles roots: a level E_k whose tail bound r_k (its
+    residual) has 2 r_k <= ROOT_TOL holds a true eigenvalue inside E_k -/+
+    ROOT_TOL, so G at those two ends, evaluated in the scan's own call,
+    settles that root when it changes sign and no other level of the parity
+    lies within 2 ROOT_TOL (_level_probes, _settle). Such a root is the
+    regula-falsi point of the pair, or the midpoint of a pair 4*POLE_EPS
+    around a one-column pole within ROOT_TOL of E_k. Brackets and dips that
+    hold only settled levels, and dips that hold no level of a parity that
+    levels has, are not refined; when every root settles, the scan is the
+    search's only G call. Labels count the roots within each parity. A
+    bracket probe where G is not finite raises NoConvergence.
     """
     lo_w, hi_w, h = _window(params, e_min, e_max, step)
     sp, scheme = _prepare(params, scheme)
@@ -505,7 +566,21 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
     # stepped off a pole, and that point stands in for an end on a pole.
     d = 4 * series.POLE_EPS
     xs = np.concatenate([xs[:1], xs[:1] + d, xs[1:-1], xs[-1:] - d, xs[-1:]])
-    scan, scan_ok, _ = _gvalues(sp, signs, xs, scheme)
+    # G can jump only at a one-column pole; beside others rounding is magnified.
+    poles = {s: [b for b, k in _poles(sp, s, _centers(sp), hi_w) if k == 1] for s in signs}
+    if levels is None:
+        scan, scan_ok, _ = _gvalues(sp, signs, xs, scheme)
+    else:
+        # Each probed level's pair rides in the scan's call, at its own sign only.
+        probes = _level_probes(levels, signs, w, lo_w, hi_w, poles, ROOT_TOL)
+        ls, _, la, lb, probed, _ = probes
+        k = np.flatnonzero(probed)
+        cols = np.concatenate([np.repeat(np.array(signs)[:, None], xs.size, 1),
+                               np.tile(ls[k], (len(signs), 2))], axis=1)
+        g, ok, _ = _gvalues(sp, cols, np.concatenate([xs, la[k], lb[k]]), scheme)
+        scan, scan_ok = g[:, :xs.size], ok[:, :xs.size]
+        fa, fb = np.full((2, ls.size), np.nan)
+        fa[k], fb[k] = g[0, xs.size:].reshape(2, -1)
     brackets, dips = [], []
     for sign, gs, pole_ok in zip(signs, scan, scan_ok):
         # No value exactly on a pole: the grid points beside it bracket across it.
@@ -523,11 +598,13 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
         i, j = (np.append(np.flatnonzero(s == 0), np.flatnonzero(s[:-1] * s[1:] < 0) + d)
                 for d in (0, 1))
         brackets.append((np.full(i.size, sign), x[i], x[j], gs[i], gs[j]))
-    # G can jump only at a one-column pole; beside others rounding is magnified.
-    poles = {s: [b for b, k in _poles(sp, s, _centers(sp), hi_w) if k == 1] for s in signs}
-    found, tangents = _refine_brackets(
-        sp, scheme, poles, *(tuple(np.concatenate(c) for c in zip(*parts))
-                             for parts in (brackets, dips)), ROOT_TOL)
+    brackets, dips = (tuple(np.concatenate(c) for c in zip(*parts))
+                      for parts in (brackets, dips))
+    if levels is not None:
+        brackets, dips, settled = _settle(brackets, dips, probes, fa, fb, ROOT_TOL)
+    found, tangents = _refine_brackets(sp, scheme, poles, brackets, dips, ROOT_TOL)
+    if levels is not None:
+        found = tuple(np.append(f, x) for f, x in zip(found, settled[:2]))
 
     # A tangent is kept only when ED confirms it or, without ED, when |G| < 1e-12.
     if levels is not None:  # a parity without levels verifies none of its roots

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tqrabi
-from tqrabi import gfunction, oracle
+from tqrabi import SpectrumRecord, SpectrumResult, gfunction, oracle
 from tqrabi.cli import main
 
 
@@ -140,6 +140,28 @@ def test_spectrum_both_shares_search_and_window(tmp_path, monkeypatch, couplings
     for method in ("gfunction", "oracle"):
         assert {r["parity"] for r in data if r["method"] == method} == {"1", "-1"}
     assert all(float(r["residual"]) < 1e-6 for r in data if r["method"] == "gfunction")
+
+
+def test_root_row_precedes_its_oracle_row(tmp_path, asym_cfg, monkeypatch):
+    # A verified root 1 ulp above its level and one 1 ulp below it sort
+    # alike, under the level and before its oracle row: the two CSVs differ
+    # only in the roots' own last digits.
+    texts = []
+    for side in (np.inf, -np.inf):
+        def shifted(params, parities, e_min, e_max, step, levels, side=side):
+            return SpectrumResult.from_records(
+                SpectrumRecord(float(np.nextafter(r.energy, side)), r.parity,
+                               "gfunction", 0.0, None, True)
+                for r in levels if e_min <= r.energy <= e_max)
+        monkeypatch.setattr(gfunction, "find_roots", shifted)
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--config", asym_cfg, "--emin", "-1", "--emax", "2.5",
+                     "--solver", "both", "--out", str(out)]) == 0
+        texts.append([ln.split(",", 1)[1] if ",gfunction," in ln else ln
+                      for ln in out.read_text().splitlines()])
+    assert texts[0] == texts[1]
+    methods = [ln.split(",")[-2] for ln in texts[0] if not ln.startswith(("#", "E,"))]
+    assert len(methods) == 24 and methods == ["gfunction", "oracle"] * 12
 
 
 @pytest.mark.parametrize("command, name", [

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from tqrabi import (
     PoleAtBaseline,
     RequiresValidCouplings,
     SchemeMismatch,
+    SpectrumResult,
     default_scheme,
     find_roots,
     gvalue,
@@ -825,3 +827,121 @@ def test_smooth_dips_close_in_three_passes(ratio2, monkeypatch):
     res = find_roots(ratio2, (Parity.MINUS,), -1.0, 2.5)
     assert len(res) == 6
     assert passes[0] >= 4 and len(passes) <= 3
+
+
+PROBE_MODELS = {
+    "full8": ModelParams(1.0, 0.6, 0.2, 0.24, 0.06),
+    "reduced6": ModelParams(1.0, 0.6, 0.2, 1.0 / 3.0, 1.0 / 6.0),
+    "reduced4": ModelParams(1.0, 0.7, 0.3, 0.4, 0.4),
+    "asym_g1": ModelParams(1.0, 0.6, 0.2, 0.8, 0.2),
+    "isotropic": ModelParams(1.0, 0.6, 0.4, 0.75, 0.75, 0.5, 0.5, 0.5),
+    "xyz_half": ModelParams(0.5, 0.35, 0.15, 0.45, 0.2, jx=0.05, jz=-0.1),
+}
+
+
+def counted_gvalues(monkeypatch):
+    calls = []
+    gvalues = gfunction._gvalues
+    monkeypatch.setattr(gfunction, "_gvalues", lambda *a: calls.append(1) or gvalues(*a))
+    return calls
+
+
+def loosened(levels, bound, keep=lambda r: False):
+    """levels with the tail bound of each record that keep rejects set to bound."""
+    return SpectrumResult(tuple(r if keep(r) else dataclasses.replace(r, residual=bound)
+                                for r in levels))
+
+
+@pytest.mark.parametrize("model", PROBE_MODELS)
+def test_levels_settle_every_root_in_the_scan_call(model, monkeypatch):
+    # Each level's tail bound holds a true eigenvalue within ROOT_TOL/2 of
+    # it, so G's sign change across E_k -/+ ROOT_TOL, evaluated in the
+    # scan's own call, settles its root: no refinement pass. The roots are
+    # those of the search without levels and of refinement with them.
+    p = PROBE_MODELS[model]
+    both, w, tol = (Parity.PLUS, Parity.MINUS), p.omega, gfunction.ROOT_TOL * p.omega
+    levels = oracle.window(p, None, 2.5 * w, both)
+    calls = counted_gvalues(monkeypatch)
+    found = find_roots(p, both, -w, 2.5 * w, levels=levels)
+    assert len(calls) == 1
+    calls.clear()
+    refined = find_roots(p, both, -w, 2.5 * w, levels=loosened(levels, tol))
+    assert 1 < len(calls) <= 7
+    plain = find_roots(p, both, -w, 2.5 * w)
+    for ref in (plain, refined):
+        assert [(r.parity, r.label) for r in found] == [(r.parity, r.label) for r in ref]
+        assert np.max(np.abs(np.array(found.energies()) - ref.energies())) <= tol
+    assert [r.verified for r in found] == [r.verified for r in refined]
+    assert len(found) >= 12 and all(r.verified for r in found)
+    assert max(r.residual for r in found) < 1e-12 * w
+
+
+def test_loose_tail_bound_goes_through_refinement(asym, monkeypatch):
+    # A level whose tail bound exceeds ROOT_TOL/2 may have its eigenvalue
+    # outside E_k -/+ ROOT_TOL: its bracket is refined as without levels,
+    # to within ROOT_TOL of the root, while the others settle in the scan.
+    both = (Parity.PLUS, Parity.MINUS)
+    levels = oracle.window(asym, None, 2.5, both)
+    loose = levels.filtered(Parity.MINUS).records[2]
+    calls = counted_gvalues(monkeypatch)
+    found = find_roots(asym, both, -1.0, 2.5, levels=loosened(
+        levels, 0.6 * gfunction.ROOT_TOL, keep=lambda r: r is not loose))
+    assert len(calls) > 1
+    far = [r for r in found if r.residual > 1e-12]
+    assert [(r.parity, r.verified) for r in far] == [(Parity.MINUS, True)]
+    assert abs(far[0].energy - loose.energy) <= gfunction.ROOT_TOL
+    assert len(found) == 12
+
+
+def test_dark_states_are_no_roots(equal_qubits):
+    # On [-1, 3.2] the window holds 15 levels: 11 regular ones and the 4
+    # dark cutoff states E = 0, 1, 2, 3, on baselines without a pole. G
+    # does not change sign across a dark state, so its probes settle
+    # nothing there and no root is reported at it.
+    both = (Parity.PLUS, Parity.MINUS)
+    levels = oracle.window(equal_qubits, None, 3.2, both)
+    found = find_roots(equal_qubits, both, -1.0, 3.2, levels=levels)
+    dark = [(parity, e) for parity in both
+            for _, e, _, k in exceptional.levels(equal_qubits, parity, -1.0, 3.2) if k == 0]
+    assert sorted(e for _, e in dark) == pytest.approx([0.0, 1.0, 2.0, 3.0], abs=1e-12)
+    assert sum(-1.0 <= r.energy <= 3.2 for r in levels) == 15
+    assert len(found) == 11 and all(r.verified for r in found)
+    for parity, e in dark:
+        assert min(abs(x - e) for x in found.filtered(parity).energies()) > 1e-6
+
+
+def test_parity_without_levels_is_searched_as_without_levels(ratio2, monkeypatch):
+    # Levels of the even parity alone: the odd parity keeps the plain
+    # search, its smooth |G| dips probed and its roots bit for bit those
+    # of a search without levels, while the even roots settle in the scan.
+    probe_dips, probed = gfunction._probe_dips, []
+    monkeypatch.setattr(gfunction, "_probe_dips",
+                        lambda *a: probed.append(a[0]) or probe_dips(*a))
+    both = (Parity.PLUS, Parity.MINUS)
+    found = find_roots(ratio2, both, -1.0, 2.5,
+                       levels=oracle.window(ratio2, None, 2.5, (Parity.PLUS,)))
+    assert probed and set(np.concatenate(probed).tolist()) == {-1}
+    minus = found.filtered(Parity.MINUS)
+    plain = find_roots(ratio2, (Parity.MINUS,), -1.0, 2.5)
+    assert np.array(minus.energies()).tobytes() == np.array(plain.energies()).tobytes()
+    assert all(r.verified is False for r in minus)
+    assert all(r.verified and r.residual < 1e-12 for r in found.filtered(Parity.PLUS))
+
+
+def test_settled_level_inside_refined_work_is_left_to_it(monkeypatch):
+    # The even levels 0.6 and 0.8 share the dip triple (0.22, 0.56, 0.9) of
+    # a 0.34 grid. With tight tail bounds both settle and the triple is
+    # dropped: one G call. With 0.8's bound loosened the triple is refined,
+    # which finds both roots, so 0.6 is left to that refinement too and no
+    # level is claimed twice: the roots of the search without levels.
+    p = ModelParams(1.0, 0.6, 0.2, 0.8e-3, 0.2e-3)
+    levels = oracle.window(p, 300, 0.9, (Parity.PLUS,))
+    calls = counted_gvalues(monkeypatch)
+    tight = find_roots(p, (Parity.PLUS,), 0.22, 0.9, step=0.34, levels=levels)
+    assert len(calls) == 1 and len(tight) == 2
+    loose = find_roots(p, (Parity.PLUS,), 0.22, 0.9, step=0.34, levels=loosened(
+        levels, gfunction.ROOT_TOL, keep=lambda r: abs(r.energy - 0.8) > 0.01))
+    plain = find_roots(p, (Parity.PLUS,), 0.22, 0.9, step=0.34)
+    assert len(loose) == 2 and all(r.verified for r in loose)
+    assert np.array(loose.energies()).tobytes() == np.array(plain.energies()).tobytes()
+    assert np.max(np.abs(np.array(tight.energies()) - plain.energies())) <= gfunction.ROOT_TOL

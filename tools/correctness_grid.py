@@ -20,17 +20,21 @@ largest such start, its worst tail bound and the number of models that
 needed a second truncation are printed. G is also evaluated on each model's
 search grid as one two-sign call, +1 alone, -1 alone and one call with the
 sign alternating per energy; every value and mask must keep its bytes
-across the four, and the time this check takes is printed.
+across the four, and the time this check takes is printed. The number of
+levels whose root find_roots settled by the G probes beside the level
+(gfunction._settle) is printed beside the number left to refinement, and
+every settled root must lie within ROOT_TOL of its level.
 
 Exit status 1 on G values or masks that differ between those batches, on an
 oracle window or a lowest-8 solve that differs from the one at 300, on a
 lowest-8 solve that needed a second truncation (known: 0), on an unverified
-root, a SolverError, a parity with more roots than oracle levels in the
-window (no two roots may take one level; the largest surplus is printed), a
-miss at g'/g >= 0.02, or more misses at g'/g < 0.02 than
-KNOWN_SMALL_GPRIME_MISSES. Those levels are lost because at small g' the
-matching point lies near the edge of both disks and G is NaN on much of the
-grid; a chain with regular centers is the fix, and then the bound goes down.
+root, a settled root farther than ROOT_TOL from its level, a SolverError, a
+parity with more roots than oracle levels in the window (no two roots may
+take one level; the largest surplus is printed), a miss at g'/g >= 0.02, or
+more misses at g'/g < 0.02 than KNOWN_SMALL_GPRIME_MISSES. Those levels are
+lost because at small g' the matching point lies near the edge of both disks
+and G is NaN on much of the grid; a chain with regular centers is the fix,
+and then the bound goes down.
 """
 
 from __future__ import annotations
@@ -94,7 +98,15 @@ def _g_batches_agree(p: ModelParams) -> bool:
 
 def main() -> int:
     t0 = time.perf_counter()
-    failures, small, levels_total, surplus = [], 0, 0, 0
+    settle, settled = gfunction._settle, []
+
+    def record(*args):  # keeps the (signs, roots, levels) that the probes settled
+        out = settle(*args)
+        settled.append(out[2])
+        return out
+
+    gfunction._settle = record
+    failures, small, levels_total, surplus, settled_total = [], 0, 0, 0, 0
     largest_start, worst_bound, second_solves = 0, 0.0, 0
     batch_s = 0.0
     for i, p in enumerate(models()):
@@ -127,11 +139,17 @@ def main() -> int:
                         np.array(ref.filtered(parity).energies()), p.omega):
                 failures.append(f"model {i} {p}: parity {parity.sign} lowest {LEVELS} levels "
                                 f"from the model start differ from truncation {TRUNCATION}")
+        settled.clear()
         try:
             found = gfunction.find_roots(p, BOTH, *WINDOW, levels=levels)
         except SolverError as exc:
             failures.append(f"model {i} {p}: {type(exc).__name__}: {exc}")
             continue
+        (_, xs, at), = settled
+        settled_total += xs.size
+        failures += [f"model {i} {p}: settled root {x!r} is {abs(x - e):.2e} from its "
+                     f"level {e!r}" for x, e in zip(xs.tolist(), at.tolist())
+                     if abs(x - e) > gfunction.ROOT_TOL]
         for parity in BOTH:
             res = found.filtered(parity)
             roots = np.array(res.energies())
@@ -157,7 +175,8 @@ def main() -> int:
                         f"{KNOWN_SMALL_GPRIME_MISSES} known")
     print(f"{MODELS} models, {levels_total} oracle levels, {small} missed at "
           f"g'/g < {SMALL_GPRIME} (known: {KNOWN_SMALL_GPRIME_MISSES}), "
-          f"largest root surplus {surplus}, "
+          f"largest root surplus {surplus}, {settled_total} levels settled by "
+          f"probes and {levels_total - settled_total} left to refinement, "
           f"lowest {LEVELS} levels: largest start {largest_start}, worst tail bound "
           f"{worst_bound:.2e}, {second_solves} second solves (known: 0), "
           f"G batch forms compared in {batch_s:.1f} s, "
