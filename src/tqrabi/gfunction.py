@@ -499,9 +499,10 @@ def _settle(brackets: tuple[np.ndarray, ...], dips: tuple[np.ndarray, ...],
     it. One that holds an unsettled level is refined as without levels, and
     a settled level it holds is left to that refinement, so no root is
     reported twice; one whose levels are all settled is dropped. A triple
-    that holds no level is dropped when its sign has levels: they are
-    complete, so it holds no zero of G. A settled root is the regula-falsi
-    point of its pair, or the pole midway in a pair around one.
+    that holds no level is dropped when a level of its sign lies at or above
+    its top: a parity's levels are complete up to the highest given, so it
+    holds no zero of G. A settled root is the regula-falsi point of its
+    pair, or the pole midway in a pair around one.
     """
     s, e, a, b, _, on_pole = probes
     crowded = ((s[:, None] == s) & (np.abs(e[:, None] - e) <= 2 * tol)).sum(axis=1) > 1
@@ -513,7 +514,8 @@ def _settle(brackets: tuple[np.ndarray, ...], dips: tuple[np.ndarray, ...],
     while (held := settled & holds[holds[:, ~settled].any(axis=1)].any(axis=0)).any():
         settled = settled & ~held
     drop = holds.any(axis=1) & ~holds[:, ~settled].any(axis=1)
-    drop[n:] |= ~holds[n:].any(axis=1) & np.isin(dips[0], s)
+    below = ((dips[0][:, None] == s) & (e >= dips[1][:, 2:])).any(axis=1)
+    drop[n:] |= ~holds[n:].any(axis=1) & below
     a, b, fa, fb = (c[settled] for c in (a, b, fa, fb))
     roots = np.where(on_pole[settled], 0.5 * (a + b), a - fa * (b - a) / (fb - fa))
     return (tuple(c[~drop[:n]] for c in brackets), tuple(c[~drop[n:]] for c in dips),
@@ -549,11 +551,16 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
     settles that root when it changes sign and no other level of the parity
     lies within 2 ROOT_TOL (_level_probes, _settle). Such a root is the
     regula-falsi point of the pair, or the midpoint of a pair 4*POLE_EPS
-    around a one-column pole within ROOT_TOL of E_k. Brackets and dips that
-    hold only settled levels, and dips that hold no level of a parity that
-    levels has, are not refined; when every root settles, the scan is the
-    search's only G call. Labels count the roots within each parity. A
-    bracket probe where G is not finite raises NoConvergence.
+    around a one-column pole within ROOT_TOL of E_k: within ROOT_TOL of
+    E_k, so within ROOT_TOL + r_k <= 1.5 ROOT_TOL of the true eigenvalue,
+    where a refined root is within ROOT_TOL of it (in practice a settled
+    root sits 1e-16 to 3e-13 from E_k). Brackets and dips that hold only
+    settled levels are not refined, and neither are dips that hold no level
+    but lie below the highest level of their parity: levels of a parity
+    must be complete up to the highest given, as the lowest ones from
+    oracle.window or oracle.diagonalize are. When every root settles, the
+    scan is the search's only G call. Labels count the roots within each
+    parity. A bracket probe where G is not finite raises NoConvergence.
     """
     lo_w, hi_w, h = _window(params, e_min, e_max, step)
     sp, scheme = _prepare(params, scheme)
@@ -568,19 +575,16 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
     xs = np.concatenate([xs[:1], xs[:1] + d, xs[1:-1], xs[-1:] - d, xs[-1:]])
     # G can jump only at a one-column pole; beside others rounding is magnified.
     poles = {s: [b for b, k in _poles(sp, s, _centers(sp), hi_w) if k == 1] for s in signs}
-    if levels is None:
-        scan, scan_ok, _ = _gvalues(sp, signs, xs, scheme)
-    else:
-        # Each probed level's pair rides in the scan's call, at its own sign only.
-        probes = _level_probes(levels, signs, w, lo_w, hi_w, poles, ROOT_TOL)
-        ls, _, la, lb, probed, _ = probes
-        k = np.flatnonzero(probed)
-        cols = np.concatenate([np.repeat(np.array(signs)[:, None], xs.size, 1),
-                               np.tile(ls[k], (len(signs), 2))], axis=1)
-        g, ok, _ = _gvalues(sp, cols, np.concatenate([xs, la[k], lb[k]]), scheme)
-        scan, scan_ok = g[:, :xs.size], ok[:, :xs.size]
-        fa, fb = np.full((2, ls.size), np.nan)
-        fa[k], fb[k] = g[0, xs.size:].reshape(2, -1)
+    # Each probed level's pair rides in the scan's call, at its own sign only.
+    probes = _level_probes(levels or SpectrumResult(), signs, w, lo_w, hi_w, poles, ROOT_TOL)
+    ls, _, la, lb, probed, _ = probes
+    k = np.flatnonzero(probed)
+    cols = np.concatenate([np.repeat(np.array(signs)[:, None], xs.size, 1),
+                           np.tile(ls[k], (len(signs), 2))], axis=1)
+    g, ok, _ = _gvalues(sp, cols, np.concatenate([xs, la[k], lb[k]]), scheme)
+    scan, scan_ok = g[:, :xs.size], ok[:, :xs.size]
+    fa, fb = np.full((2, ls.size), np.nan)
+    fa[k], fb[k] = g[0, xs.size:].reshape(2, -1)
     brackets, dips = [], []
     for sign, gs, pole_ok in zip(signs, scan, scan_ok):
         # No value exactly on a pole: the grid points beside it bracket across it.
@@ -600,11 +604,9 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
         brackets.append((np.full(i.size, sign), x[i], x[j], gs[i], gs[j]))
     brackets, dips = (tuple(np.concatenate(c) for c in zip(*parts))
                       for parts in (brackets, dips))
-    if levels is not None:
-        brackets, dips, settled = _settle(brackets, dips, probes, fa, fb, ROOT_TOL)
+    brackets, dips, settled = _settle(brackets, dips, probes, fa, fb, ROOT_TOL)
     found, tangents = _refine_brackets(sp, scheme, poles, brackets, dips, ROOT_TOL)
-    if levels is not None:
-        found = tuple(np.append(f, x) for f, x in zip(found, settled[:2]))
+    found = tuple(np.append(f, x) for f, x in zip(found, settled[:2]))
 
     # A tangent is kept only when ED confirms it or, without ED, when |G| < 1e-12.
     if levels is not None:  # a parity without levels verifies none of its roots

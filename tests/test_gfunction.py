@@ -945,3 +945,17 @@ def test_settled_level_inside_refined_work_is_left_to_it(monkeypatch):
     assert len(loose) == 2 and all(r.verified for r in loose)
     assert np.array(loose.energies()).tobytes() == np.array(plain.energies()).tobytes()
     assert np.max(np.abs(np.array(tight.energies()) - plain.energies())) <= gfunction.ROOT_TOL
+
+
+def test_dip_above_the_highest_level_is_refined():
+    # The lowest two levels, -0.8 (even) and -0.4 (odd), say nothing above
+    # -0.8 in the even parity: the dip triple (0.22, 0.56, 0.9) of a 0.34
+    # grid, which holds the even roots 0.6 and 0.8, is refined as without
+    # levels, and both roots are kept unverified.
+    p = ModelParams(1.0, 0.6, 0.2, 0.8e-3, 0.2e-3)
+    lowest = oracle.diagonalize(p, 300, 2)
+    assert max(lowest.filtered(Parity.PLUS).energies()) < 0.22
+    found = find_roots(p, (Parity.PLUS,), 0.22, 0.9, step=0.34, levels=lowest)
+    plain = find_roots(p, (Parity.PLUS,), 0.22, 0.9, step=0.34)
+    assert len(found) == 2 and all(r.verified is False for r in found)
+    assert np.array(found.energies()).tobytes() == np.array(plain.energies()).tobytes()

@@ -22,19 +22,24 @@ search grid as one two-sign call, +1 alone, -1 alone and one call with the
 sign alternating per energy; every value and mask must keep its bytes
 across the four, and the time this check takes is printed. The number of
 levels whose root find_roots settled by the G probes beside the level
-(gfunction._settle) is printed beside the number left to refinement, and
-every settled root must lie within ROOT_TOL of its level.
+(gfunction._settle) is printed beside the number left to refinement. Every
+settled root must lie within ROOT_TOL of its level, and it is checked
+against the search without levels, which refines every bracket: a root of
+that search must lie within SETTLED_TOL of it, since a refined root is
+within ROOT_TOL of the eigenvalue and a settled one within 1.5 ROOT_TOL;
+the largest distance is printed.
 
 Exit status 1 on G values or masks that differ between those batches, on an
 oracle window or a lowest-8 solve that differs from the one at 300, on a
 lowest-8 solve that needed a second truncation (known: 0), on an unverified
-root, a settled root farther than ROOT_TOL from its level, a SolverError, a
-parity with more roots than oracle levels in the window (no two roots may
-take one level; the largest surplus is printed), a miss at g'/g >= 0.02, or
-more misses at g'/g < 0.02 than KNOWN_SMALL_GPRIME_MISSES. Those levels are
-lost because at small g' the matching point lies near the edge of both disks
-and G is NaN on much of the grid; a chain with regular centers is the fix,
-and then the bound goes down.
+root, a settled root farther than ROOT_TOL from its level or with no root of
+the search without levels within SETTLED_TOL, a SolverError, a parity with
+more roots than oracle levels in the window (no two roots may take one
+level; the largest surplus is printed), a miss at g'/g >= 0.02, or more
+misses at g'/g < 0.02 than KNOWN_SMALL_GPRIME_MISSES. Those levels are lost
+because at small g' the matching point lies near the edge of both disks and
+G is NaN on much of the grid; a chain with regular centers is the fix, and
+then the bound goes down.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ START_TOL = 1e-8
 LEVELS = 8
 SMALL_GPRIME = 0.02
 KNOWN_SMALL_GPRIME_MISSES = 82
+SETTLED_TOL = 2.5 * gfunction.ROOT_TOL
 BOTH = (Parity.PLUS, Parity.MINUS)
 
 
@@ -106,7 +112,7 @@ def main() -> int:
         return out
 
     gfunction._settle = record
-    failures, small, levels_total, surplus, settled_total = [], 0, 0, 0, 0
+    failures, small, levels_total, surplus, settled_total, settled_gap = [], 0, 0, 0, 0, 0.0
     largest_start, worst_bound, second_solves = 0, 0.0, 0
     batch_s = 0.0
     for i, p in enumerate(models()):
@@ -142,14 +148,23 @@ def main() -> int:
         settled.clear()
         try:
             found = gfunction.find_roots(p, BOTH, *WINDOW, levels=levels)
+            plain = gfunction.find_roots(p, BOTH, *WINDOW)
         except SolverError as exc:
             failures.append(f"model {i} {p}: {type(exc).__name__}: {exc}")
             continue
-        (_, xs, at), = settled
+        (ss, xs, at), _ = settled  # the search with levels, then the one without
         settled_total += xs.size
         failures += [f"model {i} {p}: settled root {x!r} is {abs(x - e):.2e} from its "
                      f"level {e!r}" for x, e in zip(xs.tolist(), at.tolist())
                      if abs(x - e) > gfunction.ROOT_TOL]
+        for s, x in zip(ss.tolist(), xs.tolist()):
+            refined = np.array(plain.filtered(Parity(s)).energies())
+            gap = float(np.min(np.abs(refined - x), initial=np.inf))
+            settled_gap = max(settled_gap, gap)
+            if not gap <= SETTLED_TOL:  # NaN too
+                failures.append(f"model {i} {p}: settled root {x!r}, parity {s}, is "
+                                f"{gap:.2e} from the nearest root of the search "
+                                f"without levels")
         for parity in BOTH:
             res = found.filtered(parity)
             roots = np.array(res.energies())
@@ -177,6 +192,7 @@ def main() -> int:
           f"g'/g < {SMALL_GPRIME} (known: {KNOWN_SMALL_GPRIME_MISSES}), "
           f"largest root surplus {surplus}, {settled_total} levels settled by "
           f"probes and {levels_total - settled_total} left to refinement, "
+          f"settled roots within {settled_gap:.2e} of refined ones, "
           f"lowest {LEVELS} levels: largest start {largest_start}, worst tail bound "
           f"{worst_bound:.2e}, {second_solves} second solves (known: 0), "
           f"G batch forms compared in {batch_s:.1f} s, "
