@@ -471,55 +471,21 @@ def _refine_brackets(sp: ModelParams, scheme: MatchingScheme,
 def _level_probes(levels: SpectrumResult, signs: Sequence[int], w: float,
                   lo: float, hi: float, poles: dict[int, Sequence[float]], tol: float,
                   ) -> tuple[np.ndarray, ...]:
-    """(sign, E_k, a, b, probed, on a pole) of each level of these signs, in
-    omega = 1 units: the probe pair (a, b) is E_k -/+ tol, or b -/+ 4*POLE_EPS
-    around a one-column pole b within tol of E_k. A level is probed when its
-    tail bound r_k holds a true eigenvalue inside the pair (2 r_k <= tol) and
-    the pair lies in the window [lo, hi]."""
+    """(sign, E_k, r_k, a, b, probed) of each level of these signs, in omega = 1
+    units: the probe pair (a, b) is E_k -/+ tol/2, or b -/+ 4*POLE_EPS around a
+    one-column pole b within tol of E_k, where a cutoff state sits. A level
+    is probed when its tail bound r_k puts a true eigenvalue inside E_k -/+
+    tol/2 (2 r_k <= tol) and the pair lies in the window [lo, hi]. A pair
+    that changes sign holds a root within tol/2 of its midpoint."""
     recs = [r for r in levels if r.parity.sign in signs]
     s = np.array([r.parity.sign for r in recs], dtype=int)
     e, r = (np.array([getattr(x, f) for x in recs]) / w for f in ("energy", "residual"))
-    a, b, pole = e - tol, e + tol, np.zeros(e.size, dtype=bool)
+    a, b = e - 0.5 * tol, e + 0.5 * tol
     for sign in signs:
         for p in poles[sign]:
             at = (s == sign) & (np.abs(e - p) <= tol)
-            a[at], b[at], pole[at] = p - 4 * series.POLE_EPS, p + 4 * series.POLE_EPS, True
-    return s, e, a, b, (2 * r <= tol) & (e - tol >= lo) & (e + tol <= hi), pole
-
-
-def _settle(brackets: tuple[np.ndarray, ...], dips: tuple[np.ndarray, ...],
-            probes: tuple[np.ndarray, ...], fa: np.ndarray, fb: np.ndarray, tol: float,
-            ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The scan brackets and dip triples left to refine, and the (signs, roots,
-    levels) settled by G(a), G(b) at the _level_probes pairs.
-
-    A pair that changes sign settles its level, unless another level of that
-    parity lies within 2 tol: one sign change never claims two levels. A
-    bracket or triple holds the levels of its sign whose E_k -/+ tol meets
-    it. One that holds an unsettled level is refined as without levels, and
-    a settled level it holds is left to that refinement, so no root is
-    reported twice; one whose levels are all settled is dropped. A triple
-    that holds no level is dropped when a level of its sign lies at or above
-    its top: a parity's levels are complete up to the highest given, so it
-    holds no zero of G. A settled root is the regula-falsi point of its
-    pair, or the pole midway in a pair around one.
-    """
-    s, e, a, b, _, on_pole = probes
-    crowded = ((s[:, None] == s) & (np.abs(e[:, None] - e) <= 2 * tol)).sum(axis=1) > 1
-    settled = (np.sign(fa) * np.sign(fb) < 0) & ~crowded
-    n = brackets[1].size
-    sw = np.concatenate([brackets[0], dips[0]])
-    lo, hi = (np.concatenate([brackets[i], dips[1][:, 2 * i - 2]]) for i in (1, 2))
-    holds = (sw[:, None] == s) & (e - tol <= hi[:, None]) & (e + tol >= lo[:, None])
-    while (held := settled & holds[holds[:, ~settled].any(axis=1)].any(axis=0)).any():
-        settled = settled & ~held
-    drop = holds.any(axis=1) & ~holds[:, ~settled].any(axis=1)
-    below = ((dips[0][:, None] == s) & (e >= dips[1][:, 2:])).any(axis=1)
-    drop[n:] |= ~holds[n:].any(axis=1) & below
-    a, b, fa, fb = (c[settled] for c in (a, b, fa, fb))
-    roots = np.where(on_pole[settled], 0.5 * (a + b), a - fa * (b - a) / (fb - fa))
-    return (tuple(c[~drop[:n]] for c in brackets), tuple(c[~drop[n:]] for c in dips),
-            (s[settled], roots, e[settled]))
+            a[at], b[at] = p - 4 * series.POLE_EPS, p + 4 * series.POLE_EPS
+    return s, e, r, a, b, (2 * r <= tol) & (e - tol >= lo) & (e + tol <= hi)
 
 
 def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
@@ -545,22 +511,21 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
     parities), verifies every root (nearest same-parity level within 1e-6):
     unmatched roots are kept but flagged unverified (residual inf where
     levels lacks their parity); with levels None roots are unchecked.
-    levels also settles roots: a level E_k whose tail bound r_k (its
-    residual) has 2 r_k <= ROOT_TOL holds a true eigenvalue inside E_k -/+
-    ROOT_TOL, so G at those two ends, evaluated in the scan's own call,
-    settles that root when it changes sign and no other level of the parity
-    lies within 2 ROOT_TOL (_level_probes, _settle). Such a root is the
-    regula-falsi point of the pair, or the midpoint of a pair 4*POLE_EPS
-    around a one-column pole within ROOT_TOL of E_k: within ROOT_TOL of
-    E_k, so within ROOT_TOL + r_k <= 1.5 ROOT_TOL of the true eigenvalue,
-    where a refined root is within ROOT_TOL of it (in practice a settled
-    root sits 1e-16 to 3e-13 from E_k). Brackets and dips that hold only
-    settled levels are not refined, and neither are dips that hold no level
-    but lie below the highest level of their parity: levels of a parity
-    must be complete up to the highest given, as the lowest ones from
-    oracle.window or oracle.diagonalize are. When every root settles, the
-    scan is the search's only G call. Labels count the roots within each
-    parity. A bracket probe where G is not finite raises NoConvergence.
+    levels also settles roots in the scan: a level E_k whose tail bound r_k
+    (its residual) has 2 r_k <= ROOT_TOL holds a true eigenvalue inside the
+    pair E_k -/+ ROOT_TOL/2, or 4*POLE_EPS either side of a one-column pole
+    within ROOT_TOL of E_k (_level_probes). G at the pair is evaluated in the
+    scan's own call, and a pair that changes sign joins its parity's grid: a
+    bracket at most ROOT_TOL wide, closed as it stands, whose midpoint is
+    within ROOT_TOL/2 of the root (0 or 1 ulp from E_k off a pole). Levels of
+    a parity must be complete up to the highest given, as the lowest ones
+    from oracle.window or oracle.diagonalize are. So a sign change with one
+    end on a pair, and a dip below the highest level of its parity, are not
+    refined unless they hold a level (E_k -/+ r_k meets them): they are
+    rounding beside a settled root, or hold no zero of G. When every root
+    settles, the scan is the search's only G call. Labels count the roots
+    within each parity. A bracket probe where G is not finite raises
+    NoConvergence.
     """
     lo_w, hi_w, h = _window(params, e_min, e_max, step)
     sp, scheme = _prepare(params, scheme)
@@ -575,38 +540,49 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
     xs = np.concatenate([xs[:1], xs[:1] + d, xs[1:-1], xs[-1:] - d, xs[-1:]])
     # G can jump only at a one-column pole; beside others rounding is magnified.
     poles = {s: [b for b, k in _poles(sp, s, _centers(sp), hi_w) if k == 1] for s in signs}
-    # Each probed level's pair rides in the scan's call, at its own sign only.
-    probes = _level_probes(levels or SpectrumResult(), signs, w, lo_w, hi_w, poles, ROOT_TOL)
-    ls, _, la, lb, probed, _ = probes
+    # Each probed level's pair rides in the scan's call, at its own sign in
+    # every row, and joins that sign's grid when it changes sign: a closed
+    # bracket. A pair without a sign change would only split its scan cell.
+    ls, le, lr, la, lb, probed = _level_probes(levels or SpectrumResult(), signs, w,
+                                               lo_w, hi_w, poles, ROOT_TOL)
     k = np.flatnonzero(probed)
+    es = np.concatenate([xs, la[k], lb[k]])
     cols = np.concatenate([np.repeat(np.array(signs)[:, None], xs.size, 1),
                            np.tile(ls[k], (len(signs), 2))], axis=1)
-    g, ok, _ = _gvalues(sp, cols, np.concatenate([xs, la[k], lb[k]]), scheme)
-    scan, scan_ok = g[:, :xs.size], ok[:, :xs.size]
-    fa, fb = np.full((2, ls.size), np.nan)
-    fa[k], fb[k] = g[0, xs.size:].reshape(2, -1)
+    g, ok, _ = _gvalues(sp, cols, es, scheme)
+    ga, gb = g[0, xs.size:].reshape(2, -1)
+    joins = np.append(np.ones(xs.size, dtype=bool), np.tile(np.sign(ga) * np.sign(gb) < 0, 2))
+
+    def holds(sign, lo, hi):  # whether a level's E_k -/+ r_k meets [lo, hi]
+        return ((ls == sign) & (le - lr <= hi[:, None]) & (le + lr >= lo[:, None])).any(axis=1)
+
     brackets, dips = [], []
-    for sign, gs, pole_ok in zip(signs, scan, scan_ok):
+    for sign, gs, pole_ok, col in zip(signs, g, ok, cols):
         # No value exactly on a pole: the grid points beside it bracket across it.
-        take = pole_ok.copy()
-        take[[1, -2]] &= ~pole_ok[[0, -1]]
-        x, gs = xs[take], gs[take]
+        take = pole_ok & (col == sign) & joins
+        take[[1, xs.size - 2]] &= ~pole_ok[[0, xs.size - 1]]
+        x, at = np.unique(es[take], return_index=True)
+        gs, paired = gs[take][at], (np.flatnonzero(take) >= xs.size)[at]
         s, mag = np.sign(gs), np.abs(gs)
         # A |G| dip of one sign holds either two roots in one grid cell or a
-        # tangency (a root of even multiplicity).
+        # tangency (a root of even multiplicity); not one that holds no level
+        # below a level of its sign, as levels are complete up to the highest.
         i = 1 + np.flatnonzero((s[:-2] == s[1:-1]) & (s[1:-1] == s[2:])
                                & (mag[1:-1] < mag[:-2]) & (mag[1:-1] < mag[2:]))
+        top = le[ls == sign].max(initial=-np.inf)
+        i = i[holds(sign, x[i - 1], x[i + 1]) | (x[i + 1] > top)]
         dips.append((np.full(i.size, sign), np.stack([x[i - 1], x[i], x[i + 1]], 1),
                      np.stack([gs[i - 1], gs[i], gs[i + 1]], 1)))
-        # Sign changes, and exact zeros on the grid as closed brackets.
+        # Sign changes, and exact zeros on the grid as closed brackets; not one
+        # with one end on a pair that holds no level, rounding beside a root.
         i, j = (np.append(np.flatnonzero(s == 0), np.flatnonzero(s[:-1] * s[1:] < 0) + d)
                 for d in (0, 1))
+        keep = holds(sign, x[i], x[j]) | (paired[i] == paired[j])
+        i, j = i[keep], j[keep]
         brackets.append((np.full(i.size, sign), x[i], x[j], gs[i], gs[j]))
     brackets, dips = (tuple(np.concatenate(c) for c in zip(*parts))
                       for parts in (brackets, dips))
-    brackets, dips, settled = _settle(brackets, dips, probes, fa, fb, ROOT_TOL)
     found, tangents = _refine_brackets(sp, scheme, poles, brackets, dips, ROOT_TOL)
-    found = tuple(np.append(f, x) for f, x in zip(found, settled[:2]))
 
     # A tangent is kept only when ED confirms it or, without ED, when |G| < 1e-12.
     if levels is not None:  # a parity without levels verifies none of its roots

@@ -231,3 +231,39 @@ def test_criterion_8e_singlet_exchange_identity():
             h @ v - (n - (p.jx + p.jy + p.jz)) * v))))
     _finish(8, worst < 1e-13, f"(e) singlet exchange identity deviation "
                               f"{worst:.2e}")
+
+
+def test_criterion_9_same_parity_crossings_of_a_cutoff_state():
+    # Flat template (d1 + d2 = 1, g1 = g2): the even cutoff state stays at
+    # E = 1 while a regular even level crosses it at g_c = 1.0264649577 and
+    # 1.4301945870. The oracle's gap, regular level minus 1, changes sign
+    # through each g_c with one slope on both sides: a true crossing, not an
+    # avoided one, which would push both levels off E = 1. find_roots
+    # returns both levels, one root each, at g_c and beside it.
+    flat = ModelParams(1.0, 0.6, 0.4, 0.5, 0.5)
+    detail, ok = [], True
+    for g_c in (1.026464957717759, 1.430194586995103):
+        slopes, cutoff_dev = [], 0.0
+        for offset in (-1e-6, -1e-7, 1e-7, 1e-6):
+            even = np.array(oracle.window(flat.with_g(g_c + offset), None, 2.5,
+                                          (Parity.PLUS,)).energies())
+            pair = even[np.argsort(np.abs(even - 1.0))[:2]] - 1.0
+            cutoff_dev = max(cutoff_dev, abs(pair[0]))
+            slopes.append(pair[1] / offset)
+        # One sign of gap/offset on both sides: the gap changes sign.
+        ok &= cutoff_dev < 1e-12 and min(slopes) * max(slopes) > 0
+        ok &= max(slopes) - min(slopes) < 1e-3 * min(np.abs(slopes))
+        counted = []
+        for offset in (-1e-6, -1e-9, 0.0, 1e-9, 1e-6):
+            p = flat.with_g(g_c + offset)
+            levels = oracle.window(p, None, 2.5, (Parity.PLUS,))
+            res = find_roots(p, (Parity.PLUS,), -1.0, 2.5, levels=levels)
+            inside = sum(-1.0 <= e <= 2.5 for e in levels.energies())
+            near = sorted(abs(e - 1.0) for e in res.energies())[:2]
+            ok &= len(res) == inside and all(r.verified for r in res)
+            ok &= near[1] < max(2.5 * abs(offset), 1e-10)
+            counted.append(f"{len(res)}/{inside}")
+        detail.append(f"g_c {g_c}: gap slope {min(slopes):.6f}..{max(slopes):.6f}, "
+                      f"cutoff state within {cutoff_dev:.1e} of 1, "
+                      f"even roots/levels {' '.join(counted)}")
+    _finish(9, ok, "; ".join(detail))

@@ -13,6 +13,7 @@ from tqrabi import (
     PoleAtBaseline,
     RequiresValidCouplings,
     SchemeMismatch,
+    SpectrumRecord,
     SpectrumResult,
     default_scheme,
     find_roots,
@@ -757,12 +758,15 @@ def test_cutoff_states_are_roots(request, model, parity, levels):
 
 
 @pytest.mark.parametrize("g_c", [1.026464957717759, 1.430194586995103])
-@pytest.mark.parametrize("offset", [-1e-9, -3e-10, 3e-10, 1e-9])
+@pytest.mark.parametrize("offset", [-1e-9, -3e-10, 0.0, 3e-10, 1e-9])
 def test_level_crossing_a_cutoff_state_is_a_root_of_its_own(flat, g_c, offset):
     # At g_c a regular even level of flat crosses its even cutoff state at
     # E = 1, and the gap opens linearly in g - g_c: 4e-10 to 2e-9 apart here,
-    # under the grid step. Each closed bracket is its own root, so both
-    # levels come back, one root per oracle level.
+    # under the grid step, and about 1e-11 at g_c itself. There both levels
+    # probe the pair around the pole E = 1, which closes on the cutoff
+    # state, and G changes sign again in the cell above it. Each closed
+    # bracket is its own root, so both levels come back, one root per
+    # oracle level, at g_c the refined one within ROOT_TOL of E = 1.
     p = flat.with_g(g_c + offset)
     levels = oracle.window(p, None, 2.5, (Parity.PLUS,))
     res = find_roots(p, (Parity.PLUS,), -1.0, 2.5, levels=levels)
@@ -772,7 +776,7 @@ def test_level_crossing_a_cutoff_state_is_a_root_of_its_own(flat, g_c, offset):
     assert np.max(np.abs(np.array(res.energies()) - ed)) < 1e-6
     assert [r.label for r in res] == list(range(6))
     near = sorted(abs(e - 1.0) for e in res.energies())[:2]
-    assert near[0] < 1e-11 and near[1] < 2.5 * abs(offset)
+    assert near[0] < 1e-11 and near[1] < max(2.5 * abs(offset), gfunction.ROOT_TOL)
 
 
 def test_root_pair_inside_one_grid_cell():
@@ -855,7 +859,7 @@ def loosened(levels, bound, keep=lambda r: False):
 @pytest.mark.parametrize("model", PROBE_MODELS)
 def test_levels_settle_every_root_in_the_scan_call(model, monkeypatch):
     # Each level's tail bound holds a true eigenvalue within ROOT_TOL/2 of
-    # it, so G's sign change across E_k -/+ ROOT_TOL, evaluated in the
+    # it, so G's sign change across E_k -/+ ROOT_TOL/2, evaluated in the
     # scan's own call, settles its root: no refinement pass. The roots are
     # those of the search without levels and of refinement with them.
     p = PROBE_MODELS[model]
@@ -878,7 +882,7 @@ def test_levels_settle_every_root_in_the_scan_call(model, monkeypatch):
 
 def test_loose_tail_bound_goes_through_refinement(asym, monkeypatch):
     # A level whose tail bound exceeds ROOT_TOL/2 may have its eigenvalue
-    # outside E_k -/+ ROOT_TOL: its bracket is refined as without levels,
+    # outside E_k -/+ ROOT_TOL/2: its bracket is refined as without levels,
     # to within ROOT_TOL of the root, while the others settle in the scan.
     both = (Parity.PLUS, Parity.MINUS)
     levels = oracle.window(asym, None, 2.5, both)
@@ -928,12 +932,14 @@ def test_parity_without_levels_is_searched_as_without_levels(ratio2, monkeypatch
     assert all(r.verified and r.residual < 1e-12 for r in found.filtered(Parity.PLUS))
 
 
-def test_settled_level_inside_refined_work_is_left_to_it(monkeypatch):
+def test_loosened_level_in_a_dip_with_a_settled_one_is_claimed_once(monkeypatch):
     # The even levels 0.6 and 0.8 share the dip triple (0.22, 0.56, 0.9) of
-    # a 0.34 grid. With tight tail bounds both settle and the triple is
-    # dropped: one G call. With 0.8's bound loosened the triple is refined,
-    # which finds both roots, so 0.6 is left to that refinement too and no
-    # level is claimed twice: the roots of the search without levels.
+    # a 0.34 grid. With tight tail bounds both pairs join the grid and close
+    # as brackets: one G call. With 0.8's bound loosened only 0.6's pair is
+    # in the grid, the cell beside it is refined to 0.8's root, and each
+    # level is claimed once: two verified roots, those of the search
+    # without levels within ROOT_TOL. With both loosened, the dip holds
+    # both levels and is refined as without levels, bit for bit.
     p = ModelParams(1.0, 0.6, 0.2, 0.8e-3, 0.2e-3)
     levels = oracle.window(p, 300, 0.9, (Parity.PLUS,))
     calls = counted_gvalues(monkeypatch)
@@ -943,8 +949,32 @@ def test_settled_level_inside_refined_work_is_left_to_it(monkeypatch):
         levels, gfunction.ROOT_TOL, keep=lambda r: abs(r.energy - 0.8) > 0.01))
     plain = find_roots(p, (Parity.PLUS,), 0.22, 0.9, step=0.34)
     assert len(loose) == 2 and all(r.verified for r in loose)
-    assert np.array(loose.energies()).tobytes() == np.array(plain.energies()).tobytes()
-    assert np.max(np.abs(np.array(tight.energies()) - plain.energies())) <= gfunction.ROOT_TOL
+    for found in (tight, loose):
+        gap = np.abs(np.array(found.energies()) - plain.energies())
+        assert np.max(gap) <= gfunction.ROOT_TOL
+    both = find_roots(p, (Parity.PLUS,), 0.22, 0.9, step=0.34,
+                      levels=loosened(levels, gfunction.ROOT_TOL))
+    assert len(both) == 2 and all(r.verified for r in both)
+    assert np.array(both.energies()).tobytes() == np.array(plain.energies()).tobytes()
+
+
+@pytest.mark.parametrize("g, root", [
+    (lambda d: np.where(np.abs(d) > 1e-9, d, -d), 0.0),
+    (lambda d: d - 1e-9, 1e-9),
+], ids=["noise_beside_a_settled_pair", "pair_without_a_sign_change"])
+def test_sign_noise_near_a_level_gives_it_one_root(asym, monkeypatch, g, root):
+    # G = g(E - E0) beside one even level E0 with a zero tail bound, as where
+    # G's sign is rounding near a root. With its sign flipped within 1e-9 of
+    # E0, the pair E0 -/+ ROOT_TOL/2 changes sign, and so do the grid cells
+    # beside it: those hold no level and are dropped, so E0 is claimed once.
+    # With G's root 1e-9 above E0, the pair does not change sign and stays
+    # out of the grid: the scan cell is refined whole, to that root.
+    e0 = 0.5234
+    monkeypatch.setattr(gfunction, "_gvalues", fake_gvalues(lambda e: g(e - e0)))
+    level = SpectrumResult((SpectrumRecord(e0, Parity.PLUS, "oracle", 0.0, 0),))
+    res = find_roots(asym, (Parity.PLUS,), 0.0, 1.0, step=0.1, levels=level)
+    assert len(res) == 1 and res.records[0].verified
+    assert abs(res.energies()[0] - e0 - root) <= gfunction.ROOT_TOL
 
 
 def test_dip_above_the_highest_level_is_refined():

@@ -21,25 +21,26 @@ needed a second truncation are printed. G is also evaluated on each model's
 search grid as one two-sign call, +1 alone, -1 alone and one call with the
 sign alternating per energy; every value and mask must keep its bytes
 across the four, and the time this check takes is printed. The number of
-levels whose root find_roots settled by the G probes beside the level
-(gfunction._settle) is printed beside the number left to refinement. Every
-settled root must lie within ROOT_TOL of its level, and it is checked
-against the search without levels, which refines every bracket: a root of
-that search must lie within SETTLED_TOL of it, since a refined root is
-within ROOT_TOL of the eigenvalue and a settled one within 1.5 ROOT_TOL;
-the largest distance is printed.
+levels whose root find_roots settled in its scan, a root inside the level's
+probe pair (gfunction._level_probes), is printed beside the number left to
+refinement. Every root of the search with levels is checked against the
+search without levels, which refines every bracket: a root of that search
+of its parity must lie within SETTLED_TOL of it, since a settled root is
+within ROOT_TOL/2 of the eigenvalue and a refined one within ROOT_TOL, and
+a scan cell that no pair splits is refined alike in both searches; the
+largest distance is printed.
 
 Exit status 1 on G values or masks that differ between those batches, on an
 oracle window or a lowest-8 solve that differs from the one at 300, on a
 lowest-8 solve that needed a second truncation (known: 0), on an unverified
-root, a settled root farther than ROOT_TOL from its level or with no root of
-the search without levels within SETTLED_TOL, a SolverError, a parity with
-more roots than oracle levels in the window (no two roots may take one
-level; the largest surplus is printed), a miss at g'/g >= 0.02, or more
-misses at g'/g < 0.02 than KNOWN_SMALL_GPRIME_MISSES. Those levels are lost
-because at small g' the matching point lies near the edge of both disks and
-G is NaN on much of the grid; a chain with regular centers is the fix, and
-then the bound goes down.
+root, a root with no root of the search without levels within SETTLED_TOL,
+a SolverError, a parity with more roots than oracle levels in the window
+(no two roots may take one level; the largest surplus is printed), a miss
+at g'/g >= 0.02, or more misses at g'/g < 0.02 than
+KNOWN_SMALL_GPRIME_MISSES. Those levels are lost because at small g' the
+matching point lies near the edge of both disks and G is NaN on much of
+the grid; a chain with regular centers is the fix, and then the bound goes
+down.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ START_TOL = 1e-8
 LEVELS = 8
 SMALL_GPRIME = 0.02
 KNOWN_SMALL_GPRIME_MISSES = 82
-SETTLED_TOL = 2.5 * gfunction.ROOT_TOL
+SETTLED_TOL = 1.5 * gfunction.ROOT_TOL
 BOTH = (Parity.PLUS, Parity.MINUS)
 
 
@@ -104,15 +105,7 @@ def _g_batches_agree(p: ModelParams) -> bool:
 
 def main() -> int:
     t0 = time.perf_counter()
-    settle, settled = gfunction._settle, []
-
-    def record(*args):  # keeps the (signs, roots, levels) that the probes settled
-        out = settle(*args)
-        settled.append(out[2])
-        return out
-
-    gfunction._settle = record
-    failures, small, levels_total, surplus, settled_total, settled_gap = [], 0, 0, 0, 0, 0.0
+    failures, small, levels_total, surplus, settled_total, gap_max = [], 0, 0, 0, 0, 0.0
     largest_start, worst_bound, second_solves = 0, 0.0, 0
     batch_s = 0.0
     for i, p in enumerate(models()):
@@ -145,26 +138,27 @@ def main() -> int:
                         np.array(ref.filtered(parity).energies()), p.omega):
                 failures.append(f"model {i} {p}: parity {parity.sign} lowest {LEVELS} levels "
                                 f"from the model start differ from truncation {TRUNCATION}")
-        settled.clear()
         try:
             found = gfunction.find_roots(p, BOTH, *WINDOW, levels=levels)
             plain = gfunction.find_roots(p, BOTH, *WINDOW)
         except SolverError as exc:
             failures.append(f"model {i} {p}: {type(exc).__name__}: {exc}")
             continue
-        (ss, xs, at), _ = settled  # the search with levels, then the one without
-        settled_total += xs.size
-        failures += [f"model {i} {p}: settled root {x!r} is {abs(x - e):.2e} from its "
-                     f"level {e!r}" for x, e in zip(xs.tolist(), at.tolist())
-                     if abs(x - e) > gfunction.ROOT_TOL]
-        for s, x in zip(ss.tolist(), xs.tolist()):
-            refined = np.array(plain.filtered(Parity(s)).energies())
+        # A root inside its level's probe pair was settled in the scan.
+        sp, _ = gfunction._prepare(p, None)
+        poles = {s: [b for b, k in gfunction._poles(sp, s, series._centers(sp), WINDOW[1])
+                     if k == 1] for s in (1, -1)}
+        ls, _, _, la, lb, probed = gfunction._level_probes(
+            levels, (1, -1), p.omega, *WINDOW, poles, gfunction.ROOT_TOL)
+        for r in found:
+            x, s = r.energy, r.parity.sign
+            settled_total += bool(np.any(probed & (ls == s) & (la < x) & (x < lb)))
+            refined = np.array(plain.filtered(r.parity).energies())
             gap = float(np.min(np.abs(refined - x), initial=np.inf))
-            settled_gap = max(settled_gap, gap)
+            gap_max = max(gap_max, gap)
             if not gap <= SETTLED_TOL:  # NaN too
-                failures.append(f"model {i} {p}: settled root {x!r}, parity {s}, is "
-                                f"{gap:.2e} from the nearest root of the search "
-                                f"without levels")
+                failures.append(f"model {i} {p}: root {x!r}, parity {s}, is {gap:.2e} "
+                                f"from the nearest root of the search without levels")
         for parity in BOTH:
             res = found.filtered(parity)
             roots = np.array(res.energies())
@@ -192,7 +186,7 @@ def main() -> int:
           f"g'/g < {SMALL_GPRIME} (known: {KNOWN_SMALL_GPRIME_MISSES}), "
           f"largest root surplus {surplus}, {settled_total} levels settled by "
           f"probes and {levels_total - settled_total} left to refinement, "
-          f"settled roots within {settled_gap:.2e} of refined ones, "
+          f"roots within {gap_max:.2e} of the search without levels, "
           f"lowest {LEVELS} levels: largest start {largest_start}, worst tail bound "
           f"{worst_bound:.2e}, {second_solves} second solves (known: 0), "
           f"G batch forms compared in {batch_s:.1f} s, "
