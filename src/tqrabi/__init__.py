@@ -13,7 +13,6 @@ from .model import (
     PoleAtBaseline,
     RequiresEqualCouplings,
     RequiresValidCouplings,
-    SchemeMismatch,
     SolverError,
     SpectrumRecord,
     SpectrumResult,
@@ -59,8 +58,8 @@ __all__ = [
     "Baseline", "ConditionNotMet", "ConfigError", "DegenerateDenominator",
     "ModelParams", "NoConvergence", "NotConverged", "OutsideDisk", "Parity",
     "PoleAtBaseline", "RequiresEqualCouplings", "RequiresValidCouplings",
-    "SchemeMismatch", "SolverError", "SpectrumRecord", "SpectrumResult",
-    "SupportOverflow", "baselines", "load_params",
+    "SolverError", "SpectrumRecord", "SpectrumResult", "SupportOverflow",
+    "baselines", "load_params",
     "ExpansionBlock", "SeriesPoint", "convergence_radius", "evaluate",
     "free_slots", "recur", "sample",
     "GTrace", "MatchingScheme", "default_scheme", "find_roots", "gvalue",

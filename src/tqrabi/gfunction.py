@@ -9,11 +9,11 @@ baseline poles cancelled by a factor of E, it is G(E), finite and continuous
 through every baseline. The model fixes the matching chain: centers g, g'
 and 0 joined at two points (an 8x8 system) when g' > 0, and g and 0 joined
 at one point (4x4) when g' = 0, where center g' drops out. One function,
-_chain, pairs the matching points with the center records of
-series._centers; the column order, the determinant's parity sign and the
-pole factor read those records. Each energy's series are summed only as far
-as its own tail test needs, up to the hard cap, so G(E) is a function of E
-alone. Each center runs once per block for both parities, and a -1
+_chain, pairs the model's matching points (default_scheme) with the center
+records of series._centers; the column order, the determinant's parity sign
+and the pole factor read those records. Each energy's series are summed only
+as far as its own tail test needs, up to the hard cap, so G(E) is a function
+of E alone. Each center runs once per block for both parities, and a -1
 determinant is a fixed sign times that of one assembly (_gvalues_once).
 """
 
@@ -33,7 +33,6 @@ from .model import (
     OutsideDisk,
     Parity,
     PoleAtBaseline,
-    SchemeMismatch,
     SpectrumRecord,
     SpectrumResult,
     fmt,
@@ -77,34 +76,30 @@ class MatchingScheme:
     """Points where the expansions along the matching chain are compared.
 
     z0 joins the disks around g and the next center of the chain, g' or, when
-    g' = 0, 0; z0prime joins the disks around g' and 0, and is given exactly
-    when g' > 0. Points are in omega = 1 units like the couplings themselves.
+    g' = 0, 0; z0prime joins the disks around g' and 0, and is None when
+    g' = 0. Points are in omega = 1 units like the couplings themselves.
     """
 
     z0: float
     z0prime: Optional[float] = None
 
 
-def _chain(sp: ModelParams, scheme: MatchingScheme,
-           ) -> list[tuple[float, _Center, _Center]]:
-    """Matching conditions (point, + center, - center) along series._centers.
-
-    Center g' takes part exactly when g' > 0; the centers' column order is
-    that of their first appearance, g, g', 0.
-    """
-    if (scheme.z0prime is None) != (sp.gprime == 0):
-        raise SchemeMismatch(f"z0prime is given exactly when g' > 0 (g' = {sp.gprime})")
-    points = [scheme.z0] if sp.gprime == 0 else [scheme.z0, scheme.z0prime]
-    cs = _centers(sp)
-    return list(zip(points, cs, cs[1:]))
+def _chain(sp: ModelParams) -> list[tuple[float, _Center, _Center]]:
+    """Matching conditions (point, + center, - center) along series._centers,
+    at the model's points, one per hop (default_scheme). Center g' takes part
+    exactly when g' > 0; the column order is that of first appearance."""
+    s, cs = default_scheme(sp), _centers(sp)
+    return list(zip((s.z0, s.z0prime), cs, cs[1:]))
 
 
 def default_scheme(params: ModelParams) -> MatchingScheme:
-    """Matching points balanced between the two disks they join.
+    """The model's matching points, balanced between the two disks they join.
 
     For g' > 0, z0' = g'^2/g, and z0 weighs g' and g by the other center's
     radius, which gives z0 = (g' + g)/2 for g' >= g/3. For g' = 0, z0 = g/2.
+    Couplings the series solver cannot take raise RequiresValidCouplings.
     """
+    params.require_analytic()
     sp, _ = params.scaled().canonical()
     g, gp = sp.g, sp.gprime
     if gp == 0:
@@ -113,8 +108,8 @@ def default_scheme(params: ModelParams) -> MatchingScheme:
     return MatchingScheme((gp * r4 + g * r2) / (r2 + r4), gp * gp / g)
 
 
-def _validate_scheme(sp: ModelParams, scheme: MatchingScheme) -> None:
-    for z, *cs in _chain(sp, scheme):
+def _validate_chain(sp: ModelParams) -> None:
+    for z, *cs in _chain(sp):
         for c in cs:
             if abs(z - c.position) >= c.radius:
                 raise OutsideDisk(
@@ -138,7 +133,7 @@ def _block_eval(sp: ModelParams, sign: int, energies: np.ndarray, c: _Center,
 
 
 def _gvalues(sp: ModelParams, signs: int | tuple | np.ndarray, energies: np.ndarray,
-             scheme: MatchingScheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalized determinant on an energy grid, and masks for poles and convergence.
 
     signs is one sign, a tuple that gives each result a leading sign axis, or
@@ -155,12 +150,12 @@ def _gvalues(sp: ModelParams, signs: int | tuple | np.ndarray, energies: np.ndar
     for i in range(0, energies.size, _BLOCK):
         part = slice(i, i + _BLOCK)
         vals[:, part], pole_ok[:, part], good[:, part] = _gvalues_once(
-            sp, s[:, part], energies[part], scheme)
+            sp, s[:, part], energies[part])
     return vals.reshape(shape), pole_ok.reshape(shape), good.reshape(shape)
 
 
 def _gvalues_once(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
-                  scheme: MatchingScheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_gvalues on one block: every center once, one assembly, a det per sign.
 
     signs has one row per result and a column per energy. Every center but 0 is
@@ -172,7 +167,7 @@ def _gvalues_once(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
     fixed sign prod D[rows] * prod D[slots]: +1 when g' > 0, -1 when g' = 0.
     Center 0's -1 columns carry it, as det reads +0.0 when exactly singular.
     """
-    conds = _chain(sp, scheme)
+    conds = _chain(sp)
     *displaced, origin = dict.fromkeys(c for _, *cs in conds for c in cs)
     cols, start = {}, 0
     for c in (*displaced, origin):
@@ -218,21 +213,19 @@ def _gvalues_once(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
         ok, gd = ok0[part] & shared_ok[o], gd0[part] & shared_gd[o]
         with np.errstate(invalid="ignore"):
             det = np.linalg.det(mo.transpose(2, 0, 1))
-        det = np.where(gd, det, np.nan) * _pole_factor(sp, sign, cols, energies[o])
+        det = np.where(gd, det, np.nan) * _pole_factor(sp, sign, energies[o])
         hit = signs[:, o] == sign
         for out, v in ((vals, det), (pole_ok, ok), (good, gd)):
             out[:, o] = np.where(hit, v, out[:, o])
     return vals, pole_ok, good
 
 
-def _poles(sp: ModelParams, sign: int, centers: Sequence[_Center],
-           e_max: float) -> list[tuple[float, int]]:
-    """(baseline, k) of the centers' divisors to past e_max + 1; G has no value there."""
-    return [(b, k) for c in centers for _, b, k in series._slaving(sp, sign, c, e_max)[2]]
+def _poles(sp: ModelParams, sign: int, e_max: float) -> list[tuple[float, int]]:
+    """(baseline, k) of the chain's divisors to past e_max + 1; G has no value there."""
+    return [(b, k) for c in _centers(sp) for _, b, k in series._slaving(sp, sign, c, e_max)[2]]
 
 
-def _pole_factor(sp: ModelParams, sign: int, centers: Sequence[_Center],
-                 energies: np.ndarray) -> np.ndarray:
+def _pole_factor(sp: ModelParams, sign: int, energies: np.ndarray) -> np.ndarray:
     """Factor that cancels the baseline poles of the column-scaled determinant.
 
     The k unit columns that carry a pole b (series._slaving) turn parallel,
@@ -241,7 +234,7 @@ def _pole_factor(sp: ModelParams, sign: int, centers: Sequence[_Center],
     d^2)^2, smooth into 1 at the next pole of its family, |d| = 1. The poles
     act in a fixed order, so the factor is a function of E alone.
     """
-    poles = [(b, k) for b, k in _poles(sp, sign, centers, energies.max()) if k]
+    poles = [(b, k) for b, k in _poles(sp, sign, energies.max()) if k]
     b, k = np.array(poles).reshape(-1, 2).T
     d = energies[:, None] - b
     with np.errstate(divide="ignore"):  # d = 0 only on a pole, where G is NaN
@@ -250,14 +243,12 @@ def _pole_factor(sp: ModelParams, sign: int, centers: Sequence[_Center],
     return (-1.0) ** np.count_nonzero(d > 0, axis=1) * np.prod(near, axis=1)
 
 
-def _prepare(params: ModelParams, scheme: Optional[MatchingScheme],
-             ) -> tuple[ModelParams, MatchingScheme]:
+def _prepare(params: ModelParams) -> ModelParams:
+    """The model in omega = 1 units, canonical, its couplings and points checked."""
     params.require_analytic()
     sp, _ = params.scaled().canonical()
-    if scheme is None:
-        scheme = default_scheme(sp)
-    _validate_scheme(sp, scheme)
-    return sp, scheme
+    _validate_chain(sp)
+    return sp
 
 
 def _window(params: ModelParams, e_min: float, e_max: float,
@@ -275,16 +266,23 @@ def _window(params: ModelParams, e_min: float, e_max: float,
     return e_min / w, e_max / w, step / w
 
 
-def gvalue(params: ModelParams, parity: Parity, energy: float,
-           scheme: Optional[MatchingScheme] = None) -> float:
-    """Pole-free matching determinant at one energy (in the caller's units).
+def _distinct(parities: Sequence[Parity]) -> tuple[Parity, ...]:
+    """The parities in their first-seen order, each once; at least one."""
+    if not (parities := tuple(dict.fromkeys(parities))):
+        raise ValueError("no parity given")
+    return parities
 
-    Raises PoleAtBaseline within 1e-12 of a baseline, NoConvergence if the
-    series tails stay above tolerance at the hard truncation cap.
+
+def gvalue(params: ModelParams, parity: Parity, energy: float) -> float:
+    """Pole-free matching determinant at one energy (in the caller's units),
+    matched at the model's points (default_scheme).
+
+    Raises OutsideDisk where rounding puts a point outside its disk,
+    PoleAtBaseline within 1e-12 of a baseline, NoConvergence if the series
+    tails stay above tolerance at the hard truncation cap.
     """
-    sp, scheme = _prepare(params, scheme)
-    vals, pole_ok, conv_ok = _gvalues(sp, parity.sign,
-                                      np.array([energy / params.omega]), scheme)
+    sp = _prepare(params)
+    vals, pole_ok, conv_ok = _gvalues(sp, parity.sign, np.array([energy / params.omega]))
     if not pole_ok[0]:
         raise PoleAtBaseline(f"energy {energy} hits a recurrence pole")
     if not conv_ok[0]:
@@ -306,15 +304,16 @@ def trace(params: ModelParams, parities: Sequence[Parity], e_min: float,
           e_max: float, step: Optional[float] = None) -> list[GTrace]:
     """Sample the determinant of each parity across [e_min, e_max] on one grid.
 
-    Returns one GTrace per parity, in the given order, from one G pass; step
-    defaults to 0.01 in units of the photon frequency. A grid point exactly
-    on a baseline keeps its NaN (an empty CSV cell).
+    Returns one GTrace per distinct parity, in the given order, from one G
+    pass; step defaults to 0.01 in units of the photon frequency. A grid
+    point exactly on a baseline keeps its NaN (an empty CSV cell).
     """
+    parities = _distinct(parities)
     lo, hi, h = _window(params, e_min, e_max, step)
-    sp, scheme = _prepare(params, None)
+    sp = _prepare(params)
     w = params.omega
     grid = np.arange(lo, hi + h / 2, h)
-    vals, _, _ = _gvalues(sp, tuple(p.sign for p in parities), grid, scheme)
+    vals, _, _ = _gvalues(sp, tuple(p.sign for p in parities), grid)
     poles = tuple(baselines(params, e_min, e_max))
     return [GTrace(p, grid * w, v, poles) for p, v in zip(parities, vals)]
 
@@ -394,10 +393,9 @@ def _probe_dips(s: np.ndarray, x: np.ndarray, f: np.ndarray, j: np.ndarray,
             (s[j[v == 0.0]], e[v == 0.0]))
 
 
-def _refine_brackets(sp: ModelParams, scheme: MatchingScheme,
-                     poles: dict[int, Sequence[float]], brackets: tuple[np.ndarray, ...],
-                     dips: tuple[np.ndarray, ...], tol: float,
-                     ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+def _refine_brackets(sp: ModelParams, poles: dict[int, Sequence[float]],
+                     brackets: tuple[np.ndarray, ...], dips: tuple[np.ndarray, ...],
+                     tol: float) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Settle sign-change brackets and |G| dips of any parities in shared passes.
 
     brackets is (signs, lo, hi, G(lo), G(hi)); dips is (signs, x, G(x)) for
@@ -436,7 +434,7 @@ def _refine_brackets(sp: ModelParams, scheme: MatchingScheme,
         u, mid = _dip_vertex(x[od], f[od], tol)
         jd, ed = _ladder(u, x[od, 0], x[od, 2], mid, tol)
         g, ok, _ = _gvalues(sp, np.concatenate([sb[ob][jb], sd[od][jd]]),
-                            np.concatenate([eb, ed]), scheme)
+                            np.concatenate([eb, ed]))
         gb, gd = g[:eb.size], g[eb.size:]
         if (bad := ok[:eb.size] & ~np.isfinite(gb)).any():
             raise NoConvergence(
@@ -488,13 +486,22 @@ def _level_probes(levels: SpectrumResult, signs: Sequence[int], w: float,
     return s, e, r, a, b, (2 * r <= tol) & (e - tol >= lo) & (e + tol <= hi)
 
 
+def _scan_grid(lo: float, hi: float, h: float) -> np.ndarray:
+    """find_roots' grid on [lo, hi] at a step near h. Each end is also taken
+    4*POLE_EPS inside, as a bracket probe is stepped off a pole: an end on a
+    pole has no grid point beyond it to bracket across."""
+    xs = np.linspace(lo, hi, max(2, int(round((hi - lo) / h)) + 1))
+    d = 4 * series.POLE_EPS
+    return np.concatenate([xs[:1], xs[:1] + d, xs[1:-1], xs[-1:] - d, xs[-1:]])
+
+
 def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
                e_max: float, step: Optional[float] = None,
-               scheme: Optional[MatchingScheme] = None,
                levels: Optional[SpectrumResult] = None) -> SpectrumResult:
     """Zeros of the matching determinant in [e_min, e_max] for the given parities.
 
-    One search serves every parity. The pole-free G is scanned across the
+    One search serves every parity; a parity given twice is searched once.
+    G, matched at the model's points (default_scheme), is scanned across the
     window on one uniform grid (step defaults to 0.01 in units of the photon
     frequency) in one batch; an inner grid point exactly on a baseline is
     dropped, and a window end on one is taken 4*POLE_EPS inside. Dips of |G|
@@ -525,21 +532,17 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
     rounding beside a settled root, or hold no zero of G. When every root
     settles, the scan is the search's only G call. Labels count the roots
     within each parity. A bracket probe where G is not finite raises
-    NoConvergence.
+    NoConvergence, and a point that rounding puts outside its disk OutsideDisk.
     """
+    parities = _distinct(parities)
     lo_w, hi_w, h = _window(params, e_min, e_max, step)
-    sp, scheme = _prepare(params, scheme)
+    sp = _prepare(params)
     w = params.omega
     signs = tuple(p.sign for p in parities)
 
-    xs = np.linspace(lo_w, hi_w, max(2, int(round((hi_w - lo_w) / h)) + 1))
-    # A window end on a pole has no grid point beyond it to bracket across, so
-    # the scan also takes each end 4*POLE_EPS inside, as a bracket probe is
-    # stepped off a pole, and that point stands in for an end on a pole.
-    d = 4 * series.POLE_EPS
-    xs = np.concatenate([xs[:1], xs[:1] + d, xs[1:-1], xs[-1:] - d, xs[-1:]])
+    xs = _scan_grid(lo_w, hi_w, h)
     # G can jump only at a one-column pole; beside others rounding is magnified.
-    poles = {s: [b for b, k in _poles(sp, s, _centers(sp), hi_w) if k == 1] for s in signs}
+    poles = {s: [b for b, k in _poles(sp, s, hi_w) if k == 1] for s in signs}
     # Each probed level's pair rides in the scan's call, at its own sign in
     # every row, and joins that sign's grid when it changes sign: a closed
     # bracket. A pair without a sign change would only split its scan cell.
@@ -549,7 +552,7 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
     es = np.concatenate([xs, la[k], lb[k]])
     cols = np.concatenate([np.repeat(np.array(signs)[:, None], xs.size, 1),
                            np.tile(ls[k], (len(signs), 2))], axis=1)
-    g, ok, _ = _gvalues(sp, cols, es, scheme)
+    g, ok, _ = _gvalues(sp, cols, es)
     ga, gb = g[0, xs.size:].reshape(2, -1)
     joins = np.append(np.ones(xs.size, dtype=bool), np.tile(np.sign(ga) * np.sign(gb) < 0, 2))
 
@@ -582,7 +585,7 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
         brackets.append((np.full(i.size, sign), x[i], x[j], gs[i], gs[j]))
     brackets, dips = (tuple(np.concatenate(c) for c in zip(*parts))
                       for parts in (brackets, dips))
-    found, tangents = _refine_brackets(sp, scheme, poles, brackets, dips, ROOT_TOL)
+    found, tangents = _refine_brackets(sp, poles, brackets, dips, ROOT_TOL)
 
     # A tangent is kept only when ED confirms it or, without ED, when |G| < 1e-12.
     if levels is not None:  # a parity without levels verifies none of its roots
@@ -596,7 +599,7 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
                        sorted([(x, False) for x in roots.tolist()] + apart)]
     if levels is None and candidates:
         gmag, _, _ = _gvalues(sp, np.array([p.sign for p, _, _ in candidates]),
-                              np.array([x for _, x, _ in candidates]), scheme)
+                              np.array([x for _, x, _ in candidates]))
     records, count = [], dict.fromkeys(parities, 0)
     for j, (parity, x, tangent) in enumerate(candidates):
         if levels is not None:

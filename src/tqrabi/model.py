@@ -24,7 +24,6 @@ __all__ = [
     "PoleAtBaseline",
     "OutsideDisk",
     "NoConvergence",
-    "SchemeMismatch",
     "DegenerateDenominator",
     "ConditionNotMet",
     "SupportOverflow",
@@ -61,10 +60,6 @@ class OutsideDisk(SolverError):
 
 class NoConvergence(SolverError):
     """Series tail did not drop below tolerance at the hard truncation cap."""
-
-
-class SchemeMismatch(SolverError):
-    """Matching points that do not fit the chain: z0prime given iff g' > 0."""
 
 
 class DegenerateDenominator(SolverError):
@@ -183,10 +178,12 @@ class ModelParams:
         return replace(self, g1=self.g1 * f, g2=self.g2 * f)
 
     def require_analytic(self) -> None:
-        """Validate couplings for the series solver: g > 0 and |gprime| < g."""
-        if not (self.g1 > 0 and self.g2 > 0):
+        """Validate couplings for the series solver: g1, g2 > 0 and, in omega = 1
+        units, |gprime| < g, which rounding breaks below g2/g1 ~ 1.1e-16."""
+        sp = self.scaled()
+        if not (self.g1 > 0 and self.g2 > 0 and abs(sp.gprime) < sp.g):
             raise RequiresValidCouplings(
-                "series solver needs g1 > 0 and g2 > 0 "
+                "series solver needs g1 > 0, g2 > 0 and |g1 - g2| < g1 + g2 "
                 f"(got g1={self.g1}, g2={self.g2})")
 
 

@@ -19,7 +19,7 @@ from tqrabi import (
     find_roots,
     recur,
 )
-from tqrabi import oracle
+from tqrabi import gfunction, oracle
 
 
 def _finish(num: int, ok: bool, detail: str) -> None:
@@ -181,11 +181,11 @@ def test_criterion_8b_coefficient_reflection_symmetry():
     _finish(8, dev == 0.0, f"(b) reflection symmetry deviation = {dev}")
 
 
-def test_criterion_8c_roots_invariant_under_matching_points():
+def test_criterion_8c_roots_invariant_under_matching_points(monkeypatch):
     p = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
-    alt = MatchingScheme(0.21, 0.08)
     ra = np.array(find_roots(p, (Parity.MINUS,), -1.0, 1.0).energies())
-    rb = np.array(find_roots(p, (Parity.MINUS,), -1.0, 1.0, scheme=alt).energies())
+    monkeypatch.setattr(gfunction, "default_scheme", lambda sp: MatchingScheme(0.21, 0.08))
+    rb = np.array(find_roots(p, (Parity.MINUS,), -1.0, 1.0).energies())
     worst = float(np.max(np.abs(ra - rb))) if ra.size == rb.size else math.inf
     _finish(8, ra.size == rb.size and worst < 1e-9,
             f"(c) root drift across matching points {worst:.2e}")

@@ -527,6 +527,33 @@ def test_verify_zero_coupling_is_a_solver_error(tmp_path, capsys):
     assert "error: RequiresValidCouplings" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("g2", ["1e-17", "1e-300"])
+@pytest.mark.parametrize("command", [["spectrum", "--solver", "gfunction"], ["trace"],
+                                     ["verify"]])
+def test_coupling_lost_in_rounding_is_a_solver_error(tmp_path, capsys, command, g2):
+    # g2 > 0 so small beside g1 = 1 that g' == g in floating point.
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(ASYM_CFG.replace("0.24", "1.0").replace("0.06", g2))
+    assert main([*command, "--config", str(cfg), "--emin", "-1", "--emax", "1"]) == 1
+    assert "error: RequiresValidCouplings" in capsys.readouterr().err
+
+
+def test_sweep_coupling_lost_in_rounding_writes_status_rows(tmp_path, monkeypatch):
+    # The G-function solver gets one status row per parity at the point; the
+    # oracle still solves it.
+    monkeypatch.setenv("TQRABI_WORKERS", "1")
+    cfg, out = tmp_path / "tiny.cfg", tmp_path / "sweep.csv"
+    cfg.write_text(ASYM_CFG.replace("0.24", "1.0").replace("0.06", "1e-17"))
+    assert main(["sweep", "--config", str(cfg), "--gmin", "0.8", "--gmax", "0.8",
+                 "--points", "1", "--emax", "1.6", "--solver", "both",
+                 "--out", str(out)]) == 0
+    failed = [(r["g"], r["method"], r["parity"], r["status"]) for r in rows(out)
+              if r["status"] != "ok"]
+    assert failed == [("0.80000000000000004", "gfunction", p, "RequiresValidCouplings")
+                      for p in ("1", "-1")]
+    assert any(r["method"] == "oracle" and r["status"] == "ok" for r in rows(out))
+
+
 @pytest.mark.parametrize("solver", ["oracle", "both"])
 def test_sweep_zero_coupling_writes_status_rows(tmp_path, flat_cfg, monkeypatch, solver):
     # At g = 0 the cutoff conditions are undefined: each parity gets one

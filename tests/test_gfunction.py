@@ -12,7 +12,6 @@ from tqrabi import (
     Parity,
     PoleAtBaseline,
     RequiresValidCouplings,
-    SchemeMismatch,
     SpectrumRecord,
     SpectrumResult,
     default_scheme,
@@ -30,9 +29,9 @@ def ed_levels(params, parity, e_min, e_max, truncation=200):
                      if s == parity.sign and e_min <= e <= e_max])
 
 
-def chain_columns(sp, scheme):
+def chain_columns(sp):
     """Free slots of each center record of the matching chain, in column order."""
-    return {c: c.slots for _, *cs in gfunction._chain(sp, scheme) for c in cs}
+    return {c: c.slots for _, *cs in gfunction._chain(sp) for c in cs}
 
 
 def test_default_scheme_points(asym, ratio2, flat):
@@ -50,41 +49,62 @@ def test_matching_chain_columns(asym, ratio2, flat):
     # g -> g' -> 0 when g' > 0, g -> 0 when g' = 0; the columns follow the
     # centers in the order they first appear.
     # Each record also names the slaved component and its baseline kind.
-    def positions(sp, s):
-        return [(z, a.position, b.position) for z, a, b in gfunction._chain(sp, s)]
+    def positions(sp):
+        return [(z, a.position, b.position) for z, a, b in gfunction._chain(sp)]
 
-    def columns(sp, s):
+    def columns(sp):
         return [(c.position, slots, c.slave, c.kind)
-                for c, slots in chain_columns(sp, s).items()]
+                for c, slots in chain_columns(sp).items()]
 
     for p in (asym, ratio2):
-        sp, s = gfunction._prepare(p, None)
-        assert positions(sp, s) == [(s.z0, sp.g, sp.gprime), (s.z0prime, sp.gprime, 0.0)]
-        assert columns(sp, s) == [(sp.g, (0, 1, 3), 2, "first"),
-                                  (sp.gprime, (0, 1, 2), 3, "second"),
-                                  (0.0, (0, 1), None, None)]
-    sp, s = gfunction._prepare(flat, None)
-    assert positions(sp, s) == [(s.z0, sp.g, 0.0)]
-    assert columns(sp, s) == [(sp.g, (0, 1, 3), 2, "first"), (0.0, (0,), 1, "second")]
+        sp = gfunction._prepare(p)
+        s = default_scheme(sp)
+        assert positions(sp) == [(s.z0, sp.g, sp.gprime), (s.z0prime, sp.gprime, 0.0)]
+        assert columns(sp) == [(sp.g, (0, 1, 3), 2, "first"),
+                               (sp.gprime, (0, 1, 2), 3, "second"),
+                               (0.0, (0, 1), None, None)]
+    sp = gfunction._prepare(flat)
+    assert positions(sp) == [(default_scheme(sp).z0, sp.g, 0.0)]
+    assert columns(sp) == [(sp.g, (0, 1, 3), 2, "first"), (0.0, (0,), 1, "second")]
 
 
-def test_scheme_mismatch(ratio2, flat):
-    with pytest.raises(SchemeMismatch):
-        gvalue(flat, Parity.PLUS, 0.4, MatchingScheme(0.5, 0.25))
-    with pytest.raises(SchemeMismatch):
-        gvalue(ratio2, Parity.PLUS, 0.35, MatchingScheme(0.25))
+@pytest.mark.parametrize("ratio", [0.0, 1e-6, 0.02, 1 / 3, 0.5, 0.9, 0.999, 1 - 1e-8])
+def test_default_points_inside_both_disks(ratio):
+    # The model fixes the points, one per hop, each strictly inside the disks
+    # of both centers it joins, from g' = 0 up to g'/g = 1 - 1e-8.
+    g = 1.2
+    sp = ModelParams(1.0, 0.6, 0.2, g * (1 + ratio) / 2, g * (1 - ratio) / 2)
+    conds = gfunction._chain(sp)
+    assert len(conds) == (1 if ratio == 0 else 2)
+    assert max(abs(z - c.position) / c.radius for z, *cs in conds for c in cs) < 1.0
 
 
-def test_matching_point_outside_disk(asym):
+def test_matching_point_outside_disk():
+    # At g'/g = 1 - 2e-9 rounding puts z0' = g'^2/g outside the disk around g'.
+    p = ModelParams(1.0, 0.5, 0.3, 1.0, 1e-9)
     with pytest.raises(OutsideDisk):
-        gvalue(asym, Parity.PLUS, 0.4,
-               MatchingScheme(asym.g + 0.2, asym.gprime ** 2 / asym.g))
+        gvalue(p, Parity.PLUS, 0.4)
+    with pytest.raises(OutsideDisk):
+        find_roots(p, (Parity.PLUS,), -1.0, 1.0)
 
 
 def test_requires_valid_couplings():
     p = ModelParams(1.0, 0.6, 0.2, 0.0, 0.3)
     with pytest.raises(RequiresValidCouplings):
         gvalue(p, Parity.PLUS, 0.4)
+
+
+@pytest.mark.parametrize("g2", [1e-17, 1e-300])
+def test_coupling_lost_in_rounding_requires_valid_couplings(g2):
+    # g2 > 0, but below 1.1e-16 of g1 it drops out of g and g', so g' == g.
+    p = ModelParams(1.0, 0.5, 0.3, 1.0, g2)
+    assert p.gprime == p.g
+    with pytest.raises(RequiresValidCouplings):
+        default_scheme(p)
+    with pytest.raises(RequiresValidCouplings):
+        gvalue(p, Parity.PLUS, 0.4)
+    with pytest.raises(RequiresValidCouplings):
+        find_roots(p, (Parity.PLUS, Parity.MINUS), -1.0, 1.0)
 
 
 def test_gvalue_pole_at_baseline():
@@ -105,12 +125,12 @@ def test_pole_free_across_baselines(request, model, sign, b, k):
     # determinant goes as sign(d) |d|^(k-1); the factor cancels that, and G
     # is finite, of one sign and nearly constant through the baseline.
     p = request.getfixturevalue(model)
-    sp, scheme = gfunction._prepare(p, None)
-    ks = {round(e, 12): kk for c in chain_columns(sp, scheme)
+    sp = gfunction._prepare(p)
+    ks = {round(e, 12): kk for c in chain_columns(sp)
           for _, e, kk in series._slaving(sp, sign, c, 2.5)[2] if kk}
     assert ks.get(round(b, 12), 0) == k
     d = np.array([-1e-5, -1e-7, -1e-9, 1e-9, 1e-7, 1e-5])
-    vals, pole_ok, good = gfunction._gvalues(sp, sign, b + d, scheme)
+    vals, pole_ok, good = gfunction._gvalues(sp, sign, b + d)
     assert good.all() and np.isfinite(vals).all()
     assert np.all(np.sign(vals) == np.sign(vals[0]))
     assert np.max(np.abs(vals)) < 1.01 * np.min(np.abs(vals))
@@ -122,10 +142,10 @@ def test_gvalue_finite_and_deterministic(asym):
     assert np.isfinite(v1) and v1 == v2
 
 
-def test_root_positions_independent_of_matching_points(asym):
-    alt = MatchingScheme(0.21, 0.08)
+def test_root_positions_independent_of_matching_points(asym, monkeypatch):
     res_a = find_roots(asym, (Parity.PLUS,), -1.0, 1.0)
-    res_b = find_roots(asym, (Parity.PLUS,), -1.0, 1.0, scheme=alt)
+    monkeypatch.setattr(gfunction, "default_scheme", lambda sp: MatchingScheme(0.21, 0.08))
+    res_b = find_roots(asym, (Parity.PLUS,), -1.0, 1.0)
     ra, rb = res_a.energies(), res_b.energies()
     assert len(ra) == len(rb)
     assert np.max(np.abs(np.array(ra) - np.array(rb))) < 1e-9
@@ -224,14 +244,14 @@ def test_gvalue_depends_on_energy_alone(xyz_double, xyz_odd):
     # xyz_odd couples every component to every other one.
     full8 = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06, 0.3, 0.1, 0.2)
     for p in (xyz_double, full8, xyz_odd):
-        sp, scheme = gfunction._prepare(p, None)
+        sp = gfunction._prepare(p)
         for parity in (Parity.PLUS, Parity.MINUS):
             tr, = trace(p, (parity,), -1.0, 2.5)
             cells = np.flatnonzero(np.isfinite(tr.values))
             for size in (1, 2, 3, 5, 7):
                 for k in range(0, cells.size - size, 23):
                     e = tr.energies[cells[k:k + size]]
-                    got, _, _ = gfunction._gvalues(sp, parity.sign, e, scheme)
+                    got, _, _ = gfunction._gvalues(sp, parity.sign, e)
                     assert got.tobytes() == tr.values[cells[k:k + size]].tobytes()
     # One batch longer than two blocks, with an energy on a center-g baseline
     # of order 2 as the last of the first block (and its order 1 and 3
@@ -241,43 +261,42 @@ def test_gvalue_depends_on_energy_alone(xyz_double, xyz_odd):
     # the two parities.
     b = gfunction._BLOCK
     for p in (full8, xyz_odd):
-        sp, scheme = gfunction._prepare(p, None)
+        sp = gfunction._prepare(p)
         es = (2 - p.g ** 2 + p.jx) + 1e-3 * (np.arange(2 * b + 200) - (b - 1))
         mixed = np.random.default_rng(7).choice([1, -1], es.size)
         mixed[[b - 1001, b - 1, b + 999]] = [1, -1, 1]
         one_sign = {}
         for parity in (Parity.PLUS, Parity.MINUS):
-            big = one_sign[parity.sign] = gfunction._gvalues(sp, parity.sign, es, scheme)
+            big = one_sign[parity.sign] = gfunction._gvalues(sp, parity.sign, es)
             poles = np.flatnonzero(~big[1]).tolist()
             assert {b - 1001, b - 1, b + 999} <= set(poles)
             assert b - 2 not in poles and b not in poles
             assert np.isnan(big[0][poles]).all()
             small = [np.concatenate(c) for c in zip(*(
-                gfunction._gvalues(sp, parity.sign, es[k:k + 61], scheme)
+                gfunction._gvalues(sp, parity.sign, es[k:k + 61])
                 for k in range(0, es.size, 61)))]
             for got, ref in zip(big, small):
                 assert got.tobytes() == ref.tobytes()
-        for got, plus, minus in zip(gfunction._gvalues(sp, mixed, es, scheme),
+        for got, plus, minus in zip(gfunction._gvalues(sp, mixed, es),
                                     one_sign[1], one_sign[-1]):
             assert got.tobytes() == np.where(mixed > 0, plus, minus).tobytes()
     # g = 2 over four blocks: the factor of an energy takes every pole below
     # it, from n = 0 on, however low the batch ends.
     p = ModelParams(1.0, 0.6, 0.2, 1.2, 0.8)
-    sp, scheme = gfunction._prepare(p, None)
+    sp = gfunction._prepare(p)
     for parity in (Parity.PLUS, Parity.MINUS):
         tr, = trace(p, (parity,), -1.0, 2.5, 1.0 / b)  # 3.5 blocks and a cell
         assert tr.energies.size > 3 * gfunction._BLOCK
         cells = np.flatnonzero(np.isfinite(tr.values))[::101]
         for k in range(0, cells.size - 3, 3):
-            got, _, _ = gfunction._gvalues(sp, parity.sign, tr.energies[cells[k:k + 3]],
-                                           scheme)
+            got, _, _ = gfunction._gvalues(sp, parity.sign, tr.energies[cells[k:k + 3]])
             assert got.tobytes() == tr.values[cells[k:k + 3]].tobytes()
 
 
-def unshared_gvalues(sp, sign, energies, scheme):
+def unshared_gvalues(sp, sign, energies):
     """G with every center summed at its own sign, in blocks as _gvalues runs."""
-    conds = gfunction._chain(sp, scheme)
-    columns = chain_columns(sp, scheme)
+    conds = gfunction._chain(sp)
+    columns = chain_columns(sp)
     width = sum(len(s) for s in columns.values())
     parts = []
     for i in range(0, energies.size, gfunction._BLOCK):
@@ -299,7 +318,7 @@ def unshared_gvalues(sp, sign, energies, scheme):
         norm = np.maximum(np.hypot.reduce(m, axis=1, keepdims=True), 1e-300)
         with np.errstate(invalid="ignore"):
             det = np.linalg.det(m / norm)
-        factor = gfunction._pole_factor(sp, sign, list(columns), es)
+        factor = gfunction._pole_factor(sp, sign, es)
         good = pole_ok & conv
         parts.append((np.where(good, det * factor, np.nan), pole_ok, good))
     return [np.concatenate(c) for c in zip(*parts)]
@@ -315,17 +334,17 @@ def test_shared_centers_match_unshared_assembly(xyz_odd, flat):
     b = gfunction._BLOCK
     full8 = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06, 0.3, 0.1, 0.2)
     for p in (full8, xyz_odd, flat):
-        sp, scheme = gfunction._prepare(p, None)
+        sp = gfunction._prepare(p)
         es = (2 - p.g ** 2 + p.jx) + 1e-3 * (np.arange(2 * b + 200) - (b - 1))
-        ref = {s: unshared_gvalues(sp, s, es, scheme) for s in (1, -1)}
+        ref = {s: unshared_gvalues(sp, s, es) for s in (1, -1)}
         assert not ref[1][1][b - 1] and np.isfinite(ref[-1][0]).sum() > b
         for part in (slice(b + 7, b + 8), slice(b - 2, b + 1), slice(None)):
             for signs in ((1, -1), (-1, 1), (-1,)):
-                got = gfunction._gvalues(sp, signs, es[part], scheme)
+                got = gfunction._gvalues(sp, signs, es[part])
                 for i, s in enumerate(signs):
                     for g, r in zip(got, ref[s]):
                         assert g[i].tobytes() == r[part].tobytes()
-            got = gfunction._gvalues(sp, -1, es[part], scheme)
+            got = gfunction._gvalues(sp, -1, es[part])
             for g, r in zip(got, ref[-1]):
                 assert g.tobytes() == r[part].tobytes()
 
@@ -342,9 +361,9 @@ def test_det_of_the_parity_flip_is_a_fixed_sign_times_det(asym, flat, count):
     rng = np.random.default_rng(count)
     d = gfunction._PARITY_D
     for p, size, sign in ((asym, 8, 1.0), (flat, 4, -1.0)):
-        sp, scheme = gfunction._prepare(p, None)
-        columns = chain_columns(sp, scheme)
-        rows = np.tile(d, len(gfunction._chain(sp, scheme)))
+        sp = gfunction._prepare(p)
+        columns = chain_columns(sp)
+        rows = np.tile(d, len(gfunction._chain(sp)))
         slots = np.concatenate([d[list(s)] for s in columns.values()])
         assert rows.size == slots.size == size
         assert np.prod(rows) * np.prod(slots) == sign
@@ -363,27 +382,27 @@ def test_det_of_the_parity_flip_is_a_fixed_sign_times_det(asym, flat, count):
 @pytest.mark.parametrize("model, runs", [("asym", 3), ("flat", 2), ("xyz_odd", 2)])
 def test_one_series_run_per_center_and_block(request, monkeypatch, model, runs):
     # Each block runs every center once for both signs, center 0 included.
-    sp, scheme = gfunction._prepare(request.getfixturevalue(model), None)
+    sp = gfunction._prepare(request.getfixturevalue(model))
     tables, centers = series._tables, []
     monkeypatch.setattr(gfunction, "_tables",
                         lambda *a: centers.append(a[3].position) or tables(*a))
     es = np.linspace(-1.0, 2.5, gfunction._BLOCK + 10)
     for signs in ((1, -1), np.where(es < 1.0, 1, -1)):
         centers.clear()
-        gfunction._gvalues(sp, signs, es, scheme)
+        gfunction._gvalues(sp, signs, es)
         assert len(centers) == 2 * runs and centers.count(0.0) == 2
 
 
 def test_gvalues_working_set_flat_in_batch_size(asym):
     # The series run in fixed energy blocks with buffers reused from order to
     # order, so a long batch needs about the memory of one block.
-    sp, scheme = gfunction._prepare(asym, None)
+    sp = gfunction._prepare(asym)
     peaks = []
     for n in (gfunction._BLOCK, 8 * gfunction._BLOCK):
         es = np.linspace(-1.0, 3.0, n)
         tracemalloc.start()
         try:
-            gfunction._gvalues(sp, 1, es, scheme)
+            gfunction._gvalues(sp, 1, es)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -400,17 +419,17 @@ def test_pole_guard_marks_one_energy(center, n):
         p = ModelParams(1.0, 0.6, 0.4, 0.75, 0.75, 0.5, 0.5, 0.5)
     else:
         p = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06, 0.3, 0.1, 0.2)
-    sp, scheme = gfunction._prepare(p, None)
+    sp = gfunction._prepare(p)
     for parity in (Parity.PLUS, Parity.MINUS):
         s = parity.sign
         e0 = {"g": n - p.g ** 2 + p.jx, "gprime": n - p.gprime ** 2 - p.jx,
               "zero": n - p.jx + s * (-1) ** n * (p.jy + p.jz)}[center]
         es = e0 + np.array([-0.031, -0.012, 0.0, 0.017, 0.026])
-        vals, pole_ok, _ = gfunction._gvalues(sp, s, es, scheme)
+        vals, pole_ok, _ = gfunction._gvalues(sp, s, es)
         assert pole_ok.tolist() == [True, True, False, True, True]
         assert np.isnan(vals[2])
         for k in (0, 1, 3, 4):
-            alone, _, _ = gfunction._gvalues(sp, s, es[k:k + 1], scheme)
+            alone, _, _ = gfunction._gvalues(sp, s, es[k:k + 1])
             assert np.isfinite(alone[0])
             assert alone.tobytes() == vals[k:k + 1].tobytes()
 
@@ -518,7 +537,7 @@ def test_trace_csv_empty_cells_at_pole_hits(tmp_path, flat):
 
 def fake_gvalues(g, ok=None):
     """A stand-in for _gvalues with G(E) = g(E) at every sign, and pole_ok = ok(E)."""
-    def fake(sp, signs, energies, scheme):
+    def fake(sp, signs, energies):
         s = np.asarray(signs)[:, None] if isinstance(signs, tuple) else np.asarray(signs)
         shape = np.broadcast_shapes(s.shape, energies.shape)
         good = np.ones(energies.shape, dtype=bool) if ok is None else ok(energies)
@@ -533,7 +552,7 @@ NO_DIPS = (np.empty(0, dtype=int), np.empty((0, 3)), np.empty((0, 3)))
 def refine(lo, hi, flo, fhi, poles=(), tol=1e-10):
     """_refine_brackets on sign-+1 brackets alone: their midpoints."""
     (signs, roots), _ = gfunction._refine_brackets(
-        None, None, {1: list(poles)}, (np.ones(len(lo), dtype=int), lo, hi, flo, fhi),
+        None, {1: list(poles)}, (np.ones(len(lo), dtype=int), lo, hi, flo, fhi),
         NO_DIPS, tol)
     assert (signs == 1).all()
     return roots
@@ -580,16 +599,16 @@ def test_cutoff_state_settles_in_one_pass(flat, monkeypatch):
     # falsi would close on at bisection speed (26-28 passes): the probes
     # beside the pole settle it in the bracket's first pass.
     (_, energy, _, _), = exceptional.levels(flat, Parity.PLUS, 0.9, 1.1)
-    sp, scheme = gfunction._prepare(flat, None)
-    poles = [b for b, _ in gfunction._poles(sp, 1, series._centers(sp), 2.0)]
+    sp = gfunction._prepare(flat)
+    poles = [b for b, _ in gfunction._poles(sp, 1, 2.0)]
     assert energy in poles
-    g, _, _ = gfunction._gvalues(sp, 1, np.array([0.99, 1.01]), scheme)
+    g, _, _ = gfunction._gvalues(sp, 1, np.array([0.99, 1.01]))
     calls = []
     gvalues = gfunction._gvalues
     monkeypatch.setattr(gfunction, "_gvalues", lambda *a: calls.append(1) or gvalues(*a))
     (_, root), _ = gfunction._refine_brackets(
-        sp, scheme, {1: poles}, (np.array([1]), np.array([0.99]), np.array([1.01]),
-                                 g[:1], g[1:]), NO_DIPS, gfunction.ROOT_TOL)
+        sp, {1: poles}, (np.array([1]), np.array([0.99]), np.array([1.01]), g[:1], g[1:]),
+        NO_DIPS, gfunction.ROOT_TOL)
     assert len(calls) == 1
     assert abs(root[0] - energy) < 1e-11
     # Flat's other even roots are ordinary zeros: the search for the sector
@@ -689,6 +708,22 @@ def test_two_parity_search_matches_single_parity(request, model):
             assert [r.verified for r in res] == [r.verified for r in alone]
 
 
+def test_repeated_parity_is_searched_once(asym):
+    # A parity given twice gives each root once, labelled as in a search of
+    # the parity alone, with and without levels; trace gives one trace.
+    plus = (Parity.PLUS,)
+    for levels in (None, oracle.window(asym, 300, 1.0, plus)):
+        twice = find_roots(asym, plus * 2, -1.0, 1.0, levels=levels)
+        assert twice == find_roots(asym, plus, -1.0, 1.0, levels=levels)
+        assert [r.label for r in twice] == list(range(4))
+    traces = trace(asym, plus * 2, -1.0, 1.0)
+    assert len(traces) == 1
+    assert traces[0].values.tobytes() == trace(asym, plus, -1.0, 1.0)[0].values.tobytes()
+    for search in (find_roots, trace):
+        with pytest.raises(ValueError, match="no parity given"):
+            search(asym, (), -1.0, 1.0)
+
+
 def test_roots_hold_a_sign_change(asym):
     tol = gfunction.ROOT_TOL
     for parity in (Parity.PLUS, Parity.MINUS):
@@ -703,8 +738,8 @@ def test_level_beside_a_pole_on_the_grid():
     # E = 2, and this window puts a grid point exactly on that baseline: the
     # scan skips it and brackets the level across the pole.
     p = ModelParams(1.0, 0.6, 0.4, 0.6 + 5e-8, 0.6 + 5e-8)
-    sp, scheme = gfunction._prepare(p, None)
-    assert not gfunction._gvalues(sp, 1, np.array([2.0]), scheme)[1][0]
+    sp = gfunction._prepare(p)
+    assert not gfunction._gvalues(sp, 1, np.array([2.0]))[1][0]
     res = find_roots(p, (Parity.PLUS,), 1.9, 2.1,
                      levels=oracle.window(p, 300, 2.1, (Parity.PLUS,)))
     assert res.energies() == pytest.approx([2.0000000339], abs=1e-9)
@@ -720,8 +755,8 @@ def test_level_beside_a_window_end_on_a_pole(p, parity, level):
     # The window end E = 3 is a baseline, so the scan's last grid point has
     # no value, and no grid point lies beyond it to bracket the level in the
     # last cell across the pole: the scan takes that end 4*POLE_EPS inside.
-    sp, scheme = gfunction._prepare(p, None)
-    assert not gfunction._gvalues(sp, parity.sign, np.array([3.0]), scheme)[1][0]
+    sp = gfunction._prepare(p)
+    assert not gfunction._gvalues(sp, parity.sign, np.array([3.0]))[1][0]
     res = find_roots(p, (parity,), -1.0, 3.0, levels=oracle.window(p, 300, 3.0, (parity,)))
     assert min(abs(x - level) for x in res.energies()) < 1e-9
     assert all(r.verified for r in res)

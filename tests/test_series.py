@@ -234,8 +234,7 @@ def test_evaluate_matches_determinant_columns(asym, ratio2, flat):
     walked = set()
     for params in (asym, ratio2, flat, switch):
         sp, _ = params.scaled().canonical()
-        scheme = gfunction.default_scheme(sp)
-        conds = gfunction._chain(sp, scheme)
+        conds = gfunction._chain(sp)
         for parity in Parity:
             for i, c in enumerate(dict.fromkeys(c for _, *cs in conds for c in cs)):
                 zs = [z for z, *cs in conds if c in cs]

@@ -50,7 +50,7 @@ import time
 
 import numpy as np
 
-from tqrabi import ModelParams, Parity, SolverError, SpectrumResult, gfunction, oracle, series
+from tqrabi import ModelParams, Parity, SolverError, SpectrumResult, gfunction, oracle
 
 SEED = 12345
 MODELS = 60
@@ -86,16 +86,13 @@ def _g_batches_agree(p: ModelParams) -> bool:
     """G on the search grid of find_roots, as one two-sign call, +1 alone, -1
     alone and one call alternating the sign per energy: values, pole masks
     and convergence masks must agree byte for byte."""
-    sp, scheme = gfunction._prepare(p, None)
-    lo, hi, h = gfunction._window(p, *WINDOW, None)
-    xs = np.linspace(lo, hi, max(2, int(round((hi - lo) / h)) + 1))
-    d = 4 * series.POLE_EPS
-    xs = np.concatenate([xs[:1], xs[:1] + d, xs[1:-1], xs[-1:] - d, xs[-1:]])
-    both = gfunction._gvalues(sp, (1, -1), xs, scheme)
+    sp = gfunction._prepare(p)
+    xs = gfunction._scan_grid(*gfunction._window(p, *WINDOW, None))
+    both = gfunction._gvalues(sp, (1, -1), xs)
     alt = np.where(np.arange(xs.size) % 2, -1, 1)
-    mixed = gfunction._gvalues(sp, alt, xs, scheme)
+    mixed = gfunction._gvalues(sp, alt, xs)
     for i, sign in enumerate((1, -1)):
-        alone = gfunction._gvalues(sp, sign, xs, scheme)
+        alone = gfunction._gvalues(sp, sign, xs)
         taken = alt == sign
         for b, a, m in zip(both, alone, mixed):
             if b[i].tobytes() != a.tobytes() or b[i][taken].tobytes() != m[taken].tobytes():
@@ -145,9 +142,9 @@ def main() -> int:
             failures.append(f"model {i} {p}: {type(exc).__name__}: {exc}")
             continue
         # A root inside its level's probe pair was settled in the scan.
-        sp, _ = gfunction._prepare(p, None)
-        poles = {s: [b for b, k in gfunction._poles(sp, s, series._centers(sp), WINDOW[1])
-                     if k == 1] for s in (1, -1)}
+        sp = gfunction._prepare(p)
+        poles = {s: [b for b, k in gfunction._poles(sp, s, WINDOW[1]) if k == 1]
+                 for s in (1, -1)}
         ls, _, _, la, lb, probed = gfunction._level_probes(
             levels, (1, -1), p.omega, *WINDOW, poles, gfunction.ROOT_TOL)
         for r in found:
