@@ -26,7 +26,6 @@ from .model import (
     write_csv,
 )
 
-WORKERS_ENV = "TQRABI_WORKERS"
 TRUNCATION_HELP = "starting truncation; default sized from the model"
 
 
@@ -144,8 +143,8 @@ def cmd_sweep(args: argparse.Namespace, params: ModelParams) -> int:
         raise ConfigError("--gmin and --gmax must be finite")
     tasks = [(args, params, float(g))
              for g in np.linspace(args.gmin, args.gmax, args.points)]
-    # A fork pool starts all of its workers at once: no more than there are points.
-    workers = min(int(os.environ.get(WORKERS_ENV, os.cpu_count() or 1)), len(tasks))
+    # Only G work pays for a fork pool. It starts all workers at once: at most one per point.
+    workers = 1 if args.solver == "oracle" else min(os.cpu_count() or 1, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -35,6 +35,7 @@ from .model import (
     PoleAtBaseline,
     SpectrumRecord,
     SpectrumResult,
+    _distinct,
     fmt,
     write_csv,
 )
@@ -264,13 +265,6 @@ def _window(params: ModelParams, e_min: float, e_max: float,
         raise ValueError("energy window and step must be finite")
     w = params.omega
     return e_min / w, e_max / w, step / w
-
-
-def _distinct(parities: Sequence[Parity]) -> tuple[Parity, ...]:
-    """The parities in their first-seen order, each once; at least one."""
-    if not (parities := tuple(dict.fromkeys(parities))):
-        raise ValueError("no parity given")
-    return parities
 
 
 def gvalue(params: ModelParams, parity: Parity, energy: float) -> float:
@@ -626,7 +620,8 @@ def write_spectrum_csv(records, path_or_file, comments: Sequence[str] = ()) -> N
 def write_trace_csv(traces: Sequence[GTrace], path_or_file,
                     comments: Sequence[str] = ()) -> None:
     """Trace CSV: columns E, G_plus, G_minus, empty where G is not finite."""
-    by_parity = {t.parity: t for t in traces}
+    if not (by_parity := {t.parity: t for t in traces}):
+        raise ValueError("no trace given")
     grid = next(iter(by_parity.values())).energies
     for t in by_parity.values():
         if t.energies.shape != grid.shape or not np.allclose(t.energies, grid):

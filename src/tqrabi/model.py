@@ -101,6 +101,13 @@ class Parity(enum.Enum):
         return "plus" if self is Parity.PLUS else "minus"
 
 
+def _distinct(parities: Sequence[Parity]) -> tuple[Parity, ...]:
+    """The parities in their first-seen order, each once; at least one."""
+    if not (parities := tuple(dict.fromkeys(parities))):
+        raise ValueError("no parity given")
+    return parities
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical couplings of the two-qubit Rabi model with optional exchange terms.

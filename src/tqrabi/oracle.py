@@ -25,6 +25,7 @@ from .model import (
     SpectrumRecord,
     SpectrumResult,
     SupportOverflow,
+    _distinct,
 )
 
 __all__ = [
@@ -333,6 +334,8 @@ def certified_spectrum(params: ModelParams, truncation: int, signs: Sequence[int
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
+    if not signs:
+        raise ValueError("no parity given")
     t = truncation
     while t <= DEFAULT_TRUNCATION_CAP:
         evals, got, bounds = _eig(params, t, signs, k, cut)
@@ -388,7 +391,7 @@ def window(params: ModelParams, truncation: Optional[int], e_max: float,
     cut = e_max + 0.5 * w
     if truncation is None:
         truncation = start_truncation(params, (cut + params.g ** 2 / w) / w + 2)
-    signs = tuple(dict.fromkeys(p.sign for p in parities))
+    signs = tuple(p.sign for p in _distinct(parities))
     return _records(*certified_spectrum(params, truncation, signs, None, cut)[:3])
 
 

@@ -204,8 +204,8 @@ def test_default_truncation_sized_from_the_model(tmp_path, flat_cfg, monkeypatch
     # Without --truncation the oracle starts from the model, below the fixed
     # 300 of spectrum and the 160 of sweep that it replaces, and the flags
     # line says so. sweep sizes the start per point and hands diagonalize an
-    # int, as perfbench/tracing.py reads it.
-    monkeypatch.setenv("TQRABI_WORKERS", "1")
+    # int, as perfbench/tracing.py reads it. An oracle sweep runs its points
+    # in this process, so the stand-ins see every call.
     starts = []
     certified, diagonalize = oracle.certified_spectrum, oracle.diagonalize
     monkeypatch.setattr(oracle, "certified_spectrum",
@@ -227,8 +227,8 @@ def test_default_truncation_sized_from_the_model(tmp_path, flat_cfg, monkeypatch
 def test_cli_import_leaves_out_scipy_linalg(tmp_path, asym_cfg):
     # Neither importing the CLI nor the oracle commands load scipy.linalg:
     # the oracle calls scipy's LAPACK module without importing its package.
-    env = dict(os.environ, PYTHONPATH=str(Path(tqrabi.__file__).parents[1]),
-               TQRABI_WORKERS="1")
+    # An oracle sweep runs in one process and loads no pool machinery.
+    env = dict(os.environ, PYTHONPATH=str(Path(tqrabi.__file__).parents[1]))
     code = "import sys, tqrabi.cli; sys.exit('scipy.linalg' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
     out = str(tmp_path / "out.csv")
@@ -240,7 +240,8 @@ def test_cli_import_leaves_out_scipy_linalg(tmp_path, asym_cfg):
     ]
     code = ("import sys; from tqrabi.cli import main\n"
             f"assert all(main(argv) == 0 for argv in {commands!r})\n"
-            "sys.exit('scipy.linalg' in sys.modules or 'numpy.f2py' in sys.modules)")
+            "sys.exit(any(m in sys.modules for m in ('scipy.linalg', 'numpy.f2py',\n"
+            "    'concurrent.futures.process', 'multiprocessing')))")
     assert subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True).returncode == 0
 
@@ -272,8 +273,7 @@ def test_trace_both_parities_match_single_parity_runs(tmp_path, asym_cfg, flat_c
         assert not any(cols["plus"][1]) and not any(cols["minus"][0])
 
 
-def test_sweep_constant_flat_row(tmp_path, flat_cfg, monkeypatch):
-    monkeypatch.setenv("TQRABI_WORKERS", "1")
+def test_sweep_constant_flat_row(tmp_path, flat_cfg):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--config", flat_cfg, "--gmin", "0.3", "--gmax", "1.5",
                  "--points", "4", "--emin", "-1", "--emax", "1.6",
@@ -367,8 +367,7 @@ def test_verify_passes(asym_cfg, capsys):
     assert "FAIL" not in out and "PASS" in out
 
 
-def test_sweep_spec_validation(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TQRABI_WORKERS", "1")
+def test_sweep_spec_validation(tmp_path, capsys):
     cfg = tmp_path / "tpl.cfg"
     cfg.write_text(ASYM_CFG.replace("0.24", "0.4").replace("0.06", "0.1"))
     out = tmp_path / "grid.csv"
@@ -409,10 +408,8 @@ def test_window_step_and_truncation_checked_for_every_solver(asym_cfg, capsys, a
     assert message in capsys.readouterr().err
 
 
-def test_sweep_forks_no_more_workers_than_points(tmp_path, flat_cfg, monkeypatch):
-    # A fork pool starts all max_workers at its first submit. The stand-in
-    # records the size and runs the points here, so no process starts.
-    sizes = []
+def stand_in_pool(monkeypatch, sizes):
+    """Record each pool's size in sizes and run its points here: no process starts."""
 
     class Pool:
         def __init__(self, max_workers=None):
@@ -429,19 +426,39 @@ def test_sweep_forks_no_more_workers_than_points(tmp_path, flat_cfg, monkeypatch
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(tqrabi.cli, "ProcessPoolExecutor", Pool, raising=False)
-    monkeypatch.setenv("TQRABI_WORKERS", "4")
+
+
+def test_sweep_forks_no_more_workers_than_points(tmp_path, flat_cfg, monkeypatch):
+    # A G sweep forks a worker per CPU, but a fork pool starts all
+    # max_workers at its first submit: no more than there are points.
+    sizes = []
+    stand_in_pool(monkeypatch, sizes)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert main(["sweep", "--config", flat_cfg, "--gmin", "0.5", "--gmax", "1.0",
-                 "--points", "2", "--truncation", "40",
+                 "--points", "2", "--solver", "gfunction",
                  "--out", str(tmp_path / "s.csv")]) == 0
     assert sizes == [2]
     assert len({g for g in rows(tmp_path / "s.csv", "g")}) == 2
 
 
+def test_oracle_sweep_starts_no_pool(tmp_path, flat_cfg, monkeypatch):
+    # Oracle points cost less than a pool's start: whatever the CPU count,
+    # they run in this process.
+    sizes = []
+    stand_in_pool(monkeypatch, sizes)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert main(["sweep", "--config", flat_cfg, "--gmin", "0.5", "--gmax", "1.0",
+                 "--points", "3", "--solver", "oracle", "--truncation", "40",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert sizes == []
+    assert len({g for g in rows(tmp_path / "s.csv", "g")}) == 3
+
+
 def test_sweep_worker_pool_keeps_bytes(tmp_path, asym_cfg, monkeypatch):
     # Points computed in a pool of two processes give the bytes of one process.
     outs = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("TQRABI_WORKERS", workers)
+    for workers in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: workers)
         outs.append(tmp_path / f"w{workers}.csv")
         assert main(["sweep", "--config", asym_cfg, "--solver", "both",
                      "--gmin", "0.2", "--gmax", "0.6", "--points", "3",
@@ -498,11 +515,9 @@ def test_verify_covers_exceptional(flat_cfg, capsys):
     assert "exceptional[plus, N=1]" in out
 
 
-def test_sweep_cutoff_states_scale_with_omega(tmp_path, dark_half_cfg,
-                                              monkeypatch):
+def test_sweep_cutoff_states_scale_with_omega(tmp_path, dark_half_cfg):
     # Dark states at E = N omega; with omega = 0.5 those at E = 2, 2.5 and 3
     # need N = 4, 5 and 6 and must not be cut off at N = 3.
-    monkeypatch.setenv("TQRABI_WORKERS", "1")
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", dark_half_cfg, "--gmin", "0.6",
                  "--gmax", "0.6", "--points", "1", "--out", str(out)]) == 0
@@ -538,10 +553,9 @@ def test_coupling_lost_in_rounding_is_a_solver_error(tmp_path, capsys, command, 
     assert "error: RequiresValidCouplings" in capsys.readouterr().err
 
 
-def test_sweep_coupling_lost_in_rounding_writes_status_rows(tmp_path, monkeypatch):
+def test_sweep_coupling_lost_in_rounding_writes_status_rows(tmp_path):
     # The G-function solver gets one status row per parity at the point; the
     # oracle still solves it.
-    monkeypatch.setenv("TQRABI_WORKERS", "1")
     cfg, out = tmp_path / "tiny.cfg", tmp_path / "sweep.csv"
     cfg.write_text(ASYM_CFG.replace("0.24", "1.0").replace("0.06", "1e-17"))
     assert main(["sweep", "--config", str(cfg), "--gmin", "0.8", "--gmax", "0.8",
@@ -555,10 +569,9 @@ def test_sweep_coupling_lost_in_rounding_writes_status_rows(tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("solver", ["oracle", "both"])
-def test_sweep_zero_coupling_writes_status_rows(tmp_path, flat_cfg, monkeypatch, solver):
+def test_sweep_zero_coupling_writes_status_rows(tmp_path, flat_cfg, solver):
     # At g = 0 the cutoff conditions are undefined: each parity gets one
     # exceptional status row, as the G-function solver gets one per parity.
-    monkeypatch.setenv("TQRABI_WORKERS", "1")
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", flat_cfg, "--gmin", "0", "--gmax", "0.8",
                  "--points", "2", "--emax", "1.6", "--truncation", "48",

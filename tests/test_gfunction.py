@@ -535,6 +535,11 @@ def test_trace_csv_empty_cells_at_pole_hits(tmp_path, flat):
     assert [ln for ln in body[1:] if "" in ln.split(",")] == ["1,,"]
 
 
+def test_trace_csv_without_traces_is_a_value_error(tmp_path):
+    with pytest.raises(ValueError, match="no trace given"):
+        write_trace_csv([], tmp_path / "trace.csv")
+
+
 def fake_gvalues(g, ok=None):
     """A stand-in for _gvalues with G(E) = g(E) at every sign, and pole_ok = ok(E)."""
     def fake(sp, signs, energies):

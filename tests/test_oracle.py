@@ -105,6 +105,20 @@ def test_window_needs_a_finite_cut(asym):
         oracle.window(asym, None, math.inf)
 
 
+def test_window_without_parities_is_a_value_error(asym):
+    # The parities are deduplicated as find_roots and trace do, so none is
+    # an error of its own, not a failed unpacking inside the solve.
+    with pytest.raises(ValueError, match="no parity given"):
+        oracle.window(asym, None, 2.5, ())
+    assert oracle.window(asym, None, 2.5, (Parity.PLUS,) * 2) == \
+        oracle.window(asym, None, 2.5, (Parity.PLUS,))
+
+
+def test_certified_spectrum_without_signs_is_a_value_error(asym):
+    with pytest.raises(ValueError, match="no parity given"):
+        oracle.certified_spectrum(asym, 40, ())
+
+
 def test_negative_truncation_is_a_value_error(asym):
     for solve in (lambda: oracle.window(asym, -1, 2.5),
                   lambda: oracle.certified_spectrum(asym, -1, (1, -1), 3)):
