@@ -121,7 +121,7 @@ def _sweep_point(task) -> list[tuple[str, ...]]:
                         and r.parity in parities)
         except SolverError as exc:
             rows.append((fmt(g), "", "", "oracle", "", type(exc).__name__))
-    if point.gprime == 0.0:
+    if point.scaled().gprime == 0.0:
         for parity in parities:
             try:
                 rows.extend((fmt(g), fmt(energy), str(parity.sign), "exceptional",
@@ -242,7 +242,7 @@ def cmd_verify(args: argparse.Namespace, params: ModelParams) -> int:
     tol = gfunction.VERIFY_TOL * params.omega
     # Certified cutoff states; the dark ones (k = 0) are no roots of G.
     cutoff = {p: (exceptional.levels(params, p, args.emin, args.emax)
-                  if params.gprime == 0.0 else [])
+                  if params.scaled().gprime == 0.0 else [])
               for p in _parities(args.parity)}
     levels = oracle.window(params, args.truncation, args.emax, tuple(cutoff))
     found = gfunction.find_roots(params, tuple(cutoff), args.emin, args.emax,

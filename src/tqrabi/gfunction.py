@@ -400,13 +400,14 @@ def _refine_brackets(sp: ModelParams, poles: dict[int, Sequence[float]],
     its last interpolant, a _ladder around that and its midpoint, and keeps
     the first pair that changes sign: it at least halves, and closes at width
     2*tol once the interpolant is within tol of its root. Its first pass also
-    probes 4*POLE_EPS beside each pole inside it, which settles a cutoff state
-    (a jump of G). A probe on a pole is passed over, an exact zero closes its
-    bracket, and any other non-finite probe raises NoConvergence (closes a
-    triple). Triples are probed alike around _dip_vertex and narrowed by
-    _probe_dips. Returns the (signs, midpoints) of the brackets and the
-    (signs, energies) of tangent candidates: exact zeros, and triples narrowed
-    to 2*tol with |G| below TANGENT_GTOL at the middle.
+    probes 4*POLE_EPS beside each pole inside it, which splits a bracket where
+    G turns steep beside the pole. A probe on a pole is passed over, an exact
+    zero closes its bracket, and any other non-finite probe raises
+    NoConvergence (closes a triple). Triples are probed alike around
+    _dip_vertex and narrowed by _probe_dips. Returns the (signs, midpoints)
+    of the brackets and the (signs, energies) of tangent candidates: exact
+    zeros, and triples narrowed to 2*tol with |G| below TANGENT_GTOL at the
+    middle.
     """
     sb, lo, hi, flo, fhi = (np.array(c) for c in brackets)
     kb, (x3, f3) = np.zeros(lo.size, dtype=int), np.full((2, lo.size), np.nan)
@@ -462,22 +463,23 @@ def _refine_brackets(sp: ModelParams, poles: dict[int, Sequence[float]],
 
 def _level_probes(levels: SpectrumResult, signs: Sequence[int], w: float,
                   lo: float, hi: float, poles: dict[int, Sequence[float]], tol: float,
-                  ) -> tuple[np.ndarray, ...]:
-    """(sign, E_k, r_k, a, b, probed) of each level of these signs, in omega = 1
-    units: the probe pair (a, b) is E_k -/+ tol/2, or b -/+ 4*POLE_EPS around a
-    one-column pole b within tol of E_k, where a cutoff state sits. A level
-    is probed when its tail bound r_k puts a true eigenvalue inside E_k -/+
-    tol/2 (2 r_k <= tol) and the pair lies in the window [lo, hi]. A pair
-    that changes sign holds a root within tol/2 of its midpoint."""
+                  ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """(sign, E_k, r_k) of each level of these signs, in omega = 1 units, and
+    (sign, a, b, level) of each probe pair. Every one-column pole b strictly
+    inside the window [lo, hi] is probed at b -/+ 4*POLE_EPS, where G jumps at
+    a cutoff state. A level E_k is probed at E_k -/+ tol/2 when its tail bound
+    r_k puts a true eigenvalue there (2 r_k <= tol), the pair lies in the
+    window and no one-column pole is within tol of E_k, whose pair covers it.
+    A pair that changes sign holds a root within tol/2 of its midpoint."""
     recs = [r for r in levels if r.parity.sign in signs]
     s = np.array([r.parity.sign for r in recs], dtype=int)
     e, r = (np.array([getattr(x, f) for x in recs]) / w for f in ("energy", "residual"))
-    a, b = e - 0.5 * tol, e + 0.5 * tol
-    for sign in signs:
-        for p in poles[sign]:
-            at = (s == sign) & (np.abs(e - p) <= tol)
-            a[at], b[at] = p - 4 * series.POLE_EPS, p + 4 * series.POLE_EPS
-    return s, e, r, a, b, (2 * r <= tol) & (e - tol >= lo) & (e + tol <= hi)
+    free = np.array([all(abs(x - p) > tol for p in poles[c]) for c, x in zip(s, e)], bool)
+    k = np.flatnonzero(free & (2 * r <= tol) & (e - tol >= lo) & (e + tol <= hi))
+    ps, pb = np.reshape([(c, p) for c in signs for p in poles[c] if lo < p < hi], (-1, 2)).T
+    a, b, d = e[k] - 0.5 * tol, e[k] + 0.5 * tol, 4 * series.POLE_EPS
+    return (s, e, r), (np.append(s[k], ps).astype(int), np.append(a, pb - d),
+                       np.append(b, pb + d), np.arange(a.size + pb.size) < a.size)
 
 
 def _scan_grid(lo: float, hi: float, h: float) -> np.ndarray:
@@ -505,28 +507,27 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
     and its midpoint (_refine_brackets); a root is its bracket's midpoint.
     Roots are never merged: scan cells are disjoint, a dip's brackets lie
     inside its triple and probes inside their bracket, so each closed
-    bracket is one root, however close to the next. A cutoff state on a
-    one-column (center-0) baseline is a root, settled beside its pole in one
-    pass; dark states, on baselines without a pole, are not. levels, oracle
-    records of these parities such as oracle.window(params, None, e_max,
-    parities), verifies every root (nearest same-parity level within 1e-6):
-    unmatched roots are kept but flagged unverified (residual inf where
-    levels lacks their parity); with levels None roots are unchecked.
-    levels also settles roots in the scan: a level E_k whose tail bound r_k
-    (its residual) has 2 r_k <= ROOT_TOL holds a true eigenvalue inside the
-    pair E_k -/+ ROOT_TOL/2, or 4*POLE_EPS either side of a one-column pole
-    within ROOT_TOL of E_k (_level_probes). G at the pair is evaluated in the
-    scan's own call, and a pair that changes sign joins its parity's grid: a
-    bracket at most ROOT_TOL wide, closed as it stands, whose midpoint is
-    within ROOT_TOL/2 of the root (0 or 1 ulp from E_k off a pole). Levels of
-    a parity must be complete up to the highest given, as the lowest ones
-    from oracle.window or oracle.diagonalize are. So a sign change with one
-    end on a pair, and a dip below the highest level of its parity, are not
+    bracket is one root, however close to the next. Probe pairs ride in the
+    scan's own call (_level_probes), and one that changes sign joins its
+    parity's grid as a closed bracket. Each one-column (center-0) pole b in
+    the window is probed at b -/+ 4*POLE_EPS, where G jumps at a cutoff state:
+    a root at b, beside any regular one; dark states, on baselines without a
+    pole, are no roots. levels, oracle records of these parities such as
+    oracle.window(params, None, e_max, parities), verifies every root (nearest
+    same-parity level within 1e-6): unmatched roots are kept but flagged
+    unverified (residual inf where levels lacks their parity); with levels
+    None roots are unchecked. levels also settles roots in the scan: a level
+    E_k off the poles whose tail bound r_k (its residual) has 2 r_k <=
+    ROOT_TOL holds a true eigenvalue inside its pair E_k -/+ ROOT_TOL/2, whose
+    midpoint is within ROOT_TOL/2 of the root (0 or 1 ulp from E_k). Levels of
+    a parity must be complete up to the highest given, as the lowest ones from
+    oracle.window or oracle.diagonalize are. So a sign change with one end on
+    a level's pair, and a dip below the highest level of its parity, are not
     refined unless they hold a level (E_k -/+ r_k meets them): they are
     rounding beside a settled root, or hold no zero of G. When every root
     settles, the scan is the search's only G call. Labels count the roots
     within each parity. A bracket probe where G is not finite raises
-    NoConvergence, and a point that rounding puts outside its disk OutsideDisk.
+    NoConvergence, and a point rounded outside its disk OutsideDisk.
     """
     parities = _distinct(parities)
     lo_w, hi_w, h = _window(params, e_min, e_max, step)
@@ -537,18 +538,17 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
     xs = _scan_grid(lo_w, hi_w, h)
     # G can jump only at a one-column pole; beside others rounding is magnified.
     poles = {s: [b for b, k in _poles(sp, s, hi_w) if k == 1] for s in signs}
-    # Each probed level's pair rides in the scan's call, at its own sign in
-    # every row, and joins that sign's grid when it changes sign: a closed
-    # bracket. A pair without a sign change would only split its scan cell.
-    ls, le, lr, la, lb, probed = _level_probes(levels or SpectrumResult(), signs, w,
-                                               lo_w, hi_w, poles, ROOT_TOL)
-    k = np.flatnonzero(probed)
-    es = np.concatenate([xs, la[k], lb[k]])
+    # Probe pairs ride in the scan's call, at their own sign in every row. One
+    # that changes sign joins its sign's grid; others would only split a cell.
+    (ls, le, lr), (ps, pa, pb, level) = _level_probes(levels or SpectrumResult(), signs, w,
+                                                      lo_w, hi_w, poles, ROOT_TOL)
+    es = np.concatenate([xs, pa, pb])
     cols = np.concatenate([np.repeat(np.array(signs)[:, None], xs.size, 1),
-                           np.tile(ls[k], (len(signs), 2))], axis=1)
+                           np.tile(ps, (len(signs), 2))], axis=1)
     g, ok, _ = _gvalues(sp, cols, es)
     ga, gb = g[0, xs.size:].reshape(2, -1)
     joins = np.append(np.ones(xs.size, dtype=bool), np.tile(np.sign(ga) * np.sign(gb) < 0, 2))
+    on_level = np.append(np.zeros(xs.size, dtype=bool), np.tile(level, 2))
 
     def holds(sign, lo, hi):  # whether a level's E_k -/+ r_k meets [lo, hi]
         return ((ls == sign) & (le - lr <= hi[:, None]) & (le + lr >= lo[:, None])).any(axis=1)
@@ -559,7 +559,7 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
         take = pole_ok & (col == sign) & joins
         take[[1, xs.size - 2]] &= ~pole_ok[[0, xs.size - 1]]
         x, at = np.unique(es[take], return_index=True)
-        gs, paired = gs[take][at], (np.flatnonzero(take) >= xs.size)[at]
+        gs, paired = gs[take][at], on_level[take][at]
         s, mag = np.sign(gs), np.abs(gs)
         # A |G| dip of one sign holds either two roots in one grid cell or a
         # tangency (a root of even multiplicity); not one that holds no level
@@ -571,7 +571,7 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
         dips.append((np.full(i.size, sign), np.stack([x[i - 1], x[i], x[i + 1]], 1),
                      np.stack([gs[i - 1], gs[i], gs[i + 1]], 1)))
         # Sign changes, and exact zeros on the grid as closed brackets; not one
-        # with one end on a pair that holds no level, rounding beside a root.
+        # with one end on a level's pair and no level: rounding beside a root.
         i, j = (np.append(np.flatnonzero(s == 0), np.flatnonzero(s[:-1] * s[1:] < 0) + d)
                 for d in (0, 1))
         keep = holds(sign, x[i], x[j]) | (paired[i] == paired[j])

@@ -239,7 +239,8 @@ def test_criterion_9_same_parity_crossings_of_a_cutoff_state():
     # 1.4301945870. The oracle's gap, regular level minus 1, changes sign
     # through each g_c with one slope on both sides: a true crossing, not an
     # avoided one, which would push both levels off E = 1. find_roots
-    # returns both levels, one root each, at g_c and beside it.
+    # returns both levels, one root each, at g_c and beside it, with levels
+    # and without them.
     flat = ModelParams(1.0, 0.6, 0.4, 0.5, 0.5)
     detail, ok = [], True
     for g_c in (1.026464957717759, 1.430194586995103):
@@ -257,13 +258,14 @@ def test_criterion_9_same_parity_crossings_of_a_cutoff_state():
         for offset in (-1e-6, -1e-9, 0.0, 1e-9, 1e-6):
             p = flat.with_g(g_c + offset)
             levels = oracle.window(p, None, 2.5, (Parity.PLUS,))
-            res = find_roots(p, (Parity.PLUS,), -1.0, 2.5, levels=levels)
             inside = sum(-1.0 <= e <= 2.5 for e in levels.energies())
-            near = sorted(abs(e - 1.0) for e in res.energies())[:2]
-            ok &= len(res) == inside and all(r.verified for r in res)
-            ok &= near[1] < max(2.5 * abs(offset), 1e-10)
-            counted.append(f"{len(res)}/{inside}")
+            for given in (levels, None):
+                res = find_roots(p, (Parity.PLUS,), -1.0, 2.5, levels=given)
+                near = sorted(abs(e - 1.0) for e in res.energies())[:2]
+                ok &= len(res) == inside and all(r.verified or given is None for r in res)
+                ok &= near[1] < max(2.5 * abs(offset), 1e-10)
+                counted.append(f"{len(res)}/{inside}")
         detail.append(f"g_c {g_c}: gap slope {min(slopes):.6f}..{max(slopes):.6f}, "
                       f"cutoff state within {cutoff_dev:.1e} of 1, "
-                      f"even roots/levels {' '.join(counted)}")
+                      f"even roots/levels with and without levels {' '.join(counted)}")
     _finish(9, ok, "; ".join(detail))

@@ -535,6 +535,62 @@ def test_verify_cutoff_states_scale_with_omega(dark_half_cfg, capsys):
         assert f"PASS exceptional[{tag}]" in out
 
 
+# g1 and g2 one ulp apart: g' = 0 in omega = 1 units, where the G path builds
+# the g' = 0 chain and the model has cutoff states, though g1 != g2 as given.
+ULP_CFG = """\
+omega = 3.0
+delta1 = 1.5
+delta2 = 1.5
+g1 = 0.05977443609022556
+g2 = 0.05977443609022557
+"""
+
+
+def test_verify_lists_cutoff_states_where_gprime_rounds_to_zero(tmp_path, capsys):
+    cfg = tmp_path / "ulp.cfg"
+    cfg.write_text(ULP_CFG)
+    assert main(["verify", "--config", str(cfg), "--emax", "7.5"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS coverage[plus]: 4 oracle levels, 0 unmatched" in out
+    assert "PASS coverage[minus]: 7 oracle levels, 0 unmatched" in out
+    for tag in ("plus, N=1", "minus, N=0", "minus, N=2"):
+        assert f"PASS exceptional[{tag}]" in out
+
+
+def test_sweep_lists_cutoff_states_where_gprime_rounds_to_zero(tmp_path):
+    cfg, out = tmp_path / "ulp.cfg", tmp_path / "sweep.csv"
+    cfg.write_text(ULP_CFG)
+    g = repr(0.05977443609022556 + 0.05977443609022557)
+    assert main(["sweep", "--config", str(cfg), "--solver", "both", "--gmin", g,
+                 "--gmax", g, "--points", "1", "--emax", "7.5", "--out", str(out)]) == 0
+    found = {(float(r["E"]), r["parity"]) for r in rows(out) if r["method"] == "exceptional"}
+    assert found == {(3.0, "1"), (0.0, "-1"), (6.0, "-1")}
+
+
+def test_level_free_spectrum_finds_a_crossing_of_the_cutoff_state(tmp_path):
+    # Flat at g_c, where a regular even level crosses the cutoff state E = 1:
+    # without levels the cutoff state's pole pair splits its scan cell, so
+    # both are roots, the cutoff state's on its pole, where G has no value.
+    cfg, out = tmp_path / "crossing.cfg", tmp_path / "spec.csv"
+    cfg.write_text(FLAT_CFG.replace("0.5", "0.5132324788588795"))
+    assert main(["spectrum", "--config", str(cfg), "--solver", "gfunction",
+                 "--no-verify", "--emax", "2.5", "--out", str(out)]) == 0
+    near = [r for r in rows(out) if r["parity"] == "1"
+            and abs(float(r["E"]) - 1.0) < gfunction.ROOT_TOL]
+    assert len(near) == 2
+    assert near[0] == {"E": "1", "parity": "1", "method": "gfunction", "residual": "nan"}
+
+
+def test_level_free_sweep_finds_a_crossing_of_the_cutoff_state(tmp_path, flat_cfg):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", flat_cfg, "--solver", "gfunction",
+                 "--gmin", "1.026464957717759", "--gmax", "1.026464957717759",
+                 "--points", "1", "--emax", "2.5", "--out", str(out)]) == 0
+    near = [r for r in rows(out) if r["method"] == "gfunction" and r["parity"] == "1"
+            and abs(float(r["E"]) - 1.0) < gfunction.ROOT_TOL]
+    assert len(near) == 2
+
+
 def test_verify_zero_coupling_is_a_solver_error(tmp_path, capsys):
     cfg = tmp_path / "zero.cfg"
     cfg.write_text(FLAT_CFG.replace("0.5", "0"))

@@ -21,14 +21,14 @@ needed a second truncation are printed. G is also evaluated on each model's
 search grid as one two-sign call, +1 alone, -1 alone and one call with the
 sign alternating per energy; every value and mask must keep its bytes
 across the four, and the time this check takes is printed. The number of
-levels whose root find_roots settled in its scan, a root inside the level's
-probe pair (gfunction._level_probes), is printed beside the number left to
-refinement. Every root of the search with levels is checked against the
-search without levels, which refines every bracket: a root of that search
-of its parity must lie within SETTLED_TOL of it, since a settled root is
-within ROOT_TOL/2 of the eigenvalue and a refined one within ROOT_TOL, and
-a scan cell that no pair splits is refined alike in both searches; the
-largest distance is printed.
+levels whose root find_roots settled in its scan, a root inside a probe pair
+of its parity (gfunction._level_probes), is printed beside the number left
+to refinement. Every root of the search with levels is checked against the
+search without levels, which refines every bracket: a root of that search of
+its parity must lie within SETTLED_TOL of it, since a settled root is within
+ROOT_TOL/2 of the eigenvalue and a refined one within ROOT_TOL, and a scan
+cell that no pair splits is refined alike in both searches; the largest
+distance is printed.
 
 Exit status 1 on G values or masks that differ between those batches, on an
 oracle window or a lowest-8 solve that differs from the one at 300, on a
@@ -145,11 +145,11 @@ def main() -> int:
         sp = gfunction._prepare(p)
         poles = {s: [b for b, k in gfunction._poles(sp, s, WINDOW[1]) if k == 1]
                  for s in (1, -1)}
-        ls, _, _, la, lb, probed = gfunction._level_probes(
+        _, (ps, pa, pb, _) = gfunction._level_probes(
             levels, (1, -1), p.omega, *WINDOW, poles, gfunction.ROOT_TOL)
         for r in found:
             x, s = r.energy, r.parity.sign
-            settled_total += bool(np.any(probed & (ls == s) & (la < x) & (x < lb)))
+            settled_total += bool(np.any((ps == s) & (pa < x) & (x < pb)))
             refined = np.array(plain.filtered(r.parity).energies())
             gap = float(np.min(np.abs(refined - x), initial=np.inf))
             gap_max = max(gap_max, gap)
