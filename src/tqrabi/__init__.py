@@ -21,13 +21,11 @@ from .model import (
 )
 from .series import (
     ExpansionBlock,
-    SeriesPoint,
     baselines,
     convergence_radius,
     evaluate,
     free_slots,
     recur,
-    sample,
 )
 from .gfunction import (
     GTrace,
@@ -60,8 +58,8 @@ __all__ = [
     "PoleAtBaseline", "RequiresEqualCouplings", "RequiresValidCouplings",
     "SolverError", "SpectrumRecord", "SpectrumResult", "SupportOverflow",
     "baselines", "load_params",
-    "ExpansionBlock", "SeriesPoint", "convergence_radius", "evaluate",
-    "free_slots", "recur", "sample",
+    "ExpansionBlock", "convergence_radius", "evaluate", "free_slots",
+    "recur",
     "GTrace", "MatchingScheme", "default_scheme", "find_roots", "gvalue",
     "trace", "write_spectrum_csv", "write_trace_csv",
     "ExceptionalCandidate", "ExceptionalState", "FlatLineHit", "build_state",

@@ -14,14 +14,21 @@ records of series._centers; the column order, the determinant's parity sign
 and the pole factor read those records. Each energy's series are summed only
 as far as its own tail test needs, up to the hard cap, so G(E) is a function
 of E alone. Each center runs once per block for both parities, and a -1
-determinant is a fixed sign times that of one assembly (_gvalues_once).
+determinant is a fixed sign times that of one assembly (_gvalues_once). A G
+call longer than one block, such as a trace or a fine-step scan, is split
+into one contiguous share per CPU the process may run on, each but the first
+in a forked child (_split); there is no setting for it, and the values are
+the bits of one process.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import signal
+import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -67,7 +74,8 @@ _LADDER = 100.0
 # energy instead of the batch's, and its work arrays stay near 4 MB, inside
 # the CPU caches, however long the batch, so a long trace is bound by
 # arithmetic rather than by memory traffic. 2048 ran faster than 1024 and
-# 4096 on 4,001-energy traces.
+# 4096 on 4,001-energy traces. A call of more than one block runs in one
+# share per CPU, at most one per block (_split): one worker per extra CPU.
 _BLOCK = 2048
 _PARITY_D = np.array([1.0, 1.0, -1.0, -1.0])  # D, with mix(-s) = D mix(s) D (see series)
 
@@ -141,18 +149,123 @@ def _gvalues(sp: ModelParams, signs: int | tuple | np.ndarray, energies: np.ndar
     an array of one sign per energy. Entries on a recurrence pole or
     unconverged at the hard cap come back NaN. The energies are taken in
     blocks of _BLOCK, each with its own series stop, and every energy's value
-    is the same whatever block, or signs beside it, it falls in.
+    is the same whatever block, share (_split), or signs beside it, it falls in.
     """
     s = np.asarray(signs)[:, None] if isinstance(signs, tuple) else np.asarray(signs)
     shape = np.broadcast_shapes(s.shape, energies.shape)
     s = np.atleast_2d(np.broadcast_to(s, shape))
     vals = np.empty(s.shape)
     pole_ok, good = np.empty((2,) + s.shape, dtype=bool)
-    for i in range(0, energies.size, _BLOCK):
-        part = slice(i, i + _BLOCK)
-        vals[:, part], pole_ok[:, part], good[:, part] = _gvalues_once(
-            sp, s[:, part], energies[part])
+
+    def run(share: slice) -> None:
+        for i in range(share.start, share.stop, _BLOCK):
+            part = slice(i, min(i + _BLOCK, share.stop))
+            vals[:, part], pole_ok[:, part], good[:, part] = _gvalues_once(
+                sp, s[:, part], energies[part])
+
+    _split(run, (vals, pole_ok, good), energies.size)
     return vals.reshape(shape), pole_ok.reshape(shape), good.reshape(shape)
+
+
+def _split(run: Callable[[slice], None], out: tuple[np.ndarray, ...], n: int) -> None:
+    """Call run on contiguous shares of range(n) that together fill the last
+    axis of the arrays out: one share per CPU this process may run on, at
+    most one per _BLOCK energies. This process runs the first share on the
+    first CPU; each other one runs in a forked child, pinned to a CPU of its
+    own, that sends its bytes of out through a pipe. Forks happen only where
+    os.fork exists and no other thread lives. A share whose fork, read or
+    exit status fails is run here, to the same bits. Every child is reaped,
+    and this process's CPU mask restored, before this returns; if the first
+    share raises, the children are killed first.
+    """
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
+    w = min(len(cpus), -(-n // _BLOCK))
+    if w < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        run(slice(0, n))
+        return
+    ends = [n * k // w for k in range(w + 1)]
+    shares = [slice(a, b) for a, b in zip(ends, ends[1:])]
+    # A CPU for each process: a forked child can stay on its parent's CPU for
+    # the whole share, and the scheduler leave the other CPU idle.
+    children, rest, done = [], [], False
+    try:
+        for cpu, share in zip(cpus[1:], shares[1:]):
+            if (child := _fork(run, out, share, cpu)) is None:
+                rest.append(share)
+            else:
+                children.append((share, *child))
+        _pin({cpus[0]})
+        run(shares[0])
+        done = True
+    finally:
+        _pin(cpus)
+        for share, pid, fd in children:
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            if not _reap(pid, fd, out, share):
+                rest.append(share)
+    for share in rest:
+        run(share)
+
+
+def _pin(cpus) -> None:
+    """Run this process on cpus; the values do not depend on it."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _fork(run: Callable[[slice], None], out: tuple[np.ndarray, ...], share: slice,
+          cpu: int) -> Optional[tuple[int, int]]:
+    """(pid, pipe read end) of a child that runs share on cpu and writes its
+    columns of out, in order, to the pipe; None when no child starts. The
+    child ends in os._exit, so it flushes none of this process's buffers."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            _pin({cpu})
+            run(share)
+            with open(w, "wb") as f:
+                for a in out:
+                    f.write(a[:, share].tobytes())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _reap(pid: int, fd: int, out: tuple[np.ndarray, ...], share: slice) -> bool:
+    """Read a _fork child's pipe to EOF, wait for the child, and copy its
+    columns into out; whether it exited 0 with every byte."""
+    data = b""
+    try:
+        with open(fd, "rb") as f:
+            data = f.read()
+    except OSError:
+        pass
+    finally:
+        _, status = os.waitpid(pid, 0)
+    cols = [a[:, share] for a in out]
+    if os.waitstatus_to_exitcode(status) != 0 or len(data) != sum(c.nbytes for c in cols):
+        return False
+    at = 0
+    for c in cols:
+        c[...] = np.frombuffer(data, c.dtype, c.size, at).reshape(c.shape)
+        at += c.nbytes
+    return True
 
 
 def _gvalues_once(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
@@ -237,11 +350,14 @@ def _pole_factor(sp: ModelParams, sign: int, energies: np.ndarray) -> np.ndarray
     """
     poles = [(b, k) for b, k in _poles(sp, sign, energies.max()) if k]
     b, k = np.array(poles).reshape(-1, 2).T
-    d = energies[:, None] - b
-    with np.errstate(divide="ignore"):  # d = 0 only on a pole, where G is NaN
-        bump = 1.0 + (np.abs(d) ** (1 - k) - 1.0) * (1.0 - d * d) ** 2
-    near = np.where(np.abs(d) < 1.0, bump, 1.0)
-    return (-1.0) ** np.count_nonzero(d > 0, axis=1) * np.prod(near, axis=1)
+    d = energies - b[:, None]  # a row per pole: the reductions over poles add rows
+    near = np.abs(d) < 1.0  # about a third of the pairs on a trace
+    x, bump = d[near], np.ones_like(d)
+    # |d| < POLE_EPS only on a pole, where G is NaN and |d|**(1-k) may overflow.
+    with np.errstate(divide="ignore", over="ignore"):
+        bump[near] = 1.0 + ((np.abs(x) ** np.repeat(1 - k, np.count_nonzero(near, axis=1))
+                             - 1.0) * (1.0 - x * x) ** 2)
+    return (-1.0) ** np.count_nonzero(d > 0, axis=0) * np.prod(bump, axis=0)
 
 
 def _prepare(params: ModelParams) -> ModelParams:

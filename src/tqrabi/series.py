@@ -54,20 +54,15 @@ from .model import (
     OutsideDisk,
     Parity,
     PoleAtBaseline,
-    fmt,
-    write_csv,
 )
 
 __all__ = [
     "ExpansionBlock",
-    "SeriesPoint",
     "baselines",
     "recur",
     "evaluate",
-    "sample",
     "convergence_radius",
     "free_slots",
-    "dump_coeffs",
     "DEFAULT_N_MAX",
     "HARD_CAP",
 ]
@@ -372,36 +367,3 @@ def evaluate(block: ExpansionBlock, z: float) -> np.ndarray:
                 f"series tail above tolerance at hard cap {HARD_CAP} (z = {z})")
         blk = recur(blk.params, blk.parity, blk.energy, blk.center, blk.init,
                     HARD_CAP)
-
-
-@dataclass(frozen=True)
-class SeriesPoint:
-    """Cached evaluation of all four components at one point."""
-
-    z: float
-    values: tuple[float, float, float, float]
-
-
-def sample(block: ExpansionBlock, zs) -> list[SeriesPoint]:
-    """Evaluate a block at several points, caching repeated coordinates."""
-    cache: dict[float, SeriesPoint] = {}
-    out = []
-    for z in zs:
-        z = float(z)
-        if z not in cache:
-            cache[z] = SeriesPoint(z, tuple(float(v) for v in evaluate(block, z)))
-        out.append(cache[z])
-    return out
-
-
-def dump_coeffs(block: ExpansionBlock, path) -> None:
-    """Debug CSV of the raw coefficients c_{j,n}: columns n, c1, c2, c3, c4."""
-
-    def rows():
-        scale = 1.0
-        for n in range(block.n_max + 1):
-            yield [str(n)] + [fmt(v) for v in block.coeffs[n] * scale]
-            scale /= block.radius
-
-    with np.errstate(over="ignore"):
-        write_csv(path, "n,c1,c2,c3,c4", rows())

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -112,6 +115,10 @@ def test_gvalue_pole_at_baseline():
     with pytest.raises(PoleAtBaseline):
         gvalue(p, Parity.PLUS, 1.0)  # baseline energy for identical couplings
     assert np.isfinite(gvalue(p, Parity.PLUS, 1.0 + 1e-9))
+    # A pole at E = 0 (g = 1) of three columns: 1e-200 from it, the pole
+    # factor's |d|**-2 overflows to inf, as on the pole itself, silently.
+    with pytest.raises(PoleAtBaseline):
+        gvalue(ModelParams(1.0, 0.6, 0.4, 0.5, 0.5), Parity.PLUS, 1e-200)
 
 
 @pytest.mark.parametrize("model, sign, b, k", [
@@ -386,11 +393,14 @@ def test_one_series_run_per_center_and_block(request, monkeypatch, model, runs):
     tables, centers = series._tables, []
     monkeypatch.setattr(gfunction, "_tables",
                         lambda *a: centers.append(a[3].position) or tables(*a))
+    # On two CPUs this process runs the first of two one-block shares.
     es = np.linspace(-1.0, 2.5, gfunction._BLOCK + 10)
-    for signs in ((1, -1), np.where(es < 1.0, 1, -1)):
-        centers.clear()
-        gfunction._gvalues(sp, signs, es)
-        assert len(centers) == 2 * runs and centers.count(0.0) == 2
+    for cpus, blocks in ((1, 2), (2, 1)):
+        fake_cpus(monkeypatch, cpus)
+        for signs in ((1, -1), np.where(es < 1.0, 1, -1)):
+            centers.clear()
+            gfunction._gvalues(sp, signs, es)
+            assert len(centers) == blocks * runs and centers.count(0.0) == blocks
 
 
 def test_gvalues_working_set_flat_in_batch_size(asym):
@@ -407,6 +417,178 @@ def test_gvalues_working_set_flat_in_batch_size(asym):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+def fake_cpus(monkeypatch, n):
+    """Let _split see CPUs 0 to n - 1, and record the masks it pins this
+    process to instead of setting them: the test process keeps its own."""
+    pins = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append(set(cpus)))
+    return pins
+
+
+def count_forks(monkeypatch, fork=os.fork):
+    """List that grows by one at each os.fork, which then calls fork."""
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def one_process(sp, signs, energies):
+    """_gvalues_once over consecutive _BLOCK energies, all in this process."""
+    b = gfunction._BLOCK
+    parts = [gfunction._gvalues_once(sp, signs[:, i:i + b], energies[i:i + b])
+             for i in range(0, energies.size, b)]
+    return [np.concatenate(c, axis=-1) for c in zip(*parts)]
+
+
+@pytest.mark.parametrize("model", ["asym", "flat"])
+def test_split_keeps_the_bytes_of_one_process(request, monkeypatch, model):
+    # Three blocks on two CPUs run as two shares, one here and one in a
+    # forked child, and their boundary falls inside the second block. Each
+    # share takes its own blocks, and every energy keeps the bits of value,
+    # pole mask and convergence mask that one process gives, on both chain
+    # shapes (asym 8x8, flat 4x4), for one sign per row and for mixed rows,
+    # with baselines (NaN, pole_ok false) on both sides of the boundary.
+    sp = gfunction._prepare(request.getfixturevalue(model))
+    b = gfunction._BLOCK
+    es = np.linspace(-1.0, 3.0, 2 * b + 500)
+    cut = es.size // 2
+    assert b < cut < 2 * b
+    plus, minus = ([p for p, _ in gfunction._poles(sp, s, 3.0) if -1.0 < p < 3.0]
+                   for s in (1, -1))
+    at, at_sign = [cut - 4, cut - 3, cut + 2, cut + 3], np.array([1, -1, 1, -1])
+    es[at] = plus[0], minus[0], plus[-1], minus[-1]
+    mixed = np.random.default_rng(3).choice([1, -1], (2, es.size))
+    mixed[:, at] = at_sign
+    pins, forks = fake_cpus(monkeypatch, 2), count_forks(monkeypatch)
+    for signs, rows in (((1, -1), np.repeat([[1], [-1]], es.size, axis=1)),
+                        (mixed, mixed)):
+        got = gfunction._gvalues(sp, signs, es)
+        for g, r in zip(got, one_process(sp, rows, es)):
+            assert g.tobytes() == r.tobytes()
+        hit = rows[:, at] == at_sign
+        assert hit[:, :2].any() and hit[:, 2:].any()
+        assert np.isnan(got[0][:, at][hit]).all() and not got[1][:, at][hit].any()
+    assert len(forks) == 2 and pins == [{0}, {0, 1}] * 2
+
+
+def test_split_leaves_no_child(asym, monkeypatch):
+    # Every child is reaped before _gvalues returns, and killed and reaped
+    # when this process's own share raises: a child 20 s from done is not
+    # waited for.
+    sp = gfunction._prepare(asym)
+    es = np.linspace(-1.0, 3.0, 2 * gfunction._BLOCK)
+    fake_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    gfunction._gvalues(sp, 1, es)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    parent, once = os.getpid(), gfunction._gvalues_once
+
+    def fail_here(*args):
+        if os.getpid() == parent:
+            raise RuntimeError("share failed")
+        time.sleep(20.0)
+        return once(*args)
+
+    monkeypatch.setattr(gfunction, "_gvalues_once", fail_here)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="share failed"):
+        gfunction._gvalues(sp, 1, es)
+    assert time.monotonic() - start < 10.0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 2
+
+
+def test_failed_share_runs_here(asym, monkeypatch):
+    # A share whose fork raises OSError, or whose child exits non-zero, is
+    # run by this process, to the same bytes.
+    sp = gfunction._prepare(asym)
+    es = np.linspace(-1.0, 3.0, 2 * gfunction._BLOCK + 300)
+    ref = one_process(sp, np.repeat([[1], [-1]], es.size, axis=1), es)
+    fake_cpus(monkeypatch, 2)
+    parent, once, fork = os.getpid(), gfunction._gvalues_once, os.fork
+
+    def no_fork():
+        raise OSError("no fork")
+
+    def fail_there(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("share failed")
+        return once(*args)
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for g, r in zip(gfunction._gvalues(sp, (1, -1), es), ref):
+        assert g.tobytes() == r.tobytes()
+    forks = count_forks(monkeypatch, fork)
+    monkeypatch.setattr(gfunction, "_gvalues_once", fail_there)
+    for g, r in zip(gfunction._gvalues(sp, (1, -1), es), ref):
+        assert g.tobytes() == r.tobytes()
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_fork_beside_a_thread_on_one_cpu_or_in_one_block(asym, monkeypatch):
+    # A fork copies only its calling thread, so none happens while another
+    # thread lives; nor with one CPU, nor for a call of one block, as the
+    # scan and refinement of a spectrum at the default step make them.
+    sp = gfunction._prepare(asym)
+    b = gfunction._BLOCK
+    es = np.linspace(-1.0, 3.0, 2 * b)
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise OSError("no fork")
+
+    monkeypatch.setattr(os, "fork", fork)
+    fake_cpus(monkeypatch, 1)
+    gfunction._gvalues(sp, 1, es)
+    fake_cpus(monkeypatch, 2)
+    gfunction._gvalues(sp, 1, es[:b])
+    both = (Parity.PLUS, Parity.MINUS)
+    find_roots(asym, both, -1.0, 3.0, levels=oracle.window(asym, None, 3.0, both))
+    find_roots(asym, both, -1.0, 3.0)
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait, args=(60,))
+    waiter.start()
+    try:
+        gfunction._gvalues(sp, 1, es)
+    finally:
+        stop.set()
+        waiter.join(timeout=60)
+    assert not waiter.is_alive()
+    assert forks == []
+    gfunction._gvalues(sp, 1, es)  # and the stand-in is reached
+    assert forks == [1]
+
+
+def test_pole_factor_equals_the_dense_form(asym, flat, xyz_odd):
+    # _pole_factor takes the bump only where |E - b| < 1, with the poles as
+    # rows; the dense form on every (energy, pole) pair keeps its bits.
+    def dense(sp, sign, energies):
+        poles = [(b, k) for b, k in gfunction._poles(sp, sign, energies.max()) if k]
+        b, k = np.array(poles).reshape(-1, 2).T
+        d = energies[:, None] - b
+        with np.errstate(divide="ignore"):
+            bump = 1.0 + (np.abs(d) ** (1 - k) - 1.0) * (1.0 - d * d) ** 2
+        near = np.where(np.abs(d) < 1.0, bump, 1.0)
+        return (-1.0) ** np.count_nonzero(d > 0, axis=1) * np.prod(near, axis=1)
+
+    rng = np.random.default_rng(11)
+    for p in (asym, flat, xyz_odd, ModelParams(1.0, 0.6, 0.2, 1.2, 0.8)):
+        sp = gfunction._prepare(p)
+        for sign in (1, -1):
+            poles = np.array([b for b, k in gfunction._poles(sp, sign, 6.0) if k])
+            es = np.concatenate([rng.uniform(-2.0, 6.0, 3000), poles,
+                                 poles + 1e-13, poles + rng.uniform(-1.0, 1.0, poles.size)])
+            for part in (es, es[:1]):
+                got = gfunction._pole_factor(sp, sign, part)
+                assert got.tobytes() == dense(sp, sign, part).tobytes()
 
 
 @pytest.mark.parametrize("center", ["g", "gprime", "zero"])

@@ -210,18 +210,6 @@ def test_reflection_identity_of_center_zero_values():
         assert v_plus[1] == pytest.approx(v_minus[3], rel=1e-12)
 
 
-def test_sample_points_cache_and_check_disk():
-    from tqrabi.series import sample
-
-    p = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
-    blk = recur(p, Parity.PLUS, 0.45, p.g, (1.0, 0.0, 0.0, 0.0), 64)
-    pts = sample(blk, [0.25, 0.30, 0.25])
-    assert pts[0] is pts[2]
-    assert pts[0].values == pytest.approx(tuple(evaluate(blk, 0.25)))
-    with pytest.raises(OutsideDisk):
-        sample(blk, [p.g + 0.2])
-
-
 def test_evaluate_matches_determinant_columns(asym, ratio2, flat):
     # G(E) and recur() share one recurrence and one summation: the unit-init
     # rows that recur() builds one column at a time, up to the hard cap, and
@@ -373,21 +361,6 @@ def test_center_zero_runs_both_signs_in_the_d_frame(request, model):
                    for a, b in zip(both, rows))
         assert ok[part].tolist() == ok_s.tolist()
         assert ok_s.tolist() == [True, True] + [False] * (c.slave is not None)
-
-
-def test_dump_coeffs_roundtrip(tmp_path):
-    from tqrabi.series import dump_coeffs
-
-    p = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
-    blk = recur(p, Parity.PLUS, 0.45, p.g, (1.0, 0.0, 0.0, 0.5), 12)
-    out = tmp_path / "coeffs.csv"
-    dump_coeffs(blk, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "n,c1,c2,c3,c4"
-    assert len(lines) == 14
-    row1 = [float(x) for x in lines[2].split(",")]
-    assert row1[0] == 1.0
-    assert row1[1:] == pytest.approx(list(unscaled(blk, 1)), rel=1e-15)
 
 
 def test_matched_solution_agrees_between_centers(asym):

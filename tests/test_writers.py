@@ -1,7 +1,5 @@
 """Exact bytes of every CSV writer on hand-built inputs (no solver runs)."""
 
-import types
-
 import numpy as np
 
 from tqrabi import (
@@ -19,7 +17,6 @@ from tqrabi.exceptional import (
     FlatLineHit,
     write_catalog_csv,
 )
-from tqrabi.series import dump_coeffs
 
 
 def test_spectrum_csv_bytes(tmp_path):
@@ -89,19 +86,3 @@ def test_catalog_csv_and_sidecar_bytes(tmp_path):
         "hit,n,s1s2,amplitude\n"
         "0,0,ee,0.59999999999999998\n"
         "0,1,gg,-0.80000000000000004\n")
-
-
-def test_dump_coeffs_bytes(tmp_path):
-    # Only coeffs, n_max and radius are read; the last row overflows to inf.
-    block = types.SimpleNamespace(
-        coeffs=np.array([[1.0, 0.5, -0.25, 0.0],
-                         [2.0, 1e-3, 3.0, -4.0],
-                         [1e300, 1.0, 0.0, -1e-310]]),
-        n_max=2, radius=1e-10)
-    out = tmp_path / "coeffs.csv"
-    dump_coeffs(block, str(out))
-    assert out.read_text() == (
-        "n,c1,c2,c3,c4\n"
-        "0,1,0.5,-0.25,0\n"
-        "1,20000000000,10000000,30000000000,-40000000000\n"
-        "2,inf,1e+20,0,-9.9999999999999694e-291\n")
