@@ -17,18 +17,21 @@ of E alone. Each center runs once per block for both parities, and a -1
 determinant is a fixed sign times that of one assembly (_gvalues_once). A G
 call longer than one block, such as a trace or a fine-step scan, is split
 into one contiguous share per CPU the process may run on, each but the first
-in a forked child (_split); there is no setting for it, and the values are
-the bits of one process.
+in a worker process forked at the first such call and kept for later ones
+(_hire); there is no setting for it, and the values are the bits of one
+process.
 """
 
 from __future__ import annotations
 
+import atexit
 import math
 import os
+import pickle
 import signal
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import BinaryIO, Optional, Sequence
 
 import numpy as np
 
@@ -75,7 +78,7 @@ _LADDER = 100.0
 # the CPU caches, however long the batch, so a long trace is bound by
 # arithmetic rather than by memory traffic. 2048 ran faster than 1024 and
 # 4096 on 4,001-energy traces. A call of more than one block runs in one
-# share per CPU, at most one per block (_split): one worker per extra CPU.
+# share per CPU, at most one per block: one worker per extra CPU (_hire).
 _BLOCK = 2048
 _PARITY_D = np.array([1.0, 1.0, -1.0, -1.0])  # D, with mix(-s) = D mix(s) D (see series)
 
@@ -149,123 +152,184 @@ def _gvalues(sp: ModelParams, signs: int | tuple | np.ndarray, energies: np.ndar
     an array of one sign per energy. Entries on a recurrence pole or
     unconverged at the hard cap come back NaN. The energies are taken in
     blocks of _BLOCK, each with its own series stop, and every energy's value
-    is the same whatever block, share (_split), or signs beside it, it falls in.
+    is the same whatever block, share, or signs beside it, it falls in. A
+    call of more than one block runs as contiguous shares of nearly equal
+    size: the first here, each other one in a worker (_hire) that sends back
+    its columns. A share whose worker fails is run here, to the same bits;
+    if this process's own share raises, every worker is killed.
     """
     s = np.asarray(signs)[:, None] if isinstance(signs, tuple) else np.asarray(signs)
     shape = np.broadcast_shapes(s.shape, energies.shape)
     s = np.atleast_2d(np.broadcast_to(s, shape))
-    vals = np.empty(s.shape)
-    pole_ok, good = np.empty((2,) + s.shape, dtype=bool)
-
-    def run(share: slice) -> None:
-        for i in range(share.start, share.stop, _BLOCK):
-            part = slice(i, min(i + _BLOCK, share.stop))
-            vals[:, part], pole_ok[:, part], good[:, part] = _gvalues_once(
-                sp, s[:, part], energies[part])
-
-    _split(run, (vals, pole_ok, good), energies.size)
-    return vals.reshape(shape), pole_ok.reshape(shape), good.reshape(shape)
-
-
-def _split(run: Callable[[slice], None], out: tuple[np.ndarray, ...], n: int) -> None:
-    """Call run on contiguous shares of range(n) that together fill the last
-    axis of the arrays out: one share per CPU this process may run on, at
-    most one per _BLOCK energies. This process runs the first share on the
-    first CPU; each other one runs in a forked child, pinned to a CPU of its
-    own, that sends its bytes of out through a pipe. Forks happen only where
-    os.fork exists and no other thread lives. A share whose fork, read or
-    exit status fails is run here, to the same bits. Every child is reaped,
-    and this process's CPU mask restored, before this returns; if the first
-    share raises, the children are killed first.
-    """
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
-    w = min(len(cpus), -(-n // _BLOCK))
-    if w < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        run(slice(0, n))
-        return
-    ends = [n * k // w for k in range(w + 1)]
+    out = _empty(s.shape)
+    workers = _hire(-(-energies.size // _BLOCK) - 1)
+    ends = [energies.size * k // (len(workers) + 1) for k in range(len(workers) + 2)]
     shares = [slice(a, b) for a, b in zip(ends, ends[1:])]
-    # A CPU for each process: a forked child can stay on its parent's CPU for
-    # the whole share, and the scheduler leave the other CPU idle.
-    children, rest, done = [], [], False
     try:
-        for cpu, share in zip(cpus[1:], shares[1:]):
-            if (child := _fork(run, out, share, cpu)) is None:
-                rest.append(share)
-            else:
-                children.append((share, *child))
-        _pin({cpus[0]})
-        run(shares[0])
-        done = True
-    finally:
-        _pin(cpus)
-        for share, pid, fd in children:
-            if not done:
-                os.kill(pid, signal.SIGKILL)
-            if not _reap(pid, fd, out, share):
-                rest.append(share)
-    for share in rest:
-        run(share)
+        asked = [(share, _ask(w, (sp, s[:, share], energies[share])))
+                 for w, share in zip(workers, shares[1:])]
+        _blocks(sp, s, energies, out, shares[0])
+        for share, worker in asked:
+            if not _answer(worker, [a[:, share] for a in out]):
+                _blocks(sp, s, energies, out, share)
+    except BaseException:
+        _stop_workers(kill=True)
+        raise
+    return tuple(a.reshape(shape) for a in out)
 
 
-def _pin(cpus) -> None:
-    """Run this process on cpus; the values do not depend on it."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass
+def _empty(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uninitialized values, pole mask and convergence mask of _gvalues."""
+    return np.empty(shape), *np.empty((2,) + shape, dtype=bool)
 
 
-def _fork(run: Callable[[slice], None], out: tuple[np.ndarray, ...], share: slice,
-          cpu: int) -> Optional[tuple[int, int]]:
-    """(pid, pipe read end) of a child that runs share on cpu and writes its
-    columns of out, in order, to the pipe; None when no child starts. The
-    child ends in os._exit, so it flushes none of this process's buffers."""
+def _blocks(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
+            out: tuple[np.ndarray, ...], share: slice) -> None:
+    """Fill the share's columns of out by _gvalues_once on blocks of _BLOCK."""
+    for i in range(share.start, share.stop, _BLOCK):
+        part = slice(i, min(i + _BLOCK, share.stop))
+        for a, b in zip(out, _gvalues_once(sp, signs[:, part], energies[part])):
+            a[:, part] = b
+
+
+# A G worker: (pid, request pipe, reply pipe).
+_Worker = tuple[int, BinaryIO, BinaryIO]
+# Forked at the first call that needs them and kept for later calls, so that
+# each pays for its fork and its copied pages once; stopped at exit.
+_workers: list[_Worker] = []
+# Set in any process forked from this one, such as a sweep pool's worker or
+# a G worker: its calls run alone, since its siblings hold the other CPUs.
+_forked = False
+
+
+def _hire(extra: int) -> list[_Worker]:
+    """Workers for at most `extra` shares beside this process's own, one per
+    CPU it may run on but the one it runs on now, each pinned to its CPU for
+    this call. No workers in a forked process, where os.fork is missing, or
+    while another thread lives, as a fork copies only the calling thread."""
+    if extra < 1 or _forked or not hasattr(os, "fork") or threading.active_count() > 1:
+        return []
     try:
-        r, w = os.pipe()
-    except OSError:
-        return None
+        cpus = os.sched_getaffinity(0)
+        with open("/proc/self/stat", "rb") as f:
+            here = int(f.read().rpartition(b")")[2].split()[36])  # field 39, processor
+    except (AttributeError, OSError, ValueError, IndexError):
+        return []
+    # The CPUs after this one first, so that processes on different CPUs
+    # pin their workers apart. Pinned, a worker runs beside this process: an
+    # unpinned one was woken on this process's CPU and stayed there.
+    others = sorted(cpus - {here}, key=lambda c: (c < here, c))[:extra]
+    while len(_workers) < len(others) and (worker := _fork_worker()):
+        _workers.append(worker)
+    for (pid, _, _), cpu in zip(_workers, others):
+        try:
+            os.sched_setaffinity(pid, {cpu})
+        except OSError:
+            pass
+    return _workers[:len(others)]
+
+
+def _fork_worker() -> Optional[_Worker]:
+    """A new worker, or None when none starts. It runs each request's blocks
+    and replies until its request pipe closes, and ends in os._exit, so it
+    flushes none of this process's buffers."""
+    fds: list[int] = []
     try:
+        fds += os.pipe()
+        fds += os.pipe()
         pid = os.fork()
     except OSError:
-        os.close(r)
-        os.close(w)
+        for fd in fds:
+            os.close(fd)
         return None
+    ask_r, ask_w, reply_r, reply_w = fds
     if pid == 0:
         code = 1
         try:
-            os.close(r)
-            _pin({cpu})
-            run(share)
-            with open(w, "wb") as f:
-                for a in out:
-                    f.write(a[:, share].tobytes())
+            os.close(ask_w)
+            os.close(reply_r)
+            with open(ask_r, "rb") as requests, open(reply_w, "wb") as replies:
+                while True:
+                    try:
+                        sp, signs, energies = pickle.load(requests)
+                    except EOFError:
+                        break
+                    out = _empty(signs.shape)
+                    _blocks(sp, signs, energies, out, slice(0, energies.size))
+                    pickle.dump(out, replies, pickle.HIGHEST_PROTOCOL)
+                    replies.flush()
             code = 0
         finally:
             os._exit(code)
-    os.close(w)
-    return pid, r
+    os.close(ask_r)
+    os.close(reply_w)
+    return pid, open(ask_w, "wb"), open(reply_r, "rb")
 
 
-def _reap(pid: int, fd: int, out: tuple[np.ndarray, ...], share: slice) -> bool:
-    """Read a _fork child's pipe to EOF, wait for the child, and copy its
-    columns into out; whether it exited 0 with every byte."""
-    data = b""
+def _ask(worker: _Worker, request: tuple) -> Optional[_Worker]:
+    """Send a worker its share; the worker, or None if it is gone."""
     try:
-        with open(fd, "rb") as f:
-            data = f.read()
+        pickle.dump(request, worker[1], pickle.HIGHEST_PROTOCOL)
+        worker[1].flush()
+        return worker
     except OSError:
-        pass
-    finally:
-        _, status = os.waitpid(pid, 0)
-    cols = [a[:, share] for a in out]
-    if os.waitstatus_to_exitcode(status) != 0 or len(data) != sum(c.nbytes for c in cols):
+        _retire(worker, kill=True)
+        return None
+
+
+def _answer(worker: Optional[_Worker], cols: list[np.ndarray]) -> bool:
+    """Copy a worker's reply into cols; whether it came whole."""
+    if worker is None:
         return False
-    at = 0
-    for c in cols:
-        c[...] = np.frombuffer(data, c.dtype, c.size, at).reshape(c.shape)
-        at += c.nbytes
-    return True
+    try:
+        for c, a in zip(cols, pickle.load(worker[2]), strict=True):
+            c[...] = a
+        return True
+    except (EOFError, OSError, ValueError, TypeError, pickle.UnpicklingError):
+        _retire(worker, kill=True)
+        return False
+
+
+def _retire(worker: _Worker, kill: bool) -> None:
+    """Close a worker's pipes, which ends it when idle, and wait for it."""
+    pid, requests, replies = worker
+    if worker in _workers:
+        _workers.remove(worker)
+    if kill:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    for f in (requests, replies):
+        try:
+            f.close()
+        except OSError:
+            pass
+    try:
+        os.waitpid(pid, 0)
+    except ChildProcessError:
+        pass
+
+
+def _stop_workers(kill: bool = False) -> None:
+    """Retire every worker, killing it first when it may be busy."""
+    while _workers:
+        _retire(_workers[-1], kill)
+
+
+def _forget_workers() -> None:
+    """In a forked child: its parent's workers are not its own."""
+    global _forked
+    _forked = True
+    for _, requests, replies in _workers:
+        requests.close()  # nothing is left unsent in it
+        replies.close()
+    _workers.clear()
+
+
+atexit.register(_stop_workers)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
 
 
 def _gvalues_once(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,

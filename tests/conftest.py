@@ -2,7 +2,14 @@
 
 import pytest
 
-from tqrabi import ModelParams
+from tqrabi import ModelParams, gfunction
+
+
+@pytest.fixture(autouse=True)
+def stop_g_workers():
+    """Stop the G workers a test forked: each holds its test's patches."""
+    yield
+    gfunction._stop_workers()
 
 
 @pytest.fixture(scope="session")

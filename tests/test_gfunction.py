@@ -1,5 +1,8 @@
 import dataclasses
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -403,9 +406,11 @@ def test_one_series_run_per_center_and_block(request, monkeypatch, model, runs):
             assert len(centers) == blocks * runs and centers.count(0.0) == blocks
 
 
-def test_gvalues_working_set_flat_in_batch_size(asym):
+def test_gvalues_working_set_flat_in_batch_size(asym, monkeypatch):
     # The series run in fixed energy blocks with buffers reused from order to
-    # order, so a long batch needs about the memory of one block.
+    # order, so a long batch needs about the memory of one block. One CPU:
+    # this process runs every block itself.
+    fake_cpus(monkeypatch, 1)
     sp = gfunction._prepare(asym)
     peaks = []
     for n in (gfunction._BLOCK, 8 * gfunction._BLOCK):
@@ -420,11 +425,12 @@ def test_gvalues_working_set_flat_in_batch_size(asym):
 
 
 def fake_cpus(monkeypatch, n):
-    """Let _split see CPUs 0 to n - 1, and record the masks it pins this
-    process to instead of setting them: the test process keeps its own."""
+    """Let _hire see CPUs 0 to n - 1, and record the (pid, mask) pins it
+    makes instead of setting them."""
     pins = []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append(set(cpus)))
+    monkeypatch.setattr(os, "sched_setaffinity",
+                        lambda pid, cpus: pins.append((pid, set(cpus))))
     return pins
 
 
@@ -443,14 +449,24 @@ def one_process(sp, signs, energies):
     return [np.concatenate(c, axis=-1) for c in zip(*parts)]
 
 
+def children_left():
+    """Whether this process has a child, live or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("model", ["asym", "flat"])
 def test_split_keeps_the_bytes_of_one_process(request, monkeypatch, model):
     # Three blocks on two CPUs run as two shares, one here and one in a
-    # forked child, and their boundary falls inside the second block. Each
-    # share takes its own blocks, and every energy keeps the bits of value,
-    # pole mask and convergence mask that one process gives, on both chain
-    # shapes (asym 8x8, flat 4x4), for one sign per row and for mixed rows,
-    # with baselines (NaN, pole_ok false) on both sides of the boundary.
+    # worker, and their boundary falls inside the second block. Each share
+    # takes its own blocks, and every energy keeps the bits of value, pole
+    # mask and convergence mask that one process gives, on both chain shapes
+    # (asym 8x8, flat 4x4), for one sign per row and for mixed rows, with
+    # baselines (NaN, pole_ok false) on both sides of the boundary. One
+    # worker serves both calls, pinned at each to one CPU.
     sp = gfunction._prepare(request.getfixturevalue(model))
     b = gfunction._BLOCK
     es = np.linspace(-1.0, 3.0, 2 * b + 500)
@@ -471,20 +487,25 @@ def test_split_keeps_the_bytes_of_one_process(request, monkeypatch, model):
         hit = rows[:, at] == at_sign
         assert hit[:, :2].any() and hit[:, 2:].any()
         assert np.isnan(got[0][:, at][hit]).all() and not got[1][:, at][hit].any()
-    assert len(forks) == 2 and pins == [{0}, {0, 1}] * 2
+    (pid, _, _), = gfunction._workers
+    assert len(forks) == 1 and len(pins) == 2
+    assert all(p == pid and len(cpus) == 1 and cpus <= {0, 1} for p, cpus in pins)
 
 
-def test_split_leaves_no_child(asym, monkeypatch):
-    # Every child is reaped before _gvalues returns, and killed and reaped
-    # when this process's own share raises: a child 20 s from done is not
-    # waited for.
+def test_worker_is_kept_and_stopped(asym, monkeypatch):
+    # The worker outlives its call and serves the next; _stop_workers ends
+    # and reaps it, as it does at exit. When this process's own share
+    # raises, the worker is killed and reaped at once: a worker 20 s from
+    # done is not waited for.
     sp = gfunction._prepare(asym)
     es = np.linspace(-1.0, 3.0, 2 * gfunction._BLOCK)
     fake_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     gfunction._gvalues(sp, 1, es)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    gfunction._gvalues(sp, -1, es)
+    assert len(forks) == 1 and len(gfunction._workers) == 1 and children_left()
+    gfunction._stop_workers()
+    assert gfunction._workers == [] and not children_left()
     parent, once = os.getpid(), gfunction._gvalues_once
 
     def fail_here(*args):
@@ -498,19 +519,48 @@ def test_split_leaves_no_child(asym, monkeypatch):
     with pytest.raises(RuntimeError, match="share failed"):
         gfunction._gvalues(sp, 1, es)
     assert time.monotonic() - start < 10.0
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert len(forks) == 2
+    assert len(forks) == 2 and gfunction._workers == [] and not children_left()
+
+
+def test_workers_stop_at_exit(tmp_path):
+    # A process that split a call has no child left once its exit hooks ran.
+    script = tmp_path / "run.py"
+    script.write_text(
+        "import atexit, os\n"
+        "import numpy as np\n"
+        "from tqrabi import ModelParams, gfunction\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "os.sched_setaffinity = lambda pid, cpus: None\n"
+        "sp = gfunction._prepare(ModelParams(1.0, 0.5, 0.3, 1.6, 0.4))\n"
+        "gfunction._gvalues(sp, (1, -1), np.linspace(-1.0, 3.0, 4001))\n"
+        "assert len(gfunction._workers) == 1\n"
+        "atexit._run_exitfuncs()\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('no child')\n")
+    src = os.path.dirname(os.path.dirname(gfunction.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "no child"
 
 
 def test_failed_share_runs_here(asym, monkeypatch):
-    # A share whose fork raises OSError, or whose child exits non-zero, is
-    # run by this process, to the same bytes.
+    # A share whose fork raises OSError, whose worker fails in it, or whose
+    # worker was killed since the last call, is run by this process, to the
+    # same bytes; a failed worker is reaped and the next call forks anew.
     sp = gfunction._prepare(asym)
     es = np.linspace(-1.0, 3.0, 2 * gfunction._BLOCK + 300)
     ref = one_process(sp, np.repeat([[1], [-1]], es.size, axis=1), es)
     fake_cpus(monkeypatch, 2)
     parent, once, fork = os.getpid(), gfunction._gvalues_once, os.fork
+
+    def same_bytes():
+        for g, r in zip(gfunction._gvalues(sp, (1, -1), es), ref):
+            assert g.tobytes() == r.tobytes()
 
     def no_fork():
         raise OSError("no fork")
@@ -521,15 +571,20 @@ def test_failed_share_runs_here(asym, monkeypatch):
         return once(*args)
 
     monkeypatch.setattr(os, "fork", no_fork)
-    for g, r in zip(gfunction._gvalues(sp, (1, -1), es), ref):
-        assert g.tobytes() == r.tobytes()
+    same_bytes()
+    assert gfunction._workers == []
     forks = count_forks(monkeypatch, fork)
     monkeypatch.setattr(gfunction, "_gvalues_once", fail_there)
-    for g, r in zip(gfunction._gvalues(sp, (1, -1), es), ref):
-        assert g.tobytes() == r.tobytes()
-    assert len(forks) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    same_bytes()
+    assert len(forks) == 1 and gfunction._workers == [] and not children_left()
+    monkeypatch.setattr(gfunction, "_gvalues_once", once)
+    same_bytes()
+    (pid, _, _), = gfunction._workers
+    os.kill(pid, signal.SIGKILL)
+    same_bytes()
+    assert len(forks) == 2 and gfunction._workers == [] and not children_left()
+    same_bytes()
+    assert len(forks) == 3 and len(gfunction._workers) == 1
 
 
 def test_no_fork_beside_a_thread_on_one_cpu_or_in_one_block(asym, monkeypatch):
@@ -565,6 +620,32 @@ def test_no_fork_beside_a_thread_on_one_cpu_or_in_one_block(asym, monkeypatch):
     assert forks == []
     gfunction._gvalues(sp, 1, es)  # and the stand-in is reached
     assert forks == [1]
+
+
+def test_forked_process_runs_alone(asym, monkeypatch):
+    # A process forked from one with workers, as a sweep pool's worker is,
+    # drops its copy of them and forks none: its siblings hold the other
+    # CPUs. The parent's worker serves on.
+    sp = gfunction._prepare(asym)
+    es = np.linspace(-1.0, 3.0, 2 * gfunction._BLOCK)
+    fake_cpus(monkeypatch, 2)
+    fork, forks = os.fork, count_forks(monkeypatch)
+    gfunction._gvalues(sp, 1, es)
+    assert len(forks) == 1
+    pid = fork()
+    if pid == 0:
+        ok = False
+        try:
+            assert gfunction._forked and gfunction._workers == []
+            gfunction._gvalues(sp, 1, es)
+            ok = len(forks) == 1 and not gfunction._workers
+        finally:
+            os._exit(0 if ok else 1)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    assert not gfunction._forked
+    (worker, _, _), = gfunction._workers
+    gfunction._gvalues(sp, 1, es)
+    assert len(forks) == 1 and gfunction._workers[0][0] == worker
 
 
 def test_pole_factor_equals_the_dense_form(asym, flat, xyz_odd):
