@@ -218,7 +218,7 @@ def _hire(extra: int) -> list[_Worker]:
     # The CPUs after this one first, so that processes on different CPUs
     # pin their workers apart. Pinned, a worker runs beside this process: an
     # unpinned one was woken on this process's CPU and stayed there.
-    others = sorted(cpus - {here}, key=lambda c: (c < here, c))[:extra]
+    others = sorted(cpus - {here}, key=lambda c: (c < here, c))[:min(extra, len(cpus) - 1)]
     while len(_workers) < len(others) and (worker := _fork_worker()):
         _workers.append(worker)
     for (pid, _, _), cpu in zip(_workers, others):

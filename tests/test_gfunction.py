@@ -589,8 +589,9 @@ def test_failed_share_runs_here(asym, monkeypatch):
 
 def test_no_fork_beside_a_thread_on_one_cpu_or_in_one_block(asym, monkeypatch):
     # A fork copies only its calling thread, so none happens while another
-    # thread lives; nor with one CPU, nor for a call of one block, as the
-    # scan and refinement of a spectrum at the default step make them.
+    # thread lives; nor with one CPU, be it the one this process runs on or
+    # another, nor for a call of one block, as the scan and refinement of a
+    # spectrum at the default step make them.
     sp = gfunction._prepare(asym)
     b = gfunction._BLOCK
     es = np.linspace(-1.0, 3.0, 2 * b)
@@ -602,6 +603,8 @@ def test_no_fork_beside_a_thread_on_one_cpu_or_in_one_block(asym, monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     fake_cpus(monkeypatch, 1)
+    gfunction._gvalues(sp, 1, es)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {os.cpu_count() + 1})
     gfunction._gvalues(sp, 1, es)
     fake_cpus(monkeypatch, 2)
     gfunction._gvalues(sp, 1, es[:b])
