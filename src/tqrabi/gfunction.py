@@ -66,12 +66,11 @@ __all__ = [
 DEFAULT_GRID_STEP = 0.01
 ROOT_TOL = 1e-10
 VERIFY_TOL = 1e-6
-TANGENT_GTOL = 1e-10
-# Pass budget of the bracket refinement and the dip probe: with a midpoint
-# in every pass it holds the 64 halvings of a bisection.
+# Pass budget of the bracket refinement: with a midpoint in every pass it
+# holds the 64 halvings of a bisection.
 _MAX_PASSES = 64
-# Ratio of the probe offsets around a bracket's interpolated point or a
-# dip's vertex, from the tolerance up to half the width.
+# Ratio of the probe offsets around a bracket's interpolated point, from the
+# tolerance up to half the width.
 _LADDER = 100.0
 # Energies per series pass in _gvalues. A block stops on its own slowest
 # energy instead of the batch's, and its work arrays stay near 4 MB, inside
@@ -526,79 +525,26 @@ def _in_order(j: np.ndarray, e: np.ndarray, v: np.ndarray):
     return j, e, v, np.flatnonzero(change & (j[:-1] == j[1:]))
 
 
-def _dip_vertex(x: np.ndarray, f: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex of the parabola through each (n, 3) triple's |G|, tol inside and off
-    x[:, 1], and the midpoint of its longer half (also the vertex where none)."""
-    (x0, x1, x2), (f0, f1, f2) = x.T, f.T
-    a0, a1, a2 = np.abs(f0), np.abs(f1), np.abs(f2)
-    d0, d2 = x1 - x0, x2 - x1
-    mid = np.where(d2 > d0, x1 + 0.5 * d2, x1 - 0.5 * d0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = x1 - 0.5 * ((d0 * d0 * (a1 - a2) - d2 * d2 * (a1 - a0))
-                        / (d0 * (a1 - a2) + d2 * (a1 - a0)))
-    u = np.clip(np.where(np.isfinite(u), u, mid), x0 + tol, x2 - tol)
-    step = np.minimum(tol, 0.5 * np.maximum(d0, d2))
-    return np.where(np.abs(u - x1) < tol, np.where(d2 > d0, x1 + step, x1 - step), u), mid
-
-
-def _probe_dips(s: np.ndarray, x: np.ndarray, f: np.ndarray, j: np.ndarray,
-                e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Narrow (n, 3) dip triples of signs s by probes (triple j, energy e, G v),
-    each triple's vertex first, to their lowest |G| point and its neighbours.
-
-    Returns those triples, open while every point keeps the middle's sign,
-    the brackets (signs, lo, hi, G(lo), G(hi)) of each sign change between
-    neighbours, and the (signs, energies) of exact zeros. A vertex whose |G|
-    agrees with the middle's to 1e-12 relative, both above TANGENT_GTOL, is a
-    flat dip, no root pair nor tangency: it closes the triple.
-    """
-    n = np.arange(len(x))
-    (first, k), fu = np.unique(j, return_index=True), np.full(len(x), np.nan)
-    fu[first], a1 = v[k], np.abs(f[:, 1])
-    flat = (np.abs(fu - f[:, 1]) <= 1e-12 * a1) & (np.fmin(np.abs(fu), a1) > TANGENT_GTOL)
-    j, e, v, i = _in_order(np.concatenate([n, n, n, j]), np.concatenate([*x.T, e]),
-                           np.concatenate([*f.T, v]))
-    start = np.flatnonzero(np.diff(j, prepend=-1))
-    live = np.logical_and.reduceat(np.sign(v) == np.sign(f[j, 1]), start) & ~flat
-    end = np.append(start[1:], j.size) - 2
-    c = np.clip(np.lexsort((np.abs(v), j))[start], start + 1, end)
-    near = c[:, None] + np.arange(-1, 2)
-    return (e[near], v[near], live, (s[j[i]], e[i], e[i + 1], v[i], v[i + 1]),
-            (s[j[v == 0.0]], e[v == 0.0]))
-
-
 def _refine_brackets(sp: ModelParams, poles: dict[int, Sequence[float]],
-                     brackets: tuple[np.ndarray, ...], dips: tuple[np.ndarray, ...],
-                     tol: float) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Settle sign-change brackets and |G| dips of any parities in shared passes.
+                     brackets: tuple[np.ndarray, ...], tol: float,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Settle sign-change brackets of any parities in shared passes.
 
-    brackets is (signs, lo, hi, G(lo), G(hi)); dips is (signs, x, G(x)) for
-    (n, 3) grid triples whose middle |G| is below both ends; poles maps a sign
-    to the one-column poles, where G has no value and can jump. Each pass
-    sends the probes of all open work through one G call, up to _MAX_PASSES
-    per bracket or triple. A bracket is probed at _interpolate of its ends and
-    its last interpolant, a _ladder around that and its midpoint, and keeps
-    the first pair that changes sign: it at least halves, and closes at width
-    2*tol once the interpolant is within tol of its root. Its first pass also
+    brackets is (signs, lo, hi, G(lo), G(hi)); poles maps a sign to the
+    one-column poles, where G has no value and can jump. Each pass sends the
+    probes of all open brackets through one G call, up to _MAX_PASSES per
+    bracket. A bracket is probed at _interpolate of its ends and its last
+    interpolant, a _ladder around that and its midpoint, and keeps the first
+    pair that changes sign: it at least halves, and closes at width 2*tol
+    once the interpolant is within tol of its root. Its first pass also
     probes 4*POLE_EPS beside each pole inside it, which splits a bracket where
     G turns steep beside the pole. A probe on a pole is passed over, an exact
     zero closes its bracket, and any other non-finite probe raises
-    NoConvergence (closes a triple). Triples are probed alike around
-    _dip_vertex and narrowed by _probe_dips. Returns the (signs, midpoints)
-    of the brackets and the (signs, energies) of tangent candidates: exact
-    zeros, and triples narrowed to 2*tol with |G| below TANGENT_GTOL at the
-    middle.
+    NoConvergence. Returns the signs and midpoints of the brackets.
     """
     sb, lo, hi, flo, fhi = (np.array(c) for c in brackets)
     kb, (x3, f3) = np.zeros(lo.size, dtype=int), np.full((2, lo.size), np.nan)
-    sd, x, f = (np.array(c) for c in dips)
-    kd, live = np.zeros(len(x), dtype=int), np.ones(len(x), dtype=bool)
-    tangents = []
-    while True:
-        ob = np.flatnonzero((hi - lo > 2 * tol) & (kb < _MAX_PASSES))
-        od = np.flatnonzero(live & (x[:, 2] - x[:, 0] > 2 * tol) & (kd < _MAX_PASSES))
-        if not (ob.size or od.size):
-            break
+    while (ob := np.flatnonzero((hi - lo > 2 * tol) & (kb < _MAX_PASSES))).size:
         a, b, fa, fb = lo[ob], hi[ob], flo[ob], fhi[ob]
         rf = np.clip(_interpolate(a, b, fa, fb, x3[ob], f3[ob]), a + tol, b - tol)
         jb, eb = _ladder(rf, a, b, 0.5 * (a + b), tol)
@@ -606,12 +552,8 @@ def _refine_brackets(sp: ModelParams, poles: dict[int, Sequence[float]],
         near = np.reshape([(j, e + t) for j in np.flatnonzero(kb[ob] == 0) for e in
                            poles[sb[ob[j]]] if a[j] < e < b[j] for t in (-d, d)], (-1, 2))
         jb, eb = np.append(jb, near[:, 0]).astype(int), np.append(eb, near[:, 1])
-        u, mid = _dip_vertex(x[od], f[od], tol)
-        jd, ed = _ladder(u, x[od, 0], x[od, 2], mid, tol)
-        g, ok, _ = _gvalues(sp, np.concatenate([sb[ob][jb], sd[od][jd]]),
-                            np.concatenate([eb, ed]))
-        gb, gd = g[:eb.size], g[eb.size:]
-        if (bad := ok[:eb.size] & ~np.isfinite(gb)).any():
+        gb, ok, _ = _gvalues(sp, sb[ob][jb], eb)
+        if (bad := ok & ~np.isfinite(gb)).any():
             raise NoConvergence(
                 f"G is not finite at {bad.sum()} bracket probe(s), first at "
                 f"E = {eb[bad][0]:.17g} (omega = 1 units)")
@@ -626,49 +568,46 @@ def _refine_brackets(sp: ModelParams, poles: dict[int, Sequence[float]],
         z = v == 0.0
         lo[ob[j[z]]] = hi[ob[j[z]]] = e[z]
         kb[ob] += 1
-        if od.size:
-            on = ok[eb.size:]  # probes on a pole are passed over
-            x[od], f[od], live[od], pairs, zeros = _probe_dips(
-                sd[od], x[od], f[od], jd[on], ed[on], gd[on])
-            kd[od] += 1
-            tangents.append(zeros)
-            nan = np.full((2, pairs[0].size), np.nan)
-            sb, lo, hi, flo, fhi, x3, f3 = (np.concatenate(c) for c in zip(
-                (sb, lo, hi, flo, fhi, x3, f3), (*pairs, *nan)))
-            kb = np.append(kb, np.zeros(pairs[0].size, dtype=int))
-    rest = live & (np.abs(f[:, 1]) < TANGENT_GTOL)
-    tangents.append((sd[rest], x[rest, 1]))
-    return (sb, 0.5 * (lo + hi)), tuple(np.concatenate(c) for c in zip(*tangents))
+    return sb, 0.5 * (lo + hi)
 
 
 def _level_probes(levels: SpectrumResult, signs: Sequence[int], w: float,
                   lo: float, hi: float, poles: dict[int, Sequence[float]], tol: float,
                   ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """(sign, E_k, r_k) of each level of these signs, in omega = 1 units, and
-    (sign, a, b, level) of each probe pair. Every one-column pole b strictly
-    inside the window [lo, hi] is probed at b -/+ 4*POLE_EPS, where G jumps at
-    a cutoff state. A level E_k is probed at E_k -/+ tol/2 when its tail bound
-    r_k puts a true eigenvalue there (2 r_k <= tol), the pair lies in the
-    window and no one-column pole is within tol of E_k, whose pair covers it.
-    A pair that changes sign holds a root within tol/2 of its midpoint."""
+    (sign, a, b) of each level's probe pair E_k -/+ h, h = max(tol/2, r_k),
+    which holds a true eigenvalue as r_k bounds the level's distance from
+    one. A level is probed when E_k -/+ 2h lies in the window [lo, hi] and no
+    one-column pole is within 2h of E_k, whose own pair covers it. A pair that
+    changes sign holds a root within h of its midpoint: within tol/2 when the
+    level settles (2 r_k <= tol), and within tol while r_k <= tol."""
     recs = [r for r in levels if r.parity.sign in signs]
     s = np.array([r.parity.sign for r in recs], dtype=int)
     e, r = (np.array([getattr(x, f) for x in recs]) / w for f in ("energy", "residual"))
-    free = np.array([all(abs(x - p) > tol for p in poles[c]) for c, x in zip(s, e)], bool)
-    k = np.flatnonzero(free & (2 * r <= tol) & (e - tol >= lo) & (e + tol <= hi))
-    ps, pb = np.reshape([(c, p) for c in signs for p in poles[c] if lo < p < hi], (-1, 2)).T
-    a, b, d = e[k] - 0.5 * tol, e[k] + 0.5 * tol, 4 * series.POLE_EPS
-    return (s, e, r), (np.append(s[k], ps).astype(int), np.append(a, pb - d),
-                       np.append(b, pb + d), np.arange(a.size + pb.size) < a.size)
+    h = np.maximum(0.5 * tol, r)
+    free = np.array([all(abs(x - p) > 2 * d for p in poles[c]) for c, x, d in zip(s, e, h)],
+                    dtype=bool)
+    k = np.flatnonzero(free & (e - 2 * h >= lo) & (e + 2 * h <= hi))
+    return (s, e, r), (s[k], e[k] - h[k], e[k] + h[k])
 
 
-def _scan_grid(lo: float, hi: float, h: float) -> np.ndarray:
-    """find_roots' grid on [lo, hi] at a step near h. Each end is also taken
-    4*POLE_EPS inside, as a bracket probe is stepped off a pole: an end on a
-    pole has no grid point beyond it to bracket across."""
+def _scan_grid(sp: ModelParams, lo: float, hi: float, h: float) -> np.ndarray:
+    """find_roots' grid on [lo, hi]: a step near h, and b -/+ delta beside each
+    baseline b of either sign in the window. delta is 4*POLE_EPS beside a
+    one-column pole, where G jumps at a cutoff state, and min(1e-3, g^2/10)
+    beside any other: at weak coupling two regular levels of one parity can
+    sit within about g^2 of a baseline, one on either side, inside one cell,
+    and the points give each a sign change of its own. delta depends on the
+    model alone, so a root's bracket does not depend on the window or the
+    parities searched. Each end is also taken 4*POLE_EPS inside, at indices 1
+    and size - 2, as a bracket probe is stepped off a pole: an end on a pole
+    has no grid point beyond it to bracket across."""
     xs = np.linspace(lo, hi, max(2, int(round((hi - lo) / h)) + 1))
-    d = 4 * series.POLE_EPS
-    return np.concatenate([xs[:1], xs[:1] + d, xs[1:-1], xs[-1:] - d, xs[-1:]])
+    d, wide = 4 * series.POLE_EPS, min(1e-3, 0.1 * sp.g ** 2)
+    beside = np.array([b + t * (d if k == 1 else wide) for sign in (1, -1)
+                       for b, k in _poles(sp, sign, hi) if lo <= b <= hi for t in (-1, 1)])
+    inner = np.append(xs[1:-1], beside[(beside > lo + d) & (beside < hi - d)])
+    return np.concatenate([xs[:1], xs[:1] + d, np.unique(inner), xs[-1:] - d, xs[-1:]])
 
 
 def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
@@ -678,36 +617,37 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
 
     One search serves every parity; a parity given twice is searched once.
     G, matched at the model's points (default_scheme), is scanned across the
-    window on one uniform grid (step defaults to 0.01 in units of the photon
-    frequency) in one batch; an inner grid point exactly on a baseline is
-    dropped, and a window end on one is taken 4*POLE_EPS inside. Dips of |G|
-    without a sign change are probed for a root pair inside one grid cell,
-    or a tangency, in the passes that narrow the sign-change brackets to
-    width 2e-10, each at an interpolated point, a ladder of points around it
-    and its midpoint (_refine_brackets); a root is its bracket's midpoint.
-    Roots are never merged: scan cells are disjoint, a dip's brackets lie
-    inside its triple and probes inside their bracket, so each closed
-    bracket is one root, however close to the next. Probe pairs ride in the
-    scan's own call (_level_probes), and one that changes sign joins its
-    parity's grid as a closed bracket. Each one-column (center-0) pole b in
-    the window is probed at b -/+ 4*POLE_EPS, where G jumps at a cutoff state:
+    window in one batch (_scan_grid): a uniform grid (step defaults to 0.01
+    in units of the photon frequency) and two points beside every baseline,
+    4*POLE_EPS from a one-column (center-0) pole and min(1e-3, g^2/10) from
+    any other. A grid point exactly on a baseline is dropped, and a window end
+    on one is taken 4*POLE_EPS inside. Each sign change is narrowed to width
+    2e-10 in shared passes, each at an interpolated point, a ladder of points
+    around it and its midpoint (_refine_brackets); a root is its bracket's
+    midpoint. Roots are never merged: scan cells are disjoint and probes stay
+    inside their bracket, so each closed bracket is one root, however close
+    to the next. A one-column pole's pair is where G jumps at a cutoff state:
     a root at b, beside any regular one; dark states, on baselines without a
-    pole, are no roots. levels, oracle records of these parities such as
-    oracle.window(params, None, e_max, parities), verifies every root (nearest
-    same-parity level within 1e-6): unmatched roots are kept but flagged
-    unverified (residual inf where levels lacks their parity); with levels
-    None roots are unchecked. levels also settles roots in the scan: a level
-    E_k off the poles whose tail bound r_k (its residual) has 2 r_k <=
-    ROOT_TOL holds a true eigenvalue inside its pair E_k -/+ ROOT_TOL/2, whose
-    midpoint is within ROOT_TOL/2 of the root (0 or 1 ulp from E_k). Levels of
-    a parity must be complete up to the highest given, as the lowest ones from
-    oracle.window or oracle.diagonalize are. So a sign change with one end on
-    a level's pair, and a dip below the highest level of its parity, are not
-    refined unless they hold a level (E_k -/+ r_k meets them): they are
-    rounding beside a settled root, or hold no zero of G. When every root
-    settles, the scan is the search's only G call. Labels count the roots
-    within each parity. A bracket probe where G is not finite raises
-    NoConvergence, and a point rounded outside its disk OutsideDisk.
+    pole, are no roots. A root pair in one cell away from every baseline
+    shows no sign change and is not found without levels. levels, oracle
+    records of these parities such as oracle.window(params, None, e_max,
+    parities), verifies every root (nearest same-parity level within 1e-6):
+    unmatched roots are kept but flagged unverified (residual inf where
+    levels lacks their parity); with levels None roots are unchecked, and a
+    root's residual is |G| there. levels also settles roots in the scan: each
+    level E_k off the poles, with tail bound r_k (its residual), is probed at
+    E_k -/+ max(ROOT_TOL/2, r_k) in the scan's own call (_level_probes), and
+    a pair that changes sign joins its parity's grid as a bracket around a
+    true eigenvalue. When 2 r_k <= ROOT_TOL its midpoint is within
+    ROOT_TOL/2 of the root (0 or 1 ulp from E_k); a looser pair wider than
+    2*ROOT_TOL is refined. Levels of a parity must be complete up to the
+    highest given, as the lowest ones from oracle.window or
+    oracle.diagonalize are. So a sign change with one end on a level's pair
+    is not refined unless it holds a level (E_k -/+ r_k meets it): it is
+    rounding beside a settled root. When every root settles, the scan is the
+    search's only G call. Labels count the roots within each parity. A
+    bracket probe where G is not finite raises NoConvergence, and a point
+    rounded outside its disk OutsideDisk.
     """
     parities = _distinct(parities)
     lo_w, hi_w, h = _window(params, e_min, e_max, step)
@@ -715,78 +655,56 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
     w = params.omega
     signs = tuple(p.sign for p in parities)
 
-    xs = _scan_grid(lo_w, hi_w, h)
+    xs = _scan_grid(sp, lo_w, hi_w, h)
     # G can jump only at a one-column pole; beside others rounding is magnified.
     poles = {s: [b for b, k in _poles(sp, s, hi_w) if k == 1] for s in signs}
     # Probe pairs ride in the scan's call, at their own sign in every row. One
     # that changes sign joins its sign's grid; others would only split a cell.
-    (ls, le, lr), (ps, pa, pb, level) = _level_probes(levels or SpectrumResult(), signs, w,
-                                                      lo_w, hi_w, poles, ROOT_TOL)
+    (ls, le, lr), (ps, pa, pb) = _level_probes(levels or SpectrumResult(), signs, w,
+                                               lo_w, hi_w, poles, ROOT_TOL)
     es = np.concatenate([xs, pa, pb])
     cols = np.concatenate([np.repeat(np.array(signs)[:, None], xs.size, 1),
                            np.tile(ps, (len(signs), 2))], axis=1)
     g, ok, _ = _gvalues(sp, cols, es)
     ga, gb = g[0, xs.size:].reshape(2, -1)
     joins = np.append(np.ones(xs.size, dtype=bool), np.tile(np.sign(ga) * np.sign(gb) < 0, 2))
-    on_level = np.append(np.zeros(xs.size, dtype=bool), np.tile(level, 2))
+    on_pair = np.arange(es.size) >= xs.size
 
-    def holds(sign, lo, hi):  # whether a level's E_k -/+ r_k meets [lo, hi]
-        return ((ls == sign) & (le - lr <= hi[:, None]) & (le + lr >= lo[:, None])).any(axis=1)
-
-    brackets, dips = [], []
+    brackets = []
     for sign, gs, pole_ok, col in zip(signs, g, ok, cols):
         # No value exactly on a pole: the grid points beside it bracket across it.
         take = pole_ok & (col == sign) & joins
         take[[1, xs.size - 2]] &= ~pole_ok[[0, xs.size - 1]]
         x, at = np.unique(es[take], return_index=True)
-        gs, paired = gs[take][at], on_level[take][at]
-        s, mag = np.sign(gs), np.abs(gs)
-        # A |G| dip of one sign holds either two roots in one grid cell or a
-        # tangency (a root of even multiplicity); not one that holds no level
-        # below a level of its sign, as levels are complete up to the highest.
-        i = 1 + np.flatnonzero((s[:-2] == s[1:-1]) & (s[1:-1] == s[2:])
-                               & (mag[1:-1] < mag[:-2]) & (mag[1:-1] < mag[2:]))
-        top = le[ls == sign].max(initial=-np.inf)
-        i = i[holds(sign, x[i - 1], x[i + 1]) | (x[i + 1] > top)]
-        dips.append((np.full(i.size, sign), np.stack([x[i - 1], x[i], x[i + 1]], 1),
-                     np.stack([gs[i - 1], gs[i], gs[i + 1]], 1)))
+        gs, paired = gs[take][at], on_pair[take][at]
+        s = np.sign(gs)
         # Sign changes, and exact zeros on the grid as closed brackets; not one
         # with one end on a level's pair and no level: rounding beside a root.
         i, j = (np.append(np.flatnonzero(s == 0), np.flatnonzero(s[:-1] * s[1:] < 0) + d)
                 for d in (0, 1))
-        keep = holds(sign, x[i], x[j]) | (paired[i] == paired[j])
+        mine = ls == sign
+        holds = ((le[mine] - lr[mine] <= x[j, None])
+                 & (le[mine] + lr[mine] >= x[i, None])).any(axis=1)
+        keep = holds | (paired[i] == paired[j])
         i, j = i[keep], j[keep]
         brackets.append((np.full(i.size, sign), x[i], x[j], gs[i], gs[j]))
-    brackets, dips = (tuple(np.concatenate(c) for c in zip(*parts))
-                      for parts in (brackets, dips))
-    found, tangents = _refine_brackets(sp, poles, brackets, dips, ROOT_TOL)
+    found = _refine_brackets(sp, poles, tuple(map(np.concatenate, zip(*brackets))), ROOT_TOL)
 
-    # A tangent is kept only when ED confirms it or, without ED, when |G| < 1e-12.
+    roots = [(p, k, x) for p in parities
+             for k, x in enumerate(np.sort(found[1][found[0] == p.sign]).tolist())]
     if levels is not None:  # a parity without levels verifies none of its roots
         ed = {p: np.array(levels.filtered(p).energies()) for p in parities}
-    candidates = []
-    for parity in parities:
-        roots = found[1][found[0] == parity.sign]
-        apart = [(x, True) for x in tangents[1][tangents[0] == parity.sign].tolist()
-                 if np.all(np.abs(x - roots) > 1e-9)]
-        candidates += [(parity, x, tangent) for x, tangent in
-                       sorted([(x, False) for x in roots.tolist()] + apart)]
-    if levels is None and candidates:
-        gmag, _, _ = _gvalues(sp, np.array([p.sign for p, _, _ in candidates]),
-                              np.array([x for _, x, _ in candidates]))
-    records, count = [], dict.fromkeys(parities, 0)
-    for j, (parity, x, tangent) in enumerate(candidates):
+    elif roots:
+        mag = np.abs(_gvalues(sp, np.array([p.sign for p, _, _ in roots]),
+                              np.array([x for _, _, x in roots]))[0])
+    records = []
+    for n, (parity, k, x) in enumerate(roots):
         if levels is not None:
             residual = float(np.min(np.abs(ed[parity] - x * w), initial=np.inf))
             verified = residual < VERIFY_TOL * w
-            keep = verified or not tangent
         else:
-            residual, verified = float(abs(gmag[j])), None
-            keep = residual < 1e-12 or not tangent
-        if keep:
-            records.append(SpectrumRecord(x * w, parity, "gfunction", residual,
-                                          count[parity], verified))
-            count[parity] += 1
+            residual, verified = float(mag[n]), None
+        records.append(SpectrumRecord(x * w, parity, "gfunction", residual, k, verified))
     return SpectrumResult.from_records(records)
 
 

@@ -164,6 +164,24 @@ def test_root_row_precedes_its_oracle_row(tmp_path, asym_cfg, monkeypatch):
     assert len(methods) == 24 and methods == ["gfunction", "oracle"] * 12
 
 
+def test_unverified_spectrum_finds_a_pair_straddling_a_baseline(tmp_path):
+    # The narrow-gap template at g = 0.1: its even levels 2.9957114 and
+    # 2.9975680 straddle a baseline inside one scan cell. Without levels
+    # each gets a sign change of its own from the points beside the
+    # baseline, so the unverified spectrum holds both, one row each.
+    p = tqrabi.ModelParams(1.0, 0.15, 0.86, 0.1155, 0.0375).with_g(0.1)
+    cfg = tmp_path / "gap.cfg"
+    cfg.write_text(f"omega = 1.0\ndelta1 = 0.15\ndelta2 = 0.86\ng1 = {p.g1!r}\n"
+                   f"g2 = {p.g2!r}\n")
+    out = tmp_path / "spectrum.csv"
+    assert main(["spectrum", "--config", str(cfg), "--emin", "-1", "--emax", "3",
+                 "--solver", "gfunction", "--no-verify", "--out", str(out)]) == 0
+    even = [float(r["E"]) for r in rows(out) if r["parity"] == "1"]
+    levels = oracle.window(p, 300, 3.0, (tqrabi.Parity.PLUS,)).energies()
+    assert even == pytest.approx([e for e in levels if -1.0 <= e <= 3.0], abs=1e-6)
+    assert sum(abs(e - 2.9966) < 1e-3 for e in even) == 2
+
+
 @pytest.mark.parametrize("command, name", [
     (["verify", "--emax", "1.0", "--truncation", "160"], "find_roots"),
     (["trace", "--emin", "-1", "--emax", "1.0"], "trace"),

@@ -817,14 +817,10 @@ def fake_gvalues(g, ok=None):
     return fake
 
 
-NO_DIPS = (np.empty(0, dtype=int), np.empty((0, 3)), np.empty((0, 3)))
-
-
 def refine(lo, hi, flo, fhi, poles=(), tol=1e-10):
     """_refine_brackets on sign-+1 brackets alone: their midpoints."""
-    (signs, roots), _ = gfunction._refine_brackets(
-        None, {1: list(poles)}, (np.ones(len(lo), dtype=int), lo, hi, flo, fhi),
-        NO_DIPS, tol)
+    signs, roots = gfunction._refine_brackets(
+        None, {1: list(poles)}, (np.ones(len(lo), dtype=int), lo, hi, flo, fhi), tol)
     assert (signs == 1).all()
     return roots
 
@@ -877,9 +873,9 @@ def test_cutoff_state_settles_in_one_pass(flat, monkeypatch):
     calls = []
     gvalues = gfunction._gvalues
     monkeypatch.setattr(gfunction, "_gvalues", lambda *a: calls.append(1) or gvalues(*a))
-    (_, root), _ = gfunction._refine_brackets(
+    _, root = gfunction._refine_brackets(
         sp, {1: poles}, (np.array([1]), np.array([0.99]), np.array([1.01]), g[:1], g[1:]),
-        NO_DIPS, gfunction.ROOT_TOL)
+        gfunction.ROOT_TOL)
     assert len(calls) == 1
     assert abs(root[0] - energy) < 1e-11
     # Flat's other even roots are ordinary zeros: the search for the sector
@@ -899,7 +895,7 @@ def test_cutoff_state_settles_in_one_pass(flat, monkeypatch):
     ModelParams(1.0, 0.6, 0.4, 0.6 + 5e-8, 0.6 + 5e-8),
 ], ids=["asym", "ratio2", "reduced4", "flat", "pole_margin"])
 def test_two_parity_search_in_seven_g_calls(params, monkeypatch):
-    # One scan and at most six passes settle every bracket and dip of both
+    # One scan and at most six passes settle every bracket of both
     # parities, the pole-margin level 3.4e-8 above its pole included: each
     # pass probes a ladder around a three-point interpolant and a midpoint.
     both = (Parity.PLUS, Parity.MINUS)
@@ -940,23 +936,6 @@ def test_refine_brackets_multiple_root_worst_case(monkeypatch):
     root, passes = _count_refine_passes(monkeypatch, lambda e: (e - 0.3) ** 9, 0.0, 1.0)
     assert abs(root - 0.3) <= gfunction.ROOT_TOL
     assert passes <= 3 * np.ceil(np.log2(1.0 / (2 * gfunction.ROOT_TOL)))
-
-
-@pytest.mark.parametrize("lift, found", [(0.0, [0.3]), (1e-11, [])])
-def test_tangent_dip_kept_only_below_1e_12(monkeypatch, asym, lift, found):
-    # (E - 0.3)^2 touches zero inside a grid cell without a sign change: the
-    # dip probe narrows it to a tangent candidate, which a search without levels keeps
-    # only when |G| < 1e-12 there. Lifted by 1e-11 it stays below
-    # TANGENT_GTOL to the end of the probe, yet holds no root.
-    refine_brackets, probed = gfunction._refine_brackets, []
-    monkeypatch.setattr(gfunction, "_gvalues", fake_gvalues(lambda e: (e - 0.3) ** 2 + lift))
-    monkeypatch.setattr(gfunction, "_refine_brackets",
-                        lambda *a: probed.append(refine_brackets(*a)) or probed[-1])
-    res = find_roots(asym, (Parity.PLUS,), 0.0, 1.0, step=0.03)
-    ((_, roots), (_, tangents)), = probed
-    assert roots.size == 0 and tangents == pytest.approx([0.3], abs=2e-10)
-    assert res.energies() == pytest.approx(found, abs=2 * gfunction.ROOT_TOL)
-    assert all(r.residual < 1e-12 and r.verified is None for r in res)
 
 
 @pytest.mark.parametrize("model", ["asym", "ratio2", "xyz_odd", "flat"])
@@ -1046,6 +1025,77 @@ def test_root_pair_in_a_narrow_gap_between_baselines():
     assert np.sum(np.abs(ed - 0.9921) < 2e-3) == 2
 
 
+NARROW_GAP = ModelParams(1.0, 0.15, 0.86, 0.1155, 0.0375).with_g(0.1)
+
+
+def test_root_pair_straddling_a_baseline_without_levels():
+    # At g = 0.1 the even levels 2.9957114 and 2.9975680 straddle the
+    # three-column baseline 2.9974 inside one scan cell, and the grid point
+    # 2.99 sits on another baseline: G keeps its sign from 2.99 to 3. The
+    # points 1e-3 either side of each baseline give each level a sign change
+    # of its own, so the search without levels finds both.
+    res = find_roots(NARROW_GAP, (Parity.PLUS,), -1.0, 3.0)
+    ed = ed_levels(NARROW_GAP, Parity.PLUS, -1.0, 3.0, truncation=300)
+    assert len(res) == len(ed) == 7
+    assert np.max(np.abs(np.array(res.energies()) - ed)) < 1e-6
+    assert np.sum(np.abs(ed - 2.9966) < 1e-3) == 2
+
+
+@pytest.mark.parametrize("g", [0.1, 0.02])
+def test_odd_pair_beside_a_baseline_without_levels(g):
+    # On flat at weak coupling two odd levels sit within g^2 of the pole
+    # E = 2, one on either side, inside the scan cell around it (7.7e-3
+    # below and 2.0e-3 above at g = 0.1; 4.0e-4 and 1.0e-4 at g = 0.02).
+    # The points min(1e-3, g^2/10) beside the three-column baselines and
+    # 4*POLE_EPS beside the pole split the cell between them; a fixed 1e-3
+    # would step over the g = 0.02 pair.
+    p = ModelParams(1.0, 0.6, 0.4, g / 2, g / 2)
+    res = find_roots(p, (Parity.MINUS,), -1.0, 3.0)
+    ed = ed_levels(p, Parity.MINUS, -1.0, 3.0, truncation=300)
+    assert len(res) == len(ed)
+    assert np.max(np.abs(np.array(res.energies()) - ed)) < 1e-6
+    assert np.sum(np.abs(ed - 2.0) < 2 * g * g) == 2
+
+
+def test_roots_keep_their_bits_across_windows_and_parities():
+    # The points beside each baseline depend on the model alone, and the
+    # baselines of both signs are taken whatever the parities searched: two
+    # windows on one 0.25 grid give the roots they share the same bits, and
+    # so does a parity searched alone or beside the other. The exchange
+    # terms put the center-0 baselines of the two signs apart.
+    p = ModelParams(1.0, 0.5, 0.3, 0.06, 0.02, 0.1, 0.2, -0.1)
+    both = (Parity.PLUS, Parity.MINUS)
+    wide = find_roots(p, both, -1.0, 3.0, step=0.25)
+    narrow = find_roots(p, both, 1.0, 2.5, step=0.25)
+    shared = [np.array([r.energy for r in res if 1.25 < r.energy < 2.25])
+              for res in (wide, narrow)]
+    assert shared[0].size == 4 and shared[0].tobytes() == shared[1].tobytes()
+    assert len(wide) == len(ed_levels(p, Parity.PLUS, -1.0, 3.0)) + len(
+        ed_levels(p, Parity.MINUS, -1.0, 3.0))
+    for parity in both:
+        alone = find_roots(p, (parity,), -1.0, 3.0, step=0.25)
+        assert (np.array(alone.energies()).tobytes()
+                == np.array(wide.filtered(parity).energies()).tobytes())
+
+
+@pytest.mark.parametrize("bound", [0.6, 4.0])
+def test_loose_level_sharing_a_cell_with_a_settled_one_is_claimed_once(bound, monkeypatch):
+    # The even levels 0.6 and 0.8 share the cell (0.56, 0.9) of a 0.34 grid,
+    # where G keeps its sign. 0.6 settles; 0.8, its tail bound loosened to
+    # bound * ROOT_TOL, is probed at 0.8 -/+ that bound: the pair closes in
+    # the scan when it is no wider than 2 * ROOT_TOL, and is refined
+    # otherwise. Each level is claimed once, within ROOT_TOL of its root.
+    p = ModelParams(1.0, 0.6, 0.2, 0.8e-3, 0.2e-3)
+    levels = oracle.window(p, 300, 0.9, (Parity.PLUS,))
+    calls = counted_gvalues(monkeypatch)
+    found = find_roots(p, (Parity.PLUS,), 0.22, 0.9, step=0.34, levels=loosened(
+        levels, bound * gfunction.ROOT_TOL, keep=lambda r: abs(r.energy - 0.8) > 0.01))
+    assert (len(calls) == 1) == (bound <= 1)
+    ed = ed_levels(p, Parity.PLUS, 0.22, 0.9, truncation=300)
+    assert len(ed) == len(found) == 2 and all(r.verified for r in found)
+    assert np.max(np.abs(np.array(found.energies()) - ed)) <= gfunction.ROOT_TOL
+
+
 @pytest.mark.parametrize("model, parity, levels", [
     ("flat", Parity.PLUS, [1.0]),
     ("xyz_odd", Parity.MINUS, [0.7]),
@@ -1087,10 +1137,10 @@ def test_level_crossing_a_cutoff_state_is_a_root_of_its_own(flat, g_c, offset):
 
 def test_root_pair_inside_one_grid_cell():
     # Near the decoupled limit the even levels 0.6 and 0.8 share the cell
-    # (0.56, 0.9) of a 0.34 grid on [0.22, 0.9], and |G| at 0.56 is below its
-    # neighbours: a dip of one sign that only the dip probe can split. (The
-    # asym levels of one parity are too far apart for this between adjacent
-    # baselines.)
+    # (0.56, 0.9) of a 0.34 grid on [0.22, 0.9], with no baseline between
+    # them: G keeps its sign across the cell, and only the levels' probe
+    # pairs split it. (The asym levels of one parity are too far apart for
+    # this between adjacent baselines.)
     p = ModelParams(1.0, 0.6, 0.2, 0.8e-3, 0.2e-3)
     res = find_roots(p, (Parity.PLUS,), 0.22, 0.9, step=0.34,
                      levels=oracle.window(p, 300, 0.9, (Parity.PLUS,)))
@@ -1101,42 +1151,16 @@ def test_root_pair_inside_one_grid_cell():
     assert all(r.verified for r in res)
 
 
-def test_flat_dip_dropped_early(ratio2, monkeypatch):
-    # The odd |G| dip near E = 1.8739 bottoms out at 0.0089 and is flat to 17
-    # digits over 1e-8: neither a root pair nor a tangency. It is dropped once
-    # a probe matches its middle to 12 digits, not narrowed to 2 * ROOT_TOL,
-    # which took 18 probe passes. Every pass that probes a dip narrows the
-    # open triples once, in one _probe_dips call.
-    probe_dips, passes = gfunction._probe_dips, []
-    monkeypatch.setattr(gfunction, "_probe_dips",
-                        lambda *a: passes.append(1) or probe_dips(*a))
-    res = find_roots(ratio2, (Parity.MINUS,), -1.0, 2.5)
-    assert len(res) == 6
-    assert 0 < len(passes) <= 10
-
-
-def test_dip_probe_on_a_pole_is_passed_over(xyz_odd):
+def test_level_and_cutoff_state_in_one_cell_around_a_pole(xyz_odd):
     # At g = 0.2 the odd level 0.69575 and the cutoff state 0.7 share the
-    # dip triple (0.68, 0.69, 0.71) around the pole at 0.7, where the
-    # midpoint of its longer half lands: that probe has no value and must
-    # not close the triple.
+    # cell (0.69, 0.71) around the pole at 0.7, whose grid point has no
+    # value: the pole's pair in the grid splits the cell, and each is a
+    # root of its own.
     p = xyz_odd.with_g(0.2)
     res = find_roots(p, (Parity.MINUS,), -1.0, 3.0,
                      levels=oracle.window(p, 300, 3.0, (Parity.MINUS,)))
     assert all(r.verified for r in res)
     assert res.energies()[1:3] == pytest.approx([0.6957463915, 0.7], abs=1e-9)
-
-
-def test_smooth_dips_close_in_three_passes(ratio2, monkeypatch):
-    # ratio2's odd |G| has smooth minima of one sign near 0.88, 1.41, 1.86
-    # and 2.41, none a root pair: each is narrowed around its parabola
-    # vertex with a ladder of probes and dropped as flat within 3 passes.
-    probe_dips, passes = gfunction._probe_dips, []
-    monkeypatch.setattr(gfunction, "_probe_dips",
-                        lambda *a: passes.append(len(a[1])) or probe_dips(*a))
-    res = find_roots(ratio2, (Parity.MINUS,), -1.0, 2.5)
-    assert len(res) == 6
-    assert passes[0] >= 4 and len(passes) <= 3
 
 
 PROBE_MODELS = {
@@ -1187,20 +1211,38 @@ def test_levels_settle_every_root_in_the_scan_call(model, monkeypatch):
 
 
 def test_loose_tail_bound_goes_through_refinement(asym, monkeypatch):
-    # A level whose tail bound exceeds ROOT_TOL/2 may have its eigenvalue
-    # outside E_k -/+ ROOT_TOL/2: its bracket is refined as without levels,
-    # to within ROOT_TOL of the root, while the others settle in the scan.
+    # A level whose tail bound r_k exceeds ROOT_TOL may have its eigenvalue
+    # anywhere in E_k -/+ r_k, its probe pair, wider than a closed bracket:
+    # the pair is refined to within ROOT_TOL of the root, while the others
+    # settle in the scan.
+    both = (Parity.PLUS, Parity.MINUS)
+    levels = oracle.window(asym, None, 2.5, both)
+    loose = levels.filtered(Parity.MINUS).records[2]
+    calls = counted_gvalues(monkeypatch)
+    found = find_roots(asym, both, -1.0, 2.5, levels=loosened(
+        levels, 4 * gfunction.ROOT_TOL, keep=lambda r: r is not loose))
+    assert len(calls) > 1
+    far = [r for r in found if r.residual > 1e-12]
+    assert [(r.parity, r.verified) for r in far] == [(Parity.MINUS, True)]
+    assert abs(far[0].energy - loose.energy) <= gfunction.ROOT_TOL
+    assert len(found) == 12
+
+
+def test_loose_pair_within_root_tol_closes_in_the_scan(asym, monkeypatch):
+    # A tail bound r_k in (ROOT_TOL/2, ROOT_TOL] is too loose to settle the
+    # level at E_k -/+ ROOT_TOL/2, but its pair E_k -/+ r_k is no wider than a
+    # closed bracket: the scan closes it, and its midpoint E_k is within r_k
+    # of the eigenvalue, as a refined root is within ROOT_TOL of its root.
     both = (Parity.PLUS, Parity.MINUS)
     levels = oracle.window(asym, None, 2.5, both)
     loose = levels.filtered(Parity.MINUS).records[2]
     calls = counted_gvalues(monkeypatch)
     found = find_roots(asym, both, -1.0, 2.5, levels=loosened(
         levels, 0.6 * gfunction.ROOT_TOL, keep=lambda r: r is not loose))
-    assert len(calls) > 1
-    far = [r for r in found if r.residual > 1e-12]
-    assert [(r.parity, r.verified) for r in far] == [(Parity.MINUS, True)]
-    assert abs(far[0].energy - loose.energy) <= gfunction.ROOT_TOL
-    assert len(found) == 12
+    assert len(calls) == 1
+    assert len(found) == 12 and all(r.verified and r.residual < 1e-12 for r in found)
+    plain = find_roots(asym, (Parity.MINUS,), -1.0, 2.5).energies()
+    assert min(abs(x - loose.energy) for x in plain) <= gfunction.ROOT_TOL
 
 
 def test_dark_states_are_no_roots(equal_qubits):
@@ -1220,50 +1262,6 @@ def test_dark_states_are_no_roots(equal_qubits):
         assert min(abs(x - e) for x in found.filtered(parity).energies()) > 1e-6
 
 
-def test_parity_without_levels_is_searched_as_without_levels(ratio2, monkeypatch):
-    # Levels of the even parity alone: the odd parity keeps the plain
-    # search, its smooth |G| dips probed and its roots bit for bit those
-    # of a search without levels, while the even roots settle in the scan.
-    probe_dips, probed = gfunction._probe_dips, []
-    monkeypatch.setattr(gfunction, "_probe_dips",
-                        lambda *a: probed.append(a[0]) or probe_dips(*a))
-    both = (Parity.PLUS, Parity.MINUS)
-    found = find_roots(ratio2, both, -1.0, 2.5,
-                       levels=oracle.window(ratio2, None, 2.5, (Parity.PLUS,)))
-    assert probed and set(np.concatenate(probed).tolist()) == {-1}
-    minus = found.filtered(Parity.MINUS)
-    plain = find_roots(ratio2, (Parity.MINUS,), -1.0, 2.5)
-    assert np.array(minus.energies()).tobytes() == np.array(plain.energies()).tobytes()
-    assert all(r.verified is False for r in minus)
-    assert all(r.verified and r.residual < 1e-12 for r in found.filtered(Parity.PLUS))
-
-
-def test_loosened_level_in_a_dip_with_a_settled_one_is_claimed_once(monkeypatch):
-    # The even levels 0.6 and 0.8 share the dip triple (0.22, 0.56, 0.9) of
-    # a 0.34 grid. With tight tail bounds both pairs join the grid and close
-    # as brackets: one G call. With 0.8's bound loosened only 0.6's pair is
-    # in the grid, the cell beside it is refined to 0.8's root, and each
-    # level is claimed once: two verified roots, those of the search
-    # without levels within ROOT_TOL. With both loosened, the dip holds
-    # both levels and is refined as without levels, bit for bit.
-    p = ModelParams(1.0, 0.6, 0.2, 0.8e-3, 0.2e-3)
-    levels = oracle.window(p, 300, 0.9, (Parity.PLUS,))
-    calls = counted_gvalues(monkeypatch)
-    tight = find_roots(p, (Parity.PLUS,), 0.22, 0.9, step=0.34, levels=levels)
-    assert len(calls) == 1 and len(tight) == 2
-    loose = find_roots(p, (Parity.PLUS,), 0.22, 0.9, step=0.34, levels=loosened(
-        levels, gfunction.ROOT_TOL, keep=lambda r: abs(r.energy - 0.8) > 0.01))
-    plain = find_roots(p, (Parity.PLUS,), 0.22, 0.9, step=0.34)
-    assert len(loose) == 2 and all(r.verified for r in loose)
-    for found in (tight, loose):
-        gap = np.abs(np.array(found.energies()) - plain.energies())
-        assert np.max(gap) <= gfunction.ROOT_TOL
-    both = find_roots(p, (Parity.PLUS,), 0.22, 0.9, step=0.34,
-                      levels=loosened(levels, gfunction.ROOT_TOL))
-    assert len(both) == 2 and all(r.verified for r in both)
-    assert np.array(both.energies()).tobytes() == np.array(plain.energies()).tobytes()
-
-
 @pytest.mark.parametrize("g, root", [
     (lambda d: np.where(np.abs(d) > 1e-9, d, -d), 0.0),
     (lambda d: d - 1e-9, 1e-9),
@@ -1281,17 +1279,3 @@ def test_sign_noise_near_a_level_gives_it_one_root(asym, monkeypatch, g, root):
     res = find_roots(asym, (Parity.PLUS,), 0.0, 1.0, step=0.1, levels=level)
     assert len(res) == 1 and res.records[0].verified
     assert abs(res.energies()[0] - e0 - root) <= gfunction.ROOT_TOL
-
-
-def test_dip_above_the_highest_level_is_refined():
-    # The lowest two levels, -0.8 (even) and -0.4 (odd), say nothing above
-    # -0.8 in the even parity: the dip triple (0.22, 0.56, 0.9) of a 0.34
-    # grid, which holds the even roots 0.6 and 0.8, is refined as without
-    # levels, and both roots are kept unverified.
-    p = ModelParams(1.0, 0.6, 0.2, 0.8e-3, 0.2e-3)
-    lowest = oracle.diagonalize(p, 300, 2)
-    assert max(lowest.filtered(Parity.PLUS).energies()) < 0.22
-    found = find_roots(p, (Parity.PLUS,), 0.22, 0.9, step=0.34, levels=lowest)
-    plain = find_roots(p, (Parity.PLUS,), 0.22, 0.9, step=0.34)
-    assert len(found) == 2 and all(r.verified is False for r in found)
-    assert np.array(found.energies()).tobytes() == np.array(plain.energies()).tobytes()
