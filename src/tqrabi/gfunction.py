@@ -628,8 +628,9 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
     inside their bracket, so each closed bracket is one root, however close
     to the next. A one-column pole's pair is where G jumps at a cutoff state:
     a root at b, beside any regular one; dark states, on baselines without a
-    pole, are no roots. A root pair in one cell away from every baseline
-    shows no sign change and is not found without levels. levels, oracle
+    pole, are no roots. A root pair in one cell away from every baseline,
+    as near a same-parity crossing, shows no sign change and is not found
+    without levels. levels, oracle
     records of these parities such as oracle.window(params, None, e_max,
     parities), verifies every root (nearest same-parity level within 1e-6):
     unmatched roots are kept but flagged unverified (residual inf where

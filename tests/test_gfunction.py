@@ -1025,20 +1025,23 @@ def test_root_pair_in_a_narrow_gap_between_baselines():
     assert np.sum(np.abs(ed - 0.9921) < 2e-3) == 2
 
 
-NARROW_GAP = ModelParams(1.0, 0.15, 0.86, 0.1155, 0.0375).with_g(0.1)
-
-
-def test_root_pair_straddling_a_baseline_without_levels():
-    # At g = 0.1 the even levels 2.9957114 and 2.9975680 straddle the
-    # three-column baseline 2.9974 inside one scan cell, and the grid point
-    # 2.99 sits on another baseline: G keeps its sign from 2.99 to 3. The
-    # points 1e-3 either side of each baseline give each level a sign change
-    # of its own, so the search without levels finds both.
-    res = find_roots(NARROW_GAP, (Parity.PLUS,), -1.0, 3.0)
-    ed = ed_levels(NARROW_GAP, Parity.PLUS, -1.0, 3.0, truncation=300)
+@pytest.mark.parametrize("delta2, g, pair", [
+    (0.86, 0.1, (2.9957114, 2.9975680)),
+    (0.851, 0.03, (2.99954593, 2.99986436)),
+], ids=["narrow_gap", "narrow_gap_g0.03"])
+def test_root_pair_straddling_a_baseline_without_levels(delta2, g, pair):
+    # Two even levels straddle a three-column baseline, 3 - g'^2, inside one
+    # scan cell: at g = 0.1 the grid point 2.99 also sits on a baseline, so G
+    # keeps its sign from 2.98 to 3. The points min(1e-3, g^2/10) either side
+    # of each baseline give each level a sign change of its own, so the
+    # search without levels finds both. At g = 0.03 the pair lies 2.1e-4
+    # below and 9.8e-5 above the baseline: a fixed 1e-3 would hold both.
+    p = ModelParams(1.0, 0.15, delta2, 0.1155, 0.0375).with_g(g)
+    res = find_roots(p, (Parity.PLUS,), -1.0, 3.0)
+    ed = ed_levels(p, Parity.PLUS, -1.0, 3.0, truncation=300)
     assert len(res) == len(ed) == 7
     assert np.max(np.abs(np.array(res.energies()) - ed)) < 1e-6
-    assert np.sum(np.abs(ed - 2.9966) < 1e-3) == 2
+    assert ed[-2:] == pytest.approx(pair, abs=1e-7)
 
 
 @pytest.mark.parametrize("g", [0.1, 0.02])
@@ -1046,9 +1049,8 @@ def test_odd_pair_beside_a_baseline_without_levels(g):
     # On flat at weak coupling two odd levels sit within g^2 of the pole
     # E = 2, one on either side, inside the scan cell around it (7.7e-3
     # below and 2.0e-3 above at g = 0.1; 4.0e-4 and 1.0e-4 at g = 0.02).
-    # The points min(1e-3, g^2/10) beside the three-column baselines and
-    # 4*POLE_EPS beside the pole split the cell between them; a fixed 1e-3
-    # would step over the g = 0.02 pair.
+    # The points 4*POLE_EPS beside the pole, always in the scan grid, split
+    # the cell between them.
     p = ModelParams(1.0, 0.6, 0.4, g / 2, g / 2)
     res = find_roots(p, (Parity.MINUS,), -1.0, 3.0)
     ed = ed_levels(p, Parity.MINUS, -1.0, 3.0, truncation=300)
