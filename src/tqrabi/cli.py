@@ -8,7 +8,6 @@ significant digits and no timestamps are embedded.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -89,9 +88,15 @@ def cmd_trace(args: argparse.Namespace, params: ModelParams) -> int:
     return 0
 
 
-def _sweep_point(task) -> list[tuple[str, ...]]:
-    """Rows of one sweep point; task is (args, template, g), g the total coupling."""
-    args, params, g = task
+def _sweep_points(args: argparse.Namespace, params: ModelParams,
+                  gs: Sequence[float]) -> list[list[tuple[str, ...]]]:
+    """The rows of each sweep point in gs."""
+    return [_sweep_point(args, params, g) for g in gs]
+
+
+def _sweep_point(args: argparse.Namespace, params: ModelParams,
+                 g: float) -> list[tuple[str, ...]]:
+    """Rows of one sweep point: the template params at total coupling g."""
     point = params.with_g(g)
     rows: list[tuple[str, ...]] = []
     parities = _parities(args.parity)
@@ -141,17 +146,12 @@ def cmd_sweep(args: argparse.Namespace, params: ModelParams) -> int:
         raise ConfigError("sweep template must have g1 + g2 > 0 to fix the ratio")
     if not np.isfinite([args.gmin, args.gmax]).all():
         raise ConfigError("--gmin and --gmax must be finite")
-    tasks = [(args, params, float(g))
-             for g in np.linspace(args.gmin, args.gmax, args.points)]
-    # Only G work pays for a fork pool. It starts all workers at once: at most one per point.
-    workers = 1 if args.solver == "oracle" else min(os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, tasks))
-    else:
-        results = [_sweep_point(t) for t in tasks]
+    gs = [float(g) for g in np.linspace(args.gmin, args.gmax, args.points)]
+    # G points spread over the CPUs, point i in share i mod k; oracle points
+    # cost less than a share's trip to a worker and run here.
+    shares = gfunction._shares(1 if args.solver == "oracle" else len(gs), lambda k: [
+        (_sweep_points, (args, params, gs[i::k])) for i in range(k)])
+    results = [shares[i % len(shares)][i // len(shares)] for i in range(len(gs))]
     write_csv(args.out, "g,E,parity,method,residual,status",
               (row for rows in results for row in rows), comments=[
                   "tqrabi sweep",

@@ -14,12 +14,13 @@ records of series._centers; the column order, the determinant's parity sign
 and the pole factor read those records. Each energy's series are summed only
 as far as its own tail test needs, up to the hard cap, so G(E) is a function
 of E alone. Each center runs once per block for both parities, and a -1
-determinant is a fixed sign times that of one assembly (_gvalues_once). A G
-call longer than one block, such as a trace or a fine-step scan, is split
-into one contiguous share per CPU the process may run on, each but the first
-in a worker process forked at the first such call and kept for later ones
-(_hire); there is no setting for it, and the values are the bits of one
-process.
+determinant is a fixed sign times that of one assembly (_gvalues_once). Work
+spreads over the CPUs the process may run on in one way (_shares): one share
+per CPU, the first run here and each other one in a worker process forked at
+the first such call and kept for later ones (_hire). A G call longer than one
+block, such as a trace or a fine-step scan, runs in contiguous shares of its
+energies, and a G sweep (cli) in shares of its points; there is no setting
+for it, and the values are the bits of one process.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import pickle
 import signal
 import threading
 from dataclasses import dataclass
-from typing import BinaryIO, Optional, Sequence
+from typing import BinaryIO, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -153,60 +154,69 @@ def _gvalues(sp: ModelParams, signs: int | tuple | np.ndarray, energies: np.ndar
     blocks of _BLOCK, each with its own series stop, and every energy's value
     is the same whatever block, share, or signs beside it, it falls in. A
     call of more than one block runs as contiguous shares of nearly equal
-    size: the first here, each other one in a worker (_hire) that sends back
-    its columns. A share whose worker fails is run here, to the same bits;
-    if this process's own share raises, every worker is killed.
+    size (_shares), at most one per block.
     """
     s = np.asarray(signs)[:, None] if isinstance(signs, tuple) else np.asarray(signs)
     shape = np.broadcast_shapes(s.shape, energies.shape)
     s = np.atleast_2d(np.broadcast_to(s, shape))
-    out = _empty(s.shape)
-    workers = _hire(-(-energies.size // _BLOCK) - 1)
-    ends = [energies.size * k // (len(workers) + 1) for k in range(len(workers) + 2)]
-    shares = [slice(a, b) for a, b in zip(ends, ends[1:])]
-    try:
-        asked = [(share, _ask(w, (sp, s[:, share], energies[share])))
-                 for w, share in zip(workers, shares[1:])]
-        _blocks(sp, s, energies, out, shares[0])
-        for share, worker in asked:
-            if not _answer(worker, [a[:, share] for a in out]):
-                _blocks(sp, s, energies, out, share)
-    except BaseException:
-        _stop_workers(kill=True)
-        raise
-    return tuple(a.reshape(shape) for a in out)
 
+    def split(k):
+        ends = [energies.size * i // k for i in range(k + 1)]
+        return [(_blocks, (sp, s[:, a:b], energies[a:b])) for a, b in zip(ends, ends[1:])]
 
-def _empty(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uninitialized values, pole mask and convergence mask of _gvalues."""
-    return np.empty(shape), *np.empty((2,) + shape, dtype=bool)
+    parts = _shares(-(-energies.size // _BLOCK), split)
+    return tuple(np.concatenate(c, axis=-1).reshape(shape) for c in zip(*parts))
 
 
 def _blocks(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
-            out: tuple[np.ndarray, ...], share: slice) -> None:
-    """Fill the share's columns of out by _gvalues_once on blocks of _BLOCK."""
-    for i in range(share.start, share.stop, _BLOCK):
-        part = slice(i, min(i + _BLOCK, share.stop))
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_gvalues_once on consecutive blocks of _BLOCK energies, joined."""
+    out = np.empty(signs.shape), *np.empty((2,) + signs.shape, dtype=bool)
+    for i in range(0, energies.size, _BLOCK):
+        part = slice(i, i + _BLOCK)
         for a, b in zip(out, _gvalues_once(sp, signs[:, part], energies[part])):
             a[:, part] = b
+    return out
 
 
-# A G worker: (pid, request pipe, reply pipe).
+def _shares(most: int, split: Callable[[int], list[tuple[Callable, tuple]]]) -> list:
+    """Results of the calls (fn, args) of split(k), k the CPUs this process may
+    run on, at most `most`: the first run here, each other one in a worker
+    (_hire), and one whose worker fails here too, to the same result. While
+    workers hold shares, this process's own calls run alone; if a call
+    raises here, every worker is killed."""
+    global _alone
+    workers = _hire(most - 1)
+    calls, alone = split(len(workers) + 1), _alone
+    try:
+        asked = [_ask(w, call) for w, call in zip(workers, calls[1:])]
+        _alone = alone or bool(workers)
+        fn, args = calls[0]
+        return [fn(*args)] + [_answer(w, call) for w, call in zip(asked, calls[1:])]
+    except BaseException:
+        _stop_workers(kill=True)
+        raise
+    finally:
+        _alone = alone
+
+
+# A worker: (pid, request pipe, reply pipe).
 _Worker = tuple[int, BinaryIO, BinaryIO]
 # Forked at the first call that needs them and kept for later calls, so that
 # each pays for its fork and its copied pages once; stopped at exit.
 _workers: list[_Worker] = []
-# Set in any process forked from this one, such as a sweep pool's worker or
-# a G worker: its calls run alone, since its siblings hold the other CPUs.
-_forked = False
+# Set in any process forked from this one, such as a worker, and in this one
+# while its workers hold shares: its calls run alone, as the other CPUs are
+# taken.
+_alone = False
 
 
 def _hire(extra: int) -> list[_Worker]:
     """Workers for at most `extra` shares beside this process's own, one per
     CPU it may run on but the one it runs on now, each pinned to its CPU for
-    this call. No workers in a forked process, where os.fork is missing, or
-    while another thread lives, as a fork copies only the calling thread."""
-    if extra < 1 or _forked or not hasattr(os, "fork") or threading.active_count() > 1:
+    this call. None while calls run alone (_alone), where os.fork is missing,
+    or while another thread lives, as a fork copies only the calling thread."""
+    if extra < 1 or _alone or not hasattr(os, "fork") or threading.active_count() > 1:
         return []
     try:
         cpus = os.sched_getaffinity(0)
@@ -229,9 +239,9 @@ def _hire(extra: int) -> list[_Worker]:
 
 
 def _fork_worker() -> Optional[_Worker]:
-    """A new worker, or None when none starts. It runs each request's blocks
-    and replies until its request pipe closes, and ends in os._exit, so it
-    flushes none of this process's buffers."""
+    """A new worker, or None when none starts. It replies to each request
+    (fn, args) with fn(*args) until its request pipe closes, and ends in
+    os._exit, so it flushes none of this process's buffers."""
     fds: list[int] = []
     try:
         fds += os.pipe()
@@ -250,12 +260,10 @@ def _fork_worker() -> Optional[_Worker]:
             with open(ask_r, "rb") as requests, open(reply_w, "wb") as replies:
                 while True:
                     try:
-                        sp, signs, energies = pickle.load(requests)
+                        fn, args = pickle.load(requests)
                     except EOFError:
                         break
-                    out = _empty(signs.shape)
-                    _blocks(sp, signs, energies, out, slice(0, energies.size))
-                    pickle.dump(out, replies, pickle.HIGHEST_PROTOCOL)
+                    pickle.dump(fn(*args), replies, pickle.HIGHEST_PROTOCOL)
                     replies.flush()
             code = 0
         finally:
@@ -265,10 +273,10 @@ def _fork_worker() -> Optional[_Worker]:
     return pid, open(ask_w, "wb"), open(reply_r, "rb")
 
 
-def _ask(worker: _Worker, request: tuple) -> Optional[_Worker]:
-    """Send a worker its share; the worker, or None if it is gone."""
+def _ask(worker: _Worker, call: tuple[Callable, tuple]) -> Optional[_Worker]:
+    """Send a worker its call; the worker, or None if it is gone."""
     try:
-        pickle.dump(request, worker[1], pickle.HIGHEST_PROTOCOL)
+        pickle.dump(call, worker[1], pickle.HIGHEST_PROTOCOL)
         worker[1].flush()
         return worker
     except OSError:
@@ -276,17 +284,15 @@ def _ask(worker: _Worker, request: tuple) -> Optional[_Worker]:
         return None
 
 
-def _answer(worker: Optional[_Worker], cols: list[np.ndarray]) -> bool:
-    """Copy a worker's reply into cols; whether it came whole."""
-    if worker is None:
-        return False
-    try:
-        for c, a in zip(cols, pickle.load(worker[2]), strict=True):
-            c[...] = a
-        return True
-    except (EOFError, OSError, ValueError, TypeError, pickle.UnpicklingError):
-        _retire(worker, kill=True)
-        return False
+def _answer(worker: Optional[_Worker], call: tuple[Callable, tuple]):
+    """A worker's reply to call, or, where it does not come whole, call run here."""
+    if worker is not None:
+        try:
+            return pickle.load(worker[2])
+        except (EOFError, OSError, ValueError, TypeError, pickle.UnpicklingError):
+            _retire(worker, kill=True)
+    fn, args = call
+    return fn(*args)
 
 
 def _retire(worker: _Worker, kill: bool) -> None:
@@ -318,8 +324,8 @@ def _stop_workers(kill: bool = False) -> None:
 
 def _forget_workers() -> None:
     """In a forked child: its parent's workers are not its own."""
-    global _forked
-    _forked = True
+    global _alone
+    _alone = True
     for _, requests, replies in _workers:
         requests.close()  # nothing is left unsent in it
         replies.close()
@@ -525,21 +531,17 @@ def _in_order(j: np.ndarray, e: np.ndarray, v: np.ndarray):
     return j, e, v, np.flatnonzero(change & (j[:-1] == j[1:]))
 
 
-def _refine_brackets(sp: ModelParams, poles: dict[int, Sequence[float]],
-                     brackets: tuple[np.ndarray, ...], tol: float,
+def _refine_brackets(sp: ModelParams, brackets: tuple[np.ndarray, ...], tol: float,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Settle sign-change brackets of any parities in shared passes.
 
-    brackets is (signs, lo, hi, G(lo), G(hi)); poles maps a sign to the
-    one-column poles, where G has no value and can jump. Each pass sends the
-    probes of all open brackets through one G call, up to _MAX_PASSES per
-    bracket. A bracket is probed at _interpolate of its ends and its last
-    interpolant, a _ladder around that and its midpoint, and keeps the first
-    pair that changes sign: it at least halves, and closes at width 2*tol
-    once the interpolant is within tol of its root. Its first pass also
-    probes 4*POLE_EPS beside each pole inside it, which splits a bracket where
-    G turns steep beside the pole. A probe on a pole is passed over, an exact
-    zero closes its bracket, and any other non-finite probe raises
+    brackets is (signs, lo, hi, G(lo), G(hi)). Each pass sends the probes of
+    all open brackets through one G call, up to _MAX_PASSES per bracket. A
+    bracket is probed at _interpolate of its ends and its last interpolant, a
+    _ladder around that and its midpoint, and keeps the first pair that
+    changes sign: it at least halves, and closes at width 2*tol once the
+    interpolant is within tol of its root. A probe on a pole is passed over,
+    an exact zero closes its bracket, and any other non-finite probe raises
     NoConvergence. Returns the signs and midpoints of the brackets.
     """
     sb, lo, hi, flo, fhi = (np.array(c) for c in brackets)
@@ -548,10 +550,6 @@ def _refine_brackets(sp: ModelParams, poles: dict[int, Sequence[float]],
         a, b, fa, fb = lo[ob], hi[ob], flo[ob], fhi[ob]
         rf = np.clip(_interpolate(a, b, fa, fb, x3[ob], f3[ob]), a + tol, b - tol)
         jb, eb = _ladder(rf, a, b, 0.5 * (a + b), tol)
-        d = 4 * series.POLE_EPS
-        near = np.reshape([(j, e + t) for j in np.flatnonzero(kb[ob] == 0) for e in
-                           poles[sb[ob[j]]] if a[j] < e < b[j] for t in (-d, d)], (-1, 2))
-        jb, eb = np.append(jb, near[:, 0]).astype(int), np.append(eb, near[:, 1])
         gb, ok, _ = _gvalues(sp, sb[ob][jb], eb)
         if (bad := ok & ~np.isfinite(gb)).any():
             raise NoConvergence(
@@ -689,7 +687,7 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
         keep = holds | (paired[i] == paired[j])
         i, j = i[keep], j[keep]
         brackets.append((np.full(i.size, sign), x[i], x[j], gs[i], gs[j]))
-    found = _refine_brackets(sp, poles, tuple(map(np.concatenate, zip(*brackets))), ROOT_TOL)
+    found = _refine_brackets(sp, tuple(map(np.concatenate, zip(*brackets))), ROOT_TOL)
 
     roots = [(p, k, x) for p in parities
              for k, x in enumerate(np.sort(found[1][found[0] == p.sign]).tolist())]

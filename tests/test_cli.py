@@ -1,5 +1,5 @@
-import concurrent.futures
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -245,7 +245,8 @@ def test_default_truncation_sized_from_the_model(tmp_path, flat_cfg, monkeypatch
 def test_cli_import_leaves_out_scipy_linalg(tmp_path, asym_cfg):
     # Neither importing the CLI nor the oracle commands load scipy.linalg:
     # the oracle calls scipy's LAPACK module without importing its package.
-    # An oracle sweep runs in one process and loads no pool machinery.
+    # An oracle sweep runs in one process and a G sweep shares its points
+    # with raw forked workers: neither loads pool machinery.
     env = dict(os.environ, PYTHONPATH=str(Path(tqrabi.__file__).parents[1]))
     code = "import sys, tqrabi.cli; sys.exit('scipy.linalg' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
@@ -254,6 +255,8 @@ def test_cli_import_leaves_out_scipy_linalg(tmp_path, asym_cfg):
         ["spectrum", "--config", asym_cfg, "--emax", "2.5", "--solver", "both", "--out", out],
         ["sweep", "--config", asym_cfg, "--gmin", "0.5", "--gmax", "1.5", "--points", "3",
          "--solver", "oracle", "--out", out],
+        ["sweep", "--config", asym_cfg, "--gmin", "0.5", "--gmax", "1.5", "--points", "3",
+         "--solver", "both", "--out", out],
         ["verify", "--config", asym_cfg],
     ]
     code = ("import sys; from tqrabi.cli import main\n"
@@ -426,64 +429,99 @@ def test_window_step_and_truncation_checked_for_every_solver(asym_cfg, capsys, a
     assert message in capsys.readouterr().err
 
 
-def stand_in_pool(monkeypatch, sizes):
-    """Record each pool's size in sizes and run its points here: no process starts."""
+def fake_cpus(monkeypatch, n):
+    """Let the G workers see CPUs 0 to n - 1, and pin none of them; return
+    a list that grows by one at each os.fork."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
 
-    class Pool:
-        def __init__(self, max_workers=None):
-            sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+def no_child_left():
+    """Whether this process has no child, live or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    monkeypatch.setattr(tqrabi.cli, "ProcessPoolExecutor", Pool, raising=False)
+def sweep(cfg, out, *extra):
+    return main(["sweep", "--config", cfg, "--gmin", "0.5", "--gmax", "1.0",
+                 *extra, "--out", str(out)])
 
 
 def test_sweep_forks_no_more_workers_than_points(tmp_path, flat_cfg, monkeypatch):
-    # A G sweep forks a worker per CPU, but a fork pool starts all
-    # max_workers at its first submit: no more than there are points.
-    sizes = []
-    stand_in_pool(monkeypatch, sizes)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert main(["sweep", "--config", flat_cfg, "--gmin", "0.5", "--gmax", "1.0",
-                 "--points", "2", "--solver", "gfunction",
-                 "--out", str(tmp_path / "s.csv")]) == 0
-    assert sizes == [2]
-    assert len({g for g in rows(tmp_path / "s.csv", "g")}) == 2
+    # A G sweep hires a worker per CPU but this process's, and no more
+    # workers than it has points beside this process's own share.
+    forks = fake_cpus(monkeypatch, 4)
+    for points in (1, 2):
+        out = tmp_path / f"s{points}.csv"
+        assert sweep(flat_cfg, out, "--points", str(points), "--solver", "gfunction") == 0
+        assert len({g for g in rows(out, "g")}) == points
+        assert len(forks) == points - 1 and len(gfunction._workers) == points - 1
+
+
+def test_g_sweep_on_one_cpu_hires_no_worker(tmp_path, flat_cfg, monkeypatch):
+    # The CPUs are those the process may run on, as under taskset -c 0: with
+    # one, every point runs here and nothing forks.
+    forks = fake_cpus(monkeypatch, 1)
+    for solver in ("gfunction", "both"):
+        assert sweep(flat_cfg, tmp_path / f"{solver}.csv", "--points", "4",
+                     "--solver", solver, "--truncation", "40") == 0
+    assert forks == [] and gfunction._workers == []
 
 
 def test_oracle_sweep_starts_no_pool(tmp_path, flat_cfg, monkeypatch):
-    # Oracle points cost less than a pool's start: whatever the CPU count,
-    # they run in this process.
-    sizes = []
-    stand_in_pool(monkeypatch, sizes)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert main(["sweep", "--config", flat_cfg, "--gmin", "0.5", "--gmax", "1.0",
-                 "--points", "3", "--solver", "oracle", "--truncation", "40",
-                 "--out", str(tmp_path / "s.csv")]) == 0
-    assert sizes == []
+    # Oracle points cost less than a share's trip to a worker: whatever the
+    # CPU count, they run in this process.
+    forks = fake_cpus(monkeypatch, 8)
+    assert sweep(flat_cfg, tmp_path / "s.csv", "--points", "3", "--solver", "oracle",
+                 "--truncation", "40") == 0
+    assert forks == [] and gfunction._workers == []
     assert len({g for g in rows(tmp_path / "s.csv", "g")}) == 3
 
 
+SWEEP_BOTH = ["--solver", "both", "--gmin", "0.2", "--gmax", "0.6", "--points", "3",
+              "--emax", "1.5", "--truncation", "120"]
+
+
 def test_sweep_worker_pool_keeps_bytes(tmp_path, asym_cfg, monkeypatch):
-    # Points computed in a pool of two processes give the bytes of one process.
+    # Points shared with a worker give the bytes of one process.
     outs = []
-    for workers in (1, 2):
-        monkeypatch.setattr(os, "cpu_count", lambda: workers)
-        outs.append(tmp_path / f"w{workers}.csv")
-        assert main(["sweep", "--config", asym_cfg, "--solver", "both",
-                     "--gmin", "0.2", "--gmax", "0.6", "--points", "3",
-                     "--emax", "1.5", "--truncation", "120",
-                     "--out", str(outs[-1])]) == 0
+    for cpus in (1, 2):
+        forks = fake_cpus(monkeypatch, cpus)
+        outs.append(tmp_path / f"w{cpus}.csv")
+        assert sweep(asym_cfg, outs[-1], *SWEEP_BOTH) == 0
+        assert len(forks) == cpus - 1
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert {r["method"] for r in rows(outs[0])} == {"gfunction", "oracle"}
+
+
+@pytest.mark.parametrize("how", ["raises", "killed"])
+def test_failed_sweep_worker_keeps_bytes(tmp_path, asym_cfg, monkeypatch, how):
+    # A worker that raises or is killed at its first point is reaped, and its
+    # share runs here, to the bytes of one process.
+    fake_cpus(monkeypatch, 1)
+    one = tmp_path / "one.csv"
+    assert sweep(asym_cfg, one, *SWEEP_BOTH) == 0
+    parent, point = os.getpid(), tqrabi.cli._sweep_point
+
+    def fail_there(*args):
+        if os.getpid() != parent:
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("point failed")
+        return point(*args)
+
+    monkeypatch.setattr(tqrabi.cli, "_sweep_point", fail_there)
+    forks = fake_cpus(monkeypatch, 2)
+    out = tmp_path / "split.csv"
+    assert sweep(asym_cfg, out, *SWEEP_BOTH) == 0
+    assert len(forks) == 1 and gfunction._workers == [] and no_child_left()
+    assert out.read_bytes() == one.read_bytes()
 
 
 def test_trace_rejects_non_finite_parameters(tmp_path, capsys):

@@ -626,9 +626,9 @@ def test_no_fork_beside_a_thread_on_one_cpu_or_in_one_block(asym, monkeypatch):
 
 
 def test_forked_process_runs_alone(asym, monkeypatch):
-    # A process forked from one with workers, as a sweep pool's worker is,
-    # drops its copy of them and forks none: its siblings hold the other
-    # CPUs. The parent's worker serves on.
+    # A process forked from one with workers, as a worker is, drops its copy
+    # of them and forks none: its siblings hold the other CPUs. The parent's
+    # worker serves on.
     sp = gfunction._prepare(asym)
     es = np.linspace(-1.0, 3.0, 2 * gfunction._BLOCK)
     fake_cpus(monkeypatch, 2)
@@ -639,16 +639,35 @@ def test_forked_process_runs_alone(asym, monkeypatch):
     if pid == 0:
         ok = False
         try:
-            assert gfunction._forked and gfunction._workers == []
+            assert gfunction._alone and gfunction._workers == []
             gfunction._gvalues(sp, 1, es)
             ok = len(forks) == 1 and not gfunction._workers
         finally:
             os._exit(0 if ok else 1)
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-    assert not gfunction._forked
+    assert not gfunction._alone
     (worker, _, _), = gfunction._workers
     gfunction._gvalues(sp, 1, es)
     assert len(forks) == 1 and gfunction._workers[0][0] == worker
+
+
+def test_calls_run_alone_while_workers_hold_shares(asym, monkeypatch):
+    # Each share of a sweep may make a G call of two blocks. The one here
+    # runs it alone: it neither hands a block to the worker that holds the
+    # other share nor forks another, and both calls keep the bytes of one
+    # process. Once the shares are back, calls here split again.
+    sp = gfunction._prepare(asym)
+    es = np.linspace(-1.0, 3.0, 2 * gfunction._BLOCK)
+    ref = one_process(sp, np.ones((1, es.size), dtype=int), es)
+    fake_cpus(monkeypatch, 4)
+    forks = count_forks(monkeypatch)
+    got = gfunction._shares(2, lambda k: [(gfunction._gvalues, (sp, 1, es))] * k)
+    assert len(got) == 2 and len(forks) == 1 and not gfunction._alone
+    for values in got:
+        for g, r in zip(values, ref):
+            assert g.tobytes() == r.tobytes()
+    gfunction._gvalues(sp, 1, es)
+    assert len(forks) == 1 and len(gfunction._workers) == 1
 
 
 def test_pole_factor_equals_the_dense_form(asym, flat, xyz_odd):
@@ -817,10 +836,10 @@ def fake_gvalues(g, ok=None):
     return fake
 
 
-def refine(lo, hi, flo, fhi, poles=(), tol=1e-10):
+def refine(lo, hi, flo, fhi, tol=1e-10):
     """_refine_brackets on sign-+1 brackets alone: their midpoints."""
     signs, roots = gfunction._refine_brackets(
-        None, {1: list(poles)}, (np.ones(len(lo), dtype=int), lo, hi, flo, fhi), tol)
+        None, (np.ones(len(lo), dtype=int), lo, hi, flo, fhi), tol)
     assert (signs == 1).all()
     return roots
 
@@ -847,44 +866,29 @@ def test_refine_brackets_nan_midpoint_raises(monkeypatch):
         refine(lo, hi, flo, fhi)
 
 
-def test_refine_brackets_steps_off_a_pole(monkeypatch):
-    # G has no value within 1e-12 of a pole; at 0.3 that is also a root, as
-    # for a cutoff state, and the first secant probe lands there. The same
-    # pass probes 4 POLE_EPS either side of the pole, which settles the root
-    # instead of ending the refinement.
-    calls = []
-    fake = fake_gvalues(lambda e: e - 0.3, lambda e: np.abs(e - 0.3) >= 1e-12)
-    monkeypatch.setattr(gfunction, "_gvalues", lambda *a: calls.append(a) or fake(*a))
-    root = refine(np.array([0.0]), np.array([0.5]), np.array([-0.3]), np.array([0.2]),
-                  poles=[0.3])
-    assert abs(root[0] - 0.3) < 1e-10
-    assert len(calls) == 1 and 0.3 in calls[0][2]
-
-
 def test_cutoff_state_settles_in_one_pass(flat, monkeypatch):
-    # A cutoff state is a jump of G at a known center-0 pole, which regula
-    # falsi would close on at bisection speed (26-28 passes): the probes
-    # beside the pole settle it in the bracket's first pass.
+    # A cutoff state is a jump of G at a known one-column pole, which regula
+    # falsi would close on at bisection speed (26-28 passes). The scan's
+    # points 4*POLE_EPS either side of the pole bracket it closed, so it
+    # settles in the scan call, with levels or without. With levels, flat's
+    # other even roots settle there too, where the search made 34 G calls.
     (_, energy, _, _), = exceptional.levels(flat, Parity.PLUS, 0.9, 1.1)
     sp = gfunction._prepare(flat)
-    poles = [b for b, _ in gfunction._poles(sp, 1, 2.0)]
-    assert energy in poles
-    g, _, _ = gfunction._gvalues(sp, 1, np.array([0.99, 1.01]))
-    calls = []
-    gvalues = gfunction._gvalues
+    assert energy in [b for b, k in gfunction._poles(sp, 1, 2.0) if k == 1]
+    calls, refined = [], []
+    gvalues, refine_brackets = gfunction._gvalues, gfunction._refine_brackets
     monkeypatch.setattr(gfunction, "_gvalues", lambda *a: calls.append(1) or gvalues(*a))
-    _, root = gfunction._refine_brackets(
-        sp, {1: poles}, (np.array([1]), np.array([0.99]), np.array([1.01]), g[:1], g[1:]),
-        gfunction.ROOT_TOL)
+    monkeypatch.setattr(gfunction, "_refine_brackets",
+                        lambda *a: refined.append(a[1]) or refine_brackets(*a))
+    for levels in (None, oracle.window(flat, 300, 2.5, (Parity.PLUS,))):
+        calls.clear()
+        refined.clear()
+        res = find_roots(flat, (Parity.PLUS,), -1.0, 2.5, levels=levels)
+        assert min(abs(x - energy) for x in res.energies()) < 1e-11
+        (_, lo, hi, _, _), = refined
+        at = (lo < energy) & (energy < hi)
+        assert at.sum() == 1 and (hi - lo)[at] <= 2 * gfunction.ROOT_TOL
     assert len(calls) == 1
-    assert abs(root[0] - energy) < 1e-11
-    # Flat's other even roots are ordinary zeros: the search for the sector
-    # makes one scan and 3 passes, where it made 34 G calls.
-    levels = oracle.window(flat, 300, 2.5, (Parity.PLUS,))
-    calls.clear()
-    res = find_roots(flat, (Parity.PLUS,), -1.0, 2.5, levels=levels)
-    assert min(abs(x - energy) for x in res.energies()) < 1e-11
-    assert len(calls) <= 4
 
 
 @pytest.mark.parametrize("params", [
