@@ -22,9 +22,7 @@ from .model import (
 from .series import (
     ExpansionBlock,
     baselines,
-    convergence_radius,
     evaluate,
-    free_slots,
     recur,
 )
 from .gfunction import (
@@ -34,8 +32,6 @@ from .gfunction import (
     find_roots,
     gvalue,
     trace,
-    write_spectrum_csv,
-    write_trace_csv,
 )
 from .exceptional import (
     ExceptionalCandidate,
@@ -58,10 +54,9 @@ __all__ = [
     "PoleAtBaseline", "RequiresEqualCouplings", "RequiresValidCouplings",
     "SolverError", "SpectrumRecord", "SpectrumResult", "SupportOverflow",
     "baselines", "load_params",
-    "ExpansionBlock", "convergence_radius", "evaluate", "free_slots",
-    "recur",
+    "ExpansionBlock", "evaluate", "recur",
     "GTrace", "MatchingScheme", "default_scheme", "find_roots", "gvalue",
-    "trace", "write_spectrum_csv", "write_trace_csv",
+    "trace",
     "ExceptionalCandidate", "ExceptionalState", "FlatLineHit", "build_state",
     "closed_form_state", "condition", "exceptional_energy",
     "fock_subspace_check", "scan_flat_lines",

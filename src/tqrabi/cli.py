@@ -8,8 +8,10 @@ significant digits and no timestamps are embedded.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -20,12 +22,78 @@ from .model import (
     Parity,
     SolverError,
     SpectrumRecord,
-    fmt,
     load_params,
-    write_csv,
 )
 
 TRUNCATION_HELP = "starting truncation; default sized from the model"
+
+
+def _fmt(x: float) -> str:
+    """A float as CSV text: 17 significant digits, so it reads back exactly."""
+    return format(x, ".17g")
+
+
+def _write_csv(path: str, header: str, rows: Iterable[Sequence[str]],
+               comments: Sequence[str]) -> None:
+    """Write '# ' comment lines, a header line and comma-joined rows to path,
+    or to standard output when path is "-"."""
+    with open(path, "w") if path != "-" else contextlib.nullcontext(sys.stdout) as dest:
+        for line in comments:
+            dest.write(f"# {line}\n")
+        dest.write(header + "\n")
+        for row in rows:
+            dest.write(",".join(row) + "\n")
+
+
+def _record_row(r: SpectrumRecord) -> tuple[str, ...]:
+    """A spectrum record's cells: E, parity, method, residual."""
+    return (_fmt(r.energy), str(r.parity.sign), r.method, _fmt(r.residual))
+
+
+def _write_spectrum_csv(records: Iterable[SpectrumRecord], path: str,
+                        comments: Sequence[str]) -> None:
+    """Spectrum CSV: columns E, parity, method, residual."""
+    _write_csv(path, "E,parity,method,residual", map(_record_row, records), comments)
+
+
+def _write_trace_csv(traces: Sequence[gfunction.GTrace], path: str,
+                     comments: Sequence[str]) -> None:
+    """Trace CSV of one trace() result: columns E, G_plus, G_minus, empty where
+    G is not finite or the parity was not traced."""
+    by_parity = {t.parity: t for t in traces}
+    grid, poles = traces[0].energies, traces[0].poles
+    if poles:
+        comments = [*comments, "baselines: " + " ".join(
+            f"{b.kind}:{b.index}@{_fmt(b.energy)}" for b in poles)]
+    columns = [by_parity[p].values if p in by_parity else np.full(grid.size, np.nan)
+               for p in (Parity.PLUS, Parity.MINUS)]
+    # A row of finite cells in one format call: the bytes of _fmt on each.
+    finite = np.isfinite(columns).all(axis=0).tolist()
+    rows = zip(grid.tolist(), *(c.tolist() for c in columns))
+    _write_csv(path, "E,G_plus,G_minus",
+               (["%.17g,%.17g,%.17g" % row] if ok else
+                [_fmt(row[0])] + [_fmt(v) if math.isfinite(v) else "" for v in row[1:]]
+                for ok, row in zip(finite, rows)), comments)
+
+
+def _write_catalog_csv(hits: Sequence[exceptional.FlatLineHit],
+                       states: Sequence[Optional[exceptional.ExceptionalState]],
+                       path: str, comments: Sequence[str]) -> None:
+    """Catalog CSV of scan hits, and the amplitudes of each hit's state (None:
+    not built) in the sidecar path + ".states.csv"."""
+    _write_csv(path,
+               "N,parity,energy,condition_value,g_independent,manifold_label,"
+               "delta1,delta2,jx,jy,jz",
+               ((str(h.candidate.n_index), str(h.candidate.parity.sign),
+                 _fmt(h.candidate.energy), _fmt(h.candidate.condition_value),
+                 str(h.candidate.g_independent).lower(), h.manifold,
+                 _fmt(h.params.delta1), _fmt(h.params.delta2),
+                 _fmt(h.params.jx), _fmt(h.params.jy), _fmt(h.params.jz))
+                for h in hits), comments)
+    _write_csv(path + ".states.csv", "hit,n,s1s2,amplitude",
+               ((str(i), str(n), pair, _fmt(amp))
+                for i, st in enumerate(states) if st is not None
+                for n, pair, amp in st.coeffs), ())
 
 
 def _parities(choice: str) -> tuple[Parity, ...]:
@@ -36,7 +104,7 @@ def _parities(choice: str) -> tuple[Parity, ...]:
 
 def _params_comment(params: ModelParams) -> str:
     return ("params: " + " ".join(
-        f"{k}={fmt(getattr(params, k))}"
+        f"{k}={_fmt(getattr(params, k))}"
         for k in ("omega", "delta1", "delta2", "g1", "g2", "jx", "jy", "jz")))
 
 
@@ -65,11 +133,11 @@ def cmd_spectrum(args: argparse.Namespace, params: ModelParams) -> int:
         return (min(near, key=lambda e: abs(e - r.energy)), r.method, r.parity.sign)
 
     records.sort(key=order)
-    gfunction.write_spectrum_csv(records, args.out, comments=[
+    _write_spectrum_csv(records, args.out, [
         "tqrabi spectrum",
         _params_comment(params),
-        f"flags: emin={fmt(args.emin)} emax={fmt(args.emax)} "
-        f"step={fmt(args.step)} solver={args.solver} parity={args.parity} "
+        f"flags: emin={_fmt(args.emin)} emax={_fmt(args.emax)} "
+        f"step={_fmt(args.step)} solver={args.solver} parity={args.parity} "
         f"truncation={_truncation_flag(args)} "
         f"verify={str(not args.no_verify).lower()}",
     ])
@@ -79,11 +147,11 @@ def cmd_spectrum(args: argparse.Namespace, params: ModelParams) -> int:
 def cmd_trace(args: argparse.Namespace, params: ModelParams) -> int:
     traces = gfunction.trace(params, _parities(args.parity), args.emin, args.emax,
                              args.step)
-    gfunction.write_trace_csv(traces, args.out, comments=[
+    _write_trace_csv(traces, args.out, [
         "tqrabi trace",
         _params_comment(params),
-        f"flags: emin={fmt(args.emin)} emax={fmt(args.emax)} "
-        f"step={fmt(args.step)} parity={args.parity}",
+        f"flags: emin={_fmt(args.emin)} emax={_fmt(args.emax)} "
+        f"step={_fmt(args.step)} parity={args.parity}",
     ])
     return 0
 
@@ -106,11 +174,10 @@ def _sweep_point(args: argparse.Namespace, params: ModelParams,
                       if args.solver == "both" else None)
             res = gfunction.find_roots(point, parities, args.emin, args.emax,
                                        args.step, levels=levels)
-            rows.extend((fmt(g), fmt(r.energy), str(r.parity.sign),
-                         "gfunction", fmt(r.residual), "ok")
+            rows.extend((_fmt(g), *_record_row(r), "ok")
                         for parity in parities for r in res.filtered(parity))
         except SolverError as exc:
-            rows.extend((fmt(g), "", str(parity.sign), "gfunction", "",
+            rows.extend((_fmt(g), "", str(parity.sign), "gfunction", "",
                          type(exc).__name__) for parity in parities)
     if args.solver in ("oracle", "both"):
         try:
@@ -119,22 +186,21 @@ def _sweep_point(args: argparse.Namespace, params: ModelParams,
             start = (oracle.level_truncation(point, args.levels)
                      if args.truncation is None else args.truncation)
             res = oracle.diagonalize(point, start, args.levels)
-            rows.extend((fmt(g), fmt(r.energy), str(r.parity.sign), "oracle",
-                         fmt(r.residual), "ok")
+            rows.extend((_fmt(g), *_record_row(r), "ok")
                         for r in res
                         if args.emin <= r.energy <= args.emax
                         and r.parity in parities)
         except SolverError as exc:
-            rows.append((fmt(g), "", "", "oracle", "", type(exc).__name__))
+            rows.append((_fmt(g), "", "", "oracle", "", type(exc).__name__))
     if point.scaled().gprime == 0.0:
         for parity in parities:
             try:
-                rows.extend((fmt(g), fmt(energy), str(parity.sign), "exceptional",
-                             fmt(abs(cond)), "ok")
+                rows.extend((_fmt(g), *_record_row(SpectrumRecord(
+                                 energy, parity, "exceptional", abs(cond))), "ok")
                             for _, energy, cond, _ in exceptional.levels(
                                 point, parity, args.emin, args.emax))
             except SolverError as exc:
-                rows.append((fmt(g), "", str(parity.sign), "exceptional", "",
+                rows.append((_fmt(g), "", str(parity.sign), "exceptional", "",
                              type(exc).__name__))
     return rows
 
@@ -152,16 +218,16 @@ def cmd_sweep(args: argparse.Namespace, params: ModelParams) -> int:
     shares = gfunction._shares(1 if args.solver == "oracle" else len(gs), lambda k: [
         (_sweep_points, (args, params, gs[i::k])) for i in range(k)])
     results = [shares[i % len(shares)][i // len(shares)] for i in range(len(gs))]
-    write_csv(args.out, "g,E,parity,method,residual,status",
-              (row for rows in results for row in rows), comments=[
-                  "tqrabi sweep",
-                  _params_comment(params),
-                  f"flags: gmin={fmt(args.gmin)} gmax={fmt(args.gmax)} "
-                  f"points={args.points} emin={fmt(args.emin)} "
-                  f"emax={fmt(args.emax)} step={fmt(args.step)} "
-                  f"solver={args.solver} parity={args.parity} "
-                  f"levels={args.levels} truncation={_truncation_flag(args)}",
-              ])
+    _write_csv(args.out, "g,E,parity,method,residual,status",
+               (row for rows in results for row in rows), [
+                   "tqrabi sweep",
+                   _params_comment(params),
+                   f"flags: gmin={_fmt(args.gmin)} gmax={_fmt(args.gmax)} "
+                   f"points={args.points} emin={_fmt(args.emin)} "
+                   f"emax={_fmt(args.emax)} step={_fmt(args.step)} "
+                   f"solver={args.solver} parity={args.parity} "
+                   f"levels={args.levels} truncation={_truncation_flag(args)}",
+               ])
     return 0
 
 
@@ -202,13 +268,11 @@ def cmd_exceptional(args: argparse.Namespace, params: ModelParams) -> int:
                                                   h.candidate.n_index))
         except SolverError:
             states.append(None)
-    exceptional.write_catalog_csv(
-        hits, args.out,
-        comments=["tqrabi exceptional",
-                  _params_comment(params),
-                  f"flags: scan={' '.join(args.scan)} ncut={args.ncut} "
-                  f"gprobe={args.gprobe}"],
-        states=states, sidecar_path=args.out + ".states.csv")
+    _write_catalog_csv(hits, states, args.out, [
+        "tqrabi exceptional",
+        _params_comment(params),
+        f"flags: scan={' '.join(args.scan)} ncut={args.ncut} gprobe={args.gprobe}",
+    ])
     return 0
 
 
@@ -265,7 +329,7 @@ def cmd_verify(args: argparse.Namespace, params: ModelParams) -> int:
             state = exceptional.build_state(params, parity, n)
             resid = oracle.residual(params, max(n + 2, 40), state)
             report(resid < 1e-10,
-                   f"exceptional[{parity}, N={n}]: E = {fmt(energy)}, "
+                   f"exceptional[{parity}, N={n}]: E = {_fmt(energy)}, "
                    f"residual = {resid:.3e}")
     return 0 if failures == 0 else 1
 

@@ -29,8 +29,6 @@ from .model import (
     RequiresValidCouplings,
     SolverError,
     SupportOverflow,
-    fmt,
-    write_csv,
 )
 
 __all__ = [
@@ -44,7 +42,6 @@ __all__ = [
     "scan_flat_lines",
     "exceptional_energy",
     "levels",
-    "write_catalog_csv",
 ]
 
 CONDITION_TOL = 1e-10
@@ -458,24 +455,3 @@ def scan_flat_lines(template: ModelParams, axes: Mapping[str, Sequence[float]],
                     hits.append(FlatLineHit(
                         _manifold_label(point.scaled(), parity, n), point, cand))
     return hits
-
-
-def write_catalog_csv(hits: Sequence[FlatLineHit], path_or_file,
-                      comments: Sequence[str] = (),
-                      states: Optional[Sequence[Optional[ExceptionalState]]] = None,
-                      sidecar_path=None) -> None:
-    """Catalog CSV of scan hits, with an optional sidecar CSV of state amplitudes."""
-    write_csv(path_or_file,
-              "N,parity,energy,condition_value,g_independent,manifold_label,"
-              "delta1,delta2,jx,jy,jz",
-              ((str(h.candidate.n_index), str(h.candidate.parity.sign),
-                fmt(h.candidate.energy), fmt(h.candidate.condition_value),
-                str(h.candidate.g_independent).lower(), h.manifold,
-                fmt(h.params.delta1), fmt(h.params.delta2),
-                fmt(h.params.jx), fmt(h.params.jy), fmt(h.params.jz))
-               for h in hits), comments)
-    if states is not None and sidecar_path is not None:
-        write_csv(sidecar_path, "hit,n,s1s2,amplitude",
-                  ((str(i), str(n), pair, fmt(amp))
-                   for i, st in enumerate(states) if st is not None
-                   for n, pair, amp in st.coeffs))

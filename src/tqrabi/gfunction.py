@@ -47,8 +47,6 @@ from .model import (
     SpectrumRecord,
     SpectrumResult,
     _distinct,
-    fmt,
-    write_csv,
 )
 from .series import _Center, _centers, _tables, baselines
 
@@ -59,8 +57,6 @@ __all__ = [
     "gvalue",
     "find_roots",
     "trace",
-    "write_spectrum_csv",
-    "write_trace_csv",
     "DEFAULT_GRID_STEP",
 ]
 
@@ -705,34 +701,3 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
             residual, verified = float(mag[n]), None
         records.append(SpectrumRecord(x * w, parity, "gfunction", residual, k, verified))
     return SpectrumResult.from_records(records)
-
-
-def write_spectrum_csv(records, path_or_file, comments: Sequence[str] = ()) -> None:
-    """Spectrum CSV: columns E, parity, method, residual."""
-    write_csv(path_or_file, "E,parity,method,residual",
-              ((fmt(r.energy), str(r.parity.sign), r.method, fmt(r.residual))
-               for r in records), comments)
-
-
-def write_trace_csv(traces: Sequence[GTrace], path_or_file,
-                    comments: Sequence[str] = ()) -> None:
-    """Trace CSV: columns E, G_plus, G_minus, empty where G is not finite."""
-    if not (by_parity := {t.parity: t for t in traces}):
-        raise ValueError("no trace given")
-    grid = next(iter(by_parity.values())).energies
-    for t in by_parity.values():
-        if t.energies.shape != grid.shape or not np.allclose(t.energies, grid):
-            raise ValueError("traces must share one energy grid")
-    poles = next(iter(by_parity.values())).poles
-    if poles:
-        comments = [*comments, "baselines: " + " ".join(
-            f"{b.kind}:{b.index}@{fmt(b.energy)}" for b in poles)]
-    columns = [by_parity[p].values if p in by_parity else np.full(grid.size, np.nan)
-               for p in (Parity.PLUS, Parity.MINUS)]
-    # A row of finite cells in one format call: the bytes of fmt on each.
-    finite = np.isfinite(columns).all(axis=0).tolist()
-    rows = zip(grid.tolist(), *(c.tolist() for c in columns))
-    write_csv(path_or_file, "E,G_plus,G_minus",
-              (["%.17g,%.17g,%.17g" % row] if ok else
-               [fmt(row[0])] + [fmt(v) if math.isfinite(v) else "" for v in row[1:]]
-               for ok, row in zip(finite, rows)), comments)

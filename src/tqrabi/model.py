@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -205,30 +204,6 @@ class Baseline:
     kind: str
     index: int
     energy: float
-
-
-def fmt(x: float) -> str:
-    """A float as CSV text: 17 significant digits, so it reads back exactly."""
-    return format(x, ".17g")
-
-
-def write_csv(dest, header: str, rows: Iterable[Sequence[str]],
-              comments: Sequence[str] = ()) -> None:
-    """Write '# ' comment lines, a header line and comma-joined rows.
-
-    dest is an open text file, a path, or "-" for standard output.
-    """
-    if dest == "-":
-        dest = sys.stdout
-    if not hasattr(dest, "write"):
-        with open(dest, "w") as fh:
-            write_csv(fh, header, rows, comments)
-        return
-    for line in comments:
-        dest.write(f"# {line}\n")
-    dest.write(header + "\n")
-    for row in rows:
-        dest.write(",".join(row) + "\n")
 
 
 @dataclass(frozen=True)

@@ -65,10 +65,6 @@ class FockHamiltonian:
     matrix: np.ndarray
     parity_diag: np.ndarray
 
-    @property
-    def dimension(self) -> int:
-        return 4 * (self.truncation + 1)
-
 
 def _block_states(truncation: int, sign: int) -> np.ndarray:
     """Full-basis indices (4*n + q) of one parity block, in block order.

@@ -61,8 +61,6 @@ __all__ = [
     "baselines",
     "recur",
     "evaluate",
-    "convergence_radius",
-    "free_slots",
     "DEFAULT_N_MAX",
     "HARD_CAP",
 ]
@@ -100,25 +98,6 @@ def _centers(sp: ModelParams) -> tuple[_Center, ...]:
     return (_Center(g, g - gp, (0, 1, 3), 2, "first"),
             _Center(sp.gprime, min(2 * gp, g - gp), (0, 1, 2), 3, "second"),
             _Center(0.0, gp, (0, 1), None, None))
-
-
-def _center_at(params: ModelParams, center: float) -> tuple[ModelParams, _Center]:
-    """params in omega = 1 units and the record of the center at that position."""
-    sp = params.scaled()
-    for c in reversed(_centers(sp)):
-        if abs(center - c.position) <= 1e-12 * max(1.0, sp.g):
-            return sp, c
-    raise ValueError(f"center must be one of 0, g'={sp.gprime}, g={sp.g}; got {center}")
-
-
-def convergence_radius(params: ModelParams, center: float) -> float:
-    """Distance from a series center to the nearest singular point (omega = 1 units)."""
-    return _center_at(params, center)[1].radius
-
-
-def free_slots(params: ModelParams, center: float) -> tuple[int, ...]:
-    """Zero-based component indices whose leading coefficients are free at this center."""
-    return _center_at(params, center)[1].slots
 
 
 def _slaving(sp: ModelParams, sign: int, c: _Center, e_max: float):
@@ -335,7 +314,12 @@ def recur(params: ModelParams, parity: Parity, energy: float, center: float,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    sp, c = _center_at(params, center)
+    sp = params.scaled()
+    c = next((c for c in reversed(_centers(sp))
+              if abs(center - c.position) <= 1e-12 * max(1.0, sp.g)), None)
+    if c is None:
+        raise ValueError(
+            f"center must be one of 0, g'={sp.gprime}, g={sp.g}; got {center}")
     iv = np.where(np.isin(range(4), c.slots), init, 0.0)[:, None]
     rows, ok = _tables(sp, parity.sign, np.array([energy], dtype=float), c, iv, n_max)
     coeffs = np.stack([row[:, 0, 0].copy() for row in rows])

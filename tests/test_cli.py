@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -9,8 +11,8 @@ import numpy as np
 import pytest
 
 import tqrabi
-from tqrabi import SpectrumRecord, SpectrumResult, gfunction, oracle
-from tqrabi.cli import main
+from tqrabi import Parity, SpectrumRecord, SpectrumResult, gfunction, oracle
+from tqrabi.cli import _unmatched, main
 
 
 ASYM_CFG = """\
@@ -386,6 +388,40 @@ def test_verify_passes(asym_cfg, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "FAIL" not in out and "PASS" in out
+
+
+@pytest.mark.parametrize("levels, claims, missing", [
+    ([1.0], [0.0, 1.0], 0),          # a claim below the level's reach is passed over
+    ([0.0, 1.0], [0.0], 1),          # a level is left without a claim
+    ([1.0, 1.0 + 5e-7], [1.0], 1),   # one claim covers one level, however close
+])
+def test_unmatched_counts_levels_left_over(levels, claims, missing):
+    assert _unmatched(levels, claims, 1e-6) == missing
+
+
+@pytest.mark.parametrize("how, failure", [
+    ("drop", re.compile(r"^FAIL coverage\[plus\]: \d+ oracle levels, 1 unmatched$", re.M)),
+    ("unverify", re.compile(r"^FAIL roots\[plus\]: ", re.M)),
+])
+def test_verify_fails_on_a_lost_or_unverified_root(asym_cfg, capsys, monkeypatch, how,
+                                                   failure):
+    find_roots = gfunction.find_roots
+
+    def broken(*args, **kwargs):
+        res = find_roots(*args, **kwargs)
+        first = res.filtered(Parity.PLUS).records[0]
+        kept = [r for r in res if r is not first]
+        if how == "unverify":
+            kept.append(dataclasses.replace(first, verified=False))
+        return SpectrumResult.from_records(kept)
+
+    monkeypatch.setattr(gfunction, "find_roots", broken)
+    code = main(["verify", "--config", asym_cfg, "--emin", "-1",
+                 "--emax", "1.0", "--truncation", "160"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert failure.search(out)
+    assert out.count("FAIL") == 1
 
 
 def test_sweep_spec_validation(tmp_path, capsys):

@@ -213,6 +213,24 @@ def test_scan_finds_flat_manifold():
     assert all(h.manifold == "numeric" for h in tuned)
 
 
+@pytest.mark.parametrize("template, axis, grid, n_index, at, label", [
+    (ModelParams(1.0, 1.0, 0.2, 0.35, 0.35), "delta1", np.linspace(1.0, 1.4, 9),
+     1, 1.2, "delta1-delta2=omega"),
+    (ModelParams(1.0, 0.2, 1.0, 0.35, 0.35), "delta2", np.linspace(1.0, 1.4, 9),
+     1, 1.2, "delta2-delta1=omega"),
+    (ModelParams(1.0, 1.0, 0.4, 0.75, 0.75, jx=0.5, jy=-0.5, jz=-0.5), "delta1",
+     np.linspace(0.05, 1.95, 39), 3, 1.4, "jx-jy-2jz=2omega"),
+])
+def test_scan_labels_odd_flat_lines(template, axis, grid, n_index, at, label):
+    # Each odd manifold carries one g-independent zero on its line.
+    hits = [h for h in scan_flat_lines(template, {axis: grid}) if h.manifold == label]
+    assert len(hits) == 1
+    h, = hits
+    assert h.candidate.g_independent
+    assert h.candidate.n_index == n_index and h.candidate.parity is Parity.MINUS
+    assert getattr(h.params, axis) == pytest.approx(at, abs=1e-10)
+
+
 def test_scan_finds_double_exchange_candidates():
     tpl = ModelParams(1.0, 0.6, 0.4, 0.5, 0.5, jx=0.5, jy=0.5, jz=0.2)
     hits = scan_flat_lines(tpl, {"jz": np.linspace(0.2, 0.8, 13)}, n_max=3)

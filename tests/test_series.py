@@ -9,9 +9,7 @@ from tqrabi import (
     OutsideDisk,
     Parity,
     PoleAtBaseline,
-    convergence_radius,
     evaluate,
-    free_slots,
     recur,
 )
 from tqrabi import gfunction, oracle, series
@@ -41,10 +39,10 @@ def loop_recurrence(p, sign, e, tag, init, n_max):
     g, gp, d1, d2, jx, jy, jz = p.g, p.gprime, p.delta1, p.delta2, p.jx, p.jy, p.jz
     s = float(sign)
     c = {"zero": 0.0, "gprime": gp, "g": g}[tag]
-    r = convergence_radius(p, c)
+    center, = (x for x in series._centers(p) if x.position == c)
+    r, free = center.radius, center.slots
     pref = (c + g, c + gp, c - g, c - gp)
     aoff = (-2 * c * g - jx, -2 * c * gp + jx, 2 * c * g - jx, 2 * c * gp + jx)
-    free = free_slots(p, c)
     cur = [x if j in free else 0.0 for j, x in enumerate(init)]
     if tag == "zero" and gp != 0:
         cur[2], cur[3], free = cur[0], cur[1], range(4)
@@ -110,28 +108,38 @@ def test_reflection_symmetry_center_zero(g1, g2):
     assert np.array_equal(blk.coeffs[:, 3], signs * blk.coeffs[:, 1])
 
 
+def center_at(p, position):
+    """The center of p's chain at a position, matched as recur() matches it."""
+    c, = (c for c in series._centers(p.scaled())
+          if abs(position - c.position) <= 1e-12 * max(1.0, p.g))
+    return c
+
+
 def test_free_slots_per_center():
     p = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
-    assert free_slots(p, 0.0) == (0, 1)
-    assert free_slots(p, p.gprime) == (0, 1, 2)
-    assert free_slots(p, p.g) == (0, 1, 3)
+    assert center_at(p, 0.0).slots == (0, 1)
+    assert center_at(p, p.gprime).slots == (0, 1, 2)
+    assert center_at(p, p.g).slots == (0, 1, 3)
     q = ModelParams(1.0, 0.6, 0.4, 0.5, 0.5)
-    assert free_slots(q, 0.0) == (0,)
+    assert center_at(q, 0.0).slots == (0,)
+    # g' = -0.18 < 0: the center at g' keeps its slots.
+    r = ModelParams(1.0, 0.2, 0.6, 0.06, 0.24)
+    assert center_at(r, r.gprime).slots == (0, 1, 2)
 
 
 def test_radii():
     p = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
-    assert convergence_radius(p, 0.0) == pytest.approx(0.18)
-    assert convergence_radius(p, 0.18) == pytest.approx(min(0.36, 0.12))
-    assert convergence_radius(p, 0.3) == pytest.approx(0.12)
+    assert center_at(p, 0.0).radius == pytest.approx(0.18)
+    assert center_at(p, 0.18).radius == pytest.approx(min(0.36, 0.12))
+    assert center_at(p, 0.3).radius == pytest.approx(0.12)
     q = ModelParams(1.0, 0.6, 0.4, 0.5, 0.5)
-    assert convergence_radius(q, 0.0) == pytest.approx(1.0)
-    assert convergence_radius(q, 1.0) == pytest.approx(1.0)
+    assert center_at(q, 0.0).radius == pytest.approx(1.0)
+    assert center_at(q, 1.0).radius == pytest.approx(1.0)
     # g' = -0.18 < 0: the singular points sit at +-0.18 and +-0.3.
     r = ModelParams(1.0, 0.2, 0.6, 0.06, 0.24)
-    assert convergence_radius(r, r.gprime) == pytest.approx(0.12)
-    assert convergence_radius(r, 0.0) == pytest.approx(0.18)
-    assert convergence_radius(r, r.g) == pytest.approx(0.12)
+    assert center_at(r, r.gprime).radius == pytest.approx(0.12)
+    assert center_at(r, 0.0).radius == pytest.approx(0.18)
+    assert center_at(r, r.g).radius == pytest.approx(0.12)
 
 
 def test_evaluate_at_center():
@@ -158,7 +166,7 @@ def test_evaluate_no_convergence_near_boundary():
     p = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
     blk = recur(p, Parity.PLUS, 0.4, p.g, (1.0, 0.0, 0.0, 0.0), 16)
     with pytest.raises(NoConvergence):
-        evaluate(blk, p.g - 0.9995 * convergence_radius(p, p.g))
+        evaluate(blk, p.g - 0.9995 * center_at(p, p.g).radius)
 
 
 def test_pole_at_baseline_raises():
@@ -194,7 +202,7 @@ def test_linearity_in_initial_conditions():
 
 def test_tail_insensitive_to_order():
     p = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
-    z = p.g - 0.5 * convergence_radius(p, p.g)
+    z = p.g - 0.5 * center_at(p, p.g).radius
     v1 = evaluate(recur(p, Parity.PLUS, 0.45, p.g, (1.0, 0.5, 0.0, 0.2), 96), z)
     v2 = evaluate(recur(p, Parity.PLUS, 0.45, p.g, (1.0, 0.5, 0.0, 0.2), 256), z)
     assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-13)
@@ -233,7 +241,7 @@ def test_evaluate_matches_determinant_columns(asym, ratio2, flat):
                 blocks = [recur(sp, parity, energy, center,
                                 tuple(float(k == j) for k in range(4)),
                                 series.HARD_CAP)
-                          for j in free_slots(sp, center)]
+                          for j in c.slots]
                 rows = np.stack([b.coeffs for b in blocks], axis=2)[..., None]
                 ts = np.array([(z - center) / blocks[0].radius for z in zs])
                 sums, conv = series._kahan_eval(rows, ts)

@@ -2,28 +2,16 @@
 
 import numpy as np
 
-from tqrabi import (
-    Baseline,
-    GTrace,
-    ModelParams,
-    Parity,
-    SpectrumRecord,
-    write_spectrum_csv,
-    write_trace_csv,
-)
-from tqrabi.exceptional import (
-    ExceptionalCandidate,
-    ExceptionalState,
-    FlatLineHit,
-    write_catalog_csv,
-)
+from tqrabi import Baseline, GTrace, ModelParams, Parity, SpectrumRecord
+from tqrabi.cli import _write_catalog_csv, _write_spectrum_csv, _write_trace_csv
+from tqrabi.exceptional import ExceptionalCandidate, ExceptionalState, FlatLineHit
 
 
 def test_spectrum_csv_bytes(tmp_path):
     out = tmp_path / "spectrum.csv"
-    write_spectrum_csv([SpectrumRecord(-1 / 3, Parity.MINUS, "gfunction", 2.5e-13),
-                        SpectrumRecord(0.1, Parity.PLUS, "oracle", 0.0)], str(out),
-                       comments=["tqrabi spectrum", "params: omega=1"])
+    _write_spectrum_csv([SpectrumRecord(-1 / 3, Parity.MINUS, "gfunction", 2.5e-13),
+                         SpectrumRecord(0.1, Parity.PLUS, "oracle", 0.0)], str(out),
+                        ["tqrabi spectrum", "params: omega=1"])
     assert out.read_text() == (
         "# tqrabi spectrum\n"
         "# params: omega=1\n"
@@ -36,10 +24,10 @@ def test_trace_csv_bytes(tmp_path):
     grid = np.array([0.0, 0.5, 1.0])
     poles = (Baseline("first", 1, 0.5), Baseline("second", 2, 2 / 3))
     out = tmp_path / "trace.csv"
-    write_trace_csv([GTrace(Parity.PLUS, grid, np.array([1.5, np.nan, -2.0]), poles),
-                     GTrace(Parity.MINUS, grid, np.array([-0.25, np.nan, 3e-300]),
-                            poles)],
-                    str(out), comments=["tqrabi trace"])
+    _write_trace_csv([GTrace(Parity.PLUS, grid, np.array([1.5, np.nan, -2.0]), poles),
+                      GTrace(Parity.MINUS, grid, np.array([-0.25, np.nan, 3e-300]),
+                             poles)],
+                     str(out), ["tqrabi trace"])
     assert out.read_text() == (
         "# tqrabi trace\n"
         "# baselines: first:1@0.5 second:2@0.66666666666666663\n"
@@ -50,9 +38,8 @@ def test_trace_csv_bytes(tmp_path):
     # One parity, no baselines: the missing column and a non-finite value
     # are empty cells, and no baselines line is written.
     one = tmp_path / "one.csv"
-    with open(one, "w") as fh:
-        write_trace_csv([GTrace(Parity.MINUS, grid, np.array([0.1, 0.2, np.inf]), ())],
-                        fh)
+    _write_trace_csv([GTrace(Parity.MINUS, grid, np.array([0.1, 0.2, np.inf]), ())],
+                     str(one), ())
     assert one.read_text() == (
         "E,G_plus,G_minus\n"
         "0,,0.10000000000000001\n"
@@ -71,8 +58,7 @@ def test_catalog_csv_and_sidecar_bytes(tmp_path):
                                1.0), None]
     out = tmp_path / "catalog.csv"
     side = tmp_path / "catalog.csv.states.csv"
-    write_catalog_csv(hits, str(out), comments=["tqrabi exceptional"],
-                      states=states, sidecar_path=str(side))
+    _write_catalog_csv(hits, states, str(out), ["tqrabi exceptional"])
     assert out.read_text() == (
         "# tqrabi exceptional\n"
         "N,parity,energy,condition_value,g_independent,manifold_label,"
