@@ -2,7 +2,8 @@
 
 All commands read a key = value parameter file and write CSV with a provenance
 comment header. Output is deterministic: floats are printed with 17
-significant digits and no timestamps are embedded.
+significant digits and no timestamps are embedded. Every CSV format is
+written here; the solver modules return values and write no files.
 """
 
 from __future__ import annotations

@@ -225,7 +225,7 @@ def test_scan_labels_odd_flat_lines(template, axis, grid, n_index, at, label):
     # Each odd manifold carries one g-independent zero on its line.
     hits = [h for h in scan_flat_lines(template, {axis: grid}) if h.manifold == label]
     assert len(hits) == 1
-    h, = hits
+    h = hits[0]
     assert h.candidate.g_independent
     assert h.candidate.n_index == n_index and h.candidate.parity is Parity.MINUS
     assert getattr(h.params, axis) == pytest.approx(at, abs=1e-10)

@@ -39,8 +39,7 @@ def loop_recurrence(p, sign, e, tag, init, n_max):
     g, gp, d1, d2, jx, jy, jz = p.g, p.gprime, p.delta1, p.delta2, p.jx, p.jy, p.jz
     s = float(sign)
     c = {"zero": 0.0, "gprime": gp, "g": g}[tag]
-    center, = (x for x in series._centers(p) if x.position == c)
-    r, free = center.radius, center.slots
+    r, free = center_at(p, c).radius, center_at(p, c).slots
     pref = (c + g, c + gp, c - g, c - gp)
     aoff = (-2 * c * g - jx, -2 * c * gp + jx, 2 * c * g - jx, 2 * c * gp + jx)
     cur = [x if j in free else 0.0 for j, x in enumerate(init)]
