@@ -27,8 +27,6 @@ from .series import (
 )
 from .gfunction import (
     GTrace,
-    MatchingScheme,
-    default_scheme,
     find_roots,
     gvalue,
     trace,
@@ -55,8 +53,7 @@ __all__ = [
     "SolverError", "SpectrumRecord", "SpectrumResult", "SupportOverflow",
     "baselines", "load_params",
     "ExpansionBlock", "evaluate", "recur",
-    "GTrace", "MatchingScheme", "default_scheme", "find_roots", "gvalue",
-    "trace",
+    "GTrace", "find_roots", "gvalue", "trace",
     "ExceptionalCandidate", "ExceptionalState", "FlatLineHit", "build_state",
     "closed_form_state", "condition", "exceptional_energy",
     "fock_subspace_check", "scan_flat_lines",

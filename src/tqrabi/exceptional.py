@@ -318,8 +318,11 @@ def levels(params: ModelParams, parity: Parity, e_min: float,
     state with k = 1 is a root of G, where G jumps; a dark state (k = 0)
     sits where G has no pole and is no root. A vanishing denominator of the
     condition (DegenerateDenominator) means no state at that index, as in
-    scan_flat_lines. Only defined for g1 = g2 > 0.
+    scan_flat_lines. Only defined for g1 = g2 > 0; e_min may be -inf, and
+    e_max must be finite.
     """
+    if math.isnan(e_min) or not math.isfinite(e_max):
+        raise ValueError("e_max must be finite and e_min not NaN")
     sp = _equal_couplings(params, "cutoff states")
     origin = series._centers(sp)[-1]
     out = []

@@ -9,18 +9,19 @@ baseline poles cancelled by a factor of E, it is G(E), finite and continuous
 through every baseline. The model fixes the matching chain: centers g, g'
 and 0 joined at two points (an 8x8 system) when g' > 0, and g and 0 joined
 at one point (4x4) when g' = 0, where center g' drops out. One function,
-_chain, pairs the model's matching points (default_scheme) with the center
-records of series._centers; the column order, the determinant's parity sign
-and the pole factor read those records. Each energy's series are summed only
-as far as its own tail test needs, up to the hard cap, so G(E) is a function
-of E alone. Each center runs once per block for both parities, and a -1
-determinant is a fixed sign times that of one assembly (_gvalues_once). Work
-spreads over the CPUs the process may run on in one way (_shares): one share
-per CPU, the first run here and each other one in a worker process forked at
-the first such call and kept for later ones (_hire). A G call longer than one
-block, such as a trace or a fine-step scan, runs in contiguous shares of its
-energies, and a G sweep (cli) in shares of its points; there is no setting
-for it, and the values are the bits of one process.
+_chain, places the points and pairs them with the center records of
+series._centers; the column order, the determinant's parity sign and the
+pole factor read those records. The roots do not depend on the points. Each
+energy's series are summed only as far as its own tail test needs, up to the
+hard cap, so G(E) is a function of E alone. Each center runs once per block
+for both parities, and a -1 determinant is a fixed sign times that of one
+assembly (_gvalues_once). Work spreads over the CPUs the process may run on
+in one way (_shares): one share per CPU, the first run here and each other
+one in a worker process forked at the first such call and kept for later
+ones (_hire). A G call longer than one block, such as a trace or a fine-step
+scan, runs in contiguous shares of its energies, and a G sweep (cli) in
+shares of its points; there is no setting for it, and the values are the
+bits of one process.
 """
 
 from __future__ import annotations
@@ -51,9 +52,7 @@ from .model import (
 from .series import _Center, _centers, _tables, baselines
 
 __all__ = [
-    "MatchingScheme",
     "GTrace",
-    "default_scheme",
     "gvalue",
     "find_roots",
     "trace",
@@ -79,49 +78,23 @@ _BLOCK = 2048
 _PARITY_D = np.array([1.0, 1.0, -1.0, -1.0])  # D, with mix(-s) = D mix(s) D (see series)
 
 
-@dataclass(frozen=True)
-class MatchingScheme:
-    """Points where the expansions along the matching chain are compared.
-
-    z0 joins the disks around g and the next center of the chain, g' or, when
-    g' = 0, 0; z0prime joins the disks around g' and 0, and is None when
-    g' = 0. Points are in omega = 1 units like the couplings themselves.
-    """
-
-    z0: float
-    z0prime: Optional[float] = None
-
-
 def _chain(sp: ModelParams) -> list[tuple[float, _Center, _Center]]:
     """Matching conditions (point, + center, - center) along series._centers,
-    at the model's points, one per hop (default_scheme). Center g' takes part
-    exactly when g' > 0; the column order is that of first appearance."""
-    s, cs = default_scheme(sp), _centers(sp)
-    return list(zip((s.z0, s.z0prime), cs, cs[1:]))
-
-
-def default_scheme(params: ModelParams) -> MatchingScheme:
-    """The model's matching points, balanced between the two disks they join.
-
-    For g' > 0, z0' = g'^2/g, and z0 weighs g' and g by the other center's
-    radius, which gives z0 = (g' + g)/2 for g' >= g/3. For g' = 0, z0 = g/2.
-    Couplings the series solver cannot take raise RequiresValidCouplings.
-    """
-    params.require_analytic()
-    sp, _ = params.scaled().canonical()
-    g, gp = sp.g, sp.gprime
-    if gp == 0:
-        return MatchingScheme(g / 2)
-    r4, r2 = (c.radius for c in _centers(sp)[:2])
-    return MatchingScheme((gp * r4 + g * r2) / (r2 + r4), gp * gp / g)
-
-
-def _validate_chain(sp: ModelParams) -> None:
-    for z, *cs in _chain(sp):
-        for c in cs:
+    one per hop, each point balanced between the two disks it joins. For
+    g' > 0, z0 weighs g' and g by the other center's radius, which gives
+    z0 = (g' + g)/2 for g' >= g/3, and z0' = g'^2/g; for g' = 0, z0 = g/2.
+    Center g' takes part exactly when g' > 0; the column order is that of
+    first appearance. Raises OutsideDisk where rounding puts a point outside
+    a disk it joins."""
+    cs, g, gp = _centers(sp), sp.g, sp.gprime
+    rg, rgp = cs[0].radius, cs[1].radius
+    points = [g / 2] if gp == 0 else [(gp * rg + g * rgp) / (rgp + rg), gp * gp / g]
+    conds = list(zip(points, cs, cs[1:]))
+    for z, *ends in conds:
+        for c in ends:
             if abs(z - c.position) >= c.radius:
-                raise OutsideDisk(
-                    f"matching point {z} outside the disk around {c.position}")
+                raise OutsideDisk(f"matching point {z} outside the disk around {c.position}")
+    return conds
 
 
 def _block_eval(sp: ModelParams, sign: int, energies: np.ndarray, c: _Center,
@@ -429,7 +402,7 @@ def _prepare(params: ModelParams) -> ModelParams:
     """The model in omega = 1 units, canonical, its couplings and points checked."""
     params.require_analytic()
     sp, _ = params.scaled().canonical()
-    _validate_chain(sp)
+    _chain(sp)
     return sp
 
 
@@ -450,12 +423,15 @@ def _window(params: ModelParams, e_min: float, e_max: float,
 
 def gvalue(params: ModelParams, parity: Parity, energy: float) -> float:
     """Pole-free matching determinant at one energy (in the caller's units),
-    matched at the model's points (default_scheme).
+    matched at the model's points (_chain).
 
-    Raises OutsideDisk where rounding puts a point outside its disk,
-    PoleAtBaseline within 1e-12 of a baseline, NoConvergence if the series
-    tails stay above tolerance at the hard truncation cap.
+    Raises ValueError for an energy that is not finite, OutsideDisk where
+    rounding puts a point outside its disk, PoleAtBaseline within 1e-12 of a
+    baseline, NoConvergence if the series tails stay above tolerance at the
+    hard truncation cap.
     """
+    if not math.isfinite(energy):
+        raise ValueError("energy must be finite")
     sp = _prepare(params)
     vals, pole_ok, conv_ok = _gvalues(sp, parity.sign, np.array([energy / params.omega]))
     if not pole_ok[0]:
@@ -610,7 +586,7 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
     """Zeros of the matching determinant in [e_min, e_max] for the given parities.
 
     One search serves every parity; a parity given twice is searched once.
-    G, matched at the model's points (default_scheme), is scanned across the
+    G, matched at the model's points (_chain), is scanned across the
     window in one batch (_scan_grid): a uniform grid (step defaults to 0.01
     in units of the photon frequency) and two points beside every baseline,
     4*POLE_EPS from a one-column (center-0) pole and min(1e-3, g^2/10) from

@@ -137,7 +137,10 @@ def baselines(params: ModelParams, e_min: float, e_max: float) -> list[Baseline]
     They are the divisor energies of the series recurrences of both parity
     signs (_slaving), deduplicated (within 1e-12) inside each kind with the
     lowest index kept; coincidences across kinds are distinct families.
+    e_min may be -inf; e_max must be finite.
     """
+    if math.isnan(e_min) or not math.isfinite(e_max):
+        raise ValueError("e_max must be finite and e_min not NaN")
     if not e_min < e_max:
         raise ValueError("baselines needs e_min < e_max")
     sp = params.scaled()
@@ -310,8 +313,10 @@ def recur(params: ModelParams, parity: Parity, energy: float, center: float,
 
     energy and center are interpreted in units of the photon frequency.
     Raises PoleAtBaseline when a slaving divisor falls below 1e-12 anywhere in
-    the table.
+    the table, and ValueError for an energy that is not finite.
     """
+    if not math.isfinite(energy):
+        raise ValueError("energy must be finite")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     sp = params.scaled()

@@ -12,6 +12,27 @@ def stop_g_workers():
     gfunction._stop_workers()
 
 
+@pytest.fixture
+def move_points(monkeypatch):
+    """move(params) makes G match at (0.21, 0.08) on the model's own centers,
+    through a wrapper of gfunction._chain, once it has checked that each
+    point differs from the model's and lies strictly inside both disks it
+    joins. G calls after it must stay within one block: a worker forked
+    earlier does not see the wrapper."""
+    chain = gfunction._chain
+
+    def moved(sp):
+        return [(z, a, b) for z, (_, a, b) in zip((0.21, 0.08), chain(sp), strict=True)]
+
+    def move(params):
+        sp = gfunction._prepare(params)
+        assert all(z != w for (z, _, _), (w, _, _) in zip(moved(sp), chain(sp)))
+        assert all(abs(z - c.position) < c.radius for z, *cs in moved(sp) for c in cs)
+        monkeypatch.setattr(gfunction, "_chain", moved)
+
+    return move
+
+
 @pytest.fixture(scope="session")
 def asym():
     """Asymmetric couplings, g = 0.3, g' = 0.18 (chain g -> g' -> 0)."""

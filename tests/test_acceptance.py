@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from tqrabi import (
-    MatchingScheme,
     ModelParams,
     Parity,
     build_hamiltonian,
@@ -19,7 +18,7 @@ from tqrabi import (
     find_roots,
     recur,
 )
-from tqrabi import gfunction, oracle
+from tqrabi import oracle
 
 
 def _finish(num: int, ok: bool, detail: str) -> None:
@@ -181,10 +180,10 @@ def test_criterion_8b_coefficient_reflection_symmetry():
     _finish(8, dev == 0.0, f"(b) reflection symmetry deviation = {dev}")
 
 
-def test_criterion_8c_roots_invariant_under_matching_points(monkeypatch):
+def test_criterion_8c_roots_invariant_under_matching_points(move_points):
     p = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
     ra = np.array(find_roots(p, (Parity.MINUS,), -1.0, 1.0).energies())
-    monkeypatch.setattr(gfunction, "default_scheme", lambda sp: MatchingScheme(0.21, 0.08))
+    move_points(p)
     rb = np.array(find_roots(p, (Parity.MINUS,), -1.0, 1.0).energies())
     worst = float(np.max(np.abs(ra - rb))) if ra.size == rb.size else math.inf
     _finish(8, ra.size == rb.size and worst < 1e-9,

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from tqrabi import (
-    MatchingScheme,
     ModelParams,
     NoConvergence,
     OutsideDisk,
@@ -20,7 +19,6 @@ from tqrabi import (
     RequiresValidCouplings,
     SpectrumRecord,
     SpectrumResult,
-    default_scheme,
     find_roots,
     gvalue,
     trace,
@@ -40,15 +38,14 @@ def chain_columns(sp):
     return {c: c.slots for _, *cs in gfunction._chain(sp) for c in cs}
 
 
-def test_default_scheme_points(asym, ratio2, flat):
-    s = default_scheme(asym)
-    assert s.z0 == pytest.approx((asym.g + asym.gprime) / 2)
-    assert s.z0prime == pytest.approx(asym.gprime ** 2 / asym.g)
-    assert default_scheme(ratio2).z0prime == pytest.approx(
-        ratio2.gprime ** 2 / ratio2.g)
-    s4 = default_scheme(flat)
-    assert s4.z0 == pytest.approx(flat.g / 2)
-    assert s4.z0prime is None
+def test_chain_points(asym, ratio2, flat):
+    def points(p):
+        return [z for z, _, _ in gfunction._chain(gfunction._prepare(p))]
+
+    assert points(asym) == pytest.approx([(asym.g + asym.gprime) / 2,
+                                          asym.gprime ** 2 / asym.g])
+    assert points(ratio2)[1] == pytest.approx(ratio2.gprime ** 2 / ratio2.g)
+    assert points(flat) == pytest.approx([flat.g / 2])
 
 
 def test_matching_chain_columns(asym, ratio2, flat):
@@ -56,7 +53,7 @@ def test_matching_chain_columns(asym, ratio2, flat):
     # centers in the order they first appear.
     # Each record also names the slaved component and its baseline kind.
     def positions(sp):
-        return [(z, a.position, b.position) for z, a, b in gfunction._chain(sp)]
+        return [(a.position, b.position) for _, a, b in gfunction._chain(sp)]
 
     def columns(sp):
         return [(c.position, slots, c.slave, c.kind)
@@ -64,13 +61,12 @@ def test_matching_chain_columns(asym, ratio2, flat):
 
     for p in (asym, ratio2):
         sp = gfunction._prepare(p)
-        s = default_scheme(sp)
-        assert positions(sp) == [(s.z0, sp.g, sp.gprime), (s.z0prime, sp.gprime, 0.0)]
+        assert positions(sp) == [(sp.g, sp.gprime), (sp.gprime, 0.0)]
         assert columns(sp) == [(sp.g, (0, 1, 3), 2, "first"),
                                (sp.gprime, (0, 1, 2), 3, "second"),
                                (0.0, (0, 1), None, None)]
     sp = gfunction._prepare(flat)
-    assert positions(sp) == [(default_scheme(sp).z0, sp.g, 0.0)]
+    assert positions(sp) == [(sp.g, 0.0)]
     assert columns(sp) == [(sp.g, (0, 1, 3), 2, "first"), (0.0, (0,), 1, "second")]
 
 
@@ -92,6 +88,8 @@ def test_matching_point_outside_disk():
         gvalue(p, Parity.PLUS, 0.4)
     with pytest.raises(OutsideDisk):
         find_roots(p, (Parity.PLUS,), -1.0, 1.0)
+    with pytest.raises(OutsideDisk):
+        trace(p, (Parity.PLUS,), -1.0, 1.0)
 
 
 def test_requires_valid_couplings():
@@ -105,8 +103,6 @@ def test_coupling_lost_in_rounding_requires_valid_couplings(g2):
     # g2 > 0, but below 1.1e-16 of g1 it drops out of g and g', so g' == g.
     p = ModelParams(1.0, 0.5, 0.3, 1.0, g2)
     assert p.gprime == p.g
-    with pytest.raises(RequiresValidCouplings):
-        default_scheme(p)
     with pytest.raises(RequiresValidCouplings):
         gvalue(p, Parity.PLUS, 0.4)
     with pytest.raises(RequiresValidCouplings):
@@ -152,9 +148,9 @@ def test_gvalue_finite_and_deterministic(asym):
     assert np.isfinite(v1) and v1 == v2
 
 
-def test_root_positions_independent_of_matching_points(asym, monkeypatch):
+def test_root_positions_independent_of_matching_points(asym, move_points):
     res_a = find_roots(asym, (Parity.PLUS,), -1.0, 1.0)
-    monkeypatch.setattr(gfunction, "default_scheme", lambda sp: MatchingScheme(0.21, 0.08))
+    move_points(asym)
     res_b = find_roots(asym, (Parity.PLUS,), -1.0, 1.0)
     ra, rb = res_a.energies(), res_b.energies()
     assert len(ra) == len(rb)

@@ -1,8 +1,12 @@
 import dataclasses
+import importlib
+import math
 import pickle
+import pkgutil
 
 import pytest
 
+import tqrabi
 from tqrabi import (
     Baseline,
     ConfigError,
@@ -10,7 +14,10 @@ from tqrabi import (
     Parity,
     RequiresValidCouplings,
     baselines,
+    exceptional,
+    gvalue,
     load_params,
+    recur,
 )
 
 
@@ -100,6 +107,49 @@ def test_baselines_invalid_range():
     p = ModelParams(1.0, 0.5, 0.5, 0.5, 0.5)
     with pytest.raises(ValueError):
         baselines(p, 1.0, 1.0)
+
+
+ASYM, FLAT = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06), ModelParams(1.0, 0.6, 0.4, 0.5, 0.5)
+ENTRY_POINTS = {
+    "energy": [lambda e: gvalue(ASYM, Parity.PLUS, e),
+               lambda e: recur(ASYM, Parity.PLUS, e, 0.0, (1, 0, 0, 0), 8)],
+    "e_min": [lambda e: baselines(ASYM, e, 3.0),
+              lambda e: exceptional.levels(FLAT, Parity.PLUS, e, 3.0)],
+    "e_max": [lambda e: baselines(ASYM, -1.0, e),
+              lambda e: exceptional.levels(FLAT, Parity.PLUS, -1.0, e)],
+}
+
+
+@pytest.mark.parametrize("name, k, value", [
+    (name, k, value) for name, values in (("energy", (math.nan, math.inf, -math.inf)),
+                                          ("e_min", (math.nan,)),
+                                          ("e_max", (math.nan, math.inf)))
+    for k in range(2) for value in values])
+def test_non_finite_energies_are_value_errors(name, k, value):
+    # A NaN energy or bound, an infinite energy and an infinite upper bound
+    # raise a ValueError that names the argument, not an overflow or an
+    # empty or NaN result.
+    with pytest.raises(ValueError, match=name):
+        ENTRY_POINTS[name][k](value)
+
+
+def test_window_lower_end_may_be_minus_infinity():
+    assert baselines(ASYM, -math.inf, 3.0) == baselines(ASYM, -10.0, 3.0)
+    levels = exceptional.levels(FLAT, Parity.PLUS, -math.inf, 3.0)
+    assert levels == exceptional.levels(FLAT, Parity.PLUS, -1.0, 3.0)
+    assert [e for _, e, _, _ in levels] == [1.0]
+
+
+def test_exports_resolve():
+    modules = [tqrabi] + [importlib.import_module(f"tqrabi.{m.name}")
+                          for m in pkgutil.iter_modules(tqrabi.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    # The matching points are the solver's own (gfunction._chain).
+    for module in (tqrabi, tqrabi.gfunction):
+        for name in ("MatchingScheme", "default_scheme"):
+            assert not hasattr(module, name)
 
 
 def test_baselines_exchange_kind():

@@ -254,7 +254,7 @@ def test_evaluate_matches_determinant_columns(asym, ratio2, flat):
     # Chains of one condition (g, 0) and of two (g, g', 0), by place in the chain.
     assert {(n, i) for n, i, _, _ in walked} == {(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)}
     assert {center for n, i, center, _ in walked if i == n} == {0.0}
-    assert (2, 2, 0.0, gfunction.default_scheme(ratio2).z0prime) in walked
+    assert (2, 2, 0.0, gfunction._chain(gfunction._prepare(ratio2))[1][0]) in walked
 
 
 @pytest.mark.parametrize("params", [
@@ -376,8 +376,7 @@ def test_matched_solution_agrees_between_centers(asym):
     # The eigenvalue is taken from the independent diagonalization.
     evals, pars, _ = oracle._eig(asym, 300)
     estar = float(evals[np.flatnonzero(pars == 1)[0]])
-    scheme = gfunction.default_scheme(asym)
-    z0, z0p = scheme.z0, scheme.z0prime
+    z0, z0p = (z for z, _, _ in gfunction._chain(gfunction._prepare(asym)))
     psi = [recur(asym, Parity.PLUS, estar, asym.g, iv, 200)
            for iv in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))]
     phi = [recur(asym, Parity.PLUS, estar, asym.gprime, iv, 200)
