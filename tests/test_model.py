@@ -111,26 +111,25 @@ def test_baselines_invalid_range():
 
 ASYM, FLAT = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06), ModelParams(1.0, 0.6, 0.4, 0.5, 0.5)
 ENTRY_POINTS = {
-    "energy": [lambda e: gvalue(ASYM, Parity.PLUS, e),
-               lambda e: recur(ASYM, Parity.PLUS, e, 0.0, (1, 0, 0, 0), 8)],
-    "e_min": [lambda e: baselines(ASYM, e, 3.0),
-              lambda e: exceptional.levels(FLAT, Parity.PLUS, e, 3.0)],
-    "e_max": [lambda e: baselines(ASYM, -1.0, e),
-              lambda e: exceptional.levels(FLAT, Parity.PLUS, -1.0, e)],
+    ("energy", "gvalue"): lambda x: gvalue(ASYM, Parity.PLUS, x),
+    ("energy", "recur"): lambda x: recur(ASYM, Parity.PLUS, x, 0.0, (1, 0, 0, 0), 8),
+    ("e_min", "baselines"): lambda x: baselines(ASYM, x, 3.0),
+    ("e_min", "levels"): lambda x: exceptional.levels(FLAT, Parity.PLUS, x, 3.0),
+    ("e_max", "baselines"): lambda x: baselines(ASYM, -1.0, x),
+    ("e_max", "levels"): lambda x: exceptional.levels(FLAT, Parity.PLUS, -1.0, x),
 }
+# A window's lower end may be -inf (test_window_lower_end_may_be_minus_infinity).
+NON_FINITE = {"energy": (math.nan, math.inf, -math.inf), "e_min": (math.nan,),
+              "e_max": (math.nan, math.inf)}
 
 
-@pytest.mark.parametrize("name, k, value", [
-    (name, k, value) for name, values in (("energy", (math.nan, math.inf, -math.inf)),
-                                          ("e_min", (math.nan,)),
-                                          ("e_max", (math.nan, math.inf)))
-    for k in range(2) for value in values])
-def test_non_finite_energies_are_value_errors(name, k, value):
-    # A NaN energy or bound, an infinite energy and an infinite upper bound
-    # raise a ValueError that names the argument, not an overflow or an
-    # empty or NaN result.
+@pytest.mark.parametrize("name, fn, value", [
+    (name, fn, value) for name, fn in ENTRY_POINTS for value in NON_FINITE[name]])
+def test_non_finite_energies_are_value_errors(name, fn, value):
+    # A ValueError that names the argument, not an overflow, an empty result
+    # or a table of NaN.
     with pytest.raises(ValueError, match=name):
-        ENTRY_POINTS[name][k](value)
+        ENTRY_POINTS[name, fn](value)
 
 
 def test_window_lower_end_may_be_minus_infinity():
