@@ -3,7 +3,11 @@
 All commands read a key = value parameter file and write CSV with a provenance
 comment header. Output is deterministic: floats are printed with 17
 significant digits and no timestamps are embedded. Every CSV format is
-written here; the solver modules return values and write no files.
+written here; the solver modules return values and write no files. Work
+spreads over the CPUs through gfunction's shares: a G sweep's points, and
+the rows of a trace longer than one G block, which are formatted in
+contiguous shares and written in energy order. The bytes are those of one
+process.
 """
 
 from __future__ import annotations
@@ -60,21 +64,35 @@ def _write_spectrum_csv(records: Iterable[SpectrumRecord], path: str,
 def _write_trace_csv(traces: Sequence[gfunction.GTrace], path: str,
                      comments: Sequence[str]) -> None:
     """Trace CSV of one trace() result: columns E, G_plus, G_minus, empty where
-    G is not finite or the parity was not traced."""
-    by_parity = {t.parity: t for t in traces}
+    G is not finite or the parity was not traced. A trace longer than one G
+    block formats its rows in contiguous shares over the CPUs, as its G call
+    runs (gfunction._block_shares), and writes them in energy order."""
+    by_parity = {t.parity: t.values for t in traces}
     grid, poles = traces[0].energies, traces[0].poles
     if poles:
         comments = [*comments, "baselines: " + " ".join(
             f"{b.kind}:{b.index}@{_fmt(b.energy)}" for b in poles)]
-    columns = [by_parity[p].values if p in by_parity else np.full(grid.size, np.nan)
-               for p in (Parity.PLUS, Parity.MINUS)]
-    # A row of finite cells in one format call: the bytes of _fmt on each.
-    finite = np.isfinite(columns).all(axis=0).tolist()
-    rows = zip(grid.tolist(), *(c.tolist() for c in columns))
-    _write_csv(path, "E,G_plus,G_minus",
-               (["%.17g,%.17g,%.17g" % row] if ok else
-                [_fmt(row[0])] + [_fmt(v) if math.isfinite(v) else "" for v in row[1:]]
-                for ok, row in zip(finite, rows)), comments)
+    columns = (Parity.PLUS, Parity.MINUS)
+    row = ",".join(["%.17g"] + ["%.17g" if p in by_parity else "" for p in columns])
+    table = np.column_stack([grid] + [by_parity[p] for p in columns if p in by_parity])
+    parts = gfunction._block_shares(len(table), lambda r: (_trace_rows, (table[r], row)))
+    _write_csv(path, "E,G_plus,G_minus", ([part] for part in parts), comments)
+
+
+def _trace_rows(table: np.ndarray, row: str) -> str:
+    """The rows of a non-empty table in the format row, which holds one "%.17g"
+    per column, joined by newlines. Each cell has the bytes of _fmt, and a G
+    that is not finite is an empty cell."""
+    # Every row in one format call; a row with a non-finite cell is redone.
+    text = "\n".join([row] * len(table)) % tuple(table.ravel().tolist())
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1)).tolist()
+    if not bad:
+        return text
+    lines, cells = text.split("\n"), row.replace("%.17g", "%s")
+    for i in bad:
+        e, *gs = table[i].tolist()
+        lines[i] = cells % (_fmt(e), *(_fmt(v) if math.isfinite(v) else "" for v in gs))
+    return "\n".join(lines)
 
 
 def _write_catalog_csv(hits: Sequence[exceptional.FlatLineHit],

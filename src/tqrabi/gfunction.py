@@ -19,9 +19,9 @@ assembly (_gvalues_once). Work spreads over the CPUs the process may run on
 in one way (_shares): one share per CPU, the first run here and each other
 one in a worker process forked at the first such call and kept for later
 ones (_hire). A G call longer than one block, such as a trace or a fine-step
-scan, runs in contiguous shares of its energies, and a G sweep (cli) in
-shares of its points; there is no setting for it, and the values are the
-bits of one process.
+scan, runs in contiguous shares of its energies (_block_shares), as do the
+CSV rows of such a trace (cli), and a G sweep (cli) in shares of its points;
+there is no setting for it, and the values are the bits of one process.
 """
 
 from __future__ import annotations
@@ -122,18 +122,12 @@ def _gvalues(sp: ModelParams, signs: int | tuple | np.ndarray, energies: np.ndar
     unconverged at the hard cap come back NaN. The energies are taken in
     blocks of _BLOCK, each with its own series stop, and every energy's value
     is the same whatever block, share, or signs beside it, it falls in. A
-    call of more than one block runs as contiguous shares of nearly equal
-    size (_shares), at most one per block.
+    call of more than one block runs in contiguous shares (_block_shares).
     """
     s = np.asarray(signs)[:, None] if isinstance(signs, tuple) else np.asarray(signs)
     shape = np.broadcast_shapes(s.shape, energies.shape)
     s = np.atleast_2d(np.broadcast_to(s, shape))
-
-    def split(k):
-        ends = [energies.size * i // k for i in range(k + 1)]
-        return [(_blocks, (sp, s[:, a:b], energies[a:b])) for a, b in zip(ends, ends[1:])]
-
-    parts = _shares(-(-energies.size // _BLOCK), split)
+    parts = _block_shares(energies.size, lambda r: (_blocks, (sp, s[:, r], energies[r])))
     return tuple(np.concatenate(c, axis=-1).reshape(shape) for c in zip(*parts))
 
 
@@ -146,6 +140,17 @@ def _blocks(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
         for a, b in zip(out, _gvalues_once(sp, signs[:, part], energies[part])):
             a[:, part] = b
     return out
+
+
+def _block_shares(n: int, call: Callable[[slice], tuple[Callable, tuple]]) -> list:
+    """Results of the calls call(r) (_shares), r contiguous slices of range(n)
+    of nearly equal size, in order: one per CPU, at most one per block of
+    _BLOCK items."""
+    def split(k):
+        ends = [n * i // k for i in range(k + 1)]
+        return [call(slice(a, b)) for a, b in zip(ends, ends[1:])]
+
+    return _shares(-(-n // _BLOCK), split)
 
 
 def _shares(most: int, split: Callable[[int], list[tuple[Callable, tuple]]]) -> list:

@@ -340,8 +340,11 @@ def evaluate(block: ExpansionBlock, z: float) -> np.ndarray:
 
     The table is summed as for G(E), until its last two terms are at most
     1e-14 of the largest component sum; if the table ends first, it is
-    regenerated once at the hard cap of 512 orders.
+    regenerated once at the hard cap of 512 orders. Raises ValueError for a z
+    that is not finite, and OutsideDisk for one outside the disk.
     """
+    if not math.isfinite(z):
+        raise ValueError("z must be finite")
     dz = z - block.center
     if abs(dz) >= block.radius:
         raise OutsideDisk(f"|z - {block.center}| = {abs(dz)} >= radius {block.radius}")

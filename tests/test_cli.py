@@ -560,6 +560,58 @@ def test_failed_sweep_worker_keeps_bytes(tmp_path, asym_cfg, monkeypatch, how):
     assert out.read_bytes() == one.read_bytes()
 
 
+def flat_trace(cfg, out, parity):
+    """A 4,001-row trace of the flat model, two G blocks, whose empty cells
+    fall at E = -1, 0, 1, 2 and 3: rows 1, 1001, 2001, 3001 and 4001, the
+    first row of each of two shares and the last row."""
+    return main(["trace", "--config", cfg, "--emin", "-1", "--emax", "3", "--step",
+                 "0.001", "--parity", parity, "--out", out])
+
+
+@pytest.mark.parametrize("parity", ["both", "minus"])
+def test_split_trace_keeps_bytes(tmp_path, flat_cfg, monkeypatch, capsys, parity):
+    # On two CPUs the rows are formatted in two shares, one in the worker of
+    # the G call; to a file and to stdout they keep the bytes of one process.
+    outs = []
+    for cpus in (1, 2):
+        forks = fake_cpus(monkeypatch, cpus)
+        out = tmp_path / f"t{cpus}.csv"
+        assert flat_trace(flat_cfg, str(out), parity) == 0
+        assert flat_trace(flat_cfg, "-", parity) == 0
+        outs.append((out.read_text(), capsys.readouterr().out))
+        assert len(forks) == cpus - 1
+    assert outs[0] == outs[1] and outs[0][0] == outs[0][1]
+    body = [line for line in outs[0][0].splitlines() if not line.startswith("#")]
+    assert body[0] == "E,G_plus,G_minus" and len(body) == 4002
+    assert [i for i, line in enumerate(body) if line.endswith(",")] == [
+        1, 1001, 2001, 3001, 4001]
+
+
+@pytest.mark.parametrize("how", ["raises", "killed"])
+def test_failed_trace_worker_keeps_bytes(tmp_path, flat_cfg, monkeypatch, how):
+    # A worker that raises or is killed at its formatting share, at the empty
+    # cell of its first row, is reaped, and its rows are formatted here, to
+    # the bytes of one process.
+    fake_cpus(monkeypatch, 1)
+    one = tmp_path / "one.csv"
+    assert flat_trace(flat_cfg, str(one), "both") == 0
+    parent, fmt = os.getpid(), tqrabi.cli._fmt
+
+    def fail_there(x):
+        if os.getpid() != parent:
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("rows failed")
+        return fmt(x)
+
+    monkeypatch.setattr(tqrabi.cli, "_fmt", fail_there)
+    forks = fake_cpus(monkeypatch, 2)
+    out = tmp_path / "split.csv"
+    assert flat_trace(flat_cfg, str(out), "both") == 0
+    assert len(forks) == 1 and gfunction._workers == [] and no_child_left()
+    assert out.read_bytes() == one.read_bytes()
+
+
 def test_trace_rejects_non_finite_parameters(tmp_path, capsys):
     cfg = tmp_path / "nan.cfg"
     cfg.write_text(ASYM_CFG.replace("delta1 = 0.6", "delta1 = nan"))

@@ -16,6 +16,7 @@ from tqrabi import (
     baselines,
     exceptional,
     gvalue,
+    evaluate,
     load_params,
     recur,
 )
@@ -113,6 +114,8 @@ ASYM, FLAT = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06), ModelParams(1.0, 0.6, 0.4, 
 ENTRY_POINTS = {
     ("energy", "gvalue"): lambda x: gvalue(ASYM, Parity.PLUS, x),
     ("energy", "recur"): lambda x: recur(ASYM, Parity.PLUS, x, 0.0, (1, 0, 0, 0), 8),
+    ("z", "evaluate"): lambda x: evaluate(recur(ASYM, Parity.PLUS, 0.5, 0.0,
+                                                (1, 0, 0, 0), 8), x),
     ("e_min", "baselines"): lambda x: baselines(ASYM, x, 3.0),
     ("e_min", "levels"): lambda x: exceptional.levels(FLAT, Parity.PLUS, x, 3.0),
     ("e_max", "baselines"): lambda x: baselines(ASYM, -1.0, x),
@@ -120,7 +123,7 @@ ENTRY_POINTS = {
 }
 # A window's lower end may be -inf (test_window_lower_end_may_be_minus_infinity).
 NON_FINITE = {"energy": (math.nan, math.inf, -math.inf), "e_min": (math.nan,),
-              "e_max": (math.nan, math.inf)}
+              "e_max": (math.nan, math.inf), "z": (math.nan, math.inf, -math.inf)}
 
 
 @pytest.mark.parametrize("name, fn, value", [
