@@ -14,9 +14,9 @@ from tqrabi import (
     Parity,
     RequiresValidCouplings,
     baselines,
+    evaluate,
     exceptional,
     gvalue,
-    evaluate,
     load_params,
     recur,
 )

@@ -45,18 +45,15 @@ def test_trace_csv_bytes(tmp_path):
         "0,,0.10000000000000001\n"
         "0.5,,0.20000000000000001\n"
         "1,,\n")
-
-
-def test_trace_csv_edge_row_bytes(tmp_path):
     # Non-finite first and last rows, a row where only E is finite, and -0.0,
-    # which is written as _fmt writes it.
+    # written as _fmt writes it.
     grid = np.array([0.0, 0.25, 0.5, 0.75])
-    out = tmp_path / "edges.csv"
+    edges = tmp_path / "edges.csv"
     _write_trace_csv([GTrace(Parity.PLUS, grid, np.array([np.nan, -0.0, np.nan, 1.0]), ()),
                       GTrace(Parity.MINUS, grid, np.array([2.0, 0.5, np.inf, -np.inf]),
                              ())],
-                     str(out), ())
-    assert out.read_text() == (
+                     str(edges), ())
+    assert edges.read_text() == (
         "E,G_plus,G_minus\n"
         "0,,2\n"
         "0.25,-0,0.5\n"
