@@ -4,7 +4,7 @@ All commands read a key = value parameter file and write CSV with a provenance
 comment header. Output is deterministic: floats are printed with 17
 significant digits and no timestamps are embedded. Every CSV format is
 written here; the solver modules return values and write no files. Work
-spreads over the CPUs through gfunction's shares: a G sweep's points, and
+spreads over the CPUs through gfunction's shares: a sweep's points, and
 the rows of a trace longer than one G block, which are formatted in
 contiguous shares and written in energy order. The bytes are those of one
 process.
@@ -41,13 +41,17 @@ def _fmt(x: float) -> str:
 def _write_csv(path: str, header: str, rows: Iterable[Sequence[str]],
                comments: Sequence[str]) -> None:
     """Write '# ' comment lines, a header line and comma-joined rows to path,
-    or to standard output when path is "-"."""
-    with open(path, "w") if path != "-" else contextlib.nullcontext(sys.stdout) as dest:
-        for line in comments:
-            dest.write(f"# {line}\n")
-        dest.write(header + "\n")
-        for row in rows:
-            dest.write(",".join(row) + "\n")
+    or to standard output when path is "-". A path that cannot be opened or
+    written is a ConfigError."""
+    try:
+        with open(path, "w") if path != "-" else contextlib.nullcontext(sys.stdout) as dest:
+            for line in comments:
+                dest.write(f"# {line}\n")
+            dest.write(header + "\n")
+            for row in rows:
+                dest.write(",".join(row) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _record_row(r: SpectrumRecord) -> tuple[str, ...]:
@@ -232,9 +236,11 @@ def cmd_sweep(args: argparse.Namespace, params: ModelParams) -> int:
     if not np.isfinite([args.gmin, args.gmax]).all():
         raise ConfigError("--gmin and --gmax must be finite")
     gs = [float(g) for g in np.linspace(args.gmin, args.gmax, args.points)]
-    # G points spread over the CPUs, point i in share i mod k; oracle points
-    # cost less than a share's trip to a worker and run here.
-    shares = gfunction._shares(1 if args.solver == "oracle" else len(gs), lambda k: [
+    # Points spread over the CPUs, point i in share i mod k. LAPACK loads
+    # here first, so that a worker forked next inherits it.
+    if args.solver != "gfunction":
+        oracle._lapack()
+    shares = gfunction._shares(len(gs), lambda k: [
         (_sweep_points, (args, params, gs[i::k])) for i in range(k)])
     results = [shares[i % len(shares)][i // len(shares)] for i in range(len(gs))]
     _write_csv(args.out, "g,E,parity,method,residual,status",

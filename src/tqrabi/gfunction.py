@@ -20,8 +20,9 @@ in one way (_shares): one share per CPU, the first run here and each other
 one in a worker process forked at the first such call and kept for later
 ones (_hire). A G call longer than one block, such as a trace or a fine-step
 scan, runs in contiguous shares of its energies (_block_shares), as do the
-CSV rows of such a trace (cli), and a G sweep (cli) in shares of its points;
-there is no setting for it, and the values are the bits of one process.
+CSV rows of such a trace (cli), and a sweep (cli), whatever its solver, in
+shares of its points; there is no setting for it, and the values are the
+bits of one process.
 """
 
 from __future__ import annotations

@@ -247,8 +247,8 @@ def test_default_truncation_sized_from_the_model(tmp_path, flat_cfg, monkeypatch
 def test_cli_import_leaves_out_scipy_linalg(tmp_path, asym_cfg):
     # Neither importing the CLI nor the oracle commands load scipy.linalg:
     # the oracle calls scipy's LAPACK module without importing its package.
-    # An oracle sweep runs in one process and a G sweep shares its points
-    # with raw forked workers: neither loads pool machinery.
+    # An oracle sweep, like a G sweep, shares its points with raw forked
+    # workers: neither loads pool machinery.
     env = dict(os.environ, PYTHONPATH=str(Path(tqrabi.__file__).parents[1]))
     code = "import sys, tqrabi.cli; sys.exit('scipy.linalg' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
@@ -337,6 +337,31 @@ def test_exceptional_requires_out_file(flat_cfg, capsys):
     assert main(["exceptional", "--config", flat_cfg,
                  "--scan", "delta1=0.2:1.1:5"]) == 2
     assert "sidecar" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--emin", "-1", "--emax", "1"],
+    ["spectrum", "--emax", "1.5"],
+    ["sweep", "--gmin", "0.5", "--gmax", "1", "--points", "2"],
+    ["exceptional", "--scan", "delta1=0.2:1.1:5"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_is_a_config_error(tmp_path, flat_cfg, capsys, argv, where):
+    # An output that cannot be opened ends in one line and exit 2, as a bad
+    # flag does, not in a traceback and a solver failure's exit 1.
+    out = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+    assert main([*argv, "--config", flat_cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_unwritable_sidecar_is_a_config_error(tmp_path, flat_cfg, capsys):
+    out = tmp_path / "cat.csv"
+    (tmp_path / "cat.csv.states.csv").mkdir()
+    assert main(["exceptional", "--config", flat_cfg, "--scan", "delta1=0.2:1.1:5",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}.states.csv: Is a directory\n"
 
 
 def test_bad_scan_spec(tmp_path, flat_cfg, capsys):
@@ -465,13 +490,23 @@ def test_window_step_and_truncation_checked_for_every_solver(asym_cfg, capsys, a
     assert message in capsys.readouterr().err
 
 
-def fake_cpus(monkeypatch, n):
+def fake_cpus(monkeypatch, n, lapack=False):
     """Let the G workers see CPUs 0 to n - 1, and pin none of them; return
-    a list that grows by one at each os.fork."""
+    a list that grows by one at each os.fork. With lapack, as for a sweep
+    that uses the oracle, LAPACK is unloaded here and each fork checks that
+    it is loaded again, so that no worker loads it on its own."""
     forks, fork = [], os.fork
+    if lapack:
+        oracle._lapack.cache_clear()
+
+    def counted():
+        assert not lapack or oracle._lapack.cache_info().currsize == 1
+        forks.append(1)
+        return fork()
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(os, "fork", counted)
     return forks
 
 
@@ -490,59 +525,67 @@ def sweep(cfg, out, *extra):
 
 
 def test_sweep_forks_no_more_workers_than_points(tmp_path, flat_cfg, monkeypatch):
-    # A G sweep hires a worker per CPU but this process's, and no more
-    # workers than it has points beside this process's own share.
-    forks = fake_cpus(monkeypatch, 4)
-    for points in (1, 2):
-        out = tmp_path / f"s{points}.csv"
-        assert sweep(flat_cfg, out, "--points", str(points), "--solver", "gfunction") == 0
-        assert len({g for g in rows(out, "g")}) == points
-        assert len(forks) == points - 1 and len(gfunction._workers) == points - 1
+    # A sweep, whatever its solver, hires a worker per CPU but this
+    # process's, and no more workers than it has points beside this
+    # process's own share.
+    for solver in ("gfunction", "oracle"):
+        gfunction._stop_workers()
+        forks = fake_cpus(monkeypatch, 4, lapack=solver == "oracle")
+        for points in (1, 2):
+            out = tmp_path / f"{solver}{points}.csv"
+            assert sweep(flat_cfg, out, "--points", str(points), "--solver", solver) == 0
+            assert len({g for g in rows(out, "g")}) == points
+            assert len(forks) == points - 1 and len(gfunction._workers) == points - 1
 
 
 def test_g_sweep_on_one_cpu_hires_no_worker(tmp_path, flat_cfg, monkeypatch):
     # The CPUs are those the process may run on, as under taskset -c 0: with
-    # one, every point runs here and nothing forks.
+    # one, every point runs here and nothing forks, whatever the solver.
     forks = fake_cpus(monkeypatch, 1)
-    for solver in ("gfunction", "both"):
+    for solver in ("gfunction", "both", "oracle"):
         assert sweep(flat_cfg, tmp_path / f"{solver}.csv", "--points", "4",
                      "--solver", solver, "--truncation", "40") == 0
     assert forks == [] and gfunction._workers == []
 
 
-def test_oracle_sweep_starts_no_pool(tmp_path, flat_cfg, monkeypatch):
-    # Oracle points cost less than a share's trip to a worker: whatever the
-    # CPU count, they run in this process.
-    forks = fake_cpus(monkeypatch, 8)
+def test_oracle_sweep_shares_its_points(tmp_path, flat_cfg, monkeypatch):
+    # An oracle sweep spreads its points as a G sweep does: on 8 CPUs its 3
+    # points go to this process and 2 workers, forked once LAPACK is loaded.
+    forks = fake_cpus(monkeypatch, 8, lapack=True)
     assert sweep(flat_cfg, tmp_path / "s.csv", "--points", "3", "--solver", "oracle",
                  "--truncation", "40") == 0
-    assert forks == [] and gfunction._workers == []
+    assert len(forks) == 2 and len(gfunction._workers) == 2
     assert len({g for g in rows(tmp_path / "s.csv", "g")}) == 3
 
 
-SWEEP_BOTH = ["--solver", "both", "--gmin", "0.2", "--gmax", "0.6", "--points", "3",
+SWEEP_ARGS = ["--gmin", "0.2", "--gmax", "0.6", "--points", "3",
               "--emax", "1.5", "--truncation", "120"]
 
 
 def test_sweep_worker_pool_keeps_bytes(tmp_path, asym_cfg, monkeypatch):
-    # Points shared with a worker give the bytes of one process.
-    outs = []
-    for cpus in (1, 2):
-        forks = fake_cpus(monkeypatch, cpus)
-        outs.append(tmp_path / f"w{cpus}.csv")
-        assert sweep(asym_cfg, outs[-1], *SWEEP_BOTH) == 0
-        assert len(forks) == cpus - 1
-    assert outs[0].read_bytes() == outs[1].read_bytes()
-    assert {r["method"] for r in rows(outs[0])} == {"gfunction", "oracle"}
+    # Points shared with a worker give the bytes of one process, whatever
+    # the solver.
+    for solver, methods in (("both", {"gfunction", "oracle"}), ("oracle", {"oracle"})):
+        outs = []
+        for cpus in (1, 2):
+            gfunction._stop_workers()
+            forks = fake_cpus(monkeypatch, cpus, lapack=True)
+            outs.append(tmp_path / f"{solver}{cpus}.csv")
+            assert sweep(asym_cfg, outs[-1], *SWEEP_ARGS, "--solver", solver) == 0
+            assert len(forks) == cpus - 1
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert {r["method"] for r in rows(outs[0])} == methods
 
 
 @pytest.mark.parametrize("how", ["raises", "killed"])
 def test_failed_sweep_worker_keeps_bytes(tmp_path, asym_cfg, monkeypatch, how):
     # A worker that raises or is killed at its first point is reaped, and its
-    # share runs here, to the bytes of one process.
+    # share runs here, to the bytes of one process, whatever the solver.
+    solvers = ("both", "oracle")
     fake_cpus(monkeypatch, 1)
-    one = tmp_path / "one.csv"
-    assert sweep(asym_cfg, one, *SWEEP_BOTH) == 0
+    for solver in solvers:
+        assert sweep(asym_cfg, tmp_path / f"{solver}1.csv", *SWEEP_ARGS,
+                     "--solver", solver) == 0
     parent, point = os.getpid(), tqrabi.cli._sweep_point
 
     def fail_there(*args):
@@ -553,11 +596,12 @@ def test_failed_sweep_worker_keeps_bytes(tmp_path, asym_cfg, monkeypatch, how):
         return point(*args)
 
     monkeypatch.setattr(tqrabi.cli, "_sweep_point", fail_there)
-    forks = fake_cpus(monkeypatch, 2)
-    out = tmp_path / "split.csv"
-    assert sweep(asym_cfg, out, *SWEEP_BOTH) == 0
-    assert len(forks) == 1 and gfunction._workers == [] and no_child_left()
-    assert out.read_bytes() == one.read_bytes()
+    for solver in solvers:
+        forks = fake_cpus(monkeypatch, 2, lapack=True)
+        out = tmp_path / f"{solver}2.csv"
+        assert sweep(asym_cfg, out, *SWEEP_ARGS, "--solver", solver) == 0
+        assert len(forks) == 1 and gfunction._workers == [] and no_child_left()
+        assert out.read_bytes() == (tmp_path / f"{solver}1.csv").read_bytes()
 
 
 def flat_trace(cfg, out, parity):
