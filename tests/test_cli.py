@@ -566,9 +566,9 @@ def test_sweep_worker_pool_keeps_bytes(tmp_path, asym_cfg, monkeypatch):
     # Points shared with a worker give the bytes of one process, whatever
     # the solver.
     for solver, methods in (("both", {"gfunction", "oracle"}), ("oracle", {"oracle"})):
+        gfunction._stop_workers()
         outs = []
         for cpus in (1, 2):
-            gfunction._stop_workers()
             forks = fake_cpus(monkeypatch, cpus, lapack=True)
             outs.append(tmp_path / f"{solver}{cpus}.csv")
             assert sweep(asym_cfg, outs[-1], *SWEEP_ARGS, "--solver", solver) == 0
