@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 from typing import Iterable, Optional, Sequence
@@ -187,14 +188,29 @@ def _sweep_points(args: argparse.Namespace, params: ModelParams,
 
 def _sweep_point(args: argparse.Namespace, params: ModelParams,
                  g: float) -> list[tuple[str, ...]]:
-    """Rows of one sweep point: the template params at total coupling g."""
+    """Rows of one sweep point: the template params at total coupling g. The
+    point makes one oracle request: for --solver both, the window that
+    verifies its roots, whose levels in [--emin, --emax] are its oracle rows,
+    as in cmd_spectrum. Its error is named by the gfunction status rows too."""
     point = params.with_g(g)
     rows: list[tuple[str, ...]] = []
     parities = _parities(args.parity)
-    if args.solver in ("gfunction", "both"):
+    levels = failed = None
+    try:
+        if args.solver == "both":
+            levels = oracle.window(point, args.truncation, args.emax, parities)
+        elif args.solver == "oracle":
+            # Sized here, per point, so diagonalize gets an int truncation, which
+            # perfbench/tracing.py records as the oracle truncation.
+            start = (oracle.level_truncation(point, args.levels)
+                     if args.truncation is None else args.truncation)
+            levels = oracle.diagonalize(point, start, args.levels)
+    except SolverError as exc:
+        failed = exc
+    if args.solver != "oracle":
         try:
-            levels = (oracle.window(point, args.truncation, args.emax, parities)
-                      if args.solver == "both" else None)
+            if failed is not None:
+                raise failed
             res = gfunction.find_roots(point, parities, args.emin, args.emax,
                                        args.step, levels=levels)
             rows.extend((_fmt(g), *_record_row(r), "ok")
@@ -202,19 +218,12 @@ def _sweep_point(args: argparse.Namespace, params: ModelParams,
         except SolverError as exc:
             rows.extend((_fmt(g), "", str(parity.sign), "gfunction", "",
                          type(exc).__name__) for parity in parities)
-    if args.solver in ("oracle", "both"):
-        try:
-            # Sized here, per point, so diagonalize gets an int truncation, which
-            # perfbench/tracing.py records as the oracle truncation.
-            start = (oracle.level_truncation(point, args.levels)
-                     if args.truncation is None else args.truncation)
-            res = oracle.diagonalize(point, start, args.levels)
-            rows.extend((_fmt(g), *_record_row(r), "ok")
-                        for r in res
-                        if args.emin <= r.energy <= args.emax
-                        and r.parity in parities)
-        except SolverError as exc:
-            rows.append((_fmt(g), "", "", "oracle", "", type(exc).__name__))
+    if args.solver != "gfunction":
+        if failed is None:
+            rows.extend((_fmt(g), *_record_row(r), "ok") for r in levels
+                        if args.emin <= r.energy <= args.emax and r.parity in parities)
+        else:
+            rows.append((_fmt(g), "", "", "oracle", "", type(failed).__name__))
     if point.scaled().gprime == 0.0:
         for parity in parities:
             try:
@@ -231,20 +240,30 @@ def _sweep_point(args: argparse.Namespace, params: ModelParams,
 def cmd_sweep(args: argparse.Namespace, params: ModelParams) -> int:
     if args.points < 0:
         raise ConfigError("sweep needs a non-negative point count")
+    if args.levels < 1:
+        raise ConfigError("--levels must be >= 1")
     if params.g <= 0:
         raise ConfigError("sweep template must have g1 + g2 > 0 to fix the ratio")
     if not np.isfinite([args.gmin, args.gmax]).all():
         raise ConfigError("--gmin and --gmax must be finite")
     gs = [float(g) for g in np.linspace(args.gmin, args.gmax, args.points)]
-    # Points spread over the CPUs, point i in share i mod k. LAPACK loads
-    # here first, so that a worker forked next inherits it.
+    # Points spread over the CPUs: point j goes to share j mod 2k, mirrored
+    # past k, so that each share holds cheap and dear points alike, as a
+    # point's cost grows with g. LAPACK loads here first, so that a worker
+    # forked next inherits it.
     if args.solver != "gfunction":
         oracle._lapack()
+
+    def deal(k: int) -> list[list[int]]:
+        share = [min(j % (2 * k), 2 * k - 1 - j % (2 * k)) for j in range(len(gs))]
+        return [[j for j, s in enumerate(share) if s == i] for i in range(k)]
+
     shares = gfunction._shares(len(gs), lambda k: [
-        (_sweep_points, (args, params, gs[i::k])) for i in range(k)])
-    results = [shares[i % len(shares)][i // len(shares)] for i in range(len(gs))]
+        (_sweep_points, (args, params, [gs[j] for j in points])) for points in deal(k)])
+    dealt = dict(zip((j for points in deal(len(shares)) for j in points),
+                     (rows for share in shares for rows in share)))
     _write_csv(args.out, "g,E,parity,method,residual,status",
-               (row for rows in results for row in rows), [
+               (row for j in range(len(gs)) for row in dealt[j]), [
                    "tqrabi sweep",
                    _params_comment(params),
                    f"flags: gmin={_fmt(args.gmin)} gmax={_fmt(args.gmax)} "
@@ -359,7 +378,9 @@ def cmd_verify(args: argparse.Namespace, params: ModelParams) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: main may run many commands."""
     parser = argparse.ArgumentParser(
         prog="tqrabi",
         description="Spectra of two-qubit Rabi models with optional "
@@ -402,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parity", choices=("plus", "minus", "both"), default="both")
     p.add_argument("--solver", choices=("gfunction", "oracle", "both"),
                    default="oracle")
-    p.add_argument("--levels", type=int, default=8)
+    p.add_argument("--levels", type=int, default=8,
+                   help="--solver oracle: the lowest levels solved per point")
     p.add_argument("--truncation", type=int, help=TRUNCATION_HELP)
     p.set_defaults(func=cmd_sweep)
 

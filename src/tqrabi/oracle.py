@@ -137,9 +137,11 @@ def build_hamiltonian(params: ModelParams, truncation: int) -> FockHamiltonian:
 @functools.cache
 def _lapack():
     """scipy's f2py LAPACK module, which scipy.linalg.lapack re-exports, loaded
-    without running scipy/linalg/__init__.py and its slow array-API imports."""
+    without running scipy/__init__.py, scipy/linalg/__init__.py and the
+    latter's slow array-API imports."""
+    import os
     from importlib import machinery, util
-    where = util.find_spec("scipy.linalg").submodule_search_locations[0]
+    where = os.path.join(util.find_spec("scipy").submodule_search_locations[0], "linalg")
     finder = machinery.FileFinder(where, (machinery.ExtensionFileLoader,
                                           machinery.EXTENSION_SUFFIXES))
     spec = finder.find_spec("scipy.linalg._flapack")

@@ -1,3 +1,5 @@
+import argparse
+import collections
 import dataclasses
 import os
 import re
@@ -11,7 +13,8 @@ import numpy as np
 import pytest
 
 import tqrabi
-from tqrabi import Parity, SpectrumRecord, SpectrumResult, gfunction, oracle
+from tqrabi import (ModelParams, NotConverged, Parity, SpectrumRecord, SpectrumResult,
+                    gfunction, oracle)
 from tqrabi.cli import _unmatched, main
 
 
@@ -246,7 +249,8 @@ def test_default_truncation_sized_from_the_model(tmp_path, flat_cfg, monkeypatch
 
 def test_cli_import_leaves_out_scipy_linalg(tmp_path, asym_cfg):
     # Neither importing the CLI nor the oracle commands load scipy.linalg:
-    # the oracle calls scipy's LAPACK module without importing its package.
+    # the oracle calls scipy's LAPACK module without importing its package,
+    # or the scipy package above it.
     # An oracle sweep, like a G sweep, shares its points with raw forked
     # workers: neither loads pool machinery.
     env = dict(os.environ, PYTHONPATH=str(Path(tqrabi.__file__).parents[1]))
@@ -263,7 +267,7 @@ def test_cli_import_leaves_out_scipy_linalg(tmp_path, asym_cfg):
     ]
     code = ("import sys; from tqrabi.cli import main\n"
             f"assert all(main(argv) == 0 for argv in {commands!r})\n"
-            "sys.exit(any(m in sys.modules for m in ('scipy.linalg', 'numpy.f2py',\n"
+            "sys.exit(any(m in sys.modules for m in ('scipy', 'scipy.linalg', 'numpy.f2py',\n"
             "    'concurrent.futures.process', 'multiprocessing')))")
     assert subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True).returncode == 0
@@ -459,12 +463,122 @@ def test_sweep_spec_validation(tmp_path, capsys):
     grid = sorted({float(g) for g in rows(out, "g")})
     assert len(grid) == 5 and grid[0] == 0.2 and grid[-1] == 1.0
     for extra, message in ((["--points", "-1"], "non-negative point count"),
-                           (["--points", "5", "--step", "0"], "step must be positive")):
+                           (["--points", "5", "--step", "0"], "step must be positive"),
+                           (["--points", "5", "--levels", "0"], "--levels must be >= 1")):
         assert main(sweep + extra) == 2
         assert message in capsys.readouterr().err
     cfg.write_text(ASYM_CFG.replace("0.24", "0").replace("0.06", "0"))
     assert main(sweep + ["--points", "5"]) == 2
     assert "g1 + g2 > 0" in capsys.readouterr().err
+
+
+def test_main_builds_one_parser(tmp_path, flat_cfg, monkeypatch):
+    # main may run many commands in one process, one after another: they
+    # share one parser, built at the first.
+    tqrabi.cli.build_parser.cache_clear()
+    parsers, parse = [], argparse.ArgumentParser.parse_args
+
+    def recorded(self, *args, **kwargs):
+        parsers.append(self)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded)
+    for points in ("1", "2"):
+        assert main(["sweep", "--config", flat_cfg, "--gmin", "0.5", "--gmax", "1.0",
+                     "--points", points, "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
+def test_both_sweep_oracle_rows_are_its_window(tmp_path, asym_cfg):
+    # A both point's oracle rows are the levels of the window that verifies
+    # its roots, chosen as spectrum --solver both chooses them: cell for
+    # cell those of spectrum on the point's model and window.
+    out, cfg, spec = tmp_path / "sweep.csv", tmp_path / "point.cfg", tmp_path / "spec.csv"
+    window = ["--emin", "-1", "--emax", "2.5", "--solver", "both"]
+    assert main(["sweep", "--config", asym_cfg, "--gmin", "0.3", "--gmax", "2.1",
+                 "--points", "3", *window, "--out", str(out)]) == 0
+    data = rows(out)
+    template = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
+    gs = sorted({r["g"] for r in data}, key=float)
+    assert len(gs) == 3
+    for g in gs:
+        point = template.with_g(float(g))
+        cfg.write_text("".join(f"{k} = {getattr(point, k)!r}\n"
+                               for k in ("omega", "delta1", "delta2", "g1", "g2")))
+        assert main(["spectrum", "--config", str(cfg), *window, "--out", str(spec)]) == 0
+        want = [r for r in rows(spec) if r["method"] == "oracle"]
+        got = [{k: v for k, v in r.items() if k not in ("g", "status")}
+               for r in data if r["g"] == g and r["method"] == "oracle"]
+        assert got == want and len(got) > 4
+        assert all(r["status"] == "ok" for r in data if r["g"] == g)
+
+
+def test_both_sweep_has_an_oracle_row_per_root(tmp_path):
+    # The asymmetric sweep (1, 0.6, 0.2, 0.8g, 0.2g) on [-1, 3]: every
+    # point has at least as many oracle rows as roots. The lowest 8 levels
+    # of both parities, clipped to the window, fell short at every point.
+    cfg, out = tmp_path / "asym.cfg", tmp_path / "sweep.csv"
+    cfg.write_text(ASYM_CFG.replace("0.24", "0.8").replace("0.06", "0.2"))
+    assert main(["sweep", "--config", str(cfg), "--gmin", "0.1", "--gmax", "2.5",
+                 "--points", "12", "--emin", "-1", "--emax", "3", "--solver", "both",
+                 "--out", str(out)]) == 0
+    counts = collections.Counter((r["g"], r["method"]) for r in rows(out))
+    gs = {g for g, _ in counts}
+    assert len(gs) == 12
+    short = [g for g in gs if counts[g, "oracle"] < counts[g, "gfunction"]]
+    assert short == [] and all(counts[g, "gfunction"] > 0 for g in gs)
+
+
+def test_one_oracle_request_per_sweep_point_or_model(tmp_path, flat_cfg, monkeypatch):
+    # Each sweep point, and each spectrum or verify model, makes at most one
+    # certified oracle solve. A both point's is the window that verifies
+    # its roots; only an oracle point asks diagonalize for its levels.
+    fake_cpus(monkeypatch, 1)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("certified_spectrum", "window", "diagonalize"):
+        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    out = str(tmp_path / "out.csv")
+    for solver, want in (("both", {"certified_spectrum": 4, "window": 4}),
+                         ("oracle", {"certified_spectrum": 4, "diagonalize": 4}),
+                         ("gfunction", {})):
+        calls.clear()
+        assert sweep(flat_cfg, out, "--points", "4", "--solver", solver) == 0
+        assert calls == want, solver
+    for argv, want in ((["spectrum", "--emax", "2", "--solver", "both"], 1),
+                       (["spectrum", "--emax", "2", "--solver", "oracle"], 1),
+                       (["spectrum", "--emax", "2", "--solver", "gfunction"], 1),
+                       (["spectrum", "--emax", "2", "--solver", "gfunction",
+                         "--no-verify"], 0),
+                       (["verify", "--emax", "2"], 1)):
+        calls.clear()
+        assert main([*argv, "--config", flat_cfg, "--out", out]) == 0
+        assert calls["certified_spectrum"] == want and calls["diagonalize"] == 0, argv
+
+
+def test_both_sweep_window_error_writes_status_rows(tmp_path, asym_cfg, monkeypatch):
+    # A window that raises leaves a both point without levels to verify
+    # roots against and without oracle rows: the gfunction status row of
+    # each parity and one oracle status row name its error.
+    fake_cpus(monkeypatch, 1)
+
+    def fails(*args):
+        raise NotConverged("no window")
+
+    monkeypatch.setattr(oracle, "window", fails)
+    out = tmp_path / "sweep.csv"
+    assert sweep(asym_cfg, out, "--points", "2", "--solver", "both") == 0
+    got = [tuple(r.values()) for r in rows(out)]
+    assert got == [(g, "", parity, method, "", "NotConverged")
+                   for g in ("0.5", "1")
+                   for parity, method in (("1", "gfunction"), ("-1", "gfunction"),
+                                          ("", "oracle"))]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -556,6 +670,35 @@ def test_oracle_sweep_shares_its_points(tmp_path, flat_cfg, monkeypatch):
                  "--truncation", "40") == 0
     assert len(forks) == 2 and len(gfunction._workers) == 2
     assert len({g for g in rows(tmp_path / "s.csv", "g")}) == 3
+
+
+def test_sweep_shares_mix_cheap_and_dear_points(tmp_path, flat_cfg, monkeypatch):
+    # A point's cost grows with g. Point j goes to share j mod 2k, or to
+    # 2k - 1 - j mod 2k past k: on 3 CPUs, of 8 points, this process takes
+    # points 0, 5 and 6 and the workers 1, 4, 7 and 2, 3. The rows come
+    # back in point order, to the bytes of one process.
+    dealt, shares = [], gfunction._shares
+
+    def recorded(most, split):
+        def spy(k):
+            calls = split(k)
+            dealt.append([args[2] for _, args in calls])
+            return calls
+        return shares(most, spy)
+
+    monkeypatch.setattr(gfunction, "_shares", recorded)
+    outs = []
+    for cpus in (1, 3):
+        gfunction._stop_workers()
+        forks = fake_cpus(monkeypatch, cpus, lapack=True)
+        outs.append(tmp_path / f"s{cpus}.csv")
+        assert sweep(flat_cfg, outs[-1], "--points", "8", "--solver", "oracle",
+                     "--truncation", "40") == 0
+        assert len(forks) == cpus - 1
+    gs = [float(g) for g in np.linspace(0.5, 1.0, 8)]
+    assert dealt == [[gs], [[gs[j] for j in share]
+                            for share in ([0, 5, 6], [1, 4, 7], [2, 3])]]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 SWEEP_ARGS = ["--gmin", "0.2", "--gmax", "0.6", "--points", "3",
