@@ -17,7 +17,7 @@ import contextlib
 import functools
 import math
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -39,20 +39,27 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _write_csv(path: str, header: str, rows: Iterable[Sequence[str]],
-               comments: Sequence[str]) -> None:
-    """Write '# ' comment lines, a header line and comma-joined rows to path,
-    or to standard output when path is "-". A path that cannot be opened or
-    written is a ConfigError."""
+@contextlib.contextmanager
+def _output(path: str) -> Iterator[TextIO]:
+    """path opened for writing, or standard output when path is "-". A path
+    that cannot be opened or written is a ConfigError."""
     try:
         with open(path, "w") if path != "-" else contextlib.nullcontext(sys.stdout) as dest:
-            for line in comments:
-                dest.write(f"# {line}\n")
-            dest.write(header + "\n")
-            for row in rows:
-                dest.write(",".join(row) + "\n")
+            yield dest
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_csv(path: str, header: str, rows: Iterable[Sequence[str]],
+               comments: Sequence[str]) -> None:
+    """Write '# ' comment lines, a header line and comma-joined rows to
+    _output(path)."""
+    with _output(path) as dest:
+        for line in comments:
+            dest.write(f"# {line}\n")
+        dest.write(header + "\n")
+        for row in rows:
+            dest.write(",".join(row) + "\n")
 
 
 def _record_row(r: SpectrumRecord) -> tuple[str, ...]:
@@ -189,9 +196,10 @@ def _sweep_points(args: argparse.Namespace, params: ModelParams,
 def _sweep_point(args: argparse.Namespace, params: ModelParams,
                  g: float) -> list[tuple[str, ...]]:
     """Rows of one sweep point: the template params at total coupling g. The
-    point makes one oracle request: for --solver both, the window that
-    verifies its roots, whose levels in [--emin, --emax] are its oracle rows,
-    as in cmd_spectrum. Its error is named by the gfunction status rows too."""
+    point makes one oracle request, for the --parity parities alone: for
+    --solver both, the window that verifies its roots, whose levels in
+    [--emin, --emax] are its oracle rows, as in cmd_spectrum. Its error is
+    named by the gfunction status rows too."""
     point = params.with_g(g)
     rows: list[tuple[str, ...]] = []
     parities = _parities(args.parity)
@@ -204,7 +212,7 @@ def _sweep_point(args: argparse.Namespace, params: ModelParams,
             # perfbench/tracing.py records as the oracle truncation.
             start = (oracle.level_truncation(point, args.levels)
                      if args.truncation is None else args.truncation)
-            levels = oracle.diagonalize(point, start, args.levels)
+            levels = oracle.diagonalize(point, start, args.levels, parities)
     except SolverError as exc:
         failed = exc
     if args.solver != "oracle":
@@ -221,7 +229,7 @@ def _sweep_point(args: argparse.Namespace, params: ModelParams,
     if args.solver != "gfunction":
         if failed is None:
             rows.extend((_fmt(g), *_record_row(r), "ok") for r in levels
-                        if args.emin <= r.energy <= args.emax and r.parity in parities)
+                        if args.emin <= r.energy <= args.emax)
         else:
             rows.append((_fmt(g), "", "", "oracle", "", type(failed).__name__))
     if point.scaled().gprime == 0.0:
@@ -270,7 +278,8 @@ def cmd_sweep(args: argparse.Namespace, params: ModelParams) -> int:
                    f"points={args.points} emin={_fmt(args.emin)} "
                    f"emax={_fmt(args.emax)} step={_fmt(args.step)} "
                    f"solver={args.solver} parity={args.parity} "
-                   f"levels={args.levels} truncation={_truncation_flag(args)}",
+                   + (f"levels={args.levels} " if args.solver == "oracle" else "")
+                   + f"truncation={_truncation_flag(args)}",
                ])
     return 0
 
@@ -339,14 +348,6 @@ def _unmatched(levels: Sequence[float], claims: Sequence[float], tol: float) -> 
 
 
 def cmd_verify(args: argparse.Namespace, params: ModelParams) -> int:
-    failures = 0
-
-    def report(ok: bool, text: str) -> None:
-        nonlocal failures
-        print(("PASS " if ok else "FAIL ") + text)
-        if not ok:
-            failures += 1
-
     tol = gfunction.VERIFY_TOL * params.omega
     # Certified cutoff states; the dark ones (k = 0) are no roots of G.
     cutoff = {p: (exceptional.levels(params, p, args.emin, args.emax)
@@ -355,26 +356,35 @@ def cmd_verify(args: argparse.Namespace, params: ModelParams) -> int:
     levels = oracle.window(params, args.truncation, args.emax, tuple(cutoff))
     found = gfunction.find_roots(params, tuple(cutoff), args.emin, args.emax,
                                  args.step, levels=levels)
-    for parity in cutoff:
-        res = found.filtered(parity)
-        bad = [r for r in res if not r.verified]
-        worst = max((r.residual for r in res), default=0.0)
-        report(not bad, f"roots[{parity}]: {len(res)} roots, "
-                        f"max |E - E_ed| = {worst:.3e}")
-        ed = [r.energy for r in levels.filtered(parity)
-              if args.emin <= r.energy <= args.emax]
-        # One claim per root and per dark state: a state on a pole is a root.
-        claims = sorted(res.energies() + [e for _, e, _, k in cutoff[parity] if k == 0])
-        missing = _unmatched(ed, claims, tol)
-        report(not missing, f"coverage[{parity}]: {len(ed)} oracle levels, "
-                            f"{missing} unmatched")
-    for parity, states in cutoff.items():
-        for n, energy, _, _ in states:
-            state = exceptional.build_state(params, parity, n)
-            resid = oracle.residual(params, max(n + 2, 40), state)
-            report(resid < 1e-10,
-                   f"exceptional[{parity}, N={n}]: E = {_fmt(energy)}, "
-                   f"residual = {resid:.3e}")
+    failures = 0
+    with _output(args.out) as dest:
+
+        def report(ok: bool, text: str) -> None:
+            nonlocal failures
+            dest.write(("PASS " if ok else "FAIL ") + text + "\n")
+            if not ok:
+                failures += 1
+
+        for parity in cutoff:
+            res = found.filtered(parity)
+            bad = [r for r in res if not r.verified]
+            worst = max((r.residual for r in res), default=0.0)
+            report(not bad, f"roots[{parity}]: {len(res)} roots, "
+                            f"max |E - E_ed| = {worst:.3e}")
+            ed = [r.energy for r in levels.filtered(parity)
+                  if args.emin <= r.energy <= args.emax]
+            # One claim per root and per dark state: a state on a pole is a root.
+            claims = sorted(res.energies() + [e for _, e, _, k in cutoff[parity] if k == 0])
+            missing = _unmatched(ed, claims, tol)
+            report(not missing, f"coverage[{parity}]: {len(ed)} oracle levels, "
+                                f"{missing} unmatched")
+        for parity, states in cutoff.items():
+            for n, energy, _, _ in states:
+                state = exceptional.build_state(params, parity, n)
+                resid = oracle.residual(params, max(n + 2, 40), state)
+                report(resid < 1e-10,
+                       f"exceptional[{parity}, N={n}]: E = {_fmt(energy)}, "
+                       f"residual = {resid:.3e}")
     return 0 if failures == 0 else 1
 
 
@@ -389,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="key = value parameter file")
-        p.add_argument("--out", default="-", help="output CSV path (default stdout)")
+        p.add_argument("--out", default="-", help="output path (default stdout)")
 
     p = sub.add_parser("spectrum", help="eigenvalues inside an energy window")
     common(p)

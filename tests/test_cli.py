@@ -234,7 +234,7 @@ def test_default_truncation_sized_from_the_model(tmp_path, flat_cfg, monkeypatch
     monkeypatch.setattr(oracle, "certified_spectrum",
                         lambda p, t, *a: starts.append(t) or certified(p, t, *a))
     monkeypatch.setattr(oracle, "diagonalize",
-                        lambda p, t, k: diagonalize(p, t, k) if type(t) is int
+                        lambda p, t, k, *a: diagonalize(p, t, k, *a) if type(t) is int
                         else pytest.fail(f"truncation {t!r}"))
     for command, fixed in ((["spectrum", "--emax", "2.5", "--solver", "oracle"], 300),
                            (["sweep", "--gmin", "0.5", "--gmax", "2.5", "--points", "3"], 160)):
@@ -348,6 +348,7 @@ def test_exceptional_requires_out_file(flat_cfg, capsys):
     ["spectrum", "--emax", "1.5"],
     ["sweep", "--gmin", "0.5", "--gmax", "1", "--points", "2"],
     ["exceptional", "--scan", "delta1=0.2:1.1:5"],
+    ["verify", "--emax", "1"],
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
 def test_unwritable_out_is_a_config_error(tmp_path, flat_cfg, capsys, argv, where):
@@ -417,6 +418,18 @@ def test_verify_passes(asym_cfg, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "FAIL" not in out and "PASS" in out
+
+
+def test_verify_writes_its_report_to_out(tmp_path, asym_cfg, capsys):
+    # --out FILE receives the lines verify prints to stdout by default.
+    argv = ["verify", "--config", asym_cfg, "--emin", "-1", "--emax", "1.0",
+            "--truncation", "160"]
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    out = tmp_path / "verify.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == report and report.startswith("PASS roots[plus]: ")
 
 
 @pytest.mark.parametrize("levels, claims, missing", [
@@ -560,6 +573,55 @@ def test_one_oracle_request_per_sweep_point_or_model(tmp_path, flat_cfg, monkeyp
         calls.clear()
         assert main([*argv, "--config", flat_cfg, "--out", out]) == 0
         assert calls["certified_spectrum"] == want and calls["diagonalize"] == 0, argv
+
+
+@pytest.mark.parametrize("parity, solves", [("plus", 1), ("minus", 1), ("both", 2)])
+def test_oracle_sweep_point_solves_its_parities_only(tmp_path, flat_cfg, monkeypatch,
+                                                     parity, solves):
+    # An oracle point counts the lowest levels of the --parity blocks alone:
+    # one band solve per block, at the start truncation.
+    fake_cpus(monkeypatch, 1)
+    calls, eig_banded = [], oracle._eig_banded
+    monkeypatch.setattr(oracle, "_eig_banded",
+                        lambda *a, **k: calls.append(1) or eig_banded(*a, **k))
+    out = tmp_path / "sweep.csv"
+    assert sweep(flat_cfg, out, "--points", "4", "--parity", parity) == 0
+    assert len(calls) == 4 * solves
+
+
+def test_one_parity_oracle_sweep_prints_that_paritys_lowest_levels(tmp_path, flat_cfg):
+    # At each point of the flat sweep the oracle rows are the lowest 8 plus
+    # levels in [-1, 3], each within its bound of a plus level of window on
+    # the point's model. Counting 8 levels of both parities and dropping the
+    # minus ones left 32 rows.
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", flat_cfg, "--gmin", "0.05", "--gmax", "2.5",
+                 "--points", "16", "--parity", "plus", "--solver", "oracle",
+                 "--out", str(out)]) == 0
+    data = [r for r in rows(out) if r["method"] == "oracle"]
+    assert len(data) == 85 and {r["parity"] for r in data} == {"1"}
+    gs = sorted({r["g"] for r in data}, key=float)
+    assert len(gs) == 16
+    for g in gs:
+        point = ModelParams(1.0, 0.6, 0.4, 0.5, 0.5).with_g(float(g))
+        want = [r for r in oracle.window(point, None, 3.0, (Parity.PLUS,)).records[:8]
+                if -1 <= r.energy <= 3]
+        got = [r for r in data if r["g"] == g]
+        assert len(got) == len(want)
+        for r, w in zip(got, want):
+            # The bounds may lie below the eigensolver's rounding.
+            assert abs(float(r["E"]) - w.energy) <= float(r["residual"]) + w.residual + 1e-12
+
+
+@pytest.mark.parametrize("solver, levels", [("oracle", " levels=3"), ("both", ""),
+                                            ("gfunction", "")])
+def test_sweep_flags_name_levels_where_they_apply(tmp_path, flat_cfg, solver, levels):
+    # --levels changes the rows of an oracle sweep alone.
+    out = tmp_path / "sweep.csv"
+    assert sweep(flat_cfg, out, "--points", "1", "--solver", solver, "--levels", "3") == 0
+    flags, = (ln for ln in out.read_text().splitlines() if ln.startswith("# flags:"))
+    assert flags == ("# flags: gmin=0.5 gmax=1 points=1 emin=-1 emax=3 step=0.01 "
+                     f"solver={solver} parity=both{levels} truncation=auto")
 
 
 def test_both_sweep_window_error_writes_status_rows(tmp_path, asym_cfg, monkeypatch):

@@ -312,6 +312,53 @@ def test_diagonalize_start_sized_from_the_model(template):
         _same_levels(diagonalize(p, None, 8), diagonalize(p, 300, 8), p.omega)
 
 
+@pytest.mark.parametrize("template", [ModelParams(1.0, 0.6, 0.4, 0.5, 0.5),
+                                      ModelParams(1.0, 0.6, 0.2, 0.8, 0.2)],
+                         ids=["flat", "asym"])
+def test_diagonalize_counts_the_given_parities(template):
+    # A one-parity request counts that parity's lowest levels alone: cell
+    # for cell the lowest levels of window on the same model, within the
+    # tail bounds and the eigensolver's rounding.
+    p = template.with_g(1.5)
+    for parity in (Parity.PLUS, Parity.MINUS):
+        got = diagonalize(p, None, 8, (parity,)).records
+        want = oracle.window(p, None, 3.0, (parity,)).records[:8]
+        assert len(got) == len(want) == 8
+        for a, b in zip(got, want):
+            assert a.parity is b.parity is parity
+            assert abs(a.energy - b.energy) <= a.residual + b.residual + 1e-12
+
+
+# Sweep templates for one-parity count requests, the last two with g' > 0.
+COUNT_TEMPLATES = {
+    "flat": ModelParams(1.0, 0.6, 0.4, 0.5, 0.5),
+    "xyz": ModelParams(1.0, 0.55, 0.45, 0.375, 0.375, 0.5, 0.5, 0.5),
+    "dark-half": ModelParams(0.5, 0.25, 0.25, 0.3, 0.3),
+    "asym": ModelParams(1.0, 0.6, 0.2, 0.8, 0.2),
+    "asym-xyz": ModelParams(1.0, 0.6, 0.2, 0.8, 0.2, 0.1, 0.2, -0.1),
+}
+
+
+@pytest.mark.parametrize("template", COUNT_TEMPLATES.values(), ids=COUNT_TEMPLATES.keys())
+def test_one_parity_count_certifies_at_its_start(template, monkeypatch):
+    # level_truncation sizes k levels of one parity, which reach about k/2
+    # photons, so a one-parity request certifies its start: one solve.
+    certified, used = oracle.certified_spectrum, []
+
+    def recorded(*args):
+        out = certified(*args)
+        used.append(out[3])
+        return out
+
+    monkeypatch.setattr(oracle, "certified_spectrum", recorded)
+    for g in SWEEP_G:
+        p = template.with_g(g)
+        for parity in (Parity.PLUS, Parity.MINUS):
+            used.clear()
+            diagonalize(p, None, 8, (parity,))
+            assert used == [oracle.level_truncation(p, 8)]
+
+
 @pytest.mark.parametrize("p", WINDOW_MODELS.values(), ids=WINDOW_MODELS.keys())
 def test_window_start_sized_from_the_model(p):
     _same_levels(oracle.window(p, None, 2.5), oracle.window(p, 300, 2.5), p.omega)
