@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import math
 import sys
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
@@ -95,16 +94,12 @@ def _trace_rows(table: np.ndarray, row: str) -> str:
     """The rows of a non-empty table in the format row, which holds one "%.17g"
     per column, joined by newlines. Each cell has the bytes of _fmt, and a G
     that is not finite is an empty cell."""
-    # Every row in one format call; a row with a non-finite cell is redone.
+    # Every row in one format call. A finite "%.17g" holds no "n", so where
+    # the text has one, its -inf, inf and nan cells are blanked.
     text = "\n".join([row] * len(table)) % tuple(table.ravel().tolist())
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=1)).tolist()
-    if not bad:
-        return text
-    lines, cells = text.split("\n"), row.replace("%.17g", "%s")
-    for i in bad:
-        e, *gs = table[i].tolist()
-        lines[i] = cells % (_fmt(e), *(_fmt(v) if math.isfinite(v) else "" for v in gs))
-    return "\n".join(lines)
+    if "n" in text:
+        text = text.replace("-inf", "").replace("inf", "").replace("nan", "")
+    return text
 
 
 def _write_catalog_csv(hits: Sequence[exceptional.FlatLineHit],
@@ -401,12 +396,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="key = value parameter file")
         p.add_argument("--out", default="-", help="output path (default stdout)")
 
+    def window(p: argparse.ArgumentParser, emin: Optional[float],
+               emax: Optional[float]) -> None:
+        """--emin and --emax, required where None is given, --step and --parity."""
+        for name, default in (("--emin", emin), ("--emax", emax)):
+            p.add_argument(name, type=float, default=default, required=default is None)
+        p.add_argument("--step", type=float, default=gfunction.DEFAULT_GRID_STEP)
+        p.add_argument("--parity", choices=("plus", "minus", "both"), default="both")
+
     p = sub.add_parser("spectrum", help="eigenvalues inside an energy window")
     common(p)
-    p.add_argument("--emin", type=float, default=-1.0)
-    p.add_argument("--emax", type=float, required=True)
-    p.add_argument("--step", type=float, default=gfunction.DEFAULT_GRID_STEP)
-    p.add_argument("--parity", choices=("plus", "minus", "both"), default="both")
+    window(p, -1.0, None)
     p.add_argument("--solver", choices=("gfunction", "oracle", "both"),
                    default="both")
     p.add_argument("--truncation", type=int, help=TRUNCATION_HELP)
@@ -416,10 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="sample the matching determinant on a grid")
     common(p)
-    p.add_argument("--emin", type=float, required=True)
-    p.add_argument("--emax", type=float, required=True)
-    p.add_argument("--step", type=float, default=gfunction.DEFAULT_GRID_STEP)
-    p.add_argument("--parity", choices=("plus", "minus", "both"), default="both")
+    window(p, None, None)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("sweep", help="spectrum versus total coupling g = g1 + g2")
@@ -427,10 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gmin", type=float, required=True)
     p.add_argument("--gmax", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--emin", type=float, default=-1.0)
-    p.add_argument("--emax", type=float, default=3.0)
-    p.add_argument("--step", type=float, default=gfunction.DEFAULT_GRID_STEP)
-    p.add_argument("--parity", choices=("plus", "minus", "both"), default="both")
+    window(p, -1.0, 3.0)
     p.add_argument("--solver", choices=("gfunction", "oracle", "both"),
                    default="oracle")
     p.add_argument("--levels", type=int, default=8,
@@ -452,10 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-validate the solvers on one model")
     common(p)
-    p.add_argument("--emin", type=float, default=-1.0)
-    p.add_argument("--emax", type=float, default=2.5)
-    p.add_argument("--step", type=float, default=gfunction.DEFAULT_GRID_STEP)
-    p.add_argument("--parity", choices=("plus", "minus", "both"), default="both")
+    window(p, -1.0, 2.5)
     p.add_argument("--truncation", type=int, help=TRUNCATION_HELP)
     p.set_defaults(func=cmd_verify)
     return parser
@@ -465,10 +456,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         params = load_params(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.command == "exceptional" and args.out == "-":
             raise ConfigError("exceptional needs --out FILE for the sidecar")
         if "emin" in args:  # one window and step check, whatever the solver
@@ -477,7 +464,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SolverError as exc:
+    except (SolverError, OverflowError) as exc:
+        # A finite parameter can overflow a float power; that is a solver failure.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -262,9 +262,15 @@ def load_params(path: str | Path) -> ModelParams:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
+    try:
+        text = p.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {p}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {p}: not UTF-8 text: {exc}") from exc
     values: dict[str, float] = {}
     lines: dict[str, int] = {}
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
         if not line or (line.startswith("[") and line.endswith("]")):
             continue

@@ -193,9 +193,10 @@ def _tables(sp: ModelParams, sign, energies: np.ndarray, center: _Center,
     pref = np.array([c + g, c + gp, c - g, c - gp])
     rp = np.where(active, radius / np.where(active, pref, 1.0), 0.0)[r, None, None]
     aoff = np.array([-2 * c * g - jx, -2 * c * gp + jx, 2 * c * g - jx, 2 * c * gp + jx])
+    # A position whose square overflows raises in _slaving, before inf - inf here.
+    shift, weights, divisors = _slaving(sp, s, center, energies.max())
     base = energies - c * c
     diag = (base + aoff[r, None])[:, None, :]
-    shift, weights, divisors = _slaving(sp, s, center, energies.max())
     shift, contract = np.reshape(shift, (-1, 1)), "k,kcn->cn"
     if frame and slave is not None:  # center 0, g' = 0: each sign its own slaving
         minus = _slaving(sp, -1, center, energies.max())

@@ -81,6 +81,38 @@ def test_missing_config_exits_two(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_undecodable_config_exits_two(tmp_path, capsys):
+    # A UTF-16 file, byte order mark first, is no UTF-8 text.
+    cfg = tmp_path / "utf16.cfg"
+    cfg.write_bytes(b"\xff\xfe" + ASYM_CFG.encode("utf-16-le"))
+    assert main(["spectrum", "--config", str(cfg), "--emax", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {cfg}: not UTF-8 text") and err.count("\n") == 1
+
+
+BIG_G_CFG = ASYM_CFG.replace("g1 = 0.24", "g1 = 1e300").replace("g2 = 0.06", "g2 = 1e300")
+BIG_SWEEP = ["sweep", "--gmin", "1e300", "--gmax", "1e300", "--points", "1", "--solver"]
+
+
+@pytest.mark.parametrize("cfg, argv", [
+    (ASYM_CFG.replace("omega = 1.0", "omega = 1e-300"), ["spectrum", "--emax", "1"]),
+    (BIG_G_CFG, ["spectrum", "--emax", "1"]),
+    (BIG_G_CFG, ["trace", "--emin", "-1", "--emax", "1"]),
+    (FLAT_CFG.replace("delta1 = 0.6", "delta1 = 1e300"),
+     ["exceptional", "--scan", "jz=0:1:3"]),
+    (FLAT_CFG, BIG_SWEEP + ["oracle"]),
+    (FLAT_CFG, BIG_SWEEP + ["gfunction"]),
+], ids=["spectrum-omega", "spectrum-g", "trace-g", "exceptional-delta1",
+        "sweep-oracle-g", "sweep-gfunction-g"])
+def test_overflowing_parameter_exits_one(tmp_path, capsys, cfg, argv):
+    # Finite parameters whose float powers overflow: a solver failure, one line.
+    path = tmp_path / "big.cfg"
+    path.write_text(cfg)
+    assert main(argv + ["--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+
+
 def test_invalid_couplings_surfaced(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("omega = 1\ndelta1 = 0.6\ndelta2 = 0.2\ng1 = 0\ng2 = 0.3\n")
@@ -836,24 +868,31 @@ def test_split_trace_keeps_bytes(tmp_path, flat_cfg, monkeypatch, capsys, parity
         1, 1001, 2001, 3001, 4001]
 
 
+# How rows_failing_in_a_worker fails, and in which processes: all but "parent".
+ROWS_FAILURE = {"parent": None, "how": "raises"}
+TRACE_ROWS = tqrabi.cli._trace_rows
+
+
+def rows_failing_in_a_worker(table, row):
+    """cli._trace_rows, but a forked worker raises, or is killed, in its share.
+    It is defined here, at module level, so that it pickles to the worker."""
+    if os.getpid() != ROWS_FAILURE["parent"]:
+        if ROWS_FAILURE["how"] == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise RuntimeError("rows failed")
+    return TRACE_ROWS(table, row)
+
+
 @pytest.mark.parametrize("how", ["raises", "killed"])
 def test_failed_trace_worker_keeps_bytes(tmp_path, flat_cfg, monkeypatch, how):
-    # A worker that raises or is killed at its formatting share, at the empty
-    # cell of its first row, is reaped, and its rows are formatted here, to
-    # the bytes of one process.
+    # A worker that raises or is killed in its formatting share is reaped,
+    # and its rows are formatted here, to the bytes of one process.
     fake_cpus(monkeypatch, 1)
     one = tmp_path / "one.csv"
     assert flat_trace(flat_cfg, str(one), "both") == 0
-    parent, fmt = os.getpid(), tqrabi.cli._fmt
-
-    def fail_there(x):
-        if os.getpid() != parent:
-            if how == "killed":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise RuntimeError("rows failed")
-        return fmt(x)
-
-    monkeypatch.setattr(tqrabi.cli, "_fmt", fail_there)
+    monkeypatch.setitem(ROWS_FAILURE, "parent", os.getpid())
+    monkeypatch.setitem(ROWS_FAILURE, "how", how)
+    monkeypatch.setattr(tqrabi.cli, "_trace_rows", rows_failing_in_a_worker)
     forks = fake_cpus(monkeypatch, 2)
     out = tmp_path / "split.csv"
     assert flat_trace(flat_cfg, str(out), "both") == 0

@@ -21,11 +21,12 @@ def test_spectrum_csv_bytes(tmp_path):
 
 
 def test_trace_csv_bytes(tmp_path):
-    grid = np.array([0.0, 0.5, 1.0])
+    grid = np.array([0.0, 0.5, 1.0, 1.5])
     poles = (Baseline("first", 1, 0.5), Baseline("second", 2, 2 / 3))
     out = tmp_path / "trace.csv"
-    _write_trace_csv([GTrace(Parity.PLUS, grid, np.array([1.5, np.nan, -2.0]), poles),
-                      GTrace(Parity.MINUS, grid, np.array([-0.25, np.nan, 3e-300]),
+    _write_trace_csv([GTrace(Parity.PLUS, grid, np.array([1.5, np.nan, -2.0, -np.inf]),
+                             poles),
+                      GTrace(Parity.MINUS, grid, np.array([-0.25, np.nan, 3e-300, -1e-5]),
                              poles)],
                      str(out), ["tqrabi trace"])
     assert out.read_text() == (
@@ -34,11 +35,12 @@ def test_trace_csv_bytes(tmp_path):
         "E,G_plus,G_minus\n"
         "0,1.5,-0.25\n"
         "0.5,,\n"
-        "1,-2,3.0000000000000002e-300\n")
+        "1,-2,3.0000000000000002e-300\n"
+        "1.5,,-1.0000000000000001e-05\n")
     # One parity, no baselines: the missing column and a non-finite value
     # are empty cells, and no baselines line is written.
     one = tmp_path / "one.csv"
-    _write_trace_csv([GTrace(Parity.MINUS, grid, np.array([0.1, 0.2, np.inf]), ())],
+    _write_trace_csv([GTrace(Parity.MINUS, grid[:3], np.array([0.1, 0.2, np.inf]), ())],
                      str(one), ())
     assert one.read_text() == (
         "E,G_plus,G_minus\n"
