@@ -19,12 +19,7 @@ from .model import (
     SupportOverflow,
     load_params,
 )
-from .series import (
-    ExpansionBlock,
-    baselines,
-    evaluate,
-    recur,
-)
+from .series import baselines
 from .gfunction import (
     GTrace,
     find_roots,
@@ -42,7 +37,7 @@ from .exceptional import (
     fock_subspace_check,
     scan_flat_lines,
 )
-from .oracle import FockHamiltonian, build_hamiltonian, diagonalize, residual
+from .oracle import diagonalize, residual
 
 __version__ = "0.1.0"
 
@@ -52,11 +47,10 @@ __all__ = [
     "PoleAtBaseline", "RequiresEqualCouplings", "RequiresValidCouplings",
     "SolverError", "SpectrumRecord", "SpectrumResult", "SupportOverflow",
     "baselines", "load_params",
-    "ExpansionBlock", "evaluate", "recur",
     "GTrace", "find_roots", "gvalue", "trace",
     "ExceptionalCandidate", "ExceptionalState", "FlatLineHit", "build_state",
     "closed_form_state", "condition", "exceptional_energy",
     "fock_subspace_check", "scan_flat_lines",
-    "FockHamiltonian", "build_hamiltonian", "diagonalize", "residual",
+    "diagonalize", "residual",
     "__version__",
 ]

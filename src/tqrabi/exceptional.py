@@ -410,9 +410,10 @@ def scan_flat_lines(template: ModelParams, axes: Mapping[str, Sequence[float]],
     line's grid points, then one zero per grid cell whose ends change sign,
     found by bisection at coupling g_probe[0]. A vanishing denominator of the
     condition is a pole, so a cell whose bisection meets one gives no hit.
-    Each zero is re-evaluated at g_probe[1]; hits whose condition vanishes at
-    both couplings are flagged g_independent, the rest are the fine-tuned
-    kind that exists at one coupling only.
+    Each zero is re-evaluated at g_probe[1], which must differ from
+    g_probe[0]; hits whose condition vanishes at both couplings are flagged
+    g_independent, the rest are the fine-tuned kind that exists at one
+    coupling only.
     """
     if template.scaled().gprime != 0.0:
         raise RequiresEqualCouplings("flat-line scan needs g1 == g2")
@@ -425,6 +426,8 @@ def scan_flat_lines(template: ModelParams, axes: Mapping[str, Sequence[float]],
         raise ValueError("need at least one scan axis")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if g_probe[0] == g_probe[1]:
+        raise ValueError(f"g_probe couplings must differ; both are {g_probe[0]}")
     *outer_names, line_axis = axes
     line = [float(x) for x in axes[line_axis]]
     if len(line) < 2:

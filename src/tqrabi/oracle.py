@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,9 +28,7 @@ from .model import (
 )
 
 __all__ = [
-    "FockHamiltonian",
     "apply_hamiltonian",
-    "build_hamiltonian",
     "diagonalize",
     "certified_spectrum",
     "level_truncation",
@@ -50,20 +47,6 @@ DEFAULT_TRUNCATION_CAP = 1200
 _STEP = 50
 _BANDS = 3
 _SIGNS = (1, -1)
-
-
-@dataclass(frozen=True)
-class FockHamiltonian:
-    """Real symmetric Hamiltonian on photon numbers 0..truncation.
-
-    Basis index is 4*n + q with q running over the qubit pairs (ee, eg, ge, gg);
-    parity_diag holds the (-1)^n sigma1_z sigma2_z eigenvalues on that basis.
-    """
-
-    params: ModelParams
-    truncation: int
-    matrix: np.ndarray
-    parity_diag: np.ndarray
 
 
 def _block_states(truncation: int, sign: int) -> np.ndarray:
@@ -119,19 +102,6 @@ def apply_hamiltonian(params: ModelParams, truncation: int,
         idx = _block_states(truncation, sign)
         out[idx] = _band_matvec(_band(params, truncation, sign), vec[idx])
     return out
-
-
-def build_hamiltonian(params: ModelParams, truncation: int) -> FockHamiltonian:
-    """Dense matrix applied column by column through the parity bands.
-
-    Entries across the two parity blocks are exact zeros.
-    """
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
-    npts = truncation + 1
-    h = apply_hamiltonian(params, truncation, np.eye(4 * npts))
-    pdiag = (np.where(np.arange(npts) % 2 == 0, 1.0, -1.0)[:, None] * _Z1Z2).ravel()
-    return FockHamiltonian(params, truncation, h, pdiag)
 
 
 @functools.cache

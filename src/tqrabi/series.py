@@ -16,14 +16,14 @@ divisor comes from _slaving.
 Coefficients are kept in radius units: coeffs[n] = c_n * R^n, so the series
 reads sum_n coeffs[n] * t^n with t = (z - alpha)/R, |t| < 1. This keeps them
 inside double range even for extreme couplings. Each order is a few
-whole-array steps over the components that recur, all columns and
+whole-array steps over the recurring components, all columns and
 energies: one constant 4x4 coupling matrix applied by einsum, one broadcast
 update of the free components, one weighted contraction for the slaved
 one, and a pole guard only at the orders whose divisor can vanish. The
 recurrence hands each order to one plain summation, which sums all of a
 center's matching points in the same pass and freezes each energy's sums
-once its tail is small; only recur() stores the orders as a table, and G(E)
-sums as it recurses, up to the hard cap of 512 orders. Both loops write
+once its tail is small. No order is kept: G(E) sums as it recurses, up to
+the hard cap of 512 orders. Both loops write
 into buffers allocated once per call and rotated from order to order, with
 the same operations on the same operands as fresh arrays would take, so a
 yielded order is valid only until the next one. gfunction runs them on
@@ -47,27 +47,12 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (
-    Baseline,
-    ModelParams,
-    NoConvergence,
-    OutsideDisk,
-    Parity,
-    PoleAtBaseline,
-)
+from .model import Baseline, ModelParams
 
-__all__ = [
-    "ExpansionBlock",
-    "baselines",
-    "recur",
-    "evaluate",
-    "DEFAULT_N_MAX",
-    "HARD_CAP",
-]
+__all__ = ["baselines", "HARD_CAP"]
 
 POLE_EPS = 1e-12        # |divisor| below this means E sits on a baseline
 TAIL_RTOL = 1e-14       # relative size of the last term accepted as converged
-DEFAULT_N_MAX = 160
 HARD_CAP = 512
 BASELINE_DEDUP_TOL = 1e-12
 
@@ -177,8 +162,8 @@ def _tables(sp: ModelParams, sign, energies: np.ndarray, center: _Center,
     frame = np.ndim(sign) > 0
     s, refl = (1.0, np.asarray(sign, dtype=float)) if frame else (float(sign), 1.0)
 
-    # Only the rows before a slave that follows the free slots recur (at g',
-    # and at 0 when g' = 0); the rest are rewritten before they are read.
+    # Only the rows before a slave that follows the free slots are advanced (at
+    # g', and at 0 when g' = 0); the rest are rewritten before they are read.
     r = slice(None, slave if slave == len(center.slots) else 4)
     # Cross couplings: order n + 1 of component j takes sum_k mix[k, j] cur[k]
     # (mix is symmetric). With "kj", unlike "jk" or matmul, einsum adds the
@@ -187,7 +172,7 @@ def _tables(sp: ModelParams, sign, energies: np.ndarray, center: _Center,
     a, b = s * (jz - jy), s * (jy + jz)
     mix = (-np.array([[0, d2, a, s * d1], [d2, 0, s * d1, b],
                       [a, s * d1, 0, d2], [s * d1, b, d2, 0]]))[:, r]
-    # Reflection at the origin ties components 3, 4 to 1, 2; all four recur.
+    # Reflection at the origin ties components 3, 4 to 1, 2; all four advance.
     tied = c == 0.0 and slave is None
     active = np.array([tied or j in center.slots for j in range(4)])
     pref = np.array([c + g, c + gp, c - g, c - gp])
@@ -253,9 +238,13 @@ def _kahan_eval(rows, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     components and columns). Its sums are frozen there, so they depend on that
     energy alone, and no more rows are taken once every energy has converged.
     Each row is read before the next is requested, so rows may reuse buffers.
-    One add per order: the sums cancel by at most 8x, so the tail, not rounding,
-    sets their error. G magnifies it by about 1/|E - b| near a pole b of k >= 2
-    columns, so find_roots sets no probes beside those. Tracing wraps it by name.
+    One add per order. The sums cancel more as E grows: at center g's matching
+    point of (omega, d1, d2, g1, g2) = (1, 0.6, 0.4, 0.15, 0.15), sum |term| /
+    |sum| over the unit columns reads up to 10 at E = 2.3, 432 at 5.3, 8.4e4 at
+    10.3 and 1.4e9 at 20.3. So the tail sets their error only at low E; above
+    E ~ 10-20 omega rounding does, and G's sign can be noise. G magnifies the
+    error by about 1/|E - b| near a pole b of k >= 2 columns, so find_roots sets
+    no probes beside those. Tracing wraps it by name.
     """
 
     def tail_ok():
@@ -287,76 +276,3 @@ def _kahan_eval(rows, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.copyto(out, sums, where=~frozen)
     return out, frozen | tail_ok()
 
-
-@dataclass(frozen=True)
-class ExpansionBlock:
-    """One series expansion: scaled coefficient table plus its regeneration recipe.
-
-    coeffs[n, j] = c_{j,n} * radius^n; evaluate() sums coeffs[n] * t^n with
-    t = (z - center)/radius and multiplies by exp(center*z). params and energy
-    are stored in omega = 1 units.
-    """
-
-    center: float
-    parity: Parity
-    coeffs: np.ndarray
-    n_max: int
-    radius: float
-    params: ModelParams
-    energy: float
-    init: tuple[float, float, float, float]
-
-
-def recur(params: ModelParams, parity: Parity, energy: float, center: float,
-          init: tuple[float, float, float, float],
-          n_max: int = DEFAULT_N_MAX) -> ExpansionBlock:
-    """Coefficient table around one center; only the free init slots are honoured.
-
-    energy and center are interpreted in units of the photon frequency.
-    Raises PoleAtBaseline when a slaving divisor falls below 1e-12 anywhere in
-    the table, and ValueError for an energy that is not finite.
-    """
-    if not math.isfinite(energy):
-        raise ValueError("energy must be finite")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    sp = params.scaled()
-    c = next((c for c in reversed(_centers(sp))
-              if abs(center - c.position) <= 1e-12 * max(1.0, sp.g)), None)
-    if c is None:
-        raise ValueError(
-            f"center must be one of 0, g'={sp.gprime}, g={sp.g}; got {center}")
-    iv = np.where(np.isin(range(4), c.slots), init, 0.0)[:, None]
-    rows, ok = _tables(sp, parity.sign, np.array([energy], dtype=float), c, iv, n_max)
-    coeffs = np.stack([row[:, 0, 0].copy() for row in rows])
-    if not ok[0]:
-        raise PoleAtBaseline(
-            f"energy {energy} sits on a baseline of the center-{center} recurrence")
-    return ExpansionBlock(c.position, parity, coeffs, n_max, c.radius, sp,
-                          float(energy), tuple(float(x) for x in init))
-
-
-def evaluate(block: ExpansionBlock, z: float) -> np.ndarray:
-    """Four component values at z (omega = 1 units), with adaptive truncation.
-
-    The table is summed as for G(E), until its last two terms are at most
-    1e-14 of the largest component sum; if the table ends first, it is
-    regenerated once at the hard cap of 512 orders. Raises ValueError for a z
-    that is not finite, and OutsideDisk for one outside the disk.
-    """
-    if not math.isfinite(z):
-        raise ValueError("z must be finite")
-    dz = z - block.center
-    if abs(dz) >= block.radius:
-        raise OutsideDisk(f"|z - {block.center}| = {abs(dz)} >= radius {block.radius}")
-    blk = block
-    while True:
-        sums, converged = _kahan_eval(blk.coeffs[:, :, None, None],
-                                      np.array([dz / blk.radius]))
-        if converged[0]:
-            return sums[0, :, 0, 0] * math.exp(blk.center * z)
-        if blk.n_max >= HARD_CAP:
-            raise NoConvergence(
-                f"series tail above tolerance at hard cap {HARD_CAP} (z = {z})")
-        blk = recur(blk.params, blk.parity, blk.energy, blk.center, blk.init,
-                    HARD_CAP)

@@ -1083,6 +1083,16 @@ def test_exceptional_zero_probe_coupling_is_a_config_error(tmp_path, flat_cfg, c
         assert not out.exists()
 
 
+def test_exceptional_equal_probe_couplings_exit_two(tmp_path, flat_cfg, capsys):
+    # Two equal couplings would test g-independence at one coupling twice.
+    out = tmp_path / "cat.csv"
+    assert main(["exceptional", "--config", flat_cfg, "--scan", "delta1=0.2:1.1:19",
+                 "--gprobe", "0.8,0.8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: g_probe couplings must differ; "
+                                       "both are 0.8\n")
+    assert not out.exists()
+
+
 def test_exceptional_outer_axis_without_points(tmp_path, flat_cfg, capsys):
     # An outer axis with no points spans no outer grid, so the scan would
     # write an empty catalog; a line of one point is refused as well.

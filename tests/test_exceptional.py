@@ -188,7 +188,7 @@ def test_singlet_exchange_identity():
     # Applying the exchange term alone multiplies any |n, singlet> by
     # -(jx + jy + jz), exactly.
     p = ModelParams(1.0, 0.0, 0.0, 0.0, 0.0, jx=0.7, jy=0.1, jz=0.3)
-    h = oracle.build_hamiltonian(p, 6).matrix
+    h = oracle.apply_hamiltonian(p, 6, np.eye(4 * 7))
     for n in (0, 3, 6):
         v = np.zeros(4 * 7)
         v[4 * n + 1] = 1 / math.sqrt(2)
@@ -258,6 +258,16 @@ def test_scan_rejects_bad_input(asym):
         scan_flat_lines(tpl, {"g1": np.linspace(0.1, 0.9, 5)})
     with pytest.raises(ValueError):
         scan_flat_lines(tpl, {})
+
+
+def test_scan_equal_probe_couplings_is_a_value_error(flat):
+    # The second coupling tests g-independence: the first one again would flag
+    # every hit g-independent, this scan's fine-tuned N = 2 hit too.
+    grid = {"delta1": np.linspace(0.2, 1.1, 19)}
+    hits = scan_flat_lines(flat, grid, n_max=2)
+    assert [h.candidate.n_index for h in hits if not h.candidate.g_independent] == [2]
+    with pytest.raises(ValueError, match="g_probe couplings must differ"):
+        scan_flat_lines(flat, grid, n_max=2, g_probe=(0.8, 0.8))
 
 
 def test_scan_steps_over_condition_poles(flat):

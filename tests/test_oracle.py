@@ -12,7 +12,6 @@ from tqrabi import (
     NotConverged,
     Parity,
     SupportOverflow,
-    build_hamiltonian,
     diagonalize,
     residual,
 )
@@ -71,11 +70,12 @@ def test_residual_of_random_vector_is_large(asym):
 
 
 def test_parity_blocks_exact(asym):
-    fh = build_hamiltonian(asym.with_g(1.1), 25)
-    plus = np.flatnonzero(fh.parity_diag > 0)
-    minus = np.flatnonzero(fh.parity_diag < 0)
-    assert np.max(np.abs(fh.matrix[np.ix_(plus, minus)])) == 0.0
-    comm = fh.matrix * fh.parity_diag[None, :] - fh.parity_diag[:, None] * fh.matrix
+    # H column by column; the parity (-1)^n s1z s2z on the basis 4n + q.
+    t = 25
+    h = oracle.apply_hamiltonian(asym.with_g(1.1), t, np.eye(4 * (t + 1)))
+    parity = np.kron((-1.0) ** np.arange(t + 1), [1.0, -1.0, -1.0, 1.0])
+    assert np.max(np.abs(h[np.ix_(parity > 0, parity < 0)])) == 0.0
+    comm = h * parity[None, :] - parity[:, None] * h
     assert np.max(np.abs(comm)) == 0.0
 
 
@@ -149,15 +149,15 @@ def test_degenerate_cross_parity_levels_classified():
     assert sorted(pars[hits]) == [-1, 1]
 
 
-# Independent assembly for the property test below: Kronecker products of
+# Independent assembly for the property tests below: Kronecker products of
 # Pauli matrices (qubit basis e, g with s_z e = +e) and a truncated ladder.
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SZ = np.diag([1.0, -1.0])
 _SYSY = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], float)
 
 
-def _independent_levels(p, truncation):
-    """Eigenvalues of the two exact parity blocks, keyed by parity sign."""
+def _kronecker_hamiltonian(p, truncation):
+    """Dense H and its parity diagonal on the basis q * (truncation + 1) + n."""
     npts = truncation + 1
     ladder = np.diag(np.sqrt(np.arange(1.0, npts)), 1)
     sx1, sx2 = np.kron(_SX, np.eye(2)), np.kron(np.eye(2), _SX)
@@ -168,12 +168,34 @@ def _independent_levels(p, truncation):
          + np.kron(p.g1 * sx1 + p.g2 * sx2, ladder + ladder.T)
          + np.kron(qubits, np.eye(npts)))
     parity = np.kron(np.diag(sz1 @ sz2), (-1.0) ** np.arange(npts))
+    return h, parity
+
+
+def _independent_levels(p, truncation):
+    """Eigenvalues of the two exact parity blocks, keyed by parity sign."""
+    h, parity = _kronecker_hamiltonian(p, truncation)
     out = {}
     for sign in (1, -1):
         idx = np.flatnonzero(parity == sign)
         assert np.max(np.abs(h[np.ix_(idx, np.flatnonzero(parity != sign))])) == 0
         out[sign] = np.linalg.eigvalsh(h[np.ix_(idx, idx)])
     return out
+
+
+@pytest.mark.parametrize("p", [
+    ModelParams(1.0, 0.6, 0.2, 0.9, 0.4, jx=0.1, jy=0.2, jz=0.3),  # XYZ
+    ModelParams(0.5, 0.35, 0.15, 0.45, 0.2, jx=0.05, jz=-0.1),     # omega != 1
+], ids=["xyz", "omega-half"])
+def test_apply_hamiltonian_matches_kronecker_matrix(p):
+    # The Kronecker H commutes exactly with the parity, and H applied one
+    # parity band at a time equals it entry by entry: Kronecker index
+    # q (t + 1) + n is basis state 4n + q.
+    t = 25
+    h, parity = _kronecker_hamiltonian(p, t)
+    assert np.max(np.abs(h * parity[None, :] - parity[:, None] * h)) == 0.0
+    moved = (4 * np.arange(t + 1) + np.arange(4)[:, None]).ravel()
+    got = oracle.apply_hamiltonian(p, t, np.eye(4 * (t + 1)))[np.ix_(moved, moved)]
+    assert np.max(np.abs(got - h)) <= 1e-14 * np.max(np.abs(h))
 
 
 @pytest.mark.parametrize("p", [

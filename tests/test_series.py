@@ -3,21 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from tqrabi import (
-    ModelParams,
-    NoConvergence,
-    OutsideDisk,
-    Parity,
-    PoleAtBaseline,
-    evaluate,
-    recur,
-)
+from tqrabi import ModelParams, Parity
 from tqrabi import gfunction, oracle, series
 
 
-def unscaled(block, n):
-    """True series coefficients c_{j,n} from the radius-scaled table."""
-    return block.coeffs[n] / block.radius ** n
+def column(p, parity, energy, position, init, n_max, zs=()):
+    """(table, radius, values at zs) of one column around the center at position.
+
+    G(E)'s radius-scaled table with only the center's free init slots set, and
+    its converged _kahan_eval sums times exp(position * z), in omega = 1 units.
+    """
+    sp = p.scaled()
+    c = center_at(sp, position)
+    iv = np.where(np.isin(range(4), c.slots), init, 0.0)[:, None]
+    rows, ok = series._tables(sp, parity.sign, np.array([energy], float), c, iv, n_max)
+    coeffs = np.stack([row[:, 0, 0].copy() for row in rows])
+    assert ok[0]
+    ts = (np.array(zs, float) - c.position) / c.radius
+    sums, conv = series._kahan_eval(coeffs[:, :, None, None], ts)
+    assert conv.all()
+    values = [v * math.exp(c.position * z) for v, z in zip(sums[:, :, 0, 0], zs)]
+    return coeffs, c.radius, values
 
 
 def test_first_recurrence_step_center_zero():
@@ -26,12 +32,12 @@ def test_first_recurrence_step_center_zero():
     # and the reflection tie fixes c30 = c10, c40 = c20.
     p = ModelParams(1.0, 0.6, 0.2, 0.2, 0.1)
     e = 0.5
-    blk = recur(p, Parity.PLUS, e, 0.0, (1.0, 0.0, 0.0, 0.0), n_max=8)
-    c0 = unscaled(blk, 0)
+    coeffs, radius, _ = column(p, Parity.PLUS, e, 0.0, (1.0, 0.0, 0.0, 0.0), 8)
+    c0 = coeffs[0]
     assert c0[0] == 1.0 and c0[1] == 0.0
     assert c0[2] == c0[0] and c0[3] == c0[1]
     expected_c11 = (e * 1.0 - 0.6 * c0[3] - 0.2 * c0[1]) / p.g
-    assert unscaled(blk, 1)[0] == pytest.approx(expected_c11, rel=1e-14)
+    assert coeffs[1][0] / radius == pytest.approx(expected_c11, rel=1e-14)
 
 
 def loop_recurrence(p, sign, e, tag, init, n_max):
@@ -84,7 +90,7 @@ def test_recurrence_matches_component_loop(params, tags):
         for parity in (Parity.PLUS, Parity.MINUS):
             for e in (-0.6, 0.37, 1.13):
                 ref = loop_recurrence(params, parity.sign, e, tag, init, 96)
-                got = recur(params, parity, e, c, init, 96).coeffs
+                got = column(params, parity, e, c, init, 96)[0]
                 scale = np.max(np.abs(ref), axis=1, keepdims=True)
                 assert np.all(np.abs(got - ref) <= 1e-12 * scale)
 
@@ -92,23 +98,23 @@ def test_recurrence_matches_component_loop(params, tags):
 def test_explicit_zero_exchange_matches_default():
     p0 = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
     pj = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06, jx=0.0, jy=0.0, jz=0.0)
-    b0 = recur(p0, Parity.MINUS, 0.7, p0.g, (1.0, 0.5, 0.0, -0.25), 64)
-    bj = recur(pj, Parity.MINUS, 0.7, pj.g, (1.0, 0.5, 0.0, -0.25), 64)
-    assert np.array_equal(b0.coeffs, bj.coeffs)
+    c0 = column(p0, Parity.MINUS, 0.7, p0.g, (1.0, 0.5, 0.0, -0.25), 64)[0]
+    cj = column(pj, Parity.MINUS, 0.7, pj.g, (1.0, 0.5, 0.0, -0.25), 64)[0]
+    assert np.array_equal(c0, cj)
 
 
 @pytest.mark.parametrize("g1,g2", [(0.5, 0.5), (0.2, 0.1), (0.06, 0.24)])
 def test_reflection_symmetry_center_zero(g1, g2):
     # c_{3,n} = (-1)^n c_{1,n} and c_{4,n} = (-1)^n c_{2,n}, exactly.
     p = ModelParams(1.0, 0.6, 0.2, g1, g2)
-    blk = recur(p, Parity.PLUS, 0.37, 0.0, (1.0, 0.0, 0.0, 0.0), 48)
+    coeffs = column(p, Parity.PLUS, 0.37, 0.0, (1.0, 0.0, 0.0, 0.0), 48)[0]
     signs = np.where(np.arange(49) % 2 == 0, 1.0, -1.0)
-    assert np.array_equal(blk.coeffs[:, 2], signs * blk.coeffs[:, 0])
-    assert np.array_equal(blk.coeffs[:, 3], signs * blk.coeffs[:, 1])
+    assert np.array_equal(coeffs[:, 2], signs * coeffs[:, 0])
+    assert np.array_equal(coeffs[:, 3], signs * coeffs[:, 1])
 
 
 def center_at(p, position):
-    """The center of p's chain at a position, matched as recur() matches it."""
+    """The center of p's chain at a position, within 1e-12 * max(1, g)."""
     c, = (c for c in series._centers(p.scaled())
           if abs(position - c.position) <= 1e-12 * max(1.0, p.g))
     return c
@@ -141,89 +147,44 @@ def test_radii():
     assert center_at(r, r.g).radius == pytest.approx(0.12)
 
 
-def test_evaluate_at_center():
-    p = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
-    blk = recur(p, Parity.MINUS, 0.4, p.g, (0.7, -0.2, 0.0, 0.3), 32)
-    vals = evaluate(blk, p.g)
-    expected = unscaled(blk, 0) * math.exp(p.g ** 2)
-    assert vals == pytest.approx(expected, rel=1e-14)
-    # g' = -0.18 < 0: the center g' has a disk of radius 0.12 around it.
-    r = ModelParams(1.0, 0.2, 0.6, 0.06, 0.24)
-    blk = recur(r, Parity.PLUS, 0.4, r.gprime, (0.7, -0.2, 0.3, 0.0), 32)
-    expected = unscaled(blk, 0) * math.exp(r.gprime ** 2)
-    assert evaluate(blk, r.gprime) == pytest.approx(expected, rel=1e-14)
-
-
-def test_evaluate_outside_disk():
-    p = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
-    blk = recur(p, Parity.PLUS, 0.4, 0.0, (1.0, 0.0, 0.0, 0.0), 32)
-    with pytest.raises(OutsideDisk):
-        evaluate(blk, 0.18)
-
-
-def test_evaluate_no_convergence_near_boundary():
-    p = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
-    blk = recur(p, Parity.PLUS, 0.4, p.g, (1.0, 0.0, 0.0, 0.0), 16)
-    with pytest.raises(NoConvergence):
-        evaluate(blk, p.g - 0.9995 * center_at(p, p.g).radius)
-
-
-def test_pole_at_baseline_raises():
-    p = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
-    with pytest.raises(PoleAtBaseline):
-        recur(p, Parity.PLUS, -p.g ** 2, p.g, (1.0, 0.0, 0.0, 0.0), 16)
-    with pytest.raises(PoleAtBaseline):
-        recur(p, Parity.MINUS, 1 - p.gprime ** 2, p.gprime,
-              (1.0, 0.0, 0.0, 0.0), 16)
-
-
-def test_recur_rejects_bad_center_and_order():
-    p = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
-    with pytest.raises(ValueError):
-        recur(p, Parity.PLUS, 0.4, 0.11, (1.0, 0.0, 0.0, 0.0), 16)
-    with pytest.raises(ValueError):
-        recur(p, Parity.PLUS, 0.4, 0.0, (1.0, 0.0, 0.0, 0.0), 0)
-
-
 def test_linearity_in_initial_conditions():
     p = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
     a, b = 0.6, -1.7
     x = (1.0, 0.0, 0.0, 0.0)
     y = (0.0, 1.0, 0.0, 0.0)
     combo = tuple(a * xi + b * yi for xi, yi in zip(x, y))
-    bx = recur(p, Parity.PLUS, 0.45, 0.0, x, 48)
-    by = recur(p, Parity.PLUS, 0.45, 0.0, y, 48)
-    bc = recur(p, Parity.PLUS, 0.45, 0.0, combo, 48)
-    lin = a * bx.coeffs + b * by.coeffs
+    cx, cy, cc = (column(p, Parity.PLUS, 0.45, 0.0, v, 48)[0] for v in (x, y, combo))
+    lin = a * cx + b * cy
     scale = np.max(np.abs(lin))
-    assert np.max(np.abs(bc.coeffs - lin)) < 1e-13 * scale
+    assert np.max(np.abs(cc - lin)) < 1e-13 * scale
 
 
 def test_tail_insensitive_to_order():
     p = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
     z = p.g - 0.5 * center_at(p, p.g).radius
-    v1 = evaluate(recur(p, Parity.PLUS, 0.45, p.g, (1.0, 0.5, 0.0, 0.2), 96), z)
-    v2 = evaluate(recur(p, Parity.PLUS, 0.45, p.g, (1.0, 0.5, 0.0, 0.2), 256), z)
+    (v1,), (v2,) = (column(p, Parity.PLUS, 0.45, p.g, (1.0, 0.5, 0.0, 0.2), n, [z])[2]
+                     for n in (96, 256))
     assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-13)
 
 
 def test_reflection_identity_of_center_zero_values():
     p = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06)
-    blk = recur(p, Parity.MINUS, 0.37, 0.0, (0.8, -0.3, 0.0, 0.0), 64)
+    # |t| = 0.89 at z = 0.16 takes more than 64 orders: the table runs to the cap.
+    coeffs, radius, _ = column(p, Parity.MINUS, 0.37, 0.0, (0.8, -0.3, 0.0, 0.0), 64)
+    assert not series._kahan_eval(coeffs[:, :, None, None], np.array([0.16 / radius]))[1][0]
     for z in (0.05, -0.11, 0.16):
-        v_plus = evaluate(blk, z)
-        v_minus = evaluate(blk, -z)
+        _, _, (v_plus, v_minus) = column(p, Parity.MINUS, 0.37, 0.0,
+                                         (0.8, -0.3, 0.0, 0.0), series.HARD_CAP, [z, -z])
         assert v_plus[0] == pytest.approx(v_minus[2], rel=1e-12)
         assert v_plus[1] == pytest.approx(v_minus[3], rel=1e-12)
 
 
-def test_evaluate_matches_determinant_columns(asym, ratio2, flat):
-    # G(E) and recur() share one recurrence and one summation: the unit-init
-    # rows that recur() builds one column at a time, up to the hard cap, and
-    # summed by _kahan_eval at a center's matching points, equal that center's
-    # block of the determinant bit for bit, at every point of both chain shapes.
-    # evaluate() stops on the tail of one column at one point, so it agrees
-    # only to rounding. The last model has g'/g = 0.47, just below g/2.
+def test_unit_column_tables_match_determinant_columns(asym, ratio2, flat):
+    # G(E) runs one recurrence and one summation: the unit-init tables built
+    # one column at a time, up to the hard cap, and summed by _kahan_eval at a
+    # center's matching points, equal that center's block of the determinant
+    # bit for bit, at every point of both chain shapes. The last model has
+    # g'/g = 0.47, just below g/2.
     switch = ModelParams(1.0, 0.55, 0.25, 0.441, 0.159)
     energy = 0.45
     walked = set()
@@ -237,19 +198,15 @@ def test_evaluate_matches_determinant_columns(asym, ratio2, flat):
                 vals, _, conv = gfunction._block_eval(sp, parity.sign,
                                                       np.array([energy]), c, zs)
                 assert conv[0]
-                blocks = [recur(sp, parity, energy, center,
-                                tuple(float(k == j) for k in range(4)),
-                                series.HARD_CAP)
+                tables = [column(sp, parity, energy, center,
+                                 tuple(float(k == j) for k in range(4)), series.HARD_CAP)
                           for j in c.slots]
-                rows = np.stack([b.coeffs for b in blocks], axis=2)[..., None]
-                ts = np.array([(z - center) / blocks[0].radius for z in zs])
+                rows = np.stack([coeffs for coeffs, _, _ in tables], axis=2)[..., None]
+                ts = np.array([(z - center) / tables[0][1] for z in zs])
                 sums, conv = series._kahan_eval(rows, ts)
                 assert conv[0]
                 for z, v, ref in zip(zs, vals, sums):
                     assert np.array_equal(v, ref * math.exp(center * z))
-                    for col, block in enumerate(blocks):
-                        assert evaluate(block, z) == pytest.approx(
-                            v[:, col, 0], rel=1e-12, abs=1e-14 * np.max(np.abs(v)))
                     walked.add((len(conds), i, center, z))
     # Chains of one condition (g, 0) and of two (g, g', 0), by place in the chain.
     assert {(n, i) for n, i, _, _ in walked} == {(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)}
@@ -377,25 +334,26 @@ def test_matched_solution_agrees_between_centers(asym):
     evals, pars, _ = oracle._eig(asym, 300)
     estar = float(evals[np.flatnonzero(pars == 1)[0]])
     z0, z0p = (z for z, _, _ in gfunction._chain(gfunction._prepare(asym)))
-    psi = [recur(asym, Parity.PLUS, estar, asym.g, iv, 200)
+    # Values of each unit column at (z0, z0'), around g, g' and 0.
+    psi = [column(asym, Parity.PLUS, estar, asym.g, iv, 200, [z0])[2]
            for iv in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))]
-    phi = [recur(asym, Parity.PLUS, estar, asym.gprime, iv, 200)
+    phi = [column(asym, Parity.PLUS, estar, asym.gprime, iv, 200, [z0, z0p])[2]
            for iv in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))]
-    big = [recur(asym, Parity.PLUS, estar, 0.0, iv, 200)
+    big = [column(asym, Parity.PLUS, estar, 0.0, iv, 200, [z0p])[2]
            for iv in ((1, 0, 0, 0), (0, 1, 0, 0))]
     m = np.zeros((8, 8))
     for j in range(4):
-        for c, blk in enumerate(psi):
-            m[j, c] = evaluate(blk, z0)[j]
-        for c, blk in enumerate(phi):
-            m[j, 3 + c] = -evaluate(blk, z0)[j]
-            m[4 + j, 3 + c] = evaluate(blk, z0p)[j]
-        for c, blk in enumerate(big):
-            m[4 + j, 6 + c] = -evaluate(blk, z0p)[j]
+        for c, vals in enumerate(psi):
+            m[j, c] = vals[0][j]
+        for c, vals in enumerate(phi):
+            m[j, 3 + c] = -vals[0][j]
+            m[4 + j, 3 + c] = vals[1][j]
+        for c, vals in enumerate(big):
+            m[4 + j, 6 + c] = -vals[0][j]
     _, _, vt = np.linalg.svd(m)
     v = vt[-1]
-    psi_vals = sum(v[c] * evaluate(blk, z0) for c, blk in enumerate(psi))
-    phi_vals = sum(v[3 + c] * evaluate(blk, z0) for c, blk in enumerate(phi))
+    psi_vals = sum(v[c] * vals[0] for c, vals in enumerate(psi))
+    phi_vals = sum(v[3 + c] * vals[0] for c, vals in enumerate(phi))
     scale = np.max(np.abs(psi_vals))
     assert np.max(np.abs(psi_vals - phi_vals)) < 1e-8 * scale
 
@@ -419,8 +377,8 @@ def test_sums_match_an_exact_reference(p):
             for energy in (-0.63, 2.37):
                 for slot in c.slots:
                     init = tuple(float(j == slot) for j in range(4))
-                    coeffs = recur(p, parity, energy, c.position, init,
-                                   series.HARD_CAP).coeffs
+                    coeffs = column(p, parity, energy, c.position, init,
+                                    series.HARD_CAP)[0]
                     sums, converged = series._kahan_eval(coeffs[:, :, None, None], ts)
                     assert converged.all()
                     for t, got in zip(ts.tolist(), sums[:, :, 0, 0]):
