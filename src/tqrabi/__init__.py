@@ -10,7 +10,6 @@ from .model import (
     NotConverged,
     OutsideDisk,
     Parity,
-    PoleAtBaseline,
     RequiresEqualCouplings,
     RequiresValidCouplings,
     SolverError,
@@ -23,7 +22,6 @@ from .series import baselines
 from .gfunction import (
     GTrace,
     find_roots,
-    gvalue,
     trace,
 )
 from .exceptional import (
@@ -31,10 +29,8 @@ from .exceptional import (
     ExceptionalState,
     FlatLineHit,
     build_state,
-    closed_form_state,
     condition,
     exceptional_energy,
-    fock_subspace_check,
     scan_flat_lines,
 )
 from .oracle import diagonalize, residual
@@ -44,13 +40,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Baseline", "ConditionNotMet", "ConfigError", "DegenerateDenominator",
     "ModelParams", "NoConvergence", "NotConverged", "OutsideDisk", "Parity",
-    "PoleAtBaseline", "RequiresEqualCouplings", "RequiresValidCouplings",
+    "RequiresEqualCouplings", "RequiresValidCouplings",
     "SolverError", "SpectrumRecord", "SpectrumResult", "SupportOverflow",
     "baselines", "load_params",
-    "GTrace", "find_roots", "gvalue", "trace",
+    "GTrace", "find_roots", "trace",
     "ExceptionalCandidate", "ExceptionalState", "FlatLineHit", "build_state",
-    "closed_form_state", "condition", "exceptional_energy",
-    "fock_subspace_check", "scan_flat_lines",
+    "condition", "exceptional_energy", "scan_flat_lines",
     "diagonalize", "residual",
     "__version__",
 ]

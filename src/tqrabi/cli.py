@@ -22,6 +22,7 @@ import numpy as np
 
 from . import exceptional, gfunction, oracle
 from .model import (
+    DEFAULT_TRUNCATION_CAP,
     ConfigError,
     ModelParams,
     Parity,
@@ -31,6 +32,9 @@ from .model import (
 )
 
 TRUNCATION_HELP = "starting truncation; default sized from the model"
+# Points of a sweep and of a scan (the product of its axis sizes), about
+# 2.1 kB and 130 bytes each at their peak: near 0.14 GB each at the limit.
+MAX_SWEEP_POINTS, MAX_SCAN_POINTS = 2 ** 16, 2 ** 20
 
 
 def _fmt(x: float) -> str:
@@ -241,8 +245,9 @@ def _sweep_point(args: argparse.Namespace, params: ModelParams,
 
 
 def cmd_sweep(args: argparse.Namespace, params: ModelParams) -> int:
-    if args.points < 0:
-        raise ConfigError("sweep needs a non-negative point count")
+    if not 0 <= args.points <= MAX_SWEEP_POINTS:
+        raise ConfigError(f"--points must be a non-negative point count of at most "
+                          f"{MAX_SWEEP_POINTS}")
     if args.levels < 1:
         raise ConfigError("--levels must be >= 1")
     if params.g <= 0:
@@ -281,6 +286,7 @@ def cmd_sweep(args: argparse.Namespace, params: ModelParams) -> int:
 
 def _parse_scan(specs: Sequence[str]) -> dict[str, np.ndarray]:
     axes: dict[str, np.ndarray] = {}
+    points = 1
     for spec in specs:
         name, _, rng = spec.partition("=")
         name = name.strip().lower()
@@ -288,9 +294,12 @@ def _parse_scan(specs: Sequence[str]) -> dict[str, np.ndarray]:
             raise ConfigError(f"--scan repeats axis {name!r}")
         try:
             start, stop, npts = rng.split(":")
-            ends = [float(start), float(stop)]
+            ends, points = [float(start), float(stop)], points * int(npts)
             if not np.isfinite(ends).all():
                 raise ConfigError(f"--scan {spec!r}: START and STOP must be finite")
+            if points > MAX_SCAN_POINTS:
+                raise ConfigError(f"--scan axes span {points} points, past the limit "
+                                  f"of {MAX_SCAN_POINTS}")
             axes[name] = np.linspace(*ends, int(npts))
         except ValueError as exc:
             raise ConfigError(f"bad --scan spec {spec!r}; "
@@ -300,6 +309,8 @@ def _parse_scan(specs: Sequence[str]) -> dict[str, np.ndarray]:
 
 def cmd_exceptional(args: argparse.Namespace, params: ModelParams) -> int:
     axes = _parse_scan(args.scan)
+    if args.ncut > DEFAULT_TRUNCATION_CAP:
+        raise ConfigError(f"--ncut {args.ncut} is past the {DEFAULT_TRUNCATION_CAP}-photon cap")
     try:
         ga, gb = (float(x) for x in args.gprobe.split(","))
     except ValueError as exc:

@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import oracle, series
+from . import series
 from .model import (
     ConditionNotMet,
     DegenerateDenominator,
@@ -37,8 +37,6 @@ __all__ = [
     "FlatLineHit",
     "condition",
     "build_state",
-    "closed_form_state",
-    "fock_subspace_check",
     "scan_flat_lines",
     "exceptional_energy",
     "levels",
@@ -105,18 +103,19 @@ def _equal_couplings(params: ModelParams, what: str) -> ModelParams:
     return sp
 
 
-def _downward(sp: ModelParams, s: int, n_cut: int) -> np.ndarray:
+def _downward(sp: ModelParams, s: int, n_cut: int) -> list[float]:
     """First-component coefficients e1[n], n = -1..N, from the cutoff row down.
 
     Stored with offset one (entry k holds e1_{k-1}); the second component at
-    the cutoff is normalized to one, so entry 0 is the cutoff condition.
+    the cutoff is normalized to one, so entry 0 is the cutoff condition. They
+    are Python floats, which turn inf or NaN silently past the double range.
     """
     g = sp.g
     d1, d2, jx = sp.delta1, sp.delta2, sp.jx
     jy, jz = sp.jy, sp.jz
     beta = jy + jz
     sig_n = (-1.0) ** n_cut
-    e = np.zeros(n_cut + 2)
+    e = [0.0] * (n_cut + 2)
     if n_cut >= 1:
         e[n_cut] = (s * (-1.0) ** (n_cut - 1) * d1 - d2) / g
     else:
@@ -141,15 +140,17 @@ def condition(params: ModelParams, parity: Parity, n_index: int) -> float:
     """Cutoff condition f(-1, N); zero (within 1e-10) iff the state exists.
 
     Values are reported in omega = 1 units. Only defined for g1 = g2 > 0.
+    Where the recurrence leaves the double range (on flat lines past N ~ 170)
+    the value is inf or NaN: such an index cannot be certified and is no state.
     """
     if n_index < 0:
         raise ValueError("n_index must be >= 0")
     sp = _equal_couplings(params, "cutoff conditions")
-    return float(_downward(sp, parity.sign, n_index)[0])
+    return _downward(sp, parity.sign, n_index)[0]
 
 
 def _second_component(sp: ModelParams, s: int, n_cut: int,
-                      e1: np.ndarray) -> np.ndarray:
+                      e1: Sequence[float]) -> np.ndarray:
     """Second-component coefficients slaved to e1 through the center-0 constraint."""
     beta = sp.jy + sp.jz
     sig_n = (-1.0) ** n_cut
@@ -167,7 +168,7 @@ def _second_component(sp: ModelParams, s: int, n_cut: int,
     return e2
 
 
-def _amps_from_coeffs(s: int, e1: np.ndarray, e2: np.ndarray,
+def _amps_from_coeffs(s: int, e1: Sequence[float], e2: np.ndarray,
                       n_cut: int) -> dict[tuple[int, str], float]:
     """Map series coefficients to Fock x qubit amplitudes.
 
@@ -237,24 +238,6 @@ def _closed_form_amps(sp: ModelParams, parity: Parity, n_cut: int,
     return None
 
 
-def closed_form_state(params: ModelParams, parity: Parity, n_index: int,
-                      ) -> Optional[ExceptionalState]:
-    """Known closed-form state at these parameters, without checking the condition.
-
-    Off the existence manifold the returned amplitudes are still well defined
-    but no longer an eigenstate; useful for boundary-row diagnostics.
-    """
-    sp = _equal_couplings(params, "closed forms")
-    raw = _closed_form_amps(sp, parity, n_index)
-    if raw is None:
-        return None
-    raw = _trim(raw)
-    amps, norm = _normalized(raw)
-    coeffs = tuple(sorted((n, pair, a) for (n, pair), a in amps.items()))
-    return ExceptionalState(exceptional_energy(params, parity, n_index),
-                            parity, coeffs, norm)
-
-
 def build_state(params: ModelParams, parity: Parity, n_index: int) -> ExceptionalState:
     """Construct the cutoff state from the downward recurrence and normalize it.
 
@@ -265,7 +248,7 @@ def build_state(params: ModelParams, parity: Parity, n_index: int) -> Exceptiona
     sp = _equal_couplings(params, "cutoff states")
     s = parity.sign
     e1_off = _downward(sp, s, n_index)
-    if abs(e1_off[0]) >= CONDITION_TOL:
+    if not abs(e1_off[0]) < CONDITION_TOL:  # also where it is NaN
         raise ConditionNotMet(
             f"cutoff condition {e1_off[0]:.3e} not below {CONDITION_TOL:g} "
             f"(N={n_index}, parity {parity})")
@@ -290,24 +273,6 @@ def build_state(params: ModelParams, parity: Parity, n_index: int) -> Exceptiona
                             parity, coeffs, norm)
 
 
-def fock_subspace_check(params: ModelParams, parity: Parity,
-                        state: ExceptionalState) -> float:
-    """Max violation of the closed-subspace boundary rows for a finite state.
-
-    Applies the Hamiltonian and inspects the eigenvalue-equation rows at the
-    support edges: photon number 0, the top photon number N, and the leakage
-    rows at N + 1. A value below 1e-14 certifies that the state closes.
-    """
-    n_top = state.max_photon
-    trunc = n_top + 1
-    v = state.vector(trunc)
-    r = oracle.apply_hamiltonian(params, trunc, v) - state.energy * v
-    rows = np.zeros(4 * (trunc + 1), dtype=bool)
-    rows[0:4] = True
-    rows[4 * n_top:4 * (n_top + 2)] = True
-    return float(np.max(np.abs(r[rows])))
-
-
 def levels(params: ModelParams, parity: Parity, e_min: float,
            e_max: float) -> list[tuple[int, float, float, int]]:
     """Cutoff states of one parity with energies in [e_min, e_max].
@@ -318,11 +283,13 @@ def levels(params: ModelParams, parity: Parity, e_min: float,
     state with k = 1 is a root of G, where G jumps; a dark state (k = 0)
     sits where G has no pole and is no root. A vanishing denominator of the
     condition (DegenerateDenominator) means no state at that index, as in
-    scan_flat_lines. Only defined for g1 = g2 > 0; e_min may be -inf, and
-    e_max must be finite.
+    scan_flat_lines, and so does one whose recurrence leaves the double range
+    (condition). Only defined for g1 = g2 > 0; e_min may be -inf, and e_max
+    must be finite and within the photon cap (ModelParams.require_reach).
     """
     if math.isnan(e_min) or not math.isfinite(e_max):
         raise ValueError("e_max must be finite and e_min not NaN")
+    params.require_reach(e_max)
     sp = _equal_couplings(params, "cutoff states")
     origin = series._centers(sp)[-1]
     out = []

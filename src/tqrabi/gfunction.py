@@ -45,7 +45,6 @@ from .model import (
     NoConvergence,
     OutsideDisk,
     Parity,
-    PoleAtBaseline,
     SpectrumRecord,
     SpectrumResult,
     _distinct,
@@ -54,7 +53,6 @@ from .series import _Center, _centers, _tables, baselines
 
 __all__ = [
     "GTrace",
-    "gvalue",
     "find_roots",
     "trace",
     "DEFAULT_GRID_STEP",
@@ -77,6 +75,9 @@ _LADDER = 100.0
 # share per CPU, at most one per block: one worker per extra CPU (_hire).
 _BLOCK = 2048
 _PARITY_D = np.array([1.0, 1.0, -1.0, -1.0])  # D, with mix(-s) = D mix(s) D (see series)
+# Grid points of a window (_window): a trace of both parities costs about
+# 280 bytes an energy at its peak, near 0.6 GB at the limit.
+MAX_GRID_POINTS = 2 ** 21
 
 
 def _chain(sp: ModelParams) -> list[tuple[float, _Center, _Center]]:
@@ -114,20 +115,20 @@ def _block_eval(sp: ModelParams, sign: int, energies: np.ndarray, c: _Center,
             pole_ok, conv)
 
 
-def _gvalues(sp: ModelParams, signs: int | tuple | np.ndarray, energies: np.ndarray,
+def _gvalues(sp: ModelParams, signs: int | np.ndarray, energies: np.ndarray,
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalized determinant on an energy grid, and masks for poles and convergence.
 
-    signs is one sign, a tuple that gives each result a leading sign axis, or
-    an array of one sign per energy. Entries on a recurrence pole or
-    unconverged at the hard cap come back NaN. The energies are taken in
-    blocks of _BLOCK, each with its own series stop, and every energy's value
-    is the same whatever block, share, or signs beside it, it falls in. A
-    call of more than one block runs in contiguous shares (_block_shares).
+    signs is an array broadcast against energies, such as one sign, a column
+    of one sign per result row, or one sign per energy. Entries on a
+    recurrence pole or unconverged at the hard cap come back NaN. The
+    energies are taken in blocks of _BLOCK, each with its own series stop,
+    and every energy's value is the same whatever block, share, or signs
+    beside it, it falls in. A call of more than one block runs in contiguous
+    shares (_block_shares).
     """
-    s = np.asarray(signs)[:, None] if isinstance(signs, tuple) else np.asarray(signs)
-    shape = np.broadcast_shapes(s.shape, energies.shape)
-    s = np.atleast_2d(np.broadcast_to(s, shape))
+    shape = np.broadcast_shapes(np.shape(signs), energies.shape)
+    s = np.atleast_2d(np.broadcast_to(signs, shape))
     parts = _block_shares(energies.size, lambda r: (_blocks, (sp, s[:, r], energies[r])))
     return tuple(np.concatenate(c, axis=-1).reshape(shape) for c in zip(*parts))
 
@@ -414,7 +415,9 @@ def _prepare(params: ModelParams) -> ModelParams:
 
 def _window(params: ModelParams, e_min: float, e_max: float,
             step: Optional[float]) -> tuple[float, float, float]:
-    """Checked, finite window ends and step (default 0.01 omega), in omega = 1 units."""
+    """Checked, finite window ends and step (default 0.01 omega), in omega = 1
+    units: e_max within the photon cap (ModelParams.require_reach) and at
+    most MAX_GRID_POINTS grid points."""
     if not e_min < e_max:
         raise ValueError("empty energy window")
     if step is None:
@@ -423,28 +426,12 @@ def _window(params: ModelParams, e_min: float, e_max: float,
         raise ValueError("step must be positive")
     if not all(map(math.isfinite, (e_min, e_max, step))):
         raise ValueError("energy window and step must be finite")
+    params.require_reach(e_max)
+    if (points := (e_max - e_min) / step + 1) > MAX_GRID_POINTS:
+        raise ValueError(f"step {step:g} puts {points:.3g} grid points in the window, "
+                         f"past the limit of {MAX_GRID_POINTS}")
     w = params.omega
     return e_min / w, e_max / w, step / w
-
-
-def gvalue(params: ModelParams, parity: Parity, energy: float) -> float:
-    """Pole-free matching determinant at one energy (in the caller's units),
-    matched at the model's points (_chain).
-
-    Raises ValueError for an energy that is not finite, OutsideDisk where
-    rounding puts a point outside its disk, PoleAtBaseline within 1e-12 of a
-    baseline, NoConvergence if the series tails stay above tolerance at the
-    hard truncation cap.
-    """
-    if not math.isfinite(energy):
-        raise ValueError("energy must be finite")
-    sp = _prepare(params)
-    vals, pole_ok, conv_ok = _gvalues(sp, parity.sign, np.array([energy / params.omega]))
-    if not pole_ok[0]:
-        raise PoleAtBaseline(f"energy {energy} hits a recurrence pole")
-    if not conv_ok[0]:
-        raise NoConvergence("series tail above tolerance at the hard cap")
-    return float(vals[0])
 
 
 @dataclass(frozen=True)
@@ -470,7 +457,7 @@ def trace(params: ModelParams, parities: Sequence[Parity], e_min: float,
     sp = _prepare(params)
     w = params.omega
     grid = np.arange(lo, hi + h / 2, h)
-    vals, _, _ = _gvalues(sp, tuple(p.sign for p in parities), grid)
+    vals, _, _ = _gvalues(sp, np.array([[p.sign] for p in parities]), grid)
     poles = tuple(baselines(params, e_min, e_max))
     return [GTrace(p, grid * w, v, poles) for p, v in zip(parities, vals)]
 

@@ -16,11 +16,11 @@ __all__ = [
     "SpectrumResult",
     "load_params",
     "QUBIT_PAIRS",
+    "DEFAULT_TRUNCATION_CAP",
     "SolverError",
     "ConfigError",
     "RequiresValidCouplings",
     "RequiresEqualCouplings",
-    "PoleAtBaseline",
     "OutsideDisk",
     "NoConvergence",
     "DegenerateDenominator",
@@ -31,6 +31,9 @@ __all__ = [
 
 # Qubit-pair basis order used everywhere (photon number is the major index).
 QUBIT_PAIRS = ("ee", "eg", "ge", "gg")
+# The oracle's truncation cap in photons, and the reach of every energy
+# window: no level past it is certified (ModelParams.require_reach).
+DEFAULT_TRUNCATION_CAP = 1200
 
 
 class SolverError(Exception):
@@ -47,10 +50,6 @@ class RequiresValidCouplings(SolverError):
 
 class RequiresEqualCouplings(SolverError):
     """Cutoff conditions are only defined for identical couplings g1 = g2."""
-
-
-class PoleAtBaseline(SolverError):
-    """The requested energy sits on a baseline where a recurrence divisor vanishes."""
 
 
 class OutsideDisk(SolverError):
@@ -191,6 +190,13 @@ class ModelParams:
             raise RequiresValidCouplings(
                 "series solver needs g1 > 0, g2 > 0 and |g1 - g2| < g1 + g2 "
                 f"(got g1={self.g1}, g2={self.g2})")
+
+    def require_reach(self, e_max: float) -> None:
+        """Validate a window's upper end: e_max/omega within the oracle's photon
+        cap, past which no level is certified and a window's lists grow."""
+        if e_max / self.omega > DEFAULT_TRUNCATION_CAP:
+            raise ValueError(f"e_max/omega = {e_max / self.omega:.6g} is past the "
+                             f"{DEFAULT_TRUNCATION_CAP}-photon cap")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (
+    DEFAULT_TRUNCATION_CAP,
     ModelParams,
     NotConverged,
     Parity,
@@ -43,7 +44,6 @@ _Z2 = np.array([1.0, -1.0, 1.0, -1.0])
 _Z1Z2 = _Z1 * _Z2
 
 BOUND_TOL = 1e-8
-DEFAULT_TRUNCATION_CAP = 1200
 _STEP = 50
 _BANDS = 3
 _SIGNS = (1, -1)
@@ -359,9 +359,11 @@ def window(params: ModelParams, truncation: Optional[int], e_max: float,
     level lies about two photons past the cut plus g**2/omega, since a
     parity block holds two states per photon number. A parity whose levels
     all lie at or below the cut is counted again at a larger truncation.
+    e_max must be finite and within the photon cap (ModelParams.require_reach).
     """
     if not math.isfinite(e_max):
         raise ValueError("energy window must be finite")
+    params.require_reach(e_max)
     w = params.omega
     cut = e_max + 0.5 * w
     if truncation is None:

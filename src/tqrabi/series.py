@@ -122,12 +122,14 @@ def baselines(params: ModelParams, e_min: float, e_max: float) -> list[Baseline]
     They are the divisor energies of the series recurrences of both parity
     signs (_slaving), deduplicated (within 1e-12) inside each kind with the
     lowest index kept; coincidences across kinds are distinct families.
-    e_min may be -inf; e_max must be finite.
+    e_min may be -inf; e_max must be finite and within the photon cap
+    (ModelParams.require_reach).
     """
     if math.isnan(e_min) or not math.isfinite(e_max):
         raise ValueError("e_max must be finite and e_min not NaN")
     if not e_min < e_max:
         raise ValueError("baselines needs e_min < e_max")
+    params.require_reach(e_max)
     sp = params.scaled()
     w = params.omega
     lo, hi = e_min / w, e_max / w

@@ -95,7 +95,9 @@ BIG_SWEEP = ["sweep", "--gmin", "1e300", "--gmax", "1e300", "--points", "1", "--
 
 
 @pytest.mark.parametrize("cfg, argv", [
-    (ASYM_CFG.replace("omega = 1.0", "omega = 1e-300"), ["spectrum", "--emax", "1"]),
+    # e_max/omega = 100, inside the photon cap.
+    (ASYM_CFG.replace("omega = 1.0", "omega = 1e-300"),
+     ["spectrum", "--emin", "0", "--emax", "1e-298"]),
     (BIG_G_CFG, ["spectrum", "--emax", "1"]),
     (BIG_G_CFG, ["trace", "--emin", "-1", "--emax", "1"]),
     (FLAT_CFG.replace("delta1 = 0.6", "delta1 = 1e300"),
@@ -111,6 +113,36 @@ def test_overflowing_parameter_exits_one(tmp_path, capsys, cfg, argv):
     assert main(argv + ["--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cfg, argv, limit", [
+    (ASYM_CFG.replace("omega = 1.0", "omega = 1e-300"), ["spectrum", "--emax", "1"],
+     "1200-photon cap"),
+    (FLAT_CFG, ["spectrum", "--solver", "oracle", "--emax", "3000"], "1200-photon cap"),
+    (FLAT_CFG, ["trace", "--emin", "-1", "--emax", "1", "--step", "{step}"], "step"),
+    (FLAT_CFG, ["spectrum", "--solver", "gfunction", "--no-verify", "--emin", "-1",
+                "--emax", "1", "--step", "{step}"], "step"),
+    (FLAT_CFG, ["exceptional", "--scan", "delta1=0.2:1.1:{scan}"], "--scan"),
+    (FLAT_CFG, ["exceptional", "--scan", "jz=0:1:1025", "--scan", "delta1=0:1:1024"],
+     "--scan"),
+    (FLAT_CFG, ["exceptional", "--scan", "delta1=0:1:3", "--ncut", "{ncut}"], "--ncut"),
+    (FLAT_CFG, ["sweep", "--gmin", "0.5", "--gmax", "1", "--points", "{points}"],
+     "--points"),
+], ids=["spectrum-omega", "spectrum-oracle", "trace-grid", "spectrum-grid", "scan-line",
+        "scan-product", "ncut", "sweep-points"])
+def test_input_past_its_limit_exits_two(tmp_path, capsys, cfg, argv, limit):
+    # A window past the oracle's photon cap, a grid, a scan or a sweep past
+    # its point limit and an --ncut past the cap: one line naming the limit,
+    # before any work. The first two exited 1 (OverflowError, NotConverged).
+    past = {"step": repr(2 / gfunction.MAX_GRID_POINTS),  # one point past
+            "scan": tqrabi.cli.MAX_SCAN_POINTS + 1, "points": tqrabi.cli.MAX_SWEEP_POINTS + 1,
+            "ncut": tqrabi.model.DEFAULT_TRUNCATION_CAP + 1}
+    path = tmp_path / "m.cfg"
+    path.write_text(cfg)
+    argv = [a.format(**past) for a in argv]
+    assert main(argv + ["--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and limit in err and err.count("\n") == 1
 
 
 def test_invalid_couplings_surfaced(tmp_path, capsys):

@@ -15,12 +15,10 @@ from tqrabi import (
     NoConvergence,
     OutsideDisk,
     Parity,
-    PoleAtBaseline,
     RequiresValidCouplings,
     SpectrumRecord,
     SpectrumResult,
     find_roots,
-    gvalue,
     trace,
 )
 from tqrabi import exceptional, gfunction, oracle, series
@@ -85,8 +83,6 @@ def test_matching_point_outside_disk():
     # At g'/g = 1 - 2e-9 rounding puts z0' = g'^2/g outside the disk around g'.
     p = ModelParams(1.0, 0.5, 0.3, 1.0, 1e-9)
     with pytest.raises(OutsideDisk):
-        gvalue(p, Parity.PLUS, 0.4)
-    with pytest.raises(OutsideDisk):
         find_roots(p, (Parity.PLUS,), -1.0, 1.0)
     with pytest.raises(OutsideDisk):
         trace(p, (Parity.PLUS,), -1.0, 1.0)
@@ -95,7 +91,7 @@ def test_matching_point_outside_disk():
 def test_requires_valid_couplings():
     p = ModelParams(1.0, 0.6, 0.2, 0.0, 0.3)
     with pytest.raises(RequiresValidCouplings):
-        gvalue(p, Parity.PLUS, 0.4)
+        trace(p, (Parity.PLUS,), -1.0, 1.0)
 
 
 @pytest.mark.parametrize("g2", [1e-17, 1e-300])
@@ -104,20 +100,21 @@ def test_coupling_lost_in_rounding_requires_valid_couplings(g2):
     p = ModelParams(1.0, 0.5, 0.3, 1.0, g2)
     assert p.gprime == p.g
     with pytest.raises(RequiresValidCouplings):
-        gvalue(p, Parity.PLUS, 0.4)
+        trace(p, (Parity.PLUS,), -1.0, 1.0)
     with pytest.raises(RequiresValidCouplings):
         find_roots(p, (Parity.PLUS, Parity.MINUS), -1.0, 1.0)
 
 
-def test_gvalue_pole_at_baseline():
-    p = ModelParams(1.0, 0.5, 0.5, 0.35, 0.35)
-    with pytest.raises(PoleAtBaseline):
-        gvalue(p, Parity.PLUS, 1.0)  # baseline energy for identical couplings
-    assert np.isfinite(gvalue(p, Parity.PLUS, 1.0 + 1e-9))
+def test_pole_mask_at_baseline():
+    # E = 1 is a baseline energy for identical couplings: G's pole mask is
+    # False there, and G is finite 1e-9 above it, as trace and find_roots take it.
+    sp = gfunction._prepare(ModelParams(1.0, 0.5, 0.5, 0.35, 0.35))
+    assert not gfunction._gvalues(sp, 1, np.array([1.0]))[1][0]
+    assert np.isfinite(gfunction._gvalues(sp, 1, np.array([1.0 + 1e-9]))[0][0])
     # A pole at E = 0 (g = 1) of three columns: 1e-200 from it, the pole
     # factor's |d|**-2 overflows to inf, as on the pole itself, silently.
-    with pytest.raises(PoleAtBaseline):
-        gvalue(ModelParams(1.0, 0.6, 0.4, 0.5, 0.5), Parity.PLUS, 1e-200)
+    sp = gfunction._prepare(ModelParams(1.0, 0.6, 0.4, 0.5, 0.5))
+    assert not gfunction._gvalues(sp, 1, np.array([1e-200]))[1][0]
 
 
 @pytest.mark.parametrize("model, sign, b, k", [
@@ -143,9 +140,8 @@ def test_pole_free_across_baselines(request, model, sign, b, k):
 
 
 def test_gvalue_finite_and_deterministic(asym):
-    v1 = gvalue(asym, Parity.MINUS, 0.25)
-    v2 = gvalue(asym, Parity.MINUS, 0.25)
-    assert np.isfinite(v1) and v1 == v2
+    v1, v2 = (trace(asym, (Parity.MINUS,), 0.25, 0.3)[0].values for _ in range(2))
+    assert np.isfinite(v1).all() and v1.tobytes() == v2.tobytes()
 
 
 def test_root_positions_independent_of_matching_points(asym, move_points):
@@ -239,12 +235,14 @@ def test_gvalue_depends_on_energy_alone(xyz_double, xyz_odd):
     # one order at every batch size, so G at one energy is the same bits
     # whether it is computed alone, in a small batch or in a batch of 351.
     p = ModelParams(1.0, 0.55, 0.25, 0.3 * 1.4975, 0.3 * 0.5025)
+    sp = gfunction._prepare(p)
     for parity in (Parity.PLUS, Parity.MINUS):
         tr, = trace(p, (parity,), -1.0, 2.5)
         cells = np.flatnonzero(np.isfinite(tr.values))[::37]
         assert cells.size > 5
         for i in cells:
-            assert gvalue(p, parity, tr.energies[i]) == tr.values[i]
+            alone, _, _ = gfunction._gvalues(sp, parity.sign, np.array([tr.energies[i]]))
+            assert alone[0] == tr.values[i]
     # Small batches, as root refinement makes them, on exchange models:
     # reduced4 has a one-column center-0 block, full8 three columns, and
     # xyz_odd couples every component to every other one.
@@ -346,7 +344,7 @@ def test_shared_centers_match_unshared_assembly(xyz_odd, flat):
         assert not ref[1][1][b - 1] and np.isfinite(ref[-1][0]).sum() > b
         for part in (slice(b + 7, b + 8), slice(b - 2, b + 1), slice(None)):
             for signs in ((1, -1), (-1, 1), (-1,)):
-                got = gfunction._gvalues(sp, signs, es[part])
+                got = gfunction._gvalues(sp, np.array(signs)[:, None], es[part])
                 for i, s in enumerate(signs):
                     for g, r in zip(got, ref[s]):
                         assert g[i].tobytes() == r[part].tobytes()
@@ -396,7 +394,7 @@ def test_one_series_run_per_center_and_block(request, monkeypatch, model, runs):
     es = np.linspace(-1.0, 2.5, gfunction._BLOCK + 10)
     for cpus, blocks in ((1, 2), (2, 1)):
         fake_cpus(monkeypatch, cpus)
-        for signs in ((1, -1), np.where(es < 1.0, 1, -1)):
+        for signs in (np.array([[1], [-1]]), np.where(es < 1.0, 1, -1)):
             centers.clear()
             gfunction._gvalues(sp, signs, es)
             assert len(centers) == blocks * runs and centers.count(0.0) == blocks
@@ -475,7 +473,7 @@ def test_split_keeps_the_bytes_of_one_process(request, monkeypatch, model):
     mixed = np.random.default_rng(3).choice([1, -1], (2, es.size))
     mixed[:, at] = at_sign
     pins, forks = fake_cpus(monkeypatch, 2), count_forks(monkeypatch)
-    for signs, rows in (((1, -1), np.repeat([[1], [-1]], es.size, axis=1)),
+    for signs, rows in ((np.array([[1], [-1]]), np.repeat([[1], [-1]], es.size, axis=1)),
                         (mixed, mixed)):
         got = gfunction._gvalues(sp, signs, es)
         for g, r in zip(got, one_process(sp, rows, es)):
@@ -528,7 +526,7 @@ def test_workers_stop_at_exit(tmp_path):
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "os.sched_setaffinity = lambda pid, cpus: None\n"
         "sp = gfunction._prepare(ModelParams(1.0, 0.5, 0.3, 1.6, 0.4))\n"
-        "gfunction._gvalues(sp, (1, -1), np.linspace(-1.0, 3.0, 4001))\n"
+        "gfunction._gvalues(sp, np.array([[1], [-1]]), np.linspace(-1.0, 3.0, 4001))\n"
         "assert len(gfunction._workers) == 1\n"
         "atexit._run_exitfuncs()\n"
         "try:\n"
@@ -555,7 +553,7 @@ def test_failed_share_runs_here(asym, monkeypatch):
     parent, once, fork = os.getpid(), gfunction._gvalues_once, os.fork
 
     def same_bytes():
-        for g, r in zip(gfunction._gvalues(sp, (1, -1), es), ref):
+        for g, r in zip(gfunction._gvalues(sp, np.array([[1], [-1]]), es), ref):
             assert g.tobytes() == r.tobytes()
 
     def no_fork():
@@ -819,8 +817,7 @@ def test_trace_csv_empty_cells_at_pole_hits(tmp_path, flat):
 def fake_gvalues(g, ok=None):
     """A stand-in for _gvalues with G(E) = g(E) at every sign, and pole_ok = ok(E)."""
     def fake(sp, signs, energies):
-        s = np.asarray(signs)[:, None] if isinstance(signs, tuple) else np.asarray(signs)
-        shape = np.broadcast_shapes(s.shape, energies.shape)
+        shape = np.broadcast_shapes(np.shape(signs), energies.shape)
         good = np.ones(energies.shape, dtype=bool) if ok is None else ok(energies)
         return tuple(np.broadcast_to(v, shape)
                      for v in (np.where(good, g(energies), np.nan), good, good))
@@ -970,12 +967,14 @@ def test_repeated_parity_is_searched_once(asym):
 
 
 def test_roots_hold_a_sign_change(asym):
-    tol = gfunction.ROOT_TOL
+    tol, sp = gfunction.ROOT_TOL, gfunction._prepare(asym)
     for parity in (Parity.PLUS, Parity.MINUS):
         roots = find_roots(asym, (parity,), -1.0, 2.5).energies()
         assert len(roots) == 6
         for x in roots:
-            assert gvalue(asym, parity, x - tol) * gvalue(asym, parity, x + tol) < 0
+            lo, hi = (gfunction._gvalues(sp, parity.sign, np.array([e]))[0][0]
+                      for e in (x - tol, x + tol))
+            assert lo * hi < 0
 
 
 def test_level_beside_a_pole_on_the_grid():

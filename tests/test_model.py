@@ -15,7 +15,6 @@ from tqrabi import (
     RequiresValidCouplings,
     baselines,
     exceptional,
-    gvalue,
     load_params,
 )
 
@@ -110,15 +109,13 @@ def test_baselines_invalid_range():
 
 ASYM, FLAT = ModelParams(1.0, 0.6, 0.2, 0.24, 0.06), ModelParams(1.0, 0.6, 0.4, 0.5, 0.5)
 ENTRY_POINTS = {
-    ("energy", "gvalue"): lambda x: gvalue(ASYM, Parity.PLUS, x),
     ("e_min", "baselines"): lambda x: baselines(ASYM, x, 3.0),
     ("e_min", "levels"): lambda x: exceptional.levels(FLAT, Parity.PLUS, x, 3.0),
     ("e_max", "baselines"): lambda x: baselines(ASYM, -1.0, x),
     ("e_max", "levels"): lambda x: exceptional.levels(FLAT, Parity.PLUS, -1.0, x),
 }
 # A window's lower end may be -inf (test_window_lower_end_may_be_minus_infinity).
-NON_FINITE = {"energy": (math.nan, math.inf, -math.inf), "e_min": (math.nan,),
-              "e_max": (math.nan, math.inf)}
+NON_FINITE = {"e_min": (math.nan,), "e_max": (math.nan, math.inf)}
 
 
 @pytest.mark.parametrize("name, fn, value", [

@@ -185,7 +185,7 @@ def _g_batches_agree(p: ModelParams) -> bool:
     and convergence masks must agree byte for byte."""
     sp = gfunction._prepare(p)
     xs = gfunction._scan_grid(sp, *gfunction._window(p, *WINDOW, None))
-    both = gfunction._gvalues(sp, (1, -1), xs)
+    both = gfunction._gvalues(sp, np.array([[1], [-1]]), xs)
     alt = np.where(np.arange(xs.size) % 2, -1, 1)
     mixed = gfunction._gvalues(sp, alt, xs)
     for i, sign in enumerate((1, -1)):
