@@ -231,16 +231,15 @@ def _sweep_point(args: argparse.Namespace, params: ModelParams,
                         if args.emin <= r.energy <= args.emax)
         else:
             rows.append((_fmt(g), "", "", "oracle", "", type(failed).__name__))
-    if point.scaled().gprime == 0.0:
-        for parity in parities:
-            try:
-                rows.extend((_fmt(g), *_record_row(SpectrumRecord(
-                                 energy, parity, "exceptional", abs(cond))), "ok")
-                            for _, energy, cond, _ in exceptional.levels(
-                                point, parity, args.emin, args.emax))
-            except SolverError as exc:
-                rows.append((_fmt(g), "", str(parity.sign), "exceptional", "",
-                             type(exc).__name__))
+    for parity in parities:
+        try:
+            rows.extend((_fmt(g), *_record_row(SpectrumRecord(
+                             energy, parity, "exceptional", abs(cond))), "ok")
+                        for _, energy, cond, _ in exceptional.levels(
+                            point, parity, args.emin, args.emax))
+        except SolverError as exc:
+            rows.append((_fmt(g), "", str(parity.sign), "exceptional", "",
+                         type(exc).__name__))
     return rows
 
 
@@ -356,8 +355,7 @@ def _unmatched(levels: Sequence[float], claims: Sequence[float], tol: float) -> 
 def cmd_verify(args: argparse.Namespace, params: ModelParams) -> int:
     tol = gfunction.VERIFY_TOL * params.omega
     # Certified cutoff states; the dark ones (k = 0) are no roots of G.
-    cutoff = {p: (exceptional.levels(params, p, args.emin, args.emax)
-                  if params.scaled().gprime == 0.0 else [])
+    cutoff = {p: exceptional.levels(params, p, args.emin, args.emax)
               for p in _parities(args.parity)}
     levels = oracle.window(params, args.truncation, args.emax, tuple(cutoff))
     found = gfunction.find_roots(params, tuple(cutoff), args.emin, args.emax,

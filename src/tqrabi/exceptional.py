@@ -68,7 +68,6 @@ class ExceptionalState:
     energy: float
     parity: Parity
     coeffs: tuple[tuple[int, str, float], ...]
-    norm_constant: float
 
     @property
     def max_photon(self) -> int:
@@ -86,11 +85,11 @@ class ExceptionalState:
 
 
 def exceptional_energy(params: ModelParams, parity: Parity, n_index: int) -> float:
-    """Baseline energy carrying the cutoff state (caller's units)."""
-    sp = params.scaled()
-    s = parity.sign
-    return params.omega * (n_index - sp.jx
-                           + s * (-1.0) ** n_index * (sp.jy + sp.jz))
+    """Cutoff state N's energy: omega times its center-0 series._divisor (g1 = g2 > 0)."""
+    sp = _equal_couplings(params, "cutoff states")
+    origin = series._centers(sp)[-1]
+    shift = series._slaving(sp, parity.sign, origin, -math.inf)[0]
+    return params.omega * series._divisor(origin, shift, n_index)
 
 
 def _equal_couplings(params: ModelParams, what: str) -> ModelParams:
@@ -170,31 +169,29 @@ def _second_component(sp: ModelParams, s: int, n_cut: int,
 
 def _amps_from_coeffs(s: int, e1: Sequence[float], e2: np.ndarray,
                       n_cut: int) -> dict[tuple[int, str], float]:
-    """Map series coefficients to Fock x qubit amplitudes.
+    """Map series coefficients to Fock x qubit amplitudes, up to one factor.
 
     Photon numbers with (-1)^m equal to the parity sign carry the (ee, gg)
-    combinations; the others carry (ge, eg).
-    """
+    combinations; the others carry (ge, eg). Photon m weighs sqrt(m!/2), or
+    sqrt(m!/N!), relative to the largest, where N! leaves the double range."""
     amps: dict[tuple[int, str], float] = {}
+    scale = 2.0 if n_cut <= 170 else math.factorial(n_cut)
     for m in range(n_cut + 1):
-        w = math.sqrt(math.factorial(m) / 2.0)
+        w = math.sqrt(math.factorial(m) / scale)
         up, down = ("ee", "gg") if (-1) ** m == s else ("ge", "eg")
         amps[(m, up)] = w * (e1[m] + e2[m])
         amps[(m, down)] = w * (e1[m] - e2[m])
     return amps
 
 
-def _trim(amps: Mapping[tuple[int, str], float]) -> dict[tuple[int, str], float]:
+def _unit(amps: Mapping[tuple[int, str], float]) -> dict[tuple[int, str], float]:
+    """amps above 1e-13 of the largest, scaled to unit norm."""
     top = max(abs(a) for a in amps.values())
     if top == 0:
         raise SolverError("zero amplitude table")
-    return {k: a for k, a in amps.items() if abs(a) > _DROP_REL * top}
-
-
-def _normalized(amps: Mapping[tuple[int, str], float],
-                ) -> tuple[dict[tuple[int, str], float], float]:
-    norm = math.sqrt(sum(a * a for a in amps.values()))
-    return {k: a / norm for k, a in amps.items()}, norm
+    kept = {k: a for k, a in amps.items() if abs(a) > _DROP_REL * top}
+    norm = math.sqrt(sum(a * a for a in kept.values()))
+    return {k: a / norm for k, a in kept.items()}
 
 
 def _closed_form_amps(sp: ModelParams, parity: Parity, n_cut: int,
@@ -243,7 +240,7 @@ def build_state(params: ModelParams, parity: Parity, n_index: int) -> Exceptiona
 
     Raises ConditionNotMet unless |f(-1, N)| < 1e-10. When a closed form is
     known the construction is cross-checked against it componentwise (1e-12,
-    up to global sign) and the reported norm constant is the closed form's.
+    up to global sign), and the amplitudes take the closed form's sign.
     """
     sp = _equal_couplings(params, "cutoff states")
     s = parity.sign
@@ -253,12 +250,10 @@ def build_state(params: ModelParams, parity: Parity, n_index: int) -> Exceptiona
             f"cutoff condition {e1_off[0]:.3e} not below {CONDITION_TOL:g} "
             f"(N={n_index}, parity {parity})")
     e2 = _second_component(sp, s, n_index, e1_off)
-    raw = _trim(_amps_from_coeffs(s, e1_off[1:], e2, n_index))
-    amps, norm = _normalized(raw)
+    amps = _unit(_amps_from_coeffs(s, e1_off[1:], e2, n_index))
 
-    cf_raw = _closed_form_amps(sp, parity, n_index)
-    if cf_raw is not None:
-        cf_amps, cf_norm = _normalized(_trim(cf_raw))
+    if (cf_raw := _closed_form_amps(sp, parity, n_index)) is not None:
+        cf_amps = _unit(cf_raw)
         keys = set(amps) | set(cf_amps)
         anchor = max(keys, key=lambda k: abs(cf_amps.get(k, 0.0)))
         flip = -1.0 if amps.get(anchor, 0.0) * cf_amps[anchor] < 0 else 1.0
@@ -267,10 +262,8 @@ def build_state(params: ModelParams, parity: Parity, n_index: int) -> Exceptiona
             raise SolverError(
                 f"recurrence state deviates from its closed form by {worst:.3e}")
         amps = {k: flip * v for k, v in amps.items()}
-        norm = cf_norm
     coeffs = tuple(sorted((n, pair, a) for (n, pair), a in amps.items()))
-    return ExceptionalState(exceptional_energy(params, parity, n_index),
-                            parity, coeffs, norm)
+    return ExceptionalState(exceptional_energy(params, parity, n_index), parity, coeffs)
 
 
 def levels(params: ModelParams, parity: Parity, e_min: float,
@@ -278,23 +271,26 @@ def levels(params: ModelParams, parity: Parity, e_min: float,
     """Cutoff states of one parity with energies in [e_min, e_max].
 
     Returns (N, E, f(-1, N), k) for every index N whose condition vanishes
-    (within 1e-10). N and k come from the center-0 divisors
-    (series._slaving): k counts the columns that carry the pole at E. A
-    state with k = 1 is a root of G, where G jumps; a dark state (k = 0)
-    sits where G has no pole and is no root. A vanishing denominator of the
-    condition (DegenerateDenominator) means no state at that index, as in
-    scan_flat_lines, and so does one whose recurrence leaves the double range
-    (condition). Only defined for g1 = g2 > 0; e_min may be -inf, and e_max
-    must be finite and within the photon cap (ModelParams.require_reach).
+    (within 1e-10), from the center-0 divisors (series._slaving): E is omega
+    times the baseline that series.baselines lists, and k counts the columns
+    that carry the pole at E. A state with k = 1 is a root of G, where G
+    jumps; a dark state (k = 0) sits where G has no pole and is no root. A
+    vanishing denominator of the condition (DegenerateDenominator) means no
+    state at that index, as in scan_flat_lines, and so does one whose
+    recurrence leaves the double range (condition). Empty unless g1 = g2 in
+    omega = 1 units; g1 = g2 = 0 raises. e_min may be -inf, and e_max must
+    be finite and within the photon cap (ModelParams.require_reach).
     """
     if math.isnan(e_min) or not math.isfinite(e_max):
         raise ValueError("e_max must be finite and e_min not NaN")
     params.require_reach(e_max)
+    if params.scaled().gprime != 0.0:
+        return []
     sp = _equal_couplings(params, "cutoff states")
     origin = series._centers(sp)[-1]
     out = []
-    for n, _, k in series._slaving(sp, parity.sign, origin, e_max / params.omega)[2]:
-        energy = exceptional_energy(params, parity, n)
+    for n, b, k in series._slaving(sp, parity.sign, origin, e_max / params.omega)[2]:
+        energy = b * params.omega
         if not e_min <= energy <= e_max:
             continue
         try:

@@ -408,7 +408,7 @@ def _pole_factor(sp: ModelParams, sign: int, energies: np.ndarray) -> np.ndarray
 def _prepare(params: ModelParams) -> ModelParams:
     """The model in omega = 1 units, canonical, its couplings and points checked."""
     params.require_analytic()
-    sp, _ = params.scaled().canonical()
+    sp = params.scaled().canonical()
     _chain(sp)
     return sp
 
@@ -609,9 +609,8 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
     oracle.diagonalize are. So a sign change with one end on a level's pair
     is not refined unless it holds a level (E_k -/+ r_k meets it): it is
     rounding beside a settled root. When every root settles, the scan is the
-    search's only G call. Labels count the roots within each parity. A
-    bracket probe where G is not finite raises NoConvergence, and a point
-    rounded outside its disk OutsideDisk.
+    search's only G call. A bracket probe where G is not finite raises
+    NoConvergence, and a point rounded outside its disk OutsideDisk.
     """
     parities = _distinct(parities)
     lo_w, hi_w, h = _window(params, e_min, e_max, step)
@@ -654,19 +653,18 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
         brackets.append((np.full(i.size, sign), x[i], x[j], gs[i], gs[j]))
     found = _refine_brackets(sp, tuple(map(np.concatenate, zip(*brackets))), ROOT_TOL)
 
-    roots = [(p, k, x) for p in parities
-             for k, x in enumerate(np.sort(found[1][found[0] == p.sign]).tolist())]
+    roots = [(p, x) for p in parities for x in np.sort(found[1][found[0] == p.sign]).tolist()]
     if levels is not None:  # a parity without levels verifies none of its roots
         ed = {p: np.array(levels.filtered(p).energies()) for p in parities}
     elif roots:
-        mag = np.abs(_gvalues(sp, np.array([p.sign for p, _, _ in roots]),
-                              np.array([x for _, _, x in roots]))[0])
+        mag = np.abs(_gvalues(sp, np.array([p.sign for p, _ in roots]),
+                              np.array([x for _, x in roots]))[0])
     records = []
-    for n, (parity, k, x) in enumerate(roots):
+    for n, (parity, x) in enumerate(roots):
         if levels is not None:
             residual = float(np.min(np.abs(ed[parity] - x * w), initial=np.inf))
             verified = residual < VERIFY_TOL * w
         else:
             residual, verified = float(mag[n]), None
-        records.append(SpectrumRecord(x * w, parity, "gfunction", residual, k, verified))
+        records.append(SpectrumRecord(x * w, parity, "gfunction", residual, verified))
     return SpectrumResult.from_records(records)

@@ -164,16 +164,16 @@ class ModelParams:
         state.pop("_scaled", None)
         return state
 
-    def canonical(self) -> tuple["ModelParams", bool]:
-        """Relabel the qubits so that gprime >= 0; returns (params, swapped).
+    def canonical(self) -> "ModelParams":
+        """The model with its qubits relabelled so that gprime >= 0.
 
         Swapping (g1, delta1) <-> (g2, delta2) is a unitary on the full model and
         leaves the exchange terms and the parity sectors unchanged.
         """
         if self.gprime >= 0:
-            return self, False
+            return self
         return replace(self, g1=self.g2, g2=self.g1,
-                       delta1=self.delta2, delta2=self.delta1), True
+                       delta1=self.delta2, delta2=self.delta1)
 
     def with_g(self, g_total: float) -> "ModelParams":
         """Rescale both couplings to a new total, preserving the g1:g2 ratio."""
@@ -205,6 +205,7 @@ class Baseline:
 
     kind 'first' is E = n - g^2 + Jx, kind 'second' is E = n - gprime^2 - Jx,
     kind 'exchange' (identical couplings only) is E = n - Jx +/- (Jy + Jz).
+    Energies are series._divisor's, and so are exceptional.levels' cutoff energies.
     """
 
     kind: str
@@ -228,7 +229,6 @@ class SpectrumRecord:
     parity: Parity
     method: str
     residual: float
-    label: Optional[int] = None
     verified: Optional[bool] = None
 
 

@@ -321,9 +321,8 @@ def certified_spectrum(params: ModelParams, truncation: int, signs: Sequence[int
 def _records(evals: np.ndarray, signs: np.ndarray,
              bounds: np.ndarray) -> SpectrumResult:
     return SpectrumResult.from_records(
-        SpectrumRecord(float(e), Parity.PLUS if s > 0 else Parity.MINUS, "oracle",
-                       float(b), label=i)
-        for i, (e, s, b) in enumerate(zip(evals, signs, bounds)))
+        SpectrumRecord(float(e), Parity.PLUS if s > 0 else Parity.MINUS, "oracle", float(b))
+        for e, s, b in zip(evals, signs, bounds))
 
 
 def diagonalize(params: ModelParams, truncation: Optional[int], k_levels: int,

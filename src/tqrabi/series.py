@@ -9,9 +9,8 @@ alpha = 0 the reflection z -> -z ties components 3, 4 to 1, 2. Those divisors
 are exactly the baseline energies where the matching determinant has poles.
 Each center is one _Center record (position, radius, free slots, slaved
 component, baseline kind), and _centers lists them in chain order. The
-recurrence, gfunction's matching chain and pole factor, baselines() and the
-cutoff-state indices of exceptional.levels all read those records, and every
-divisor comes from _slaving.
+recurrence, gfunction's chain and pole factor, baselines() and exceptional.levels
+read those records, and every divisor energy comes from _divisor.
 
 Coefficients are kept in radius units: coeffs[n] = c_n * R^n, so the series
 reads sum_n coeffs[n] * t^n with t = (z - alpha)/R, |t| < 1. This keeps them
@@ -89,10 +88,10 @@ def _slaving(sp: ModelParams, sign: int, c: _Center, e_max: float):
     """(shift, weights, divisors) of a center; weights is None if nothing is slaved.
 
     Order n of component c.slave is weights[n % 2] @ cur / (E - c^2 +
-    shift[n % 2] - n). divisors lists (n, baseline, k) by n to past e_max + 1;
-    k, the columns that carry the pole, is the slots with a nonzero weight at
-    n = 0 and all of them above once a weight is nonzero (0: no pole). It is
-    structural: a cutoff state, whose numerator vanishes there, keeps it.
+    shift[n % 2] - n). divisors lists (n, _divisor, k) by n to past e_max + 1
+    (none for e_max = -inf); k, the columns that carry the pole, is the slots
+    with a nonzero weight at n = 0 and all above once a weight is nonzero (0:
+    no pole). It is structural: a cutoff state, whose numerator is 0, keeps it.
     """
     g, gp, s = sp.g, sp.gprime, float(sign)
     d1, d2, jx, jy, jz = sp.delta1, sp.delta2, sp.jx, sp.jy, sp.jz
@@ -109,11 +108,16 @@ def _slaving(sp: ModelParams, sign: int, c: _Center, e_max: float):
     weights = np.array(weights, dtype=float)
     c2, slots = c.position ** 2, list(c.slots)
     divisors = []
-    for n in range(max(0, math.floor(e_max + 1.0 - c2 + max(shift)) + 1)):
+    for n in range(math.floor(max(-1.0, e_max + 1.0 - c2 + max(shift))) + 1):
         k = (len(slots) * bool(weights[n % 2].any()) if n
              else int(np.count_nonzero(weights[0, slots])))
-        divisors.append((n, n + c2 - shift[n % 2], k))
+        divisors.append((n, _divisor(c, shift, n), k))
     return shift, weights, divisors
+
+
+def _divisor(c: _Center, shift, n: int) -> float:
+    """Where order n's divisor at c vanishes (omega = 1): every baseline's energy."""
+    return n + c.position ** 2 - shift[n % 2]
 
 
 def baselines(params: ModelParams, e_min: float, e_max: float) -> list[Baseline]:
@@ -134,13 +138,17 @@ def baselines(params: ModelParams, e_min: float, e_max: float) -> list[Baseline]
     w = params.omega
     lo, hi = e_min / w, e_max / w
     out: list[Baseline] = []
-    for c in _centers(sp):
-        found = sorted((n, e) for s in (1, -1) for n, e, _ in _slaving(sp, s, c, hi)[2]
-                       if lo - 1e-12 <= e <= hi + 1e-12)
-        for n, e in found:
-            if not any(b.kind == c.kind and abs(b.energy - e * w) < BASELINE_DEDUP_TOL * w
-                       for b in out):
-                out.append(Baseline(c.kind, n, e * w))
+    for c in _centers(sp):  # one center per kind
+        # By energy, a divisor within 1e-12 omega of the one below joins its run,
+        # which keeps its lowest index; at most two families tie, n - jx -/+ (jy + jz).
+        runs: list[list[tuple[int, float]]] = []
+        for e, n in sorted((e * w, n) for s in (1, -1) for n, e, _ in _slaving(sp, s, c, hi)[2]
+                           if lo - 1e-12 <= e <= hi + 1e-12):
+            if runs and e - runs[-1][-1][1] < BASELINE_DEDUP_TOL * w:
+                runs[-1].append((n, e))
+            else:
+                runs.append([(n, e)])
+        out += (Baseline(c.kind, *min(run)) for run in runs)
     out.sort(key=lambda b: (b.energy, b.kind, b.index))
     return out
 

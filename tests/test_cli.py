@@ -220,7 +220,7 @@ def test_root_row_precedes_its_oracle_row(tmp_path, asym_cfg, monkeypatch):
         def shifted(params, parities, e_min, e_max, step, levels, side=side):
             return SpectrumResult.from_records(
                 SpectrumRecord(float(np.nextafter(r.energy, side)), r.parity,
-                               "gfunction", 0.0, None, True)
+                               "gfunction", 0.0, True)
                 for r in levels if e_min <= r.energy <= e_max)
         monkeypatch.setattr(gfunction, "find_roots", shifted)
         out = tmp_path / "spec.csv"

@@ -161,7 +161,6 @@ def test_roots_match_diagonalization_full8(asym):
         assert len(res) == len(ed)
         assert np.max(np.abs(np.array(res.energies()) - ed)) < 1e-6
         assert all(r.verified for r in res)
-        assert [r.label for r in res] == list(range(len(res)))
 
 
 def test_parity_missing_from_levels_is_unverified(asym):
@@ -951,13 +950,12 @@ def test_two_parity_search_matches_single_parity(request, model):
 
 
 def test_repeated_parity_is_searched_once(asym):
-    # A parity given twice gives each root once, labelled as in a search of
-    # the parity alone, with and without levels; trace gives one trace.
+    # A parity given twice gives each root once, as in a search of the
+    # parity alone, with and without levels; trace gives one trace.
     plus = (Parity.PLUS,)
     for levels in (None, oracle.window(asym, 300, 1.0, plus)):
         twice = find_roots(asym, plus * 2, -1.0, 1.0, levels=levels)
         assert twice == find_roots(asym, plus, -1.0, 1.0, levels=levels)
-        assert [r.label for r in twice] == list(range(4))
     traces = trace(asym, plus * 2, -1.0, 1.0)
     assert len(traces) == 1
     assert traces[0].values.tobytes() == trace(asym, plus, -1.0, 1.0)[0].values.tobytes()
@@ -1126,7 +1124,6 @@ def test_level_crossing_a_cutoff_state_is_a_root_of_its_own(flat, g_c, offset):
     assert len(res) == len(ed) == 6
     assert all(r.verified for r in res)
     assert np.max(np.abs(np.array(res.energies()) - ed)) < 1e-6
-    assert [r.label for r in res] == list(range(6))
     near = sorted(abs(e - 1.0) for e in res.energies())[:2]
     assert near[0] < 1e-11 and near[1] < max(2.5 * abs(offset), gfunction.ROOT_TOL)
 
@@ -1199,7 +1196,7 @@ def test_levels_settle_every_root_in_the_scan_call(model, monkeypatch):
     assert 1 < len(calls) <= 7
     plain = find_roots(p, both, -w, 2.5 * w)
     for ref in (plain, refined):
-        assert [(r.parity, r.label) for r in found] == [(r.parity, r.label) for r in ref]
+        assert [r.parity for r in found] == [r.parity for r in ref]
         assert np.max(np.abs(np.array(found.energies()) - ref.energies())) <= tol
     assert [r.verified for r in found] == [r.verified for r in refined]
     assert len(found) >= 12 and all(r.verified for r in found)
@@ -1271,7 +1268,7 @@ def test_sign_noise_near_a_level_gives_it_one_root(asym, monkeypatch, g, root):
     # out of the grid: the scan cell is refined whole, to that root.
     e0 = 0.5234
     monkeypatch.setattr(gfunction, "_gvalues", fake_gvalues(lambda e: g(e - e0)))
-    level = SpectrumResult((SpectrumRecord(e0, Parity.PLUS, "oracle", 0.0, 0),))
+    level = SpectrumResult((SpectrumRecord(e0, Parity.PLUS, "oracle", 0.0),))
     res = find_roots(asym, (Parity.PLUS,), 0.0, 1.0, step=0.1, levels=level)
     assert len(res) == 1 and res.records[0].verified
     assert abs(res.energies()[0] - e0 - root) <= gfunction.ROOT_TOL

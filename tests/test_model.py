@@ -16,6 +16,7 @@ from tqrabi import (
     baselines,
     exceptional,
     load_params,
+    series,
 )
 
 
@@ -40,13 +41,11 @@ def test_require_analytic():
 
 def test_canonical_swaps_qubit_labels():
     p = ModelParams(1.0, 0.6, 0.2, 0.06, 0.24, jy=0.1, jz=0.2)
-    q, swapped = p.canonical()
-    assert swapped
+    q = p.canonical()
     assert q.gprime > 0
     assert (q.g1, q.g2, q.delta1, q.delta2) == (0.24, 0.06, 0.2, 0.6)
     assert (q.jy, q.jz) == (p.jy, p.jz)
-    assert p.canonical()[1] or not swapped  # idempotent on already-canonical
-    assert q.canonical() == (q, False)
+    assert q.canonical() is q  # idempotent on already-canonical
 
 
 def test_with_g_preserves_ratio():
@@ -152,6 +151,41 @@ def test_baselines_exchange_kind():
     exch = sorted(b.energy for b in out if b.kind == "exchange")
     # E = n - jx +/- (jy + jz): {n - 1.5, n + 0.5}
     assert exch == pytest.approx([-0.5, 0.5, 1.5])
+
+
+def _quadratic_baselines(p, e_min, e_max):
+    """The pairwise rule: each divisor, taken by index, is dropped when it
+    lies within 1e-12 omega of one already kept in its kind."""
+    sp, w = p.scaled(), p.omega
+    out = []
+    for c in series._centers(sp):
+        kept = []
+        for n, e in sorted((n, e) for s in (1, -1)
+                           for n, e, _ in series._slaving(sp, s, c, e_max / w)[2]
+                           if e_min / w - 1e-12 <= e <= e_max / w + 1e-12):
+            if not any(abs(b.energy - e * w) < 1e-12 * w for b in kept):
+                kept.append(Baseline(c.kind, n, e * w))
+        out += kept
+    return sorted(out, key=lambda b: (b.energy, b.kind, b.index))
+
+
+@pytest.mark.parametrize("p, cap", [
+    (ModelParams(1.0, 0.6, 0.4, 0.5, 0.5), True),                       # g' = 0
+    (ModelParams(1.0, 0.6, 0.2, 0.24, 0.06), True),                     # g' > 0
+    (ModelParams(1.0, 0.55, 0.45, 0.375, 0.375, 0.5, 0.5, 0.5), False),  # exact ties
+    (ModelParams(1.0, 0.6, 0.4, 0.5, 0.5, 0.3, 0.1, 0.4), True),        # ties to ulps
+    (ModelParams(0.7, 0.42, 0.28, 0.35, 0.35, 0.21, 0.07, 0.28), False),
+    (ModelParams(0.5, 0.3, 0.1, 0.12, 0.03, 0.1, 0.2, -0.2), True),     # jy + jz = 0
+    (ModelParams(2.0, 1.2, 0.4, 0.48, 0.12, 0.2, 0.3, 0.5), False),
+    (ModelParams(0.82, 0.78, 0.78, 1.36, 1.36, 0.28, -0.09, -0.01), False),
+])
+def test_baselines_merge_keeps_the_pairwise_rule(p, cap):
+    # One sorted merge per kind lists what the pairwise rule lists, up to
+    # the photon cap: the same kinds, indices and energies, bit for bit.
+    w = p.omega
+    for lo, hi in [(-w, 6 * w), (-math.inf, 40 * w)] + [(-w, 1200 * w)] * cap:
+        got = baselines(p, lo, hi)
+        assert got == _quadratic_baselines(p, lo, hi), (lo, hi)
 
 
 def test_baselines_swap_invariance():

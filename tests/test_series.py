@@ -189,7 +189,7 @@ def test_unit_column_tables_match_determinant_columns(asym, ratio2, flat):
     energy = 0.45
     walked = set()
     for params in (asym, ratio2, flat, switch):
-        sp, _ = params.scaled().canonical()
+        sp = params.scaled().canonical()
         conds = gfunction._chain(sp)
         for parity in Parity:
             for i, c in enumerate(dict.fromkeys(c for _, *cs in conds for c in cs)):

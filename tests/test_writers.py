@@ -70,8 +70,7 @@ def test_catalog_csv_and_sidecar_bytes(tmp_path):
         FlatLineHit("other", ModelParams(1.0, 0.3, 0.7, 0.5, 0.5, 0.1, 0.2, -0.3),
                     ExceptionalCandidate(2, Parity.MINUS, 1 / 3, 1e-12, False)),
     ]
-    states = [ExceptionalState(1.0, Parity.PLUS, ((0, "ee", 0.6), (1, "gg", -0.8)),
-                               1.0), None]
+    states = [ExceptionalState(1.0, Parity.PLUS, ((0, "ee", 0.6), (1, "gg", -0.8))), None]
     out = tmp_path / "catalog.csv"
     side = tmp_path / "catalog.csv.states.csv"
     _write_catalog_csv(hits, states, str(out), ["tqrabi exceptional"])

@@ -132,11 +132,9 @@ def _counted(work: dict[str, list[int]], key: str, search):
 def _misses(p: ModelParams, found: SpectrumResult, levels: SpectrumResult,
             parity: Parity, window: tuple[float, float]) -> list[float]:
     """Levels of the parity in the window without a root within MATCH_TOL,
-    dark cutoff states left out: they are no roots. Cutoff states exist where
-    g' is zero in omega = 1 units, the rule of `verify` and `sweep`."""
+    dark cutoff states left out: they are no roots."""
     roots = np.array(found.filtered(parity).energies())
-    dark = ([e for _, e, _, k in exceptional.levels(p, parity, *window) if k == 0]
-            if p.scaled().gprime == 0.0 else [])
+    dark = [e for _, e, _, k in exceptional.levels(p, parity, *window) if k == 0]
     return [e for e in levels.filtered(parity).energies()
             if window[0] <= e <= window[1]
             and not (roots.size and np.min(np.abs(roots - e)) < MATCH_TOL)
