@@ -127,9 +127,8 @@ def _write_catalog_csv(hits: Sequence[exceptional.FlatLineHit],
 
 
 def _parities(choice: str) -> tuple[Parity, ...]:
-    if choice == "both":
-        return (Parity.PLUS, Parity.MINUS)
-    return (Parity.from_string(choice),)
+    """The parities of a --parity choice: plus, minus or both."""
+    return tuple(Parity) if choice == "both" else (Parity[choice.upper()],)
 
 
 def _params_comment(params: ModelParams) -> str:
@@ -410,7 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
         """--emin and --emax, required where None is given, --step and --parity."""
         for name, default in (("--emin", emin), ("--emax", emax)):
             p.add_argument(name, type=float, default=default, required=default is None)
-        p.add_argument("--step", type=float, default=gfunction.DEFAULT_GRID_STEP)
+        p.add_argument("--step", type=float, default=gfunction.DEFAULT_GRID_STEP,
+                       help="grid step in the config's energy unit (default "
+                            "%(default)s, not scaled by omega)")
         p.add_argument("--parity", choices=("plus", "minus", "both"), default="both")
 
     p = sub.add_parser("spectrum", help="eigenvalues inside an energy window")

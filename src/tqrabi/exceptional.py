@@ -279,7 +279,8 @@ def levels(params: ModelParams, parity: Parity, e_min: float,
     state at that index, as in scan_flat_lines, and so does one whose
     recurrence leaves the double range (condition). Empty unless g1 = g2 in
     omega = 1 units; g1 = g2 = 0 raises. e_min may be -inf, and e_max must
-    be finite and within the photon cap (ModelParams.require_reach).
+    be finite and within the photon cap (ModelParams.require_reach), and so
+    must center 0's lowest baseline (series._require_floor).
     """
     if math.isnan(e_min) or not math.isfinite(e_max):
         raise ValueError("e_max must be finite and e_min not NaN")
@@ -288,6 +289,7 @@ def levels(params: ModelParams, parity: Parity, e_min: float,
         return []
     sp = _equal_couplings(params, "cutoff states")
     origin = series._centers(sp)[-1]
+    series._require_floor(sp, (origin,))
     out = []
     for n, b, k in series._slaving(sp, parity.sign, origin, e_max / params.omega)[2]:
         energy = b * params.omega

@@ -15,14 +15,10 @@ pole factor read those records. The roots do not depend on the points. Each
 energy's series are summed only as far as its own tail test needs, up to the
 hard cap, so G(E) is a function of E alone. Each center runs once per block
 for both parities, and a -1 determinant is a fixed sign times that of one
-assembly (_gvalues_once). Work spreads over the CPUs the process may run on
-in one way (_shares): one share per CPU, the first run here and each other
-one in a worker process forked at the first such call and kept for later
-ones (_hire). A G call longer than one block, such as a trace or a fine-step
-scan, runs in contiguous shares of its energies (_block_shares), as do the
-CSV rows of such a trace (cli), and a sweep (cli), whatever its solver, in
-shares of its points; there is no setting for it, and the values are the
-bits of one process.
+assembly (_gvalues_once). Work spreads over the CPUs in one way (_shares):
+a G call longer than one block runs in contiguous shares of its energies
+(_block_shares), and cli shares a sweep's points and a long trace's CSV rows
+alike. There is no setting for it, and the values are the bits of one process.
 """
 
 from __future__ import annotations
@@ -116,16 +112,16 @@ def _block_eval(sp: ModelParams, sign: int, energies: np.ndarray, c: _Center,
 
 
 def _gvalues(sp: ModelParams, signs: int | np.ndarray, energies: np.ndarray,
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalized determinant on an energy grid, and masks for poles and convergence.
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized determinant on an energy grid, and its pole mask.
 
     signs is an array broadcast against energies, such as one sign, a column
-    of one sign per result row, or one sign per energy. Entries on a
-    recurrence pole or unconverged at the hard cap come back NaN. The
-    energies are taken in blocks of _BLOCK, each with its own series stop,
-    and every energy's value is the same whatever block, share, or signs
-    beside it, it falls in. A call of more than one block runs in contiguous
-    shares (_block_shares).
+    of one sign per result row, or one sign per energy. Values on a
+    recurrence pole, where the mask is False, or unconverged at the hard cap
+    are NaN. The energies are taken in blocks of _BLOCK, each with its own
+    series stop, and every energy's value is the same whatever block, share,
+    or signs beside it, it falls in. A call of more than one block runs in
+    contiguous shares (_block_shares).
     """
     shape = np.broadcast_shapes(np.shape(signs), energies.shape)
     s = np.atleast_2d(np.broadcast_to(signs, shape))
@@ -134,9 +130,9 @@ def _gvalues(sp: ModelParams, signs: int | np.ndarray, energies: np.ndarray,
 
 
 def _blocks(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            ) -> tuple[np.ndarray, np.ndarray]:
     """_gvalues_once on consecutive blocks of _BLOCK energies, joined."""
-    out = np.empty(signs.shape), *np.empty((2,) + signs.shape, dtype=bool)
+    out = np.empty(signs.shape), np.empty(signs.shape, dtype=bool)
     for i in range(0, energies.size, _BLOCK):
         part = slice(i, i + _BLOCK)
         for a, b in zip(out, _gvalues_once(sp, signs[:, part], energies[part])):
@@ -314,7 +310,7 @@ if hasattr(os, "register_at_fork"):
 
 
 def _gvalues_once(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """_gvalues on one block: every center once, one assembly, a det per sign.
 
     signs has one row per result and a column per energy. Every center but 0 is
@@ -358,8 +354,7 @@ def _gvalues_once(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
         for k, v in cunit.items():  # negated on the minus side of a condition
             side = np.positive if c == conds[k][1] else np.negative
             side(v, out=m[4 * k:4 * k + 4, cols[c]])
-    vals = np.empty(signs.shape)
-    pole_ok, good = np.empty((2,) + signs.shape, dtype=bool)
+    vals, pole_ok = np.empty(signs.shape), np.empty(signs.shape, dtype=bool)
     for sign, o, part in zip((1, -1), on, (slice(None, n), slice(n, None))):
         if not o.any():
             continue
@@ -374,9 +369,9 @@ def _gvalues_once(sp: ModelParams, signs: np.ndarray, energies: np.ndarray,
             det = np.linalg.det(mo.transpose(2, 0, 1))
         det = np.where(gd, det, np.nan) * _pole_factor(sp, sign, energies[o])
         hit = signs[:, o] == sign
-        for out, v in ((vals, det), (pole_ok, ok), (good, gd)):
+        for out, v in ((vals, det), (pole_ok, ok)):
             out[:, o] = np.where(hit, v, out[:, o])
-    return vals, pole_ok, good
+    return vals, pole_ok
 
 
 def _poles(sp: ModelParams, sign: int, e_max: float) -> list[tuple[float, int]]:
@@ -406,10 +401,11 @@ def _pole_factor(sp: ModelParams, sign: int, energies: np.ndarray) -> np.ndarray
 
 
 def _prepare(params: ModelParams) -> ModelParams:
-    """The model in omega = 1 units, canonical, its couplings and points checked."""
+    """The model in omega = 1 units, canonical; couplings, points, lowest baseline checked."""
     params.require_analytic()
     sp = params.scaled().canonical()
     _chain(sp)
+    series._require_floor(sp, _centers(sp))
     return sp
 
 
@@ -457,7 +453,7 @@ def trace(params: ModelParams, parities: Sequence[Parity], e_min: float,
     sp = _prepare(params)
     w = params.omega
     grid = np.arange(lo, hi + h / 2, h)
-    vals, _, _ = _gvalues(sp, np.array([[p.sign] for p in parities]), grid)
+    vals = _gvalues(sp, np.array([[p.sign] for p in parities]), grid)[0]
     poles = tuple(baselines(params, e_min, e_max))
     return [GTrace(p, grid * w, v, poles) for p, v in zip(parities, vals)]
 
@@ -515,7 +511,7 @@ def _refine_brackets(sp: ModelParams, brackets: tuple[np.ndarray, ...], tol: flo
         a, b, fa, fb = lo[ob], hi[ob], flo[ob], fhi[ob]
         rf = np.clip(_interpolate(a, b, fa, fb, x3[ob], f3[ob]), a + tol, b - tol)
         jb, eb = _ladder(rf, a, b, 0.5 * (a + b), tol)
-        gb, ok, _ = _gvalues(sp, sb[ob][jb], eb)
+        gb, ok = _gvalues(sp, sb[ob][jb], eb)
         if (bad := ok & ~np.isfinite(gb)).any():
             raise NoConvergence(
                 f"G is not finite at {bad.sum()} bracket probe(s), first at "
@@ -579,38 +575,32 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
     """Zeros of the matching determinant in [e_min, e_max] for the given parities.
 
     One search serves every parity; a parity given twice is searched once.
-    G, matched at the model's points (_chain), is scanned across the
-    window in one batch (_scan_grid): a uniform grid (step defaults to 0.01
-    in units of the photon frequency) and two points beside every baseline,
-    4*POLE_EPS from a one-column (center-0) pole and min(1e-3, g^2/10) from
-    any other. A grid point exactly on a baseline is dropped, and a window end
-    on one is taken 4*POLE_EPS inside. Each sign change is narrowed to width
-    2e-10 in shared passes, each at an interpolated point, a ladder of points
-    around it and its midpoint (_refine_brackets); a root is its bracket's
+    G, matched at the model's points (_chain), is scanned across the window
+    in one batch (_scan_grid): a uniform grid (step defaults to 0.01 in units
+    of the photon frequency) and two points beside every baseline; a grid
+    point exactly on a baseline is dropped. Each sign change is narrowed to
+    width 2e-10 in shared passes (_refine_brackets); a root is its bracket's
     midpoint. Roots are never merged: scan cells are disjoint and probes stay
     inside their bracket, so each closed bracket is one root, however close
-    to the next. A one-column pole's pair is where G jumps at a cutoff state:
-    a root at b, beside any regular one; dark states, on baselines without a
-    pole, are no roots. A root pair in one cell away from every baseline,
-    as near a same-parity crossing, shows no sign change and is not found
-    without levels. levels, oracle
-    records of these parities such as oracle.window(params, None, e_max,
-    parities), verifies every root (nearest same-parity level within 1e-6):
-    unmatched roots are kept but flagged unverified (residual inf where
-    levels lacks their parity); with levels None roots are unchecked, and a
-    root's residual is |G| there. levels also settles roots in the scan: each
-    level E_k off the poles, with tail bound r_k (its residual), is probed at
-    E_k -/+ max(ROOT_TOL/2, r_k) in the scan's own call (_level_probes), and
-    a pair that changes sign joins its parity's grid as a bracket around a
-    true eigenvalue. When 2 r_k <= ROOT_TOL its midpoint is within
-    ROOT_TOL/2 of the root (0 or 1 ulp from E_k); a looser pair wider than
-    2*ROOT_TOL is refined. Levels of a parity must be complete up to the
-    highest given, as the lowest ones from oracle.window or
-    oracle.diagonalize are. So a sign change with one end on a level's pair
-    is not refined unless it holds a level (E_k -/+ r_k meets it): it is
-    rounding beside a settled root. When every root settles, the scan is the
-    search's only G call. A bracket probe where G is not finite raises
-    NoConvergence, and a point rounded outside its disk OutsideDisk.
+    to the next. The points beside a one-column pole b bracket where G jumps
+    at a cutoff state: a root at b, beside any regular one; dark states, on
+    baselines without a pole, are no roots. A root pair in one cell away from
+    every baseline, as near a same-parity crossing, shows no sign change and
+    is not found without levels. levels, oracle records of these parities
+    such as oracle.window(params, None, e_max, parities), verifies every root
+    (nearest same-parity level within 1e-6): unmatched roots are kept but
+    flagged unverified (residual inf where levels lacks their parity); with
+    levels None roots are unchecked, and a root's residual is |G| there.
+    levels also settles roots in the scan: each level's probe pair
+    (_level_probes) rides in the scan's own call, and one that changes sign
+    joins its parity's grid as a bracket around a true eigenvalue. Levels of
+    a parity must be complete up to the highest given, as the lowest ones
+    from oracle.window or oracle.diagonalize are. So a sign change with one
+    end on a level's pair is not refined unless it holds a level (E_k -/+
+    r_k, r_k its residual, meets it): it is rounding beside a settled root.
+    When every root settles, the scan is the search's only G call. A bracket
+    probe where G is not finite raises NoConvergence, and a point rounded
+    outside its disk OutsideDisk.
     """
     parities = _distinct(parities)
     lo_w, hi_w, h = _window(params, e_min, e_max, step)
@@ -628,7 +618,7 @@ def find_roots(params: ModelParams, parities: Sequence[Parity], e_min: float,
     es = np.concatenate([xs, pa, pb])
     cols = np.concatenate([np.repeat(np.array(signs)[:, None], xs.size, 1),
                            np.tile(ps, (len(signs), 2))], axis=1)
-    g, ok, _ = _gvalues(sp, cols, es)
+    g, ok = _gvalues(sp, cols, es)
     ga, gb = g[0, xs.size:].reshape(2, -1)
     joins = np.append(np.ones(xs.size, dtype=bool), np.tile(np.sign(ga) * np.sign(gb) < 0, 2))
     on_pair = np.arange(es.size) >= xs.size

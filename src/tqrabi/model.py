@@ -86,17 +86,8 @@ class Parity(enum.Enum):
     def sign(self) -> int:
         return self.value
 
-    @classmethod
-    def from_string(cls, text: str) -> "Parity":
-        key = text.strip().lower()
-        if key in ("plus", "+", "+1", "1", "even"):
-            return cls.PLUS
-        if key in ("minus", "-", "-1", "odd"):
-            return cls.MINUS
-        raise ValueError(f"unknown parity {text!r}")
-
     def __str__(self) -> str:
-        return "plus" if self is Parity.PLUS else "minus"
+        return self.name.lower()
 
 
 def _distinct(parities: Sequence[Parity]) -> tuple[Parity, ...]:

@@ -42,11 +42,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Baseline, ModelParams
+from .model import DEFAULT_TRUNCATION_CAP, Baseline, ModelParams
 
 __all__ = ["baselines", "HARD_CAP"]
 
@@ -89,9 +89,11 @@ def _slaving(sp: ModelParams, sign: int, c: _Center, e_max: float):
 
     Order n of component c.slave is weights[n % 2] @ cur / (E - c^2 +
     shift[n % 2] - n). divisors lists (n, _divisor, k) by n to past e_max + 1
-    (none for e_max = -inf); k, the columns that carry the pole, is the slots
-    with a nonzero weight at n = 0 and all above once a weight is nonzero (0:
-    no pole). It is structural: a cutoff state, whose numerator is 0, keeps it.
+    (none for e_max = -inf), bounded for the models _require_floor accepts.
+    k, the columns that carry the pole, is set once for n = 0, the slots with
+    a nonzero weight, and once per parity class of n > 0, all slots if a
+    weight of the class is nonzero (0: no pole). It is structural: a cutoff
+    state, whose numerator is 0, keeps it.
     """
     g, gp, s = sp.g, sp.gprime, float(sign)
     d1, d2, jx, jy, jz = sp.delta1, sp.delta2, sp.jx, sp.jy, sp.jz
@@ -106,18 +108,28 @@ def _slaving(sp: ModelParams, sign: int, c: _Center, e_max: float):
     else:
         return (), None, []
     weights = np.array(weights, dtype=float)
-    c2, slots = c.position ** 2, list(c.slots)
-    divisors = []
-    for n in range(math.floor(max(-1.0, e_max + 1.0 - c2 + max(shift))) + 1):
-        k = (len(slots) * bool(weights[n % 2].any()) if n
-             else int(np.count_nonzero(weights[0, slots])))
-        divisors.append((n, _divisor(c, shift, n), k))
-    return shift, weights, divisors
+    top = math.floor(max(-1.0, e_max + 1.0 - c.position ** 2 + max(shift)))
+    k0 = int(np.count_nonzero(weights[0, list(c.slots)]))
+    ks = [len(c.slots) * bool(w.any()) for w in weights]  # n > 0, by n % 2
+    return shift, weights, [(n, _divisor(c, shift, n), ks[n % 2] if n else k0)
+                            for n in range(top + 1)]
 
 
 def _divisor(c: _Center, shift, n: int) -> float:
     """Where order n's divisor at c vanishes (omega = 1): every baseline's energy."""
     return n + c.position ** 2 - shift[n % 2]
+
+
+def _require_floor(sp: ModelParams, centers: Sequence[_Center]) -> None:
+    """Validate a model (omega = 1) for _slaving's walks at these centers: the
+    lowest baseline, order 0 of a center at either sign, at most
+    DEFAULT_TRUNCATION_CAP below zero, so a walk to an e_max within the cap
+    stops below twice it."""
+    low = min((_divisor(c, shift, 0) for c in centers for s in (1, -1)
+               if (shift := _slaving(sp, s, c, -math.inf)[0])), default=0.0)
+    if low < -DEFAULT_TRUNCATION_CAP:
+        raise ValueError(f"baseline E/omega = {low:.6g} is past the "
+                         f"{DEFAULT_TRUNCATION_CAP}-photon cap below zero")
 
 
 def baselines(params: ModelParams, e_min: float, e_max: float) -> list[Baseline]:
@@ -127,7 +139,8 @@ def baselines(params: ModelParams, e_min: float, e_max: float) -> list[Baseline]
     signs (_slaving), deduplicated (within 1e-12) inside each kind with the
     lowest index kept; coincidences across kinds are distinct families.
     e_min may be -inf; e_max must be finite and within the photon cap
-    (ModelParams.require_reach).
+    (ModelParams.require_reach), and the model's lowest baseline too
+    (_require_floor).
     """
     if math.isnan(e_min) or not math.isfinite(e_max):
         raise ValueError("e_max must be finite and e_min not NaN")
@@ -135,6 +148,7 @@ def baselines(params: ModelParams, e_min: float, e_max: float) -> list[Baseline]
         raise ValueError("baselines needs e_min < e_max")
     params.require_reach(e_max)
     sp = params.scaled()
+    _require_floor(sp, _centers(sp))
     w = params.omega
     lo, hi = e_min / w, e_max / w
     out: list[Baseline] = []

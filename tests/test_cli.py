@@ -128,12 +128,20 @@ def test_overflowing_parameter_exits_one(tmp_path, capsys, cfg, argv):
     (FLAT_CFG, ["exceptional", "--scan", "delta1=0:1:3", "--ncut", "{ncut}"], "--ncut"),
     (FLAT_CFG, ["sweep", "--gmin", "0.5", "--gmax", "1", "--points", "{points}"],
      "--points"),
+    (ASYM_CFG + "jx = -1e5\n", ["trace", "--emin", "-1", "--emax", "1", "--step", "0.5"],
+     "1200-photon cap below zero"),
+    (ASYM_CFG + "jx = -1e5\n", ["spectrum", "--solver", "gfunction", "--no-verify",
+                                "--emax", "1", "--step", "0.5"], "1200-photon cap below zero"),
+    (FLAT_CFG + "jx = 1e5\n", ["verify", "--emax", "1"], "1200-photon cap below zero"),
 ], ids=["spectrum-omega", "spectrum-oracle", "trace-grid", "spectrum-grid", "scan-line",
-        "scan-product", "ncut", "sweep-points"])
+        "scan-product", "ncut", "sweep-points", "trace-jx", "spectrum-jx", "verify-jx"])
 def test_input_past_its_limit_exits_two(tmp_path, capsys, cfg, argv, limit):
     # A window past the oracle's photon cap, a grid, a scan or a sweep past
-    # its point limit and an --ncut past the cap: one line naming the limit,
-    # before any work. The first two exited 1 (OverflowError, NotConverged).
+    # its point limit, an --ncut past the cap and a lowest baseline more than
+    # the cap below zero: one line naming the limit, before any work. The
+    # first two exited 1 (OverflowError, NotConverged). Of the last three,
+    # the two G commands walked about 1e5 divisors per center and exited 0
+    # with an overflow warning, and verify exited 1 (NotConverged).
     past = {"step": repr(2 / gfunction.MAX_GRID_POINTS),  # one point past
             "scan": tqrabi.cli.MAX_SCAN_POINTS + 1, "points": tqrabi.cli.MAX_SWEEP_POINTS + 1,
             "ncut": tqrabi.model.DEFAULT_TRUNCATION_CAP + 1}

@@ -133,8 +133,8 @@ def test_pole_free_across_baselines(request, model, sign, b, k):
           for _, e, kk in series._slaving(sp, sign, c, 2.5)[2] if kk}
     assert ks.get(round(b, 12), 0) == k
     d = np.array([-1e-5, -1e-7, -1e-9, 1e-9, 1e-7, 1e-5])
-    vals, pole_ok, good = gfunction._gvalues(sp, sign, b + d)
-    assert good.all() and np.isfinite(vals).all()
+    vals, pole_ok = gfunction._gvalues(sp, sign, b + d)
+    assert np.isfinite(vals).all()
     assert np.all(np.sign(vals) == np.sign(vals[0]))
     assert np.max(np.abs(vals)) < 1.01 * np.min(np.abs(vals))
 
@@ -240,7 +240,7 @@ def test_gvalue_depends_on_energy_alone(xyz_double, xyz_odd):
         cells = np.flatnonzero(np.isfinite(tr.values))[::37]
         assert cells.size > 5
         for i in cells:
-            alone, _, _ = gfunction._gvalues(sp, parity.sign, np.array([tr.energies[i]]))
+            alone, _ = gfunction._gvalues(sp, parity.sign, np.array([tr.energies[i]]))
             assert alone[0] == tr.values[i]
     # Small batches, as root refinement makes them, on exchange models:
     # reduced4 has a one-column center-0 block, full8 three columns, and
@@ -254,12 +254,12 @@ def test_gvalue_depends_on_energy_alone(xyz_double, xyz_odd):
             for size in (1, 2, 3, 5, 7):
                 for k in range(0, cells.size - size, 23):
                     e = tr.energies[cells[k:k + size]]
-                    got, _, _ = gfunction._gvalues(sp, parity.sign, e)
+                    got, _ = gfunction._gvalues(sp, parity.sign, e)
                     assert got.tobytes() == tr.values[cells[k:k + size]].tobytes()
     # One batch longer than two blocks, with an energy on a center-g baseline
     # of order 2 as the last of the first block (and its order 1 and 3
-    # neighbours 1000 cells away in the other two): its values, pole_ok and
-    # good masks equal those of small batches of the same energies, and so
+    # neighbours 1000 cells away in the other two): its values and pole_ok
+    # masks equal those of small batches of the same energies, and so
     # do those of one batch with a sign per energy, as root refinement mixes
     # the two parities.
     b = gfunction._BLOCK
@@ -292,7 +292,7 @@ def test_gvalue_depends_on_energy_alone(xyz_double, xyz_odd):
         assert tr.energies.size > 3 * gfunction._BLOCK
         cells = np.flatnonzero(np.isfinite(tr.values))[::101]
         for k in range(0, cells.size - 3, 3):
-            got, _, _ = gfunction._gvalues(sp, parity.sign, tr.energies[cells[k:k + 3]])
+            got, _ = gfunction._gvalues(sp, parity.sign, tr.energies[cells[k:k + 3]])
             assert got.tobytes() == tr.values[cells[k:k + 3]].tobytes()
 
 
@@ -322,14 +322,13 @@ def unshared_gvalues(sp, sign, energies):
         with np.errstate(invalid="ignore"):
             det = np.linalg.det(m / norm)
         factor = gfunction._pole_factor(sp, sign, es)
-        good = pole_ok & conv
-        parts.append((np.where(good, det * factor, np.nan), pole_ok, good))
+        parts.append((np.where(pole_ok & conv, det * factor, np.nan), pole_ok))
     return [np.concatenate(c) for c in zip(*parts)]
 
 
 def test_shared_centers_match_unshared_assembly(xyz_odd, flat):
     # _gvalues sums centers g and g' once, at sign +1, and takes sign -1 from
-    # them by the parity mirror; values, pole and convergence masks must keep
+    # them by the parity mirror; values and pole masks must keep
     # the bits of an assembly that sums every center at its own sign, for
     # two signs in one call, for -1 alone and for the one-sign form. The long
     # batch has a center-g baseline as the last energy of its first block.
@@ -455,8 +454,8 @@ def children_left():
 def test_split_keeps_the_bytes_of_one_process(request, monkeypatch, model):
     # Three blocks on two CPUs run as two shares, one here and one in a
     # worker, and their boundary falls inside the second block. Each share
-    # takes its own blocks, and every energy keeps the bits of value, pole
-    # mask and convergence mask that one process gives, on both chain shapes
+    # takes its own blocks, and every energy keeps the bits of value and pole
+    # mask that one process gives, on both chain shapes
     # (asym 8x8, flat 4x4), for one sign per row and for mixed rows, with
     # baselines (NaN, pole_ok false) on both sides of the boundary. One
     # worker serves both calls, pinned at each to one CPU.
@@ -703,11 +702,11 @@ def test_pole_guard_marks_one_energy(center, n):
         e0 = {"g": n - p.g ** 2 + p.jx, "gprime": n - p.gprime ** 2 - p.jx,
               "zero": n - p.jx + s * (-1) ** n * (p.jy + p.jz)}[center]
         es = e0 + np.array([-0.031, -0.012, 0.0, 0.017, 0.026])
-        vals, pole_ok, _ = gfunction._gvalues(sp, s, es)
+        vals, pole_ok = gfunction._gvalues(sp, s, es)
         assert pole_ok.tolist() == [True, True, False, True, True]
         assert np.isnan(vals[2])
         for k in (0, 1, 3, 4):
-            alone, _, _ = gfunction._gvalues(sp, s, es[k:k + 1])
+            alone, _ = gfunction._gvalues(sp, s, es[k:k + 1])
             assert np.isfinite(alone[0])
             assert alone.tobytes() == vals[k:k + 1].tobytes()
 
@@ -819,7 +818,7 @@ def fake_gvalues(g, ok=None):
         shape = np.broadcast_shapes(np.shape(signs), energies.shape)
         good = np.ones(energies.shape, dtype=bool) if ok is None else ok(energies)
         return tuple(np.broadcast_to(v, shape)
-                     for v in (np.where(good, g(energies), np.nan), good, good))
+                     for v in (np.where(good, g(energies), np.nan), good))
     return fake
 
 

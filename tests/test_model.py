@@ -14,6 +14,7 @@ from tqrabi import (
     Parity,
     RequiresValidCouplings,
     baselines,
+    cli,
     exceptional,
     load_params,
     series,
@@ -204,12 +205,16 @@ def test_baselines_rescale_with_omega():
     assert e2 == pytest.approx([2 * e for e in e1])
 
 
-def test_parity_parsing_and_sign():
-    assert Parity.from_string("plus") is Parity.PLUS
-    assert Parity.from_string("-1") is Parity.MINUS
+def test_parity_parsing_and_sign(capsys):
+    # The CLI maps the three --parity choices, which argparse restricts.
+    assert cli._parities("plus") == (Parity.PLUS,)
+    assert cli._parities("minus") == (Parity.MINUS,)
+    assert cli._parities("both") == (Parity.PLUS, Parity.MINUS)
     assert Parity.PLUS.sign == 1 and Parity.MINUS.sign == -1
-    with pytest.raises(ValueError):
-        Parity.from_string("sideways")
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["trace", "--config", "m.cfg", "--emin", "0",
+                                       "--emax", "1", "--parity", "sideways"])
+    assert "invalid choice: 'sideways'" in capsys.readouterr().err
 
 
 def test_load_params(tmp_path):

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from tqrabi import ModelParams, Parity
-from tqrabi import gfunction, oracle, series
+from tqrabi import exceptional, gfunction, oracle, series
+from tqrabi.model import DEFAULT_TRUNCATION_CAP
 
 
 def column(p, parity, energy, position, init, n_max, zs=()):
@@ -385,3 +387,58 @@ def test_sums_match_an_exact_reference(p):
                         terms = coeffs * t ** np.arange(coeffs.shape[0])[:, None]
                         exact = np.array([math.fsum(col) for col in terms.T.tolist()])
                         assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("p", [
+    ModelParams(1.0, 0.6, 0.2, 0.24, 0.06, jx=-1e5),      # center g: jx - g^2
+    ModelParams(1.0, 0.6, 0.2, 0.24, 0.06, jx=-1e300),
+    ModelParams(1.0, 0.6, 0.2, 0.24, 0.06, jx=1e5),       # center g': -g'^2 - jx
+    ModelParams(1.0, 0.6, 0.4, 0.5, 0.5, jx=-1e5),
+    ModelParams(1.0, 0.6, 0.4, 0.5, 0.5, jy=700.0, jz=600.0),  # center 0: -(jx + |jy + jz|)
+    ModelParams(1.0, 0.6, 0.2, 24.0, 12.0),               # -g^2 = -1296
+    ModelParams(10.0, 6.0, 2.0, 2.4, 0.6, jx=-12000.0),   # -1200.09 in omega units
+])
+def test_lowest_baseline_past_the_cap_is_rejected(p):
+    # A lowest baseline (order 0 of a center, either sign) more than the
+    # photon cap below zero would make every divisor walk up to a window
+    # that long: each entry point that walks them rejects the model first.
+    with pytest.raises(ValueError, match="1200-photon cap below zero"):
+        gfunction._prepare(p)
+    for call in (lambda: series.baselines(p, -1.0, 1.0),
+                 lambda: gfunction.trace(p, (Parity.PLUS,), -1.0, 1.0),
+                 lambda: gfunction.find_roots(p, (Parity.PLUS, Parity.MINUS), -1.0, 1.0)):
+        with pytest.raises(ValueError, match="1200-photon cap below zero"):
+            call()
+
+
+def test_cutoff_states_check_the_floor_of_center_zero(flat):
+    # exceptional.levels walks center 0 alone, whose lowest baseline is
+    # -(jx + |jy + jz|): past the cap below zero it is rejected, whatever
+    # the parity.
+    for p in (dataclasses.replace(flat, jx=1e5), dataclasses.replace(flat, jy=700.0, jz=600.0)):
+        for parity in Parity:
+            with pytest.raises(ValueError, match="1200-photon cap below zero"):
+                exceptional.levels(p, parity, -1.0, 1.0)
+    # Center g's baseline -g^2 = -1225 is past the cap, but no cutoff state
+    # walks it: the flat state E = 1 is listed at g = 35 as at any coupling.
+    assert [e for _, e, _, _ in exceptional.levels(flat.with_g(35.0), Parity.PLUS,
+                                                     -1.0, 3.0)] == [1.0]
+
+
+@pytest.mark.parametrize("p", [
+    ModelParams(1.0, 0.6, 0.4, 0.5, 0.5),
+    ModelParams(1.0, 0.6, 0.4, 0.5, 0.5, jx=-1199.0),     # jx - g^2 = -1200
+    ModelParams(1.0, 0.6, 0.2, 0.24, 0.06, jx=1199.9),    # -g'^2 - jx > -1200
+    ModelParams(2.0, 1.2, 0.8, 1.0, 1.0, jy=1199.0, jz=1199.0),  # -(jy + jz)/omega
+])
+def test_walks_to_the_cap_stay_bounded(p):
+    # Lowest baselines up to the cap below zero are accepted, and a walk to
+    # a window end at the cap then lists at most twice the cap and two.
+    sp = gfunction._prepare(p)
+    for c in series._centers(sp):
+        for s in (1, -1):
+            assert len(series._slaving(sp, s, c, DEFAULT_TRUNCATION_CAP)[2]) \
+                <= 2 * DEFAULT_TRUNCATION_CAP + 2
+    w = p.omega
+    assert series.baselines(p, -math.inf, DEFAULT_TRUNCATION_CAP * w)[0].energy \
+        >= -DEFAULT_TRUNCATION_CAP * w

@@ -19,8 +19,9 @@ the window at 300; that solve must certify every level at its start. The
 largest such start, its worst tail bound and the number of models that
 needed a second truncation are printed. G is also evaluated on each model's
 search grid as one two-sign call, +1 alone, -1 alone and one call with the
-sign alternating per energy; every value and mask must keep its bytes
-across the four, and the time this check takes is printed. The number of
+sign alternating per energy; every value (NaN where a series does not
+converge) and pole mask must keep its bytes across the four, and the time
+this check takes is printed. The number of
 levels whose root find_roots settled in its scan, a root inside a probe pair
 of its parity (gfunction._level_probes), is printed beside the number left
 to refinement. Every root of the search with levels is checked against the
@@ -43,7 +44,7 @@ within about g^2 of a baseline, one on either side, inside one scan cell:
 the set guards the points find_roots puts beside every baseline. Its misses
 and its roots more than 1e-6 from every level are printed, for each search.
 
-Exit status 1 on G values or masks that differ between those batches, on an
+Exit status 1 on G values or pole masks that differ between those batches, on an
 oracle window or a lowest-8 solve that differs from the one at 300, on a
 lowest-8 solve that needed a second truncation (known: 0), on an unverified
 root, a root with no root of the search without levels within SETTLED_TOL,
@@ -179,8 +180,8 @@ def _differs(a: np.ndarray, b: np.ndarray, omega: float) -> bool:
 
 def _g_batches_agree(p: ModelParams) -> bool:
     """G on the search grid of find_roots, as one two-sign call, +1 alone, -1
-    alone and one call alternating the sign per energy: values, pole masks
-    and convergence masks must agree byte for byte."""
+    alone and one call alternating the sign per energy: values and pole
+    masks must agree byte for byte."""
     sp = gfunction._prepare(p)
     xs = gfunction._scan_grid(sp, *gfunction._window(p, *WINDOW, None))
     both = gfunction._gvalues(sp, np.array([[1], [-1]]), xs)
