@@ -25,7 +25,6 @@ from .gfunction import (
     trace,
 )
 from .exceptional import (
-    ExceptionalCandidate,
     ExceptionalState,
     FlatLineHit,
     build_state,
@@ -44,7 +43,7 @@ __all__ = [
     "SolverError", "SpectrumRecord", "SpectrumResult", "SupportOverflow",
     "baselines", "load_params",
     "GTrace", "find_roots", "trace",
-    "ExceptionalCandidate", "ExceptionalState", "FlatLineHit", "build_state",
+    "ExceptionalState", "FlatLineHit", "build_state",
     "condition", "exceptional_energy", "scan_flat_lines",
     "diagonalize", "residual",
     "__version__",

@@ -114,11 +114,9 @@ def _write_catalog_csv(hits: Sequence[exceptional.FlatLineHit],
     _write_csv(path,
                "N,parity,energy,condition_value,g_independent,manifold_label,"
                "delta1,delta2,jx,jy,jz",
-               ((str(h.candidate.n_index), str(h.candidate.parity.sign),
-                 _fmt(h.candidate.energy), _fmt(h.candidate.condition_value),
-                 str(h.candidate.g_independent).lower(), h.manifold,
-                 _fmt(h.params.delta1), _fmt(h.params.delta2),
-                 _fmt(h.params.jx), _fmt(h.params.jy), _fmt(h.params.jz))
+               ((str(h.n_index), str(h.parity.sign), _fmt(h.energy),
+                 _fmt(h.condition_value), str(h.g_independent).lower(), h.manifold,
+                 *(_fmt(getattr(h.params, k)) for k in exceptional._SCAN_AXES))
                 for h in hits), comments)
     _write_csv(path + ".states.csv", "hit,n,s1s2,amplitude",
                ((str(i), str(n), pair, _fmt(amp))
@@ -320,9 +318,8 @@ def cmd_exceptional(args: argparse.Namespace, params: ModelParams) -> int:
     states: list[Optional[exceptional.ExceptionalState]] = []
     for h in hits:
         try:
-            states.append(exceptional.build_state(h.params.with_g(ga),
-                                                  h.candidate.parity,
-                                                  h.candidate.n_index))
+            states.append(exceptional.build_state(h.params.with_g(ga), h.parity,
+                                                  h.n_index))
         except SolverError:
             states.append(None)
     _write_catalog_csv(hits, states, args.out, [
@@ -409,9 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
         """--emin and --emax, required where None is given, --step and --parity."""
         for name, default in (("--emin", emin), ("--emax", emax)):
             p.add_argument(name, type=float, default=default, required=default is None)
-        p.add_argument("--step", type=float, default=gfunction.DEFAULT_GRID_STEP,
-                       help="grid step in the config's energy unit (default "
-                            "%(default)s, not scaled by omega)")
+        p.add_argument("--step", type=float,
+                       help="grid step in the config's energy unit (default 0.01 omega)")
         p.add_argument("--parity", choices=("plus", "minus", "both"), default="both")
 
     p = sub.add_parser("spectrum", help="eigenvalues inside an energy window")
@@ -469,6 +465,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "exceptional" and args.out == "-":
             raise ConfigError("exceptional needs --out FILE for the sidecar")
         if "emin" in args:  # one window and step check, whatever the solver
+            args.step = gfunction._step(params, args.step)
             gfunction._window(params, args.emin, args.emax, args.step)
         return args.func(args, params)
     except ConfigError as exc:

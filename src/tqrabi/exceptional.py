@@ -32,7 +32,6 @@ from .model import (
 )
 
 __all__ = [
-    "ExceptionalCandidate",
     "ExceptionalState",
     "FlatLineHit",
     "condition",
@@ -48,17 +47,6 @@ _DROP_REL = 1e-13
 MANIFOLD_TOL = 1e-8
 
 _SCAN_AXES = ("delta1", "delta2", "jx", "jy", "jz")
-
-
-@dataclass(frozen=True)
-class ExceptionalCandidate:
-    """A baseline index with its cutoff-condition value at the probed parameters."""
-
-    n_index: int
-    parity: Parity
-    energy: float
-    condition_value: float
-    g_independent: bool
 
 
 @dataclass(frozen=True)
@@ -102,16 +90,16 @@ def _equal_couplings(params: ModelParams, what: str) -> ModelParams:
     return sp
 
 
-def _downward(sp: ModelParams, s: int, n_cut: int) -> list[float]:
+def _downward(s: int, n_cut: int, g: float, d1: float, d2: float, jx: float,
+              jy: float, jz: float) -> list[float]:
     """First-component coefficients e1[n], n = -1..N, from the cutoff row down.
 
-    Stored with offset one (entry k holds e1_{k-1}); the second component at
-    the cutoff is normalized to one, so entry 0 is the cutoff condition. They
-    are Python floats, which turn inf or NaN silently past the double range.
+    Reads g and the _SCAN_AXES fields in omega = 1 units. Stored with offset
+    one (entry k holds e1_{k-1}); the second component at the cutoff is
+    normalized to one, so entry 0 is the cutoff condition. They are Python
+    floats, which turn inf or NaN silently past the double range. A
+    vanishing denominator is a pole of the condition: entry 0 is NaN there.
     """
-    g = sp.g
-    d1, d2, jx = sp.delta1, sp.delta2, sp.jx
-    jy, jz = sp.jy, sp.jz
     beta = jy + jz
     sig_n = (-1.0) ** n_cut
     e = [0.0] * (n_cut + 2)
@@ -126,8 +114,8 @@ def _downward(sp: ModelParams, s: int, n_cut: int) -> list[float]:
         sig = (-1.0) ** n
         den = n_cut - n - 1 + s * (sig_n + sig) * beta
         if abs(den) < _DEGENERATE_EPS:
-            raise DegenerateDenominator(
-                f"downward recurrence denominator vanished at n={n} (N={n_cut})")
+            e[0] = math.nan
+            return e
         bracket = (-((d2 + s * (-1.0) ** (n + 1) * d1) ** 2) / den
                    + s * (sig_n - sig) * jy + s * (sig_n + sig) * jz
                    + n_cut - n - 1 - 2 * jx)
@@ -135,17 +123,23 @@ def _downward(sp: ModelParams, s: int, n_cut: int) -> list[float]:
     return e
 
 
+def _numbers(sp: ModelParams) -> list[float]:
+    """The numbers _downward reads from a model in omega = 1 units."""
+    return [sp.g, *(getattr(sp, k) for k in _SCAN_AXES)]
+
+
 def condition(params: ModelParams, parity: Parity, n_index: int) -> float:
     """Cutoff condition f(-1, N); zero (within 1e-10) iff the state exists.
 
     Values are reported in omega = 1 units. Only defined for g1 = g2 > 0.
-    Where the recurrence leaves the double range (on flat lines past N ~ 170)
-    the value is inf or NaN: such an index cannot be certified and is no state.
+    On a pole of the condition the value is NaN, and where the recurrence
+    leaves the double range (on flat lines past N ~ 170) it is inf or NaN:
+    such an index cannot be certified and is no state.
     """
     if n_index < 0:
         raise ValueError("n_index must be >= 0")
     sp = _equal_couplings(params, "cutoff conditions")
-    return _downward(sp, parity.sign, n_index)[0]
+    return _downward(parity.sign, n_index, *_numbers(sp))[0]
 
 
 def _second_component(sp: ModelParams, s: int, n_cut: int,
@@ -238,13 +232,14 @@ def _closed_form_amps(sp: ModelParams, parity: Parity, n_cut: int,
 def build_state(params: ModelParams, parity: Parity, n_index: int) -> ExceptionalState:
     """Construct the cutoff state from the downward recurrence and normalize it.
 
-    Raises ConditionNotMet unless |f(-1, N)| < 1e-10. When a closed form is
+    Raises ConditionNotMet unless |f(-1, N)| < 1e-10, so also on a pole of
+    the condition, where it is NaN. When a closed form is
     known the construction is cross-checked against it componentwise (1e-12,
     up to global sign), and the amplitudes take the closed form's sign.
     """
     sp = _equal_couplings(params, "cutoff states")
     s = parity.sign
-    e1_off = _downward(sp, s, n_index)
+    e1_off = _downward(s, n_index, *_numbers(sp))
     if not abs(e1_off[0]) < CONDITION_TOL:  # also where it is NaN
         raise ConditionNotMet(
             f"cutoff condition {e1_off[0]:.3e} not below {CONDITION_TOL:g} "
@@ -275,9 +270,8 @@ def levels(params: ModelParams, parity: Parity, e_min: float,
     times the baseline that series.baselines lists, and k counts the columns
     that carry the pole at E. A state with k = 1 is a root of G, where G
     jumps; a dark state (k = 0) sits where G has no pole and is no root. A
-    vanishing denominator of the condition (DegenerateDenominator) means no
-    state at that index, as in scan_flat_lines, and so does one whose
-    recurrence leaves the double range (condition). Empty unless g1 = g2 in
+    pole of the condition, or a recurrence that leaves the double range,
+    reads NaN or inf (condition), so no state. Empty unless g1 = g2 in
     omega = 1 units; g1 = g2 = 0 raises. e_min may be -inf, and e_max must
     be finite and within the photon cap (ModelParams.require_reach), and so
     must center 0's lowest baseline (series._require_floor).
@@ -295,10 +289,7 @@ def levels(params: ModelParams, parity: Parity, e_min: float,
         energy = b * params.omega
         if not e_min <= energy <= e_max:
             continue
-        try:
-            cond = condition(params, parity, n)
-        except DegenerateDenominator:
-            continue
+        cond = condition(params, parity, n)
         if abs(cond) < CONDITION_TOL:
             out.append((n, energy, cond, k))
     return out
@@ -306,11 +297,17 @@ def levels(params: ModelParams, parity: Parity, e_min: float,
 
 @dataclass(frozen=True)
 class FlatLineHit:
-    """One zero of the cutoff condition found along a scan line."""
+    """One zero of the cutoff condition found along a scan line: the model
+    there, its cutoff index, parity and energy, the condition's value at
+    g_probe[0], and whether it vanishes at g_probe[1] too."""
 
     manifold: str
     params: ModelParams
-    candidate: ExceptionalCandidate
+    n_index: int
+    parity: Parity
+    energy: float
+    condition_value: float
+    g_independent: bool
 
 
 def _manifold_label(sp: ModelParams, parity: Parity, n_index: int) -> str:
@@ -373,12 +370,12 @@ def scan_flat_lines(template: ModelParams, axes: Mapping[str, Sequence[float]],
     axis is the bisection line, the others span an outer grid. For each outer
     point, parity and N the hits are the exact zeros of the condition at the
     line's grid points, then one zero per grid cell whose ends change sign,
-    found by bisection at coupling g_probe[0]. A vanishing denominator of the
-    condition is a pole, so a cell whose bisection meets one gives no hit.
-    Each zero is re-evaluated at g_probe[1], which must differ from
-    g_probe[0]; hits whose condition vanishes at both couplings are flagged
-    g_independent, the rest are the fine-tuned kind that exists at one
-    coupling only.
+    found by bisection at coupling g_probe[0]. A pole of the condition is
+    NaN, so a cell whose bisection meets one gives no hit. Each zero is
+    re-evaluated at g_probe[1], which must differ from g_probe[0]; hits whose
+    condition vanishes at both couplings are flagged g_independent, the rest
+    are the fine-tuned kind that exists at one coupling only. Models are
+    built per outer point and per hit, never per line value.
     """
     if template.scaled().gprime != 0.0:
         raise RequiresEqualCouplings("flat-line scan needs g1 == g2")
@@ -397,16 +394,19 @@ def scan_flat_lines(template: ModelParams, axes: Mapping[str, Sequence[float]],
     line = [float(x) for x in axes[line_axis]]
     if len(line) < 2:
         raise ValueError("scan line needs at least two points")
+    # A line value past the double range in omega = 1 units fails as a model.
+    replace(template, **{line_axis: max(line, key=abs)}).scaled()
+    w, at = template.omega, 1 + _SCAN_AXES.index(line_axis)
     hits: list[FlatLineHit] = []
     for combo in itertools.product(*(map(float, axes[k]) for k in outer_names)):
         base = replace(template, **dict(zip(outer_names, combo)))
+        # A line value x enters as x / omega, the bits that
+        # replace(base, x).with_g(g).scaled() holds: with_g sets g1, g2 alone.
+        probes = [_numbers(_equal_couplings(base.with_g(g), "cutoff conditions"))
+                  for g in g_probe]
         for parity, n in itertools.product(Parity, range(n_max + 1)):
-            def cond(x: float, g: float = g_probe[0]) -> float:
-                try:
-                    return condition(replace(base, **{line_axis: x}).with_g(g),
-                                     parity, n)
-                except DegenerateDenominator:
-                    return math.nan
+            def cond(x: float, nums: list[float] = probes[0]) -> float:
+                return _downward(parity.sign, n, *nums[:at], x / w, *nums[at + 1:])[0]
 
             vals = [cond(x) for x in line]
             roots = [x for x, v in zip(line, vals) if v == 0.0]
@@ -420,9 +420,8 @@ def scan_flat_lines(template: ModelParams, axes: Mapping[str, Sequence[float]],
                 cond_a = cond(x)
                 if abs(cond_a) < CONDITION_TOL:  # False for NaN, on a pole
                     point = replace(base, **{line_axis: x})
-                    cand = ExceptionalCandidate(
-                        n, parity, exceptional_energy(point, parity, n), cond_a,
-                        abs(cond(x, g_probe[1])) < CONDITION_TOL)
                     hits.append(FlatLineHit(
-                        _manifold_label(point.scaled(), parity, n), point, cand))
+                        _manifold_label(point.scaled(), parity, n), point, n, parity,
+                        exceptional_energy(point, parity, n), cond_a,
+                        abs(cond(x, probes[1])) < CONDITION_TOL))
     return hits

@@ -409,6 +409,11 @@ def _prepare(params: ModelParams) -> ModelParams:
     return sp
 
 
+def _step(params: ModelParams, step: Optional[float]) -> float:
+    """The grid step in the model's energy unit: step, or 0.01 omega for None."""
+    return DEFAULT_GRID_STEP * params.omega if step is None else step
+
+
 def _window(params: ModelParams, e_min: float, e_max: float,
             step: Optional[float]) -> tuple[float, float, float]:
     """Checked, finite window ends and step (default 0.01 omega), in omega = 1
@@ -416,9 +421,7 @@ def _window(params: ModelParams, e_min: float, e_max: float,
     most MAX_GRID_POINTS grid points."""
     if not e_min < e_max:
         raise ValueError("empty energy window")
-    if step is None:
-        step = DEFAULT_GRID_STEP * params.omega
-    if step <= 0:
+    if (step := _step(params, step)) <= 0:
         raise ValueError("step must be positive")
     if not all(map(math.isfinite, (e_min, e_max, step))):
         raise ValueError("energy window and step must be finite")

@@ -61,7 +61,7 @@ class NoConvergence(SolverError):
 
 
 class DegenerateDenominator(SolverError):
-    """A downward-recurrence denominator vanished; the condition is undefined there."""
+    """A built cutoff state's second component divided by zero."""
 
 
 class ConditionNotMet(SolverError):

@@ -15,7 +15,7 @@ import pytest
 import tqrabi
 from tqrabi import (ModelParams, NotConverged, Parity, SpectrumRecord, SpectrumResult,
                     gfunction, oracle)
-from tqrabi.cli import _unmatched, main
+from tqrabi.cli import _record_row, _unmatched, main
 
 
 ASYM_CFG = """\
@@ -1037,6 +1037,22 @@ def test_sweep_lists_cutoff_states_where_gprime_rounds_to_zero(tmp_path):
                  "--gmax", g, "--points", "1", "--emax", "7.5", "--out", str(out)]) == 0
     found = {(float(r["E"]), r["parity"]) for r in rows(out) if r["method"] == "exceptional"}
     assert found == {(3.0, "1"), (0.0, "-1"), (6.0, "-1")}
+
+
+def test_default_step_is_a_hundredth_of_omega(tmp_path):
+    # At omega = 0.1 the default --step is the library's 0.01 omega: the
+    # level-free search finds what find_roots finds with step=None, and the
+    # flags line names the step used.
+    cfg, out = tmp_path / "slow.cfg", tmp_path / "spec.csv"
+    cfg.write_text("omega = 0.1\ndelta1 = 0.06\ndelta2 = 0.02\ng1 = 0.024\ng2 = 0.006\n")
+    assert main(["spectrum", "--config", str(cfg), "--emin", "-0.1", "--emax", "0.25",
+                 "--solver", "gfunction", "--no-verify", "--out", str(out)]) == 0
+    found = gfunction.find_roots(tqrabi.load_params(cfg), tuple(Parity), -0.1, 0.25,
+                                 step=None)
+    assert len(found) > 5
+    assert sorted(tuple(r.values()) for r in rows(out)) == sorted(
+        _record_row(r) for r in found)
+    assert " step=0.001 " in out.read_text().splitlines()[2]
 
 
 def test_level_free_spectrum_finds_a_crossing_of_the_cutoff_state(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 
 from tqrabi import (
     ConditionNotMet,
-    DegenerateDenominator,
     ModelParams,
     Parity,
     RequiresEqualCouplings,
@@ -103,9 +102,14 @@ def test_window_past_the_photon_cap(flat):
 
 
 def test_degenerate_denominator():
+    # The even N = 2 recurrence divides by 1 + 2 (jy + jz), zero here: a pole
+    # of the condition, which reads NaN, and no state.
     p = ModelParams(1.0, 0.6, 0.2, 0.5, 0.5, jy=-0.5)
-    with pytest.raises(DegenerateDenominator):
-        condition(p, Parity.PLUS, 2)
+    assert math.isnan(condition(p, Parity.PLUS, 2))
+    assert [n for n, _, _, _ in exceptional.levels(p, Parity.PLUS, -1.0, 3.0)
+            if n == 2] == []
+    with pytest.raises(ConditionNotMet):
+        build_state(p, Parity.PLUS, 2)
 
 
 def test_dark_state_any_couplings():
@@ -204,13 +208,13 @@ def test_scan_finds_flat_manifold():
     flat_hits = [h for h in hits if h.manifold == "delta1+delta2=omega"]
     assert len(flat_hits) == 1
     h = flat_hits[0]
-    assert h.candidate.g_independent
-    assert h.candidate.n_index == 1 and h.candidate.parity is Parity.PLUS
+    assert h.g_independent
+    assert h.n_index == 1 and h.parity is Parity.PLUS
     assert h.params.delta1 == pytest.approx(0.6, abs=1e-10)
     dark_hits = [h for h in hits if h.manifold == "delta1=delta2"]
     assert all(h.params.delta1 == pytest.approx(0.4, abs=1e-10)
                for h in dark_hits)
-    tuned = [h for h in hits if not h.candidate.g_independent]
+    tuned = [h for h in hits if not h.g_independent]
     assert all(h.manifold == "numeric" for h in tuned)
 
 
@@ -227,28 +231,66 @@ def test_scan_labels_odd_flat_lines(template, axis, grid, n_index, at, label):
     hits = [h for h in scan_flat_lines(template, {axis: grid}) if h.manifold == label]
     assert len(hits) == 1
     h = hits[0]
-    assert h.candidate.g_independent
-    assert h.candidate.n_index == n_index and h.candidate.parity is Parity.MINUS
+    assert h.g_independent
+    assert h.n_index == n_index and h.parity is Parity.MINUS
     assert getattr(h.params, axis) == pytest.approx(at, abs=1e-10)
 
 
 def test_scan_finds_double_exchange_candidates():
     tpl = ModelParams(1.0, 0.6, 0.4, 0.5, 0.5, jx=0.5, jy=0.5, jz=0.2)
     hits = scan_flat_lines(tpl, {"jz": np.linspace(0.2, 0.8, 13)}, n_max=3)
-    flat_ns = sorted(h.candidate.n_index for h in hits
-                     if h.candidate.g_independent
+    flat_ns = sorted(h.n_index for h in hits
+                     if h.g_independent
                      and abs(h.params.jz - 0.5) < 1e-8
-                     and h.candidate.parity is Parity.PLUS)
+                     and h.parity is Parity.PLUS)
     assert flat_ns == [1, 3]
-    labels = {h.candidate.n_index: h.manifold for h in hits
-              if h.candidate.g_independent and h.candidate.parity is Parity.PLUS}
+    labels = {h.n_index: h.manifold for h in hits
+              if h.g_independent and h.parity is Parity.PLUS}
     assert labels[3] == "jx+jy+2jz=2omega"
 
 
 def test_scan_far_from_manifolds_is_empty():
     tpl = ModelParams(1.0, 0.1, 0.5, 0.5, 0.5)
     hits = scan_flat_lines(tpl, {"delta1": np.linspace(0.05, 0.18, 9)}, n_max=1)
-    assert [h for h in hits if h.candidate.g_independent] == []
+    assert [h for h in hits if h.g_independent] == []
+
+
+@pytest.mark.parametrize("axes", [
+    {"jx": [-0.3, 0.1, 0.4], "jz": np.linspace(-0.6, 0.6, 80)},
+    {"jy": [-0.3, 0.1, 0.4], "delta1": np.linspace(-0.6, 0.9, 80)},
+])
+def test_scan_values_are_condition_bit_for_bit(axes):
+    # At omega = 0.5 with exchange the scan feeds a line value x in as
+    # x / omega: each hit's value and flag are condition's at its model.
+    tpl = ModelParams(0.5, 0.3, 0.2, 0.25, 0.25, jx=0.1, jy=0.05, jz=0.15)
+    hits = scan_flat_lines(tpl, axes, n_max=4, g_probe=(0.8, 2.1))
+    assert len({h.g_independent for h in hits}) == 2
+    for h in hits:
+        assert h.condition_value == condition(h.params.with_g(0.8), h.parity, h.n_index)
+        assert h.g_independent == (abs(condition(h.params.with_g(2.1), h.parity,
+                                                 h.n_index)) < exceptional.CONDITION_TOL)
+        assert h.energy == exceptional_energy(h.params, h.parity, h.n_index)
+
+
+def test_scan_builds_no_model_per_line_value(monkeypatch):
+    # Models are built per outer point and per hit: a line of 1,000 points
+    # without hits builds as many as one of 10.
+    built = []
+    post_init = ModelParams.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ModelParams, "__post_init__", counted)
+    tpl = ModelParams(1.0, 0.1, 0.5, 0.5, 0.5)
+    counts = []
+    for points in (10, 1000):
+        built.clear()
+        assert scan_flat_lines(tpl, {"delta1": np.linspace(0.05, 0.18, points)},
+                               n_max=1) == []
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def test_scan_rejects_bad_input(asym):
@@ -259,6 +301,9 @@ def test_scan_rejects_bad_input(asym):
         scan_flat_lines(tpl, {"g1": np.linspace(0.1, 0.9, 5)})
     with pytest.raises(ValueError):
         scan_flat_lines(tpl, {})
+    # A line value past the double range in omega = 1 units, as in a model.
+    with pytest.raises(ValueError, match="must be finite: delta1$"):
+        scan_flat_lines(dataclasses.replace(tpl, omega=1e-300), {"delta1": [0.1, 1e10]})
 
 
 def test_scan_equal_probe_couplings_is_a_value_error(flat):
@@ -266,7 +311,7 @@ def test_scan_equal_probe_couplings_is_a_value_error(flat):
     # every hit g-independent, this scan's fine-tuned N = 2 hit too.
     grid = {"delta1": np.linspace(0.2, 1.1, 19)}
     hits = scan_flat_lines(flat, grid, n_max=2)
-    assert [h.candidate.n_index for h in hits if not h.candidate.g_independent] == [2]
+    assert [h.n_index for h in hits if not h.g_independent] == [2]
     with pytest.raises(ValueError, match="g_probe couplings must differ"):
         scan_flat_lines(flat, grid, n_max=2, g_probe=(0.8, 0.8))
 
@@ -275,10 +320,10 @@ def test_scan_steps_over_condition_poles(flat):
     # The N = 1 odd condition has a pole at jz = -1/2, where 1 + 2(jy + jz)
     # vanishes, and zeros where (2 jz + 1)^2 = (d2 - d1)^2, at jz = -0.6, -0.4.
     hits = scan_flat_lines(flat, {"jz": np.linspace(-1, 0, 8)}, n_max=1)
-    assert all(abs(condition(h.params.with_g(0.8), h.candidate.parity,
-                             h.candidate.n_index)) < 1e-10 for h in hits)
+    assert all(abs(condition(h.params.with_g(0.8), h.parity,
+                             h.n_index)) < 1e-10 for h in hits)
     odd = sorted(h.params.jz for h in hits
-                 if h.candidate.parity is Parity.MINUS and h.candidate.n_index == 1)
+                 if h.parity is Parity.MINUS and h.n_index == 1)
     assert odd == pytest.approx([-0.6, -0.4], abs=1e-9)
     assert all(abs(h.params.jz + 0.5) > 1e-6 for h in hits)
 

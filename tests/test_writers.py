@@ -4,7 +4,7 @@ import numpy as np
 
 from tqrabi import Baseline, GTrace, ModelParams, Parity, SpectrumRecord
 from tqrabi.cli import _write_catalog_csv, _write_spectrum_csv, _write_trace_csv
-from tqrabi.exceptional import ExceptionalCandidate, ExceptionalState, FlatLineHit
+from tqrabi.exceptional import ExceptionalState, FlatLineHit
 
 
 def test_spectrum_csv_bytes(tmp_path):
@@ -66,9 +66,9 @@ def test_trace_csv_bytes(tmp_path):
 def test_catalog_csv_and_sidecar_bytes(tmp_path):
     hits = [
         FlatLineHit("delta1+delta2=1", ModelParams(1.0, 0.6, 0.4, 0.5, 0.5),
-                    ExceptionalCandidate(1, Parity.PLUS, 1.0, -2.5e-17, True)),
+                    1, Parity.PLUS, 1.0, -2.5e-17, True),
         FlatLineHit("other", ModelParams(1.0, 0.3, 0.7, 0.5, 0.5, 0.1, 0.2, -0.3),
-                    ExceptionalCandidate(2, Parity.MINUS, 1 / 3, 1e-12, False)),
+                    2, Parity.MINUS, 1 / 3, 1e-12, False),
     ]
     states = [ExceptionalState(1.0, Parity.PLUS, ((0, "ee", 0.6), (1, "gg", -0.8))), None]
     out = tmp_path / "catalog.csv"
