@@ -272,8 +272,9 @@ def cmd_sweep(args: argparse.Namespace, params: ModelParams) -> int:
                    _params_comment(params),
                    f"flags: gmin={_fmt(args.gmin)} gmax={_fmt(args.gmax)} "
                    f"points={args.points} emin={_fmt(args.emin)} "
-                   f"emax={_fmt(args.emax)} step={_fmt(args.step)} "
-                   f"solver={args.solver} parity={args.parity} "
+                   f"emax={_fmt(args.emax)} "
+                   + (f"step={_fmt(args.step)} " if args.solver != "oracle" else "")
+                   + f"solver={args.solver} parity={args.parity} "
                    + (f"levels={args.levels} " if args.solver == "oracle" else "")
                    + f"truncation={_truncation_flag(args)}",
                ])
@@ -307,25 +308,17 @@ def cmd_exceptional(args: argparse.Namespace, params: ModelParams) -> int:
     axes = _parse_scan(args.scan)
     if args.ncut > DEFAULT_TRUNCATION_CAP:
         raise ConfigError(f"--ncut {args.ncut} is past the {DEFAULT_TRUNCATION_CAP}-photon cap")
-    try:
-        ga, gb = (float(x) for x in args.gprobe.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad --gprobe {args.gprobe!r}; expected GA,GB") from exc
-    if not all(0 < x < float("inf") for x in (ga, gb)):
-        raise ConfigError(f"--gprobe {args.gprobe!r}: couplings must be finite and > 0")
-    hits = exceptional.scan_flat_lines(params, axes, n_max=args.ncut,
-                                       g_probe=(ga, gb))
+    hits = exceptional.scan_flat_lines(params, axes, n_max=args.ncut)
     states: list[Optional[exceptional.ExceptionalState]] = []
     for h in hits:
         try:
-            states.append(exceptional.build_state(h.params.with_g(ga), h.parity,
-                                                  h.n_index))
+            states.append(exceptional.build_state(h.params, h.parity, h.n_index))
         except SolverError:
             states.append(None)
     _write_catalog_csv(hits, states, args.out, [
         "tqrabi exceptional",
         _params_comment(params),
-        f"flags: scan={' '.join(args.scan)} ncut={args.ncut} gprobe={args.gprobe}",
+        f"flags: scan={' '.join(args.scan)} ncut={args.ncut}",
     ])
     return 0
 
@@ -446,8 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "the bisection line")
     p.add_argument("--ncut", type=int, default=3,
                    help="largest baseline index probed for cutoff states")
-    p.add_argument("--gprobe", default="0.8,2.1",
-                   help="two couplings used to certify g-independence")
     p.set_defaults(func=cmd_exceptional)
 
     p = sub.add_parser("verify", help="cross-validate the solvers on one model")

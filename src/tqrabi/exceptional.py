@@ -298,8 +298,8 @@ def levels(params: ModelParams, parity: Parity, e_min: float,
 @dataclass(frozen=True)
 class FlatLineHit:
     """One zero of the cutoff condition found along a scan line: the model
-    there, its cutoff index, parity and energy, the condition's value at
-    g_probe[0], and whether it vanishes at g_probe[1] too."""
+    there, its cutoff index, parity and energy, the condition's value there,
+    and whether it vanishes at every coupling (_g_independent)."""
 
     manifold: str
     params: ModelParams
@@ -361,24 +361,30 @@ def _bisect(f: Callable[[float], float], xa: float, xb: float,
     return 0.5 * (xa + xb)
 
 
+def _g_independent(params: ModelParams, parity: Parity, n_index: int) -> bool:
+    """Whether a condition that vanishes at params vanishes at every g1 = g2:
+    f(-1, N) is 1/g times a polynomial of degree N at most in 1/g (_downward
+    divides by g once a step), so it does if it vanishes at g (1 + k), k = 1..N,
+    couplings above g, where f's rounding shrinks."""
+    return all(abs(condition(params.with_g(params.g * (1 + k)), parity, n_index))
+               < CONDITION_TOL for k in range(1, n_index + 1))
+
+
 def scan_flat_lines(template: ModelParams, axes: Mapping[str, Sequence[float]],
-                    n_max: int = 3,
-                    g_probe: tuple[float, float] = (0.8, 2.1)) -> list[FlatLineHit]:
-    """Zeros of the cutoff condition along 1-D parameter lines, with g-probing.
+                    n_max: int = 3) -> list[FlatLineHit]:
+    """Zeros of the cutoff condition along 1-D parameter lines.
 
     axes maps parameter names (delta1, delta2, jx, jy, jz) to grids; the last
     axis is the bisection line, the others span an outer grid. For each outer
     point, parity and N the hits are the exact zeros of the condition at the
     line's grid points, then one zero per grid cell whose ends change sign,
-    found by bisection at coupling g_probe[0]. A pole of the condition is
-    NaN, so a cell whose bisection meets one gives no hit. Each zero is
-    re-evaluated at g_probe[1], which must differ from g_probe[0]; hits whose
-    condition vanishes at both couplings are flagged g_independent, the rest
-    are the fine-tuned kind that exists at one coupling only. Models are
-    built per outer point and per hit, never per line value.
+    found by bisection at the template's coupling, g1 = g2 > 0. A pole of the
+    condition is NaN, so a cell whose bisection meets one gives no hit. A hit
+    is g_independent where its condition vanishes at every coupling
+    (_g_independent), fine-tuned where at some only. Models are built per
+    outer point and per hit, never per line value.
     """
-    if template.scaled().gprime != 0.0:
-        raise RequiresEqualCouplings("flat-line scan needs g1 == g2")
+    _equal_couplings(template, "flat-line scans")
     for name, grid in axes.items():
         if name not in _SCAN_AXES:
             raise ValueError(f"cannot scan axis {name!r}")
@@ -388,24 +394,22 @@ def scan_flat_lines(template: ModelParams, axes: Mapping[str, Sequence[float]],
         raise ValueError("need at least one scan axis")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if g_probe[0] == g_probe[1]:
-        raise ValueError(f"g_probe couplings must differ; both are {g_probe[0]}")
     *outer_names, line_axis = axes
     line = [float(x) for x in axes[line_axis]]
     if len(line) < 2:
         raise ValueError("scan line needs at least two points")
-    # A line value past the double range in omega = 1 units fails as a model.
+    # A line value, or the g rule's largest coupling g (1 + n_max), past the
+    # double range in omega = 1 units fails as a model.
     replace(template, **{line_axis: max(line, key=abs)}).scaled()
+    template.with_g(template.g * (1 + n_max)).scaled()
     w, at = template.omega, 1 + _SCAN_AXES.index(line_axis)
     hits: list[FlatLineHit] = []
     for combo in itertools.product(*(map(float, axes[k]) for k in outer_names)):
         base = replace(template, **dict(zip(outer_names, combo)))
-        # A line value x enters as x / omega, the bits that
-        # replace(base, x).with_g(g).scaled() holds: with_g sets g1, g2 alone.
-        probes = [_numbers(_equal_couplings(base.with_g(g), "cutoff conditions"))
-                  for g in g_probe]
+        # A line value x enters as x / omega, the bits replace(base, x).scaled() holds.
+        nums = _numbers(base.scaled())
         for parity, n in itertools.product(Parity, range(n_max + 1)):
-            def cond(x: float, nums: list[float] = probes[0]) -> float:
+            def cond(x: float) -> float:
                 return _downward(parity.sign, n, *nums[:at], x / w, *nums[at + 1:])[0]
 
             vals = [cond(x) for x in line]
@@ -423,5 +427,5 @@ def scan_flat_lines(template: ModelParams, axes: Mapping[str, Sequence[float]],
                     hits.append(FlatLineHit(
                         _manifold_label(point.scaled(), parity, n), point, n, parity,
                         exceptional_energy(point, parity, n), cond_a,
-                        abs(cond(x, probes[1])) < CONDITION_TOL))
+                        _g_independent(point, parity, n)))
     return hits

@@ -101,14 +101,18 @@ def _block_eval(sp: ModelParams, sign: int, energies: np.ndarray, c: _Center,
     """Basis-column values at zpoints: list over z of (4, ncols, nE) arrays.
 
     The recurrence runs once, up to the hard cap at most, and is summed at all
-    points in the same pass.
+    points in the same pass; a value past the double range raises NoConvergence.
     """
     inits = np.eye(4)[:, list(c.slots)]
     rows, pole_ok = _tables(sp, sign, energies, c, inits, series.HARD_CAP)
     ts = np.array([(z - c.position) / c.radius for z in zpoints])
-    sums, conv = series._kahan_eval(rows, ts)
-    return ([v * math.exp(c.position * z) for v, z in zip(sums, zpoints)],
-            pole_ok, conv)
+    try:
+        with np.errstate(over="raise"):
+            sums, conv = series._kahan_eval(rows, ts)
+            return [v * math.exp(c.position * z) for v, z in zip(sums, zpoints)], pole_ok, conv
+    except FloatingPointError as exc:
+        raise NoConvergence(f"series around {c.position:.6g} leave the double range "
+                            f"(omega = 1: g = {sp.g:.6g}, E <= {energies.max():.6g})") from exc
 
 
 def _gvalues(sp: ModelParams, signs: int | np.ndarray, energies: np.ndarray,

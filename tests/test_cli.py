@@ -65,6 +65,11 @@ def flat_cfg(tmp_path):
     return str(path)
 
 
+def flat_cfg_at(g):
+    """FLAT_CFG with g1 = g2 = g, a string."""
+    return FLAT_CFG.replace("g1 = 0.5", f"g1 = {g}").replace("g2 = 0.5", f"g2 = {g}")
+
+
 def rows(path, column=None):
     body = [ln for ln in Path(path).read_text().splitlines() if not ln.startswith("#")]
     header = body[0].split(",")
@@ -113,6 +118,24 @@ def test_overflowing_parameter_exits_one(tmp_path, capsys, cfg, argv):
     assert main(argv + ["--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--solver", "gfunction", "--no-verify", "--emax", "1"],
+    ["trace", "--emin", "-1", "--emax", "1"],
+], ids=lambda argv: argv[0])
+def test_series_past_the_double_range_exits_one(tmp_path, capsys, argv):
+    # At g = 30 omega the series coefficients overflow before they converge:
+    # G has no value there, a solver failure in one line, not a numpy
+    # warning and an empty CSV.
+    path = tmp_path / "g30.cfg"
+    path.write_text(flat_cfg_at(15))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: NoConvergence: series around 30 leave the double "
+                          "range (omega = 1: g = 30, E <= ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cfg, argv, limit", [
@@ -688,11 +711,13 @@ def test_one_parity_oracle_sweep_prints_that_paritys_lowest_levels(tmp_path, fla
 @pytest.mark.parametrize("solver, levels", [("oracle", " levels=3"), ("both", ""),
                                             ("gfunction", "")])
 def test_sweep_flags_name_levels_where_they_apply(tmp_path, flat_cfg, solver, levels):
-    # --levels changes the rows of an oracle sweep alone.
+    # --levels changes the rows of an oracle sweep alone, and --step those of
+    # the others: an oracle sweep scans no grid.
+    step = "" if solver == "oracle" else " step=0.01"
     out = tmp_path / "sweep.csv"
     assert sweep(flat_cfg, out, "--points", "1", "--solver", solver, "--levels", "3") == 0
     flags, = (ln for ln in out.read_text().splitlines() if ln.startswith("# flags:"))
-    assert flags == ("# flags: gmin=0.5 gmax=1 points=1 emin=-1 emax=3 step=0.01 "
+    assert flags == (f"# flags: gmin=0.5 gmax=1 points=1 emin=-1 emax=3{step} "
                      f"solver={solver} parity=both{levels} truncation=auto")
 
 
@@ -1128,25 +1153,37 @@ def test_sweep_zero_coupling_writes_status_rows(tmp_path, flat_cfg, solver):
     assert any(r["method"] == "exceptional" and r["status"] == "ok" for r in rows(out))
 
 
-def test_exceptional_zero_probe_coupling_is_a_config_error(tmp_path, flat_cfg, capsys):
-    # Probe couplings are input, not a solver outcome: two finite values > 0.
-    for probe in ("0,1", "0,2.1", "0.8,-1", "nan,2.1", "0.8,inf"):
-        out = tmp_path / "cat.csv"
-        assert main(["exceptional", "--config", flat_cfg, "--scan", "delta1=0.2:1.1:5",
-                     "--gprobe", probe, "--out", str(out)]) == 2
-        assert f"--gprobe {probe!r}: couplings must be finite and > 0" in (
-            capsys.readouterr().err)
-        assert not out.exists()
-
-
-def test_exceptional_equal_probe_couplings_exit_two(tmp_path, flat_cfg, capsys):
-    # Two equal couplings would test g-independence at one coupling twice.
+def test_exceptional_zero_coupling_is_one_line(tmp_path, capsys):
+    # g1 = g2 = 0 has no cutoff condition: a solver failure, as in spectrum.
+    path = tmp_path / "zero.cfg"
+    path.write_text(flat_cfg_at(0))
     out = tmp_path / "cat.csv"
-    assert main(["exceptional", "--config", flat_cfg, "--scan", "delta1=0.2:1.1:19",
-                 "--gprobe", "0.8,0.8", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == ("error: g_probe couplings must differ; "
-                                       "both are 0.8\n")
+    assert main(["exceptional", "--config", str(path), "--scan", "delta1=0.2:1.1:19",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: RequiresValidCouplings: flat-line scans "
+                                       "need g1 = g2 > 0\n")
     assert not out.exists()
+
+
+def test_exceptional_scans_at_the_config_coupling(tmp_path):
+    # The scan runs at the config's g1 + g2: rescaling it moves the
+    # fine-tuned hits and keeps the g-independent ones.
+    catalogs = {}
+    for g in ("0.5", "0.4"):
+        path = tmp_path / f"g{g}.cfg"
+        path.write_text(flat_cfg_at(g))
+        out = tmp_path / f"g{g}.csv"
+        assert main(["exceptional", "--config", str(path), "--scan", "delta1=0.2:1.1:19",
+                     "--ncut", "3", "--out", str(out)]) == 0
+        catalogs[g] = {flag: [(r["N"], r["parity"], r["energy"], r["manifold_label"],
+                               float(r["delta1"])) for r in rows(out)
+                              if r["g_independent"] == flag] for flag in ("true", "false")}
+    free, tuned = ([catalogs[g][flag] for g in ("0.5", "0.4")] for flag in ("true", "false"))
+    assert len(free[0]) == len(free[1]) > 0
+    for a, b in zip(*free):
+        assert a[:4] == b[:4] and a[4] == pytest.approx(b[4], abs=1e-12)
+    assert tuned[0] and tuned[1]
+    assert not {r[4] for r in tuned[0]} & {r[4] for r in tuned[1]}
 
 
 def test_exceptional_outer_axis_without_points(tmp_path, flat_cfg, capsys):

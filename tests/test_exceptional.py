@@ -261,15 +261,47 @@ def test_scan_far_from_manifolds_is_empty():
 ])
 def test_scan_values_are_condition_bit_for_bit(axes):
     # At omega = 0.5 with exchange the scan feeds a line value x in as
-    # x / omega: each hit's value and flag are condition's at its model.
+    # x / omega: each hit's value is condition's at its model, and its flag
+    # says whether condition vanishes at g (1 + k) too, k = 1..N.
     tpl = ModelParams(0.5, 0.3, 0.2, 0.25, 0.25, jx=0.1, jy=0.05, jz=0.15)
-    hits = scan_flat_lines(tpl, axes, n_max=4, g_probe=(0.8, 2.1))
+    hits = scan_flat_lines(tpl, axes, n_max=4)
     assert len({h.g_independent for h in hits}) == 2
+
+    def vanishes(h, factor):
+        p = h.params.with_g(h.params.g * factor)
+        return abs(condition(p, h.parity, h.n_index)) < exceptional.CONDITION_TOL
+
     for h in hits:
-        assert h.condition_value == condition(h.params.with_g(0.8), h.parity, h.n_index)
-        assert h.g_independent == (abs(condition(h.params.with_g(2.1), h.parity,
-                                                 h.n_index)) < exceptional.CONDITION_TOL)
+        assert h.params.g1 == tpl.g1 and h.params.g2 == tpl.g2
+        assert h.condition_value == condition(h.params, h.parity, h.n_index)
+        assert h.g_independent == all(vanishes(h, 1 + k) for k in range(1, h.n_index + 1))
+        # Off the rule's couplings a g-independent condition vanishes too.
+        if h.g_independent:
+            assert vanishes(h, 0.7) and vanishes(h, 2.37)
         assert h.energy == exceptional_energy(h.params, h.parity, h.n_index)
+
+
+def test_scan_flags_a_hit_that_two_couplings_share():
+    # This delta2 tunes the even N = 4 condition to vanish at g = 0.8 and at
+    # g = 2.1 alike, the fine-tuned kind all the same: five couplings decide.
+    tpl = ModelParams(1.0, 2.9, 0.9347374695986633, 0.4, 0.4)
+    h, = scan_flat_lines(tpl, {"delta1": np.linspace(2.85, 2.95, 11)}, n_max=4)
+    assert (h.n_index, h.parity, h.energy) == (4, Parity.PLUS, 4.0)
+    assert h.params.delta1 == 2.9006610784762152
+    assert h.condition_value == 5.9259264162392356e-12
+    assert abs(condition(h.params.with_g(2.1), h.parity, 4)) < exceptional.CONDITION_TOL
+    assert abs(condition(h.params.with_g(1.6), h.parity, 4)) > 1.0
+    assert not h.g_independent
+
+
+def test_scan_runs_at_the_template_coupling(flat):
+    # At g = 0.8 the line's N = 2 hit is the fine-tuned kind; one N = 0
+    # condition is 1/g times a constant, so every N = 0 hit is g-independent.
+    hits = scan_flat_lines(flat.with_g(0.8), {"delta1": np.linspace(0.2, 1.1, 19)},
+                           n_max=2)
+    assert [h.n_index for h in hits if not h.g_independent] == [2]
+    assert all(h.params.g == 0.8 for h in hits)
+    assert any(h.n_index == 0 for h in hits)
 
 
 def test_scan_builds_no_model_per_line_value(monkeypatch):
@@ -304,24 +336,22 @@ def test_scan_rejects_bad_input(asym):
     # A line value past the double range in omega = 1 units, as in a model.
     with pytest.raises(ValueError, match="must be finite: delta1$"):
         scan_flat_lines(dataclasses.replace(tpl, omega=1e-300), {"delta1": [0.1, 1e10]})
-
-
-def test_scan_equal_probe_couplings_is_a_value_error(flat):
-    # The second coupling tests g-independence: the first one again would flag
-    # every hit g-independent, this scan's fine-tuned N = 2 hit too.
-    grid = {"delta1": np.linspace(0.2, 1.1, 19)}
-    hits = scan_flat_lines(flat, grid, n_max=2)
-    assert [h.n_index for h in hits if not h.g_independent] == [2]
-    with pytest.raises(ValueError, match="g_probe couplings must differ"):
-        scan_flat_lines(flat, grid, n_max=2, g_probe=(0.8, 0.8))
+    # So is the g rule's largest coupling, g (1 + n_max), checked before any
+    # work; g1 = g2 = 0 has no cutoff states.
+    with pytest.raises(ValueError, match="must be finite: g1, g2$"):
+        scan_flat_lines(tpl.with_g(2e307), {"delta1": [0.1, 0.2]}, n_max=10)
+    with pytest.raises(ValueError, match="must be finite: g1, g2$"):
+        scan_flat_lines(dataclasses.replace(tpl.with_g(1e8), omega=1e-300),
+                        {"delta1": [1e-301, 2e-301]}, n_max=3)
+    with pytest.raises(RequiresValidCouplings):
+        scan_flat_lines(tpl.with_g(0.0), {"delta1": [0.1, 0.2]})
 
 
 def test_scan_steps_over_condition_poles(flat):
     # The N = 1 odd condition has a pole at jz = -1/2, where 1 + 2(jy + jz)
     # vanishes, and zeros where (2 jz + 1)^2 = (d2 - d1)^2, at jz = -0.6, -0.4.
     hits = scan_flat_lines(flat, {"jz": np.linspace(-1, 0, 8)}, n_max=1)
-    assert all(abs(condition(h.params.with_g(0.8), h.parity,
-                             h.n_index)) < 1e-10 for h in hits)
+    assert all(abs(condition(h.params, h.parity, h.n_index)) < 1e-10 for h in hits)
     odd = sorted(h.params.jz for h in hits
                  if h.parity is Parity.MINUS and h.n_index == 1)
     assert odd == pytest.approx([-0.6, -0.4], abs=1e-9)
