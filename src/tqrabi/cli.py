@@ -139,6 +139,12 @@ def _truncation_flag(args: argparse.Namespace) -> str:
     return "auto" if args.truncation is None else str(args.truncation)
 
 
+def _in_window(args: argparse.Namespace,
+               records: Iterable[SpectrumRecord]) -> list[SpectrumRecord]:
+    """The records in [--emin, --emax], where an oracle request's levels reach past."""
+    return [r for r in records if args.emin <= r.energy <= args.emax]
+
+
 def cmd_spectrum(args: argparse.Namespace, params: ModelParams) -> int:
     parities = _parities(args.parity)
     records: list[SpectrumRecord] = []
@@ -146,11 +152,11 @@ def cmd_spectrum(args: argparse.Namespace, params: ModelParams) -> int:
     levels = (oracle.window(params, args.truncation, args.emax, parities)
               if args.solver != "gfunction" or not args.no_verify else None)
     if args.solver in ("gfunction", "both"):
-        records.extend(gfunction.find_roots(params, parities, args.emin, args.emax,
-                                            args.step,
-                                            levels=None if args.no_verify else levels))
+        roots = gfunction.find_roots(params, parities, args.emin, args.emax, args.step,
+                                     levels=None if args.no_verify else levels)
+        records.extend(roots)
     if args.solver in ("oracle", "both"):
-        records.extend(r for r in levels if args.emin <= r.energy <= args.emax)
+        records.extend(_in_window(args, levels))
 
     def order(r: SpectrumRecord) -> tuple:
         # A verified root sorts at the level it matches, so its row precedes
@@ -168,7 +174,10 @@ def cmd_spectrum(args: argparse.Namespace, params: ModelParams) -> int:
         f"truncation={_truncation_flag(args)} "
         f"verify={str(not args.no_verify).lower()}",
     ])
-    return 0
+    if args.solver == "oracle" or args.no_verify:
+        return 0
+    return _status(*_disagreement(args, params, levels, roots, {
+        p: exceptional.levels(params, p, args.emin, args.emax) for p in parities}))
 
 
 def cmd_trace(args: argparse.Namespace, params: ModelParams) -> int:
@@ -184,30 +193,30 @@ def cmd_trace(args: argparse.Namespace, params: ModelParams) -> int:
 
 
 def _sweep_points(args: argparse.Namespace, params: ModelParams,
-                  gs: Sequence[float]) -> list[list[tuple[str, ...]]]:
-    """The rows of each sweep point in gs."""
+                  gs: Sequence[float]) -> list[tuple[list[tuple[str, ...]], int, int]]:
+    """The rows and counts of each sweep point in gs (_sweep_point)."""
     return [_sweep_point(args, params, g) for g in gs]
 
 
 def _sweep_point(args: argparse.Namespace, params: ModelParams,
-                 g: float) -> list[tuple[str, ...]]:
-    """Rows of one sweep point: the template params at total coupling g. The
-    point makes one oracle request, for the --parity parities alone: for
+                 g: float) -> tuple[list[tuple[str, ...]], int, int]:
+    """Rows of one sweep point, the template params at total coupling g, and
+    its two _disagreement counts (0 and 0 unless --solver both found roots).
+    The point makes one oracle request, for the --parity parities alone: for
     --solver both, the window that verifies its roots, whose levels in
     [--emin, --emax] are its oracle rows, as in cmd_spectrum. Its error is
     named by the gfunction status rows too."""
     point = params.with_g(g)
     rows: list[tuple[str, ...]] = []
     parities = _parities(args.parity)
-    levels = failed = None
+    levels = failed = roots = None
     try:
         if args.solver == "both":
             levels = oracle.window(point, args.truncation, args.emax, parities)
         elif args.solver == "oracle":
             # Sized here, per point, so diagonalize gets an int truncation, which
             # perfbench/tracing.py records as the oracle truncation.
-            start = (oracle.level_truncation(point, args.levels)
-                     if args.truncation is None else args.truncation)
+            start = oracle.level_truncation(point, args.levels, args.truncation)
             levels = oracle.diagonalize(point, start, args.levels, parities)
     except SolverError as exc:
         failed = exc
@@ -215,29 +224,31 @@ def _sweep_point(args: argparse.Namespace, params: ModelParams,
         try:
             if failed is not None:
                 raise failed
-            res = gfunction.find_roots(point, parities, args.emin, args.emax,
-                                       args.step, levels=levels)
+            roots = gfunction.find_roots(point, parities, args.emin, args.emax,
+                                         args.step, levels=levels)
             rows.extend((_fmt(g), *_record_row(r), "ok")
-                        for parity in parities for r in res.filtered(parity))
+                        for parity in parities for r in roots.filtered(parity))
         except SolverError as exc:
             rows.extend((_fmt(g), "", str(parity.sign), "gfunction", "",
                          type(exc).__name__) for parity in parities)
     if args.solver != "gfunction":
         if failed is None:
-            rows.extend((_fmt(g), *_record_row(r), "ok") for r in levels
-                        if args.emin <= r.energy <= args.emax)
+            rows.extend((_fmt(g), *_record_row(r), "ok") for r in _in_window(args, levels))
         else:
             rows.append((_fmt(g), "", "", "oracle", "", type(failed).__name__))
+    states = {}
     for parity in parities:
         try:
+            states[parity] = exceptional.levels(point, parity, args.emin, args.emax)
             rows.extend((_fmt(g), *_record_row(SpectrumRecord(
                              energy, parity, "exceptional", abs(cond))), "ok")
-                        for _, energy, cond, _ in exceptional.levels(
-                            point, parity, args.emin, args.emax))
+                        for _, energy, cond, _ in states[parity])
         except SolverError as exc:
             rows.append((_fmt(g), "", str(parity.sign), "exceptional", "",
                          type(exc).__name__))
-    return rows
+    if roots is None or levels is None:
+        return rows, 0, 0
+    return rows, *_disagreement(args, point, levels, roots, states)
 
 
 def cmd_sweep(args: argparse.Namespace, params: ModelParams) -> int:
@@ -265,9 +276,9 @@ def cmd_sweep(args: argparse.Namespace, params: ModelParams) -> int:
     shares = gfunction._shares(len(gs), lambda k: [
         (_sweep_points, (args, params, [gs[j] for j in points])) for points in deal(k)])
     dealt = dict(zip((j for points in deal(len(shares)) for j in points),
-                     (rows for share in shares for rows in share)))
+                     (point for share in shares for point in share)))
     _write_csv(args.out, "g,E,parity,method,residual,status",
-               (row for j in range(len(gs)) for row in dealt[j]), [
+               (row for j in range(len(gs)) for row in dealt[j][0]), [
                    "tqrabi sweep",
                    _params_comment(params),
                    f"flags: gmin={_fmt(args.gmin)} gmax={_fmt(args.gmax)} "
@@ -278,7 +289,7 @@ def cmd_sweep(args: argparse.Namespace, params: ModelParams) -> int:
                    + (f"levels={args.levels} " if args.solver == "oracle" else "")
                    + f"truncation={_truncation_flag(args)}",
                ])
-    return 0
+    return _status(sum(p[1] for p in dealt.values()), sum(p[2] for p in dealt.values()))
 
 
 def _parse_scan(specs: Sequence[str]) -> dict[str, np.ndarray]:
@@ -341,8 +352,41 @@ def _unmatched(levels: Sequence[float], claims: Sequence[float], tol: float) -> 
     return missing
 
 
+def _coverage(args: argparse.Namespace, params: ModelParams, parity: Parity,
+              levels: Iterable[SpectrumRecord], roots: Iterable[SpectrumRecord],
+              states: Sequence[tuple]) -> tuple[int, int]:
+    """The oracle levels of parity in [--emin, --emax], and how many of them
+    no claim covers within VERIFY_TOL omega (_unmatched). A claim is a root
+    of that parity or a dark cutoff state (k = 0 in states, exceptional.levels
+    of that parity): a state on a pole is a root."""
+    ed = [r.energy for r in _in_window(args, levels) if r.parity == parity]
+    claims = sorted([r.energy for r in roots if r.parity == parity]
+                    + [e for _, e, _, k in states if k == 0])
+    return len(ed), _unmatched(ed, claims, gfunction.VERIFY_TOL * params.omega)
+
+
+def _disagreement(args: argparse.Namespace, params: ModelParams,
+                  levels: Iterable[SpectrumRecord], roots: Iterable[SpectrumRecord],
+                  states: dict[Parity, Sequence[tuple]]) -> tuple[int, int]:
+    """(roots unverified, oracle levels unmatched) of G roots searched with the
+    oracle window levels: the roots whose verified is False, and _coverage's
+    unmatched levels summed over the parities of states, each with its
+    cutoff states."""
+    return (sum(r.verified is False for r in roots),
+            sum(_coverage(args, params, p, levels, roots, s)[1] for p, s in states.items()))
+
+
+def _status(unverified: int, unmatched: int) -> int:
+    """Exit status of a run that checked G roots against the oracle: 0, or 3,
+    with one stderr line naming both counts, when either is non-zero."""
+    if not (unverified or unmatched):
+        return 0
+    print(f"error: G disagrees with the oracle: {unverified} roots unverified, "
+          f"{unmatched} oracle levels unmatched", file=sys.stderr)
+    return 3
+
+
 def cmd_verify(args: argparse.Namespace, params: ModelParams) -> int:
-    tol = gfunction.VERIFY_TOL * params.omega
     # Certified cutoff states; the dark ones (k = 0) are no roots of G.
     cutoff = {p: exceptional.levels(params, p, args.emin, args.emax)
               for p in _parities(args.parity)}
@@ -364,12 +408,8 @@ def cmd_verify(args: argparse.Namespace, params: ModelParams) -> int:
             worst = max((r.residual for r in res), default=0.0)
             report(not bad, f"roots[{parity}]: {len(res)} roots, "
                             f"max |E - E_ed| = {worst:.3e}")
-            ed = [r.energy for r in levels.filtered(parity)
-                  if args.emin <= r.energy <= args.emax]
-            # One claim per root and per dark state: a state on a pole is a root.
-            claims = sorted(res.energies() + [e for _, e, _, k in cutoff[parity] if k == 0])
-            missing = _unmatched(ed, claims, tol)
-            report(not missing, f"coverage[{parity}]: {len(ed)} oracle levels, "
+            ed, missing = _coverage(args, params, parity, levels, res, cutoff[parity])
+            report(not missing, f"coverage[{parity}]: {ed} oracle levels, "
                                 f"{missing} unmatched")
         for parity, states in cutoff.items():
             for n, energy, _, _ in states:
@@ -387,7 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tqrabi",
         description="Spectra of two-qubit Rabi models with optional "
-                    "qubit-qubit exchange couplings.")
+                    "qubit-qubit exchange couplings.",
+        epilog="Exit status: 0 success, 1 solver failure, 2 bad input, 3 when G's "
+               "roots disagree with the oracle (an unverified root or an oracle level "
+               "no root claims) in spectrum --solver both or gfunction without "
+               "--no-verify, or in sweep --solver both; the CSV is written first.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:

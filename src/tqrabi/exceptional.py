@@ -276,9 +276,7 @@ def levels(params: ModelParams, parity: Parity, e_min: float,
     be finite and within the photon cap (ModelParams.require_reach), and so
     must center 0's lowest baseline (series._require_floor).
     """
-    if math.isnan(e_min) or not math.isfinite(e_max):
-        raise ValueError("e_max must be finite and e_min not NaN")
-    params.require_reach(e_max)
+    params.require_reach(e_max, e_min)
     if params.scaled().gprime != 0.0:
         return []
     sp = _equal_couplings(params, "cutoff states")

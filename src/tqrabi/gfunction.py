@@ -422,7 +422,8 @@ def _window(params: ModelParams, e_min: float, e_max: float,
             step: Optional[float]) -> tuple[float, float, float]:
     """Checked, finite window ends and step (default 0.01 omega), in omega = 1
     units: e_max within the photon cap (ModelParams.require_reach) and at
-    most MAX_GRID_POINTS grid points."""
+    most MAX_GRID_POINTS grid points. Its finite check, stricter than
+    require_reach's, gives the CLI one message for any non-finite input."""
     if not e_min < e_max:
         raise ValueError("empty energy window")
     if (step := _step(params, step)) <= 0:
@@ -483,11 +484,13 @@ def _interpolate(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
                  x3: np.ndarray, f3: np.ndarray) -> np.ndarray:
     """Root of the Moebius map through (a, fa), (b, fb) and (x3, f3): the point
     whose cross-ratio with a, b, x3 is that of 0 with fa, fb, f3. Where that is
-    not inside (a, b), or x3 is NaN, the regula-falsi point of (a, b)."""
+    not inside (a, b), or x3 is NaN, the regula-falsi point of (a, b). That
+    is NaN, with no warning, where fa or fb is infinite (G at g = 23 omega):
+    the caller's ladder then probes the midpoint alone."""
     with np.errstate(divide="ignore", invalid="ignore"):
         m = fb / fa * (fa - f3) * (b - x3) / ((fb - f3) * (a - x3))
         u = a + (a - b) / (m - 1.0)
-    return np.where((u > a) & (u < b), u, a - fa * (b - a) / (fb - fa))
+        return np.where((u > a) & (u < b), u, a - fa * (b - a) / (fb - fa))
 
 
 def _in_order(j: np.ndarray, e: np.ndarray, v: np.ndarray):

@@ -182,9 +182,11 @@ class ModelParams:
                 "series solver needs g1 > 0, g2 > 0 and |g1 - g2| < g1 + g2 "
                 f"(got g1={self.g1}, g2={self.g2})")
 
-    def require_reach(self, e_max: float) -> None:
-        """Validate a window's upper end: e_max/omega within the oracle's photon
-        cap, past which no level is certified and a window's lists grow."""
+    def require_reach(self, e_max: float, e_min: float = -math.inf) -> None:
+        """Validate a window's ends: e_min not NaN, e_max finite and e_max/omega
+        within the oracle's photon cap, past which no level is certified."""
+        if math.isnan(e_min) or not math.isfinite(e_max):
+            raise ValueError("e_max must be finite and e_min not NaN")
         if e_max / self.omega > DEFAULT_TRUNCATION_CAP:
             raise ValueError(f"e_max/omega = {e_max / self.omega:.6g} is past the "
                              f"{DEFAULT_TRUNCATION_CAP}-photon cap")

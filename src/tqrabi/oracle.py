@@ -179,9 +179,8 @@ def _eig(params: ModelParams, truncation: int, signs: Sequence[int] = _SIGNS,
     """Levels of the given parity blocks merged in ascending order, with their
     signs and tail bounds.
 
-    Each block gives its lowest k levels (None for all) or, with a cut, its
-    levels at or below the cut and the four above it (_solve, reaching
-    4 omega past the cut). By default every level of both blocks is computed.
+    Each block gives its levels as _solve selects them by k or cut, reaching
+    4 omega past a cut. By default every level of both blocks is computed.
 
     A block eigenvector v solves the untruncated H but for what H adds at
     photon truncation + 1: sqrt(truncation + 1) [[g2, g1], [g1, g2]] applied
@@ -274,16 +273,20 @@ def start_truncation(params: ModelParams, photons: float) -> int:
         first, hi = int(n[-1]), 2 * hi   # one photon number shared: est[-2] exists
 
 
-def level_truncation(params: ModelParams, k_levels: int) -> int:
-    """Starting truncation for the lowest k_levels levels of one or both
-    parities.
-
-    Each parity block holds two states per photon number, so k_levels
-    levels of one parity reach about k_levels/2 photons (start_truncation),
-    and the start is never below diagonalize's floor of k_levels/2 + 10.
-    Both parities together reach about half as far from the same start.
+def level_truncation(params: ModelParams, k_levels: int,
+                     truncation: Optional[int] = None) -> int:
+    """Truncation for the lowest k_levels levels of one or both parities, at
+    least k_levels/2 + 10 (a given one below that is a ValueError). None
+    starts from start_truncation of k_levels/2 photons, as a parity block
+    holds two states per photon number; both parities together reach about
+    half as far from the same start.
     """
-    return max(start_truncation(params, k_levels / 2), math.ceil(k_levels / 2 + 10))
+    floor = math.ceil(k_levels / 2 + 10)
+    if truncation is None:
+        return max(start_truncation(params, k_levels / 2), floor)
+    if truncation < floor:
+        raise ValueError("truncation too small for the requested level count")
+    return truncation
 
 
 def certified_spectrum(params: ModelParams, truncation: int, signs: Sequence[int],
@@ -318,11 +321,14 @@ def certified_spectrum(params: ModelParams, truncation: int, signs: Sequence[int
                        f"before every tail bound is below {BOUND_TOL:g}")
 
 
-def _records(evals: np.ndarray, signs: np.ndarray,
-             bounds: np.ndarray) -> SpectrumResult:
+def _request(params: ModelParams, truncation: int, parities: Sequence[Parity],
+             k: int | None = None, cut: float | None = None) -> SpectrumResult:
+    """certified_spectrum's levels of the parities as 'oracle' records."""
+    signs = tuple(p.sign for p in _distinct(parities))
+    evals, got, bounds, _ = certified_spectrum(params, truncation, signs, k, cut)
     return SpectrumResult.from_records(
         SpectrumRecord(float(e), Parity.PLUS if s > 0 else Parity.MINUS, "oracle", float(b))
-        for e, s, b in zip(evals, signs, bounds))
+        for e, s, b in zip(evals, got, bounds))
 
 
 def diagonalize(params: ModelParams, truncation: Optional[int], k_levels: int,
@@ -331,19 +337,13 @@ def diagonalize(params: ModelParams, truncation: Optional[int], k_levels: int,
     """Lowest k_levels eigenpairs of the given parities, counted together, as
     'oracle' records (residual = tail bound).
 
-    Only the blocks of the given parities are solved. truncation None starts
-    from the model (level_truncation): where the displaced-photon tail of
-    k_levels/2 photons falls below BOUND_TOL/100 (start_truncation), at
-    least k_levels/2 + 10.
+    Only the blocks of the given parities are solved, from level_truncation
+    (truncation None sizes the start from the model).
     """
     if k_levels < 1:
         raise ValueError("k_levels must be >= 1")
-    if truncation is None:
-        truncation = level_truncation(params, k_levels)
-    if truncation < k_levels / 2 + 10:
-        raise ValueError("truncation too small for the requested level count")
-    signs = tuple(p.sign for p in _distinct(parities))
-    return _records(*certified_spectrum(params, truncation, signs, k_levels)[:3])
+    return _request(params, level_truncation(params, k_levels, truncation), parities,
+                    k=k_levels)
 
 
 def window(params: ModelParams, truncation: Optional[int], e_max: float,
@@ -360,15 +360,12 @@ def window(params: ModelParams, truncation: Optional[int], e_max: float,
     all lie at or below the cut is counted again at a larger truncation.
     e_max must be finite and within the photon cap (ModelParams.require_reach).
     """
-    if not math.isfinite(e_max):
-        raise ValueError("energy window must be finite")
     params.require_reach(e_max)
     w = params.omega
     cut = e_max + 0.5 * w
     if truncation is None:
         truncation = start_truncation(params, (cut + params.g ** 2 / w) / w + 2)
-    signs = tuple(p.sign for p in _distinct(parities))
-    return _records(*certified_spectrum(params, truncation, signs, None, cut)[:3])
+    return _request(params, truncation, parities, cut=cut)
 
 
 def residual(params: ModelParams, truncation: int, state, energy: float | None = None,

@@ -142,11 +142,9 @@ def baselines(params: ModelParams, e_min: float, e_max: float) -> list[Baseline]
     (ModelParams.require_reach), and the model's lowest baseline too
     (_require_floor).
     """
-    if math.isnan(e_min) or not math.isfinite(e_max):
-        raise ValueError("e_max must be finite and e_min not NaN")
+    params.require_reach(e_max, e_min)
     if not e_min < e_max:
         raise ValueError("baselines needs e_min < e_max")
-    params.require_reach(e_max)
     sp = params.scaled()
     _require_floor(sp, _centers(sp))
     w = params.omega

@@ -561,6 +561,82 @@ def test_verify_fails_on_a_lost_or_unverified_root(asym_cfg, capsys, monkeypatch
     assert out.count("FAIL") == 1
 
 
+DISAGREES = re.compile(r"^error: G disagrees with the oracle: (\d+) roots unverified, "
+                       r"(\d+) oracle levels unmatched\n$")
+
+
+def test_spectrum_exits_three_where_g_disagrees_with_the_oracle(tmp_path, flat_cfg,
+                                                                capsys):
+    # Flat up to E = 30: past E ~ 20 G's sign is rounding noise, so most
+    # roots lie off every level and some levels get no root. The CSV keeps
+    # every row; one stderr line counts both, and the status is 3.
+    out, report = tmp_path / "spectrum.csv", tmp_path / "verify.txt"
+    argv = ["--config", flat_cfg, "--emax", "30"]
+    assert main(["spectrum", *argv, "--out", str(out)]) == 3
+    found = DISAGREES.match(capsys.readouterr().err)
+    assert found
+    p = ModelParams(1.0, 0.6, 0.4, 0.5, 0.5)
+    levels = oracle.window(p, None, 30.0)
+    roots = gfunction.find_roots(p, tuple(Parity), -1.0, 30.0, levels=levels)
+    want = [_record_row(r) for r in roots] + [
+        _record_row(r) for r in levels if -1.0 <= r.energy <= 30.0]
+    assert sorted(tuple(r.values()) for r in rows(out)) == sorted(want)
+    unverified, unmatched = map(int, found.groups())
+    assert unverified == sum(r.verified is False for r in roots) > 400
+    # verify counts the same unmatched levels, parity by parity.
+    assert main(["verify", *argv, "--out", str(report)]) == 1
+    coverage = re.findall(r"^FAIL coverage\[\w+\]: \d+ oracle levels, (\d+) unmatched$",
+                          report.read_text(), re.M)
+    assert len(coverage) == 2 and sum(map(int, coverage)) == unmatched > 0
+    # Runs that check no root against the oracle keep status 0.
+    for extra in (["--no-verify"], ["--solver", "oracle"]):
+        assert main(["spectrum", *argv, *extra, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_both_sweep_exits_three_where_g_disagrees_with_the_oracle(tmp_path, capsys):
+    # (1, 0.6, 0.2, 0.8g, 0.2g) at g = 5 to 6: G is near singular at every
+    # E, so its roots are noise. A both sweep adds up its points' counts; a
+    # G-only sweep checks nothing against the oracle.
+    cfg, out = tmp_path / "asym.cfg", tmp_path / "sweep.csv"
+    cfg.write_text(ASYM_CFG.replace("0.24", "0.8").replace("0.06", "0.2"))
+    argv = ["sweep", "--config", str(cfg), "--gmin", "5", "--gmax", "6", "--points", "4",
+            "--out", str(out)]
+    assert main([*argv, "--solver", "both"]) == 3
+    found = DISAGREES.match(capsys.readouterr().err)
+    assert found
+    unverified = sum(r["method"] == "gfunction" and float(r["residual"]) >= 1e-6
+                     for r in rows(out))
+    assert int(found.group(1)) == unverified > 0 and int(found.group(2)) > 0
+    assert main([*argv, "--solver", "gfunction"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--emin", "-1", "--emax", "2.5", "--solver", "both"],
+    ["spectrum", "--emin", "-1", "--emax", "2.5", "--solver", "gfunction"],
+    ["sweep", "--gmin", "0.05", "--gmax", "2.5", "--points", "8", "--solver", "both"],
+], ids=["spectrum-both", "spectrum-gfunction", "sweep-both"])
+def test_readme_model_agrees_with_the_oracle(tmp_path, asym_cfg, capsys, argv):
+    assert main([argv[0], "--config", asym_cfg, *argv[1:],
+                 "--out", str(tmp_path / "o.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_noise_roots_print_no_warning(tmp_path, capsys):
+    # At g = 23 omega G is rounding noise on [-1, 1] (|G| <= 6.1e-29 at its
+    # roots), and some bracket ends read G = inf. Their regula-falsi points
+    # are NaN, which send the bracket to its midpoint probe without a numpy
+    # warning.
+    path = tmp_path / "g23.cfg"
+    path.write_text(flat_cfg_at(11.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectrum", "--config", str(path), "--solver", "gfunction",
+                     "--no-verify", "--emax", "1", "--out", str(tmp_path / "o.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_sweep_spec_validation(tmp_path, capsys):
     cfg = tmp_path / "tpl.cfg"
     cfg.write_text(ASYM_CFG.replace("0.24", "0.4").replace("0.06", "0.1"))

@@ -127,6 +127,14 @@ def test_non_finite_energies_are_value_errors(name, fn, value):
         ENTRY_POINTS[name, fn](value)
 
 
+@pytest.mark.parametrize("ends", [(math.nan,), (math.inf,), (-math.inf,), (1.0, math.nan)])
+def test_require_reach_rejects_non_finite_ends(ends):
+    # The one check of every window's ends (e_max, e_min): a NaN e_max used
+    # to pass it.
+    with pytest.raises(ValueError, match="e_max must be finite and e_min not NaN"):
+        FLAT.require_reach(*ends)
+
+
 def test_window_lower_end_may_be_minus_infinity():
     assert baselines(ASYM, -math.inf, 3.0) == baselines(ASYM, -10.0, 3.0)
     levels = exceptional.levels(FLAT, Parity.PLUS, -math.inf, 3.0)
