@@ -31,7 +31,6 @@ from .model import (
     load_params,
 )
 
-TRUNCATION_HELP = "starting truncation; default sized from the model"
 # Points of a sweep and of a scan (the product of its axis sizes), about
 # 2.1 kB and 130 bytes each at their peak: near 0.14 GB each at the limit.
 MAX_SWEEP_POINTS, MAX_SCAN_POINTS = 2 ** 16, 2 ** 20
@@ -129,14 +128,25 @@ def _parities(choice: str) -> tuple[Parity, ...]:
     return tuple(Parity) if choice == "both" else (Parity[choice.upper()],)
 
 
-def _params_comment(params: ModelParams) -> str:
-    return ("params: " + " ".join(
-        f"{k}={_fmt(getattr(params, k))}"
-        for k in ("omega", "delta1", "delta2", "g1", "g2", "jx", "jy", "jz")))
+def _comments(args: argparse.Namespace, params: ModelParams, flags: str) -> list[str]:
+    """The comment lines heading a command's CSV: the command, the model and
+    the space-separated flags, in their order. A flag reads its option: a
+    float as _fmt writes it, --scan's specs joined by spaces and no
+    --truncation as auto; verify is the negation of --no-verify."""
+    def text(name: str) -> str:
+        if name == "verify":
+            return str(not args.no_verify).lower()
+        value = getattr(args, name)
+        if isinstance(value, float):
+            return _fmt(value)
+        if isinstance(value, list):
+            return " ".join(value)
+        return "auto" if value is None else str(value)
 
-
-def _truncation_flag(args: argparse.Namespace) -> str:
-    return "auto" if args.truncation is None else str(args.truncation)
+    return [f"tqrabi {args.command}",
+            "params: " + " ".join(f"{k}={_fmt(getattr(params, k))}" for k in
+                                  ("omega", "delta1", "delta2", "g1", "g2", "jx", "jy", "jz")),
+            "flags: " + " ".join(f"{name}={text(name)}" for name in flags.split())]
 
 
 def _in_window(args: argparse.Namespace,
@@ -166,14 +176,8 @@ def cmd_spectrum(args: argparse.Namespace, params: ModelParams) -> int:
         return (min(near, key=lambda e: abs(e - r.energy)), r.method, r.parity.sign)
 
     records.sort(key=order)
-    _write_spectrum_csv(records, args.out, [
-        "tqrabi spectrum",
-        _params_comment(params),
-        f"flags: emin={_fmt(args.emin)} emax={_fmt(args.emax)} "
-        f"step={_fmt(args.step)} solver={args.solver} parity={args.parity} "
-        f"truncation={_truncation_flag(args)} "
-        f"verify={str(not args.no_verify).lower()}",
-    ])
+    _write_spectrum_csv(records, args.out, _comments(
+        args, params, "emin emax step solver parity truncation verify"))
     if args.solver == "oracle" or args.no_verify:
         return 0
     return _status(*_disagreement(args, params, levels, roots, {
@@ -183,12 +187,7 @@ def cmd_spectrum(args: argparse.Namespace, params: ModelParams) -> int:
 def cmd_trace(args: argparse.Namespace, params: ModelParams) -> int:
     traces = gfunction.trace(params, _parities(args.parity), args.emin, args.emax,
                              args.step)
-    _write_trace_csv(traces, args.out, [
-        "tqrabi trace",
-        _params_comment(params),
-        f"flags: emin={_fmt(args.emin)} emax={_fmt(args.emax)} "
-        f"step={_fmt(args.step)} parity={args.parity}",
-    ])
+    _write_trace_csv(traces, args.out, _comments(args, params, "emin emax step parity"))
     return 0
 
 
@@ -210,6 +209,13 @@ def _sweep_point(args: argparse.Namespace, params: ModelParams,
     rows: list[tuple[str, ...]] = []
     parities = _parities(args.parity)
     levels = failed = roots = None
+
+    def ok(records: Iterable[SpectrumRecord]) -> None:
+        rows.extend((_fmt(g), *_record_row(r), "ok") for r in records)
+
+    def status(exc: SolverError, method: str, sign: str = "") -> None:
+        rows.append((_fmt(g), "", sign, method, "", type(exc).__name__))
+
     try:
         if args.solver == "both":
             levels = oracle.window(point, args.truncation, args.emax, parities)
@@ -226,26 +232,23 @@ def _sweep_point(args: argparse.Namespace, params: ModelParams,
                 raise failed
             roots = gfunction.find_roots(point, parities, args.emin, args.emax,
                                          args.step, levels=levels)
-            rows.extend((_fmt(g), *_record_row(r), "ok")
-                        for parity in parities for r in roots.filtered(parity))
+            ok(r for parity in parities for r in roots.filtered(parity))
         except SolverError as exc:
-            rows.extend((_fmt(g), "", str(parity.sign), "gfunction", "",
-                         type(exc).__name__) for parity in parities)
+            for parity in parities:
+                status(exc, "gfunction", str(parity.sign))
     if args.solver != "gfunction":
         if failed is None:
-            rows.extend((_fmt(g), *_record_row(r), "ok") for r in _in_window(args, levels))
+            ok(_in_window(args, levels))
         else:
-            rows.append((_fmt(g), "", "", "oracle", "", type(failed).__name__))
+            status(failed, "oracle")
     states = {}
     for parity in parities:
         try:
             states[parity] = exceptional.levels(point, parity, args.emin, args.emax)
-            rows.extend((_fmt(g), *_record_row(SpectrumRecord(
-                             energy, parity, "exceptional", abs(cond))), "ok")
-                        for _, energy, cond, _ in states[parity])
+            ok(SpectrumRecord(energy, parity, "exceptional", abs(cond))
+               for _, energy, cond, _ in states[parity])
         except SolverError as exc:
-            rows.append((_fmt(g), "", str(parity.sign), "exceptional", "",
-                         type(exc).__name__))
+            status(exc, "exceptional", str(parity.sign))
     if roots is None or levels is None:
         return rows, 0, 0
     return rows, *_disagreement(args, point, levels, roots, states)
@@ -277,18 +280,11 @@ def cmd_sweep(args: argparse.Namespace, params: ModelParams) -> int:
         (_sweep_points, (args, params, [gs[j] for j in points])) for points in deal(k)])
     dealt = dict(zip((j for points in deal(len(shares)) for j in points),
                      (point for share in shares for point in share)))
+    # An oracle sweep scans no grid, and --levels applies to it alone.
+    flags = ("solver parity levels" if args.solver == "oracle" else "step solver parity")
     _write_csv(args.out, "g,E,parity,method,residual,status",
-               (row for j in range(len(gs)) for row in dealt[j][0]), [
-                   "tqrabi sweep",
-                   _params_comment(params),
-                   f"flags: gmin={_fmt(args.gmin)} gmax={_fmt(args.gmax)} "
-                   f"points={args.points} emin={_fmt(args.emin)} "
-                   f"emax={_fmt(args.emax)} "
-                   + (f"step={_fmt(args.step)} " if args.solver != "oracle" else "")
-                   + f"solver={args.solver} parity={args.parity} "
-                   + (f"levels={args.levels} " if args.solver == "oracle" else "")
-                   + f"truncation={_truncation_flag(args)}",
-               ])
+               (row for j in range(len(gs)) for row in dealt[j][0]),
+               _comments(args, params, f"gmin gmax points emin emax {flags} truncation"))
     return _status(sum(p[1] for p in dealt.values()), sum(p[2] for p in dealt.values()))
 
 
@@ -326,11 +322,7 @@ def cmd_exceptional(args: argparse.Namespace, params: ModelParams) -> int:
             states.append(exceptional.build_state(h.params, h.parity, h.n_index))
         except SolverError:
             states.append(None)
-    _write_catalog_csv(hits, states, args.out, [
-        "tqrabi exceptional",
-        _params_comment(params),
-        f"flags: scan={' '.join(args.scan)} ncut={args.ncut}",
-    ])
+    _write_catalog_csv(hits, states, args.out, _comments(args, params, "scan ncut"))
     return 0
 
 
@@ -447,12 +439,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="grid step in the config's energy unit (default 0.01 omega)")
         p.add_argument("--parity", choices=("plus", "minus", "both"), default="both")
 
+    def solver(p: argparse.ArgumentParser, default: str) -> None:
+        p.add_argument("--solver", choices=("gfunction", "oracle", "both"), default=default)
+
+    def truncation(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--truncation", type=int,
+                       help="starting truncation; default sized from the model")
+
     p = sub.add_parser("spectrum", help="eigenvalues inside an energy window")
     common(p)
     window(p, -1.0, None)
-    p.add_argument("--solver", choices=("gfunction", "oracle", "both"),
-                   default="both")
-    p.add_argument("--truncation", type=int, help=TRUNCATION_HELP)
+    solver(p, "both")
+    truncation(p)
     p.add_argument("--no-verify", action="store_true",
                    help="skip the diagonalization cross-check of roots")
     p.set_defaults(func=cmd_spectrum)
@@ -468,11 +466,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gmax", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
     window(p, -1.0, 3.0)
-    p.add_argument("--solver", choices=("gfunction", "oracle", "both"),
-                   default="oracle")
+    solver(p, "oracle")
     p.add_argument("--levels", type=int, default=8,
                    help="--solver oracle: the lowest levels solved per point")
-    p.add_argument("--truncation", type=int, help=TRUNCATION_HELP)
+    truncation(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("exceptional", help="catalog of cutoff-condition zeros")
@@ -488,13 +485,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-validate the solvers on one model")
     common(p)
     window(p, -1.0, 2.5)
-    p.add_argument("--truncation", type=int, help=TRUNCATION_HELP)
+    truncation(p)
     p.set_defaults(func=cmd_verify)
     return parser
 
 
+def _attach_numbers(argv: Sequence[str]) -> list[str]:
+    """argv with each negative number that float() reads, after --emin,
+    --emax, --step, --gmin or --gmax, attached to that option as
+    --option=token. argparse takes "-1" and "-0.1" for numbers, but "-1e-1"
+    and "-inf" for option names, and then finds the option without its value."""
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1] in ("--emin", "--emax", "--step", "--gmin", "--gmax")
+                and token.startswith("-")):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_numbers(sys.argv[1:] if argv is None else argv))
     try:
         params = load_params(args.config)
         if args.command == "exceptional" and args.out == "-":
@@ -503,16 +520,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.step = gfunction._step(params, args.step)
             gfunction._window(params, args.emin, args.emax, args.step)
         return args.func(args, params)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # Ahead of SolverError, of which ConfigError is one: bad input.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, OverflowError) as exc:
         # A finite parameter can overflow a float power; that is a solver failure.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

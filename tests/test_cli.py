@@ -784,17 +784,98 @@ def test_one_parity_oracle_sweep_prints_that_paritys_lowest_levels(tmp_path, fla
             assert abs(float(r["E"]) - w.energy) <= float(r["residual"]) + w.residual + 1e-12
 
 
+ASYM_PARAMS = ("# params: omega=1 delta1=0.59999999999999998 delta2=0.20000000000000001 "
+               "g1=0.23999999999999999 g2=0.059999999999999998 jx=0.25 jy=0 jz=0")
+FLAT_PARAMS = ("# params: omega=1 delta1=0.59999999999999998 delta2=0.40000000000000002 "
+               "g1=0.5 g2=0.5 jx=0 jy=0 jz=0")
+SWEEP_G = ["sweep", "--gmin", "0.5", "--gmax", "1", "--points"]
+
+
 @pytest.mark.parametrize("solver, levels", [("oracle", " levels=3"), ("both", ""),
                                             ("gfunction", "")])
 def test_sweep_flags_name_levels_where_they_apply(tmp_path, flat_cfg, solver, levels):
     # --levels changes the rows of an oracle sweep alone, and --step those of
-    # the others: an oracle sweep scans no grid.
+    # the others: an oracle sweep scans no grid. The whole comment block,
+    # byte for byte.
     step = "" if solver == "oracle" else " step=0.01"
     out = tmp_path / "sweep.csv"
     assert sweep(flat_cfg, out, "--points", "1", "--solver", solver, "--levels", "3") == 0
-    flags, = (ln for ln in out.read_text().splitlines() if ln.startswith("# flags:"))
-    assert flags == (f"# flags: gmin=0.5 gmax=1 points=1 emin=-1 emax=3{step} "
-                     f"solver={solver} parity=both{levels} truncation=auto")
+    comments = [ln for ln in out.read_text().splitlines() if ln.startswith("#")]
+    assert comments == ["# tqrabi sweep", FLAT_PARAMS,
+                        f"# flags: gmin=0.5 gmax=1 points=1 emin=-1 emax=3{step} "
+                        f"solver={solver} parity=both{levels} truncation=auto"]
+
+
+@pytest.mark.parametrize("argv, comments", [
+    (["spectrum", "--emax", "1", "--solver", "oracle", "--truncation", "60",
+      "--parity", "minus"],
+     ["# tqrabi spectrum", ASYM_PARAMS, "# flags: emin=-1 emax=1 step=0.01 solver=oracle "
+      "parity=minus truncation=60 verify=true"]),
+    (["spectrum", "--emin", "0.5", "--emax", "1", "--solver", "gfunction", "--no-verify",
+      "--step", "0.05"],
+     ["# tqrabi spectrum", ASYM_PARAMS, "# flags: emin=0.5 emax=1 step=0.050000000000000003 "
+      "solver=gfunction parity=both truncation=auto verify=false"]),
+    (["trace", "--emin", "-1", "--emax", "1.5", "--step", "0.05", "--parity", "plus"],
+     ["# tqrabi trace", FLAT_PARAMS,
+      "# flags: emin=-1 emax=1.5 step=0.050000000000000003 parity=plus",
+      "# baselines: first:0@-1 first:1@0 second:0@0 first:2@1 second:1@1"]),
+    (["exceptional", "--scan", "jz=-0.5:0.5:3", "--scan", "delta1=0.2:1.1:4", "--ncut", "2"],
+     ["# tqrabi exceptional", FLAT_PARAMS,
+      "# flags: scan=jz=-0.5:0.5:3 delta1=0.2:1.1:4 ncut=2"]),
+], ids=["spectrum-oracle", "spectrum-gfunction", "trace", "exceptional"])
+def test_comment_header_bytes(tmp_path, flat_cfg, argv, comments):
+    # The whole comment block of each command, byte for byte: the command,
+    # every parameter and every flag in its order, each float at 17 digits.
+    # test_sweep_flags_name_levels_where_they_apply pins the sweep's.
+    cfg = tmp_path / "jx.cfg"
+    cfg.write_text(ASYM_CFG + "jx = 0.25\n")
+    config = str(cfg) if argv[0] == "spectrum" else flat_cfg
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--config", config, "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.startswith("\n".join(comments) + "\n") and text.count("#") == len(comments)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--emax", "1"],
+    ["spectrum", "--emax", "1", "--solver", "gfunction", "--no-verify"],
+    SWEEP_G + ["2", "--emax", "1", "--solver", "both"],
+], ids=["spectrum", "spectrum-gfunction", "sweep"])
+def test_negative_exponent_value_after_a_space(tmp_path, asym_cfg, argv):
+    # argparse takes -1e-1 for an option name: the CLI hands it to --emin as
+    # the value it follows, as --emin=-1e-1 does.
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert main([*argv, "--config", asym_cfg, "--emin", "-1e-1", "--out", str(spaced)]) == 0
+    assert main([*argv, "--config", asym_cfg, "--emin=-1e-1", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert "# flags: " + ("gmin=0.5 gmax=1 points=2 " if argv[0] == "sweep" else "") \
+        + "emin=-0.10000000000000001 emax=1 " in spaced.read_text()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--emin", "-inf", "--emax", "1"], "energy window and step must be finite"),
+    (["trace", "--emin", "-inf", "--emax", "1"], "energy window and step must be finite"),
+    (SWEEP_G + ["2", "--emin", "-Infinity", "--emax", "1"],
+     "energy window and step must be finite"),
+    (["sweep", "--gmin", "-inf", "--gmax", "1", "--points", "2"],
+     "--gmin and --gmax must be finite"),
+], ids=["spectrum", "trace", "sweep", "sweep-gmin"])
+def test_negative_infinity_after_a_space_is_one_line(tmp_path, asym_cfg, capsys, argv,
+                                                     message):
+    # -inf reaches the input checks, which name it in one line, not
+    # argparse's usage message.
+    assert main([*argv, "--config", asym_cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["-h", "--emax"])
+def test_option_after_a_number_option_stays_an_option(asym_cfg, capsys, value):
+    # Only a token that float() reads is taken as the value: -h and option
+    # names keep argparse's meaning, so --emin lacks its value.
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--config", asym_cfg, "--emin", value, "--emax", "1"])
+    assert exc.value.code == 2
+    assert "argument --emin: expected one argument" in capsys.readouterr().err
 
 
 def test_both_sweep_window_error_writes_status_rows(tmp_path, asym_cfg, monkeypatch):
